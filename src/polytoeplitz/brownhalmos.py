@@ -110,33 +110,78 @@ def build_row(
     return row
 
 
-def phi_right(space: FockSpace, i: int, Y: np.ndarray) -> np.ndarray:
+def _entries(mat, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major keys ``row * n + col`` and complex values of the stored entries."""
+    coo = sp.coo_matrix(mat)
+    coo.sum_duplicates()
+    return coo.row.astype(np.int64) * n + coo.col, coo.data.astype(complex)
+
+
+def _accumulate(terms) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise sum of ``(keys, vals)`` terms, added in list order over the union support.
+
+    Each term's keys are distinct, so every entry is summed in the order a
+    dense accumulator would add the terms.
+    """
+    keys = np.unique(np.concatenate([k for k, _ in terms]))
+    acc = np.zeros(keys.size, dtype=complex)
+    for k, v in terms:
+        acc[np.searchsorted(keys, k)] += v
+    return keys, acc
+
+
+def _phi_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
+    # each right creation moves basis vectors injectively, so conjugation by
+    # it gathers and scatters the stored entries and keeps at most their count
+    n = space.total_dim
+    rows, cols = np.divmod(keys, n)
+    terms = []
+    for w, a in space.spec.coeffs[i].items():
+        src, dst, lam = space.creation_action(i, reverse(w), side="right")
+        slot = np.full(n, -1, dtype=np.int64)
+        slot[src] = np.arange(src.size)
+        sr, sc = slot[rows], slot[cols]
+        hit = (sr >= 0) & (sc >= 0)
+        sr, sc = sr[hit], sc[hit]
+        weights = a * (lam[sr] * lam[sc].conj())
+        terms.append((dst[sr] * n + dst[sc], weights * vals[hit]))
+    return _accumulate(terms)
+
+
+def _alternating_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
+    m = space.spec.m[i]
+    terms = []
+    for j in range(1, m + 1):
+        keys, vals = _phi_entries(space, i, keys, vals)
+        terms.append((keys, ((-1) ** (j - 1)) * math.comb(m, j) * vals))
+    return _accumulate(terms)
+
+
+def _like(mat: linalg.MatrixLike, n: int, keys: np.ndarray, vals: np.ndarray) -> linalg.MatrixLike:
+    """The entries as a matrix of the input's kind: CSR for sparse, ndarray otherwise."""
+    if sp.issparse(mat):
+        return sp.csr_matrix((vals, np.divmod(keys, n)), shape=(n, n))
+    out = np.zeros((n, n), dtype=complex)
+    out.reshape(-1)[keys] = vals
+    return out
+
+
+def phi_right(space: FockSpace, i: int, Y: linalg.MatrixLike) -> linalg.MatrixLike:
     """The reversed-series map of factor ``i`` on the ampliated right model.
 
-    Each creation moves basis vectors injectively, so conjugation is a
-    weighted gather/scatter on index arrays rather than a matrix product.
+    Works on the stored entries of ``Y`` (dense or sparse) and returns the
+    same kind of matrix.
     """
-    spec = space.spec
     n = space.total_dim
     if Y.shape != (n, n):
         raise DimensionMismatch("operand shape differs from the space dimension")
-    acc = np.zeros((n, n), dtype=complex)
-    for w, a in spec.coeffs[i].items():
-        src, dst, vals = space.creation_action(i, reverse(w), side="right")
-        weights = a * np.outer(vals, vals.conj())
-        acc[np.ix_(dst, dst)] += weights * Y[np.ix_(src, src)]
-    return acc
+    return _like(Y, n, *_phi_entries(space, i, *_entries(Y, n)))
 
 
-def alternating_phi_sum(space: FockSpace, i: int, T: np.ndarray) -> np.ndarray:
+def alternating_phi_sum(space: FockSpace, i: int, T: linalg.MatrixLike) -> linalg.MatrixLike:
     """``sum_{j=1}^{m_i} (-1)^(j-1) C(m_i, j) Phi^j(T)`` for the factor's order."""
-    m = space.spec.m[i]
-    acc = np.zeros_like(T)
-    power = T
-    for j in range(1, m + 1):
-        power = phi_right(space, i, power)
-        acc += ((-1) ** (j - 1)) * math.comb(m, j) * power
-    return acc
+    n = space.total_dim
+    return _like(T, n, *_alternating_entries(space, i, *_entries(T, n)))
 
 
 def range_projection(space: FockSpace, i: int) -> np.ndarray:
@@ -167,18 +212,15 @@ def cauchy_dual_projection(C: RowOperator, rank_tol: float = 1e-10) -> np.ndarra
 
 def _min_positive_gram_eig(space: FockSpace, i: int, rank_tol: float = 1e-12) -> float:
     # CC* acts as identity off factor i, so its positive spectrum equals that
-    # of the factor-level sum and the small eigenproblem suffices
-    cache = getattr(space, "_bh_gram_cache", None)
-    if cache is None:
-        cache = {}
-        setattr(space, "_bh_gram_cache", cache)
+    # of the factor-level sum M = sum_w a_w Lambda_w Lambda_w^*; each Lambda_w
+    # is injective, so M is diagonal and its spectrum is its diagonal
+    cache = space.row_gram_min_eig
     if i not in cache:
-        d = space.factor_dims[i]
-        M = np.zeros((d, d), dtype=complex)
+        diag = np.zeros(space.factor_dims[i], dtype=complex)
         for w, a in space.spec.coeffs[i].items():
-            lam = space.factor_creation(i, reverse(w), side="right")
-            M += a * (lam @ lam.conj().T).toarray()
-        eigs = np.linalg.eigvalsh(linalg.hermitize(M))
+            lam = space.factor_creation(i, reverse(w), side="right").tocoo()
+            diag[lam.row] += a * (lam.data * lam.data.conj())
+        eigs = np.sort(diag.real)
         lam_max = float(eigs[-1]) if eigs.size else 0.0
         positive = eigs[eigs > rank_tol * max(lam_max, 1.0)]
         cache[i] = float(positive[0]) if positive.size else 0.0
@@ -205,6 +247,9 @@ def bh_residual(
     residual.  Lowering operators never leave the truncation, so the identity
     is exact on the whole truncated space; ``headroom`` defaults to zero and
     only shrinks the compared block further.
+
+    Both sides are computed on the stored entries of ``T``, which is never
+    densified; the Frobenius norm runs over the union of their supports.
     """
     space = T.space
     if spec is not space.spec:
@@ -212,15 +257,17 @@ def bh_residual(
             raise DimensionMismatch("spec differs from the operator space's spec")
     if not 0 <= i < spec.k:
         raise DimensionMismatch(f"factor index {i} outside range")
-    degs = space.degree_table()
-    q = np.tile((degs[:, i] > 0).astype(float), space.coeff_dim)
-    Td = T.dense
-    lhs = Td * np.outer(q, q)
-    rhs = alternating_phi_sum(space, i, Td)
-    diff = lhs - rhs
+    n = space.total_dim
+    keys, vals = _entries(T.matrix, n)
+    q = np.tile(space.degree_table()[:, i] > 0, space.coeff_dim)
+    rows, cols = np.divmod(keys, n)
+    in_range = q[rows] & q[cols]
+    rhs_keys, rhs_vals = _alternating_entries(space, i, keys, vals)
+    keys, diff = _accumulate([(keys[in_range], vals[in_range]), (rhs_keys, -rhs_vals)])
     if headroom is not None:
         mask = np.tile(space.safe_mask(headroom), space.coeff_dim)
-        diff = diff[np.ix_(mask, mask)]
+        rows, cols = np.divmod(keys, n)
+        diff = diff[mask[rows] & mask[cols]]
     lam = _min_positive_gram_eig(space, i)
     if lam <= 0.0:
         raise SpecError("row Gram matrix has no positive spectrum")

@@ -67,8 +67,13 @@ def psd_check(mat: MatrixLike, tol: float = 1e-9) -> Tuple[bool, float]:
 
 
 def op_norm(mat: MatrixLike) -> float:
-    """Largest singular value."""
+    """Largest singular value; 0.0 for a matrix with no nonzero entry.
+
+    The zero case is answered directly because Lanczos cannot start from it.
+    """
     if sp.issparse(mat):
+        if mat.count_nonzero() == 0:
+            return 0.0
         if min(mat.shape) <= 2:
             return op_norm(as_dense(mat))
         if max(mat.shape) > _DENSE_NORM_CUTOFF:
@@ -79,7 +84,7 @@ def op_norm(mat: MatrixLike) -> float:
             return float(s[0])
         mat = as_dense(mat)
     m = np.asarray(mat)
-    if m.size == 0:
+    if not m.any():
         return 0.0
     if max(m.shape) > _DENSE_NORM_CUTOFF and min(m.shape) > 2:
         v0 = np.ones(min(m.shape))

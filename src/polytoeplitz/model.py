@@ -71,6 +71,10 @@ class FockSpace:
         self._basis: Optional[list[MultiWord]] = None
         self._degrees: Optional[np.ndarray] = None
         self._pairs: Optional[PairStructure] = None
+        # (side, factor, letters) -> index arrays of creation_action
+        self._action_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # factor -> smallest positive eigenvalue of its right-row Gram matrix
+        self.row_gram_min_eig: dict[int, float] = {}
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -181,10 +185,7 @@ class FockSpace:
         column; creations have at most one entry per column, so gather/scatter
         with these arrays replaces sparse matrix products in hot paths.
         """
-        cache = getattr(self, "_action_cache", None)
-        if cache is None:
-            cache = {}
-            self._action_cache = cache
+        cache = self._action_cache
         key = (side, i, word.letters)
         if key not in cache:
             coo = self.factor_creation(i, word, side=side).tocoo()
@@ -273,23 +274,46 @@ class FockOperator:
 
 @dataclass
 class PairStructure:
-    """Vectorized comparability data over all basis pairs of a space.
+    """Comparable basis pairs of a space as index arrays.
 
-    ``cls`` assigns every comparable pair the integer id of its reduced
-    representative; ``rep_row``/``rep_col`` give that representative's basis
-    indices, so structure checks reduce to numpy gathers.
+    ``rows``/``cols`` list the comparable pairs ``(row, col)`` of Fock basis
+    indices in row-major order; ``tau`` holds each pair's entry weight and
+    ``cls`` the integer id of its reduced representative, whose basis indices
+    are ``rep_row``/``rep_col`` and whose position in the pair arrays is
+    ``rep_pos``.  Storage grows with the number of comparable pairs (the
+    Kronecker product of the per-factor counts), not with ``dim**2``, so
+    structure checks reduce to numpy gathers over the pairs and the stored
+    entries of an operator.
     """
 
     space: FockSpace
-    comp: np.ndarray          # (dim, dim) bool
-    tau: np.ndarray           # (dim, dim) float, 0 where not comparable
-    cls: np.ndarray           # (dim, dim) int, -1 where not comparable
+    rows: np.ndarray          # (n_pairs,) int, row-major sorted
+    cols: np.ndarray          # (n_pairs,) int
+    tau: np.ndarray           # (n_pairs,) float
+    cls: np.ndarray           # (n_pairs,) int
     n_classes: int
     rep_row: np.ndarray       # (n_classes,) basis index of the left word
     rep_col: np.ndarray       # (n_classes,) basis index of the right word
+    rep_pos: np.ndarray       # (n_classes,) position of the representative pair
     tau_rep: np.ndarray       # (n_classes,)
     s_abs: np.ndarray         # (n_classes,) total |s|
     s_vectors: np.ndarray     # (n_classes, k) signed degree vectors
+
+    @property
+    def comp(self) -> np.ndarray:
+        """Dense ``(dim, dim)`` comparability mask, built on each access (small spaces only)."""
+        mask = np.zeros((self.space.dim, self.space.dim), dtype=bool)
+        mask[self.rows, self.cols] = True
+        return mask
+
+    def positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Position of each basis pair in the pair arrays, -1 where not comparable."""
+        dim = self.space.dim
+        keys = self.rows * dim + self.cols
+        want = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
+        # the vacuum pair (0, 0) is always comparable, so keys is never empty
+        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        return np.where(keys[pos] == want, pos, -1)
 
     def class_pair(self, c: int) -> IndexPair:
         space = self.space
@@ -302,54 +326,60 @@ class PairStructure:
         return [self.class_pair(c) for c in range(self.n_classes)]
 
 
-def _factor_pair_tables(space: FockSpace, i: int):
-    ws = space.factor_words[i]
-    count = len(ws)
-    b = space.weights.tables[i]
-    comp = np.zeros((count, count), dtype=bool)
-    tau = np.zeros((count, count), dtype=float)
-    jid = np.full((count, count), -1, dtype=np.int64)
-    letters = [w.letters for w in ws]
-    index = space.factor_index[i]
-    n = space.spec.n[i]
-    for x in range(count):
-        lx = letters[x]
-        bx = b[ws[x]]
-        for y in range(count):
-            ly = letters[y]
-            if len(lx) >= len(ly):
-                if len(ly) == 0 or lx[len(lx) - len(ly):] == ly:
-                    # omega >=_r gamma: reduced pair (quotient, e)
-                    quotient = Word(lx[: len(lx) - len(ly)], n)
-                    comp[x, y] = True
-                    tau[x, y] = math.sqrt(b[ws[y]] / bx)
-                    jid[x, y] = index[quotient]
-            elif ly[len(ly) - len(lx):] == lx:
-                # gamma >_r omega: reduced pair (e, quotient)
-                quotient = Word(ly[: len(ly) - len(lx)], n)
-                comp[x, y] = True
-                tau[x, y] = math.sqrt(bx / b[ws[y]])
-                jid[x, y] = count + index[quotient] - 1
-    return comp, tau, jid, 2 * count - 1
+def _factor_pairs(space: FockSpace, i: int):
+    """Comparable pairs of factor ``i``: ``(rows, cols, tau, jid)`` row-major, and the class count.
+
+    A word of length ``d`` at base-``n`` offset ``o`` (its rank minus the
+    count of shorter words) has as length-``e`` suffix the word at offset
+    ``o mod n**e`` and as quotient the word at offset ``o // n**e``.  A pair
+    whose column right-divides its row reduces to ``(quotient, e)``, with id
+    the quotient's rank; the transposed pair reduces to ``(e, quotient)``,
+    with id ``count + rank - 1``.
+    """
+    n, L = space.spec.n[i], space.trunc[i]
+    count = space.factor_dims[i]
+    start = np.concatenate([[0], np.cumsum(n ** np.arange(L + 1, dtype=np.int64))])
+    lengths = np.repeat(np.arange(L + 1), np.diff(start))
+    offsets = np.arange(count, dtype=np.int64) - start[lengths]
+    b = np.array([space.weights.tables[i][w] for w in space.factor_words[i]], dtype=float)
+    big, small, quot = [], [], []
+    for e in range(L + 1):
+        x = np.flatnonzero(lengths >= e)
+        big.append(x)
+        small.append(start[e] + offsets[x] % n**e)
+        quot.append(start[lengths[x] - e] + offsets[x] // n**e)
+    big, small, quot = (np.concatenate(a) for a in (big, small, quot))
+    proper = big != small
+    rows = np.concatenate([big, small[proper]])
+    cols = np.concatenate([small, big[proper]])
+    jid = np.concatenate([quot, count + quot[proper] - 1])
+    # both orientations weigh sqrt(b_shorter / b_longer)
+    tau = np.sqrt(b[small] / b[big])
+    tau = np.concatenate([tau, tau[proper]])
+    order = np.argsort(rows * count + cols)
+    return rows[order], cols[order], tau[order], jid[order], 2 * count - 1
 
 
 def _build_pair_structure(space: FockSpace) -> PairStructure:
     k = space.spec.k
-    comp, tau, cls = None, None, None
+    rows, cols, tau, cls = None, None, None, None
+    width = 1
     radices = []
     for i in range(k):
-        c_i, t_i, j_i, ncls_i = _factor_pair_tables(space, i)
+        r_i, c_i, t_i, j_i, ncls_i = _factor_pairs(space, i)
         radices.append(ncls_i)
-        if comp is None:
-            comp, tau, cls = c_i, t_i, j_i
+        d_i = space.factor_dims[i]
+        if rows is None:
+            rows, cols, tau, cls = r_i, c_i, t_i, j_i
         else:
-            comp = (comp[:, None, :, None] & c_i[None, :, None, :]).reshape(
-                comp.shape[0] * c_i.shape[0], -1
-            )
-            tau = (tau[:, None, :, None] * t_i[None, :, None, :]).reshape(comp.shape)
-            cls = (cls[:, None, :, None] * ncls_i + j_i[None, :, None, :]).reshape(comp.shape)
-    cls = np.where(comp, cls, -1)
-    tau = np.where(comp, tau, 0.0)
+            rows = (rows[:, None] * d_i + r_i[None, :]).ravel()
+            cols = (cols[:, None] * d_i + c_i[None, :]).ravel()
+            tau = (tau[:, None] * t_i[None, :]).ravel()
+            cls = (cls[:, None] * ncls_i + j_i[None, :]).ravel()
+        width *= d_i
+    keys = rows * width + cols
+    order = np.argsort(keys)
+    keys, rows, cols, tau, cls = keys[order], rows[order], cols[order], tau[order], cls[order]
 
     n_classes = 1
     for r in radices:
@@ -373,18 +403,20 @@ def _build_pair_structure(space: FockSpace) -> PairStructure:
         rep_col = rep_col * count + right_rank
         lengths = np.array([len(w) for w in space.factor_words[i]], dtype=np.int64)
         s_vectors[:, i] = lengths[left_rank] - lengths[right_rank]
-    tau_rep = tau[rep_row, rep_col]
-    s_abs = np.abs(s_vectors).sum(axis=1)
+    # reduced representatives always sit inside the truncation
+    rep_pos = np.searchsorted(keys, rep_row * width + rep_col)
     return PairStructure(
         space=space,
-        comp=comp,
+        rows=rows,
+        cols=cols,
         tau=tau,
         cls=cls,
         n_classes=n_classes,
         rep_row=rep_row,
         rep_col=rep_col,
-        tau_rep=tau_rep,
-        s_abs=s_abs,
+        rep_pos=rep_pos,
+        tau_rep=tau[rep_pos],
+        s_abs=np.abs(s_vectors).sum(axis=1),
         s_vectors=s_vectors,
     )
 

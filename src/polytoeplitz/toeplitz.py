@@ -3,8 +3,9 @@
 An operator is weighted multi-Toeplitz when its matrix vanishes at
 non-comparable basis pairs and scales along comparable ones by the ratio of
 entry weights to the weight of the reduced representative.  The routines
-here vectorize that definition over the whole basis grid, extract the
-Fourier coefficient family, and rebuild operators from it.
+here vectorize that definition over the comparable pairs and the stored
+entries of an operator, extract the Fourier coefficient family, and rebuild
+operators from it.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linalg
 from .cpmaps import OperatorTuple
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import IndexPair, MultiWord, Word
-from .model import FockOperator, FockSpace, monomial
+from .model import FockOperator, FockSpace, PairStructure, monomial
 
 __all__ = [
     "FourierSymbol",
@@ -132,41 +134,60 @@ class ToeplitzReport:
         return "\n".join(lines)
 
 
+def _split_entries(T: FockOperator, ps: PairStructure):
+    """The stored entries of ``T`` split by comparability of their basis pair.
+
+    Returns ``(E, keys, mags)``: ``E`` is the ``(c, c, n_pairs)`` array of
+    coefficient blocks at the comparable pairs, and ``keys``/``mags`` are the
+    row-major keys ``row * dim + col`` and magnitudes of the entries at
+    non-comparable pairs.  ``T`` is never densified.
+    """
+    space = T.space
+    c, d = space.coeff_dim, space.dim
+    coo = sp.coo_matrix(T.matrix)
+    coo.sum_duplicates()
+    x, rows = np.divmod(coo.row.astype(np.int64), d)
+    y, cols = np.divmod(coo.col.astype(np.int64), d)
+    pos = ps.positions(rows, cols)
+    inside = pos >= 0
+    E = np.zeros((c, c, ps.rows.size), dtype=complex)
+    E[x[inside], y[inside], pos[inside]] = coo.data[inside]
+    outside = ~inside
+    return E, rows[outside] * d + cols[outside], np.abs(coo.data[outside])
+
+
 def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     """Decide weighted multi-Toeplitz structure over every basis pair.
 
-    Checks (a) zero entries at non-comparable pairs (absolute tolerance) and
+    Checks (a) zero entries at non-comparable pairs (absolute tolerance),
+    taken over the stored entries of ``T`` outside the comparable set, and
     (b) the weight-ratio relation against the reduced representative entry at
-    comparable pairs (relative to ``max(1, ||T||)``).  Reduced representatives
-    always sit inside the truncation, so no pair is skipped; a count is kept
-    anyway for the report schema.
+    comparable pairs (relative to ``max(1, ||T||)``).  The worst pair is the
+    first maximum in row-major order.  Reduced representatives always sit
+    inside the truncation, so no pair is skipped; a count is kept anyway for
+    the report schema.
     """
     space = T.space
     ps = space.pair_structure()
-    E = T.blocks()
+    E, out_keys, out_mags = _split_entries(T, ps)
     norm_scale = max(1.0, linalg.op_norm(T.matrix))
 
-    noncomp = ~ps.comp
     structural = 0.0
     worst: Optional[tuple[MultiWord, MultiWord]] = None
-    if np.any(noncomp):
-        mags = np.abs(E).max(axis=(0, 1)) * noncomp
-        structural = float(mags.max())
+    if out_mags.size:
+        structural = float(out_mags.max())
         if structural > 0.0:
-            r, c = np.unravel_index(int(np.argmax(mags)), mags.shape)
-            worst = (space.multiword_at(int(r)), space.multiword_at(int(c)))
+            r, c = divmod(int(out_keys[out_mags == structural].min()), space.dim)
+            worst = (space.multiword_at(r), space.multiword_at(c))
 
-    cls = ps.cls
-    ratio = np.where(ps.comp, ps.tau / ps.tau_rep[cls], 0.0)
-    rep_rows = ps.rep_row[cls]
-    rep_cols = ps.rep_col[cls]
-    expected = ratio[None, None, :, :] * E[:, :, rep_rows, rep_cols]
-    dev = np.abs(E - expected).max(axis=(0, 1)) * ps.comp
+    ratio = ps.tau / ps.tau_rep[ps.cls]
+    expected = ratio[None, None, :] * E[:, :, ps.rep_pos[ps.cls]]
+    dev = np.abs(E - expected).max(axis=(0, 1))
     scaling = float(dev.max())
     scaling_rel = scaling / norm_scale
     if scaling_rel > max(structural, 0.0) and scaling > 0.0:
-        r, c = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        worst = (space.multiword_at(int(r)), space.multiword_at(int(c)))
+        p = int(np.argmax(dev))
+        worst = (space.multiword_at(int(ps.rows[p])), space.multiword_at(int(ps.cols[p])))
 
     max_violation = max(structural, scaling_rel)
     return ToeplitzReport(
@@ -226,13 +247,10 @@ def extract_fourier(
         raise NotMultiToeplitz(report)
     space = T.space
     ps = space.pair_structure()
-    E = T.blocks()
-    coeffs: dict[IndexPair, np.ndarray] = {}
-    raw = E[:, :, ps.rep_row, ps.rep_col] / ps.tau_rep[None, None, :]
-    for cdx in range(ps.n_classes):
-        A = raw[:, :, cdx]
-        if np.abs(A).max() > drop_tol:
-            coeffs[ps.class_pair(cdx)] = np.array(A)
+    E, _, _ = _split_entries(T, ps)
+    raw = E[:, :, ps.rep_pos] / ps.tau_rep[None, None, :]
+    kept = np.flatnonzero(np.abs(raw).max(axis=(0, 1)) > drop_tol)
+    coeffs = {ps.class_pair(int(cdx)): np.array(raw[:, :, cdx]) for cdx in kept}
     return FourierSymbol(space, coeffs)
 
 
@@ -313,15 +331,15 @@ def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> np.ndarray:
     space = sym.space
     ps = space.pair_structure()
     c = space.coeff_dim
+    d = space.dim
     coeff_table = np.zeros((ps.n_classes, c, c), dtype=complex)
     for pair, A in sym.coefficients.items():
-        row = space.index_of(pair.left)
-        col = space.index_of(pair.right)
-        cdx = int(ps.cls[row, col])
-        coeff_table[cdx] = A
-    radial = ps.tau * np.where(ps.comp, r ** ps.s_abs[ps.cls], 0.0)
-    blocks = radial[:, :, None, None] * coeff_table[ps.cls]
-    return blocks.transpose(0, 2, 1, 3).reshape(space.dim * c, space.dim * c)
+        pos = ps.positions([space.index_of(pair.left)], [space.index_of(pair.right)])
+        coeff_table[ps.cls[pos[0]]] = A
+    radial = ps.tau * r ** ps.s_abs[ps.cls]
+    out = np.zeros((d, c, d, c), dtype=complex)
+    out[ps.rows, :, ps.cols, :] = radial[:, None, None] * coeff_table[ps.cls]
+    return out.reshape(d * c, d * c)
 
 
 def random_symbol(
@@ -342,7 +360,7 @@ def random_symbol(
     count = max(1, min(n_monomials, ps.n_classes))
     chosen = rng.choice(ps.n_classes, size=count, replace=False)
     if include_identity_pair:
-        zero_cls = int(ps.cls[0, 0])
+        zero_cls = int(ps.cls[ps.positions([0], [0])[0]])
         if zero_cls not in chosen:
             chosen = np.append(chosen[:-1], zero_cls)
     coeffs: dict[IndexPair, np.ndarray] = {}

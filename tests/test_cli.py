@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +227,14 @@ def test_verify_command_passes(tmp_path):
     assert report["passed"]
     names = [c["name"] for c in report["checks"]]
     assert names == sorted(names)
+
+
+def test_verify_report_matches_golden_file(tmp_path):
+    # the seeded battery report is pinned byte for byte
+    rc = main(["verify", "--seed", "42", "--trunc", "4", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    golden = Path(__file__).parent / "data" / "verify_seed42_trunc4.json"
+    assert (tmp_path / "out" / "verify-report.json").read_bytes() == golden.read_bytes()
 
 
 def test_invalid_tolerance_exits_2(tmp_path):

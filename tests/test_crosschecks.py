@@ -2,15 +2,20 @@
 
 Each test recomputes a quantity from first definitions (explicit loops over
 basis pairs, literal Kronecker sandwiches, the uncompressed structural
-equation) and compares against the fast implementation.
+equation) and compares against the fast implementation.  The dense
+``(dim, dim)`` comparability tables, classification and structural-equation
+residual that the index-array implementations replaced are kept here as
+oracles; the arithmetic per entry is unchanged, so they must agree exactly.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from polytoeplitz.brownhalmos import (
+    _min_positive_gram_eig,
     alternating_phi_sum,
     bh_residual,
     build_row,
@@ -19,11 +24,12 @@ from polytoeplitz.brownhalmos import (
     range_projection,
 )
 from polytoeplitz.cpmaps import berezin_kernel, berezin_transform, random_pure_tuple
-from polytoeplitz.freemonoid import comparable, simplify
-from polytoeplitz.linalg import pinv_on_range
+from polytoeplitz.freemonoid import Word, comparable, reverse, simplify
+from polytoeplitz.linalg import hermitize, op_norm, pinv_on_range
 from polytoeplitz.model import FockOperator, FockSpace, graded_projection
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import (
+    ToeplitzReport,
     evaluate_at_model,
     homogeneous_part,
     is_multi_toeplitz,
@@ -31,6 +37,155 @@ from polytoeplitz.toeplitz import (
     random_symbol,
 )
 from polytoeplitz.weights import tau
+
+from conftest import make_spec
+
+
+def dense_factor_pair_tables(space, i):
+    """Dense per-factor comparability, entry weight and reduced-pair id by the definition."""
+    ws = space.factor_words[i]
+    count = len(ws)
+    b = space.weights.tables[i]
+    comp = np.zeros((count, count), dtype=bool)
+    tau_ = np.zeros((count, count), dtype=float)
+    jid = np.full((count, count), -1, dtype=np.int64)
+    letters = [w.letters for w in ws]
+    index = space.factor_index[i]
+    n = space.spec.n[i]
+    for x in range(count):
+        lx = letters[x]
+        bx = b[ws[x]]
+        for y in range(count):
+            ly = letters[y]
+            if len(lx) >= len(ly):
+                if len(ly) == 0 or lx[len(lx) - len(ly):] == ly:
+                    # omega >=_r gamma: reduced pair (quotient, e)
+                    quotient = Word(lx[: len(lx) - len(ly)], n)
+                    comp[x, y] = True
+                    tau_[x, y] = math.sqrt(b[ws[y]] / bx)
+                    jid[x, y] = index[quotient]
+            elif ly[len(ly) - len(lx):] == lx:
+                # gamma >_r omega: reduced pair (e, quotient)
+                quotient = Word(ly[: len(ly) - len(lx)], n)
+                comp[x, y] = True
+                tau_[x, y] = math.sqrt(bx / b[ws[y]])
+                jid[x, y] = count + index[quotient] - 1
+    return comp, tau_, jid, 2 * count - 1
+
+
+def dense_pair_tables(space):
+    """Dense ``(dim, dim)`` ``comp``/``tau``/``cls`` as Kronecker products of the factor tables."""
+    comp, tau_, cls = None, None, None
+    for i in range(space.spec.k):
+        c_i, t_i, j_i, ncls_i = dense_factor_pair_tables(space, i)
+        if comp is None:
+            comp, tau_, cls = c_i, t_i, j_i
+        else:
+            comp = (comp[:, None, :, None] & c_i[None, :, None, :]).reshape(
+                comp.shape[0] * c_i.shape[0], -1
+            )
+            tau_ = (tau_[:, None, :, None] * t_i[None, :, None, :]).reshape(comp.shape)
+            cls = (cls[:, None, :, None] * ncls_i + j_i[None, :, None, :]).reshape(comp.shape)
+    return comp, np.where(comp, tau_, 0.0), np.where(comp, cls, -1)
+
+
+def dense_classification(T, tol=1e-10):
+    """The classification over the dense tables and the dense block array of ``T``."""
+    space = T.space
+    ps = space.pair_structure()
+    comp, tau_, cls = dense_pair_tables(space)
+    E = T.blocks()
+    norm_scale = max(1.0, op_norm(T.matrix))
+    structural = 0.0
+    worst = None
+    if np.any(~comp):
+        mags = np.abs(E).max(axis=(0, 1)) * ~comp
+        structural = float(mags.max())
+        if structural > 0.0:
+            r, c = np.unravel_index(int(np.argmax(mags)), mags.shape)
+            worst = (space.multiword_at(int(r)), space.multiword_at(int(c)))
+    ratio = np.where(comp, tau_ / ps.tau_rep[cls], 0.0)
+    expected = ratio[None, None, :, :] * E[:, :, ps.rep_row[cls], ps.rep_col[cls]]
+    dev = np.abs(E - expected).max(axis=(0, 1)) * comp
+    scaling = float(dev.max())
+    if scaling / norm_scale > structural and scaling > 0.0:
+        r, c = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        worst = (space.multiword_at(int(r)), space.multiword_at(int(c)))
+    max_violation = max(structural, scaling / norm_scale)
+    return ToeplitzReport(
+        verdict=bool(max_violation <= tol),
+        max_violation=max_violation,
+        worst_pair=worst if max_violation > 0.0 else None,
+        checked_pairs=space.dim * space.dim,
+        structural_violation=structural,
+        scaling_violation=scaling,
+        tolerance=tol,
+    ).to_dict()
+
+
+def dense_phi_right(space, i, Y):
+    n = space.total_dim
+    acc = np.zeros((n, n), dtype=complex)
+    for w, a in space.spec.coeffs[i].items():
+        src, dst, vals = space.creation_action(i, reverse(w), side="right")
+        weights = a * np.outer(vals, vals.conj())
+        acc[np.ix_(dst, dst)] += weights * Y[np.ix_(src, src)]
+    return acc
+
+
+def dense_min_positive_gram_eig(space, i, rank_tol=1e-12):
+    d = space.factor_dims[i]
+    M = np.zeros((d, d), dtype=complex)
+    for w, a in space.spec.coeffs[i].items():
+        lam = space.factor_creation(i, reverse(w), side="right")
+        M += a * (lam @ lam.conj().T).toarray()
+    eigs = np.linalg.eigvalsh(hermitize(M))
+    positive = eigs[eigs > rank_tol * max(float(eigs[-1]), 1.0)]
+    return float(positive[0]) if positive.size else 0.0
+
+
+def dense_alternating_phi_sum(space, i, T):
+    m = space.spec.m[i]
+    acc = np.zeros_like(T)
+    power = T
+    for j in range(1, m + 1):
+        power = dense_phi_right(space, i, power)
+        acc += ((-1) ** (j - 1)) * math.comb(m, j) * power
+    return acc
+
+
+def dense_bh_residual(T, i, headroom=None):
+    """``||Q T Q - sum_j (-1)^(j-1) C(m, j) Phi^j(T)||_F`` on dense operands, over the Gram bound."""
+    space = T.space
+    q = np.tile((space.degree_table()[:, i] > 0).astype(float), space.coeff_dim)
+    Td = T.dense
+    diff = Td * np.outer(q, q) - dense_alternating_phi_sum(space, i, Td)
+    if headroom is not None:
+        mask = np.tile(space.safe_mask(headroom), space.coeff_dim)
+        diff = diff[np.ix_(mask, mask)]
+    return float(np.linalg.norm(diff)) / dense_min_positive_gram_eig(space, i)
+
+
+def oracle_spaces(rng):
+    """Spaces covering one-generator factors, three factors and a coefficient space."""
+    yield FockSpace(random_spec(rng, k=1, max_n=1), (5,))
+    yield FockSpace(random_spec(rng, k=2, max_n=1), (3, 4), coeff_dim=2)
+    yield FockSpace(random_spec(rng, k=3), (2, 2, 1))
+    yield FockSpace(random_spec(rng, k=3, max_n=1), (2, 1, 3), coeff_dim=2)
+    for _ in range(4):
+        spec = random_spec(rng)
+        yield FockSpace(spec, (3,) * spec.k if spec.k == 2 else (4,), coeff_dim=int(rng.integers(1, 3)))
+
+
+def oracle_operators(space, rng):
+    """A planted operator, a perturbed and a spoiled copy of it, and a random dense one."""
+    n = space.total_dim
+    planted = evaluate_at_model(random_symbol(space, rng, n_monomials=5)).dense
+    noisy = planted + 1e-6 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    spoiled = planted.copy()
+    spoiled[int(rng.integers(n)), int(rng.integers(n))] += 1e-3
+    rand = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return [planted, noisy, spoiled, rand]
 
 
 def naive_toeplitz_violation(T):
@@ -203,3 +358,109 @@ def test_cauchy_dual_equation_forms_agree(rng):
     # and the projection form annihilates the orthogonal complement
     Q = range_projection(space, 0)
     assert np.abs((np.eye(space.total_dim) - Q) @ dual).max() < 1e-10
+
+
+def test_pair_structure_matches_dense_tables(rng):
+    for space in oracle_spaces(rng):
+        ps = space.pair_structure()
+        comp, tau_, cls = dense_pair_tables(space)
+        # the same comparable set, in row-major order
+        assert np.array_equal(np.argwhere(comp), np.stack([ps.rows, ps.cols], axis=1))
+        assert np.array_equal(ps.comp, comp)
+        assert np.array_equal(ps.cls, cls[ps.rows, ps.cols])
+        assert np.array_equal(ps.tau, tau_[ps.rows, ps.cols])
+        assert np.array_equal(ps.tau_rep, tau_[ps.rep_row, ps.rep_col])
+        assert np.array_equal(ps.cls[ps.rep_pos], np.arange(ps.n_classes))
+
+
+def test_classification_matches_dense_oracle(rng):
+    for space in oracle_spaces(rng):
+        for M in oracle_operators(space, rng):
+            T = FockOperator(space, M)
+            assert is_multi_toeplitz(T).to_dict() == dense_classification(T)
+
+
+def test_classification_dense_and_csr_agree_with_ties(rng):
+    spec = make_spec(
+        2, (2, 2), (1, 2), [(1, (1,), 0.5), (1, (2,), 0.5), (2, (1,), 0.25), (2, (2,), 0.5), (2, (2, 1), 0.2)]
+    )
+    space = FockSpace(spec, (2, 2), coeff_dim=2)
+    ps = space.pair_structure()
+    planted = evaluate_at_model(random_symbol(space, rng, n_monomials=5)).dense
+    d = space.dim
+    noncomp = np.argwhere(~ps.comp)
+    # equal structural spoils at two non-comparable pairs, the later one written first
+    (r1, c1), (r2, c2) = noncomp[3], noncomp[len(noncomp) // 2]
+    structural = planted.copy()
+    structural[d + r2, c2] += 2e-3
+    structural[r1, d + c1] -= 2e-3
+    # equal scaling spoils at two comparable non-representative pairs whose
+    # class is absent from the symbol, so both deviations are exactly 5
+    zero = np.abs(FockOperator(space, planted).blocks()).max(axis=(0, 1)) == 0.0
+    rep = ps.rep_pos[ps.cls]
+    free = np.flatnonzero(
+        (rep != np.arange(ps.rows.size))
+        & zero[ps.rows, ps.cols]
+        & zero[ps.rows[rep], ps.cols[rep]]
+    )
+    p1, p2 = free[1], free[-1]
+    scaling = planted.copy()
+    scaling[ps.rows[p2], ps.cols[p2]] += 5.0
+    scaling[ps.rows[p1], ps.cols[p1]] += 5.0
+    for M, (r, c) in ((structural, (r1, c1)), (scaling, (ps.rows[p1], ps.cols[p1]))):
+        dense = is_multi_toeplitz(FockOperator(space, M)).to_dict()
+        csr = is_multi_toeplitz(FockOperator(space, sp.csr_matrix(M))).to_dict()
+        assert dense == csr == dense_classification(FockOperator(space, M))
+        # the first maximum in row-major order, as np.argmax picks over the dense grid
+        first = [space.multiword_at(int(r)).render(), space.multiword_at(int(c)).render()]
+        assert dense["worst_pair"] == first
+
+
+def test_alternating_sum_matches_dense_oracle(rng):
+    for space in oracle_spaces(rng):
+        for M in oracle_operators(space, rng):
+            for i in range(space.spec.k):
+                expected = dense_alternating_phi_sum(space, i, M)
+                assert np.array_equal(alternating_phi_sum(space, i, M), expected)
+                got = alternating_phi_sum(space, i, sp.csr_matrix(M))
+                assert np.array_equal(got.toarray(), expected)
+
+
+def test_bh_residual_matches_dense_oracle(rng):
+    # the residual entries agree exactly (test above); the Frobenius norm sums
+    # their squares over the stored entries instead of the dense grid, so on
+    # operators far from the equation its last bits follow the summation order
+    # and are held to the rounding bound of an n*n-term sum.  Multi-Toeplitz
+    # operators, where reports compare residuals, agree exactly.
+    eps = np.finfo(float).eps
+    for space in oracle_spaces(rng):
+        n = space.total_dim
+        planted, *others = oracle_operators(space, rng)
+        for i in range(space.spec.k):
+            expected = dense_bh_residual(FockOperator(space, planted), i)
+            assert bh_residual(FockOperator(space, planted), space.spec, i) == expected
+            csr = FockOperator(space, sp.csr_matrix(planted))
+            assert bh_residual(csr, space.spec, i) == expected
+            for M in others:
+                expected = dense_bh_residual(FockOperator(space, M), i)
+                got = bh_residual(FockOperator(space, sp.csr_matrix(M)), space.spec, i)
+                assert abs(got - expected) <= n * n * eps * expected
+        headroom = (1,) * space.spec.k
+        T = FockOperator(space, planted)
+        assert bh_residual(T, space.spec, 0, headroom) == dense_bh_residual(T, 0, headroom)
+
+
+def test_phi_right_matches_dense_oracle(rng):
+    for space in oracle_spaces(rng):
+        n = space.total_dim
+        Y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for i in range(space.spec.k):
+            expected = dense_phi_right(space, i, Y)
+            assert np.array_equal(phi_right(space, i, Y), expected)
+            assert np.array_equal(phi_right(space, i, sp.csr_matrix(Y)).toarray(), expected)
+
+
+def test_row_gram_diagonal_matches_eigvalsh(rng):
+    for space in oracle_spaces(rng):
+        for i in range(space.spec.k):
+            assert _min_positive_gram_eig(space, i) == dense_min_positive_gram_eig(space, i)

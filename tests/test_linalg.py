@@ -44,6 +44,19 @@ class TestOpNorm:
     def test_zero(self):
         assert op_norm(np.zeros((3, 3))) == 0.0
 
+    def test_zero_above_dense_cutoff(self):
+        # Lanczos cannot start from a zero matrix; the norm is answered directly
+        n = 700
+        stored_zeros = sp.csr_matrix((np.zeros(3), ([0, 1, 2], [2, 1, 0])), shape=(n, n))
+        for mat in (np.zeros((n, n)), sp.csr_matrix((n, n)), stored_zeros):
+            assert op_norm(mat) == 0.0
+
+    def test_single_entry_above_dense_cutoff(self):
+        n = 700
+        mat = sp.csr_matrix(([-2.5], ([3], [600])), shape=(n, n))
+        assert op_norm(mat) == pytest.approx(2.5, rel=1e-12)
+        assert op_norm(mat.toarray()) == pytest.approx(2.5, rel=1e-12)
+
     def test_unitary(self, rng):
         B = random_complex(rng, (5, 5))
         q, _ = np.linalg.qr(B)

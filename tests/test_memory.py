@@ -1,0 +1,99 @@
+"""Peak-memory guard: classification and the structural equation stay sparse.
+
+A planted multi-Toeplitz operator on ``k=2, n=(2,2), L=5`` (dim 3969) is
+built as a sparse sum of monomials and written to disk; ``toeplitz`` and
+``brown-halmos`` then run on it, each in a fresh interpreter that reports its
+own peak resident set size.  Dense ``(dim, dim)`` working arrays at this size
+take well over a gigabyte, so the bound catches any return to them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import polytoeplitz
+from polytoeplitz import linalg
+from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
+from polytoeplitz.model import FockSpace, monomial
+from polytoeplitz.weights import spec_from_json
+
+PEAK_RSS_LIMIT_MB = 400
+
+# every word of length <= 2 in both factors, letter-dependent coefficients
+SPEC = {
+    "k": 2,
+    "n": [2, 2],
+    "m": [2, 2],
+    "coeffs": [
+        {"i": i, "word": list(w), "a": a}
+        for i in (1, 2)
+        for w, a in (((1,), 1.0), ((2,), 0.5), ((1, 1), 0.25), ((1, 2), 0.25), ((2, 1), 0.25), ((2, 2), 0.25))
+    ],
+}
+
+# (left, right) letters per factor of each planted term, with its coefficient
+TERMS = [
+    (((), ()), ((), ()), 1.0),
+    (((1,), ()), ((), ()), 0.5 - 0.25j),
+    (((), (2,)), ((), ()), -0.3),
+    (((), ()), ((2, 1), ()), 0.2j),
+    (((1, 2), ()), ((), (1,)), 0.1 + 0.1j),
+    (((), ()), ((1,), (2, 2)), -0.05),
+]
+
+CHILD = """
+import resource, sys
+from polytoeplitz.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write("maxrss_kib=%d\\n" % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+def _planted_operator(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    space = FockSpace(spec_from_json(SPEC), (5, 5))
+
+    def multiword(parts):
+        return MultiWord(tuple(Word(p, 2) for p in parts))
+
+    total = None
+    for left, right, a in TERMS:
+        term = monomial(space, IndexPair(multiword(left), multiword(right)), np.array([[a]])).matrix
+        total = term if total is None else total + term
+    with open(tmp_path / "planted.mtx", "w") as fh:
+        linalg.save_matrix(fh, total)
+
+
+def _run_child(tmp_path, argv):
+    env = dict(os.environ)
+    src = str(Path(polytoeplitz.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    line = [ln for ln in proc.stderr.splitlines() if ln.startswith("maxrss_kib=")]
+    assert line, proc.stderr
+    return proc.returncode, int(line[0].split("=")[1]) / 1024.0
+
+
+def test_sparse_operator_checks_stay_below_peak_rss_limit(tmp_path):
+    _planted_operator(tmp_path)
+    common = ["--spec", "spec.json", "--trunc", "5", "--operator", "planted.mtx"]
+    code, toeplitz_mb = _run_child(tmp_path, ["toeplitz", *common, "--out", "out"])
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "toeplitz-report.json").read_text())
+    assert report["report"]["verdict"] and report["symbol_terms"] == len(TERMS)
+    code, bh_mb = _run_child(tmp_path, ["brown-halmos", *common])
+    assert code == 0
+    assert toeplitz_mb < PEAK_RSS_LIMIT_MB, f"toeplitz peak RSS {toeplitz_mb:.0f} MB"
+    assert bh_mb < PEAK_RSS_LIMIT_MB, f"brown-halmos peak RSS {bh_mb:.0f} MB"
