@@ -18,7 +18,14 @@ import scipy.sparse as sp
 from . import linalg
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import MultiWord, Word, reverse
-from .model import FockOperator, FockSpace
+from .model import (
+    FockOperator,
+    FockSpace,
+    accumulate_entries,
+    conjugate_entries,
+    entries_matrix,
+    stored_entries,
+)
 from .weights import PolydomainSpec
 
 __all__ = [
@@ -110,26 +117,6 @@ def build_row(
     return row
 
 
-def _entries(mat, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major keys ``row * n + col`` and complex values of the stored entries."""
-    coo = sp.coo_matrix(mat)
-    coo.sum_duplicates()
-    return coo.row.astype(np.int64) * n + coo.col, coo.data.astype(complex)
-
-
-def _accumulate(terms) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise sum of ``(keys, vals)`` terms, added in list order over the union support.
-
-    Each term's keys are distinct, so every entry is summed in the order a
-    dense accumulator would add the terms.
-    """
-    keys = np.unique(np.concatenate([k for k, _ in terms]))
-    acc = np.zeros(keys.size, dtype=complex)
-    for k, v in terms:
-        acc[np.searchsorted(keys, k)] += v
-    return keys, acc
-
-
 def _phi_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
     # each right creation moves basis vectors injectively, so conjugation by
     # it gathers and scatters the stored entries and keeps at most their count
@@ -137,15 +124,10 @@ def _phi_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
     rows, cols = np.divmod(keys, n)
     terms = []
     for w, a in space.spec.coeffs[i].items():
-        src, dst, lam = space.creation_action(i, reverse(w), side="right")
-        slot = np.full(n, -1, dtype=np.int64)
-        slot[src] = np.arange(src.size)
-        sr, sc = slot[rows], slot[cols]
-        hit = (sr >= 0) & (sc >= 0)
-        sr, sc = sr[hit], sc[hit]
-        weights = a * (lam[sr] * lam[sc].conj())
-        terms.append((dst[sr] * n + dst[sc], weights * vals[hit]))
-    return _accumulate(terms)
+        action = space.creation_action(i, reverse(w), side="right")
+        moved, lam_r, lam_c, hit = conjugate_entries(action, n, rows, cols)
+        terms.append((moved, (a * (lam_r * lam_c.conj())) * vals[hit]))
+    return accumulate_entries(terms)
 
 
 def _alternating_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
@@ -154,16 +136,7 @@ def _alternating_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.nd
     for j in range(1, m + 1):
         keys, vals = _phi_entries(space, i, keys, vals)
         terms.append((keys, ((-1) ** (j - 1)) * math.comb(m, j) * vals))
-    return _accumulate(terms)
-
-
-def _like(mat: linalg.MatrixLike, n: int, keys: np.ndarray, vals: np.ndarray) -> linalg.MatrixLike:
-    """The entries as a matrix of the input's kind: CSR for sparse, ndarray otherwise."""
-    if sp.issparse(mat):
-        return sp.csr_matrix((vals, np.divmod(keys, n)), shape=(n, n))
-    out = np.zeros((n, n), dtype=complex)
-    out.reshape(-1)[keys] = vals
-    return out
+    return accumulate_entries(terms)
 
 
 def phi_right(space: FockSpace, i: int, Y: linalg.MatrixLike) -> linalg.MatrixLike:
@@ -175,13 +148,13 @@ def phi_right(space: FockSpace, i: int, Y: linalg.MatrixLike) -> linalg.MatrixLi
     n = space.total_dim
     if Y.shape != (n, n):
         raise DimensionMismatch("operand shape differs from the space dimension")
-    return _like(Y, n, *_phi_entries(space, i, *_entries(Y, n)))
+    return entries_matrix(Y, n, *_phi_entries(space, i, *stored_entries(Y, n)))
 
 
 def alternating_phi_sum(space: FockSpace, i: int, T: linalg.MatrixLike) -> linalg.MatrixLike:
     """``sum_{j=1}^{m_i} (-1)^(j-1) C(m_i, j) Phi^j(T)`` for the factor's order."""
     n = space.total_dim
-    return _like(T, n, *_alternating_entries(space, i, *_entries(T, n)))
+    return entries_matrix(T, n, *_alternating_entries(space, i, *stored_entries(T, n)))
 
 
 def range_projection(space: FockSpace, i: int) -> np.ndarray:
@@ -258,12 +231,12 @@ def bh_residual(
     if not 0 <= i < spec.k:
         raise DimensionMismatch(f"factor index {i} outside range")
     n = space.total_dim
-    keys, vals = _entries(T.matrix, n)
+    keys, vals = stored_entries(T.matrix, n)
     q = np.tile(space.degree_table()[:, i] > 0, space.coeff_dim)
     rows, cols = np.divmod(keys, n)
     in_range = q[rows] & q[cols]
     rhs_keys, rhs_vals = _alternating_entries(space, i, keys, vals)
-    keys, diff = _accumulate([(keys[in_range], vals[in_range]), (rhs_keys, -rhs_vals)])
+    keys, diff = accumulate_entries([(keys[in_range], vals[in_range]), (rhs_keys, -rhs_vals)])
     if headroom is not None:
         mask = np.tile(space.safe_mask(headroom), space.coeff_dim)
         rows, cols = np.divmod(keys, n)

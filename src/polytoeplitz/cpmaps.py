@@ -20,7 +20,15 @@ import scipy.sparse as sp
 from . import linalg
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import MultiWord, Word
-from .model import FockOperator, FockSpace
+from .model import (
+    Action,
+    FockOperator,
+    FockSpace,
+    accumulate_entries,
+    conjugate_entries,
+    entries_matrix,
+    stored_entries,
+)
 from .weights import PolydomainSpec, build_weight_table
 
 __all__ = [
@@ -42,14 +50,22 @@ Matrix = Union[np.ndarray, sp.spmatrix]
 
 @dataclass
 class OperatorTuple:
-    """A point of (a candidate for) the polydomain on a concrete Hilbert space."""
+    """A point of (a candidate for) the polydomain on a concrete Hilbert space.
+
+    ``letter_actions`` is set on tuples whose operators have at most one entry
+    per row and per column (the universal model): per factor and letter, the
+    ``(src, dst, vals)`` arrays of the operator.  The completely positive maps
+    then move stored entries instead of multiplying matrices.
+    """
 
     spec: PolydomainSpec
     ops: tuple[tuple[Matrix, ...], ...]
     dim_h: int
     commutation_checked: bool = False
     label: str = ""
+    letter_actions: Optional[tuple[tuple[Action, ...], ...]] = field(default=None, repr=False)
     _word_cache: dict = field(default_factory=dict, repr=False)
+    _action_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.ops) != self.spec.k:
@@ -77,6 +93,12 @@ class OperatorTuple:
         self.commutation_checked = True
         return worst
 
+    def identity(self) -> Matrix:
+        """The identity on H: CSR for tuples with letter actions, dense otherwise."""
+        if self.letter_actions is not None:
+            return sp.identity(self.dim_h, format="csr", dtype=complex)
+        return np.eye(self.dim_h, dtype=complex)
+
     def word_op(self, i: int, w: Word) -> Matrix:
         """Product ``X_{i, j_1} ... X_{i, j_p}`` for a word, cached."""
         key = (i, w.letters)
@@ -93,6 +115,29 @@ class OperatorTuple:
             ]
         self._word_cache[key] = out
         return out
+
+    def word_action(self, i: int, w: Word) -> Action:
+        """``(src, dst, vals)`` of :meth:`word_op` for a nonempty word, cached.
+
+        Composed from ``letter_actions`` as ``word_op`` multiplies: the prefix's
+        value times the last letter's, so the values equal the stored entries
+        of ``word_op(i, w)`` bit for bit.
+        """
+        key = (i, w.letters)
+        cached = self._action_cache.get(key)
+        if cached is not None:
+            return cached
+        src, dst, vals = self.letter_actions[i][w.letters[-1] - 1]
+        if len(w) > 1:
+            p_src, p_dst, p_vals = self.word_action(i, Word(w.letters[:-1], w.alphabet_size))
+            slot = np.full(self.dim_h, -1, dtype=np.int64)
+            slot[p_src] = np.arange(p_src.size)
+            s = slot[dst]
+            hit = s >= 0
+            s = s[hit]
+            src, dst, vals = src[hit], p_dst[s], p_vals[s] * vals[hit]
+        self._action_cache[key] = (src, dst, vals)
+        return self._action_cache[key]
 
     def multi_word_op(self, w: MultiWord) -> Matrix:
         out = self.word_op(0, w.parts[0])
@@ -111,7 +156,11 @@ class OperatorTuple:
 
 
 def universal_tuple(space: FockSpace, side: str = "left") -> OperatorTuple:
-    """The weighted creation tuple of ``space`` as an operator tuple on the Fock part."""
+    """The weighted creation tuple of ``space`` as an operator tuple on the Fock part.
+
+    The tuple carries the letter actions of its creations, read off their
+    CSR matrices, so its completely positive maps run on stored entries.
+    """
     ops = []
     for i in range(space.spec.k):
         row = []
@@ -120,38 +169,86 @@ def universal_tuple(space: FockSpace, side: str = "left") -> OperatorTuple:
             parts[i] = Word((j,), space.spec.n[i])
             row.append(space.creation_product(MultiWord(tuple(parts)), side=side))
         ops.append(tuple(row))
+    actions = tuple(
+        tuple(
+            (coo.col.astype(np.int64), coo.row.astype(np.int64), coo.data.astype(complex))
+            for coo in (X.tocoo() for X in fac)
+        )
+        for fac in ops
+    )
     tup = OperatorTuple(
-        spec=space.spec, ops=tuple(ops), dim_h=space.dim, label=f"model[{side}]"
+        spec=space.spec,
+        ops=tuple(ops),
+        dim_h=space.dim,
+        label=f"model[{side}]",
+        letter_actions=actions,
     )
     tup.commutation_checked = True  # cross-factor Kronecker slots commute exactly
     return tup
 
 
-def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: Matrix) -> np.ndarray:
-    """The factor-i completely positive map ``Y -> sum a_w X_w Y X_w^*``."""
-    acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
+def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: Matrix) -> Matrix:
+    """The factor-i completely positive map ``Y -> sum a_w X_w Y X_w^*``.
+
+    On tuples with letter actions (the universal model) the map moves the
+    stored entries of ``Y`` and returns CSR for a sparse ``Y``, an ndarray for
+    a dense one; ``Y`` is never densified.  Other tuples multiply matrices and
+    return an ndarray.
+    """
+    if X.letter_actions is None:
+        acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
+        for w, a in spec.coeffs[i].items():
+            Xw = X.word_op(i, w)
+            term = Xw @ Y @ linalg.adjoint(Xw)
+            acc += a * linalg.as_dense(term)
+        return acc
+    n = X.dim_h
+    keys, vals = stored_entries(Y, n)
+    rows, cols = np.divmod(keys, n)
+    terms = []
     for w, a in spec.coeffs[i].items():
-        Xw = X.word_op(i, w)
-        term = Xw @ Y @ linalg.adjoint(Xw)
-        acc += a * linalg.as_dense(term)
-    return acc
+        moved, lam_r, lam_c, hit = conjugate_entries(X.word_action(i, w), n, rows, cols)
+        # the order of the dense products (X_w Y) X_w^*
+        terms.append((moved, a * (lam_c.conj() * (lam_r * vals[hit]))))
+    return entries_matrix(Y, n, *accumulate_entries(terms))
 
 
-def defect(spec: PolydomainSpec, X: OperatorTuple, p: Sequence[int]) -> np.ndarray:
+def defect(spec: PolydomainSpec, X: OperatorTuple, p: Sequence[int]) -> Matrix:
     """``(id - Phi_1)^{p_1} ... (id - Phi_k)^{p_k}`` applied to the identity.
 
     The rightmost factor acts first; for commuting tuples the order is
-    immaterial.
+    immaterial.  Starts from :meth:`OperatorTuple.identity`, so the universal
+    model yields CSR and other tuples an ndarray.
     """
     if len(p) != spec.k:
         raise DimensionMismatch("power tuple length differs from factor count")
     if any(pi < 0 or pi > mi for pi, mi in zip(p, spec.m)):
         raise SpecError(f"powers {tuple(p)} outside 0..m = {spec.m}")
-    Y = np.eye(X.dim_h, dtype=complex)
+    Y = X.identity()
     for i in reversed(range(spec.k)):
         for _ in range(p[i]):
             Y = Y - phi_map(spec, i, X, Y)
     return Y
+
+
+def _defect_walk(spec: PolydomainSpec, X: OperatorTuple):
+    """Yield ``(p, defect(spec, X, p))`` over ``0 <= p <= m`` in product order.
+
+    Each point costs one map: ``D(p) = D(p - e_j) - Phi_j(D(p - e_j))`` with
+    ``j`` the first nonzero index of ``p``.  :func:`defect` applies factor
+    ``j`` last and the product order visits ``p - e_j`` first, so every
+    ``D(p)`` equals ``defect(spec, X, p)`` exactly.
+    """
+    defects: dict[tuple[int, ...], Matrix] = {}
+    for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
+        j = next((i for i, pi in enumerate(p) if pi), None)
+        if j is None:
+            D = X.identity()
+        else:
+            prev = defects[p[:j] + (p[j] - 1,) + p[j + 1 :]]
+            D = prev - phi_map(spec, j, X, prev)
+        defects[p] = D
+        yield p, D
 
 
 def is_member(
@@ -160,14 +257,14 @@ def is_member(
     """Membership test: every defect ``0 <= p <= m`` must be PSD up to ``tol``.
 
     Returns the verdict and a witness ``(p, min eigenvalue)`` for the most
-    negative defect found.
+    negative defect found.  The defects come from one walk over the lattice
+    (one map per point), not from the identity at every point.
     """
     if not X.commutation_checked:
         X.check_commutation()
     verdict = True
     witness = ((0,) * spec.k, np.inf)
-    for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
-        D = defect(spec, X, p)
+    for p, D in _defect_walk(spec, X):
         h = linalg.hermitize(D)
         eigs = np.linalg.eigvalsh(h)
         lo, hi = float(eigs[0]), float(eigs[-1])
@@ -186,14 +283,16 @@ def is_pure(
 ) -> tuple[bool, dict]:
     """Whether iterates ``Phi_i^p(I)`` fall below ``tol`` within ``power_cap`` powers.
 
-    The report carries the per-factor norm sequences and a crude spectral
-    radius estimate from the last ratio, as a fallback diagnostic when the
-    cap is hit.
+    The iterates start from :meth:`OperatorTuple.identity`; on the universal
+    model they stay CSR (diagonal, at most ``dim`` entries).  The report
+    carries the per-factor norm sequences and a crude spectral radius
+    estimate from the last ratio, as a fallback diagnostic when the cap is
+    hit.
     """
     report: dict = {"factors": []}
     pure = True
     for i in range(spec.k):
-        Y = np.eye(X.dim_h, dtype=complex)
+        Y = X.identity()
         norms = []
         reached = None
         for p in range(1, power_cap + 1):

@@ -220,6 +220,68 @@ class FockSpace:
         return self._pairs
 
 
+# -- stored-entry kernels ------------------------------------------------------
+# Operators with at most one entry per row and per column (creations and their
+# products) act on matrices by moving entries.  An action is ``(src, dst,
+# vals)`` with ``A e_src = vals * e_dst``; a matrix is carried as row-major
+# keys ``row * n + col`` and values.  The completely positive maps of
+# ``cpmaps`` and ``brownhalmos`` share these kernels and differ only in how
+# they combine the values.
+
+Action = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def stored_entries(mat: Union[np.ndarray, sp.spmatrix], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major keys ``row * n + col`` and complex values of the stored entries."""
+    coo = sp.coo_matrix(mat)
+    coo.sum_duplicates()
+    return coo.row.astype(np.int64) * n + coo.col, coo.data.astype(complex)
+
+
+def entries_matrix(
+    like: Union[np.ndarray, sp.spmatrix], n: int, keys: np.ndarray, vals: np.ndarray
+) -> Union[np.ndarray, sp.csr_matrix]:
+    """The entries as a matrix of ``like``'s kind: CSR for sparse, ndarray otherwise."""
+    if sp.issparse(like):
+        return sp.csr_matrix((vals, np.divmod(keys, n)), shape=(n, n))
+    out = np.zeros((n, n), dtype=complex)
+    out.reshape(-1)[keys] = vals
+    return out
+
+
+def conjugate_entries(
+    action: Action, n: int, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the entries ``(rows, cols)`` of ``Y`` land in ``A Y A^*``, and the factors they pick up.
+
+    Returns ``(keys, lam_row, lam_col, hit)``: the entries selected by the
+    mask ``hit`` (row and column both in the domain of ``A``) move to the
+    returned row-major keys and are multiplied by ``lam_row`` and
+    ``conj(lam_col)``; every other entry is annihilated.  ``A`` is injective,
+    so the moved keys are distinct and there are at most as many as entries.
+    """
+    src, dst, lam = action
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[src] = np.arange(src.size)
+    sr, sc = slot[rows], slot[cols]
+    hit = (sr >= 0) & (sc >= 0)
+    sr, sc = sr[hit], sc[hit]
+    return dst[sr] * n + dst[sc], lam[sr], lam[sc], hit
+
+
+def accumulate_entries(terms) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise sum of ``(keys, vals)`` terms, added in list order over the union support.
+
+    Each term's keys are distinct, so every entry is summed in the order a
+    dense accumulator would add the terms.
+    """
+    keys = np.unique(np.concatenate([k for k, _ in terms]))
+    acc = np.zeros(keys.size, dtype=complex)
+    for k, v in terms:
+        acc[np.searchsorted(keys, k)] += v
+    return keys, acc
+
+
 @dataclass
 class FockOperator:
     """An operator on ``K (x) Fock`` with basis bookkeeping attached."""

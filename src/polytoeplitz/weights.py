@@ -38,7 +38,7 @@ __all__ = [
 class PolydomainSpec:
     """Defining data of a regular polydomain.
 
-    ``coeffs[i]`` maps words over the i-th alphabet to nonnegative reals.
+    ``coeffs[i]`` maps words over the i-th alphabet to finite nonnegative reals.
     Every generator must carry a strictly positive coefficient, the empty word
     must be absent, and the support must be finite (it is: a dict).
     """
@@ -61,6 +61,8 @@ class PolydomainSpec:
                     raise SpecError(f"factor {i + 1}: word over wrong alphabet")
                 if len(w) == 0:
                     raise SpecError(f"factor {i + 1}: constant term must be zero")
+                if not math.isfinite(a):
+                    raise SpecError(f"factor {i + 1}: non-finite coefficient {a}")
                 if a < 0:
                     raise SpecError(f"factor {i + 1}: negative coefficient {a}")
             for j in range(1, ni + 1):

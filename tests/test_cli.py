@@ -59,6 +59,17 @@ def test_malformed_spec_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficient_exits_2(tmp_path, capsys, value):
+    # json.dumps writes NaN / Infinity / -Infinity, which json.loads accepts
+    doc = dict(BALL, coeffs=BALL["coeffs"] + [{"i": 1, "word": [1, 2], "a": value}])
+    spec = write_spec(tmp_path / "spec.json", doc)
+    rc = main(["weights", "--spec", spec, "--trunc", "3", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "weights-report.json").exists()
+
+
 def test_missing_spec_file_exits_2(tmp_path):
     rc = main(["weights", "--spec", str(tmp_path / "nope.json"), "--trunc", "4"])
     assert rc == 2
@@ -235,6 +246,27 @@ def test_verify_report_matches_golden_file(tmp_path):
     assert rc == 0
     golden = Path(__file__).parent / "data" / "verify_seed42_trunc4.json"
     assert (tmp_path / "out" / "verify-report.json").read_bytes() == golden.read_bytes()
+
+
+# the benchmark's `deep` polydomain: k=1, n=2, m=3, every word of length <= 2
+DEEP = {
+    "k": 1,
+    "n": [2],
+    "m": [3],
+    "coeffs": [
+        {"i": 1, "word": list(w), "a": a}
+        for w, a in (((1,), 1.0), ((2,), 0.5), ((1, 1), 0.25), ((1, 2), 0.25), ((2, 1), 0.25), ((2, 2), 0.25))
+    ],
+}
+
+
+def test_model_report_matches_golden_file(tmp_path):
+    # the universal model at dim 2047: defect residual and purity pinned byte for byte
+    spec = write_spec(tmp_path / "spec.json", DEEP)
+    rc = main(["model", "--spec", spec, "--trunc", "10", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    golden = Path(__file__).parent / "data" / "model_deep_trunc10.json"
+    assert (tmp_path / "out" / "model-report.json").read_bytes() == golden.read_bytes()
 
 
 def test_invalid_tolerance_exits_2(tmp_path):

@@ -3,9 +3,11 @@
 Each test recomputes a quantity from first definitions (explicit loops over
 basis pairs, literal Kronecker sandwiches, the uncompressed structural
 equation) and compares against the fast implementation.  The dense
-``(dim, dim)`` comparability tables, classification and structural-equation
-residual that the index-array implementations replaced are kept here as
-oracles; the arithmetic per entry is unchanged, so they must agree exactly.
+``(dim, dim)`` comparability tables, classification, structural-equation
+residual and universal-model completely positive maps (matrix products,
+defects from the identity) that the index-array implementations replaced are
+kept here as oracles; the arithmetic per entry is unchanged, so they must
+agree exactly.
 """
 
 import itertools
@@ -23,9 +25,18 @@ from polytoeplitz.brownhalmos import (
     phi_right,
     range_projection,
 )
-from polytoeplitz.cpmaps import berezin_kernel, berezin_transform, random_pure_tuple
+from polytoeplitz.cpmaps import (
+    _defect_walk,
+    berezin_kernel,
+    berezin_transform,
+    defect,
+    is_pure,
+    phi_map,
+    random_pure_tuple,
+    universal_tuple,
+)
 from polytoeplitz.freemonoid import Word, comparable, reverse, simplify
-from polytoeplitz.linalg import hermitize, op_norm, pinv_on_range
+from polytoeplitz.linalg import adjoint, as_dense, hermitize, op_norm, pinv_on_range
 from polytoeplitz.model import FockOperator, FockSpace, graded_projection
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import (
@@ -164,6 +175,42 @@ def dense_bh_residual(T, i, headroom=None):
         mask = np.tile(space.safe_mask(headroom), space.coeff_dim)
         diff = diff[np.ix_(mask, mask)]
     return float(np.linalg.norm(diff)) / dense_min_positive_gram_eig(space, i)
+
+
+def dense_phi_map(spec, i, X, Y):
+    """``sum a_w X_w Y X_w^*`` by matrix products, accumulated on a dense array."""
+    acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
+    for w, a in spec.coeffs[i].items():
+        Xw = X.word_op(i, w)
+        term = Xw @ Y @ adjoint(Xw)
+        acc += a * as_dense(term)
+    return acc
+
+
+def dense_defect(spec, X, p):
+    """The defect by dense maps, started from the dense identity at every call."""
+    Y = np.eye(X.dim_h, dtype=complex)
+    for i in reversed(range(spec.k)):
+        for _ in range(p[i]):
+            Y = Y - dense_phi_map(spec, i, X, Y)
+    return Y
+
+
+def dense_pure_factors(spec, X, power_cap, tol):
+    """Per-factor purity entries of ``is_pure`` from dense iterates ``Phi_i^p(I)``."""
+    factors = []
+    for i in range(spec.k):
+        Y = np.eye(X.dim_h, dtype=complex)
+        norms, reached = [], None
+        for p in range(1, power_cap + 1):
+            Y = dense_phi_map(spec, i, X, Y)
+            norms.append(op_norm(Y))
+            if norms[-1] < tol:
+                reached = p
+                break
+        radius = norms[-1] / norms[-2] if len(norms) >= 2 and norms[-2] > 0 else None
+        factors.append({"power": reached, "norms_tail": norms[-3:], "radius_estimate": radius})
+    return factors
 
 
 def oracle_spaces(rng):
@@ -464,3 +511,52 @@ def test_row_gram_diagonal_matches_eigvalsh(rng):
     for space in oracle_spaces(rng):
         for i in range(space.spec.k):
             assert _min_positive_gram_eig(space, i) == dense_min_positive_gram_eig(space, i)
+
+
+def model_tuples(rng):
+    for space in oracle_spaces(rng):
+        for side in ("left", "right"):
+            yield universal_tuple(space, side=side)
+
+
+def test_phi_map_matches_dense_oracle(rng):
+    for X in model_tuples(rng):
+        spec, n = X.spec, X.dim_h
+        Y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for i in range(spec.k):
+            got = phi_map(spec, i, X, X.identity())
+            assert sp.issparse(got)
+            assert np.array_equal(got.toarray(), dense_phi_map(spec, i, X, np.eye(n)))
+            expected = dense_phi_map(spec, i, X, Y)
+            got = phi_map(spec, i, X, Y)
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected)
+            got = phi_map(spec, i, X, sp.csr_matrix(Y))
+            assert sp.issparse(got) and np.array_equal(got.toarray(), expected)
+
+
+def test_defect_and_purity_match_dense_oracle(rng):
+    for X in model_tuples(rng):
+        spec = X.spec
+        for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
+            got = defect(spec, X, p)
+            assert sp.issparse(got)
+            assert np.array_equal(got.toarray(), dense_defect(spec, X, p))
+        cap = max(X.dim_h, 2)
+        _, report = is_pure(spec, X, power_cap=cap, tol=1e-9)
+        assert report["factors"] == dense_pure_factors(spec, X, cap, 1e-9)
+
+
+def test_defect_walk_matches_defect_at_every_point(rng):
+    for X in model_tuples(rng):
+        points = list(itertools.product(*(range(mi + 1) for mi in X.spec.m)))
+        walked = list(_defect_walk(X.spec, X))
+        assert [p for p, _ in walked] == points
+        for p, D in walked:
+            assert np.array_equal(D.toarray(), defect(X.spec, X, p).toarray())
+    # dense tuples walk the same lattice on ndarrays
+    for _ in range(3):
+        spec = random_spec(rng)
+        X = random_pure_tuple(spec, rng, dims=(2,) * spec.k, shrink=0.9)
+        for p, D in _defect_walk(spec, X):
+            assert np.array_equal(D, defect(spec, X, p))
+            assert np.array_equal(D, dense_defect(spec, X, p))

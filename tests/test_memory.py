@@ -1,10 +1,12 @@
-"""Peak-memory guard: classification and the structural equation stay sparse.
+"""Peak-memory guards: classification, the structural equation and the model stay sparse.
 
 A planted multi-Toeplitz operator on ``k=2, n=(2,2), L=5`` (dim 3969) is
 built as a sparse sum of monomials and written to disk; ``toeplitz`` and
 ``brown-halmos`` then run on it, each in a fresh interpreter that reports its
 own peak resident set size.  Dense ``(dim, dim)`` working arrays at this size
 take well over a gigabyte, so the bound catches any return to them.
+``model`` on ``k=1, n=2, L=10`` (dim 2047) runs the universal model's
+completely positive maps; dense defect iterates there peak near 450 MB.
 """
 
 import json
@@ -22,6 +24,7 @@ from polytoeplitz.model import FockSpace, monomial
 from polytoeplitz.weights import spec_from_json
 
 PEAK_RSS_LIMIT_MB = 400
+MODEL_PEAK_RSS_LIMIT_MB = 300
 
 # every word of length <= 2 in both factors, letter-dependent coefficients
 SPEC = {
@@ -34,6 +37,9 @@ SPEC = {
         for w, a in (((1,), 1.0), ((2,), 0.5), ((1, 1), 0.25), ((1, 2), 0.25), ((2, 1), 0.25), ((2, 2), 0.25))
     ],
 }
+
+# one factor of the same polydomain, for the universal model at L = 10
+MODEL_SPEC = {"k": 1, "n": [2], "m": [3], "coeffs": [c for c in SPEC["coeffs"] if c["i"] == 1]}
 
 # (left, right) letters per factor of each planted term, with its coefficient
 TERMS = [
@@ -97,3 +103,10 @@ def test_sparse_operator_checks_stay_below_peak_rss_limit(tmp_path):
     assert code == 0
     assert toeplitz_mb < PEAK_RSS_LIMIT_MB, f"toeplitz peak RSS {toeplitz_mb:.0f} MB"
     assert bh_mb < PEAK_RSS_LIMIT_MB, f"brown-halmos peak RSS {bh_mb:.0f} MB"
+
+
+def test_model_stays_below_peak_rss_limit(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(MODEL_SPEC))
+    code, model_mb = _run_child(tmp_path, ["model", "--spec", "spec.json", "--trunc", "10"])
+    assert code == 0
+    assert model_mb < MODEL_PEAK_RSS_LIMIT_MB, f"model peak RSS {model_mb:.0f} MB"

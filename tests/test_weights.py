@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import pytest
@@ -212,6 +213,21 @@ class TestSpecIO:
                     ],
                 }
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, value):
+        doc = {
+            "k": 1,
+            "n": [1],
+            "m": [1],
+            "coeffs": [{"i": 1, "word": [1], "a": 1.0}, {"i": 1, "word": [1, 1], "a": value}],
+        }
+        with pytest.raises(SpecError, match="non-finite"):
+            spec_from_json(doc)
+        # the generator coefficient too, and through the JSON text form
+        doc["coeffs"] = [{"i": 1, "word": [1], "a": value}]
+        with pytest.raises(SpecError, match="non-finite"):
+            spec_from_json(json.dumps(doc))
 
 
 def test_csv_export(bergman2_spec):
