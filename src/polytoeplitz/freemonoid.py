@@ -4,7 +4,8 @@ A :class:`Word` is a finite sequence of generator indices over one free
 semigroup; a :class:`MultiWord` is a tuple of words, one per tensor factor.
 Right divisibility (``omega = sigma * gamma``), comparability and the
 simplification map onto reduced index pairs drive every structural test in
-the rest of the package, so they live here with no numerical dependencies.
+the rest of the package, so they live here.  :func:`graded_lex_layout` gives
+the same enumeration as rank arrays, for the array-native constructions.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, NotComparable, TruncationError
 
@@ -23,9 +26,11 @@ __all__ = [
     "comparable",
     "simplify",
     "enumerate_words",
+    "graded_lex_layout",
     "multiword_index",
     "multiword_unindex",
     "reverse",
+    "word_offset",
 ]
 
 
@@ -205,16 +210,40 @@ def enumerate_words(n: int, max_len: int) -> list[Word]:
     return out
 
 
+def graded_lex_layout(n: int, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The enumeration of :func:`enumerate_words` as arrays ``(start, lengths, offsets)``.
+
+    ``start[d]`` is the rank of the first word of length ``d`` (``start[-1]``
+    the word count); the word at rank ``r`` has length ``lengths[r]`` and base-n
+    offset ``offsets[r] = r - start[lengths[r]]``, its letters minus one read as
+    base-``n`` digits.  Its length-``e`` suffix is the word at offset
+    ``offsets[r] % n**e`` and the prefix before it the one at ``offsets[r] // n**e``.
+    """
+    if n < 1:
+        raise DimensionMismatch(f"alphabet size must be >= 1, got {n}")
+    if max_len < 0:
+        raise TruncationError(f"max_len must be >= 0, got {max_len}")
+    start = np.concatenate([[0], np.cumsum(n ** np.arange(max_len + 1, dtype=np.int64))])
+    lengths = np.repeat(np.arange(max_len + 1, dtype=np.int64), np.diff(start))
+    offsets = np.arange(start[-1], dtype=np.int64) - start[lengths]
+    return start, lengths, offsets
+
+
+def word_offset(w: Word) -> int:
+    """The base-``n`` offset of ``w`` within the words of its length (letters minus one as digits)."""
+    offset = 0
+    for g in w.letters:
+        offset = offset * w.alphabet_size + (g - 1)
+    return offset
+
+
 def _word_rank(w: Word) -> int:
     """Position of ``w`` in the graded-lexicographic enumeration of its alphabet."""
     n = w.alphabet_size
     d = len(w)
     # all words shorter than d precede it
     rank = (n**d - 1) // (n - 1) if n > 1 else d
-    offset = 0
-    for g in w.letters:
-        offset = offset * n + (g - 1)
-    return rank + offset
+    return rank + word_offset(w)
 
 
 def _block_count(n: int, max_len: int) -> int:

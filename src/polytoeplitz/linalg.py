@@ -70,6 +70,9 @@ def op_norm(mat: MatrixLike) -> float:
     """Largest singular value; 0.0 for a matrix with no nonzero entry.
 
     The zero case is answered directly because Lanczos cannot start from it.
+    Above the dense cutoff, a sparse matrix whose stored entries all sit on
+    the diagonal gets its exact norm, the largest entry modulus, instead of
+    a Lanczos estimate.
     """
     if sp.issparse(mat):
         if mat.count_nonzero() == 0:
@@ -77,6 +80,10 @@ def op_norm(mat: MatrixLike) -> float:
         if min(mat.shape) <= 2:
             return op_norm(as_dense(mat))
         if max(mat.shape) > _DENSE_NORM_CUTOFF:
+            coo = sp.coo_matrix(mat)
+            coo.sum_duplicates()
+            if np.array_equal(coo.row, coo.col):
+                return float(np.abs(coo.data).max())
             v0 = np.ones(min(mat.shape))
             s = scipy.sparse.linalg.svds(
                 mat.astype(complex), k=1, v0=v0, return_singular_vectors=False
@@ -150,7 +157,11 @@ def save_matrix(fh: IO[str], mat: MatrixLike) -> None:
 
 
 def load_matrix(fh: IO[str]) -> sp.coo_matrix:
-    """Read the coordinate text format written by :func:`save_matrix`."""
+    """Read the coordinate text format written by :func:`save_matrix`.
+
+    Raises :class:`SpecError` on a NaN or infinite value, including one that
+    overflows to infinity when parsed.
+    """
     header = fh.readline().split()
     if len(header) != 3:
         raise DimensionMismatch("matrix file: malformed header (want 'rows cols nnz')")
@@ -170,4 +181,7 @@ def load_matrix(fh: IO[str]) -> sp.coo_matrix:
         vv[idx] = float(parts[2]) + 1j * float(parts[3])
     if nnz and (rr.max() >= rows or cc.max() >= cols or rr.min() < 0 or cc.min() < 0):
         raise DimensionMismatch("matrix file: entry index outside declared shape")
+    bad = np.flatnonzero(~np.isfinite(vv))
+    if bad.size:
+        raise SpecError(f"matrix file: non-finite value {vv[bad[0]]} on line {bad[0] + 2}")
     return sp.coo_matrix((vv, (rr, cc)), shape=(rows, cols))

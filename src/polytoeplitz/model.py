@@ -14,8 +14,7 @@ with :func:`polytoeplitz.freemonoid.multiword_index`.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -23,7 +22,15 @@ import scipy.sparse as sp
 
 from . import linalg
 from .errors import DimensionMismatch, SpecError, TruncationError
-from .freemonoid import IndexPair, MultiWord, Word, enumerate_words, reverse
+from .freemonoid import (
+    IndexPair,
+    MultiWord,
+    Word,
+    enumerate_words,
+    graded_lex_layout,
+    reverse,
+    word_offset,
+)
 from .weights import PolydomainSpec, WeightTable, build_weight_table, univariate_series_weights
 
 __all__ = [
@@ -66,6 +73,8 @@ class FockSpace:
         self.factor_index: list[dict[Word, int]] = [
             {w: idx for idx, w in enumerate(ws)} for ws in self.factor_words
         ]
+        # per factor (start, lengths, offsets) of the graded-lex ranks
+        self.factor_layouts = [graded_lex_layout(n, L) for n, L in zip(spec.n, self.trunc)]
         self.factor_dims = tuple(len(ws) for ws in self.factor_words)
         self.dim = int(np.prod(self.factor_dims))
         self._basis: Optional[list[MultiWord]] = None
@@ -104,11 +113,8 @@ class FockSpace:
     def degree_table(self) -> np.ndarray:
         """Integer array (dim, k): degree vector of each basis multi-word."""
         if self._degrees is None:
-            per_factor = [
-                np.array([len(w) for w in ws], dtype=np.int64) for ws in self.factor_words
-            ]
             cols = []
-            for i, degs in enumerate(per_factor):
+            for i, (_, degs, _) in enumerate(self.factor_layouts):
                 before = int(np.prod(self.factor_dims[:i])) if i else 1
                 after = int(np.prod(self.factor_dims[i + 1 :])) if i + 1 < self.spec.k else 1
                 cols.append(np.tile(np.repeat(degs, after), before))
@@ -139,33 +145,33 @@ class FockSpace:
         """Per-factor creation matrix for a whole word on factor ``i``.
 
         ``side="left"`` prepends ``word``; ``side="right"`` appends the
-        reversed word.  Columns whose image leaves the truncation are zero.
+        reversed word.  Column ``gamma`` maps to ``sqrt(b_gamma / b_target)``
+        times the target word; columns whose image leaves the truncation are
+        zero.  Targets are found by rank arithmetic: prepending a word at
+        offset ``u`` to a length-``d`` word at offset ``o`` gives offset
+        ``u * n**d + o``, appending one of length ``e`` at offset ``v`` gives
+        ``o * n**e + v``.
         """
         if not 0 <= i < self.spec.k:
             raise DimensionMismatch(f"factor index {i} outside range")
         if word.alphabet_size != self.spec.n[i]:
             raise DimensionMismatch("word alphabet does not match the factor")
-        ws = self.factor_words[i]
-        index = self.factor_index[i]
-        b = self.weights.tables[i]
-        rows, cols, vals = [], [], []
-        for col, gamma in enumerate(ws):
-            if side == "left":
-                target = word.concat(gamma)
-            elif side == "right":
-                target = gamma.concat(reverse(word))
-            else:
-                raise SpecError(f"unknown side {side!r}")
-            pos = index.get(target)
-            if pos is None:
-                continue
-            rows.append(pos)
-            cols.append(col)
-            vals.append(math.sqrt(b[gamma] / b[target]))
-        d = self.factor_dims[i]
-        return sp.csr_matrix(
-            (np.asarray(vals, dtype=complex), (rows, cols)), shape=(d, d)
-        )
+        if side not in ("left", "right"):
+            raise SpecError(f"unknown side {side!r}")
+        n, L, e = self.spec.n[i], self.trunc[i], len(word)
+        start, lengths, offsets = self.factor_layouts[i]
+        # the columns whose image stays inside the truncation, in rank order
+        cols = np.arange(start[max(L - e + 1, 0)])
+        d = lengths[cols]
+        if side == "left":
+            target = word_offset(word) * n**d + offsets[cols]
+        else:
+            target = offsets[cols] * n**e + word_offset(reverse(word))
+        rows = start[d + e] + target
+        b = self.weights.values[i]
+        vals = np.sqrt(b[cols] / b[rows]).astype(complex)
+        size = self.factor_dims[i]
+        return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
     def fock_kron(self, factors: Sequence[sp.spmatrix]) -> sp.csr_matrix:
         out = factors[0]
@@ -345,7 +351,8 @@ class PairStructure:
     ``rep_pos``.  Storage grows with the number of comparable pairs (the
     Kronecker product of the per-factor counts), not with ``dim**2``, so
     structure checks reduce to numpy gathers over the pairs and the stored
-    entries of an operator.
+    entries of an operator.  :meth:`class_positions` lists the pairs of one
+    class, from a stable argsort of ``cls`` built on first use.
     """
 
     space: FockSpace
@@ -360,6 +367,9 @@ class PairStructure:
     tau_rep: np.ndarray       # (n_classes,)
     s_abs: np.ndarray         # (n_classes,) total |s|
     s_vectors: np.ndarray     # (n_classes, k) signed degree vectors
+    # pair positions grouped by class, row-major within a class, and each class's first slot
+    _by_class: Optional[np.ndarray] = field(default=None, repr=False)
+    _class_start: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def comp(self) -> np.ndarray:
@@ -376,6 +386,33 @@ class PairStructure:
         # the vacuum pair (0, 0) is always comparable, so keys is never empty
         pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
         return np.where(keys[pos] == want, pos, -1)
+
+    def class_of(self, pair: IndexPair) -> int:
+        """Class id of a reduced pair, -1 when one of its words leaves the truncation."""
+        space = self.space
+        if pair.left.k != space.spec.k:
+            raise DimensionMismatch("pair has the wrong number of factors")
+        cid = 0
+        for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
+            if u.alphabet_size != space.spec.n[i]:
+                raise DimensionMismatch("pair alphabet does not match the factor")
+            count = space.factor_dims[i]
+            rank = space.factor_index[i].get(v if len(v) else u)
+            if rank is None:
+                return -1
+            # the id scheme of _factor_pairs: (quotient, e) -> rank, (e, quotient) -> count + rank - 1
+            cid = cid * (2 * count - 1) + (count + rank - 1 if len(v) else rank)
+        return cid
+
+    def class_positions(self, c: int) -> np.ndarray:
+        """Positions of the pairs of class ``c`` in row-major order; empty for ``c = -1``."""
+        if c < 0:
+            return np.zeros(0, dtype=np.int64)
+        if self._by_class is None:
+            self._by_class = np.argsort(self.cls, kind="stable")
+            counts = np.bincount(self.cls, minlength=self.n_classes)
+            self._class_start = np.concatenate([[0], np.cumsum(counts)])
+        return self._by_class[self._class_start[c] : self._class_start[c + 1]]
 
     def class_pair(self, c: int) -> IndexPair:
         space = self.space
@@ -400,10 +437,8 @@ def _factor_pairs(space: FockSpace, i: int):
     """
     n, L = space.spec.n[i], space.trunc[i]
     count = space.factor_dims[i]
-    start = np.concatenate([[0], np.cumsum(n ** np.arange(L + 1, dtype=np.int64))])
-    lengths = np.repeat(np.arange(L + 1), np.diff(start))
-    offsets = np.arange(count, dtype=np.int64) - start[lengths]
-    b = np.array([space.weights.tables[i][w] for w in space.factor_words[i]], dtype=float)
+    start, lengths, offsets = space.factor_layouts[i]
+    b = space.weights.values[i]
     big, small, quot = [], [], []
     for e in range(L + 1):
         x = np.flatnonzero(lengths >= e)
@@ -463,7 +498,7 @@ def _build_pair_structure(space: FockSpace) -> PairStructure:
         right_rank = np.where(jids < count, 0, jids - count + 1)
         rep_row = rep_row * count + left_rank
         rep_col = rep_col * count + right_rank
-        lengths = np.array([len(w) for w in space.factor_words[i]], dtype=np.int64)
+        lengths = space.factor_layouts[i][1]
         s_vectors[:, i] = lengths[left_rank] - lengths[right_rank]
     # reduced representatives always sit inside the truncation
     rep_pos = np.searchsorted(keys, rep_row * width + rep_col)
@@ -514,14 +549,40 @@ def weighted_right_creation(space: FockSpace, i: int, j: int) -> FockOperator:
 
 
 def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> FockOperator:
-    """The elementary operator ``A (x) W_left W_right^*`` for a reduced pair."""
+    """The elementary operator ``A (x) W_left W_right^*`` for a reduced pair.
+
+    The Fock part is read off the pair structure: it is supported on the
+    comparable pairs of the pair's class, in row-major order.  Its entry at
+    ``(row, col)`` is the weight of ``W_left`` times that of ``W_right``, each
+    the product in factor order of ``sqrt(b_shorter / b_longer)`` over the
+    factors where that side is nonempty (this is the entry weight ``tau``,
+    multiplied in the order of the creation products).  The coefficient enters
+    as ``A[0, 0] * fock``, or ``kron(A, fock)`` when ``coeff_dim > 1``.  A pair
+    with a word beyond the truncation gives the zero operator.
+    """
     A = np.atleast_2d(np.asarray(coefficient, dtype=complex))
     c = space.coeff_dim
     if A.shape != (c, c):
         raise DimensionMismatch(f"coefficient shape {A.shape} does not match ({c}, {c})")
-    wl = space.creation_product(pair.left, side="left")
-    wr = space.creation_product(pair.right, side="left")
-    fock = sp.csr_matrix(wl @ wr.conj().T)
+    ps = space.pair_structure()
+    pos = ps.class_positions(ps.class_of(pair))
+    rows, cols = ps.rows[pos], ps.cols[pos]
+    left = np.ones(pos.size)
+    right = np.ones(pos.size)
+    stride = d = space.dim
+    for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
+        # factor i's basis indices, first factor slowest
+        stride //= space.factor_dims[i]
+        r_i = rows // stride % space.factor_dims[i]
+        c_i = cols // stride % space.factor_dims[i]
+        b = space.weights.values[i]
+        if len(u):
+            left *= np.sqrt(b[c_i] / b[r_i])
+        elif len(v):
+            right *= np.sqrt(b[r_i] / b[c_i])
+    vals = (left * right).astype(complex)
+    # the pairs are row-major, so they already are CSR order
+    fock = sp.csr_matrix((vals, cols, np.searchsorted(rows, np.arange(d + 1))), shape=(d, d))
     if c == 1:
         mat = complex(A[0, 0]) * fock
     else:

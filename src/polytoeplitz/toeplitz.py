@@ -255,16 +255,19 @@ def extract_fourier(
 
 
 def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
-    """The operator ``sum r^{|s|} A (x) W_left W_right^*`` on the symbol's space."""
+    """The operator ``sum r^{|s|} A (x) W_left W_right^*`` on the symbol's space.
+
+    Distinct reduced pairs have disjoint supports (every comparable basis pair
+    reduces to one pair), so each term is scattered into the dense result
+    rather than added to it.
+    """
     space = sym.space
     n = space.total_dim
-    acc = None
+    out = np.zeros((n, n), dtype=complex)
     for pair in sym.support():
-        term = (r ** pair.total_weight) * monomial(space, pair, sym.coefficients[pair]).matrix
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return FockOperator(space, np.zeros((n, n), dtype=complex), "0")
-    return FockOperator(space, linalg.as_dense(acc), f"F({r:g}W)")
+        term = monomial(space, pair, sym.coefficients[pair]).matrix.tocoo()
+        out[term.row, term.col] = (r ** pair.total_weight) * term.data
+    return FockOperator(space, out, f"F({r:g}W)" if sym.coefficients else "0")
 
 
 def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
@@ -397,6 +400,7 @@ def symbol_to_json(sym: FourierSymbol) -> dict:
 
 
 def symbol_from_json(space: FockSpace, doc: Union[str, dict]) -> FourierSymbol:
+    """Parse the form written by :func:`symbol_to_json`; non-finite coefficients raise :class:`SpecError`."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -412,6 +416,9 @@ def symbol_from_json(space: FockSpace, doc: Union[str, dict]) -> FourierSymbol:
         right = MultiWord(
             tuple(Word(tuple(ls), n) for ls, n in zip(term["right"], space.spec.n))
         )
-        A = np.asarray(term["re"], dtype=float) + 1j * np.asarray(term["im"], dtype=float)
-        coeffs[IndexPair(left=left, right=right)] = A.astype(complex)
+        re = np.asarray(term["re"], dtype=float)
+        im = np.asarray(term["im"], dtype=float)
+        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+            raise SpecError(f"symbol term {left.render()} | {right.render()}: non-finite coefficient")
+        coeffs[IndexPair(left=left, right=right)] = (re + 1j * im).astype(complex)
     return FourierSymbol(space, coeffs)

@@ -6,6 +6,13 @@ weight ``b_{i,alpha}`` attached to a word is the corresponding coefficient of
 ``(1 - f_i)^{-m_i}``; it is computed here by a suffix recursion for the order-1
 table followed by word convolution, and cross-checked by a literal
 factorization-sum oracle.
+
+Both steps run on graded-lexicographic rank arrays
+(:func:`~polytoeplitz.freemonoid.graded_lex_layout`), one numpy gather per
+cut and word length: within the words of length ``d`` the suffix of length
+``e`` sits at offset ``o mod n**e`` and the prefix before it at ``o // n**e``.
+Every entry is summed over its cuts in ascending order from ``0.0``, as the
+word-by-word definition reads, so the values do not depend on the vectorization.
 """
 
 from __future__ import annotations
@@ -17,8 +24,17 @@ import math
 from dataclasses import dataclass, field
 from typing import IO, Mapping, Sequence
 
+import numpy as np
+
 from .errors import NotComparable, SpecError, TruncationError
-from .freemonoid import MultiWord, Word, enumerate_words, right_divides
+from .freemonoid import (
+    MultiWord,
+    Word,
+    enumerate_words,
+    graded_lex_layout,
+    right_divides,
+    word_offset,
+)
 
 __all__ = [
     "PolydomainSpec",
@@ -83,11 +99,18 @@ class PolydomainSpec:
 
 @dataclass
 class WeightTable:
-    """All weights ``b_{i,alpha}`` up to the per-factor truncation degrees."""
+    """All weights ``b_{i,alpha}`` up to the per-factor truncation degrees.
+
+    ``values[i]`` holds factor ``i``'s weights in graded-lexicographic order
+    (the order of :func:`~polytoeplitz.freemonoid.enumerate_words`), for
+    array code that addresses words by rank; ``tables[i]`` maps the same
+    words to the same values, for lookups by :class:`Word`.
+    """
 
     spec: PolydomainSpec
     trunc: tuple[int, ...]
     tables: tuple[dict[Word, float], ...] = field(repr=False)
+    values: tuple[np.ndarray, ...] = field(repr=False)
 
     def b(self, i: int, w: Word) -> float:
         try:
@@ -112,33 +135,39 @@ class WeightTable:
                 writer.writerow([i + 1, w.render(), repr(table[w])])
 
 
-def _order_one_table(cmap: Mapping[Word, float], n: int, trunc: int) -> dict[Word, float]:
+def _order_one_values(cmap: Mapping[Word, float], n: int, start: np.ndarray) -> np.ndarray:
     # b1[alpha] = sum over proper suffixes gamma in the support of b1[prefix] * a[gamma]
-    words = enumerate_words(n, trunc)
+    trunc = start.size - 2
     max_deg = max(len(w) for w in cmap)
-    out: dict[Word, float] = {}
-    for w in words:
-        if len(w) == 0:
-            out[w] = 1.0
-            continue
-        acc = 0.0
-        for cut in range(max(0, len(w) - max_deg), len(w)):
-            gamma = Word(w.letters[cut:], n)
-            a = cmap.get(gamma)
-            if a:
-                acc += out[Word(w.letters[:cut], n)] * a
-        out[w] = acc
+    # coefficient of each word of length e <= trunc, by offset; zero off the support
+    coeff = [np.zeros(n**e) for e in range(min(max_deg, trunc) + 1)]
+    for w, a in cmap.items():
+        if len(w) <= trunc:
+            coeff[len(w)][word_offset(w)] = a
+    out = np.empty(start[-1])
+    out[0] = 1.0
+    for d in range(1, trunc + 1):
+        o = np.arange(n**d)
+        acc = np.zeros(n**d)
+        for cut in range(max(0, d - max_deg), d):
+            e = d - cut
+            a = coeff[e][o % n**e]
+            hit = a != 0.0
+            acc[hit] += out[start[cut] + o[hit] // n**e] * a[hit]
+        out[start[d] : start[d + 1]] = acc
     return out
 
 
-def _word_convolve(u: Mapping[Word, float], v: Mapping[Word, float], n: int, trunc: int) -> dict[Word, float]:
+def _word_convolve(u: np.ndarray, v: np.ndarray, n: int, start: np.ndarray) -> np.ndarray:
     # (u * v)[alpha] = sum over splittings alpha = alpha' alpha''
-    out: dict[Word, float] = {}
-    for w in enumerate_words(n, trunc):
-        acc = 0.0
-        for cut in range(len(w) + 1):
-            acc += u[Word(w.letters[:cut], n)] * v[Word(w.letters[cut:], n)]
-        out[w] = acc
+    out = np.empty_like(u)
+    for d in range(start.size - 1):
+        o = np.arange(n**d)
+        acc = np.zeros(n**d)
+        for cut in range(d + 1):
+            e = d - cut
+            acc += u[start[cut] + o // n**e] * v[start[e] + o % n**e]
+        out[start[d] : start[d + 1]] = acc
     return out
 
 
@@ -152,14 +181,17 @@ def build_weight_table(spec: PolydomainSpec, trunc: Sequence[int]) -> WeightTabl
         raise SpecError("truncation tuple length differs from factor count")
     if any(L < 0 for L in trunc):
         raise SpecError("truncation degrees must be nonnegative")
-    tables = []
+    tables, values = [], []
     for i in range(spec.k):
-        b1 = _order_one_table(spec.coeffs[i], spec.n[i], trunc[i])
+        n, L = spec.n[i], trunc[i]
+        start, _, _ = graded_lex_layout(n, L)
+        b1 = _order_one_values(spec.coeffs[i], n, start)
         bm = b1
         for _ in range(spec.m[i] - 1):
-            bm = _word_convolve(b1, bm, spec.n[i], trunc[i])
-        tables.append(bm)
-    return WeightTable(spec=spec, trunc=tuple(trunc), tables=tuple(tables))
+            bm = _word_convolve(b1, bm, n, start)
+        values.append(bm)
+        tables.append(dict(zip(enumerate_words(n, L), bm.tolist())))
+    return WeightTable(spec=spec, trunc=tuple(trunc), tables=tuple(tables), values=tuple(values))
 
 
 def brute_force_weight(spec: PolydomainSpec, i: int, alpha: Word) -> float:

@@ -148,6 +148,51 @@ def test_toeplitz_rejects_junk_operator(tmp_path, rng):
     assert rc == 1
 
 
+NON_FINITE = ["nan", "inf", "-inf", "1e400"]
+
+
+def _planted_file(tmp_path, rng, bad=None):
+    """A planted operator on BALL at trunc 3 (dim 15); ``bad`` replaces one entry's real part."""
+    space = FockSpace(spec_from_json(BALL), (3,))
+    T = evaluate_at_model(random_symbol(space, rng, n_monomials=4))
+    path = tmp_path / "op.mtx"
+    with open(path, "w") as fh:
+        linalg.save_matrix(fh, T.dense)
+    if bad is not None:
+        lines = path.read_text().splitlines()
+        r, c, _, im = lines[2].split()
+        lines[2] = f"{r} {c} {bad} {im}"
+        path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("command", ["toeplitz", "brown-halmos"])
+def test_non_finite_operator_entry_exits_2(tmp_path, rng, capsys, command, bad):
+    spec_path = write_spec(tmp_path / "spec.json", BALL)
+    op = _planted_file(tmp_path, rng, bad)
+    out = tmp_path / "out"
+    rc = main([command, "--spec", spec_path, "--trunc", "3", "--operator", op, "--out", str(out)])
+    assert rc == 2
+    assert "non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_symbol_coefficient_exits_2(tmp_path, rng, capsys, bad):
+    spec_path = write_spec(tmp_path / "spec.json", BALL)
+    space = FockSpace(spec_from_json(BALL), (3,))
+    doc = symbol_to_json(random_symbol(space, rng, n_monomials=3))
+    doc["terms"][1]["im"] = [[12345.5]]
+    sym_path = tmp_path / "symbol.json"
+    sym_path.write_text(json.dumps(doc).replace("12345.5", bad))
+    out = tmp_path / "out"
+    rc = main(["fourier", "--spec", spec_path, "--trunc", "3", "--symbol", str(sym_path), "--out", str(out)])
+    assert rc == 2
+    assert "non-finite coefficient" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_berezin_command(tmp_path, rng):
     spec_path = write_spec(tmp_path / "spec.json", BERGMAN)
     spec = spec_from_json(BERGMAN)

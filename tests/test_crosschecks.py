@@ -5,9 +5,11 @@ basis pairs, literal Kronecker sandwiches, the uncompressed structural
 equation) and compares against the fast implementation.  The dense
 ``(dim, dim)`` comparability tables, classification, structural-equation
 residual and universal-model completely positive maps (matrix products,
-defects from the identity) that the index-array implementations replaced are
-kept here as oracles; the arithmetic per entry is unchanged, so they must
-agree exactly.
+defects from the identity), and the word-by-word construction layer (dict
+weight tables, per-column creations, monomials as products of creation
+matrices, operators as sums of sparse monomials) that the index-array
+implementations replaced are kept here as oracles; the arithmetic per entry
+is unchanged, so they must agree exactly.
 """
 
 import itertools
@@ -35,11 +37,20 @@ from polytoeplitz.cpmaps import (
     random_pure_tuple,
     universal_tuple,
 )
-from polytoeplitz.freemonoid import Word, comparable, reverse, simplify
+from polytoeplitz.freemonoid import (
+    IndexPair,
+    MultiWord,
+    Word,
+    comparable,
+    enumerate_words,
+    reverse,
+    simplify,
+)
 from polytoeplitz.linalg import adjoint, as_dense, hermitize, op_norm, pinv_on_range
-from polytoeplitz.model import FockOperator, FockSpace, graded_projection
+from polytoeplitz.model import FockOperator, FockSpace, graded_projection, monomial
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import (
+    FourierSymbol,
     ToeplitzReport,
     evaluate_at_model,
     homogeneous_part,
@@ -47,9 +58,91 @@ from polytoeplitz.toeplitz import (
     pluriharmonic_kernel,
     random_symbol,
 )
-from polytoeplitz.weights import tau
+from polytoeplitz.weights import build_weight_table, tau
 
 from conftest import make_spec
+
+
+def dict_order_one_table(cmap, n, trunc):
+    """Order-1 weights by the suffix recursion, one word at a time."""
+    max_deg = max(len(w) for w in cmap)
+    out = {}
+    for w in enumerate_words(n, trunc):
+        if len(w) == 0:
+            out[w] = 1.0
+            continue
+        acc = 0.0
+        for cut in range(max(0, len(w) - max_deg), len(w)):
+            a = cmap.get(Word(w.letters[cut:], n))
+            if a:
+                acc += out[Word(w.letters[:cut], n)] * a
+        out[w] = acc
+    return out
+
+
+def dict_word_convolve(u, v, n, trunc):
+    """``(u * v)[alpha]``: the sum over splittings ``alpha = alpha' alpha''``, one word at a time."""
+    out = {}
+    for w in enumerate_words(n, trunc):
+        acc = 0.0
+        for cut in range(len(w) + 1):
+            acc += u[Word(w.letters[:cut], n)] * v[Word(w.letters[cut:], n)]
+        out[w] = acc
+    return out
+
+
+def dict_weight_tables(spec, trunc):
+    tables = []
+    for i in range(spec.k):
+        b1 = dict_order_one_table(spec.coeffs[i], spec.n[i], trunc[i])
+        bm = b1
+        for _ in range(spec.m[i] - 1):
+            bm = dict_word_convolve(b1, bm, spec.n[i], trunc[i])
+        tables.append(bm)
+    return tables
+
+
+def per_column_factor_creation(space, i, word, side):
+    """The factor-``i`` creation built column by column from word concatenation."""
+    ws = space.factor_words[i]
+    index = space.factor_index[i]
+    b = space.weights.tables[i]
+    rows, cols, vals = [], [], []
+    for col, gamma in enumerate(ws):
+        target = word.concat(gamma) if side == "left" else gamma.concat(reverse(word))
+        pos = index.get(target)
+        if pos is None:
+            continue
+        rows.append(pos)
+        cols.append(col)
+        vals.append(math.sqrt(b[gamma] / b[target]))
+    d = space.factor_dims[i]
+    return sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)), shape=(d, d))
+
+
+def product_monomial(space, pair, A):
+    """``A (x) W_left W_right^*`` as Kronecker and matrix products of per-column creations."""
+    def creation(w):
+        mats = [per_column_factor_creation(space, i, part, "left") for i, part in enumerate(w.parts)]
+        return space.fock_kron(mats)
+
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    fock = sp.csr_matrix(creation(pair.left) @ creation(pair.right).conj().T)
+    if space.coeff_dim == 1:
+        return complex(A[0, 0]) * fock
+    return sp.kron(sp.csr_matrix(A), fock, format="csr")
+
+
+def sparse_sum_evaluate_at_model(sym, r):
+    """``sum r^{|s|} A (x) W_left W_right^*`` as a sum of sparse product monomials, densified."""
+    space = sym.space
+    acc = None
+    for pair in sym.support():
+        term = (r ** pair.total_weight) * product_monomial(space, pair, sym.coefficients[pair])
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    return as_dense(acc)
 
 
 def dense_factor_pair_tables(space, i):
@@ -560,3 +653,62 @@ def test_defect_walk_matches_defect_at_every_point(rng):
         for p, D in _defect_walk(spec, X):
             assert np.array_equal(D, defect(spec, X, p))
             assert np.array_equal(D, dense_defect(spec, X, p))
+
+
+def test_weight_tables_match_dict_oracle(rng):
+    cases = [(space.spec, space.trunc) for space in oracle_spaces(rng)]
+    for _ in range(40):
+        spec = random_spec(rng, max_n=3, max_m=3, max_deg=3)
+        cases.append((spec, tuple(int(L) for L in rng.integers(0, 7, size=spec.k))))
+    for spec, trunc in cases:
+        table = build_weight_table(spec, trunc)
+        for i, expected in enumerate(dict_weight_tables(spec, trunc)):
+            # same words, same order, same bits
+            assert list(table.tables[i].items()) == list(expected.items())
+            assert np.array_equal(table.values[i], np.array(list(expected.values())))
+
+
+def test_factor_creation_matches_per_column_oracle(rng):
+    for space in oracle_spaces(rng):
+        for i in range(space.spec.k):
+            n, L = space.spec.n[i], space.trunc[i]
+            # every word up to one letter beyond the truncation, on both sides
+            for word in enumerate_words(n, L + 1):
+                for side in ("left", "right"):
+                    got = space.factor_creation(i, word, side)
+                    expected = per_column_factor_creation(space, i, word, side)
+                    assert got.nnz == expected.nnz
+                    assert np.array_equal(got.toarray(), expected.toarray())
+
+
+def test_monomial_matches_product_oracle(rng):
+    for space in oracle_spaces(rng):
+        c = space.coeff_dim
+        pairs = space.pair_structure().reduced_pairs()
+        # a pair whose left word is one letter longer than the truncation
+        parts = [Word.identity(n) for n in space.spec.n]
+        beyond = list(parts)
+        beyond[0] = Word((1,) * (space.trunc[0] + 1), space.spec.n[0])
+        pairs.append(IndexPair(MultiWord(tuple(beyond)), MultiWord(tuple(parts))))
+        for pair in pairs:
+            A = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
+            got = monomial(space, pair, A).matrix
+            expected = product_monomial(space, pair, A)
+            assert got.nnz == expected.nnz
+            assert np.array_equal(got.toarray(), expected.toarray())
+        assert monomial(space, pairs[-1], A).matrix.nnz == 0
+
+
+def test_evaluate_at_model_matches_sparse_sum_oracle(rng):
+    for space in oracle_spaces(rng):
+        sym = random_symbol(space, rng, n_monomials=6)
+        parts = [Word.identity(n) for n in space.spec.n]
+        beyond = list(parts)
+        beyond[-1] = Word((1,) * (space.trunc[-1] + 1), space.spec.n[-1])
+        c = space.coeff_dim
+        coeffs = dict(sym.coefficients)
+        coeffs[IndexPair(MultiWord(tuple(parts)), MultiWord(tuple(beyond)))] = np.ones((c, c))
+        for s in (sym, FourierSymbol(space, coeffs), FourierSymbol(space, {})):
+            for r in (0.0, 0.5, 1.0):
+                got = evaluate_at_model(s, r)
+                assert np.array_equal(got.matrix, sparse_sum_evaluate_at_model(s, r))

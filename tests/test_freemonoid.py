@@ -8,11 +8,13 @@ from polytoeplitz.freemonoid import (
     Word,
     comparable,
     enumerate_words,
+    graded_lex_layout,
     multiword_index,
     multiword_unindex,
     reverse,
     right_divides,
     simplify,
+    word_offset,
 )
 
 
@@ -117,11 +119,29 @@ class TestEnumeration:
         depth2 = [u.letters for u in words if len(u) == 2]
         assert depth2 == sorted(depth2)
 
+    @given(st.integers(1, 3), st.integers(0, 5))
+    def test_layout_matches_enumeration(self, n, max_len):
+        words = enumerate_words(n, max_len)
+        start, lengths, offsets = graded_lex_layout(n, max_len)
+        assert start[-1] == len(words)
+        assert lengths.tolist() == [len(u) for u in words]
+        assert offsets.tolist() == [word_offset(u) for u in words]
+        # suffix and prefix of each word by offset arithmetic
+        for rank, u in enumerate(words):
+            for e in range(len(u) + 1):
+                o = int(offsets[rank])
+                assert words[start[e] + o % n**e].letters == u.letters[len(u) - e :]
+                assert words[start[len(u) - e] + o // n**e].letters == u.letters[: len(u) - e]
+
     def test_bad_args(self):
         with pytest.raises(DimensionMismatch):
             enumerate_words(0, 2)
         with pytest.raises(TruncationError):
             enumerate_words(2, -1)
+        with pytest.raises(DimensionMismatch):
+            graded_lex_layout(0, 2)
+        with pytest.raises(TruncationError):
+            graded_lex_layout(2, -1)
 
 
 class TestIndexing:

@@ -57,6 +57,20 @@ class TestOpNorm:
         assert op_norm(mat) == pytest.approx(2.5, rel=1e-12)
         assert op_norm(mat.toarray()) == pytest.approx(2.5, rel=1e-12)
 
+    def test_sparse_diagonal_above_dense_cutoff_is_exact(self, rng):
+        # the largest entry modulus is the exact norm of a diagonal matrix
+        n = 700
+        d = random_complex(rng, (n,))
+        mat = sp.diags(d, format="csr")
+        assert op_norm(mat) == np.abs(d).max()
+        assert abs(op_norm(mat) - np.linalg.norm(mat.toarray(), 2)) <= 1e-12
+        # duplicate diagonal entries are summed first; explicit zeros are harmless
+        dup = sp.coo_matrix(
+            (np.array([1.0, 2.0 - 1j, 0.0]), ([5, 5, 7], [5, 5, 7])), shape=(n, n)
+        )
+        assert op_norm(dup) == abs(3.0 - 1j)
+        assert abs(op_norm(dup) - np.linalg.norm(dup.toarray(), 2)) <= 1e-12
+
     def test_unitary(self, rng):
         B = random_complex(rng, (5, 5))
         q, _ = np.linalg.qr(B)
@@ -166,3 +180,9 @@ class TestMatrixFile:
     def test_entry_outside_shape(self):
         with pytest.raises(DimensionMismatch):
             load_matrix(io.StringIO("1 1 1\n0 3 1.0 0.0\n"))
+
+    @pytest.mark.parametrize("entry", ["nan 0", "0 inf", "-inf 1", "1e400 0", "0 -1e999"])
+    def test_rejects_non_finite_values(self, entry):
+        text = f"3 3 2\n0 0 1 0\n1 2 {entry}\n"
+        with pytest.raises(SpecError, match="non-finite value .* on line 3"):
+            load_matrix(io.StringIO(text))

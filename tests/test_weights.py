@@ -1,11 +1,14 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from polytoeplitz.cli import main
 from polytoeplitz.errors import NotComparable, SpecError, TruncationError
 from polytoeplitz.freemonoid import MultiWord, Word
+from polytoeplitz.model import FockSpace
 from polytoeplitz.sampling import ones_series_spec, random_spec
 from polytoeplitz.weights import (
     PolydomainSpec,
@@ -244,3 +247,33 @@ def test_truncation_error_on_missing_word(bergman2_spec):
     table = build_weight_table(bergman2_spec, (2,))
     with pytest.raises(TruncationError):
         table.b(0, Word((1, 1, 1), 1))
+
+
+# the benchmark's `deep` polydomain (k=1, n=2, m=3, every word of length <= 2)
+DEEP_DIR = Path(__file__).parent / "data" / "weights_deep_trunc8"
+
+
+def test_weights_report_and_csv_match_golden_files(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["weights", "--spec", str(DEEP_DIR / "spec.json"), "--trunc", "8", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 0
+    for name in ("weights-report.json", "weights.csv"):
+        assert (out / name).read_bytes() == (DEEP_DIR / name).read_bytes(), name
+
+
+def test_fock_space_builds_few_words(monkeypatch):
+    # the construction works on rank arrays; Word objects are made only to
+    # enumerate the basis, not per cut, per target or per monomial
+    spec = spec_from_json((DEEP_DIR / "spec.json").read_text())
+    made = []
+    original = Word.__post_init__
+
+    def counting(self):
+        made.append(None)
+        original(self)
+
+    monkeypatch.setattr(Word, "__post_init__", counting)
+    space = FockSpace(spec, (10,))
+    assert space.dim == 2047
+    assert len(made) < 3 * space.dim
