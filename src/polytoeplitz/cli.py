@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,13 +100,18 @@ class RunConfig:
             raise SpecError("tolerance must be positive")
 
 
-def _parse_trunc(text: str, k: int) -> tuple[int, ...]:
-    parts = [int(x) for x in text.split(",") if x.strip() != ""]
-    if len(parts) == 1:
-        return tuple(parts * k)
-    if len(parts) != k:
-        raise SpecError(f"truncation needs 1 or {k} entries, got {len(parts)}")
-    return tuple(parts)
+def _broadcast_trunc(trunc: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """One truncation degree per factor; a single degree applies to all ``k``."""
+    if len(trunc) == 1:
+        return trunc * k
+    if len(trunc) != k:
+        raise SpecError(f"truncation needs 1 or {k} entries, got {len(trunc)}")
+    return trunc
+
+
+def _nanmax(*values: float) -> float:
+    """``max`` of ``values``, but NaN when any is NaN (``max`` drops a NaN not in first place)."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 def _load_spec(path: Optional[str]) -> PolydomainSpec:
@@ -152,7 +158,7 @@ def _load_operator(space: FockSpace, path: str) -> FockOperator:
 
 def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = _load_spec(cfg.spec_path)
-    trunc = _parse_trunc(args.trunc, spec.k)
+    trunc = _broadcast_trunc(cfg.trunc, spec.k)
     table = build_weight_table(spec, trunc)
     rng = np.random.default_rng(cfg.seed)
 
@@ -165,7 +171,7 @@ def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
         for w in words:
             ref = brute_force_weight(spec, i, w)
             got = table.b(i, w)
-            oracle_worst = max(oracle_worst, abs(got - ref) / max(1.0, abs(ref)))
+            oracle_worst = _nanmax(oracle_worst, abs(got - ref) / max(1.0, abs(ref)))
             oracle_count += 1
 
     series_worst = 0.0
@@ -174,7 +180,8 @@ def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
             series = univariate_series_weights(spec, i, trunc[i])
             for p in range(trunc[i] + 1):
                 got = table.b(i, Word((1,) * p, 1))
-                series_worst = max(series_worst, abs(got - series[p]) / max(1.0, abs(series[p])))
+                err = abs(got - series[p]) / max(1.0, abs(series[p]))
+                series_worst = _nanmax(series_worst, err)
 
     trend = []
     for i in range(spec.k):
@@ -209,7 +216,7 @@ def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = _load_spec(cfg.spec_path)
-    trunc = _parse_trunc(args.trunc, spec.k)
+    trunc = _broadcast_trunc(cfg.trunc, spec.k)
     space = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim)
 
     W = universal_tuple(space, side="left")
@@ -244,7 +251,7 @@ def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_toeplitz(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = _load_spec(cfg.spec_path)
-    trunc = _parse_trunc(args.trunc, spec.k)
+    trunc = _broadcast_trunc(cfg.trunc, spec.k)
     space = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim)
     T = _load_operator(space, args.operator)
     report = is_multi_toeplitz(T, tol=cfg.tol)
@@ -264,7 +271,7 @@ def cmd_toeplitz(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_fourier(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = _load_spec(cfg.spec_path)
-    trunc = _parse_trunc(args.trunc, spec.k)
+    trunc = _broadcast_trunc(cfg.trunc, spec.k)
     space = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim)
     try:
         doc = json.loads(Path(args.symbol).read_text())
@@ -319,7 +326,7 @@ def _load_tuple(spec: PolydomainSpec, manifest_path: str) -> OperatorTuple:
 
 def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = _load_spec(cfg.spec_path)
-    trunc = _parse_trunc(args.trunc, spec.k)
+    trunc = _broadcast_trunc(cfg.trunc, spec.k)
     X = _load_tuple(spec, args.tuple)
     commutation = X.check_commutation()
     member, witness = is_member(spec, X, tol=cfg.tol)
@@ -359,7 +366,7 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_brown_halmos(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = _load_spec(cfg.spec_path)
-    trunc = _parse_trunc(args.trunc, spec.k)
+    trunc = _broadcast_trunc(cfg.trunc, spec.k)
     space = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim)
     T = _load_operator(space, args.operator)
     if args.factor is not None:
@@ -383,7 +390,7 @@ def cmd_brown_halmos(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = _load_spec(cfg.spec_path)
-    trunc = _parse_trunc(args.trunc, spec.k)
+    trunc = _broadcast_trunc(cfg.trunc, spec.k)
     space = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim)
     try:
         doc = json.loads(Path(args.symbol).read_text())
@@ -442,7 +449,7 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
             for idx in pick:
                 w = words[int(idx)]
                 ref = brute_force_weight(spec, i, w)
-                worst = max(worst, abs(table.b(i, w) - ref) / max(1.0, ref))
+                worst = _nanmax(worst, abs(table.b(i, w) - ref) / max(1.0, ref))
         specs_checked += 1
     checks.append(_check("weights_oracle", worst, 1e-12, specs_checked))
 
@@ -457,12 +464,9 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         ]
         if m == 1:
             # the constant-2 ratio starts at |alpha| = 1; the vacuum ratio is 1
-            worst = max(worst, max(abs(r - 2.0) for r in ratios[1:]))
+            worst = _nanmax(worst, *(abs(r - 2.0) for r in ratios[1:]))
         else:
-            mono = max(
-                max(ratios[d + 1] - ratios[d] for d in range(1, 12)), 0.0
-            )
-            worst = max(worst, mono)
+            worst = _nanmax(worst, *(ratios[d + 1] - ratios[d] for d in range(1, 12)))
         observed[str(m)] = ratios[12]
     checks.append(
         _check("ones_series_ratio", worst, 1e-12, 3, observed_ratio_at_12=observed)
@@ -475,7 +479,7 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         trunc = (trunc_degree,) * spec.k
         space = FockSpace(spec, trunc)
         W = universal_tuple(space)
-        worst = max(worst, _vacuum_residual(defect(spec, W, spec.m)))
+        worst = _nanmax(worst, _vacuum_residual(defect(spec, W, spec.m)))
     checks.append(_check("defect_identity", worst, 1e-10, 4))
 
     # Berezin kernel: isometry up to tail, intertwining on safe rows
@@ -486,10 +490,10 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         X = random_pure_tuple(spec, rng, dims=(2,) * spec.k, shrink=0.85)
         kernel = berezin_kernel(spec, X, trunc)
         dev = linalg.op_norm(kernel.gram() - np.eye(X.dim_h))
-        allowance = max(1e-8, kernel.tail_bound)
-        worst_iso = max(worst_iso, dev - allowance)
+        allowance = _nanmax(1e-8, kernel.tail_bound)
+        worst_iso = _nanmax(worst_iso, dev - allowance)
         space = FockSpace(spec, trunc)
-        worst_int = max(worst_int, intertwining_residual(kernel, X, space))
+        worst_int = _nanmax(worst_int, intertwining_residual(kernel, X, space))
     checks.append(_check("berezin_isometry_within_tail", worst_iso, 0.0, 6))
     checks.append(_check("berezin_intertwining", worst_int, 1e-9, 6))
 
@@ -504,11 +508,11 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         sym = random_symbol(space, rng, n_monomials=6)
         T = evaluate_at_model(sym)
         report = is_multi_toeplitz(T, tol=1e-10)
-        worst = max(worst, report.max_violation)
+        worst = _nanmax(worst, report.max_violation)
         back = extract_fourier(T)
         for pair, A in sym.coefficients.items():
             dev = float(np.abs(back.coefficients.get(pair, np.zeros_like(A)) - A).max())
-            worst = max(worst, dev)
+            worst = _nanmax(worst, dev)
         ps = space.pair_structure()
         bad = np.argwhere(~ps.comp)
         if len(bad):
@@ -520,16 +524,8 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
             if spoiled.worst_pair is not None:
                 last_flagged = [w.render() for w in spoiled.worst_pair]
     checks.append(_check("toeplitz_roundtrip", worst, 1e-10, 8))
-    checks.append(
-        {
-            "name": "toeplitz_violation_detected",
-            "worst": 0.0 if detected else 1.0,
-            "tolerance": 0.0,
-            "count": 8,
-            "passed": bool(detected),
-            "flagged_pair": last_flagged,
-        }
-    )
+    flagged = 0.0 if detected else 1.0
+    checks.append(_check("toeplitz_violation_detected", flagged, 0.0, 8, flagged_pair=last_flagged))
 
     # homogeneous decomposition, adjoint grading, windowed reconstruction
     worst = 0.0
@@ -546,10 +542,10 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
             part = homogeneous_part(T, svec)
             total += part.dense
             adj = homogeneous_part(T.adjoint(), tuple(-x for x in svec)).adjoint()
-            worst = max(worst, float(np.abs(part.dense - adj.dense).max()))
-        worst = max(worst, float(np.abs(total - M).max()))
+            worst = _nanmax(worst, float(np.abs(part.dense - adj.dense).max()))
+        worst = _nanmax(worst, float(np.abs(total - M).max()))
         recon = cesaro_reconstruct(T, tuple(2 * L for L in trunc), fejer_weights=False)
-        worst = max(worst, float(np.abs(recon.dense - M).max()))
+        worst = _nanmax(worst, float(np.abs(recon.dense - M).max()))
     checks.append(_check("homogeneous_decomposition", worst, 1e-12, 4))
 
     # radial norm monotonicity
@@ -562,7 +558,7 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         radii = [0.0, 0.25, 0.5, 0.75, 0.9, 1.0]
         norms = [linalg.op_norm(evaluate_at_model(sym, r).matrix) for r in radii]
         for a, b in zip(norms, norms[1:]):
-            worst = max(worst, a - b)
+            worst = _nanmax(worst, a - b)
     checks.append(_check("radial_monotonicity", worst, 1e-10, 6))
 
     # kernel PSD equivalence
@@ -578,15 +574,7 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
             v1, _ = linalg.psd_check(gamma, 1e-9)
             v2, _ = linalg.psd_check(op.dense, 1e-9)
             agree = agree and (v1 == v2)
-    checks.append(
-        {
-            "name": "kernel_psd_equivalence",
-            "worst": 0.0 if agree else 1.0,
-            "tolerance": 0.0,
-            "count": 16,
-            "passed": bool(agree),
-        }
-    )
+    checks.append(_check("kernel_psd_equivalence", 0.0 if agree else 1.0, 0.0, 16))
 
     # structural equation residuals for random multi-Toeplitz operators
     worst = 0.0
@@ -597,7 +585,7 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         sym = random_symbol(space, rng, n_monomials=6)
         T = evaluate_at_model(sym)
         for i in range(spec.k):
-            worst = max(worst, bh_residual(T, spec, i))
+            worst = _nanmax(worst, bh_residual(T, spec, i))
     checks.append(_check("brown_halmos_residual", worst, 1e-9, 6))
 
     # Cauchy dual projection identities at small size
@@ -607,9 +595,9 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         space = FockSpace(spec, (trunc_degree,))
         row = build_row(spec, space, 0)
         P = cauchy_dual_projection(row)
-        worst_p = max(worst_p, float(np.abs(P @ P - P).max()))
-        worst_p = max(worst_p, float(np.abs(P - P.conj().T).max()))
-        worst_q = max(worst_q, float(np.abs(P - range_projection(space, 0)).max()))
+        worst_p = _nanmax(worst_p, float(np.abs(P @ P - P).max()))
+        worst_p = _nanmax(worst_p, float(np.abs(P - P.conj().T).max()))
+        worst_q = _nanmax(worst_q, float(np.abs(P - range_projection(space, 0)).max()))
     checks.append(_check("cauchy_dual_idempotent", worst_p, 1e-10, 3))
     checks.append(_check("cauchy_dual_range", worst_q, 1e-9, 3))
 

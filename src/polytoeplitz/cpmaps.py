@@ -29,7 +29,7 @@ from .model import (
     entries_matrix,
     stored_entries,
 )
-from .weights import PolydomainSpec, build_weight_table
+from .weights import PolydomainSpec, build_weight_table, series_tail_bound
 
 __all__ = [
     "OperatorTuple",
@@ -322,9 +322,11 @@ class BerezinKernel:
 
     ``matrix`` maps H into Fock (x) H with the Fock index slow; ``rows`` is
     the same data as a (dim, d_H, d_H) stack, one block per basis multi-word.
-    ``tail_bound`` is a rigorous scalar-majorant bound on the norm of the
-    discarded part of the defining series; ``phi_power_norms`` records the
-    per-factor norms of the power iterates at one degree past the truncation.
+    ``tail_bound`` bounds the norm of the discarded part of the defining
+    series: the :func:`~polytoeplitz.weights.series_tail_bound` of the
+    per-factor scalar majorants at ``t = 1``, inf when a majorant diverges.
+    ``phi_power_norms`` records the per-factor norms of the power iterates at
+    one degree past the truncation.
     """
 
     spec: PolydomainSpec
@@ -348,37 +350,6 @@ class BerezinKernel:
         return math.sqrt(max(float(eigs[-1]), 0.0))
 
 
-def _scalar_majorant_masses(
-    coeffs: dict[int, float], m: int, L: int, horizon: int = 60
-) -> tuple[float, float]:
-    """Head and tail mass of the scalar series ``(1 - sum c_d z^d)^{-m}`` at z=1.
-
-    ``coeffs`` maps degree to a nonnegative weight.  Uses the order-1
-    recursion, convolution powers, then geometric extrapolation of the last
-    observed ratio.  Returns ``(sum up to L, tail past L)``; the tail is inf
-    when the terms do not decay.
-    """
-    if not coeffs or all(c == 0.0 for c in coeffs.values()):
-        return 1.0, 0.0
-    top = L + horizon
-    b1 = [0.0] * (top + 1)
-    b1[0] = 1.0
-    for p in range(1, top + 1):
-        b1[p] = sum(coeffs.get(d, 0.0) * b1[p - d] for d in range(1, min(p, max(coeffs)) + 1))
-    bm = b1
-    for _ in range(m - 1):
-        bm = [sum(b1[q] * bm[p - q] for q in range(p + 1)) for p in range(top + 1)]
-    head = float(sum(bm[: L + 1]))
-    tail = sum(bm[L + 1 :])
-    if bm[top] > 0.0 and bm[top - 1] > 0.0:
-        ratio = bm[top] / bm[top - 1]
-        if ratio < 1.0:
-            tail += bm[top] * ratio / (1.0 - ratio)
-        else:
-            return head, float("inf")
-    return head, float(tail)
-
-
 def berezin_kernel(
     spec: PolydomainSpec,
     X: OperatorTuple,
@@ -389,8 +360,8 @@ def berezin_kernel(
 
     ``Delta`` is the full defect at ``p = m``; its Hermitian square root clamps
     eigenvalues within ``sqrt_tol`` below zero and refuses anything worse.
-    The discarded-tail bound multiplies per-factor scalar majorants built
-    from the shell norms ``||Phi_{i,d}(I)||``.
+    The discarded-tail bound takes per-factor scalar majorants whose masses
+    are the shell norms ``||Phi_{i,d}(I)||``.
     """
     trunc = tuple(int(L) for L in trunc)
     table = build_weight_table(spec, trunc)
@@ -403,7 +374,7 @@ def berezin_kernel(
         rows[idx] = math.sqrt(table.b_multi(w)) * (root @ Xw.conj().T)
 
     # scalar majorants: per factor, shell norms ||Phi_{i,d}(I)|| for d <= deg f_i
-    tails, fulls, power_norms = [], [], []
+    factors, power_norms = [], []
     for i in range(spec.k):
         shells: dict[int, float] = {}
         for d in range(1, spec.degree(i) + 1):
@@ -413,26 +384,17 @@ def berezin_kernel(
                     Xw = linalg.as_dense(X.word_op(i, w))
                     acc += a * (Xw @ Xw.conj().T)
             shells[d] = linalg.op_norm(acc)
-        head, t = _scalar_majorant_masses(shells, spec.m[i], trunc[i])
-        tails.append(t)
-        fulls.append(head + t)
+        factors.append((shells, spec.m[i], trunc[i], 1.0))
         Y = np.eye(X.dim_h, dtype=complex)
         for _ in range(trunc[i] + 1):
             Y = phi_map(spec, i, X, Y)
         power_norms.append(linalg.op_norm(Y))
-    bound = 0.0
-    for i in range(spec.k):
-        other = 1.0
-        for j in range(spec.k):
-            if j != i:
-                other *= fulls[j]
-        bound += tails[i] * other
     return BerezinKernel(
         spec=spec,
         trunc=trunc,
         dim_h=X.dim_h,
         rows=rows,
-        tail_bound=float(bound),
+        tail_bound=series_tail_bound(factors),
         phi_power_norms=tuple(power_norms),
     )
 

@@ -26,12 +26,12 @@ from .freemonoid import (
     IndexPair,
     MultiWord,
     Word,
-    enumerate_words,
     graded_lex_layout,
     reverse,
     word_offset,
 )
-from .weights import PolydomainSpec, WeightTable, build_weight_table, univariate_series_weights
+from .weights import PolydomainSpec, WeightTable, build_weight_table
+from .weights import series_tail_bound, univariate_series
 
 __all__ = [
     "FockSpace",
@@ -67,9 +67,8 @@ class FockSpace:
         self.weights = weights if weights is not None else build_weight_table(spec, self.trunc)
         if self.weights.trunc != self.trunc:
             raise SpecError("weight table truncation differs from requested truncation")
-        self.factor_words: list[list[Word]] = [
-            enumerate_words(n, L) for n, L in zip(spec.n, self.trunc)
-        ]
+        # the tables' keys are the words in graded-lex order
+        self.factor_words: list[list[Word]] = [list(table) for table in self.weights.tables]
         self.factor_index: list[dict[Word, int]] = [
             {w: idx for idx, w in enumerate(ws)} for ws in self.factor_words
         ]
@@ -665,44 +664,26 @@ def truncated_gram_kernel(
     z: Sequence[complex],
     w: Sequence[complex],
     trunc: Sequence[int],
-    horizon: int = 40,
 ) -> tuple[complex, float]:
     """Truncated Gram sum ``sum_w (prod_i b_{i,w_i}) conj(z)^w w^w`` and a tail bound.
 
-    The bound per factor sums ``b_p |conj(z) w|^p`` beyond the truncation up
-    to ``trunc + horizon`` and closes with a geometric extrapolation of the
-    observed term ratio; factor tails combine by a product rule.
+    The bound is the :func:`~polytoeplitz.weights.series_tail_bound` of the
+    factors' series at ``t_i = |conj(z_i) w_i|``: per factor the closed-form
+    total minus the head, combined by the product rule.
     """
     if any(n != 1 for n in spec.n):
         raise SpecError("gram kernel comparison requires n_i = 1 in every factor")
     orders = tuple(m) if m is not None else spec.m
-    work_spec = PolydomainSpec(k=spec.k, n=spec.n, m=orders, coeffs=spec.coeffs)
     partials: list[complex] = []
-    tails: list[float] = []
+    factors = []
     for i in range(spec.k):
         L = trunc[i]
-        series = univariate_series_weights(work_spec, i, L + horizon)
+        masses = {len(word): a for word, a in spec.coeffs[i].items()}
+        series = univariate_series(masses, orders[i], L)
         x = np.conj(z[i]) * w[i]
-        ax = abs(x)
         partials.append(sum(series[p] * x**p for p in range(L + 1)))
-        terms = [series[p] * ax**p for p in range(L + 1, L + horizon + 1)]
-        tail = float(sum(terms))
-        if terms[-1] > 0 and terms[-2] > 0:
-            ratio = terms[-1] / terms[-2]
-            if ratio < 1.0:
-                tail += terms[-1] * ratio / (1.0 - ratio)
-            else:
-                tail = float("inf")
-        tails.append(tail)
+        factors.append((masses, orders[i], L, abs(x)))
     value = 1.0 + 0.0j
     for pv in partials:
         value *= pv
-    # |prod full - prod truncated| <= sum_i tail_i * prod_{j != i} (|partial_j| + tail_j)
-    bound = 0.0
-    for i in range(spec.k):
-        other = 1.0
-        for jdx in range(spec.k):
-            if jdx != i:
-                other *= abs(partials[jdx]) + tails[jdx]
-        bound += tails[i] * other
-    return complex(value), bound
+    return complex(value), series_tail_bound(factors)

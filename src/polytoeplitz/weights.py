@@ -44,7 +44,9 @@ __all__ = [
     "tau",
     "mu",
     "compactness_ratios",
+    "univariate_series",
     "univariate_series_weights",
+    "series_tail_bound",
     "spec_from_json",
     "spec_to_json",
 ]
@@ -226,29 +228,89 @@ def brute_force_weight(spec: PolydomainSpec, i: int, alpha: Word) -> float:
     return total
 
 
-def univariate_series_weights(spec: PolydomainSpec, i: int, trunc: int) -> list[float]:
-    """Second oracle for ``n_i = 1``: Taylor coefficients of ``(1-f_i)^{-m_i}``.
+def univariate_series(masses: Mapping[int, float], m: int, L: int) -> list[float]:
+    """Taylor coefficients ``b_0 .. b_L`` of ``(1 - sum_p masses[p] z^p)^{-m}``.
 
-    Computed by univariate power-series inversion and repeated multiplication,
-    independently of the word recursion.
+    ``masses`` maps a degree ``p >= 1`` to a nonnegative coefficient.  Computed
+    by univariate power-series inversion and repeated multiplication.
     """
-    if spec.n[i] != 1:
-        raise SpecError("series oracle only applies to single-generator factors")
-    c = [0.0] * (trunc + 1)
+    c = [0.0] * (L + 1)
     c[0] = 1.0
-    for w, a in spec.coeffs[i].items():
-        if len(w) <= trunc:
-            c[len(w)] -= a
-    inv = [0.0] * (trunc + 1)
+    for p, a in masses.items():
+        if p <= L:
+            c[p] -= a
+    inv = [0.0] * (L + 1)
     inv[0] = 1.0
-    for p in range(1, trunc + 1):
+    for p in range(1, L + 1):
         inv[p] = -sum(c[q] * inv[p - q] for q in range(1, p + 1))
     out = inv
-    for _ in range(spec.m[i] - 1):
-        out = [
-            sum(out[q] * inv[p - q] for q in range(p + 1)) for p in range(trunc + 1)
-        ]
+    for _ in range(m - 1):
+        out = [sum(out[q] * inv[p - q] for q in range(p + 1)) for p in range(L + 1)]
     return out
+
+
+def univariate_series_weights(spec: PolydomainSpec, i: int, trunc: int) -> list[float]:
+    """Second oracle for ``n_i = 1``: the :func:`univariate_series` of ``(1-f_i)^{-m_i}``."""
+    if spec.n[i] != 1:
+        raise SpecError("series oracle only applies to single-generator factors")
+    return univariate_series({len(w): a for w, a in spec.coeffs[i].items()}, spec.m[i], trunc)
+
+
+def _factor_tail(
+    masses: Mapping[int, float], m: int, L: int, t: float, k: int = 1
+) -> tuple[float, float, float]:
+    """``(tail, total, eta)`` of one factor of :func:`series_tail_bound`."""
+    support = {p: a for p, a in masses.items() if a != 0.0}
+    if t == 0.0 or not support:
+        return 0.0, 1.0, 0.0
+    deg = max(support)
+    F = 0.0
+    for p in range(deg, 0, -1):
+        F = (F + support.get(p, 0.0)) * t
+    if F >= 1.0:
+        return math.inf, math.inf, math.inf
+    gap = 1.0 - F
+    nu = ((L + 2) * (m * deg + m + 2) + 3 * k) * 2.0**-53
+    g = nu / (1.0 - nu)  # Higham's gamma_N
+    cond = m * F / gap
+    if g * cond > 0.125:
+        # 1 - F has lost its leading digits: no finite bound is certain
+        return math.inf, math.inf, math.inf
+    eta = 2.0 * g * (1.0 + cond)
+    total = 1.0 / math.prod([gap] * m)
+    head = 0.0
+    for b in reversed(univariate_series(support, m, L)):
+        head = head * t + b
+    if not math.isfinite(head):
+        return math.inf, math.inf, math.inf
+    return max(total - head, 0.0) + eta * total, total, eta
+
+
+def series_tail_bound(factors: Sequence[tuple[Mapping[int, float], int, int, float]]) -> float:
+    """Bound on the part of ``prod_i (1 - F_i(t_i))^{-m_i}`` beyond degrees ``L_i``.
+
+    ``factors`` lists ``(masses, m, L, t)``: ``F(t) = sum_p masses[p] t^p``
+    with nonnegative masses, ``t >= 0``.  A factor's tail is its closed-form
+    total ``(1 - F(t))^{-m}`` minus its head ``sum_{p<=L} b_p t^p``, plus
+    ``eta * total``.  The rounding allowance ``eta = 2 gamma_N (1 + m F / (1 -
+    F))`` is twice the first-order error of ``N = (L + 2)(m deg F + m + 2) +
+    3 k`` roundings (Horner, series, power, subtraction, product rule), with
+    ``1 - F``'s condition number; ``notes/decisions.md`` derives it.  Tails
+    combine as ``sum_i tail_i prod_{j != i} total_j (1 + eta_j)``.  The bound
+    is inf when some ``F_i(t_i) >= 1`` or ``1 - F_i`` has too few digits to
+    certify, and exactly 0.0 when every ``t_i = 0`` or every mass is zero.
+    """
+    parts = [_factor_tail(*f, k=len(factors)) for f in factors]
+    bound = 0.0
+    for i, (tail, _, _) in enumerate(parts):
+        if tail == 0.0:
+            continue
+        other = 1.0
+        for j, (_, total, eta) in enumerate(parts):
+            if j != i:
+                other *= total * (1.0 + eta)
+        bound += tail * other
+    return bound
 
 
 def _min_max_b(table: WeightTable, i: int, a: Word, b: Word) -> tuple[float, float]:

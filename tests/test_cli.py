@@ -1,11 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polytoeplitz import linalg
-from polytoeplitz.cli import main
+from polytoeplitz.cli import _nanmax, main
 from polytoeplitz.model import FockSpace
 from polytoeplitz.toeplitz import evaluate_at_model, random_symbol, symbol_to_json
 from polytoeplitz.weights import spec_from_json
@@ -68,6 +69,35 @@ def test_non_finite_coefficient_exits_2(tmp_path, capsys, value):
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "out" / "weights-report.json").exists()
+
+
+def test_nan_oracle_value_fails_weights(tmp_path, monkeypatch):
+    # max(worst, nan) keeps worst; the verdict must see the NaN instead
+    monkeypatch.setattr("polytoeplitz.cli.brute_force_weight", lambda spec, i, w: math.nan)
+    spec = write_spec(tmp_path / "spec.json", BALL)
+    rc = main(["weights", "--spec", spec, "--trunc", "3", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "weights-report.json").read_text())
+    assert report["passed"] is False
+    assert math.isnan(report["oracle_worst_relative_error"])
+
+
+def test_nanmax_propagates_nan_in_any_place():
+    assert _nanmax(0.0, 2.0, 1.0) == 2.0
+    for values in ((math.nan, 1.0), (1.0, math.nan), (0.0, 2.0, math.nan)):
+        assert math.isnan(_nanmax(*values))
+
+
+def test_single_truncation_degree_broadcasts(tmp_path):
+    coeffs = [{"i": 1, "word": [1], "a": 1.0}, {"i": 2, "word": [1], "a": 1.0}]
+    doc = {"k": 2, "n": [1, 1], "m": [1, 2], "coeffs": coeffs}
+    spec = write_spec(tmp_path / "spec.json", doc)
+    assert main(["model", "--spec", spec, "--trunc", "2", "--out", str(tmp_path / "a")]) == 0
+    report = json.loads((tmp_path / "a" / "model-report.json").read_text())
+    assert report["trunc"] == [2, 2]
+    assert main(["model", "--spec", spec, "--trunc", "2,3", "--out", str(tmp_path / "b")]) == 0
+    assert json.loads((tmp_path / "b" / "model-report.json").read_text())["trunc"] == [2, 3]
+    assert main(["model", "--spec", spec, "--trunc", "2,3,4"]) == 2
 
 
 def test_missing_spec_file_exits_2(tmp_path):

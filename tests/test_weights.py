@@ -1,9 +1,11 @@
 import io
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polytoeplitz.cli import main
 from polytoeplitz.errors import NotComparable, SpecError, TruncationError
@@ -15,7 +17,9 @@ from polytoeplitz.weights import (
     brute_force_weight,
     build_weight_table,
     compactness_ratios,
+    _factor_tail,
     mu,
+    series_tail_bound,
     spec_from_json,
     spec_to_json,
     tau,
@@ -276,4 +280,101 @@ def test_fock_space_builds_few_words(monkeypatch):
     monkeypatch.setattr(Word, "__post_init__", counting)
     space = FockSpace(spec, (10,))
     assert space.dim == 2047
-    assert len(made) < 3 * space.dim
+    assert len(made) < 1.5 * space.dim
+
+
+def exact_tail(masses, m, L, t):
+    """Exact ``(tail, total)`` of ``(1 - F(t))^{-m}`` past degree ``L``; tail inf when F(t) >= 1.
+
+    Uses the recurrence ``p h_p = sum_q a_q t^q (m q + p - q) h_{p-q}`` for the
+    terms ``h_p = b_p t^p``, which follows from ``(1 - F) G' = m F' G``.
+    """
+    t = Fraction(t)
+    scaled = {q: Fraction(a) * t**q for q, a in masses.items()}
+    F = sum(scaled.values(), Fraction(0))
+    if F >= 1:
+        return math.inf, math.inf
+    total = 1 / (1 - F) ** m
+    h = [Fraction(1)]
+    for p in range(1, L + 1):
+        terms = (c * (m * q + p - q) * h[p - q] for q, c in scaled.items() if q <= p)
+        h.append(sum(terms, Fraction(0)) / p)
+    return total - sum(h, Fraction(0)), total
+
+
+def old_ratio_rule(masses, m, L, horizon=60):
+    """The replaced rule: series to ``L + horizon`` closed by the last term ratio."""
+    top = L + horizon
+    b1 = [1.0] + [0.0] * top
+    for p in range(1, top + 1):
+        b1[p] = sum(masses.get(d, 0.0) * b1[p - d] for d in range(1, min(p, max(masses)) + 1))
+    bm = b1
+    for _ in range(m - 1):
+        bm = [sum(b1[q] * bm[p - q] for q in range(p + 1)) for p in range(top + 1)]
+    tail = sum(bm[L + 1 :])
+    if bm[top] > 0.0 and bm[top - 1] > 0.0:
+        ratio = bm[top] / bm[top - 1]
+        if ratio >= 1.0:
+            return math.inf
+        tail += bm[top] * ratio / (1.0 - ratio)
+    return tail
+
+
+def assert_brackets_exact_tail(masses, m, L, t):
+    tail, total = exact_tail(masses, m, L, t)
+    bound = series_tail_bound([(masses, m, L, t)])
+    if tail == math.inf:
+        assert bound == math.inf
+        return
+    assert bound == math.inf or Fraction(bound) >= tail
+    # the computed difference may itself exceed the exact tail by up to eta * total
+    _, _, eta = _factor_tail(masses, m, L, t)
+    assert eta == math.inf or Fraction(bound) <= tail + 2 * Fraction(eta) * total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 4), st.just(0.0) | st.floats(1e-3, 1.0), min_size=1),
+    st.just(0.0) | st.floats(1e-3, 1.2),
+    st.floats(0.0, 1.1, exclude_min=True, exclude_max=True),
+    st.integers(1, 3),
+    st.integers(0, 30),
+)
+def test_series_tail_bound_brackets_exact_tail(weights, t, target, m, L):
+    # scale the masses so that F(t) lands on the drawn target
+    raw = sum(a * t**p for p, a in weights.items())
+    masses = {p: a * target / raw for p, a in weights.items()} if raw > 0 else weights
+    assert_brackets_exact_tail(masses, m, L, t)
+
+
+NAMED_TAILS = [
+    ({1: 0.05, 2: 0.88}, 3, 5),
+    ({1: 0.1, 2: 0.88}, 1, 3),
+    ({2: 0.9}, 1, 4),
+    ({2: 1.0}, 1, 4),
+]
+
+
+@pytest.mark.parametrize("masses, m, L", NAMED_TAILS)
+def test_named_tails_bounded_where_ratio_rule_falls_short(masses, m, L):
+    assert_brackets_exact_tail(masses, m, L, 1.0)
+    tail, _ = exact_tail(masses, m, L, 1.0)
+    assert old_ratio_rule(masses, m, L) < tail
+
+
+def test_series_tail_bound_zero_and_product_rule():
+    assert series_tail_bound([({1: 0.5}, 2, 3, 0.0)]) == 0.0
+    assert series_tail_bound([({1: 0.0, 2: 0.0}, 2, 3, 1.0)]) == 0.0
+    # F(t) = 0.1, but b_2 = 1e600 overflows: no finite bound is certified
+    assert series_tail_bound([({1: 1e300, 2: 1e300}, 1, 3, 1e-301)]) == math.inf
+    # a vanishing factor contributes its total 1 to the other factor's tail
+    one = _factor_tail({1: 0.5}, 2, 3, 1.0, k=2)[0]
+    assert series_tail_bound([({1: 0.5}, 2, 3, 1.0), ({1: 0.5}, 1, 3, 0.0)]) == one
+    assert series_tail_bound([({1: 1.0}, 1, 3, 1.0), ({1: 0.5}, 1, 3, 0.0)]) == math.inf
+    # two factors: total minus head of the product series, below the product rule
+    tail1, total1 = exact_tail({1: 0.3, 2: 0.2}, 2, 3, 1.0)
+    tail2, total2 = exact_tail({1: 0.4}, 1, 5, 1.0)
+    exact = total1 * total2 - (total1 - tail1) * (total2 - tail2)
+    rule = tail1 * total2 + tail2 * total1
+    bound = series_tail_bound([({1: 0.3, 2: 0.2}, 2, 3, 1.0), ({1: 0.4}, 1, 5, 1.0)])
+    assert exact < rule <= Fraction(bound) <= rule * (1 + 1e-9)
