@@ -60,6 +60,7 @@ from .toeplitz import (
     evaluate_at_tuple,
     evaluate_symbol,
     extract_fourier,
+    homogeneous_decomposition,
     homogeneous_part,
     is_multi_toeplitz,
     pluriharmonic_kernel,

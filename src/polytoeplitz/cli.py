@@ -59,7 +59,7 @@ from .toeplitz import (
     cesaro_reconstruct,
     evaluate_at_model,
     extract_fourier,
-    homogeneous_part,
+    homogeneous_decomposition,
     is_multi_toeplitz,
     pluriharmonic_kernel,
     random_symbol,
@@ -124,8 +124,22 @@ def _load_spec(path: Optional[str]) -> PolydomainSpec:
     return spec_from_json(text)
 
 
+def _finite_json(value):
+    """``value`` with each non-finite float replaced by ``"nan"``, ``"inf"`` or ``"-inf"``.
+
+    Strict JSON has no literal for them, so reports carry them as strings.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {key: _finite_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def _emit(report: dict, out: Optional[Path], name: str) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_finite_json(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -258,7 +272,7 @@ def cmd_toeplitz(cfg: RunConfig, args: argparse.Namespace) -> int:
     sys.stdout.write(report.render() + "\n")
     doc = {"command": "toeplitz", "report": report.to_dict()}
     if report.verdict:
-        sym = extract_fourier(T, tol=cfg.tol, drop_tol=args.drop_tol)
+        sym = extract_fourier(T, tol=cfg.tol, drop_tol=args.drop_tol, report=report)
         doc["symbol_terms"] = len(sym.coefficients)
         if cfg.out is not None:
             cfg.out.mkdir(parents=True, exist_ok=True)
@@ -418,6 +432,8 @@ def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 # -- the verification battery ---------------------------------------------------
+# Each check draws from the shared generator in battery order and returns its
+# entries; its working arrays are freed before the next check starts.
 
 
 def _check(name: str, worst: float, tol: float, count: int, **extra) -> dict:
@@ -432,12 +448,8 @@ def _check(name: str, worst: float, tol: float, count: int, **extra) -> dict:
     return out
 
 
-def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
-    """The default property battery; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
-    checks: list[dict] = []
-
-    # weight tables against the factorization oracle
+def _check_weights_oracle(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
+    """Weight tables against the factorization oracle."""
     worst = 0.0
     specs_checked = 0
     for _ in range(20):
@@ -451,9 +463,11 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
                 ref = brute_force_weight(spec, i, w)
                 worst = _nanmax(worst, abs(table.b(i, w) - ref) / max(1.0, ref))
         specs_checked += 1
-    checks.append(_check("weights_oracle", worst, 1e-12, specs_checked))
+    return [_check("weights_oracle", worst, 1e-12, specs_checked)]
 
-    # all-ones series ratios: order 1 is exactly 2, higher orders decrease monotonically
+
+def _check_ones_series_ratio(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
+    """All-ones series ratios: order 1 is exactly 2, higher orders decrease monotonically."""
     worst = 0.0
     observed = {}
     for m in (1, 2, 3):
@@ -468,21 +482,22 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         else:
             worst = _nanmax(worst, *(ratios[d + 1] - ratios[d] for d in range(1, 12)))
         observed[str(m)] = ratios[12]
-    checks.append(
-        _check("ones_series_ratio", worst, 1e-12, 3, observed_ratio_at_12=observed)
-    )
+    return [_check("ones_series_ratio", worst, 1e-12, 3, observed_ratio_at_12=observed)]
 
-    # defect identity on the universal model
+
+def _check_defect_identity(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
+    """Defect identity on the universal model."""
     worst = 0.0
     for _ in range(4):
         spec = random_spec(rng)
-        trunc = (trunc_degree,) * spec.k
-        space = FockSpace(spec, trunc)
+        space = FockSpace(spec, (trunc_degree,) * spec.k)
         W = universal_tuple(space)
         worst = _nanmax(worst, _vacuum_residual(defect(spec, W, spec.m)))
-    checks.append(_check("defect_identity", worst, 1e-10, 4))
+    return [_check("defect_identity", worst, 1e-10, 4)]
 
-    # Berezin kernel: isometry up to tail, intertwining on safe rows
+
+def _check_berezin(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
+    """Berezin kernel: isometry up to tail, intertwining on safe rows."""
     worst_iso, worst_int = 0.0, 0.0
     for _ in range(6):
         spec = random_spec(rng)
@@ -494,10 +509,14 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         worst_iso = _nanmax(worst_iso, dev - allowance)
         space = FockSpace(spec, trunc)
         worst_int = _nanmax(worst_int, intertwining_residual(kernel, X, space))
-    checks.append(_check("berezin_isometry_within_tail", worst_iso, 0.0, 6))
-    checks.append(_check("berezin_intertwining", worst_int, 1e-9, 6))
+    return [
+        _check("berezin_isometry_within_tail", worst_iso, 0.0, 6),
+        _check("berezin_intertwining", worst_int, 1e-9, 6),
+    ]
 
-    # Toeplitz roundtrip and injected-violation detection
+
+def _check_toeplitz_roundtrip(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
+    """Toeplitz roundtrip and injected-violation detection."""
     worst = 0.0
     detected = True
     last_flagged = None
@@ -509,7 +528,7 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         T = evaluate_at_model(sym)
         report = is_multi_toeplitz(T, tol=1e-10)
         worst = _nanmax(worst, report.max_violation)
-        back = extract_fourier(T)
+        back = extract_fourier(T, report=report)
         for pair, A in sym.coefficients.items():
             dev = float(np.abs(back.coefficients.get(pair, np.zeros_like(A)) - A).max())
             worst = _nanmax(worst, dev)
@@ -517,17 +536,37 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         bad = np.argwhere(~ps.comp)
         if len(bad):
             row, col = (int(x) for x in bad[rng.integers(len(bad))])
-            M = T.dense.copy()
-            M[row, col] += 1e-3
-            spoiled = is_multi_toeplitz(FockOperator(space, M), tol=1e-10)
+            spoil = sp.csr_matrix(([1e-3], ([row], [col])), shape=T.matrix.shape)
+            spoiled = is_multi_toeplitz(FockOperator(space, T.matrix + spoil), tol=1e-10)
             detected = detected and not spoiled.verdict
             if spoiled.worst_pair is not None:
                 last_flagged = [w.render() for w in spoiled.worst_pair]
-    checks.append(_check("toeplitz_roundtrip", worst, 1e-10, 8))
     flagged = 0.0 if detected else 1.0
-    checks.append(_check("toeplitz_violation_detected", flagged, 0.0, 8, flagged_pair=last_flagged))
+    return [
+        _check("toeplitz_roundtrip", worst, 1e-10, 8),
+        _check("toeplitz_violation_detected", flagged, 0.0, 8, flagged_pair=last_flagged),
+    ]
 
-    # homogeneous decomposition, adjoint grading, windowed reconstruction
+
+def _stored_dense(M: np.ndarray) -> sp.csr_matrix:
+    """CSR storing every entry of the square C-ordered ``M``, sharing its memory."""
+    n = M.shape[0]
+    cols = np.tile(np.arange(n, dtype=np.int32), n)
+    indptr = np.arange(0, n * n + 1, n, dtype=np.int32)
+    return sp.csr_matrix((M.reshape(-1), cols, indptr), shape=(n, n))
+
+
+def _residual_max(M: np.ndarray, pieces) -> float:
+    """Largest entry of ``|M - sum of the pieces|``, adding the pieces' stored entries."""
+    residual = M.copy()
+    for piece in pieces:
+        coo = piece.matrix.tocoo()
+        residual[coo.row, coo.col] -= coo.data
+    return float(np.abs(residual).max())
+
+
+def _check_homogeneous_decomposition(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
+    """Homogeneous decomposition, windowed reconstruction, adjoint grading."""
     worst = 0.0
     for _ in range(4):
         spec = random_spec(rng)
@@ -535,38 +574,47 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         space = FockSpace(spec, trunc, coeff_dim=2)
         n = space.total_dim
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        T = FockOperator(space, M)
-        total = np.zeros_like(M)
-        for s in np.ndindex(*(2 * L + 1 for L in trunc)):
-            svec = tuple(int(x) - L for x, L in zip(s, trunc))
-            part = homogeneous_part(T, svec)
-            total += part.dense
-            adj = homogeneous_part(T.adjoint(), tuple(-x for x in svec)).adjoint()
-            worst = _nanmax(worst, float(np.abs(part.dense - adj.dense).max()))
-        worst = _nanmax(worst, float(np.abs(total - M).max()))
+        T = FockOperator(space, _stored_dense(M))
         recon = cesaro_reconstruct(T, tuple(2 * L for L in trunc), fejer_weights=False)
-        worst = _nanmax(worst, float(np.abs(recon.dense - M).max()))
-    checks.append(_check("homogeneous_decomposition", worst, 1e-12, 4))
+        worst = _nanmax(worst, _residual_max(M, [recon]))
+        del recon
+        parts = homogeneous_decomposition(T)
+        worst = _nanmax(worst, _residual_max(M, parts.values()))
+        # T* from the draw; T and the draw are freed before it is graded
+        adjoint = np.conjugate(M.T, order="C")
+        del T, M
+        adjoint_parts = homogeneous_decomposition(FockOperator(space, _stored_dense(adjoint)))
+        del adjoint
+        # the degree -s part of T*, adjoined, is the degree s part of T
+        empty = sp.csr_matrix((n, n), dtype=complex)
+        for s in parts.keys() | {tuple(-x for x in s) for s in adjoint_parts}:
+            flipped = adjoint_parts.get(tuple(-x for x in s))
+            one = parts[s].matrix if s in parts else empty
+            other = flipped.adjoint().matrix if flipped is not None else empty
+            worst = _nanmax(worst, float(abs(one - other).max()))
+    return [_check("homogeneous_decomposition", worst, 1e-12, 4)]
 
-    # radial norm monotonicity
+
+def _check_radial_monotonicity(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
+    """Radial norm monotonicity."""
     worst = 0.0
     for _ in range(6):
         spec = random_spec(rng)
-        trunc = (3,) * spec.k
-        space = FockSpace(spec, trunc, coeff_dim=1)
+        space = FockSpace(spec, (3,) * spec.k, coeff_dim=1)
         sym = random_symbol(space, rng, n_monomials=5)
         radii = [0.0, 0.25, 0.5, 0.75, 0.9, 1.0]
         norms = [linalg.op_norm(evaluate_at_model(sym, r).matrix) for r in radii]
         for a, b in zip(norms, norms[1:]):
             worst = _nanmax(worst, a - b)
-    checks.append(_check("radial_monotonicity", worst, 1e-10, 6))
+    return [_check("radial_monotonicity", worst, 1e-10, 6)]
 
-    # kernel PSD equivalence
+
+def _check_kernel_psd_equivalence(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
+    """Kernel and model positivity verdicts agree."""
     agree = True
     for _ in range(8):
         spec = random_spec(rng)
-        trunc = (3,) * spec.k
-        space = FockSpace(spec, trunc, coeff_dim=int(rng.integers(1, 3)))
+        space = FockSpace(spec, (3,) * spec.k, coeff_dim=int(rng.integers(1, 3)))
         sym = random_symbol(space, rng, n_monomials=5, hermitian=True)
         for r in (0.3, 0.7):
             gamma = pluriharmonic_kernel(sym, r)
@@ -574,9 +622,11 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
             v1, _ = linalg.psd_check(gamma, 1e-9)
             v2, _ = linalg.psd_check(op.dense, 1e-9)
             agree = agree and (v1 == v2)
-    checks.append(_check("kernel_psd_equivalence", 0.0 if agree else 1.0, 0.0, 16))
+    return [_check("kernel_psd_equivalence", 0.0 if agree else 1.0, 0.0, 16)]
 
-    # structural equation residuals for random multi-Toeplitz operators
+
+def _check_brown_halmos_residual(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
+    """Structural equation residuals for random multi-Toeplitz operators."""
     worst = 0.0
     for _ in range(6):
         spec = random_spec(rng)
@@ -586,9 +636,11 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         T = evaluate_at_model(sym)
         for i in range(spec.k):
             worst = _nanmax(worst, bh_residual(T, spec, i))
-    checks.append(_check("brown_halmos_residual", worst, 1e-9, 6))
+    return [_check("brown_halmos_residual", worst, 1e-9, 6)]
 
-    # Cauchy dual projection identities at small size
+
+def _check_cauchy_dual(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
+    """Cauchy dual projection identities at small size."""
     worst_p, worst_q = 0.0, 0.0
     for _ in range(3):
         spec = random_spec(rng, k=1)
@@ -598,9 +650,31 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
         worst_p = _nanmax(worst_p, float(np.abs(P @ P - P).max()))
         worst_p = _nanmax(worst_p, float(np.abs(P - P.conj().T).max()))
         worst_q = _nanmax(worst_q, float(np.abs(P - range_projection(space, 0)).max()))
-    checks.append(_check("cauchy_dual_idempotent", worst_p, 1e-10, 3))
-    checks.append(_check("cauchy_dual_range", worst_q, 1e-9, 3))
+    return [
+        _check("cauchy_dual_idempotent", worst_p, 1e-10, 3),
+        _check("cauchy_dual_range", worst_q, 1e-9, 3),
+    ]
 
+
+# battery order fixes the draws from the shared generator
+_BATTERY = (
+    _check_weights_oracle,
+    _check_ones_series_ratio,
+    _check_defect_identity,
+    _check_berezin,
+    _check_toeplitz_roundtrip,
+    _check_homogeneous_decomposition,
+    _check_radial_monotonicity,
+    _check_kernel_psd_equivalence,
+    _check_brown_halmos_residual,
+    _check_cauchy_dual,
+)
+
+
+def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
+    """The default property battery; deterministic for a fixed seed."""
+    rng = np.random.default_rng(seed)
+    checks = [entry for run in _BATTERY for entry in run(rng, trunc_degree)]
     checks.sort(key=lambda c: c["name"])
     return {
         "command": "verify",

@@ -7,6 +7,7 @@ eigensolver needs them; verdict paths never use randomized initialization.
 
 from __future__ import annotations
 
+import itertools
 from typing import IO, Tuple, Union
 
 import numpy as np
@@ -31,6 +32,8 @@ MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 # dense 2-norm via full SVD up to this size, Lanczos above
 _DENSE_NORM_CUTOFF = 600
+# entry lines parsed together by load_matrix
+_LOAD_BLOCK = 512
 
 
 def as_dense(mat: MatrixLike) -> np.ndarray:
@@ -159,7 +162,9 @@ def save_matrix(fh: IO[str], mat: MatrixLike) -> None:
 def load_matrix(fh: IO[str]) -> sp.coo_matrix:
     """Read the coordinate text format written by :func:`save_matrix`.
 
-    Raises :class:`SpecError` on a NaN or infinite value, including one that
+    Entry lines are split and parsed a block at a time, one numpy conversion
+    per column, with the values of ``float(re) + 1j * float(im)``.  Raises
+    :class:`SpecError` on a NaN or infinite value, including one that
     overflows to infinity when parsed.
     """
     header = fh.readline().split()
@@ -172,13 +177,21 @@ def load_matrix(fh: IO[str]) -> sp.coo_matrix:
     rr = np.empty(nnz, dtype=np.int64)
     cc = np.empty(nnz, dtype=np.int64)
     vv = np.empty(nnz, dtype=complex)
-    for idx in range(nnz):
-        parts = fh.readline().split()
-        if len(parts) != 4:
-            raise DimensionMismatch(f"matrix file: malformed entry line {idx + 2}")
-        rr[idx] = int(parts[0])
-        cc[idx] = int(parts[1])
-        vv[idx] = float(parts[2]) + 1j * float(parts[3])
+    # blocks of lines bound the memory held by the split text; lines after the nnz-th are ignored
+    for start in range(0, nnz, _LOAD_BLOCK):
+        count = min(_LOAD_BLOCK, nnz - start)
+        fields = [line.split() for line in itertools.islice(fh, count)]
+        fields += [[]] * (count - len(fields))
+        widths = np.fromiter(map(len, fields), dtype=np.int64, count=count)
+        bad = np.flatnonzero(widths != 4)
+        if bad.size:
+            raise DimensionMismatch(f"matrix file: malformed entry line {start + bad[0] + 2}")
+        flat = list(itertools.chain.from_iterable(fields))
+        block = slice(start, start + count)
+        rr[block] = np.array(flat[0::4], dtype=np.int64)
+        cc[block] = np.array(flat[1::4], dtype=np.int64)
+        with np.errstate(invalid="ignore"):  # 1j * inf makes a NaN, rejected below
+            vv[block] = np.array(flat[2::4], dtype=float) + 1j * np.array(flat[3::4], dtype=float)
     if nnz and (rr.max() >= rows or cc.max() >= cols or rr.min() < 0 or cc.min() < 0):
         raise DimensionMismatch("matrix file: entry index outside declared shape")
     bad = np.flatnonzero(~np.isfinite(vv))

@@ -413,6 +413,35 @@ class PairStructure:
             self._class_start = np.concatenate([[0], np.cumsum(counts)])
         return self._by_class[self._class_start[c] : self._class_start[c + 1]]
 
+    def monomial_entries(self, pair: IndexPair) -> tuple[np.ndarray, np.ndarray]:
+        """Where ``W_left W_right^*`` of a reduced pair is supported, and its entries there.
+
+        Returns ``(pos, vals)``: the positions of the pair's class in the pair
+        arrays, row-major, and the complex entry at each.  The entry at
+        ``(row, col)`` is the weight of ``W_left`` times that of ``W_right``,
+        each the product in factor order of ``sqrt(b_shorter / b_longer)`` over
+        the factors where that side is nonempty (the entry weight ``tau``,
+        multiplied in the order of the creation products).  A pair with a word
+        beyond the truncation has no entries.
+        """
+        space = self.space
+        pos = self.class_positions(self.class_of(pair))
+        rows, cols = self.rows[pos], self.cols[pos]
+        left = np.ones(pos.size)
+        right = np.ones(pos.size)
+        stride = space.dim
+        for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
+            # factor i's basis indices, first factor slowest
+            stride //= space.factor_dims[i]
+            r_i = rows // stride % space.factor_dims[i]
+            c_i = cols // stride % space.factor_dims[i]
+            b = space.weights.values[i]
+            if len(u):
+                left *= np.sqrt(b[c_i] / b[r_i])
+            elif len(v):
+                right *= np.sqrt(b[r_i] / b[c_i])
+        return pos, (left * right).astype(complex)
+
     def class_pair(self, c: int) -> IndexPair:
         space = self.space
         return IndexPair(
@@ -548,38 +577,21 @@ def weighted_right_creation(space: FockSpace, i: int, j: int) -> FockOperator:
 
 
 def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> FockOperator:
-    """The elementary operator ``A (x) W_left W_right^*`` for a reduced pair.
+    """The elementary operator ``A (x) W_left W_right^*`` for a reduced pair, as CSR.
 
-    The Fock part is read off the pair structure: it is supported on the
-    comparable pairs of the pair's class, in row-major order.  Its entry at
-    ``(row, col)`` is the weight of ``W_left`` times that of ``W_right``, each
-    the product in factor order of ``sqrt(b_shorter / b_longer)`` over the
-    factors where that side is nonempty (this is the entry weight ``tau``,
-    multiplied in the order of the creation products).  The coefficient enters
-    as ``A[0, 0] * fock``, or ``kron(A, fock)`` when ``coeff_dim > 1``.  A pair
-    with a word beyond the truncation gives the zero operator.
+    The Fock part is read off the pair structure
+    (:meth:`PairStructure.monomial_entries`): it is supported on the
+    comparable pairs of the pair's class, in row-major order.  The coefficient
+    enters as ``A[0, 0] * fock``, or ``kron(A, fock)`` when ``coeff_dim > 1``.
+    A pair with a word beyond the truncation gives the zero operator.
     """
     A = np.atleast_2d(np.asarray(coefficient, dtype=complex))
     c = space.coeff_dim
     if A.shape != (c, c):
         raise DimensionMismatch(f"coefficient shape {A.shape} does not match ({c}, {c})")
     ps = space.pair_structure()
-    pos = ps.class_positions(ps.class_of(pair))
-    rows, cols = ps.rows[pos], ps.cols[pos]
-    left = np.ones(pos.size)
-    right = np.ones(pos.size)
-    stride = d = space.dim
-    for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
-        # factor i's basis indices, first factor slowest
-        stride //= space.factor_dims[i]
-        r_i = rows // stride % space.factor_dims[i]
-        c_i = cols // stride % space.factor_dims[i]
-        b = space.weights.values[i]
-        if len(u):
-            left *= np.sqrt(b[c_i] / b[r_i])
-        elif len(v):
-            right *= np.sqrt(b[r_i] / b[c_i])
-    vals = (left * right).astype(complex)
+    pos, vals = ps.monomial_entries(pair)
+    rows, cols, d = ps.rows[pos], ps.cols[pos], space.dim
     # the pairs are row-major, so they already are CSR order
     fock = sp.csr_matrix((vals, cols, np.searchsorted(rows, np.arange(d + 1))), shape=(d, d))
     if c == 1:

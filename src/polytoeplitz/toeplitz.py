@@ -21,7 +21,7 @@ from . import linalg
 from .cpmaps import OperatorTuple
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import IndexPair, MultiWord, Word
-from .model import FockOperator, FockSpace, PairStructure, monomial
+from .model import FockOperator, FockSpace, PairStructure
 
 __all__ = [
     "FourierSymbol",
@@ -29,6 +29,7 @@ __all__ = [
     "NotMultiToeplitz",
     "is_multi_toeplitz",
     "homogeneous_part",
+    "homogeneous_decomposition",
     "homogeneous_support",
     "extract_fourier",
     "evaluate_symbol",
@@ -103,6 +104,8 @@ class ToeplitzReport:
     structural_violation: float = 0.0
     scaling_violation: float = 0.0
     tolerance: float = 0.0
+    # the (c, c, n_pairs) coefficient blocks at the comparable pairs, for extract_fourier
+    blocks: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -199,75 +202,174 @@ def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
         structural_violation=structural,
         scaling_violation=scaling,
         tolerance=tol,
+        blocks=E,
     )
 
 
-def homogeneous_part(T: FockOperator, s: Sequence[int]) -> FockOperator:
-    """The degree-``s`` block of ``T`` under the torus grading, exactly.
+def _gap_places(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Place values and offsets ``L_i`` of the encoded degree gap.
 
-    Keeps entries whose row/column degree vectors differ by ``s``; equals the
-    sum of ``P_{s+p} T P_p`` over the grid.
+    The factor-``i`` gap lies in ``[-L_i, L_i]``, so a gap vector is encoded
+    as ``sum_i (gap_i + L_i) * place_i`` in mixed radix ``2 L_i + 1``, first
+    factor slowest; codes then order like the gap vectors, lexicographically.
+    """
+    L = np.asarray(space.trunc, dtype=np.int64)
+    place = np.ones(L.size, dtype=np.int64)
+    for i in range(L.size - 2, -1, -1):
+        place[i] = place[i + 1] * (2 * L[i + 1] + 1)
+    return place, L
+
+
+def _gap_vector(space: FockSpace, code: int) -> tuple[int, ...]:
+    place, L = _gap_places(space)
+    return tuple(int(x) for x in code // place % (2 * L + 1) - L)
+
+
+def _degree_gaps(T: FockOperator) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The stored entries of ``T`` in CSR order and the encoded torus degree gap of each.
+
+    Returns ``(mat, rows, code)``: ``T``'s matrix as canonical CSR (``T``'s
+    own when it already is one), the row of each stored entry, and the code
+    (see :func:`_gap_places`) of ``degree_table()[row % dim] -
+    degree_table()[col % dim]``.  The encoding is linear in the degrees, so
+    each entry's code is a difference of two per-word codes.
+    """
+    space = T.space
+    n, d = space.total_dim, space.dim
+    mat = sp.csr_matrix(T.matrix)
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    rows = np.repeat(np.arange(n, dtype=mat.indices.dtype), np.diff(mat.indptr))
+    place, L = _gap_places(space)
+    word_code = space.degree_table() @ place
+    code = word_code[rows % d]
+    code -= word_code[mat.indices % d]
+    code += int(L @ place)
+    return mat, rows, code
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
+    """CSR from entries listed in row-major order."""
+    return sp.csr_matrix((vals, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+
+
+def homogeneous_part(T: FockOperator, s: Sequence[int]) -> FockOperator:
+    """The degree-``s`` block of ``T`` under the torus grading, exactly, as CSR.
+
+    Keeps the stored entries whose row/column degree vectors differ by ``s``;
+    equals the sum of ``P_{s+p} T P_p`` over the grid.
     """
     space = T.space
     if len(s) != space.spec.k:
         raise DimensionMismatch("degree tuple length differs from factor count")
-    degs = space.degree_table()
-    mask = np.ones((space.dim, space.dim), dtype=bool)
-    for i, si in enumerate(s):
-        mask &= (degs[:, i][:, None] - degs[None, :, i]) == si
-    c = space.coeff_dim
-    full = np.kron(np.ones((c, c)), mask)
-    return FockOperator(space, T.dense * full, f"{T.label}_s{tuple(int(x) for x in s)}")
+    mat, rows, code = _degree_gaps(T)
+    place, L = _gap_places(space)
+    target = np.asarray(s, dtype=np.int64)
+    if np.all(np.abs(target) <= L):
+        hit = code == int((target + L) @ place)
+    else:
+        hit = np.zeros(code.size, dtype=bool)
+    return FockOperator(
+        space,
+        _csr(rows[hit], mat.indices[hit], mat.data[hit], space.total_dim),
+        f"{T.label}_s{tuple(int(x) for x in s)}",
+    )
+
+
+def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOperator]:
+    """Every nonzero homogeneous part of ``T``, keyed by degree vector in lexicographic order.
+
+    One stable grouping of the stored entries by encoded degree gap: each
+    part keeps its entries in row-major order and is the CSR
+    :func:`homogeneous_part` returns for its degree vector.  The parts sum to
+    ``T``.
+    """
+    space = T.space
+    n = space.total_dim
+    mat, rows, code = _degree_gaps(T)
+    order = np.argsort(code, kind="stable")
+    grouped = code[order]
+    bounds = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    del grouped
+    parts: dict[tuple[int, ...], FockOperator] = {}
+    for idx in np.split(order, bounds) if order.size else []:
+        s = _gap_vector(space, int(code[idx[0]]))
+        parts[s] = FockOperator(
+            space, _csr(rows[idx], mat.indices[idx], mat.data[idx], n), f"{T.label}_s{s}"
+        )
+    return parts
 
 
 def homogeneous_support(T: FockOperator, tol: float = 0.0) -> list[tuple[int, ...]]:
-    """Degree vectors whose homogeneous part is (numerically) nonzero."""
-    space = T.space
-    degs = space.degree_table()
-    c = space.coeff_dim
-    mags = np.abs(T.dense).reshape(c, space.dim, c, space.dim).max(axis=(0, 2))
-    out = set()
-    rows, cols = np.nonzero(mags > tol)
-    for r, cdx in zip(rows, cols):
-        out.add(tuple(int(x) for x in degs[r] - degs[cdx]))
-    return sorted(out)
+    """Degree vectors whose homogeneous part is (numerically) nonzero, in lexicographic order."""
+    mat, _, code = _degree_gaps(T)
+    return [_gap_vector(T.space, int(c)) for c in np.unique(code[np.abs(mat.data) > tol])]
 
 
 def extract_fourier(
-    T: FockOperator, tol: float = 1e-10, drop_tol: float = 0.0
+    T: FockOperator,
+    tol: float = 1e-10,
+    drop_tol: float = 0.0,
+    report: Optional[ToeplitzReport] = None,
 ) -> FourierSymbol:
     """Read the coefficient family off the reduced representative entries.
 
     Each coefficient is the block at the representative pair divided by its
     entry weight (equivalently multiplied by the square-rooted weights of
     both sides).  Refuses operators that fail :func:`is_multi_toeplitz`.
+    A caller that already holds ``is_multi_toeplitz(T, tol)`` passes it as
+    ``report``; its verdict and comparable-entry blocks are used instead of
+    classifying ``T`` again.
     """
-    report = is_multi_toeplitz(T, tol=tol)
+    if report is None:
+        report = is_multi_toeplitz(T, tol=tol)
     if not report.verdict:
         raise NotMultiToeplitz(report)
     space = T.space
     ps = space.pair_structure()
-    E, _, _ = _split_entries(T, ps)
-    raw = E[:, :, ps.rep_pos] / ps.tau_rep[None, None, :]
+    raw = report.blocks[:, :, ps.rep_pos] / ps.tau_rep[None, None, :]
     kept = np.flatnonzero(np.abs(raw).max(axis=(0, 1)) > drop_tol)
     coeffs = {ps.class_pair(int(cdx)): np.array(raw[:, :, cdx]) for cdx in kept}
     return FourierSymbol(space, coeffs)
 
 
 def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
-    """The operator ``sum r^{|s|} A (x) W_left W_right^*`` on the symbol's space.
+    """The operator ``sum r^{|s|} A (x) W_left W_right^*`` on the symbol's space, as CSR.
 
     Distinct reduced pairs have disjoint supports (every comparable basis pair
-    reduces to one pair), so each term is scattered into the dense result
-    rather than added to it.
+    reduces to one pair), so the terms' entries are gathered, not added.  A
+    term's Fock entries ``v`` come from
+    :meth:`~polytoeplitz.model.PairStructure.monomial_entries`; coefficient
+    block ``(x, y)`` puts ``r^{|s|} * (A[x, y] * v)`` at row ``x*dim + row``
+    and column ``y*dim + col``, the products :func:`~polytoeplitz.model.monomial`
+    and the radial scaling form, in their order.  Exact zeros are dropped.
     """
     space = sym.space
-    n = space.total_dim
-    out = np.zeros((n, n), dtype=complex)
+    ps = space.pair_structure()
+    c, d, n = space.coeff_dim, space.dim, space.total_dim
+    blocks = np.arange(c * c)
+    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for pair in sym.support():
-        term = monomial(space, pair, sym.coefficients[pair]).matrix.tocoo()
-        out[term.row, term.col] = (r ** pair.total_weight) * term.data
-    return FockOperator(space, out, f"F({r:g}W)" if sym.coefficients else "0")
+        pos, fock = ps.monomial_entries(pair)
+        A = sym.coefficients[pair]
+        if c == 1:
+            term = fock * complex(A[0, 0])
+        else:
+            term = np.repeat(A.reshape(-1), fock.size).reshape(c * c, fock.size) * fock
+        term = (r ** pair.total_weight) * term
+        rows = (blocks // c * d)[:, None] + ps.rows[pos][None, :]
+        cols = (blocks % c * d)[:, None] + ps.cols[pos][None, :]
+        keys.append((rows * n + cols).ravel())
+        vals.append(term.ravel())
+    keys, vals = np.concatenate(keys), np.concatenate(vals)
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    nonzero = vals != 0
+    rows, cols = np.divmod(keys[nonzero], n)
+    return FockOperator(
+        space, _csr(rows, cols, vals[nonzero], n), f"F({r:g}W)" if sym.coefficients else "0"
+    )
 
 
 def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
@@ -294,7 +396,7 @@ def evaluate_symbol(
 def cesaro_reconstruct(
     T: FockOperator, N: Sequence[int], fejer_weights: bool = True
 ) -> FockOperator:
-    """Windowed sum of homogeneous parts with per-factor cutoffs ``N``.
+    """Windowed sum of homogeneous parts with per-factor cutoffs ``N``, as CSR.
 
     With ``fejer_weights`` the degree-``s`` part enters with weight
     ``prod_i (1 - |s_i|/(N_i + 1))`` on ``|s_i| <= N_i``; these means converge
@@ -302,23 +404,30 @@ def cesaro_reconstruct(
     window.  Without weights the sum is the plain degree cutoff, which
     reproduces ``T`` exactly as soon as every ``N_i`` reaches the largest
     degree difference the truncation supports (``N_i >= L_i`` suffices, so in
-    particular ``N_i >= 2 L_i`` does).
+    particular ``N_i >= 2 L_i`` does).  The weights are taken per stored entry
+    from its degree gap; entries of weight zero are dropped.
     """
     space = T.space
     if len(N) != space.spec.k:
         raise DimensionMismatch("cutoff tuple length differs from factor count")
-    degs = space.degree_table()
-    weight = np.ones((space.dim, space.dim), dtype=float)
+    mat, rows, code = _degree_gaps(T)
+    place, L = _gap_places(space)
+    weight = np.ones(rows.size, dtype=float)
     for i, Ni in enumerate(N):
-        diff = np.abs(degs[:, i][:, None] - degs[None, :, i])
+        diff = np.abs(code // place[i] % (2 * L[i] + 1) - L[i])
         if fejer_weights:
             w_i = np.maximum(0.0, 1.0 - diff / (Ni + 1.0))
         else:
             w_i = (diff <= Ni).astype(float)
         weight *= w_i
-    c = space.coeff_dim
-    full = np.kron(np.ones((c, c)), weight)
-    return FockOperator(space, T.dense * full, f"Cesaro[{tuple(int(x) for x in N)}]{T.label}")
+    kept = weight != 0.0
+    vals = mat.data[kept]
+    vals *= weight[kept]
+    return FockOperator(
+        space,
+        _csr(rows[kept], mat.indices[kept], vals, space.total_dim),
+        f"Cesaro[{tuple(int(x) for x in N)}]{T.label}",
+    )
 
 
 def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> np.ndarray:

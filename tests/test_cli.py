@@ -7,9 +7,19 @@ import pytest
 
 from polytoeplitz import linalg
 from polytoeplitz.cli import _nanmax, main
+from polytoeplitz.cpmaps import universal_tuple
 from polytoeplitz.model import FockSpace
 from polytoeplitz.toeplitz import evaluate_at_model, random_symbol, symbol_to_json
 from polytoeplitz.weights import spec_from_json
+
+
+def strict_json(text):
+    """Parse as strict JSON: the non-standard NaN and Infinity literals raise."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def write_spec(path, doc):
@@ -77,9 +87,26 @@ def test_nan_oracle_value_fails_weights(tmp_path, monkeypatch):
     spec = write_spec(tmp_path / "spec.json", BALL)
     rc = main(["weights", "--spec", spec, "--trunc", "3", "--out", str(tmp_path / "out")])
     assert rc == 1
-    report = json.loads((tmp_path / "out" / "weights-report.json").read_text())
+    report = strict_json((tmp_path / "out" / "weights-report.json").read_text())
     assert report["passed"] is False
-    assert math.isnan(report["oracle_worst_relative_error"])
+    assert report["oracle_worst_relative_error"] == "nan"
+
+
+def test_infinite_tail_bound_is_written_as_strict_json(tmp_path):
+    # the truncated universal model of the two-generator ball has shell-norm sum 1
+    spec = write_spec(tmp_path / "spec.json", BALL)
+    X = universal_tuple(FockSpace(spec_from_json(BALL), (2,)))
+    files = []
+    for j, op in enumerate(X.ops[0], start=1):
+        with open(tmp_path / f"W_{j}.mtx", "w") as fh:
+            linalg.save_matrix(fh, op)
+        files.append(f"W_{j}.mtx")
+    (tmp_path / "tuple.json").write_text(json.dumps({"dim_h": X.dim_h, "files": [files]}))
+    rc = main(["berezin", "--spec", spec, "--trunc", "2", "--tuple", str(tmp_path / "tuple.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    report = strict_json((tmp_path / "out" / "berezin-report.json").read_text())
+    assert report["tail_bound"] == "inf"
 
 
 def test_nanmax_propagates_nan_in_any_place():
@@ -321,6 +348,30 @@ def test_verify_report_matches_golden_file(tmp_path):
     assert rc == 0
     golden = Path(__file__).parent / "data" / "verify_seed42_trunc4.json"
     assert (tmp_path / "out" / "verify-report.json").read_bytes() == golden.read_bytes()
+
+
+GOLDEN_FOURIER = Path(__file__).parent / "data" / "fourier_k2_trunc3"
+
+
+@pytest.mark.parametrize("radius, tag", [("1.0", "r1"), ("0.0", "r0")])
+def test_fourier_report_and_operator_match_golden_files(tmp_path, radius, tag):
+    # a hermitian symbol on k=2, n=(2,2), L=3 with coeff_dim 2 (total dim 450)
+    args = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
+            "--symbol", str(GOLDEN_FOURIER / "symbol.json"), "--out", str(tmp_path / "out")]
+    assert main(["fourier", *args, "--radius", radius]) == 0
+    for got, golden in (
+        ("fourier-report.json", f"fourier-report-{tag}.json"),
+        ("operator.mtx", f"operator-{tag}.mtx"),
+    ):
+        assert (tmp_path / "out" / got).read_bytes() == (GOLDEN_FOURIER / golden).read_bytes()
+
+
+def test_kernel_psd_report_matches_golden_file(tmp_path):
+    args = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
+            "--symbol", str(GOLDEN_FOURIER / "symbol.json"), "--out", str(tmp_path / "out")]
+    assert main(["kernel-psd", *args, "--radius", "0.5"]) == 0
+    got = (tmp_path / "out" / "kernel-psd-report.json").read_bytes()
+    assert got == (GOLDEN_FOURIER / "kernel-psd-report.json").read_bytes()
 
 
 # the benchmark's `deep` polydomain: k=1, n=2, m=3, every word of length <= 2

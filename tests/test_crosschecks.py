@@ -8,8 +8,11 @@ residual and universal-model completely positive maps (matrix products,
 defects from the identity), and the word-by-word construction layer (dict
 weight tables, per-column creations, monomials as products of creation
 matrices, operators as sums of sparse monomials) that the index-array
-implementations replaced are kept here as oracles; the arithmetic per entry
-is unchanged, so they must agree exactly.
+implementations replaced are kept here as oracles; so are the dense symbol
+and grading layer (a dense scatter of monomials for the model evaluation,
+dense ``(dim, dim)`` degree masks and window weights for the homogeneous
+parts, their support and the windowed reconstruction).  The arithmetic per
+entry is unchanged, so they must agree exactly.
 """
 
 import itertools
@@ -52,8 +55,11 @@ from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import (
     FourierSymbol,
     ToeplitzReport,
+    cesaro_reconstruct,
     evaluate_at_model,
+    homogeneous_decomposition,
     homogeneous_part,
+    homogeneous_support,
     is_multi_toeplitz,
     pluriharmonic_kernel,
     random_symbol,
@@ -143,6 +149,57 @@ def sparse_sum_evaluate_at_model(sym, r):
     if acc is None:
         return np.zeros((space.total_dim, space.total_dim), dtype=complex)
     return as_dense(acc)
+
+
+def dense_scatter_evaluate_at_model(sym, r):
+    """``sum r^{|s|} A (x) W_left W_right^*`` scattered term by term into a dense array."""
+    space = sym.space
+    n = space.total_dim
+    out = np.zeros((n, n), dtype=complex)
+    for pair in sym.support():
+        term = monomial(space, pair, sym.coefficients[pair]).matrix.tocoo()
+        out[term.row, term.col] = (r ** pair.total_weight) * term.data
+    return out
+
+
+def dense_degree_gap(space, i):
+    """``(dim, dim)`` factor-``i`` degree of the row word minus that of the column word."""
+    degs = space.degree_table()
+    return degs[:, i][:, None] - degs[None, :, i]
+
+
+def dense_mask_homogeneous_part(T, s):
+    """The degree-``s`` part as ``T`` times a dense 0/1 degree mask."""
+    space = T.space
+    mask = np.ones((space.dim, space.dim), dtype=bool)
+    for i, si in enumerate(s):
+        mask &= dense_degree_gap(space, i) == si
+    c = space.coeff_dim
+    return T.dense * np.kron(np.ones((c, c)), mask)
+
+
+def dense_homogeneous_support(T, tol=0.0):
+    """Degree gaps of the basis pairs whose largest coefficient-block entry exceeds ``tol``."""
+    space = T.space
+    degs = space.degree_table()
+    c = space.coeff_dim
+    mags = np.abs(T.dense).reshape(c, space.dim, c, space.dim).max(axis=(0, 2))
+    rows, cols = np.nonzero(mags > tol)
+    return sorted({tuple(int(x) for x in degs[r] - degs[q]) for r, q in zip(rows, cols)})
+
+
+def dense_cesaro_reconstruct(T, N, fejer_weights=True):
+    """``T`` times the dense ``(dim, dim)`` product of per-factor window weights."""
+    space = T.space
+    weight = np.ones((space.dim, space.dim), dtype=float)
+    for i, Ni in enumerate(N):
+        diff = np.abs(dense_degree_gap(space, i))
+        if fejer_weights:
+            weight *= np.maximum(0.0, 1.0 - diff / (Ni + 1.0))
+        else:
+            weight *= (diff <= Ni).astype(float)
+    c = space.coeff_dim
+    return T.dense * np.kron(np.ones((c, c)), weight)
 
 
 def dense_factor_pair_tables(space, i):
@@ -710,5 +767,45 @@ def test_evaluate_at_model_matches_sparse_sum_oracle(rng):
         coeffs[IndexPair(MultiWord(tuple(parts)), MultiWord(tuple(beyond)))] = np.ones((c, c))
         for s in (sym, FourierSymbol(space, coeffs), FourierSymbol(space, {})):
             for r in (0.0, 0.5, 1.0):
-                got = evaluate_at_model(s, r)
-                assert np.array_equal(got.matrix, sparse_sum_evaluate_at_model(s, r))
+                got = evaluate_at_model(s, r).matrix
+                assert sp.isspmatrix_csr(got)
+                # the CSR stores no explicit zeros
+                assert np.count_nonzero(got.data) == got.nnz
+                assert np.array_equal(got.toarray(), sparse_sum_evaluate_at_model(s, r))
+                assert np.array_equal(got.toarray(), dense_scatter_evaluate_at_model(s, r))
+
+
+def grading_operators(space, rng):
+    """A planted CSR operator, a random sparse one with explicit zeros, and a random dense one."""
+    n = space.total_dim
+    planted = evaluate_at_model(random_symbol(space, rng, n_monomials=5))
+    scattered = sp.random(n, n, density=0.2, random_state=rng, format="csr", dtype=complex)
+    scattered.data[::7] = 0.0
+    dense = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return [planted, FockOperator(space, scattered), FockOperator(space, dense)]
+
+
+def test_grading_matches_dense_mask_oracles(rng):
+    for space in oracle_spaces(rng):
+        grid = list(itertools.product(*(range(-L, L + 1) for L in space.trunc)))
+        for T in grading_operators(space, rng):
+            parts = homogeneous_decomposition(T)
+            assert list(parts) == sorted(parts)
+            for s in grid:
+                expected = dense_mask_homogeneous_part(T, s)
+                got = homogeneous_part(T, s).matrix
+                assert sp.isspmatrix_csr(got)
+                assert np.array_equal(got.toarray(), expected)
+                if s in parts:
+                    assert np.array_equal(parts[s].matrix.toarray(), expected)
+                    assert np.array_equal(parts[s].matrix.indices, got.indices)
+                else:
+                    assert not expected.any()
+            for tol in (0.0, 0.5):
+                assert homogeneous_support(T, tol) == dense_homogeneous_support(T, tol)
+            for fejer in (True, False):
+                k = space.spec.k
+                for N in ((0,) * k, (1,) * k, tuple(2 * L for L in space.trunc)):
+                    got = cesaro_reconstruct(T, N, fejer_weights=fejer).matrix
+                    assert sp.isspmatrix_csr(got)
+                    assert np.array_equal(got.toarray(), dense_cesaro_reconstruct(T, N, fejer))

@@ -1,18 +1,23 @@
-"""Peak-memory guards: classification, the structural equation and the model stay sparse.
+"""Peak-memory guards: classification, the structural equation, evaluation and the model are sparse.
 
 A planted multi-Toeplitz operator on ``k=2, n=(2,2), L=5`` (dim 3969) is
 built as a sparse sum of monomials and written to disk; ``toeplitz`` and
 ``brown-halmos`` then run on it, each in a fresh interpreter that reports its
 own peak resident set size.  Dense ``(dim, dim)`` working arrays at this size
 take well over a gigabyte, so the bound catches any return to them.
+``fourier`` evaluates the planted symbol at dim 3969 and at ``L=6``
+(dim 16129), where one dense complex ``(dim, dim)`` array takes 4.2 GB.
 ``model`` on ``k=1, n=2, L=10`` (dim 2047) runs the universal model's
 completely positive maps; dense defect iterates there peak near 450 MB.
+The symbol and grading routines are also traced in-process: for sparse
+inputs they allocate less than one byte per ``(dim, dim)`` cell.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +26,15 @@ import polytoeplitz
 from polytoeplitz import linalg
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockSpace, monomial
+from polytoeplitz.toeplitz import (
+    FourierSymbol,
+    cesaro_reconstruct,
+    evaluate_at_model,
+    homogeneous_decomposition,
+    homogeneous_part,
+    homogeneous_support,
+    symbol_to_json,
+)
 from polytoeplitz.weights import spec_from_json
 
 PEAK_RSS_LIMIT_MB = 400
@@ -60,19 +74,27 @@ sys.exit(code)
 """
 
 
+def _multiword(parts):
+    return MultiWord(tuple(Word(p, 2) for p in parts))
+
+
+def _planted_pairs():
+    return [(IndexPair(_multiword(left), _multiword(right)), a) for left, right, a in TERMS]
+
+
 def _planted_operator(tmp_path):
     (tmp_path / "spec.json").write_text(json.dumps(SPEC))
     space = FockSpace(spec_from_json(SPEC), (5, 5))
-
-    def multiword(parts):
-        return MultiWord(tuple(Word(p, 2) for p in parts))
-
     total = None
-    for left, right, a in TERMS:
-        term = monomial(space, IndexPair(multiword(left), multiword(right)), np.array([[a]])).matrix
+    for pair, a in _planted_pairs():
+        term = monomial(space, pair, np.array([[a]])).matrix
         total = term if total is None else total + term
     with open(tmp_path / "planted.mtx", "w") as fh:
         linalg.save_matrix(fh, total)
+
+
+def _planted_symbol(space):
+    return FourierSymbol(space, {pair: np.array([[a]]) for pair, a in _planted_pairs()})
 
 
 def _run_child(tmp_path, argv):
@@ -110,3 +132,38 @@ def test_model_stays_below_peak_rss_limit(tmp_path):
     code, model_mb = _run_child(tmp_path, ["model", "--spec", "spec.json", "--trunc", "10"])
     assert code == 0
     assert model_mb < MODEL_PEAK_RSS_LIMIT_MB, f"model peak RSS {model_mb:.0f} MB"
+
+
+def test_fourier_stays_below_peak_rss_limit(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    sym = _planted_symbol(FockSpace(spec_from_json(SPEC), (5, 5)))
+    (tmp_path / "symbol.json").write_text(json.dumps(symbol_to_json(sym)))
+    for trunc in ("5", "6"):
+        argv = ["fourier", "--spec", "spec.json", "--trunc", trunc, "--symbol", "symbol.json"]
+        code, mb = _run_child(tmp_path, [*argv, "--out", f"out{trunc}"])
+        assert code == 0
+        report = json.loads((tmp_path / f"out{trunc}" / "fourier-report.json").read_text())
+        assert report["terms"] == len(TERMS)
+        assert mb < PEAK_RSS_LIMIT_MB, f"fourier --trunc {trunc} peak RSS {mb:.0f} MB"
+
+
+def test_symbol_and_grading_allocate_no_dense_square():
+    space = FockSpace(spec_from_json(SPEC), (5, 5))
+    sym = _planted_symbol(space)
+    T = evaluate_at_model(sym)  # builds and caches the pair structure outside the trace
+    limit = space.dim * space.dim  # one byte per (dim, dim) cell
+    calls = [
+        lambda: evaluate_at_model(sym, 0.5),
+        lambda: homogeneous_part(T, (1, 0)),
+        lambda: homogeneous_decomposition(T),
+        lambda: homogeneous_support(T),
+        lambda: cesaro_reconstruct(T, (2, 2)),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"{peak} bytes traced, limit {limit}"
