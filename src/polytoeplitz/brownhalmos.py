@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .errors import DimensionMismatch, SpecError
-from .freemonoid import MultiWord, Word, reverse
+from .freemonoid import Word, reverse
 from .model import (
     FockOperator,
     FockSpace,
@@ -46,9 +46,10 @@ class RowOperator:
     """The row ``[sqrt(a_reversed) Lambda_word ...]`` for one factor.
 
     ``gamma`` lists the creation words in graded-lexicographic order; they
-    range over the reversal of the coefficient support, so that ``C C^*``
-    equals the reversed-series completely positive map applied to the
-    identity.  Columns act on the coefficient-ampliated space.
+    range over the reversal of the coefficient support, so that ``C C^*`` is
+    the reversed-series completely positive map applied to the identity,
+    ``phi_right(space, factor, I)``.  Columns act on the
+    coefficient-ampliated space.
     """
 
     space: FockSpace
@@ -66,22 +67,6 @@ class RowOperator:
             sp.hstack([s * col for s, col in zip(self.scales, self.columns)])
         )
 
-    def cc_star(self) -> np.ndarray:
-        """``C C^*`` on the space, a.k.a. the reversed-series map at the identity."""
-        n = self.space.total_dim
-        acc = np.zeros((n, n), dtype=complex)
-        for s, col in zip(self.scales, self.columns):
-            acc += (s * s) * linalg.as_dense(col @ col.conj().T)
-        return acc
-
-    def apply_diag(self, Y: np.ndarray) -> np.ndarray:
-        """``C diag(Y) C^*`` without forming the stacked matrix."""
-        n = self.space.total_dim
-        acc = np.zeros((n, n), dtype=complex)
-        for s, col in zip(self.scales, self.columns):
-            acc += (s * s) * linalg.as_dense(col @ Y @ col.conj().T)
-        return acc
-
 
 def build_row(
     spec: PolydomainSpec, space: FockSpace, i: int, tol: float = 1e-9
@@ -90,31 +75,27 @@ def build_row(
 
     The column for word ``alpha`` is ``sqrt(a at reverse(alpha))`` times the
     right creation by ``alpha``; the row-contraction bound ``||CC*|| <= 1``
-    is verified up to ``tol``.
+    is verified up to ``tol`` on the diagonal ``CC* = phi_right(space, i, I)``.
     """
+    if spec is not space.spec and spec != space.spec:
+        raise DimensionMismatch("spec differs from the space's spec")
     if not 0 <= i < spec.k:
         raise DimensionMismatch(f"factor index {i} outside range")
-    support = {reverse(w): a for w, a in spec.coeffs[i].items() if a != 0.0}
-    gamma = sorted(support, key=lambda w: (len(w), w.letters))
-    columns = []
-    scales = []
-    for alpha in gamma:
-        parts = [Word.identity(spec.n[p]) for p in range(spec.k)]
-        parts[i] = alpha
-        lam = space.creation_product(MultiWord(tuple(parts)), side="right")
-        columns.append(space.lift(lam).matrix)
-        scales.append(math.sqrt(support[alpha]))
-    row = RowOperator(
-        space=space,
-        factor=i,
-        gamma=tuple(gamma),
-        columns=tuple(columns),
-        scales=tuple(scales),
-    )
-    top = linalg.op_norm(row.cc_star())
+    top = float(_row_gram_diagonal(space, i).max())
     if top > 1.0 + tol:
         raise SpecError(f"row is not a contraction: ||CC*|| = {top:.6f}")
-    return row
+    support = {reverse(w): a for w, a in spec.coeffs[i].items() if a != 0.0}
+    gamma = tuple(sorted(support, key=lambda w: (len(w), w.letters)))
+    return RowOperator(
+        space=space,
+        factor=i,
+        gamma=gamma,
+        columns=tuple(
+            space.lift(space.creation_product(space.single(i, alpha), side="right")).matrix
+            for alpha in gamma
+        ),
+        scales=tuple(math.sqrt(support[alpha]) for alpha in gamma),
+    )
 
 
 def _phi_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
@@ -165,37 +146,41 @@ def range_projection(space: FockSpace, i: int) -> np.ndarray:
     return np.diag(np.kron(np.ones(c), diag))
 
 
-def cauchy_dual(C: RowOperator, rank_tol: float = 1e-10) -> np.ndarray:
+def cauchy_dual(C: RowOperator) -> np.ndarray:
     """``C (C*C)^{-1}`` with the inverse taken on the range of ``C^*``.
 
-    Realized through the Hermitian pseudo-inverse of ``C*C``; eigenvalues near
-    the rank cutoff raise :class:`NumericalRankError`.  Sized for spaces where
-    the stacked Gram matrix is tractable.
+    Realized through the Hermitian pseudo-inverse of ``C*C`` at
+    ``rank_tol=1e-10``; eigenvalues near the rank cutoff raise
+    :class:`NumericalRankError`.  Sized for spaces where the stacked Gram
+    matrix is tractable.
     """
     mat = linalg.as_dense(C.as_matrix())
     gram = mat.conj().T @ mat
-    return mat @ linalg.pinv_on_range(gram, rank_tol=rank_tol)
+    return mat @ linalg.pinv_on_range(gram, rank_tol=1e-10)
 
 
-def cauchy_dual_projection(C: RowOperator, rank_tol: float = 1e-10) -> np.ndarray:
+def cauchy_dual_projection(C: RowOperator) -> np.ndarray:
     """``C (C*C)^{-1} C^*``, the orthogonal projection onto the range of ``C``."""
-    dual = cauchy_dual(C, rank_tol=rank_tol)
+    dual = cauchy_dual(C)
     return dual @ linalg.as_dense(C.as_matrix()).conj().T
 
 
-def _min_positive_gram_eig(space: FockSpace, i: int, rank_tol: float = 1e-12) -> float:
-    # CC* acts as identity off factor i, so its positive spectrum equals that
-    # of the factor-level sum M = sum_w a_w Lambda_w Lambda_w^*; each Lambda_w
-    # is injective, so M is diagonal and its spectrum is its diagonal
+def _row_gram_diagonal(space: FockSpace, i: int) -> np.ndarray:
+    # each right creation is injective, so CC* = phi_right(I) is diagonal
+    return phi_right(space, i, space.identity().matrix).diagonal().real
+
+
+def _min_positive_gram_eig(space: FockSpace, i: int) -> float:
+    """Smallest positive eigenvalue of ``C C^*`` for factor ``i``, cached on the space.
+
+    ``C C^*`` is the diagonal matrix ``phi_right(space, i, I)``, so its
+    spectrum is its diagonal; eigenvalues up to ``1e-12`` times
+    ``max(lambda_max, 1)`` count as zero.
+    """
     cache = space.row_gram_min_eig
     if i not in cache:
-        diag = np.zeros(space.factor_dims[i], dtype=complex)
-        for w, a in space.spec.coeffs[i].items():
-            lam = space.factor_creation(i, reverse(w), side="right").tocoo()
-            diag[lam.row] += a * (lam.data * lam.data.conj())
-        eigs = np.sort(diag.real)
-        lam_max = float(eigs[-1]) if eigs.size else 0.0
-        positive = eigs[eigs > rank_tol * max(lam_max, 1.0)]
+        eigs = np.sort(_row_gram_diagonal(space, i))
+        positive = eigs[eigs > 1e-12 * max(float(eigs[-1]), 1.0)]
         cache[i] = float(positive[0]) if positive.size else 0.0
     return cache[i]
 

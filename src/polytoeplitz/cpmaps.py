@@ -52,10 +52,10 @@ Matrix = Union[np.ndarray, sp.spmatrix]
 class OperatorTuple:
     """A point of (a candidate for) the polydomain on a concrete Hilbert space.
 
-    ``letter_actions`` is set on tuples whose operators have at most one entry
-    per row and per column (the universal model): per factor and letter, the
-    ``(src, dst, vals)`` arrays of the operator.  The completely positive maps
-    then move stored entries instead of multiplying matrices.
+    ``universal`` marks tuples of CSR operators with at most one entry per
+    row and per column (set by :func:`universal_tuple`): their word operators
+    act by moving stored entries (:meth:`word_action`), and the completely
+    positive maps use that instead of multiplying matrices.
     """
 
     spec: PolydomainSpec
@@ -63,7 +63,7 @@ class OperatorTuple:
     dim_h: int
     commutation_checked: bool = False
     label: str = ""
-    letter_actions: Optional[tuple[tuple[Action, ...], ...]] = field(default=None, repr=False)
+    universal: bool = False
     _word_cache: dict = field(default_factory=dict, repr=False)
     _action_cache: dict = field(default_factory=dict, repr=False)
 
@@ -94,8 +94,8 @@ class OperatorTuple:
         return worst
 
     def identity(self) -> Matrix:
-        """The identity on H: CSR for tuples with letter actions, dense otherwise."""
-        if self.letter_actions is not None:
+        """The identity on H: CSR for the universal model, dense otherwise."""
+        if self.universal:
             return sp.identity(self.dim_h, format="csr", dtype=complex)
         return np.eye(self.dim_h, dtype=complex)
 
@@ -117,26 +117,17 @@ class OperatorTuple:
         return out
 
     def word_action(self, i: int, w: Word) -> Action:
-        """``(src, dst, vals)`` of :meth:`word_op` for a nonempty word, cached.
+        """``(src, dst, vals)`` with ``X_w e_src = vals * e_dst``, cached.
 
-        Composed from ``letter_actions`` as ``word_op`` multiplies: the prefix's
-        value times the last letter's, so the values equal the stored entries
-        of ``word_op(i, w)`` bit for bit.
+        The stored entries of the sparse :meth:`word_op`; meaningful when each
+        column holds at most one entry, as on the universal model.
         """
         key = (i, w.letters)
-        cached = self._action_cache.get(key)
-        if cached is not None:
-            return cached
-        src, dst, vals = self.letter_actions[i][w.letters[-1] - 1]
-        if len(w) > 1:
-            p_src, p_dst, p_vals = self.word_action(i, Word(w.letters[:-1], w.alphabet_size))
-            slot = np.full(self.dim_h, -1, dtype=np.int64)
-            slot[p_src] = np.arange(p_src.size)
-            s = slot[dst]
-            hit = s >= 0
-            s = s[hit]
-            src, dst, vals = src[hit], p_dst[s], p_vals[s] * vals[hit]
-        self._action_cache[key] = (src, dst, vals)
+        if key not in self._action_cache:
+            coo = self.word_op(i, w).tocoo()
+            self._action_cache[key] = (
+                coo.col.astype(np.int64), coo.row.astype(np.int64), coo.data.astype(complex)
+            )
         return self._action_cache[key]
 
     def multi_word_op(self, w: MultiWord) -> Matrix:
@@ -158,44 +149,36 @@ class OperatorTuple:
 def universal_tuple(space: FockSpace, side: str = "left") -> OperatorTuple:
     """The weighted creation tuple of ``space`` as an operator tuple on the Fock part.
 
-    The tuple carries the letter actions of its creations, read off their
-    CSR matrices, so its completely positive maps run on stored entries.
+    The creations are CSR (:meth:`FockSpace.creation_product`) and the tuple
+    is marked ``universal``, so its completely positive maps run on stored
+    entries.  Cross-factor Kronecker slots commute exactly.
     """
-    ops = []
-    for i in range(space.spec.k):
-        row = []
-        for j in range(1, space.spec.n[i] + 1):
-            parts = [Word.identity(space.spec.n[p]) for p in range(space.spec.k)]
-            parts[i] = Word((j,), space.spec.n[i])
-            row.append(space.creation_product(MultiWord(tuple(parts)), side=side))
-        ops.append(tuple(row))
-    actions = tuple(
+    ops = tuple(
         tuple(
-            (coo.col.astype(np.int64), coo.row.astype(np.int64), coo.data.astype(complex))
-            for coo in (X.tocoo() for X in fac)
+            space.creation_product(space.single(i, Word((j,), n)), side=side)
+            for j in range(1, n + 1)
         )
-        for fac in ops
+        for i, n in enumerate(space.spec.n)
     )
-    tup = OperatorTuple(
+    return OperatorTuple(
         spec=space.spec,
-        ops=tuple(ops),
+        ops=ops,
         dim_h=space.dim,
+        commutation_checked=True,
         label=f"model[{side}]",
-        letter_actions=actions,
+        universal=True,
     )
-    tup.commutation_checked = True  # cross-factor Kronecker slots commute exactly
-    return tup
 
 
 def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: Matrix) -> Matrix:
     """The factor-i completely positive map ``Y -> sum a_w X_w Y X_w^*``.
 
-    On tuples with letter actions (the universal model) the map moves the
-    stored entries of ``Y`` and returns CSR for a sparse ``Y``, an ndarray for
-    a dense one; ``Y`` is never densified.  Other tuples multiply matrices and
-    return an ndarray.
+    On the universal model the map moves the stored entries of ``Y`` along
+    each word's :meth:`~OperatorTuple.word_action` and returns CSR for a
+    sparse ``Y``, an ndarray for a dense one; ``Y`` is never densified.  Other
+    tuples multiply matrices and return an ndarray.
     """
-    if X.letter_actions is None:
+    if not X.universal:
         acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
         for w, a in spec.coeffs[i].items():
             Xw = X.word_op(i, w)
@@ -354,19 +337,18 @@ def berezin_kernel(
     spec: PolydomainSpec,
     X: OperatorTuple,
     trunc: Sequence[int],
-    sqrt_tol: float = 1e-10,
 ) -> BerezinKernel:
     """The kernel rows ``sqrt(b_w) Delta^{1/2} X_w^*`` over the truncated basis.
 
     ``Delta`` is the full defect at ``p = m``; its Hermitian square root clamps
-    eigenvalues within ``sqrt_tol`` below zero and refuses anything worse.
+    eigenvalues within ``1e-10`` below zero and refuses anything worse.
     The discarded-tail bound takes per-factor scalar majorants whose masses
     are the shell norms ``||Phi_{i,d}(I)||``.
     """
     trunc = tuple(int(L) for L in trunc)
     table = build_weight_table(spec, trunc)
     delta = defect(spec, X, spec.m)
-    root = linalg.herm_sqrt(delta, tol=sqrt_tol)
+    root = linalg.herm_sqrt(delta, tol=1e-10)
     space = FockSpace(spec, trunc, coeff_dim=1, weights=table)
     rows = np.empty((space.dim, X.dim_h, X.dim_h), dtype=complex)
     for idx, w in enumerate(space.basis()):
@@ -434,9 +416,13 @@ def intertwining_residual(
 
     The identity is exact on rows whose factor-i degree leaves one unit of
     headroom, so the residual is measured there (headroom 1 in the tested
-    factor only).
+    factor only).  ``W_{i,j}`` has at most one entry per column, so row
+    ``src`` of ``(W_{i,j}^* (x) I) K`` is ``conj(val)`` times row ``dst`` of
+    ``K`` (:meth:`FockSpace.creation_action`), and zero off the domain.
     """
     R = kernel.rows
+    if R.shape[0] != space.total_dim:
+        raise DimensionMismatch("kernel rows differ from the space dimension")
     dH = kernel.dim_h
     worst = 0.0
     for i in range(space.spec.k):
@@ -444,13 +430,9 @@ def intertwining_residual(
         headroom[i] = 1
         mask = space.safe_mask(headroom)
         for j in range(1, space.spec.n[i] + 1):
-            W = space.factor_creation(i, Word((j,), space.spec.n[i]), side="left")
-            parts = [sp.identity(space.factor_dims[p], format="csr") for p in range(space.spec.k)]
-            parts[i] = W
-            Wfull = space.fock_kron(parts)
-            lhs = np.tensordot(
-                linalg.as_dense(Wfull.conj().T), R, axes=([1], [0])
-            )
+            src, dst, vals = space.creation_action(i, Word((j,), space.spec.n[i]), side="left")
+            lhs = np.zeros_like(R)
+            lhs[src] = vals.conj()[:, None, None] * R[dst]
             Xij = linalg.as_dense(X.ops[i][j - 1])
             rhs = R @ Xij.conj().T
             diff = (lhs - rhs)[mask]
@@ -466,16 +448,14 @@ def random_pure_tuple(
     rng: np.random.Generator,
     dims: Optional[Sequence[int]] = None,
     shrink: float = 1.0,
-    member_tol: float = 1e-9,
-    bisect_tol: float = 1e-6,
 ) -> OperatorTuple:
     """Draw a random member of the polydomain on a small tensor-product space.
 
     Each factor acts on its own tensor slot (``X_{i,j} = I (x) Y_{i,j} (x) I``),
     which makes cross-factor commutation automatic; a single factor needs no
     tensor structure.  The raw draw is scaled to the largest radius that
-    keeps membership (bisection to ``bisect_tol``), then by ``shrink``;
-    ``shrink < 1`` buys strict purity and finite tail bounds.
+    keeps membership at ``tol=1e-9`` (bisection to ``1e-6``), then by
+    ``shrink``; ``shrink < 1`` buys strict purity and finite tail bounds.
     """
     if dims is None:
         dims = [2] * spec.k
@@ -498,7 +478,7 @@ def random_pure_tuple(
     raw.commutation_checked = True
 
     def member_at(r: float) -> bool:
-        ok, _ = is_member(spec, raw.scaled(r), tol=member_tol)
+        ok, _ = is_member(spec, raw.scaled(r), tol=1e-9)
         return ok
 
     lo, hi = 0.0, 1.0
@@ -507,7 +487,7 @@ def random_pure_tuple(
         hi *= 2.0
         if hi > 64.0:
             break
-    while hi - lo > bisect_tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if member_at(mid):
             lo = mid

@@ -172,16 +172,21 @@ class FockSpace:
         size = self.factor_dims[i]
         return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
-    def fock_kron(self, factors: Sequence[sp.spmatrix]) -> sp.csr_matrix:
-        out = factors[0]
-        for f in factors[1:]:
-            out = sp.kron(out, f, format="csr")
-        return sp.csr_matrix(out)
+    def single(self, i: int, word: Word) -> MultiWord:
+        """The multi-word with ``word`` on factor ``i`` and the empty word elsewhere."""
+        parts = [Word.identity(n) for n in self.spec.n]
+        parts[i] = word
+        return MultiWord(tuple(parts))
 
     def creation_product(self, w: MultiWord, side: str = "left") -> sp.csr_matrix:
-        """Fock-part matrix of the (left or right) creation by a multi-word."""
-        mats = [self.factor_creation(i, part, side) for i, part in enumerate(w.parts)]
-        return self.fock_kron(mats)
+        """Fock-part matrix of the (left or right) creation by a multi-word.
+
+        The Kronecker product of the per-factor creations, first factor slowest.
+        """
+        out = self.factor_creation(0, w.parts[0], side)
+        for i in range(1, len(w.parts)):
+            out = sp.kron(out, self.factor_creation(i, w.parts[i], side), format="csr")
+        return sp.csr_matrix(out)
 
     def creation_action(self, i: int, word: Word, side: str = "left"):
         """Index-level view of a single-factor creation on the lifted space.
@@ -549,6 +554,14 @@ def _build_pair_structure(space: FockSpace) -> PairStructure:
 # -- universal model operators ----------------------------------------------
 
 
+def _weighted_creation(space: FockSpace, i: int, j: int, side: str, name: str) -> FockOperator:
+    n = space.spec.n[i]
+    if not 1 <= j <= n:
+        raise DimensionMismatch(f"generator index {j} outside 1..{n}")
+    mat = space.creation_product(space.single(i, Word((j,), n)), side=side)
+    return space.lift(mat, f"{name}[{i + 1},{j}]")
+
+
 def weighted_left_creation(space: FockSpace, i: int, j: int) -> FockOperator:
     """The weighted left creation by generator ``g_j`` of factor ``i``.
 
@@ -556,24 +569,12 @@ def weighted_left_creation(space: FockSpace, i: int, j: int) -> FockOperator:
     zero when the shift leaves the truncation; ampliated over the other
     factors and the coefficient space.
     """
-    n = space.spec.n[i]
-    if not 1 <= j <= n:
-        raise DimensionMismatch(f"generator index {j} outside 1..{n}")
-    parts = [Word.identity(space.spec.n[p]) for p in range(space.spec.k)]
-    parts[i] = Word((j,), n)
-    mat = space.creation_product(MultiWord(tuple(parts)), side="left")
-    return space.lift(mat, f"W[{i + 1},{j}]")
+    return _weighted_creation(space, i, j, "left", "W")
 
 
 def weighted_right_creation(space: FockSpace, i: int, j: int) -> FockOperator:
     """The weighted right creation by generator ``g_j`` of factor ``i``."""
-    n = space.spec.n[i]
-    if not 1 <= j <= n:
-        raise DimensionMismatch(f"generator index {j} outside 1..{n}")
-    parts = [Word.identity(space.spec.n[p]) for p in range(space.spec.k)]
-    parts[i] = Word((j,), n)
-    mat = space.creation_product(MultiWord(tuple(parts)), side="right")
-    return space.lift(mat, f"L[{i + 1},{j}]")
+    return _weighted_creation(space, i, j, "right", "L")
 
 
 def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> FockOperator:

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from polytoeplitz.brownhalmos import (
     alternating_phi_sum,
@@ -12,10 +13,12 @@ from polytoeplitz.brownhalmos import (
     phi_right,
     range_projection,
 )
+from polytoeplitz.errors import DimensionMismatch, SpecError
 from polytoeplitz.linalg import pinv_on_range
 from polytoeplitz.model import FockOperator, FockSpace, weighted_right_creation
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import evaluate_at_model, random_symbol
+from polytoeplitz.weights import build_weight_table
 
 from conftest import make_spec
 
@@ -44,8 +47,9 @@ class TestBuildRow:
         spec = random_spec(rng, k=1, max_n=2, max_deg=2)
         space = FockSpace(spec, (3,))
         row = build_row(spec, space, 0)
+        C = row.as_matrix()
         expected = phi_right(space, 0, np.eye(space.total_dim, dtype=complex))
-        assert np.abs(row.cc_star() - expected).max() < 1e-12
+        assert np.abs((C @ C.conj().T).toarray() - expected).max() < 1e-12
 
     def test_row_contraction_bound(self, rng):
         for _ in range(5):
@@ -53,6 +57,20 @@ class TestBuildRow:
             space = FockSpace(spec, (3,) * spec.k)
             for i in range(spec.k):
                 build_row(spec, space, i)  # raises if ||CC*|| > 1
+
+
+    def test_row_that_is_not_a_contraction_is_refused(self):
+        # coefficients of f = 1.5 z over the weights of f = z: CC* = 1.5 off the vacuum
+        spec = make_spec(1, (1,), (1,), [(1, (1,), 1.5)])
+        weights = build_weight_table(make_spec(1, (1,), (1,), [(1, (1,), 1.0)]), (3,))
+        space = FockSpace(spec, (3,), weights=weights)
+        with pytest.raises(SpecError, match="not a contraction"):
+            build_row(spec, space, 0)
+
+    def test_row_rejects_a_foreign_spec(self, single_shift_spec, bergman2_spec):
+        space = FockSpace(single_shift_spec, (3,))
+        with pytest.raises(DimensionMismatch):
+            build_row(bergman2_spec, space, 0)
 
 
 class TestCauchyDual:

@@ -374,6 +374,15 @@ def test_kernel_psd_report_matches_golden_file(tmp_path):
     assert got == (GOLDEN_FOURIER / "kernel-psd-report.json").read_bytes()
 
 
+def test_brown_halmos_report_matches_golden_file(tmp_path):
+    # the structural equation on the lifted k=2 space pins phi_right and the Gram bound
+    args = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
+            "--operator", str(GOLDEN_FOURIER / "operator-r1.mtx"), "--out", str(tmp_path / "out")]
+    assert main(["brown-halmos", *args]) == 0
+    got = (tmp_path / "out" / "brown-halmos-report.json").read_bytes()
+    assert got == (GOLDEN_FOURIER / "brown-halmos-report.json").read_bytes()
+
+
 # the benchmark's `deep` polydomain: k=1, n=2, m=3, every word of length <= 2
 DEEP = {
     "k": 1,

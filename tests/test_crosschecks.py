@@ -129,8 +129,10 @@ def per_column_factor_creation(space, i, word, side):
 def product_monomial(space, pair, A):
     """``A (x) W_left W_right^*`` as Kronecker and matrix products of per-column creations."""
     def creation(w):
-        mats = [per_column_factor_creation(space, i, part, "left") for i, part in enumerate(w.parts)]
-        return space.fock_kron(mats)
+        out = per_column_factor_creation(space, 0, w.parts[0], "left")
+        for i in range(1, len(w.parts)):
+            out = sp.kron(out, per_column_factor_creation(space, i, w.parts[i], "left"), format="csr")
+        return sp.csr_matrix(out)
 
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     fock = sp.csr_matrix(creation(pair.left) @ creation(pair.right).conj().T)

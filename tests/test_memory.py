@@ -11,6 +11,8 @@ take well over a gigabyte, so the bound catches any return to them.
 completely positive maps; dense defect iterates there peak near 450 MB.
 The symbol and grading routines are also traced in-process: for sparse
 inputs they allocate less than one byte per ``(dim, dim)`` cell.
+``intertwining_residual`` on the Berezin kernel of a random pure tuple at
+``L=4`` (dim 961) is traced against one dense complex ``(dim, dim)`` array.
 """
 
 import json
@@ -24,6 +26,7 @@ import numpy as np
 
 import polytoeplitz
 from polytoeplitz import linalg
+from polytoeplitz.cpmaps import berezin_kernel, intertwining_residual, random_pure_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockSpace, monomial
 from polytoeplitz.toeplitz import (
@@ -167,3 +170,19 @@ def test_symbol_and_grading_allocate_no_dense_square():
         finally:
             tracemalloc.stop()
         assert peak < limit, f"{peak} bytes traced, limit {limit}"
+
+
+def test_intertwining_residual_allocates_less_than_a_dense_square():
+    spec = spec_from_json(SPEC)
+    X = random_pure_tuple(spec, np.random.default_rng(7), dims=(2, 2))
+    kernel = berezin_kernel(spec, X, (4, 4))
+    space = FockSpace(spec, (4, 4))
+    limit = space.dim * space.dim * 16  # one dense complex (dim, dim) array, 14.1 MiB
+    tracemalloc.start()
+    try:
+        residual = intertwining_residual(kernel, X, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-9
+    assert peak < limit, f"{peak} bytes traced, limit {limit}"
