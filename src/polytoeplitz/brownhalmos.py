@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,21 +67,19 @@ class RowOperator:
         )
 
 
-def build_row(
-    spec: PolydomainSpec, space: FockSpace, i: int, tol: float = 1e-9
-) -> RowOperator:
+def build_row(spec: PolydomainSpec, space: FockSpace, i: int) -> RowOperator:
     """Assemble the factor-``i`` row contraction on ``space`` and check it.
 
     The column for word ``alpha`` is ``sqrt(a at reverse(alpha))`` times the
     right creation by ``alpha``; the row-contraction bound ``||CC*|| <= 1``
-    is verified up to ``tol`` on the diagonal ``CC* = phi_right(space, i, I)``.
+    is verified up to ``1e-9`` on the diagonal ``CC* = phi_right(space, i, I)``.
     """
     if spec is not space.spec and spec != space.spec:
         raise DimensionMismatch("spec differs from the space's spec")
     if not 0 <= i < spec.k:
         raise DimensionMismatch(f"factor index {i} outside range")
     top = float(_row_gram_diagonal(space, i).max())
-    if top > 1.0 + tol:
+    if top > 1.0 + 1e-9:
         raise SpecError(f"row is not a contraction: ||CC*|| = {top:.6f}")
     support = {reverse(w): a for w, a in spec.coeffs[i].items() if a != 0.0}
     gamma = tuple(sorted(support, key=lambda w: (len(w), w.letters)))
@@ -185,12 +182,7 @@ def _min_positive_gram_eig(space: FockSpace, i: int) -> float:
     return cache[i]
 
 
-def bh_residual(
-    T: FockOperator,
-    spec: PolydomainSpec,
-    i: int,
-    headroom: Optional[Sequence[int]] = None,
-) -> float:
+def bh_residual(T: FockOperator, spec: PolydomainSpec, i: int) -> float:
     """Residual of the factor-``i`` structural equation for ``T``.
 
     The equation compressed to the range of ``C^*`` is conjugated by the row
@@ -203,8 +195,7 @@ def bh_residual(
     dividing the deviation norm by the smallest positive eigenvalue of the
     row's Gram matrix upper-bounds the norm of the original compressed
     residual.  Lowering operators never leave the truncation, so the identity
-    is exact on the whole truncated space; ``headroom`` defaults to zero and
-    only shrinks the compared block further.
+    is exact on the whole truncated space.
 
     Both sides are computed on the stored entries of ``T``, which is never
     densified; the Frobenius norm runs over the union of their supports.
@@ -221,11 +212,7 @@ def bh_residual(
     rows, cols = np.divmod(keys, n)
     in_range = q[rows] & q[cols]
     rhs_keys, rhs_vals = _alternating_entries(space, i, keys, vals)
-    keys, diff = accumulate_entries([(keys[in_range], vals[in_range]), (rhs_keys, -rhs_vals)])
-    if headroom is not None:
-        mask = np.tile(space.safe_mask(headroom), space.coeff_dim)
-        rows, cols = np.divmod(keys, n)
-        diff = diff[mask[rows] & mask[cols]]
+    _, diff = accumulate_entries([(keys[in_range], vals[in_range]), (rhs_keys, -rhs_vals)])
     lam = _min_positive_gram_eig(space, i)
     if lam <= 0.0:
         raise SpecError("row Gram matrix has no positive spectrum")

@@ -80,9 +80,16 @@ EXIT_INPUT = 2
 EXIT_FORMAT = 3
 
 
+# options only some subcommands take; main() gives the others the default
+_SHARED = {
+    "coeff-dim": {"type": int, "default": 1, "help": "coefficient space dimension"},
+    "tol": {"type": float, "default": 1e-9, "help": "verification tolerance"},
+    "seed": {"type": int, "default": 0, "help": "RNG seed for sampled checks"},
+}
+
+
 @dataclass
 class RunConfig:
-    command: str
     spec_path: Optional[str]
     trunc: tuple[int, ...]
     coeff_dim: int
@@ -121,6 +128,18 @@ def _load_spec(path: Optional[str]) -> PolydomainSpec:
     except OSError as exc:
         raise SpecError(f"cannot read spec file {path}: {exc}") from exc
     return spec_from_json(text)
+
+
+def _space(cfg: RunConfig) -> FockSpace:
+    """The space of ``--spec``, ``--trunc`` and ``--coeff-dim``."""
+    spec = _load_spec(cfg.spec_path)
+    return FockSpace(spec, _broadcast_trunc(cfg.trunc, spec.k), coeff_dim=cfg.coeff_dim)
+
+
+def _save_matrix(out: Path, name: str, mat: linalg.MatrixLike) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / name, "w") as fh:
+        linalg.save_matrix(fh, mat)
 
 
 def _finite_json(value):
@@ -163,7 +182,7 @@ def _load_operator(space: FockSpace, path: str) -> FockOperator:
         raise DimensionMismatch(
             f"operator shape {mat.shape} does not match space dimension {space.total_dim}"
         )
-    return FockOperator(space, mat.tocsr(), Path(path).stem)
+    return FockOperator(space, mat.tocsr())
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -228,24 +247,21 @@ def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = _load_spec(cfg.spec_path)
-    trunc = _broadcast_trunc(cfg.trunc, spec.k)
-    space = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim)
+    space = _space(cfg)
+    spec, trunc = space.spec, space.trunc
 
     W = universal_tuple(space, side="left")
     defect_residual = _vacuum_residual(defect(spec, W, spec.m))
     pure, pure_report = is_pure(spec, W, power_cap=max(trunc) + 1, tol=cfg.tol)
 
     if cfg.out is not None:
-        cfg.out.mkdir(parents=True, exist_ok=True)
         for i in range(spec.k):
             for j in range(1, spec.n[i] + 1):
                 for tag, op in (
                     ("W", weighted_left_creation(space, i, j)),
                     ("Lambda", weighted_right_creation(space, i, j)),
                 ):
-                    with open(cfg.out / f"{tag}_{i + 1}_{j}.mtx", "w") as fh:
-                        linalg.save_matrix(fh, op.matrix)
+                    _save_matrix(cfg.out, f"{tag}_{i + 1}_{j}.mtx", op.matrix)
     passed = defect_residual <= cfg.tol and pure
     report = {
         "command": "model",
@@ -263,10 +279,7 @@ def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_toeplitz(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = _load_spec(cfg.spec_path)
-    trunc = _broadcast_trunc(cfg.trunc, spec.k)
-    space = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim)
-    T = _load_operator(space, args.operator)
+    T = _load_operator(_space(cfg), args.operator)
     report = is_multi_toeplitz(T, tol=cfg.tol)
     sys.stdout.write(report.render() + "\n")
     doc = {"command": "toeplitz", "report": report.to_dict()}
@@ -291,10 +304,7 @@ def _load_symbol(space: FockSpace, path: str) -> FourierSymbol:
 
 
 def cmd_fourier(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = _load_spec(cfg.spec_path)
-    trunc = _broadcast_trunc(cfg.trunc, spec.k)
-    space = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim)
-    sym = _load_symbol(space, args.symbol)
+    sym = _load_symbol(_space(cfg), args.symbol)
     op = evaluate_at_model(sym, args.radius)
     report = {
         "command": "fourier",
@@ -304,9 +314,7 @@ def cmd_fourier(cfg: RunConfig, args: argparse.Namespace) -> int:
         "passed": True,
     }
     if cfg.out is not None:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-        with open(cfg.out / "operator.mtx", "w") as fh:
-            linalg.save_matrix(fh, op.matrix)
+        _save_matrix(cfg.out, "operator.mtx", op.matrix)
     _emit(report, cfg.out, "fourier-report.json")
     return EXIT_PASS
 
@@ -338,7 +346,7 @@ def _load_tuple(spec: PolydomainSpec, manifest_path: str) -> OperatorTuple:
                 raise DimensionMismatch(f"{fname}: shape {mat.shape} differs from dim_h {dim_h}")
             mats.append(linalg.as_dense(mat))
         ops.append(tuple(mats))
-    return OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h, label=manifest_path)
+    return OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h)
 
 
 def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -374,18 +382,14 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
         transformed = berezin_transform(T, X, kernel)
         report["transform_norm"] = linalg.op_norm(transformed)
         if cfg.out is not None:
-            cfg.out.mkdir(parents=True, exist_ok=True)
-            with open(cfg.out / "berezin-transform.mtx", "w") as fh:
-                linalg.save_matrix(fh, transformed)
+            _save_matrix(cfg.out, "berezin-transform.mtx", transformed)
     _emit(report, cfg.out, "berezin-report.json")
     return EXIT_PASS if passed else EXIT_FAIL
 
 
 def cmd_brown_halmos(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = _load_spec(cfg.spec_path)
-    trunc = _broadcast_trunc(cfg.trunc, spec.k)
-    space = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim)
-    T = _load_operator(space, args.operator)
+    T = _load_operator(_space(cfg), args.operator)
+    spec = T.space.spec
     if args.factor is not None:
         if not 1 <= args.factor <= spec.k:
             raise DimensionMismatch(f"--factor must lie in 1..{spec.k}")
@@ -406,10 +410,7 @@ def cmd_brown_halmos(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = _load_spec(cfg.spec_path)
-    trunc = _broadcast_trunc(cfg.trunc, spec.k)
-    space = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim)
-    sym = _load_symbol(space, args.symbol)
+    sym = _load_symbol(_space(cfg), args.symbol)
     gamma = pluriharmonic_kernel(sym, args.radius)
     op = evaluate_at_model(sym, args.radius)
     kernel_psd, kernel_min = linalg.psd_check(gamma, cfg.tol)
@@ -686,6 +687,8 @@ def run_verify_battery(seed: int, tol: float, trunc_degree: int = 4) -> dict:
 
 
 def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if len(cfg.trunc) != 1:
+        raise SpecError(f"verify takes one truncation degree, got {len(cfg.trunc)}")
     report = run_verify_battery(cfg.seed, cfg.tol, trunc_degree=cfg.trunc[0])
     _emit(report, cfg.out, "verify-report.json")
     return EXIT_PASS if report["passed"] else EXIT_FAIL
@@ -701,54 +704,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_spec: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, *shared: str, needs_spec: bool = True) -> None:
+        """``--trunc``, ``--out`` and the ``_SHARED`` options the subcommand reads."""
         if needs_spec:
             p.add_argument("--spec", required=True, help="polydomain spec JSON file")
         p.add_argument("--trunc", default="4", help="truncation degrees, e.g. '4' or '4,3'")
-        p.add_argument("--coeff-dim", type=int, default=1, help="coefficient space dimension")
-        p.add_argument("--tol", type=float, default=1e-9, help="verification tolerance")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks")
+        for name in shared:
+            p.add_argument(f"--{name}", **_SHARED[name])
         p.add_argument("--out", default=None, help="output directory (stdout if omitted)")
 
     p = sub.add_parser("weights", help="build weight tables, oracle cross-check, ratio trend")
-    common(p)
+    common(p, "tol", "seed")
     p.add_argument("--oracle-degree", type=int, default=6, help="max degree for oracle checks")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("model", help="construct the universal model and check its defect")
-    common(p)
+    common(p, "coeff-dim", "tol")
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("verify", help="run the full property battery")
-    common(p, needs_spec=False)
+    common(p, "tol", "seed", needs_spec=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("toeplitz", help="classify an operator file and extract its symbol")
-    common(p)
+    common(p, "coeff-dim", "tol")
     p.add_argument("--operator", required=True, help="operator in coordinate matrix format")
     p.add_argument("--drop-tol", type=float, default=0.0, help="drop coefficients at/below this")
     p.set_defaults(func=cmd_toeplitz)
 
     p = sub.add_parser("fourier", help="evaluate a symbol file radially at the model")
-    common(p)
+    common(p, "coeff-dim")
     p.add_argument("--symbol", required=True, help="symbol JSON file")
     p.add_argument("--radius", type=float, default=1.0)
     p.set_defaults(func=cmd_fourier)
 
     p = sub.add_parser("berezin", help="kernel checks for an operator tuple manifest")
-    common(p)
+    common(p, "coeff-dim", "tol")
     p.add_argument("--tuple", required=True, help="tuple manifest JSON")
     p.add_argument("--operator", default=None, help="optional operator to transform")
     p.set_defaults(func=cmd_berezin)
 
     p = sub.add_parser("brown-halmos", help="structural-equation residuals of an operator")
-    common(p)
+    common(p, "coeff-dim", "tol")
     p.add_argument("--operator", required=True)
     p.add_argument("--factor", type=int, default=None, help="1-based factor selector")
     p.set_defaults(func=cmd_brown_halmos)
 
     p = sub.add_parser("kernel-psd", help="compare kernel and model positivity of a symbol")
-    common(p)
+    common(p, "coeff-dim", "tol")
     p.add_argument("--symbol", required=True)
     p.add_argument("--radius", type=float, default=0.5)
     p.set_defaults(func=cmd_kernel_psd)
@@ -759,14 +762,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    shared = {
+        name: getattr(args, name.replace("-", "_"), option["default"])
+        for name, option in _SHARED.items()
+    }
     try:
         cfg = RunConfig(
-            command=args.command,
             spec_path=getattr(args, "spec", None),
             trunc=tuple(int(x) for x in str(args.trunc).split(",")),
-            coeff_dim=getattr(args, "coeff_dim", 1),
-            tol=args.tol,
-            seed=args.seed,
+            coeff_dim=shared["coeff-dim"],
+            tol=shared["tol"],
+            seed=shared["seed"],
             out=Path(args.out) if args.out else None,
         )
         return args.func(cfg, args)

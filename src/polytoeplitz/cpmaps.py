@@ -62,7 +62,6 @@ class OperatorTuple:
     ops: tuple[tuple[Matrix, ...], ...]
     dim_h: int
     commutation_checked: bool = False
-    label: str = ""
     universal: bool = False
     _word_cache: dict = field(default_factory=dict, repr=False)
     _action_cache: dict = field(default_factory=dict, repr=False)
@@ -79,8 +78,12 @@ class OperatorTuple:
                 if X.shape != (self.dim_h, self.dim_h):
                     raise DimensionMismatch("operator shape differs from dim_h")
 
-    def check_commutation(self, tol: float = 1e-10) -> float:
-        """Max cross-factor commutator norm; marks the tuple checked when small."""
+    def check_commutation(self) -> float:
+        """Max relative cross-factor commutator norm; marks the tuple checked.
+
+        Each commutator norm is divided by ``max(1, ||A|| ||B||)``; a worst
+        value above ``1e-10`` raises :class:`SpecError`.
+        """
         worst = 0.0
         for p, q in itertools.combinations(range(self.spec.k), 2):
             for A in self.ops[p]:
@@ -88,8 +91,8 @@ class OperatorTuple:
                     comm = A @ B - B @ A
                     scale = max(1.0, linalg.op_norm(A) * linalg.op_norm(B))
                     worst = max(worst, linalg.op_norm(comm) / scale)
-        if worst > tol:
-            raise SpecError(f"cross-factor commutation violated: {worst:.3e} > {tol:.1e}")
+        if worst > 1e-10:
+            raise SpecError(f"cross-factor commutation violated: {worst:.3e} > 1e-10")
         self.commutation_checked = True
         return worst
 
@@ -142,7 +145,6 @@ class OperatorTuple:
             ops=tuple(tuple(r * X for X in fac) for fac in self.ops),
             dim_h=self.dim_h,
             commutation_checked=self.commutation_checked,
-            label=f"{r:g}*{self.label}" if self.label else "",
         )
 
 
@@ -165,7 +167,6 @@ def universal_tuple(space: FockSpace, side: str = "left") -> OperatorTuple:
         ops=ops,
         dim_h=space.dim,
         commutation_checked=True,
-        label=f"model[{side}]",
         universal=True,
     )
 
@@ -348,7 +349,7 @@ def berezin_kernel(
     trunc = tuple(int(L) for L in trunc)
     table = build_weight_table(spec, trunc)
     delta = defect(spec, X, spec.m)
-    root = linalg.herm_sqrt(delta, tol=1e-10)
+    root = linalg.herm_sqrt(delta)
     space = FockSpace(spec, trunc, coeff_dim=1, weights=table)
     rows = np.empty((space.dim, X.dim_h, X.dim_h), dtype=complex)
     for idx, w in enumerate(space.basis()):
@@ -474,7 +475,7 @@ def random_pure_tuple(
             after = int(np.prod(dims[i + 1 :])) if i + 1 < spec.k else 1
             row.append(np.kron(np.kron(np.eye(before), Y), np.eye(after)).astype(complex))
         ops.append(tuple(row))
-    raw = OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h, label="random")
+    raw = OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h)
     raw.commutation_checked = True
 
     def member_at(r: float) -> bool:
@@ -493,6 +494,4 @@ def random_pure_tuple(
             lo = mid
         else:
             hi = mid
-    out = raw.scaled(shrink * lo)
-    out.label = f"random(r={shrink * lo:.6f})"
-    return out
+    return raw.scaled(shrink * lo)

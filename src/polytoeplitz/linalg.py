@@ -72,51 +72,45 @@ def psd_check(mat: MatrixLike, tol: float = 1e-9) -> Tuple[bool, float]:
 def op_norm(mat: MatrixLike) -> float:
     """Largest singular value; 0.0 for a matrix with no nonzero entry.
 
-    The zero case is answered directly because Lanczos cannot start from it.
-    Above the dense cutoff, a sparse matrix whose stored entries all sit on
-    the diagonal gets its exact norm, the largest entry modulus, instead of
-    a Lanczos estimate.
+    Up to the dense cutoff (or with a side of at most 2) the norm is the dense
+    2-norm.  Above it every input takes one path, so the result does not
+    depend on how the operator is stored: convert to CSR, answer the zero
+    matrix directly (Lanczos cannot start from it), give a matrix whose
+    stored entries all sit on the diagonal its exact norm, the largest entry
+    modulus, and run Lanczos (``svds`` from the all-ones vector) otherwise.
     """
-    if sp.issparse(mat):
-        if mat.count_nonzero() == 0:
+    if max(mat.shape) > _DENSE_NORM_CUTOFF and min(mat.shape) > 2:
+        csr = sp.csr_matrix(mat)
+        if csr.count_nonzero() == 0:
             return 0.0
-        if min(mat.shape) <= 2:
-            return op_norm(as_dense(mat))
-        if max(mat.shape) > _DENSE_NORM_CUTOFF:
-            coo = sp.coo_matrix(mat)
-            coo.sum_duplicates()
-            if np.array_equal(coo.row, coo.col):
-                return float(np.abs(coo.data).max())
-            v0 = np.ones(min(mat.shape))
-            s = scipy.sparse.linalg.svds(
-                mat.astype(complex), k=1, v0=v0, return_singular_vectors=False
-            )
-            return float(s[0])
-        mat = as_dense(mat)
-    m = np.asarray(mat)
-    if not m.any():
-        return 0.0
-    if max(m.shape) > _DENSE_NORM_CUTOFF and min(m.shape) > 2:
-        v0 = np.ones(min(m.shape))
+        coo = csr.tocoo()
+        coo.sum_duplicates()
+        if np.array_equal(coo.row, coo.col):
+            return float(np.abs(coo.data).max())
+        v0 = np.ones(min(mat.shape))
         s = scipy.sparse.linalg.svds(
-            np.asarray(m, dtype=complex), k=1, v0=v0, return_singular_vectors=False
+            csr.astype(complex), k=1, v0=v0, return_singular_vectors=False
         )
         return float(s[0])
+    m = as_dense(mat) if sp.issparse(mat) else np.asarray(mat)
+    if not m.any():
+        return 0.0
     return float(np.linalg.norm(m, 2))
 
 
-def herm_sqrt(mat: MatrixLike, tol: float = 1e-10) -> np.ndarray:
+def herm_sqrt(mat: MatrixLike) -> np.ndarray:
     """Hermitian square root via eigendecomposition.
 
-    Eigenvalues in ``[-tol*scale, 0)`` are clamped to zero; anything more
-    negative is a genuine failure and raises.
+    Eigenvalues in ``[-1e-10*scale, 0)``, with ``scale = max(1, lambda_max)``,
+    are clamped to zero; anything more negative is a genuine failure and
+    raises.
     """
     h = hermitize(mat)
     eigs, vecs = np.linalg.eigh(h)
     scale = max(1.0, float(eigs[-1])) if eigs.size else 1.0
-    if eigs.size and eigs[0] < -tol * scale:
+    if eigs.size and eigs[0] < -1e-10 * scale:
         raise SpecError(
-            f"herm_sqrt input is not PSD: min eigenvalue {eigs[0]:.3e} below -{tol:.1e}*scale"
+            f"herm_sqrt input is not PSD: min eigenvalue {eigs[0]:.3e} below -1.0e-10*scale"
         )
     clipped = np.clip(eigs, 0.0, None)
     return (vecs * np.sqrt(clipped)) @ vecs.conj().T

@@ -130,7 +130,7 @@ class FockSpace:
 
     # -- operator construction ----------------------------------------------
 
-    def lift(self, fock_matrix: Union[np.ndarray, sp.spmatrix], label: str = "") -> "FockOperator":
+    def lift(self, fock_matrix: Union[np.ndarray, sp.spmatrix]) -> "FockOperator":
         """Ampliate a Fock-only matrix by the identity on the coefficient space."""
         if self.coeff_dim == 1:
             mat = fock_matrix
@@ -138,7 +138,7 @@ class FockSpace:
             mat = sp.kron(sp.identity(self.coeff_dim, format="csr"), fock_matrix, format="csr")
         else:
             mat = np.kron(np.eye(self.coeff_dim), fock_matrix)
-        return FockOperator(self, mat, label)
+        return FockOperator(self, mat)
 
     def factor_creation(self, i: int, word: Word, side: str = "left") -> sp.csr_matrix:
         """Per-factor creation matrix for a whole word on factor ``i``.
@@ -220,7 +220,7 @@ class FockSpace:
         return cache[key]
 
     def identity(self) -> "FockOperator":
-        return FockOperator(self, sp.identity(self.total_dim, format="csr", dtype=complex), "I")
+        return FockOperator(self, sp.identity(self.total_dim, format="csr", dtype=complex))
 
     # -- comparability structure --------------------------------------------
 
@@ -298,7 +298,6 @@ class FockOperator:
 
     space: FockSpace
     matrix: Union[np.ndarray, sp.spmatrix]
-    label: str = ""
 
     def __post_init__(self) -> None:
         n = self.space.total_dim
@@ -312,22 +311,22 @@ class FockOperator:
         return linalg.as_dense(self.matrix)
 
     def adjoint(self) -> "FockOperator":
-        return FockOperator(self.space, linalg.adjoint(self.matrix), f"({self.label})*")
+        return FockOperator(self.space, linalg.adjoint(self.matrix))
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         self._check_same_space(other)
-        return FockOperator(self.space, self.matrix @ other.matrix, f"{self.label}{other.label}")
+        return FockOperator(self.space, self.matrix @ other.matrix)
 
     def __add__(self, other: "FockOperator") -> "FockOperator":
         self._check_same_space(other)
-        return FockOperator(self.space, self.matrix + other.matrix, self.label)
+        return FockOperator(self.space, self.matrix + other.matrix)
 
     def __sub__(self, other: "FockOperator") -> "FockOperator":
         self._check_same_space(other)
-        return FockOperator(self.space, self.matrix - other.matrix, self.label)
+        return FockOperator(self.space, self.matrix - other.matrix)
 
     def __rmul__(self, c: complex) -> "FockOperator":
-        return FockOperator(self.space, c * self.matrix, self.label)
+        return FockOperator(self.space, c * self.matrix)
 
     def norm(self) -> float:
         return linalg.op_norm(self.matrix)
@@ -554,12 +553,12 @@ def _build_pair_structure(space: FockSpace) -> PairStructure:
 # -- universal model operators ----------------------------------------------
 
 
-def _weighted_creation(space: FockSpace, i: int, j: int, side: str, name: str) -> FockOperator:
+def _weighted_creation(space: FockSpace, i: int, j: int, side: str) -> FockOperator:
     n = space.spec.n[i]
     if not 1 <= j <= n:
         raise DimensionMismatch(f"generator index {j} outside 1..{n}")
     mat = space.creation_product(space.single(i, Word((j,), n)), side=side)
-    return space.lift(mat, f"{name}[{i + 1},{j}]")
+    return space.lift(mat)
 
 
 def weighted_left_creation(space: FockSpace, i: int, j: int) -> FockOperator:
@@ -569,12 +568,12 @@ def weighted_left_creation(space: FockSpace, i: int, j: int) -> FockOperator:
     zero when the shift leaves the truncation; ampliated over the other
     factors and the coefficient space.
     """
-    return _weighted_creation(space, i, j, "left", "W")
+    return _weighted_creation(space, i, j, "left")
 
 
 def weighted_right_creation(space: FockSpace, i: int, j: int) -> FockOperator:
     """The weighted right creation by generator ``g_j`` of factor ``i``."""
-    return _weighted_creation(space, i, j, "right", "L")
+    return _weighted_creation(space, i, j, "right")
 
 
 def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> FockOperator:
@@ -599,7 +598,7 @@ def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> Fock
         mat = complex(A[0, 0]) * fock
     else:
         mat = sp.kron(sp.csr_matrix(A), fock, format="csr")
-    return FockOperator(space, mat, f"A(x)W{pair.render()}")
+    return FockOperator(space, mat)
 
 
 def graded_projection(space: FockSpace, p: Sequence[int]) -> FockOperator:
@@ -616,7 +615,7 @@ def graded_projection(space: FockSpace, p: Sequence[int]) -> FockOperator:
         diag = np.zeros(space.dim)
     else:
         diag = np.all(degs == target[None, :], axis=1).astype(float)
-    return space.lift(sp.diags(diag.astype(complex)), f"P{tuple(int(x) for x in p)}")
+    return space.lift(sp.diags(diag.astype(complex)))
 
 
 def weighted_fock_unitary(space: FockSpace, direction: str = "forward") -> FockOperator:
@@ -635,7 +634,7 @@ def weighted_fock_unitary(space: FockSpace, direction: str = "forward") -> FockO
         diag = 1.0 / np.sqrt(entries)
     else:
         raise SpecError(f"unknown direction {direction!r}")
-    return space.lift(sp.diags(diag.astype(complex)), f"U[{direction}]")
+    return space.lift(sp.diags(diag.astype(complex)))
 
 
 # -- scalar reproducing kernel (all n_i = 1) ---------------------------------

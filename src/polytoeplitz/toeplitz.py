@@ -270,11 +270,7 @@ def homogeneous_part(T: FockOperator, s: Sequence[int]) -> FockOperator:
         hit = code == int((target + L) @ place)
     else:
         hit = np.zeros(code.size, dtype=bool)
-    return FockOperator(
-        space,
-        _csr(rows[hit], mat.indices[hit], mat.data[hit], space.total_dim),
-        f"{T.label}_s{tuple(int(x) for x in s)}",
-    )
+    return FockOperator(space, _csr(rows[hit], mat.indices[hit], mat.data[hit], space.total_dim))
 
 
 def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOperator]:
@@ -295,9 +291,7 @@ def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOper
     parts: dict[tuple[int, ...], FockOperator] = {}
     for idx in np.split(order, bounds) if order.size else []:
         s = _gap_vector(space, int(code[idx[0]]))
-        parts[s] = FockOperator(
-            space, _csr(rows[idx], mat.indices[idx], mat.data[idx], n), f"{T.label}_s{s}"
-        )
+        parts[s] = FockOperator(space, _csr(rows[idx], mat.indices[idx], mat.data[idx], n))
     return parts
 
 
@@ -367,9 +361,7 @@ def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     keys, vals = keys[order], vals[order]
     nonzero = vals != 0
     rows, cols = np.divmod(keys[nonzero], n)
-    return FockOperator(
-        space, _csr(rows, cols, vals[nonzero], n), f"F({r:g}W)" if sym.coefficients else "0"
-    )
+    return FockOperator(space, _csr(rows, cols, vals[nonzero], n))
 
 
 def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
@@ -423,11 +415,7 @@ def cesaro_reconstruct(
     kept = weight != 0.0
     vals = mat.data[kept]
     vals *= weight[kept]
-    return FockOperator(
-        space,
-        _csr(rows[kept], mat.indices[kept], vals, space.total_dim),
-        f"Cesaro[{tuple(int(x) for x in N)}]{T.label}",
-    )
+    return FockOperator(space, _csr(rows[kept], mat.indices[kept], vals, space.total_dim))
 
 
 def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> np.ndarray:
@@ -459,22 +447,21 @@ def random_symbol(
     rng: np.random.Generator,
     n_monomials: int = 6,
     hermitian: bool = False,
-    include_identity_pair: bool = True,
 ) -> FourierSymbol:
     """A random finitely supported symbol on ``space`` (test helper).
 
-    Draws distinct reduced pairs from the truncation and attaches normalized
-    complex Gaussian coefficient matrices; with ``hermitian`` the symbol is
-    symmetrized so the evaluated operator is self-adjoint.
+    Draws distinct reduced pairs from the truncation, always including the
+    identity pair (it replaces the last draw when not drawn), and attaches
+    normalized complex Gaussian coefficient matrices; with ``hermitian`` the
+    symbol is symmetrized so the evaluated operator is self-adjoint.
     """
     ps = space.pair_structure()
     c = space.coeff_dim
     count = max(1, min(n_monomials, ps.n_classes))
     chosen = rng.choice(ps.n_classes, size=count, replace=False)
-    if include_identity_pair:
-        zero_cls = int(ps.cls[ps.positions([0], [0])[0]])
-        if zero_cls not in chosen:
-            chosen = np.append(chosen[:-1], zero_cls)
+    zero_cls = int(ps.cls[ps.positions([0], [0])[0]])
+    if zero_cls not in chosen:
+        chosen = np.append(chosen[:-1], zero_cls)
     coeffs: dict[IndexPair, np.ndarray] = {}
     for cdx in chosen:
         A = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -6,10 +7,15 @@ import numpy as np
 import pytest
 
 from polytoeplitz import linalg
-from polytoeplitz.cli import _nanmax, main
+from polytoeplitz.cli import _nanmax, build_parser, main
 from polytoeplitz.cpmaps import universal_tuple
 from polytoeplitz.model import FockSpace
-from polytoeplitz.toeplitz import evaluate_at_model, random_symbol, symbol_to_json
+from polytoeplitz.toeplitz import (
+    evaluate_at_model,
+    random_symbol,
+    symbol_from_json,
+    symbol_to_json,
+)
 from polytoeplitz.weights import spec_from_json
 
 
@@ -408,3 +414,56 @@ def test_invalid_tolerance_exits_2(tmp_path):
     spec_path = write_spec(tmp_path / "spec.json", BERGMAN)
     rc = main(["weights", "--spec", spec_path, "--trunc", "4", "--tol", "-1"])
     assert rc == 2
+
+
+def test_op_norm_does_not_depend_on_storage_above_cutoff():
+    # the `deep` planted operator (bench/gen.py --workload deep --seed 0) at
+    # radius 0.5, dim 2047: CSR and dense storage take one Lanczos path
+    space = FockSpace(spec_from_json(json.dumps(DEEP)), (10,))
+    doc = (Path(__file__).parent / "data" / "deep_planted_symbol.json").read_text()
+    A = evaluate_at_model(symbol_from_json(space, doc), 0.5).matrix
+    assert linalg.op_norm(A) == linalg.op_norm(A.toarray())
+
+
+def test_verify_rejects_per_factor_truncation(capsys):
+    # the battery draws its own specs, so it takes one degree, not one per factor
+    assert main(["verify", "--trunc", "4,3"]) == 2
+    assert "one truncation degree" in capsys.readouterr().err
+
+
+# the options of each subcommand: each is read by its command, and a new one must be added here
+OPTIONS = {
+    "weights": {"--spec", "--trunc", "--tol", "--seed", "--out", "--oracle-degree"},
+    "model": {"--spec", "--trunc", "--coeff-dim", "--tol", "--out"},
+    "verify": {"--trunc", "--tol", "--seed", "--out"},
+    "toeplitz": {"--spec", "--trunc", "--coeff-dim", "--tol", "--out", "--operator", "--drop-tol"},
+    "fourier": {"--spec", "--trunc", "--coeff-dim", "--out", "--symbol", "--radius"},
+    "berezin": {"--spec", "--trunc", "--coeff-dim", "--tol", "--out", "--tuple", "--operator"},
+    "brown-halmos": {"--spec", "--trunc", "--coeff-dim", "--tol", "--out", "--operator", "--factor"},
+    "kernel-psd": {"--spec", "--trunc", "--coeff-dim", "--tol", "--out", "--symbol", "--radius"},
+}
+
+
+def test_subcommand_options_match_the_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert got == OPTIONS
+
+
+def test_option_the_command_does_not_read_is_rejected(tmp_path, capsys):
+    # each of these ran, ignoring the option, when every subcommand took every option
+    spec = write_spec(tmp_path / "spec.json", BERGMAN)
+    golden = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
+              "--symbol", str(GOLDEN_FOURIER / "symbol.json")]
+    for argv in (
+        ["model", "--spec", spec, "--trunc", "3", "--seed", "1"],
+        ["fourier", *golden, "--tol", "1e-3"],
+        ["verify", "--coeff-dim", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

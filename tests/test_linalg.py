@@ -102,12 +102,12 @@ class TestHermSqrt:
 
     def test_clamps_tiny_negatives(self):
         M = np.diag([1.0, -1e-12])
-        R = herm_sqrt(M, tol=1e-10)
+        R = herm_sqrt(M)
         assert R[1, 1] == 0.0
 
     def test_rejects_genuinely_negative(self):
         with pytest.raises(SpecError):
-            herm_sqrt(np.diag([1.0, -0.5]), tol=1e-10)
+            herm_sqrt(np.diag([1.0, -0.5]))
 
 
 class TestPinvOnRange:

@@ -174,7 +174,7 @@ class TestEvaluateSymbol:
     def test_radius_zero_keeps_constant_term(self, rng):
         spec = random_spec(rng, k=1, max_n=2)
         space = FockSpace(spec, (3,), coeff_dim=2)
-        sym = random_symbol(space, rng, n_monomials=6, include_identity_pair=True)
+        sym = random_symbol(space, rng, n_monomials=6)
         e = MultiWord.identity(spec.n)
         const = sym.coefficients[IndexPair(e, e)]
         out = evaluate_at_model(sym, 0.0)
