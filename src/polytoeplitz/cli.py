@@ -279,6 +279,8 @@ def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_toeplitz(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if not args.drop_tol >= 0.0:
+        raise SpecError(f"--drop-tol must be >= 0, got {args.drop_tol}")
     T = _load_operator(_space(cfg), args.operator)
     report = is_multi_toeplitz(T, tol=cfg.tol)
     sys.stdout.write(report.render() + "\n")

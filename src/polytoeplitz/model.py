@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -229,6 +229,84 @@ class FockSpace:
             self._pairs = _build_pair_structure(self)
         return self._pairs
 
+    def classify_pairs(self, rows: np.ndarray, cols: np.ndarray) -> "PairClasses":
+        """Comparability, reduced class and entry weights of the basis pairs ``(rows, cols)``.
+
+        Per factor the shorter word of a pair must be the suffix of the longer
+        one of its length (:func:`_suffix_quotient`); the quotient left over
+        names the factor's reduced pair under the id scheme of
+        :func:`_factor_pairs`, and the factor weighs ``sqrt(b_shorter /
+        b_longer)``.  Weights multiply in factor order, as in the pair
+        arrays, so every value equals the pair structure's bit for bit.
+        Storage is linear in the number of pairs asked about.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        comparable = np.ones(rows.size, dtype=bool)
+        cls = np.zeros(rows.size, dtype=np.int64)
+        rep_row = np.zeros(rows.size, dtype=np.int64)
+        rep_col = np.zeros(rows.size, dtype=np.int64)
+        tau = tau_rep = None
+        stride = self.dim
+        for i, count in enumerate(self.factor_dims):
+            stride //= count
+            r, c = rows // stride % count, cols // stride % count
+            lengths = self.factor_layouts[i][1]
+            row_long = lengths[r] >= lengths[c]
+            longer = np.where(row_long, r, c)
+            shorter = np.where(row_long, c, r)
+            suffix, quot = _suffix_quotient(self.factor_layouts[i], self.spec.n[i], longer, lengths[shorter])
+            comparable &= suffix == shorter
+            cls = cls * (2 * count - 1) + np.where(row_long, quot, count + quot - 1)
+            rep_row = rep_row * count + np.where(row_long, quot, 0)
+            rep_col = rep_col * count + np.where(row_long, 0, quot)
+            b = self.weights.values[i]
+            t, t_rep = np.sqrt(b[shorter] / b[longer]), np.sqrt(b[0] / b[quot])
+            tau = t if tau is None else tau * t
+            tau_rep = t_rep if tau_rep is None else tau_rep * t_rep
+        return PairClasses(comparable, cls, tau, tau_rep, rep_row * self.dim + rep_col)
+
+    def class_members(self, classes: np.ndarray) -> np.ndarray:
+        """Row-major keys ``row * dim + col`` of the comparable pairs in the given classes.
+
+        Per factor a class ``(q, e)`` holds the pairs ``(q.y, y)`` and a class
+        ``(e, q)`` the pairs ``(y, q.y)``, for every word ``y`` with ``|q| +
+        |y| <= L``: the first ``start[L - |q| + 1]`` ranks.  A class's members
+        are the products of its factors' members, first factor slowest.
+        """
+        classes = np.asarray(classes, dtype=np.int64)
+        per_factor = []  # (quotient, row is the longer word, member count) per factor and class
+        rem = classes
+        for i in reversed(range(self.spec.k)):
+            count = self.factor_dims[i]
+            rem, jid = np.divmod(rem, 2 * count - 1)
+            row_long = jid < count
+            quot = np.where(row_long, jid, jid - count + 1)
+            start, lengths, _ = self.factor_layouts[i]
+            per_factor.append((quot, row_long, start[self.trunc[i] - lengths[quot] + 1]))
+        per_factor.reverse()
+        sizes = np.ones(classes.size, dtype=np.int64)
+        for _, _, size in per_factor:
+            sizes *= size
+        owner = np.repeat(np.arange(classes.size), sizes)
+        # position of each member within its class, and the class's remaining stride
+        within = np.arange(owner.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        stride = sizes[owner]
+        keys_row = np.zeros(owner.size, dtype=np.int64)
+        keys_col = np.zeros(owner.size, dtype=np.int64)
+        for i, (quot, row_long, size) in enumerate(per_factor):
+            stride //= size[owner]
+            y = within // stride % size[owner]
+            q, long_row = quot[owner], row_long[owner]
+            start, lengths, offsets = self.factor_layouts[i]
+            e = lengths[y]
+            # the word q.y: its quotient by the length-e suffix is q
+            qy = start[lengths[q] + e] + offsets[q] * self.spec.n[i] ** e + offsets[y]
+            count = self.factor_dims[i]
+            keys_row = keys_row * count + np.where(long_row, qy, y)
+            keys_col = keys_col * count + np.where(long_row, y, qy)
+        return keys_row * self.dim + keys_col
+
 
 # -- stored-entry kernels ------------------------------------------------------
 # Operators with at most one entry per row and per column (creations and their
@@ -341,6 +419,16 @@ class FockOperator:
             other.space.total_dim != self.space.total_dim
         ):
             raise DimensionMismatch("operators live on different spaces")
+
+
+class PairClasses(NamedTuple):
+    """Per basis pair, from :meth:`FockSpace.classify_pairs`; all but ``comparable`` hold only where it does."""
+
+    comparable: np.ndarray    # bool
+    cls: np.ndarray           # reduced-pair class id
+    tau: np.ndarray           # entry weight
+    tau_rep: np.ndarray       # entry weight of the class representative
+    rep: np.ndarray           # row-major key rep_row * dim + rep_col of the representative
 
 
 @dataclass
@@ -457,26 +545,37 @@ class PairStructure:
         return [self.class_pair(c) for c in range(self.n_classes)]
 
 
-def _factor_pairs(space: FockSpace, i: int):
-    """Comparable pairs of factor ``i``: ``(rows, cols, tau, jid)`` row-major, and the class count.
+def _suffix_quotient(layout, n: int, longer: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks of the length-``e`` suffix and of the quotient left of it, for the words at ranks ``longer``.
 
     A word of length ``d`` at base-``n`` offset ``o`` (its rank minus the
     count of shorter words) has as length-``e`` suffix the word at offset
-    ``o mod n**e`` and as quotient the word at offset ``o // n**e``.  A pair
-    whose column right-divides its row reduces to ``(quotient, e)``, with id
-    the quotient's rank; the transposed pair reduces to ``(e, quotient)``,
-    with id ``count + rank - 1``.
+    ``o mod n**e`` and as quotient the word at offset ``o // n**e``.  ``e``
+    is one length or one per word.
+    """
+    start, lengths, offsets = layout
+    o, p = offsets[longer], n**e
+    return start[e] + o % p, start[lengths[longer] - e] + o // p
+
+
+def _factor_pairs(space: FockSpace, i: int):
+    """Comparable pairs of factor ``i``: ``(rows, cols, tau, jid)`` row-major, and the class count.
+
+    A pair whose column right-divides its row reduces to ``(quotient, e)``,
+    with id the quotient's rank; the transposed pair reduces to ``(e,
+    quotient)``, with id ``count + rank - 1``.
     """
     n, L = space.spec.n[i], space.trunc[i]
     count = space.factor_dims[i]
-    start, lengths, offsets = space.factor_layouts[i]
+    lengths = space.factor_layouts[i][1]
     b = space.weights.values[i]
     big, small, quot = [], [], []
     for e in range(L + 1):
         x = np.flatnonzero(lengths >= e)
+        s, q = _suffix_quotient(space.factor_layouts[i], n, x, e)
         big.append(x)
-        small.append(start[e] + offsets[x] % n**e)
-        quot.append(start[lengths[x] - e] + offsets[x] // n**e)
+        small.append(s)
+        quot.append(q)
     big, small, quot = (np.concatenate(a) for a in (big, small, quot))
     proper = big != small
     rows = np.concatenate([big, small[proper]])

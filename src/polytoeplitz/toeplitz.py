@@ -3,8 +3,8 @@
 An operator is weighted multi-Toeplitz when its matrix vanishes at
 non-comparable basis pairs and scales along comparable ones by the ratio of
 entry weights to the weight of the reduced representative.  The routines
-here vectorize that definition over the comparable pairs and the stored
-entries of an operator, extract the Fourier coefficient family, and rebuild
+here check that definition on the stored entries of an operator by
+word-offset arithmetic, extract the Fourier coefficient family, and rebuild
 operators from it.
 """
 
@@ -21,7 +21,7 @@ from . import linalg
 from .cpmaps import OperatorTuple
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import IndexPair, MultiWord, Word
-from .model import FockOperator, FockSpace, PairStructure
+from .model import FockOperator, FockSpace
 
 __all__ = [
     "FourierSymbol",
@@ -104,8 +104,12 @@ class ToeplitzReport:
     structural_violation: float = 0.0
     scaling_violation: float = 0.0
     tolerance: float = 0.0
-    # the (c, c, n_pairs) coefficient blocks at the comparable pairs, for extract_fourier
-    blocks: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    # for extract_fourier, the classes whose representative pair holds a stored
+    # entry, in class-id order: (representative keys row * dim + col, their
+    # entry weights, the (c, c, n) coefficient blocks there)
+    blocks: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -137,72 +141,91 @@ class ToeplitzReport:
         return "\n".join(lines)
 
 
-def _split_entries(T: FockOperator, ps: PairStructure):
-    """The stored entries of ``T`` split by comparability of their basis pair.
+def _words_at(space: FockSpace, key) -> tuple[MultiWord, MultiWord]:
+    """The basis multi-words of the basis pair with row-major key ``row * dim + col``."""
+    r, c = divmod(int(key), space.dim)
+    return space.multiword_at(r), space.multiword_at(c)
 
-    Returns ``(E, keys, mags)``: ``E`` is the ``(c, c, n_pairs)`` array of
-    coefficient blocks at the comparable pairs, and ``keys``/``mags`` are the
-    row-major keys ``row * dim + col`` and magnitudes of the entries at
-    non-comparable pairs.  ``T`` is never densified.
+
+def _gather(E: np.ndarray, keys: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """The blocks of ``E`` (one per sorted key in ``keys``) at the keys ``want``, zero where absent."""
+    pos = np.searchsorted(keys, want)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == want[hit]
+    out = np.zeros(E.shape[:2] + (want.size,), dtype=complex)
+    out[:, :, hit] = E[:, :, pos[hit]]
+    return out
+
+
+def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
+    """Decide weighted multi-Toeplitz structure over every basis pair, from the stored entries of ``T``.
+
+    Checks (a) zero entries at non-comparable pairs (absolute tolerance) and
+    (b) the weight-ratio relation against the reduced representative entry at
+    comparable pairs (relative to ``max(1, ||T||)``).  Each stored entry is
+    classified by word-offset arithmetic (:meth:`FockSpace.classify_pairs`).
+    The relation (b) can fail only at a stored entry or at a member of a class
+    whose representative entry is stored; the members of those classes are
+    enumerated (:meth:`FockSpace.class_members`) and every other comparable
+    pair has deviation exactly 0.  ``||T||`` is computed only when the scaling
+    deviation exceeds the structural one, the one case in which it can decide
+    the result.  The worst pair is the first maximum in row-major order.
+    Reduced representatives always sit inside the truncation, so no pair is
+    skipped; a count is kept anyway for the report schema.  Storage grows
+    with the stored entries and the members of the classes they touch, not
+    with ``dim**2`` or the number of comparable pairs.
     """
     space = T.space
-    c, d = space.coeff_dim, space.dim
+    d = space.dim
     coo = sp.coo_matrix(T.matrix)
     coo.sum_duplicates()
     x, rows = np.divmod(coo.row.astype(np.int64), d)
     y, cols = np.divmod(coo.col.astype(np.int64), d)
-    pos = ps.positions(rows, cols)
-    inside = pos >= 0
-    E = np.zeros((c, c, ps.rows.size), dtype=complex)
-    E[x[inside], y[inside], pos[inside]] = coo.data[inside]
-    outside = ~inside
-    return E, rows[outside] * d + cols[outside], np.abs(coo.data[outside])
-
-
-def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
-    """Decide weighted multi-Toeplitz structure over every basis pair.
-
-    Checks (a) zero entries at non-comparable pairs (absolute tolerance),
-    taken over the stored entries of ``T`` outside the comparable set, and
-    (b) the weight-ratio relation against the reduced representative entry at
-    comparable pairs (relative to ``max(1, ||T||)``).  The worst pair is the
-    first maximum in row-major order.  Reduced representatives always sit
-    inside the truncation, so no pair is skipped; a count is kept anyway for
-    the report schema.
-    """
-    space = T.space
-    ps = space.pair_structure()
-    E, out_keys, out_mags = _split_entries(T, ps)
-    norm_scale = max(1.0, linalg.op_norm(T.matrix))
+    entries = space.classify_pairs(rows, cols)
+    inside = entries.comparable
 
     structural = 0.0
     worst: Optional[tuple[MultiWord, MultiWord]] = None
+    out_mags = np.abs(coo.data[~inside])
     if out_mags.size:
         structural = float(out_mags.max())
         if structural > 0.0:
-            r, c = divmod(int(out_keys[out_mags == structural].min()), space.dim)
-            worst = (space.multiword_at(r), space.multiword_at(c))
+            out_keys = rows[~inside] * d + cols[~inside]
+            worst = _words_at(space, out_keys[out_mags == structural].min())
 
-    ratio = ps.tau / ps.tau_rep[ps.cls]
-    expected = ratio[None, None, :] * E[:, :, ps.rep_pos[ps.cls]]
-    dev = np.abs(E - expected).max(axis=(0, 1))
-    scaling = float(dev.max())
-    scaling_rel = scaling / norm_scale
-    if scaling_rel > max(structural, 0.0) and scaling > 0.0:
-        p = int(np.argmax(dev))
-        worst = (space.multiword_at(int(ps.rows[p])), space.multiword_at(int(ps.cols[p])))
+    # the coefficient blocks at the comparable pairs holding a stored entry
+    keys, slot = np.unique(rows[inside] * d + cols[inside], return_inverse=True)
+    E = np.zeros((space.coeff_dim, space.coeff_dim, keys.size), dtype=complex)
+    E[x[inside], y[inside], slot] = coo.data[inside]
+    at_rep = inside & (entries.rep == rows * d + cols)
+    classes, first = np.unique(entries.cls[at_rep], return_index=True)
+    rep_keys = entries.rep[at_rep][first]
+    blocks = (rep_keys, entries.tau_rep[at_rep][first], _gather(E, keys, rep_keys))
 
-    max_violation = max(structural, scaling_rel)
+    candidates = np.union1d(keys, space.class_members(classes))
+    cand = space.classify_pairs(candidates // d, candidates % d)
+    ratio = cand.tau / cand.tau_rep
+    expected = ratio[None, None, :] * _gather(E, keys, cand.rep)
+    dev = np.abs(_gather(E, keys, candidates) - expected).max(axis=(0, 1))
+    scaling = float(dev.max()) if dev.size else 0.0
+
+    max_violation = structural
+    # otherwise scaling / max(1, ||T||) <= structural; NaN takes this branch
+    if not scaling <= structural:
+        scaling_rel = scaling / max(1.0, linalg.op_norm(T.matrix))
+        if scaling_rel > max(structural, 0.0) and scaling > 0.0:
+            worst = _words_at(space, candidates[np.argmax(dev)])
+        max_violation = max(structural, scaling_rel)
     return ToeplitzReport(
         verdict=bool(max_violation <= tol),
         max_violation=max_violation,
         worst_pair=worst if max_violation > 0.0 else None,
-        checked_pairs=space.dim * space.dim,
+        checked_pairs=d * d,
         skipped_pairs=0,
         structural_violation=structural,
         scaling_violation=scaling,
         tolerance=tol,
-        blocks=E,
+        blocks=blocks,
     )
 
 
@@ -311,20 +334,24 @@ def extract_fourier(
 
     Each coefficient is the block at the representative pair divided by its
     entry weight (equivalently multiplied by the square-rooted weights of
-    both sides).  Refuses operators that fail :func:`is_multi_toeplitz`.
-    A caller that already holds ``is_multi_toeplitz(T, tol)`` passes it as
-    ``report``; its verdict and comparable-entry blocks are used instead of
-    classifying ``T`` again.
+    both sides); coefficients whose largest magnitude is at most
+    ``drop_tol`` (``>= 0``) are dropped, so classes without a stored
+    representative entry never appear.  Refuses operators that fail
+    :func:`is_multi_toeplitz`.  A caller that already holds
+    ``is_multi_toeplitz(T, tol)`` passes it as ``report``; its verdict and
+    representative blocks are used instead of classifying ``T`` again.
     """
+    if not drop_tol >= 0.0:
+        raise SpecError(f"drop tolerance must be >= 0, got {drop_tol}")
     if report is None:
         report = is_multi_toeplitz(T, tol=tol)
     if not report.verdict:
         raise NotMultiToeplitz(report)
     space = T.space
-    ps = space.pair_structure()
-    raw = report.blocks[:, :, ps.rep_pos] / ps.tau_rep[None, None, :]
+    rep_keys, tau_rep, E = report.blocks
+    raw = E / tau_rep[None, None, :]
     kept = np.flatnonzero(np.abs(raw).max(axis=(0, 1)) > drop_tol)
-    coeffs = {ps.class_pair(int(cdx)): np.array(raw[:, :, cdx]) for cdx in kept}
+    coeffs = {IndexPair(*_words_at(space, rep_keys[j])): np.array(raw[:, :, j]) for j in kept}
     return FourierSymbol(space, coeffs)
 
 

@@ -241,6 +241,19 @@ def test_non_finite_operator_entry_exits_2(tmp_path, rng, capsys, command, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("drop_tol", ["-1", "nan"])
+def test_negative_or_nan_drop_tol_exits_2(tmp_path, rng, capsys, drop_tol):
+    # -1 would keep every class, zero ones included; NaN would keep none
+    spec_path = write_spec(tmp_path / "spec.json", BALL)
+    op = _planted_file(tmp_path, rng)
+    out = tmp_path / "out"
+    argv = ["toeplitz", "--spec", spec_path, "--trunc", "3", "--operator", op, "--drop-tol", drop_tol]
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 2
+    assert "--drop-tol must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_non_finite_symbol_coefficient_exits_2(tmp_path, rng, capsys, bad):
     spec_path = write_spec(tmp_path / "spec.json", BALL)

@@ -11,8 +11,10 @@ matrices, operators as sums of sparse monomials) that the index-array
 implementations replaced are kept here as oracles; so are the dense symbol
 and grading layer (a dense scatter of monomials for the model evaluation,
 dense ``(dim, dim)`` degree masks and window weights for the homogeneous
-parts, their support and the windowed reconstruction).  The arithmetic per
-entry is unchanged, so they must agree exactly.
+parts, their support and the windowed reconstruction), and the
+classification and extraction over the arrays of every comparable pair that
+the stored-entry classifier replaced.  The arithmetic per entry is
+unchanged, so they must agree exactly.
 """
 
 import itertools
@@ -20,6 +22,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 
 from polytoeplitz.brownhalmos import (
     _min_positive_gram_eig,
@@ -57,6 +60,7 @@ from polytoeplitz.toeplitz import (
     ToeplitzReport,
     cesaro_reconstruct,
     evaluate_at_model,
+    extract_fourier,
     homogeneous_decomposition,
     homogeneous_part,
     homogeneous_support,
@@ -284,6 +288,62 @@ def dense_classification(T, tol=1e-10):
         scaling_violation=scaling,
         tolerance=tol,
     ).to_dict()
+
+
+def pair_array_classification(T, tol=1e-10):
+    """The classification over the pair structure's arrays of every comparable pair.
+
+    Returns the report dict and the ``(c, c, n_pairs)`` coefficient blocks
+    of ``T`` at the comparable pairs, the input of
+    :func:`pair_array_extraction`.  ``||T||`` is always computed.
+    """
+    space = T.space
+    ps = space.pair_structure()
+    c, d = space.coeff_dim, space.dim
+    coo = sp.coo_matrix(T.matrix)
+    coo.sum_duplicates()
+    x, rows = np.divmod(coo.row.astype(np.int64), d)
+    y, cols = np.divmod(coo.col.astype(np.int64), d)
+    pos = ps.positions(rows, cols)
+    inside = pos >= 0
+    E = np.zeros((c, c, ps.rows.size), dtype=complex)
+    E[x[inside], y[inside], pos[inside]] = coo.data[inside]
+    out_keys, out_mags = rows[~inside] * d + cols[~inside], np.abs(coo.data[~inside])
+    norm_scale = max(1.0, op_norm(T.matrix))
+    structural = 0.0
+    worst = None
+    if out_mags.size:
+        structural = float(out_mags.max())
+        if structural > 0.0:
+            r, c_ = divmod(int(out_keys[out_mags == structural].min()), d)
+            worst = (space.multiword_at(r), space.multiword_at(c_))
+    ratio = ps.tau / ps.tau_rep[ps.cls]
+    expected = ratio[None, None, :] * E[:, :, ps.rep_pos[ps.cls]]
+    dev = np.abs(E - expected).max(axis=(0, 1))
+    scaling = float(dev.max())
+    scaling_rel = scaling / norm_scale
+    if scaling_rel > max(structural, 0.0) and scaling > 0.0:
+        p = int(np.argmax(dev))
+        worst = (space.multiword_at(int(ps.rows[p])), space.multiword_at(int(ps.cols[p])))
+    max_violation = max(structural, scaling_rel)
+    report = ToeplitzReport(
+        verdict=bool(max_violation <= tol),
+        max_violation=max_violation,
+        worst_pair=worst if max_violation > 0.0 else None,
+        checked_pairs=d * d,
+        structural_violation=structural,
+        scaling_violation=scaling,
+        tolerance=tol,
+    )
+    return report.to_dict(), E
+
+
+def pair_array_extraction(T, E, drop_tol=0.0):
+    """The coefficients read off the representative entries of every class, in class-id order."""
+    ps = T.space.pair_structure()
+    raw = E[:, :, ps.rep_pos] / ps.tau_rep[None, None, :]
+    kept = np.flatnonzero(np.abs(raw).max(axis=(0, 1)) > drop_tol)
+    return {ps.class_pair(int(cdx)): np.array(raw[:, :, cdx]) for cdx in kept}
 
 
 def dense_phi_right(space, i, Y):
@@ -610,6 +670,120 @@ def test_classification_dense_and_csr_agree_with_ties(rng):
         # the first maximum in row-major order, as np.argmax picks over the dense grid
         first = [space.multiword_at(int(r)).render(), space.multiword_at(int(c)).render()]
         assert dense["worst_pair"] == first
+
+
+def test_classify_pairs_and_class_members_match_pair_structure(rng):
+    for space in oracle_spaces(rng):
+        ps = space.pair_structure()
+        comp, tau_, cls = dense_pair_tables(space)
+        d = space.dim
+        grid = space.classify_pairs(*np.divmod(np.arange(d * d), d))
+        assert np.array_equal(grid.comparable, comp.reshape(-1))
+        inside = grid.comparable
+        assert np.array_equal(grid.cls[inside], ps.cls)
+        assert np.array_equal(grid.tau[inside], ps.tau)
+        assert np.array_equal(grid.tau_rep[inside], ps.tau_rep[ps.cls])
+        assert np.array_equal(grid.rep[inside], (ps.rep_row * d + ps.rep_col)[ps.cls])
+        members = space.class_members(np.arange(ps.n_classes))
+        # class by class, each class's pairs (in the order the factors enumerate them)
+        assert np.array_equal(np.sort(members), ps.rows * d + ps.cols)
+        for c in rng.choice(ps.n_classes, size=min(6, ps.n_classes), replace=False):
+            pos = ps.class_positions(int(c))
+            assert np.array_equal(space.class_members([c]), ps.rows[pos] * d + ps.cols[pos])
+
+
+CASE_KINDS = (
+    "planted",
+    "planted with stored zeros",
+    "representatives only",
+    "member removed",
+    "structural tie",
+    "scaling tie",
+)
+
+
+def _case_operator(space, rng, kind):
+    """A CSR operator of the given kind, built around a planted symbol on ``space``."""
+    ps = space.pair_structure()
+    c, d, n = space.coeff_dim, space.dim, space.total_dim
+    coo = evaluate_at_model(random_symbol(space, rng, n_monomials=3)).matrix.tocoo()
+    rows, cols, vals = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
+    planted_keys = set((rows * n + cols).tolist())
+    # each pair's representative, and whether a block there holds a planted entry
+    rep = ps.rep_pos[ps.cls]
+    fock_zero = np.ones(ps.rows.size, dtype=bool)
+    fock_zero[ps.positions(rows % d, cols % d)] = False
+
+    def add(r, c_, v):
+        return np.append(rows, r), np.append(cols, c_), np.append(vals, v)
+
+    if kind == "planted with stored zeros":
+        # zeros at random cells and at the representative of a class absent from the symbol
+        r, c_ = rng.integers(n, size=4), rng.integers(n, size=4)
+        absent = np.flatnonzero(fock_zero[ps.rep_pos])
+        if absent.size:
+            cdx = rng.choice(absent)
+            r = np.append(r, int(rng.integers(c)) * d + ps.rep_row[cdx])
+            c_ = np.append(c_, int(rng.integers(c)) * d + ps.rep_col[cdx])
+        rows, cols, vals = add(r, c_, np.zeros(r.size))
+    elif kind == "representatives only":
+        chosen = rng.choice(ps.n_classes, size=min(3, ps.n_classes), replace=False)
+        x, y = rng.integers(c, size=chosen.size), rng.integers(c, size=chosen.size)
+        rows, cols = x * d + ps.rep_row[chosen], y * d + ps.rep_col[chosen]
+        vals = rng.standard_normal(chosen.size) + 1j * rng.standard_normal(chosen.size)
+    elif kind == "member removed":
+        # a planted entry at a non-representative pair whose representative entry is planted
+        fock_pos = ps.positions(rows % d, cols % d)
+        rep_keys = (rows // d * d + ps.rows[rep[fock_pos]]) * n + cols // d * d + ps.cols[rep[fock_pos]]
+        hit = (rep[fock_pos] != fock_pos) & np.isin(rep_keys, list(planted_keys))
+        drop = rng.choice(np.flatnonzero(hit))
+        keep = np.arange(rows.size) != drop
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    elif kind == "structural tie":
+        bad = np.argwhere(~ps.comp)
+        if len(bad) >= 2:
+            (r1, c1), (r2, c2) = bad[rng.choice(len(bad), size=2, replace=False)]
+            x, y = rng.integers(c, size=2), rng.integers(c, size=2)
+            rows, cols, vals = add([x[0] * d + r1, x[1] * d + r2], [y[0] * d + c1, y[1] * d + c2], [2e-3, -2e-3j])
+    elif kind == "scaling tie":
+        free = np.flatnonzero((rep != np.arange(ps.rows.size)) & fock_zero & fock_zero[rep])
+        if free.size >= 2:
+            p = rng.choice(free, size=2, replace=False)
+            rows, cols, vals = add(ps.rows[p], ps.cols[p], [5.0, -5.0])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 3),
+    max_n=st.integers(1, 2),
+    coeff_dim=st.integers(1, 2),
+    kind=st.sampled_from(CASE_KINDS),
+    dense=st.booleans(),
+    drop_tol=st.sampled_from([0.0, 0.3]),
+)
+@example(seed=1, k=3, max_n=2, coeff_dim=2, kind="member removed", dense=False, drop_tol=0.0)
+@example(seed=2, k=2, max_n=1, coeff_dim=2, kind="planted with stored zeros", dense=False, drop_tol=0.0)
+@example(seed=3, k=2, max_n=2, coeff_dim=1, kind="structural tie", dense=False, drop_tol=0.0)
+@example(seed=4, k=1, max_n=2, coeff_dim=2, kind="scaling tie", dense=True, drop_tol=0.0)
+@example(seed=5, k=3, max_n=1, coeff_dim=1, kind="representatives only", dense=False, drop_tol=0.3)
+def test_stored_entry_classification_equals_oracles(seed, k, max_n, coeff_dim, kind, dense, drop_tol):
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, k=k, max_n=max_n)
+    trunc = tuple(int(rng.integers(1, {1: 5, 2: 3, 3: 2}[k] + 1)) for _ in range(k))
+    space = FockSpace(spec, trunc, coeff_dim=coeff_dim)
+    M = _case_operator(space, rng, kind)
+    T = FockOperator(space, M.toarray() if dense else M)
+    expected, E = pair_array_classification(T)
+    assert is_multi_toeplitz(T).to_dict() == expected == dense_classification(T)
+    # extraction from every kind, under a tolerance no violation exceeds
+    report = is_multi_toeplitz(T, tol=math.inf)
+    sym = extract_fourier(T, drop_tol=drop_tol, report=report)
+    oracle = FourierSymbol(space, pair_array_extraction(T, E, drop_tol))
+    assert list(sym.coefficients) == list(oracle.coefficients)
+    for pair, A in oracle.coefficients.items():
+        assert sym.coefficients[pair].tobytes() == A.tobytes()
 
 
 def test_alternating_sum_matches_dense_oracle(rng):

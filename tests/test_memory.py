@@ -5,6 +5,9 @@ built as a sparse sum of monomials and written to disk; ``toeplitz`` and
 ``brown-halmos`` then run on it, each in a fresh interpreter that reports its
 own peak resident set size.  Dense ``(dim, dim)`` working arrays at this size
 take well over a gigabyte, so the bound catches any return to them.
+``toeplitz`` also runs at ``L=6`` (dim 16129), where the arrays over all
+1,990,921 comparable pairs would take it past its tighter bound; in-process,
+classifying and extracting at dim 3969 must not build the pair structure.
 ``fourier`` evaluates the planted symbol at dim 3969 and at ``L=6``
 (dim 16129), where one dense complex ``(dim, dim)`` array takes 4.2 GB.
 ``model`` on ``k=1, n=2, L=10`` (dim 2047) runs the universal model's
@@ -23,24 +26,29 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 import polytoeplitz
 from polytoeplitz import linalg
 from polytoeplitz.cpmaps import berezin_kernel, intertwining_residual, random_pure_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
-from polytoeplitz.model import FockSpace, monomial
+from polytoeplitz.model import FockOperator, FockSpace, monomial
 from polytoeplitz.toeplitz import (
     FourierSymbol,
     cesaro_reconstruct,
     evaluate_at_model,
+    extract_fourier,
     homogeneous_decomposition,
     homogeneous_part,
     homogeneous_support,
+    is_multi_toeplitz,
     symbol_to_json,
 )
 from polytoeplitz.weights import spec_from_json
 
 PEAK_RSS_LIMIT_MB = 400
+# importing the program alone takes about 60 MB; the pair arrays at dim 16129 took 258 MB in all
+TOEPLITZ_PEAK_RSS_LIMIT_MB = 150
 MODEL_PEAK_RSS_LIMIT_MB = 300
 
 # every word of length <= 2 in both factors, letter-dependent coefficients
@@ -68,11 +76,16 @@ TERMS = [
     (((), ()), ((1,), (2, 2)), -0.05),
 ]
 
+# The child reports the peak RSS of its own image (VmHWM).  Its ru_maxrss would
+# not do: Linux carries the starting process's peak into it across fork and
+# exec, so it would read at least the peak of the test run that started it.
 CHILD = """
-import resource, sys
+import sys
 from polytoeplitz.cli import main
 code = main(sys.argv[1:])
-sys.stderr.write("maxrss_kib=%d\\n" % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as fh:
+    peak = next(ln.split()[1] for ln in fh if ln.startswith("VmHWM:"))
+sys.stderr.write("peak_kib=%s\\n" % peak)
 sys.exit(code)
 """
 
@@ -85,15 +98,20 @@ def _planted_pairs():
     return [(IndexPair(_multiword(left), _multiword(right)), a) for left, right, a in TERMS]
 
 
-def _planted_operator(tmp_path):
-    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
-    space = FockSpace(spec_from_json(SPEC), (5, 5))
+def _planted_matrix(trunc):
+    """The planted operator at ``(trunc, trunc)`` as a CSR sum of monomials, built on a space of its own."""
+    space = FockSpace(spec_from_json(SPEC), (trunc, trunc))
     total = None
     for pair, a in _planted_pairs():
         term = monomial(space, pair, np.array([[a]])).matrix
         total = term if total is None else total + term
+    return total
+
+
+def _planted_operator(tmp_path, trunc=5):
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
     with open(tmp_path / "planted.mtx", "w") as fh:
-        linalg.save_matrix(fh, total)
+        linalg.save_matrix(fh, _planted_matrix(trunc))
 
 
 def _planted_symbol(space):
@@ -112,7 +130,7 @@ def _run_child(tmp_path, argv):
         text=True,
         timeout=600,
     )
-    line = [ln for ln in proc.stderr.splitlines() if ln.startswith("maxrss_kib=")]
+    line = [ln for ln in proc.stderr.splitlines() if ln.startswith("peak_kib=")]
     assert line, proc.stderr
     return proc.returncode, int(line[0].split("=")[1]) / 1024.0
 
@@ -128,6 +146,30 @@ def test_sparse_operator_checks_stay_below_peak_rss_limit(tmp_path):
     assert code == 0
     assert toeplitz_mb < PEAK_RSS_LIMIT_MB, f"toeplitz peak RSS {toeplitz_mb:.0f} MB"
     assert bh_mb < PEAK_RSS_LIMIT_MB, f"brown-halmos peak RSS {bh_mb:.0f} MB"
+
+
+def test_toeplitz_at_dim_16129_stays_below_peak_rss_limit(tmp_path):
+    _planted_operator(tmp_path, trunc=6)
+    argv = ["toeplitz", "--spec", "spec.json", "--trunc", "6", "--operator", "planted.mtx", "--out", "out"]
+    code, mb = _run_child(tmp_path, argv)
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "toeplitz-report.json").read_text())
+    assert report["report"]["verdict"] and report["symbol_terms"] == len(TERMS)
+    assert mb < TOEPLITZ_PEAK_RSS_LIMIT_MB, f"toeplitz --trunc 6 peak RSS {mb:.0f} MB"
+
+
+def test_classification_and_extraction_build_no_pair_structure():
+    space = FockSpace(spec_from_json(SPEC), (5, 5))
+    planted = _planted_matrix(5)
+    T = FockOperator(space, planted)
+    sym = extract_fourier(T, report=is_multi_toeplitz(T))
+    assert len(sym.coefficients) == len(TERMS)
+    # g1 and g2 in the first factor are not comparable
+    row = space.index_of(_multiword(((1,), ())))
+    col = space.index_of(_multiword(((2,), ())))
+    spoiled = planted + sp.csr_matrix(([1e-3], ([row], [col])), shape=planted.shape)
+    assert not is_multi_toeplitz(FockOperator(space, spoiled)).verdict
+    assert space._pairs is None
 
 
 def test_model_stays_below_peak_rss_limit(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polytoeplitz.cpmaps import universal_tuple
+from polytoeplitz.errors import SpecError
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.linalg import op_norm, psd_check
 from polytoeplitz.model import FockOperator, FockSpace, monomial
@@ -158,6 +159,12 @@ class TestExtractFourier:
         with pytest.raises(NotMultiToeplitz) as info:
             extract_fourier(T)
         assert info.value.report.max_violation > 1e-6
+
+    @pytest.mark.parametrize("drop_tol", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_drop_tol(self, rng, drop_tol):
+        space = FockSpace(random_spec(rng, k=1, max_n=2), (2,))
+        with pytest.raises(SpecError, match="drop tolerance"):
+            extract_fourier(space.identity(), drop_tol=drop_tol)
 
 
 class TestEvaluateSymbol:
