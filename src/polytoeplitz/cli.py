@@ -102,8 +102,8 @@ class RunConfig:
             raise SpecError("truncation degrees must be >= 1")
         if self.coeff_dim < 1:
             raise SpecError("coefficient dimension must be >= 1")
-        if self.tol <= 0:
-            raise SpecError("tolerance must be positive")
+        if not self.tol > 0:  # NaN included
+            raise SpecError(f"tolerance must be positive, got {self.tol}")
 
 
 def _broadcast_trunc(trunc: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -306,6 +306,9 @@ def _load_symbol(space: FockSpace, path: str) -> FourierSymbol:
 
 
 def cmd_fourier(cfg: RunConfig, args: argparse.Namespace) -> int:
+    # the closed unit interval; NaN and inf fail the comparison too
+    if not 0.0 <= args.radius <= 1.0:
+        raise SpecError(f"--radius must be a finite number in [0, 1], got {args.radius}")
     sym = _load_symbol(_space(cfg), args.symbol)
     op = evaluate_at_model(sym, args.radius)
     report = {
@@ -780,6 +783,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(cfg, args)
     except (DimensionMismatch, TruncationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_FORMAT
+    except MemoryError as exc:
+        # exit 1 would read as a failed verification
+        sys.stderr.write(f"error: out of memory: {' '.join(str(exc).split())}\n")
         return EXIT_FORMAT
     except (PolytoeplitzError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -5,14 +5,18 @@ semigroup; a :class:`MultiWord` is a tuple of words, one per tensor factor.
 Right divisibility (``omega = sigma * gamma``), comparability and the
 simplification map onto reduced index pairs drive every structural test in
 the rest of the package, so they live here.  :func:`graded_lex_layout` gives
-the same enumeration as rank arrays, for the array-native constructions.
+the same enumeration as rank arrays, for the array-native constructions;
+:class:`WordList` and :class:`RankMap` are read-only views that address
+words by rank and make a :class:`Word` only when one is asked for.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +30,8 @@ __all__ = [
     "comparable",
     "simplify",
     "enumerate_words",
+    "WordList",
+    "RankMap",
     "graded_lex_layout",
     "multiword_index",
     "multiword_unindex",
@@ -199,15 +205,69 @@ def enumerate_words(n: int, max_len: int) -> list[Word]:
     The identity comes first, then words by increasing length, lexicographic
     within a length.  Deterministic; total count is sum of n**d, d=0..max_len.
     """
-    if n < 1:
-        raise DimensionMismatch(f"alphabet size must be >= 1, got {n}")
-    if max_len < 0:
-        raise TruncationError(f"max_len must be >= 0, got {max_len}")
-    out: list[Word] = []
-    for d in range(max_len + 1):
-        for letters in itertools.product(range(1, n + 1), repeat=d):
-            out.append(Word(letters, n))
-    return out
+    return list(WordList(n, max_len))
+
+
+class WordList(collections.abc.Sequence):
+    """The words of :func:`enumerate_words` as a read-only sequence indexed by rank.
+
+    Length, indexing and membership cost O(1) or O(``max_len``) and make at
+    most one :class:`Word`; only iteration makes every word, one at a time.
+    """
+
+    def __init__(self, n: int, max_len: int) -> None:
+        if n < 1:
+            raise DimensionMismatch(f"alphabet size must be >= 1, got {n}")
+        if max_len < 0:
+            raise TruncationError(f"max_len must be >= 0, got {max_len}")
+        self.n = n
+        self.max_len = max_len
+        self._count = _block_count(n, max_len)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, rank: int) -> Word:
+        rank = operator.index(rank)
+        if not -self._count <= rank < self._count:
+            raise IndexError(f"rank {rank} outside a list of {self._count} words")
+        return _unrank_word(rank % self._count, self.n)
+
+    def __iter__(self) -> Iterator[Word]:
+        for d in range(self.max_len + 1):
+            for letters in itertools.product(range(1, self.n + 1), repeat=d):
+                yield Word(letters, self.n)
+
+    def __contains__(self, w: object) -> bool:
+        return isinstance(w, Word) and w.alphabet_size == self.n and len(w) <= self.max_len
+
+    def rank(self, w: Word) -> int:
+        """The rank of ``w``; :class:`KeyError` when ``w`` is not in the list."""
+        if w not in self:
+            raise KeyError(w)
+        return _word_rank(w)
+
+
+class RankMap(collections.abc.Mapping):
+    """Read-only map from the words of a :class:`WordList` to ``value(rank)``.
+
+    A lookup is one rank computation plus the truncation check of
+    :meth:`WordList.rank`; iteration follows the list's graded-lex order.
+    With the default ``value`` the map sends each word to its rank.
+    """
+
+    def __init__(self, words: WordList, value: Callable[[int], Any] = int) -> None:
+        self.words = words
+        self._value = value
+
+    def __getitem__(self, w: Word) -> Any:
+        return self._value(self.words.rank(w))
+
+    def __iter__(self) -> Iterator[Word]:
+        return iter(self.words)
+
+    def __len__(self) -> int:
+        return len(self.words)
 
 
 def graded_lex_layout(n: int, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

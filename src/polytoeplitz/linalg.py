@@ -8,6 +8,7 @@ eigensolver needs them; verdict paths never use randomized initialization.
 from __future__ import annotations
 
 import itertools
+import warnings
 from typing import IO, Tuple, Union
 
 import numpy as np
@@ -32,8 +33,9 @@ MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 # dense 2-norm via full SVD up to this size, Lanczos above
 _DENSE_NORM_CUTOFF = 600
-# entry lines parsed together by load_matrix
+# entry lines parsed together by load_matrix, and the fields of one
 _LOAD_BLOCK = 512
+_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("re", float), ("im", float)])
 
 
 def as_dense(mat: MatrixLike) -> np.ndarray:
@@ -156,10 +158,13 @@ def save_matrix(fh: IO[str], mat: MatrixLike) -> None:
 def load_matrix(fh: IO[str]) -> sp.coo_matrix:
     """Read the coordinate text format written by :func:`save_matrix`.
 
-    Entry lines are split and parsed a block at a time, one numpy conversion
-    per column, with the values of ``float(re) + 1j * float(im)``.  Raises
-    :class:`SpecError` on a NaN or infinite value, including one that
-    overflows to infinity when parsed.
+    Entry lines are parsed a block at a time by one ``np.loadtxt`` call, with
+    the values of ``float(re) + 1j * float(im)``; lines after the ``nnz``-th
+    are ignored.  A block that does not parse is checked line by line only
+    then: a missing line, or one without exactly four fields, raises
+    :class:`DimensionMismatch` with its line number, anything else the
+    parser's ``ValueError``.  Raises :class:`SpecError` on a NaN or infinite
+    value, including one that overflows to infinity when parsed.
     """
     header = fh.readline().split()
     if len(header) != 3:
@@ -171,24 +176,34 @@ def load_matrix(fh: IO[str]) -> sp.coo_matrix:
     rr = np.empty(nnz, dtype=np.int64)
     cc = np.empty(nnz, dtype=np.int64)
     vv = np.empty(nnz, dtype=complex)
-    # blocks of lines bound the memory held by the split text; lines after the nnz-th are ignored
-    for start in range(0, nnz, _LOAD_BLOCK):
-        count = min(_LOAD_BLOCK, nnz - start)
-        fields = [line.split() for line in itertools.islice(fh, count)]
-        fields += [[]] * (count - len(fields))
-        widths = np.fromiter(map(len, fields), dtype=np.int64, count=count)
-        bad = np.flatnonzero(widths != 4)
-        if bad.size:
-            raise DimensionMismatch(f"matrix file: malformed entry line {start + bad[0] + 2}")
-        flat = list(itertools.chain.from_iterable(fields))
-        block = slice(start, start + count)
-        rr[block] = np.array(flat[0::4], dtype=np.int64)
-        cc[block] = np.array(flat[1::4], dtype=np.int64)
-        with np.errstate(invalid="ignore"):  # 1j * inf makes a NaN, rejected below
-            vv[block] = np.array(flat[2::4], dtype=float) + 1j * np.array(flat[3::4], dtype=float)
+    # blocks of lines bound the memory held by the text
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a block without data; reported below
+        for start in range(0, nnz, _LOAD_BLOCK):
+            count = min(_LOAD_BLOCK, nnz - start)
+            lines = list(itertools.islice(fh, count))
+            try:
+                entries = np.loadtxt(lines, dtype=_ENTRY, comments=None, ndmin=1)
+            except ValueError:
+                _check_entry_lines(lines, count, start)
+                raise
+            if entries.size != count:  # blank lines parse to nothing
+                _check_entry_lines(lines, count, start)
+            block = slice(start, start + count)
+            rr[block] = entries["row"]
+            cc[block] = entries["col"]
+            with np.errstate(invalid="ignore"):  # 1j * inf makes a NaN, rejected below
+                vv[block] = entries["re"] + 1j * entries["im"]
     if nnz and (rr.max() >= rows or cc.max() >= cols or rr.min() < 0 or cc.min() < 0):
         raise DimensionMismatch("matrix file: entry index outside declared shape")
     bad = np.flatnonzero(~np.isfinite(vv))
     if bad.size:
         raise SpecError(f"matrix file: non-finite value {vv[bad[0]]} on line {bad[0] + 2}")
     return sp.coo_matrix((vv, (rr, cc)), shape=(rows, cols))
+
+
+def _check_entry_lines(lines: list[str], count: int, start: int) -> None:
+    """Raise :class:`DimensionMismatch` at the first of ``count`` entry lines that is missing or not four fields."""
+    for j in range(count):
+        if j >= len(lines) or len(lines[j].split()) != 4:
+            raise DimensionMismatch(f"matrix file: malformed entry line {start + j + 2}")

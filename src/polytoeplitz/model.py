@@ -25,8 +25,11 @@ from .errors import DimensionMismatch, SpecError, TruncationError
 from .freemonoid import (
     IndexPair,
     MultiWord,
+    RankMap,
     Word,
+    WordList,
     graded_lex_layout,
+    multiword_unindex,
     reverse,
     word_offset,
 )
@@ -67,11 +70,9 @@ class FockSpace:
         self.weights = weights if weights is not None else build_weight_table(spec, self.trunc)
         if self.weights.trunc != self.trunc:
             raise SpecError("weight table truncation differs from requested truncation")
-        # the tables' keys are the words in graded-lex order
-        self.factor_words: list[list[Word]] = [list(table) for table in self.weights.tables]
-        self.factor_index: list[dict[Word, int]] = [
-            {w: idx for idx, w in enumerate(ws)} for ws in self.factor_words
-        ]
+        # views over the graded-lex ranks: words by rank, and ranks by word
+        self.factor_words: list[WordList] = [table.words for table in self.weights.tables]
+        self.factor_index: list[RankMap] = [RankMap(ws) for ws in self.factor_words]
         # per factor (start, lengths, offsets) of the graded-lex ranks
         self.factor_layouts = [graded_lex_layout(n, L) for n, L in zip(spec.n, self.trunc)]
         self.factor_dims = tuple(len(ws) for ws in self.factor_words)
@@ -107,7 +108,8 @@ class FockSpace:
         return idx
 
     def multiword_at(self, idx: int) -> MultiWord:
-        return self.basis()[idx]
+        """The basis multi-word at ``idx``, from its factor ranks; no basis is built."""
+        return multiword_unindex(int(idx), self.spec.n, self.trunc)
 
     def degree_table(self) -> np.ndarray:
         """Integer array (dim, k): degree vector of each basis multi-word."""
@@ -357,13 +359,25 @@ def conjugate_entries(
     return dst[sr] * n + dst[sc], lam[sr], lam[sc], hit
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys`` in ascending order, by a sort and a mask.
+
+    The same array as ``np.unique(keys)``, without the hash table numpy uses
+    for it, which costs many times the sort on the key counts seen here.
+    """
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 def accumulate_entries(terms) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise sum of ``(keys, vals)`` terms, added in list order over the union support.
 
     Each term's keys are distinct, so every entry is summed in the order a
     dense accumulator would add the terms.
     """
-    keys = np.unique(np.concatenate([k for k, _ in terms]))
+    keys = sorted_unique(np.concatenate([k for k, _ in terms]))
     acc = np.zeros(keys.size, dtype=complex)
     for k, v in terms:
         acc[np.searchsorted(keys, k)] += v

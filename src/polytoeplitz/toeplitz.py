@@ -21,7 +21,7 @@ from . import linalg
 from .cpmaps import OperatorTuple
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import IndexPair, MultiWord, Word
-from .model import FockOperator, FockSpace
+from .model import FockOperator, FockSpace, sorted_unique
 
 __all__ = [
     "FourierSymbol",
@@ -202,7 +202,7 @@ def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     rep_keys = entries.rep[at_rep][first]
     blocks = (rep_keys, entries.tau_rep[at_rep][first], _gather(E, keys, rep_keys))
 
-    candidates = np.union1d(keys, space.class_members(classes))
+    candidates = sorted_unique(np.concatenate([keys, space.class_members(classes)]))
     cand = space.classify_pairs(candidates // d, candidates % d)
     ratio = cand.tau / cand.tau_rep
     expected = ratio[None, None, :] * _gather(E, keys, cand.rep)

@@ -29,7 +29,9 @@ import numpy as np
 from .errors import NotComparable, SpecError, TruncationError
 from .freemonoid import (
     MultiWord,
+    RankMap,
     Word,
+    WordList,
     enumerate_words,
     graded_lex_layout,
     right_divides,
@@ -105,13 +107,14 @@ class WeightTable:
 
     ``values[i]`` holds factor ``i``'s weights in graded-lexicographic order
     (the order of :func:`~polytoeplitz.freemonoid.enumerate_words`), for
-    array code that addresses words by rank; ``tables[i]`` maps the same
-    words to the same values, for lookups by :class:`Word`.
+    array code that addresses words by rank; ``tables[i]`` is a read-only
+    view that maps each :class:`Word` to ``values[i][rank]`` as a float, and
+    ``tables[i].words`` the list of its words, neither storing a word.
     """
 
     spec: PolydomainSpec
     trunc: tuple[int, ...]
-    tables: tuple[dict[Word, float], ...] = field(repr=False)
+    tables: tuple[RankMap, ...] = field(repr=False)
     values: tuple[np.ndarray, ...] = field(repr=False)
 
     def b(self, i: int, w: Word) -> float:
@@ -133,8 +136,8 @@ class WeightTable:
         writer = csv.writer(fh)
         writer.writerow(["factor", "word", "b"])
         for i, table in enumerate(self.tables):
-            for w in sorted(table, key=lambda u: (len(u), u.letters)):
-                writer.writerow([i + 1, w.render(), repr(table[w])])
+            for w, b in table.items():
+                writer.writerow([i + 1, w.render(), repr(b)])
 
 
 def _order_one_values(cmap: Mapping[Word, float], n: int, start: np.ndarray) -> np.ndarray:
@@ -192,7 +195,7 @@ def build_weight_table(spec: PolydomainSpec, trunc: Sequence[int]) -> WeightTabl
         for _ in range(spec.m[i] - 1):
             bm = _word_convolve(b1, bm, n, start)
         values.append(bm)
-        tables.append(dict(zip(enumerate_words(n, L), bm.tolist())))
+        tables.append(RankMap(WordList(n, L), bm.item))
     return WeightTable(spec=spec, trunc=tuple(trunc), tables=tuple(tables), values=tuple(values))
 
 

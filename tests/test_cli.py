@@ -480,3 +480,64 @@ def test_option_the_command_does_not_read_is_rejected(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_nan_tolerance_exits_2(tmp_path, rng, capsys):
+    # every verdict `violation <= nan` is false, so NaN read as "verification failed" (exit 1)
+    spec_path = write_spec(tmp_path / "spec.json", BALL)
+    op = _planted_file(tmp_path, rng)
+    argv = ["toeplitz", "--spec", spec_path, "--trunc", "3", "--operator", op, "--tol", "nan"]
+    assert main(argv) == 2
+    assert "tolerance must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["-1", "2", "inf", "-inf", "nan", "1.0000000000000002"])
+def test_fourier_radius_outside_closed_unit_interval_exits_2(tmp_path, capsys, radius):
+    # -1 and 2 passed, inf gave "norm": "nan" and passed, nan failed only inside the SVD
+    out = tmp_path / "out"
+    args = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
+            "--symbol", str(GOLDEN_FOURIER / "symbol.json"), "--out", str(out)]
+    assert main(["fourier", *args, f"--radius={radius}"]) == 2
+    assert "--radius must be a finite number in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memory_error_exits_3(tmp_path, monkeypatch, capsys):
+    # exit 1 means "verification failed"; running out of memory is not a verdict
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.88 GiB for an array\nwith shape (16129, 16129)")
+
+    monkeypatch.setattr("polytoeplitz.cli.evaluate_at_model", exhausted)
+    args = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
+            "--symbol", str(GOLDEN_FOURIER / "symbol.json")]
+    assert main(["fourier", *args]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 3.88 GiB for an array with shape (16129, 16129)\n"
+
+
+def test_operator_commands_make_no_word_list(tmp_path, monkeypatch):
+    # toeplitz and brown-halmos address words by rank: on the `deep` planted operator
+    # (dim 2047) neither enumerates words nor builds the multi-word basis
+    import polytoeplitz.freemonoid as freemonoid
+    import polytoeplitz.weights as weights
+
+    spec = write_spec(tmp_path / "spec.json", DEEP)
+    space = FockSpace(spec_from_json(json.dumps(DEEP)), (10,))
+    doc = (Path(__file__).parent / "data" / "deep_planted_symbol.json").read_text()
+    T = evaluate_at_model(symbol_from_json(space, doc))
+    op = tmp_path / "planted.mtx"
+    with open(op, "w") as fh:
+        linalg.save_matrix(fh, T.matrix)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("words enumerated")
+
+    monkeypatch.setattr(freemonoid, "enumerate_words", refuse)
+    monkeypatch.setattr(weights, "enumerate_words", refuse)
+    monkeypatch.setattr(freemonoid.WordList, "__iter__", refuse)
+    monkeypatch.setattr(FockSpace, "basis", refuse)
+    for command in ("toeplitz", "brown-halmos"):
+        out = tmp_path / command
+        argv = [command, "--spec", spec, "--trunc", "10", "--operator", str(op), "--out", str(out)]
+        assert main(argv) == 0
+        assert strict_json((out / f"{command}-report.json").read_text())["command"] == command

@@ -13,14 +13,18 @@ and grading layer (a dense scatter of monomials for the model evaluation,
 dense ``(dim, dim)`` degree masks and window weights for the homogeneous
 parts, their support and the windowed reconstruction), and the
 classification and extraction over the arrays of every comparable pair that
-the stored-entry classifier replaced.  The arithmetic per entry is
+the stored-entry classifier replaced.  The line-splitting operator file
+parser and the ``Word``-keyed dict tables that the one-call block parser and
+the rank views replaced are oracles too.  The arithmetic per entry is
 unchanged, so they must agree exactly.
 """
 
+import io
 import itertools
 import math
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
@@ -52,7 +56,8 @@ from polytoeplitz.freemonoid import (
     reverse,
     simplify,
 )
-from polytoeplitz.linalg import adjoint, as_dense, hermitize, op_norm, pinv_on_range
+from polytoeplitz.errors import DimensionMismatch, PolytoeplitzError, SpecError, TruncationError
+from polytoeplitz.linalg import adjoint, as_dense, hermitize, load_matrix, op_norm, pinv_on_range
 from polytoeplitz.model import FockOperator, FockSpace, graded_projection, monomial
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import (
@@ -979,3 +984,199 @@ def test_grading_matches_dense_mask_oracles(rng):
                     got = cesaro_reconstruct(T, N, fejer_weights=fejer).matrix
                     assert sp.isspmatrix_csr(got)
                     assert np.array_equal(got.toarray(), dense_cesaro_reconstruct(T, N, fejer))
+
+
+# -- the operator file reader ---------------------------------------------------
+
+
+def split_block_load_matrix(fh):
+    """The coordinate text format parsed by splitting lines, 512 at a time, one conversion per column."""
+    header = fh.readline().split()
+    if len(header) != 3:
+        raise DimensionMismatch("matrix file: malformed header (want 'rows cols nnz')")
+    try:
+        rows, cols, nnz = (int(x) for x in header)
+    except ValueError as exc:
+        raise DimensionMismatch(f"matrix file: bad header {header!r}") from exc
+    rr = np.empty(nnz, dtype=np.int64)
+    cc = np.empty(nnz, dtype=np.int64)
+    vv = np.empty(nnz, dtype=complex)
+    for start in range(0, nnz, 512):
+        count = min(512, nnz - start)
+        fields = [line.split() for line in itertools.islice(fh, count)]
+        fields += [[]] * (count - len(fields))
+        widths = np.fromiter(map(len, fields), dtype=np.int64, count=count)
+        bad = np.flatnonzero(widths != 4)
+        if bad.size:
+            raise DimensionMismatch(f"matrix file: malformed entry line {start + bad[0] + 2}")
+        flat = list(itertools.chain.from_iterable(fields))
+        block = slice(start, start + count)
+        rr[block] = np.array(flat[0::4], dtype=np.int64)
+        cc[block] = np.array(flat[1::4], dtype=np.int64)
+        with np.errstate(invalid="ignore"):
+            vv[block] = np.array(flat[2::4], dtype=float) + 1j * np.array(flat[3::4], dtype=float)
+    if nnz and (rr.max() >= rows or cc.max() >= cols or rr.min() < 0 or cc.min() < 0):
+        raise DimensionMismatch("matrix file: entry index outside declared shape")
+    bad = np.flatnonzero(~np.isfinite(vv))
+    if bad.size:
+        raise SpecError(f"matrix file: non-finite value {vv[bad[0]]} on line {bad[0] + 2}")
+    return sp.coo_matrix((vv, (rr, cc)), shape=(rows, cols))
+
+
+def load_outcome(loader, text):
+    """What a reader makes of ``text``: the COO arrays and value bits, or the error and its message.
+
+    A parser ``ValueError`` keeps only its type: numpy words it differently per parser.
+    """
+    fh = io.StringIO(text)
+    try:
+        coo = loader(fh)
+    except (ValueError, PolytoeplitzError) as exc:
+        return type(exc), None if type(exc) is ValueError else str(exc)
+    return coo.shape, coo.row.tolist(), coo.col.tolist(), coo.data.tobytes(), fh.read()
+
+
+# 17 significant digits as save_matrix writes them, signed zeros, subnormals and values near 1e308
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+               1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+value_texts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.sampled_from(EDGE_VALUES).map(lambda v: f"{v:.17g}"),
+    st.sampled_from(EDGE_VALUES).map(repr),
+    st.from_regex(r"[+-]?[0-9]{1,19}(\.[0-9]{0,19})?([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), value_texts, value_texts,
+                  st.sampled_from([" ", "\t", "  "])),
+        max_size=30,
+    ),
+    trailing=st.sampled_from(["", "junk after the entries\n", "1 2 3\n\n"]),
+)
+@example(entries=[(0, 0, "-0", "-0", " "), (1, 2, "-0.0", "0", " "), (3, 3, "0", "-0.0", " ")], trailing="")
+@example(entries=[(0, 0, "1.79769313486231581e308", "0", " ")], trailing="")  # rounds to the largest double
+@example(entries=[(0, 0, "1.7976931348623159e308", "0", " ")], trailing="")  # overflows to inf
+def test_load_matrix_matches_split_block_oracle(entries, trailing):
+    lines = [sep.join((str(r), str(c), re, im)) for r, c, re, im, sep in entries]
+    text = f"7 7 {len(entries)}\n" + "".join(line + "\n" for line in lines) + trailing
+    assert load_outcome(load_matrix, text) == load_outcome(split_block_load_matrix, text)
+
+
+def _entry_lines(count, value="1.5 -2.5"):
+    return [f"{j % 5} {(3 * j) % 5} {value}" for j in range(count)]
+
+
+def _with(lines, at, replacement):
+    out = list(lines)
+    out[at] = replacement
+    return out
+
+
+# (entry lines, declared nnz, error) with one fault, or two to pin which one wins;
+# 600 lines put faults in the second block of 512
+LOAD_FAULTS = {
+    "short file": (_entry_lines(3), 5, DimensionMismatch),
+    "short file in the second block": (_entry_lines(590), 600, DimensionMismatch),
+    "blank line": (_with(_entry_lines(4), 2, ""), 4, DimensionMismatch),
+    "whitespace line": (_with(_entry_lines(4), 1, " \t "), 4, DimensionMismatch),
+    "blank line in the second block": (_with(_entry_lines(600), 555, ""), 600, DimensionMismatch),
+    "three fields": (_with(_entry_lines(4), 3, "1 1 2.0"), 4, DimensionMismatch),
+    "five fields": (_with(_entry_lines(4), 0, "1 1 2.0 0.0 7"), 4, DimensionMismatch),
+    "five fields in the second block": (_with(_entry_lines(600), 520, "1 1 2.0 0.0 7"), 600, DimensionMismatch),
+    "trailing # field": (_with(_entry_lines(4), 2, "1 1 2.0 0.0 #"), 4, DimensionMismatch),
+    "comment line": (_with(_entry_lines(4), 1, "# 1 1 2.0 0.0"), 4, DimensionMismatch),
+    "# glued to a value": (_with(_entry_lines(4), 2, "1 1 2.0 0.0#"), 4, ValueError),
+    "non-numeric index": (_with(_entry_lines(4), 1, "1 x 2.0 0.0"), 4, ValueError),
+    "non-numeric value": (_with(_entry_lines(4), 1, "1 1 abc 0.0"), 4, ValueError),
+    "fractional index": (_with(_entry_lines(4), 1, "1.0 1 2.0 0.0"), 4, ValueError),
+    "bad token, bad width later in its block": (
+        _with(_with(_entry_lines(9), 1, "1 x 2 0"), 7, "1 1"), 9, DimensionMismatch),
+    "bad token, bad width in the next block": (
+        _with(_with(_entry_lines(600), 1, "1 x 2 0"), 550, "1 1"), 600, ValueError),
+    "index outside the shape": (_with(_entry_lines(4), 2, "5 1 2.0 0.0"), 4, DimensionMismatch),
+    "negative index": (_with(_entry_lines(4), 2, "1 -1 2.0 0.0"), 4, DimensionMismatch),
+    "nan value": (_with(_entry_lines(4), 2, "1 1 nan 0.0"), 4, SpecError),
+    "infinite imaginary part": (_with(_entry_lines(4), 3, "1 1 0.0 -inf"), 4, SpecError),
+    "overflow to infinity": (_with(_entry_lines(4), 1, "1 1 1e400 0.0"), 4, SpecError),
+    "non-finite value in the second block": (_with(_entry_lines(600), 599, "1 1 0.0 inf"), 600, SpecError),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LOAD_FAULTS))
+def test_load_matrix_faults_keep_their_error(fault):
+    lines, nnz, error = LOAD_FAULTS[fault]
+    text = f"5 5 {nnz}\n" + "".join(line + "\n" for line in lines)
+    got = load_outcome(load_matrix, text)
+    assert got[0] is error
+    # same type and, for the program's own errors, the same message and line number
+    assert got == load_outcome(split_block_load_matrix, text)
+
+
+def test_load_matrix_ignores_lines_after_the_last_entry():
+    text = "2 2 2\n0 0 1 0\n1 1 0 1\nnot an entry\n0 0 nan nan\n"
+    fh = io.StringIO(text)
+    A = load_matrix(fh)
+    assert np.array_equal(A.toarray(), np.array([[1, 0], [0, 1j]]))
+    assert fh.read() == "not an entry\n0 0 nan nan\n"
+    assert load_outcome(load_matrix, text) == load_outcome(split_block_load_matrix, text)
+
+
+# -- words on demand ------------------------------------------------------------
+
+
+def listed_words(n, L):
+    """The words of length <= L over n letters in graded-lex order, one object each."""
+    return [Word(letters, n) for d in range(L + 1) for letters in itertools.product(range(1, n + 1), repeat=d)]
+
+
+def word_view_spaces(rng):
+    yield from oracle_spaces(rng)
+    for _ in range(6):
+        spec = random_spec(rng, max_n=3)
+        yield FockSpace(spec, tuple(int(L) for L in rng.integers(0, 4, size=spec.k)))
+
+
+def test_word_views_match_word_keyed_dicts(rng):
+    for space in word_view_spaces(rng):
+        for i in range(space.spec.k):
+            n, L = space.spec.n[i], space.trunc[i]
+            words = listed_words(n, L)
+            weights = dict(zip(words, space.weights.values[i].tolist()))
+            ranks = {w: r for r, w in enumerate(words)}
+            table, index, listed = space.weights.tables[i], space.factor_index[i], space.factor_words[i]
+            assert len(table) == len(index) == len(listed) == len(words) == space.factor_dims[i]
+            assert list(table.items()) == list(weights.items())
+            assert list(index.items()) == list(ranks.items())
+            assert list(listed) == words
+            assert [listed[r] for r in range(len(words))] == words
+            assert listed[-1] == words[-1]
+            for w in words:
+                assert w in table and w in index and w in listed
+                assert type(table[w]) is float and table[w] == weights[w]
+                assert space.weights.b(i, w) == weights[w]
+                assert index[w] == ranks[w] and listed.rank(w) == ranks[w]
+            # a word one letter beyond the truncation, and one over another alphabet
+            for outside in (Word((1,) * (L + 1), n), Word((1,), n + 1)):
+                assert outside not in table and outside not in index and outside not in listed
+                assert index.get(outside) is None and table.get(outside) is None
+                with pytest.raises(KeyError):
+                    table[outside]
+                with pytest.raises(TruncationError):
+                    space.weights.b(i, outside)
+            with pytest.raises(IndexError):
+                listed[len(words)]
+
+
+def test_multiword_at_matches_listed_basis(rng):
+    for space in word_view_spaces(rng):
+        listed = [MultiWord(parts) for parts in itertools.product(
+            *(listed_words(n, L) for n, L in zip(space.spec.n, space.trunc)))]
+        assert space.basis() == listed
+        assert [space.multiword_at(i) for i in range(space.dim)] == listed
+        for i in (0, space.dim - 1):
+            assert space.index_of(space.multiword_at(i)) == i
+        with pytest.raises(TruncationError):
+            space.multiword_at(space.dim)
