@@ -14,7 +14,8 @@ with :func:`polytoeplitz.freemonoid.multiword_index`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -227,6 +228,7 @@ class FockSpace:
     # -- comparability structure --------------------------------------------
 
     def pair_structure(self) -> "PairStructure":
+        """The all-pairs arrays (:class:`PairStructure`), built on first use; only tests read them."""
         if self._pairs is None:
             self._pairs = _build_pair_structure(self)
         return self._pairs
@@ -268,6 +270,82 @@ class FockSpace:
             tau_rep = t_rep if tau_rep is None else tau_rep * t_rep
         return PairClasses(comparable, cls, tau, tau_rep, rep_row * self.dim + rep_col)
 
+    @property
+    def n_classes(self) -> int:
+        """Number of reduced pairs: per factor ``(q, e)`` for every word ``q`` and ``(e, q)`` for ``q != e``."""
+        return math.prod(2 * count - 1 for count in self.factor_dims)
+
+    def class_of(self, pair: IndexPair) -> int:
+        """Class id of a reduced pair, -1 when one of its words leaves the truncation."""
+        if pair.left.k != self.spec.k:
+            raise DimensionMismatch("pair has the wrong number of factors")
+        cid = 0
+        for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
+            if u.alphabet_size != self.spec.n[i]:
+                raise DimensionMismatch("pair alphabet does not match the factor")
+            count = self.factor_dims[i]
+            rank = self.factor_index[i].get(v if len(v) else u)
+            if rank is None:
+                return -1
+            # the id scheme of _factor_pairs: (quotient, e) -> rank, (e, quotient) -> count + rank - 1
+            cid = cid * (2 * count - 1) + (count + rank - 1 if len(v) else rank)
+        return cid
+
+    def _class_factors(self, classes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per factor, first factor first, ``(quotient rank, row is the longer word)`` of each class id.
+
+        Class ids are mixed radix ``2 d_i - 1``, first factor slowest; the
+        factor digit ``j`` names ``(q, e)`` with ``q`` at rank ``j`` when ``j <
+        d_i`` and ``(e, q)`` with ``q`` at rank ``j - d_i + 1`` otherwise.
+        """
+        per_factor = []
+        rem = classes
+        for i in reversed(range(self.spec.k)):
+            count = self.factor_dims[i]
+            rem, jid = np.divmod(rem, 2 * count - 1)
+            row_long = jid < count
+            per_factor.append((np.where(row_long, jid, jid - count + 1), row_long))
+        per_factor.reverse()
+        return per_factor
+
+    def class_pair(self, c: int) -> IndexPair:
+        """The reduced pair of class ``c``; class 0 is the identity pair."""
+        left, right = [], []
+        for i, (quot, row_long) in enumerate(self._class_factors(np.array([c], dtype=np.int64))):
+            word, empty = self.factor_words[i][int(quot[0])], Word.identity(self.spec.n[i])
+            left.append(word if row_long[0] else empty)
+            right.append(empty if row_long[0] else word)
+        return IndexPair(MultiWord(tuple(left)), MultiWord(tuple(right)))
+
+    def monomial_entries(self, pair: IndexPair) -> tuple[np.ndarray, np.ndarray]:
+        """Where ``W_left W_right^*`` of a reduced pair is supported, and its entries there.
+
+        Returns ``(keys, vals)``: the row-major keys ``row * dim + col`` of the
+        pair's class (:meth:`class_members`) and the complex entry at each.
+        The entry at ``(row, col)`` is the weight of ``W_left`` times that of
+        ``W_right``, each the product in factor order of ``sqrt(b_shorter /
+        b_longer)`` over the factors where that side is nonempty (the entry
+        weight, multiplied in the order of the creation products).  A pair
+        with a word beyond the truncation has no entries.
+        """
+        c = self.class_of(pair)
+        keys = self.class_members([c]) if c >= 0 else np.zeros(0, dtype=np.int64)
+        rows, cols = np.divmod(keys, self.dim)
+        left = np.ones(keys.size)
+        right = np.ones(keys.size)
+        stride = self.dim
+        for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
+            # factor i's basis indices, first factor slowest
+            stride //= self.factor_dims[i]
+            r_i = rows // stride % self.factor_dims[i]
+            c_i = cols // stride % self.factor_dims[i]
+            b = self.weights.values[i]
+            if len(u):
+                left *= np.sqrt(b[c_i] / b[r_i])
+            elif len(v):
+                right *= np.sqrt(b[r_i] / b[c_i])
+        return keys, (left * right).astype(complex)
+
     def class_members(self, classes: np.ndarray) -> np.ndarray:
         """Row-major keys ``row * dim + col`` of the comparable pairs in the given classes.
 
@@ -278,15 +356,9 @@ class FockSpace:
         """
         classes = np.asarray(classes, dtype=np.int64)
         per_factor = []  # (quotient, row is the longer word, member count) per factor and class
-        rem = classes
-        for i in reversed(range(self.spec.k)):
-            count = self.factor_dims[i]
-            rem, jid = np.divmod(rem, 2 * count - 1)
-            row_long = jid < count
-            quot = np.where(row_long, jid, jid - count + 1)
+        for i, (quot, row_long) in enumerate(self._class_factors(classes)):
             start, lengths, _ = self.factor_layouts[i]
             per_factor.append((quot, row_long, start[self.trunc[i] - lengths[quot] + 1]))
-        per_factor.reverse()
         sizes = np.ones(classes.size, dtype=np.int64)
         for _, _, size in per_factor:
             sizes *= size
@@ -447,17 +519,17 @@ class PairClasses(NamedTuple):
 
 @dataclass
 class PairStructure:
-    """Comparable basis pairs of a space as index arrays.
+    """Every comparable basis pair of a space as index arrays: the reference the tests compare against.
 
+    No routine of the package reads these arrays; the stored-entry classifier
+    (:meth:`FockSpace.classify_pairs`, :meth:`FockSpace.class_members`) and
+    the class arithmetic on :class:`FockSpace` decide everything they hold.
     ``rows``/``cols`` list the comparable pairs ``(row, col)`` of Fock basis
     indices in row-major order; ``tau`` holds each pair's entry weight and
     ``cls`` the integer id of its reduced representative, whose basis indices
     are ``rep_row``/``rep_col`` and whose position in the pair arrays is
     ``rep_pos``.  Storage grows with the number of comparable pairs (the
-    Kronecker product of the per-factor counts), not with ``dim**2``, so
-    structure checks reduce to numpy gathers over the pairs and the stored
-    entries of an operator.  :meth:`class_positions` lists the pairs of one
-    class, from a stable argsort of ``cls`` built on first use.
+    Kronecker product of the per-factor counts), not with ``dim**2``.
     """
 
     space: FockSpace
@@ -472,9 +544,6 @@ class PairStructure:
     tau_rep: np.ndarray       # (n_classes,)
     s_abs: np.ndarray         # (n_classes,) total |s|
     s_vectors: np.ndarray     # (n_classes, k) signed degree vectors
-    # pair positions grouped by class, row-major within a class, and each class's first slot
-    _by_class: Optional[np.ndarray] = field(default=None, repr=False)
-    _class_start: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def comp(self) -> np.ndarray:
@@ -491,72 +560,6 @@ class PairStructure:
         # the vacuum pair (0, 0) is always comparable, so keys is never empty
         pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
         return np.where(keys[pos] == want, pos, -1)
-
-    def class_of(self, pair: IndexPair) -> int:
-        """Class id of a reduced pair, -1 when one of its words leaves the truncation."""
-        space = self.space
-        if pair.left.k != space.spec.k:
-            raise DimensionMismatch("pair has the wrong number of factors")
-        cid = 0
-        for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
-            if u.alphabet_size != space.spec.n[i]:
-                raise DimensionMismatch("pair alphabet does not match the factor")
-            count = space.factor_dims[i]
-            rank = space.factor_index[i].get(v if len(v) else u)
-            if rank is None:
-                return -1
-            # the id scheme of _factor_pairs: (quotient, e) -> rank, (e, quotient) -> count + rank - 1
-            cid = cid * (2 * count - 1) + (count + rank - 1 if len(v) else rank)
-        return cid
-
-    def class_positions(self, c: int) -> np.ndarray:
-        """Positions of the pairs of class ``c`` in row-major order; empty for ``c = -1``."""
-        if c < 0:
-            return np.zeros(0, dtype=np.int64)
-        if self._by_class is None:
-            self._by_class = np.argsort(self.cls, kind="stable")
-            counts = np.bincount(self.cls, minlength=self.n_classes)
-            self._class_start = np.concatenate([[0], np.cumsum(counts)])
-        return self._by_class[self._class_start[c] : self._class_start[c + 1]]
-
-    def monomial_entries(self, pair: IndexPair) -> tuple[np.ndarray, np.ndarray]:
-        """Where ``W_left W_right^*`` of a reduced pair is supported, and its entries there.
-
-        Returns ``(pos, vals)``: the positions of the pair's class in the pair
-        arrays, row-major, and the complex entry at each.  The entry at
-        ``(row, col)`` is the weight of ``W_left`` times that of ``W_right``,
-        each the product in factor order of ``sqrt(b_shorter / b_longer)`` over
-        the factors where that side is nonempty (the entry weight ``tau``,
-        multiplied in the order of the creation products).  A pair with a word
-        beyond the truncation has no entries.
-        """
-        space = self.space
-        pos = self.class_positions(self.class_of(pair))
-        rows, cols = self.rows[pos], self.cols[pos]
-        left = np.ones(pos.size)
-        right = np.ones(pos.size)
-        stride = space.dim
-        for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
-            # factor i's basis indices, first factor slowest
-            stride //= space.factor_dims[i]
-            r_i = rows // stride % space.factor_dims[i]
-            c_i = cols // stride % space.factor_dims[i]
-            b = space.weights.values[i]
-            if len(u):
-                left *= np.sqrt(b[c_i] / b[r_i])
-            elif len(v):
-                right *= np.sqrt(b[r_i] / b[c_i])
-        return pos, (left * right).astype(complex)
-
-    def class_pair(self, c: int) -> IndexPair:
-        space = self.space
-        return IndexPair(
-            left=space.multiword_at(int(self.rep_row[c])),
-            right=space.multiword_at(int(self.rep_col[c])),
-        )
-
-    def reduced_pairs(self) -> list[IndexPair]:
-        return [self.class_pair(c) for c in range(self.n_classes)]
 
 
 def _suffix_quotient(layout, n: int, longer: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
@@ -692,9 +695,8 @@ def weighted_right_creation(space: FockSpace, i: int, j: int) -> FockOperator:
 def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> FockOperator:
     """The elementary operator ``A (x) W_left W_right^*`` for a reduced pair, as CSR.
 
-    The Fock part is read off the pair structure
-    (:meth:`PairStructure.monomial_entries`): it is supported on the
-    comparable pairs of the pair's class, in row-major order.  The coefficient
+    The Fock part is :meth:`FockSpace.monomial_entries`: it is supported on
+    the members of the pair's class, in row-major order.  The coefficient
     enters as ``A[0, 0] * fock``, or ``kron(A, fock)`` when ``coeff_dim > 1``.
     A pair with a word beyond the truncation gives the zero operator.
     """
@@ -702,10 +704,10 @@ def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> Fock
     c = space.coeff_dim
     if A.shape != (c, c):
         raise DimensionMismatch(f"coefficient shape {A.shape} does not match ({c}, {c})")
-    ps = space.pair_structure()
-    pos, vals = ps.monomial_entries(pair)
-    rows, cols, d = ps.rows[pos], ps.cols[pos], space.dim
-    # the pairs are row-major, so they already are CSR order
+    keys, vals = space.monomial_entries(pair)
+    d = space.dim
+    rows, cols = np.divmod(keys, d)
+    # the members are row-major, so they already are CSR order
     fock = sp.csr_matrix((vals, cols, np.searchsorted(rows, np.arange(d + 1))), shape=(d, d))
     if c == 1:
         mat = complex(A[0, 0]) * fock

@@ -361,26 +361,27 @@ def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     Distinct reduced pairs have disjoint supports (every comparable basis pair
     reduces to one pair), so the terms' entries are gathered, not added.  A
     term's Fock entries ``v`` come from
-    :meth:`~polytoeplitz.model.PairStructure.monomial_entries`; coefficient
+    :meth:`~polytoeplitz.model.FockSpace.monomial_entries`; coefficient
     block ``(x, y)`` puts ``r^{|s|} * (A[x, y] * v)`` at row ``x*dim + row``
     and column ``y*dim + col``, the products :func:`~polytoeplitz.model.monomial`
-    and the radial scaling form, in their order.  Exact zeros are dropped.
+    and the radial scaling form, in their order.  A term with a word beyond
+    the truncation has no entries.  Exact zeros are dropped.
     """
     space = sym.space
-    ps = space.pair_structure()
     c, d, n = space.coeff_dim, space.dim, space.total_dim
     blocks = np.arange(c * c)
     keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
     for pair in sym.support():
-        pos, fock = ps.monomial_entries(pair)
+        members, fock = space.monomial_entries(pair)
+        fock_rows, fock_cols = np.divmod(members, d)
         A = sym.coefficients[pair]
         if c == 1:
             term = fock * complex(A[0, 0])
         else:
             term = np.repeat(A.reshape(-1), fock.size).reshape(c * c, fock.size) * fock
         term = (r ** pair.total_weight) * term
-        rows = (blocks // c * d)[:, None] + ps.rows[pos][None, :]
-        cols = (blocks % c * d)[:, None] + ps.cols[pos][None, :]
+        rows = (blocks // c * d)[:, None] + fock_rows[None, :]
+        cols = (blocks % c * d)[:, None] + fock_cols[None, :]
         keys.append((rows * n + cols).ravel())
         vals.append(term.ravel())
     keys, vals = np.concatenate(keys), np.concatenate(vals)
@@ -446,27 +447,20 @@ def cesaro_reconstruct(
 
 
 def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> np.ndarray:
-    """The structured kernel of a symbol at radius ``r``.
+    """The structured kernel of a symbol at radius ``r``, as a dense array.
 
     Block entry at a comparable basis pair ``(w, g)`` is
-    ``tau_(w,g) r^{|s(w,g)|} A_{s(w,g)}``; zero blocks elsewhere.  The Fock
-    index is slow, so the block at pair ``(w, g)`` sits at rows ``w*c..`` and
-    columns ``g*c..``.
+    ``tau_(w,g) r^{|s(w,g)|} A_{s(w,g)}``; zero blocks elsewhere.  That is
+    :func:`evaluate_at_model` with the Fock index slow: entry ``[w*c + x,
+    g*c + y]`` here is entry ``[x*dim + w, y*dim + g]`` there.
     """
     if not 0.0 <= r < 1.0:
         raise SpecError(f"radius must lie in [0, 1), got {r}")
-    space = sym.space
-    ps = space.pair_structure()
-    c = space.coeff_dim
-    d = space.dim
-    coeff_table = np.zeros((ps.n_classes, c, c), dtype=complex)
-    for pair, A in sym.coefficients.items():
-        pos = ps.positions([space.index_of(pair.left)], [space.index_of(pair.right)])
-        coeff_table[ps.cls[pos[0]]] = A
-    radial = ps.tau * r ** ps.s_abs[ps.cls]
-    out = np.zeros((d, c, d, c), dtype=complex)
-    out[ps.rows, :, ps.cols, :] = radial[:, None, None] * coeff_table[ps.cls]
-    return out.reshape(d * c, d * c)
+    c, d = sym.space.coeff_dim, sym.space.dim
+    coo = evaluate_at_model(sym, r).matrix.tocoo()
+    out = np.zeros((d * c, d * c), dtype=complex)
+    out[coo.row % d * c + coo.row // d, coo.col % d * c + coo.col // d] = coo.data
+    return out
 
 
 def random_symbol(
@@ -482,18 +476,17 @@ def random_symbol(
     normalized complex Gaussian coefficient matrices; with ``hermitian`` the
     symbol is symmetrized so the evaluated operator is self-adjoint.
     """
-    ps = space.pair_structure()
     c = space.coeff_dim
-    count = max(1, min(n_monomials, ps.n_classes))
-    chosen = rng.choice(ps.n_classes, size=count, replace=False)
-    zero_cls = int(ps.cls[ps.positions([0], [0])[0]])
-    if zero_cls not in chosen:
-        chosen = np.append(chosen[:-1], zero_cls)
+    count = max(1, min(n_monomials, space.n_classes))
+    chosen = rng.choice(space.n_classes, size=count, replace=False)
+    # class 0 is the identity pair
+    if 0 not in chosen:
+        chosen = np.append(chosen[:-1], 0)
     coeffs: dict[IndexPair, np.ndarray] = {}
     for cdx in chosen:
         A = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
         A /= max(1.0, linalg.op_norm(A))
-        coeffs[ps.class_pair(int(cdx))] = A
+        coeffs[space.class_pair(int(cdx))] = A
     sym = FourierSymbol(space, coeffs)
     if hermitian:
         sym = FourierSymbol(

@@ -132,8 +132,7 @@ class TestBhResidual:
         for _ in range(4):
             spec = random_spec(rng)
             space = FockSpace(spec, (3,) * spec.k, coeff_dim=2)
-            ps = space.pair_structure()
-            pair = ps.class_pair(int(rng.integers(ps.n_classes)))
+            pair = space.class_pair(int(rng.integers(space.n_classes)))
             from polytoeplitz.model import monomial
 
             A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -190,9 +189,8 @@ class TestHomogeneousCommutation:
         space = FockSpace(spec, (4,))
         from polytoeplitz.model import monomial
 
-        ps = space.pair_structure()
-        plus = [c for c in range(ps.n_classes) if ps.s_vectors[c, 0] >= 0]
-        pair = ps.class_pair(int(rng.choice(plus)))
+        plus = [c for c in range(space.n_classes) if space.class_pair(c).degree_vector[0] >= 0]
+        pair = space.class_pair(int(rng.choice(plus)))
         q = monomial(space, pair, np.eye(1)).dense
         row = build_row(spec, space, 0)
         C = row.as_matrix().toarray()
@@ -209,9 +207,8 @@ class TestHomogeneousCommutation:
         space = FockSpace(spec, (4,))
         from polytoeplitz.model import monomial
 
-        ps = space.pair_structure()
-        minus = [c for c in range(ps.n_classes) if ps.s_vectors[c, 0] < 0]
-        pair = ps.class_pair(int(rng.choice(minus)))
+        minus = [c for c in range(space.n_classes) if space.class_pair(c).degree_vector[0] < 0]
+        pair = space.class_pair(int(rng.choice(minus)))
         q = monomial(space, pair, np.eye(1)).dense
         row = build_row(spec, space, 0)
         C = row.as_matrix().toarray()

@@ -9,7 +9,7 @@ import pytest
 from polytoeplitz import linalg
 from polytoeplitz.cli import _nanmax, build_parser, main
 from polytoeplitz.cpmaps import universal_tuple
-from polytoeplitz.model import FockSpace
+from polytoeplitz.model import FockSpace, monomial
 from polytoeplitz.toeplitz import (
     evaluate_at_model,
     random_symbol,
@@ -352,6 +352,26 @@ def test_kernel_psd_command(tmp_path, rng):
     assert report["verdicts_agree"]
 
 
+def test_symbol_term_beyond_truncation_is_dropped_by_fourier_and_kernel_psd(tmp_path):
+    # g1.g1.g1 has no basis word at --trunc 2: both commands evaluate the symbol without it
+    spec_path = write_spec(tmp_path / "spec.json", BALL)
+    identity = {"left": [[]], "right": [[]], "re": [[1.0]], "im": [[0.0]]}
+    beyond = {"left": [[1, 1, 1]], "right": [[]], "re": [[0.5]], "im": [[0.0]]}
+    for name, terms in (("kept", [identity]), ("beyond", [identity, beyond])):
+        doc = {"k": 1, "n": [2], "coeff_dim": 1, "terms": terms}
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        common = ["--spec", spec_path, "--trunc", "2", "--symbol", str(tmp_path / f"{name}.json")]
+        assert main(["fourier", *common, "--radius", "0.5", "--out", str(tmp_path / name / "f")]) == 0
+        assert main(["kernel-psd", *common, "--radius", "0.5", "--out", str(tmp_path / name / "k")]) == 0
+    kept, dropped = tmp_path / "kept", tmp_path / "beyond"
+    assert (dropped / "f" / "operator.mtx").read_bytes() == (kept / "f" / "operator.mtx").read_bytes()
+    report = strict_json((dropped / "f" / "fourier-report.json").read_text())
+    assert report["terms"] == 2
+    assert report["norm"] == strict_json((kept / "f" / "fourier-report.json").read_text())["norm"]
+    got = (dropped / "k" / "kernel-psd-report.json").read_bytes()
+    assert got == (kept / "k" / "kernel-psd-report.json").read_bytes()
+
+
 def test_verify_command_passes(tmp_path):
     rc = main(["verify", "--seed", "3", "--out", str(tmp_path / "out")])
     assert rc == 0
@@ -541,3 +561,20 @@ def test_operator_commands_make_no_word_list(tmp_path, monkeypatch):
         argv = [command, "--spec", spec, "--trunc", "10", "--operator", str(op), "--out", str(out)]
         assert main(argv) == 0
         assert strict_json((out / f"{command}-report.json").read_text())["command"] == command
+
+
+def test_no_command_builds_the_pair_arrays(tmp_path, monkeypatch, rng):
+    # the arrays over every comparable pair are a test reference: the battery, the
+    # symbol commands, monomials and random symbols classify by word-offset arithmetic
+    def refuse(self):
+        raise AssertionError("pair structure built")
+
+    monkeypatch.setattr(FockSpace, "pair_structure", refuse)
+    test_verify_report_matches_golden_file(tmp_path / "verify")
+    for radius, tag in (("1.0", "r1"), ("0.0", "r0")):
+        test_fourier_report_and_operator_match_golden_files(tmp_path / tag, radius, tag)
+    test_kernel_psd_report_matches_golden_file(tmp_path / "kernel")
+    space = FockSpace(spec_from_json((GOLDEN_FOURIER / "spec.json").read_text()), (3, 3))
+    sym = random_symbol(space, rng, n_monomials=6)
+    total = sum(monomial(space, pair, A).matrix for pair, A in sym.coefficients.items())
+    assert np.array_equal(total.toarray(), evaluate_at_model(sym).matrix.toarray())

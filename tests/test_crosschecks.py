@@ -13,7 +13,9 @@ and grading layer (a dense scatter of monomials for the model evaluation,
 dense ``(dim, dim)`` degree masks and window weights for the homogeneous
 parts, their support and the windowed reconstruction), and the
 classification and extraction over the arrays of every comparable pair that
-the stored-entry classifier replaced.  The line-splitting operator file
+the stored-entry classifier replaced, and the class positions and monomial
+entries read off those arrays that the class arithmetic of ``FockSpace``
+replaced.  The line-splitting operator file
 parser and the ``Word``-keyed dict tables that the one-call block parser and
 the rank views replaced are oracles too.  The arithmetic per entry is
 unchanged, so they must agree exactly.
@@ -26,7 +28,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polytoeplitz.brownhalmos import (
     _min_positive_gram_eig,
@@ -348,7 +350,57 @@ def pair_array_extraction(T, E, drop_tol=0.0):
     ps = T.space.pair_structure()
     raw = E[:, :, ps.rep_pos] / ps.tau_rep[None, None, :]
     kept = np.flatnonzero(np.abs(raw).max(axis=(0, 1)) > drop_tol)
-    return {ps.class_pair(int(cdx)): np.array(raw[:, :, cdx]) for cdx in kept}
+    return {pair_array_class_pair(ps, int(cdx)): np.array(raw[:, :, cdx]) for cdx in kept}
+
+
+def pair_array_class_pair(ps, c):
+    """The reduced pair of class ``c``, spelled from its representative's basis indices."""
+    space = ps.space
+    return IndexPair(space.multiword_at(int(ps.rep_row[c])), space.multiword_at(int(ps.rep_col[c])))
+
+
+def pair_array_class_positions(ps, c):
+    """Positions of the pairs of class ``c`` in the pair arrays, row-major; empty for ``c = -1``."""
+    if c < 0:
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(ps.cls == c)
+
+
+def pair_array_monomial_entries(ps, pair):
+    """``(pos, vals)``: the positions of the pair's class in the pair arrays and the entries of ``W_left W_right^*`` there.
+
+    The class is the one of the pair's own basis pair; a word beyond the
+    truncation gives no entries.  The weight loop runs per factor over the
+    gathered rows and columns, in factor order.
+    """
+    space = ps.space
+    try:
+        at = ps.positions([space.index_of(pair.left)], [space.index_of(pair.right)])[0]
+    except TruncationError:
+        at = -1
+    pos = pair_array_class_positions(ps, int(ps.cls[at]) if at >= 0 else -1)
+    rows, cols = ps.rows[pos], ps.cols[pos]
+    left = np.ones(pos.size)
+    right = np.ones(pos.size)
+    stride = space.dim
+    for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
+        stride //= space.factor_dims[i]
+        r_i = rows // stride % space.factor_dims[i]
+        c_i = cols // stride % space.factor_dims[i]
+        b = space.weights.values[i]
+        if len(u):
+            left *= np.sqrt(b[c_i] / b[r_i])
+        elif len(v):
+            right *= np.sqrt(b[r_i] / b[c_i])
+    return pos, (left * right).astype(complex)
+
+
+def beyond_truncation_pair(space, i=0):
+    """The pair whose left word on factor ``i`` is one letter longer than the truncation."""
+    parts = [Word.identity(n) for n in space.spec.n]
+    beyond = list(parts)
+    beyond[i] = Word((1,) * (space.trunc[i] + 1), space.spec.n[i])
+    return IndexPair(MultiWord(tuple(beyond)), MultiWord(tuple(parts)))
 
 
 def dense_phi_right(space, i, Y):
@@ -693,8 +745,56 @@ def test_classify_pairs_and_class_members_match_pair_structure(rng):
         # class by class, each class's pairs (in the order the factors enumerate them)
         assert np.array_equal(np.sort(members), ps.rows * d + ps.cols)
         for c in rng.choice(ps.n_classes, size=min(6, ps.n_classes), replace=False):
-            pos = ps.class_positions(int(c))
+            pos = pair_array_class_positions(ps, int(c))
             assert np.array_equal(space.class_members([c]), ps.rows[pos] * d + ps.cols[pos])
+
+
+def test_class_arithmetic_matches_pair_structure():
+    for space in oracle_spaces(np.random.default_rng(5)):
+        ps = space.pair_structure()
+        assert space.n_classes == ps.n_classes
+        for c in range(ps.n_classes):
+            pair = space.class_pair(c)
+            assert space.index_of(pair.left) == ps.rep_row[c]
+            assert space.index_of(pair.right) == ps.rep_col[c]
+            assert space.class_of(pair) == ps.cls[ps.rep_pos[c]] == c
+        assert space.class_pair(0) == IndexPair(space.multiword_at(0), space.multiword_at(0))
+        assert space.class_of(beyond_truncation_pair(space)) == -1
+
+
+def test_monomial_entries_match_pair_structure_oracle():
+    for space in oracle_spaces(np.random.default_rng(6)):
+        ps = space.pair_structure()
+        d = space.dim
+        pairs = [pair_array_class_pair(ps, c) for c in range(ps.n_classes)]
+        pairs.append(beyond_truncation_pair(space, space.spec.k - 1))
+        for pair in pairs:
+            keys, vals = space.monomial_entries(pair)
+            pos, expected = pair_array_monomial_entries(ps, pair)
+            assert np.array_equal(keys, ps.rows[pos] * d + ps.cols[pos])
+            assert np.array_equal(vals, expected)
+        assert keys.size == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    trunc=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+)
+def test_closed_form_class_and_pair_counts(n, trunc):
+    # per factor d = sum_j n^j words and sum_w |w| = sum_j j n^j letters, over lengths j <= L;
+    # a comparable pair is a word with itself or a word with one of its proper suffixes, either way round
+    trunc = trunc[: len(n)]
+    words = [sum(ni**j for j in range(L + 1)) for ni, L in zip(n, trunc)]
+    letters = [sum(j * ni**j for j in range(L + 1)) for ni, L in zip(n, trunc)]
+    # keep the oracle's arrays small
+    assume(math.prod(words) <= 2000)
+    generators = [(i + 1, (j,), 0.5 / ni) for i, ni in enumerate(n) for j in range(1, ni + 1)]
+    space = FockSpace(make_spec(len(n), n, (1,) * len(n), generators), trunc)
+    ps = space.pair_structure()
+    assert space.dim == math.prod(words)
+    assert space.n_classes == ps.n_classes == math.prod(2 * d - 1 for d in words)
+    assert ps.rows.size == math.prod(d + 2 * s for d, s in zip(words, letters))
 
 
 CASE_KINDS = (
@@ -916,12 +1016,8 @@ def test_factor_creation_matches_per_column_oracle(rng):
 def test_monomial_matches_product_oracle(rng):
     for space in oracle_spaces(rng):
         c = space.coeff_dim
-        pairs = space.pair_structure().reduced_pairs()
-        # a pair whose left word is one letter longer than the truncation
-        parts = [Word.identity(n) for n in space.spec.n]
-        beyond = list(parts)
-        beyond[0] = Word((1,) * (space.trunc[0] + 1), space.spec.n[0])
-        pairs.append(IndexPair(MultiWord(tuple(beyond)), MultiWord(tuple(parts))))
+        pairs = [space.class_pair(c) for c in range(space.n_classes)]
+        pairs.append(beyond_truncation_pair(space))
         for pair in pairs:
             A = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
             got = monomial(space, pair, A).matrix

@@ -9,7 +9,8 @@ take well over a gigabyte, so the bound catches any return to them.
 1,990,921 comparable pairs would take it past its tighter bound; in-process,
 classifying and extracting at dim 3969 must not build the pair structure.
 ``fourier`` evaluates the planted symbol at dim 3969 and at ``L=6``
-(dim 16129), where one dense complex ``(dim, dim)`` array takes 4.2 GB.
+(dim 16129), where one dense complex ``(dim, dim)`` array takes 4.2 GB and
+the arrays over all comparable pairs would take it past its tighter bound.
 ``model`` on ``k=1, n=2, L=10`` (dim 2047) runs the universal model's
 completely positive maps; dense defect iterates there peak near 450 MB.
 The symbol and grading routines are also traced in-process: for sparse
@@ -49,6 +50,8 @@ from polytoeplitz.weights import spec_from_json
 PEAK_RSS_LIMIT_MB = 400
 # importing the program alone takes about 60 MB; the pair arrays at dim 16129 took 258 MB in all
 TOEPLITZ_PEAK_RSS_LIMIT_MB = 150
+# the same for fourier, where the pair arrays and their per-class argsort took 231 MB in all
+FOURIER_PEAK_RSS_LIMIT_MB = 120
 MODEL_PEAK_RSS_LIMIT_MB = 300
 
 # every word of length <= 2 in both factors, letter-dependent coefficients
@@ -183,19 +186,19 @@ def test_fourier_stays_below_peak_rss_limit(tmp_path):
     (tmp_path / "spec.json").write_text(json.dumps(SPEC))
     sym = _planted_symbol(FockSpace(spec_from_json(SPEC), (5, 5)))
     (tmp_path / "symbol.json").write_text(json.dumps(symbol_to_json(sym)))
-    for trunc in ("5", "6"):
+    for trunc, limit in (("5", PEAK_RSS_LIMIT_MB), ("6", FOURIER_PEAK_RSS_LIMIT_MB)):
         argv = ["fourier", "--spec", "spec.json", "--trunc", trunc, "--symbol", "symbol.json"]
         code, mb = _run_child(tmp_path, [*argv, "--out", f"out{trunc}"])
         assert code == 0
         report = json.loads((tmp_path / f"out{trunc}" / "fourier-report.json").read_text())
         assert report["terms"] == len(TERMS)
-        assert mb < PEAK_RSS_LIMIT_MB, f"fourier --trunc {trunc} peak RSS {mb:.0f} MB"
+        assert mb < limit, f"fourier --trunc {trunc} peak RSS {mb:.0f} MB"
 
 
 def test_symbol_and_grading_allocate_no_dense_square():
     space = FockSpace(spec_from_json(SPEC), (5, 5))
     sym = _planted_symbol(space)
-    T = evaluate_at_model(sym)  # builds and caches the pair structure outside the trace
+    T = evaluate_at_model(sym)  # the operator the grading calls read, built outside the trace
     limit = space.dim * space.dim  # one byte per (dim, dim) cell
     calls = [
         lambda: evaluate_at_model(sym, 0.5),

@@ -86,9 +86,8 @@ class TestMonomial:
         spec = random_spec(rng, k=2, max_n=2, max_deg=2)
         trunc = (2, 2)
         space = FockSpace(spec, trunc)
-        ps = space.pair_structure()
-        for cdx in rng.choice(ps.n_classes, size=min(6, ps.n_classes), replace=False):
-            pair = ps.class_pair(int(cdx))
+        for cdx in rng.choice(space.n_classes, size=min(6, space.n_classes), replace=False):
+            pair = space.class_pair(int(cdx))
             op = monomial(space, pair, np.eye(1)).dense
             for gi, wi in itertools.product(range(space.dim), repeat=2):
                 gamma, omega = space.multiword_at(gi), space.multiword_at(wi)
@@ -104,8 +103,7 @@ class TestMonomial:
         # ||W_a W_b* e_g||^2 equals the sum of tau^2 over matching rows
         spec = random_spec(rng, k=1, max_n=2, max_deg=2)
         space = FockSpace(spec, (3,))
-        ps = space.pair_structure()
-        pair = ps.class_pair(int(rng.integers(ps.n_classes)))
+        pair = space.class_pair(int(rng.integers(space.n_classes)))
         op = monomial(space, pair, np.eye(1)).dense
         for gi in range(space.dim):
             gamma = space.multiword_at(gi)

@@ -43,9 +43,8 @@ class TestIsMultiToeplitz:
     def test_monomials_pass(self, rng):
         spec = random_spec(rng, k=2, max_n=2)
         space = FockSpace(spec, (2, 2))
-        ps = space.pair_structure()
-        for cdx in rng.choice(ps.n_classes, size=5, replace=False):
-            op = monomial(space, ps.class_pair(int(cdx)), np.eye(1))
+        for cdx in rng.choice(space.n_classes, size=5, replace=False):
+            op = monomial(space, space.class_pair(int(cdx)), np.eye(1))
             assert is_multi_toeplitz(op).verdict
 
     def test_single_noncomparable_entry_detected(self, two_gen_ball_spec, rng):
@@ -83,9 +82,8 @@ class TestHomogeneousParts:
     def test_monomial_concentrated(self, rng):
         spec = random_spec(rng, k=1, max_n=2)
         space = FockSpace(spec, (3,))
-        ps = space.pair_structure()
-        cdx = int(rng.integers(ps.n_classes))
-        pair = ps.class_pair(cdx)
+        cdx = int(rng.integers(space.n_classes))
+        pair = space.class_pair(cdx)
         op = monomial(space, pair, np.eye(1))
         s = pair.degree_vector
         assert np.abs(homogeneous_part(op, s).dense - op.dense).max() == 0.0
@@ -113,8 +111,7 @@ class TestHomogeneousParts:
     def test_support_detection(self, rng):
         spec = random_spec(rng, k=1, max_n=2)
         space = FockSpace(spec, (3,))
-        ps = space.pair_structure()
-        pair = ps.class_pair(int(rng.integers(ps.n_classes)))
+        pair = space.class_pair(int(rng.integers(space.n_classes)))
         op = monomial(space, pair, np.eye(1))
         assert homogeneous_support(op) == [pair.degree_vector]
 
@@ -133,8 +130,7 @@ class TestExtractFourier:
     def test_monomial_round_trip(self, rng):
         spec = random_spec(rng, k=2, max_n=2)
         space = FockSpace(spec, (2, 2), coeff_dim=2)
-        ps = space.pair_structure()
-        pair = ps.class_pair(int(rng.integers(ps.n_classes)))
+        pair = space.class_pair(int(rng.integers(space.n_classes)))
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         sym = extract_fourier(monomial(space, pair, A))
         assert set(sym.coefficients) == {pair}
