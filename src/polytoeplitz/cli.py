@@ -10,6 +10,7 @@ output; exit codes are 0 (pass), 1 (verification failure), 2 (input error),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -314,7 +315,8 @@ def cmd_fourier(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = {
         "command": "fourier",
         "radius": args.radius,
-        "terms": len(sym.coefficients),
+        # terms with a word beyond the truncation contribute nothing
+        "terms": sum(sym.space.class_of(pair) >= 0 for pair in sym.coefficients),
         "norm": linalg.op_norm(op.matrix),
         "passed": True,
     }
@@ -703,7 +705,9 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
 # -- argument plumbing ----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="polytoeplitz",
         description="Operator models of regular polydomains and multi-Toeplitz verification.",
@@ -722,45 +726,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="build weight tables, oracle cross-check, ratio trend")
     common(p, "tol", "seed")
     p.add_argument("--oracle-degree", type=int, default=6, help="max degree for oracle checks")
-    p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("model", help="construct the universal model and check its defect")
     common(p, "coeff-dim", "tol")
-    p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("verify", help="run the full property battery")
     common(p, "tol", "seed", needs_spec=False)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("toeplitz", help="classify an operator file and extract its symbol")
     common(p, "coeff-dim", "tol")
     p.add_argument("--operator", required=True, help="operator in coordinate matrix format")
     p.add_argument("--drop-tol", type=float, default=0.0, help="drop coefficients at/below this")
-    p.set_defaults(func=cmd_toeplitz)
 
     p = sub.add_parser("fourier", help="evaluate a symbol file radially at the model")
     common(p, "coeff-dim")
     p.add_argument("--symbol", required=True, help="symbol JSON file")
     p.add_argument("--radius", type=float, default=1.0)
-    p.set_defaults(func=cmd_fourier)
 
     p = sub.add_parser("berezin", help="kernel checks for an operator tuple manifest")
     common(p, "coeff-dim", "tol")
     p.add_argument("--tuple", required=True, help="tuple manifest JSON")
     p.add_argument("--operator", default=None, help="optional operator to transform")
-    p.set_defaults(func=cmd_berezin)
 
     p = sub.add_parser("brown-halmos", help="structural-equation residuals of an operator")
     common(p, "coeff-dim", "tol")
     p.add_argument("--operator", required=True)
     p.add_argument("--factor", type=int, default=None, help="1-based factor selector")
-    p.set_defaults(func=cmd_brown_halmos)
 
     p = sub.add_parser("kernel-psd", help="compare kernel and model positivity of a symbol")
     common(p, "coeff-dim", "tol")
     p.add_argument("--symbol", required=True)
     p.add_argument("--radius", type=float, default=0.5)
-    p.set_defaults(func=cmd_kernel_psd)
 
     return parser
 
@@ -781,7 +777,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed=shared["seed"],
             out=Path(args.out) if args.out else None,
         )
-        return args.func(cfg, args)
+        # looked up on each call, so the shared parser holds no command function
+        command = globals()["cmd_" + args.command.replace("-", "_")]
+        return command(cfg, args)
     except (DimensionMismatch, TruncationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FORMAT

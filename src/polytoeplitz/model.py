@@ -320,31 +320,43 @@ class FockSpace:
     def monomial_entries(self, pair: IndexPair) -> tuple[np.ndarray, np.ndarray]:
         """Where ``W_left W_right^*`` of a reduced pair is supported, and its entries there.
 
-        Returns ``(keys, vals)``: the row-major keys ``row * dim + col`` of the
-        pair's class (:meth:`class_members`) and the complex entry at each.
-        The entry at ``(row, col)`` is the weight of ``W_left`` times that of
-        ``W_right``, each the product in factor order of ``sqrt(b_shorter /
-        b_longer)`` over the factors where that side is nonempty (the entry
-        weight, multiplied in the order of the creation products).  A pair
-        with a word beyond the truncation has no entries.
+        The one-pair case of :meth:`term_entries`: ``(keys, vals)``, the
+        row-major keys of the pair's class and the complex entry at each.
         """
-        c = self.class_of(pair)
-        keys = self.class_members([c]) if c >= 0 else np.zeros(0, dtype=np.int64)
+        _, keys, vals = self.term_entries([pair])
+        return keys, vals
+
+    def term_entries(self, pairs: Sequence[IndexPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where each ``W_left W_right^*`` of reduced pairs is supported, and its entries there.
+
+        Returns ``(term, keys, vals)``: for each pair in turn, the position of
+        the pair in ``pairs``, the row-major keys ``row * dim + col`` of its
+        class (:meth:`class_members`, one call for all pairs) and the complex
+        entry at each.  The entry at ``(row, col)`` is the weight of
+        ``W_left`` times that of ``W_right``, each the product in factor
+        order of ``sqrt(b_shorter / b_longer)`` over the factors where that
+        side is nonempty (the entry weight, multiplied in the order of the
+        creation products).  A pair with a word beyond the truncation has no
+        entries.
+        """
+        classes = np.array([self.class_of(pair) for pair in pairs], dtype=np.int64)
+        kept = np.flatnonzero(classes >= 0)
+        owner, keys = self._members(classes[kept])
         rows, cols = np.divmod(keys, self.dim)
         left = np.ones(keys.size)
         right = np.ones(keys.size)
         stride = self.dim
-        for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
+        for i, (_, row_long) in enumerate(self._class_factors(classes[kept])):
             # factor i's basis indices, first factor slowest
             stride //= self.factor_dims[i]
             r_i = rows // stride % self.factor_dims[i]
             c_i = cols // stride % self.factor_dims[i]
             b = self.weights.values[i]
-            if len(u):
-                left *= np.sqrt(b[c_i] / b[r_i])
-            elif len(v):
-                right *= np.sqrt(b[r_i] / b[c_i])
-        return keys, (left * right).astype(complex)
+            # a factor with both sides empty has r_i == c_i, whose weight is exactly 1
+            long_row = row_long[owner]
+            left *= np.where(long_row, np.sqrt(b[c_i] / b[r_i]), 1.0)
+            right *= np.where(long_row, 1.0, np.sqrt(b[r_i] / b[c_i]))
+        return kept[owner], keys, (left * right).astype(complex)
 
     def class_members(self, classes: np.ndarray) -> np.ndarray:
         """Row-major keys ``row * dim + col`` of the comparable pairs in the given classes.
@@ -354,6 +366,10 @@ class FockSpace:
         |y| <= L``: the first ``start[L - |q| + 1]`` ranks.  A class's members
         are the products of its factors' members, first factor slowest.
         """
+        return self._members(classes)[1]
+
+    def _members(self, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`class_members`, with the position in ``classes`` of each member's class."""
         classes = np.asarray(classes, dtype=np.int64)
         per_factor = []  # (quotient, row is the longer word, member count) per factor and class
         for i, (quot, row_long) in enumerate(self._class_factors(classes)):
@@ -379,7 +395,7 @@ class FockSpace:
             count = self.factor_dims[i]
             keys_row = keys_row * count + np.where(long_row, qy, y)
             keys_col = keys_col * count + np.where(long_row, y, qy)
-        return keys_row * self.dim + keys_col
+        return owner, keys_row * self.dim + keys_col
 
 
 # -- stored-entry kernels ------------------------------------------------------

@@ -359,9 +359,9 @@ def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     """The operator ``sum r^{|s|} A (x) W_left W_right^*`` on the symbol's space, as CSR.
 
     Distinct reduced pairs have disjoint supports (every comparable basis pair
-    reduces to one pair), so the terms' entries are gathered, not added.  A
-    term's Fock entries ``v`` come from
-    :meth:`~polytoeplitz.model.FockSpace.monomial_entries`; coefficient
+    reduces to one pair), so the terms' entries are gathered, not added.  The
+    Fock entries ``v`` of all terms come from one
+    :meth:`~polytoeplitz.model.FockSpace.term_entries` call; coefficient
     block ``(x, y)`` puts ``r^{|s|} * (A[x, y] * v)`` at row ``x*dim + row``
     and column ``y*dim + col``, the products :func:`~polytoeplitz.model.monomial`
     and the radial scaling form, in their order.  A term with a word beyond
@@ -369,22 +369,18 @@ def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     """
     space = sym.space
     c, d, n = space.coeff_dim, space.dim, space.total_dim
+    support = sym.support()
+    term, members, fock = space.term_entries(support)
+    fock_rows, fock_cols = np.divmod(members, d)
+    coeffs = np.array([sym.coefficients[pair] for pair in support], dtype=complex)
+    radial = np.array([r ** pair.total_weight for pair in support], dtype=float)
+    # row b holds coefficient entry A.flat[b] of each member's term
+    vals = coeffs.reshape(len(support), c * c)[term].T * fock
+    vals = radial[term] * vals
     blocks = np.arange(c * c)
-    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
-    for pair in sym.support():
-        members, fock = space.monomial_entries(pair)
-        fock_rows, fock_cols = np.divmod(members, d)
-        A = sym.coefficients[pair]
-        if c == 1:
-            term = fock * complex(A[0, 0])
-        else:
-            term = np.repeat(A.reshape(-1), fock.size).reshape(c * c, fock.size) * fock
-        term = (r ** pair.total_weight) * term
-        rows = (blocks // c * d)[:, None] + fock_rows[None, :]
-        cols = (blocks % c * d)[:, None] + fock_cols[None, :]
-        keys.append((rows * n + cols).ravel())
-        vals.append(term.ravel())
-    keys, vals = np.concatenate(keys), np.concatenate(vals)
+    rows = (blocks // c * d)[:, None] + fock_rows[None, :]
+    cols = (blocks % c * d)[:, None] + fock_cols[None, :]
+    keys, vals = (rows * n + cols).ravel(), vals.ravel()
     order = np.argsort(keys)
     keys, vals = keys[order], vals[order]
     nonzero = vals != 0

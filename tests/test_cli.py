@@ -1,12 +1,15 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polytoeplitz import linalg
+from polytoeplitz import cli, linalg
 from polytoeplitz.cli import _nanmax, build_parser, main
 from polytoeplitz.cpmaps import universal_tuple
 from polytoeplitz.model import FockSpace, monomial
@@ -366,7 +369,7 @@ def test_symbol_term_beyond_truncation_is_dropped_by_fourier_and_kernel_psd(tmp_
     kept, dropped = tmp_path / "kept", tmp_path / "beyond"
     assert (dropped / "f" / "operator.mtx").read_bytes() == (kept / "f" / "operator.mtx").read_bytes()
     report = strict_json((dropped / "f" / "fourier-report.json").read_text())
-    assert report["terms"] == 2
+    assert report["terms"] == 1
     assert report["norm"] == strict_json((kept / "f" / "fourier-report.json").read_text())["norm"]
     got = (dropped / "k" / "kernel-psd-report.json").read_bytes()
     assert got == (kept / "k" / "kernel-psd-report.json").read_bytes()
@@ -422,6 +425,50 @@ def test_brown_halmos_report_matches_golden_file(tmp_path):
     assert got == (GOLDEN_FOURIER / "brown-halmos-report.json").read_bytes()
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+# OpenBLAS takes its thread count from the first of these that is set
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_at_blas_threads(threads, commands, out):
+    """Run ``main`` on each argv of ``commands`` in one fresh process, with the outputs under ``out``.
+
+    ``threads=None`` leaves OpenBLAS at its default thread count.  Each
+    command writes into ``out/<position>``.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argvs = [[*argv, "--out", str(out / str(j))] for j, argv in enumerate(commands)]
+    code = "import json, sys; from polytoeplitz.cli import main; sys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+    subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], env=env, check=True, capture_output=True, timeout=600
+    )
+    return [out / str(j) for j in range(len(commands))]
+
+
+def test_golden_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at one BLAS thread the golden commands give the golden bytes, and the
+    # verify seeds that once moved by an ulp give the bytes of the default count
+    golden = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
+              "--symbol", str(GOLDEN_FOURIER / "symbol.json")]
+    pinned = [
+        (["fourier", *golden, "--radius", "1.0"], "fourier-report.json", GOLDEN_FOURIER / "fourier-report-r1.json"),
+        (["fourier", *golden, "--radius", "0.0"], "fourier-report.json", GOLDEN_FOURIER / "fourier-report-r0.json"),
+        (["kernel-psd", *golden, "--radius", "0.5"], "kernel-psd-report.json", GOLDEN_FOURIER / "kernel-psd-report.json"),
+        (["verify", "--seed", "42", "--trunc", "4"], "verify-report.json",
+         Path(__file__).parent / "data" / "verify_seed42_trunc4.json"),
+    ]
+    seeds = [["verify", "--seed", str(seed), "--trunc", "4"] for seed in (15, 19, 55, 69)]
+    one = run_at_blas_threads(1, [argv for argv, _, _ in pinned] + seeds, tmp_path / "one")
+    default = run_at_blas_threads(None, seeds, tmp_path / "default")
+    for got, (_, name, expected) in zip(one, pinned):
+        assert (got / name).read_bytes() == expected.read_bytes()
+    for a, b in zip(one[len(pinned):], default):
+        assert (a / "verify-report.json").read_bytes() == (b / "verify-report.json").read_bytes()
+
+
 # the benchmark's `deep` polydomain: k=1, n=2, m=3, every word of length <= 2
 DEEP = {
     "k": 1,
@@ -475,6 +522,26 @@ OPTIONS = {
     "brown-halmos": {"--spec", "--trunc", "--coeff-dim", "--tol", "--out", "--operator", "--factor"},
     "kernel-psd": {"--spec", "--trunc", "--coeff-dim", "--tol", "--out", "--symbol", "--radius"},
 }
+
+
+def test_main_calls_share_one_parser_and_help_is_unchanged(tmp_path, capsys, monkeypatch):
+    build_parser.cache_clear()
+    spec = write_spec(tmp_path / "spec.json", BERGMAN)
+    assert main(["weights", "--spec", spec, "--trunc", "3", "--out", str(tmp_path / "a")]) in (0, 1)
+    # the command function is looked up per call, so replacing it still takes effect
+    monkeypatch.setattr(cli, "cmd_weights", lambda cfg, args: 7)
+    assert main(["weights", "--spec", spec, "--trunc", "3"]) == 7
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
+    capsys.readouterr()
+    # the shared parser prints the help of a freshly built one
+    fresh = build_parser.__wrapped__()
+    sub = next(a for a in fresh._actions if isinstance(a, argparse._SubParsersAction))
+    for argv, parser in (([], fresh), (["kernel-psd"], sub.choices["kernel-psd"])):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == parser.format_help()
 
 
 def test_subcommand_options_match_the_table():

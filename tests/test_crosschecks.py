@@ -18,7 +18,10 @@ entries read off those arrays that the class arithmetic of ``FockSpace``
 replaced.  The line-splitting operator file
 parser and the ``Word``-keyed dict tables that the one-call block parser and
 the rank views replaced are oracles too.  The arithmetic per entry is
-unchanged, so they must agree exactly.
+unchanged, so they must agree exactly.  The whole-matrix dense SVD and
+``eigvalsh`` that the block-by-block ``op_norm`` and ``psd_check`` replaced
+are oracles within a few rounding errors, since a block rounds differently
+from the whole matrix.
 """
 
 import io
@@ -59,7 +62,15 @@ from polytoeplitz.freemonoid import (
     simplify,
 )
 from polytoeplitz.errors import DimensionMismatch, PolytoeplitzError, SpecError, TruncationError
-from polytoeplitz.linalg import adjoint, as_dense, hermitize, load_matrix, op_norm, pinv_on_range
+from polytoeplitz.linalg import (
+    adjoint,
+    as_dense,
+    hermitize,
+    load_matrix,
+    op_norm,
+    pinv_on_range,
+    psd_check,
+)
 from polytoeplitz.model import FockOperator, FockSpace, graded_projection, monomial
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import (
@@ -776,6 +787,22 @@ def test_monomial_entries_match_pair_structure_oracle():
         assert keys.size == 0
 
 
+def test_term_entries_match_pair_structure_oracle_in_one_call():
+    # every class of the space and a pair beyond the truncation, in one batched call
+    for space in oracle_spaces(np.random.default_rng(7)):
+        ps = space.pair_structure()
+        d = space.dim
+        pairs = [pair_array_class_pair(ps, c) for c in range(ps.n_classes)]
+        beyond = len(pairs) // 2
+        pairs.insert(beyond, beyond_truncation_pair(space))
+        term, keys, vals = space.term_entries(pairs)
+        for t, pair in enumerate(pairs):
+            pos, expected = pair_array_monomial_entries(ps, pair)
+            assert np.array_equal(keys[term == t], ps.rows[pos] * d + ps.cols[pos])
+            assert np.array_equal(vals[term == t], expected)
+        assert not np.any(term == beyond)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.lists(st.integers(1, 3), min_size=1, max_size=3),
@@ -1037,7 +1064,8 @@ def test_evaluate_at_model_matches_sparse_sum_oracle(rng):
         coeffs = dict(sym.coefficients)
         coeffs[IndexPair(MultiWord(tuple(parts)), MultiWord(tuple(beyond)))] = np.ones((c, c))
         for s in (sym, FourierSymbol(space, coeffs), FourierSymbol(space, {})):
-            for r in (0.0, 0.5, 1.0):
+            # one batched pass gives the bits of the per-term monomials, at dyadic radii and others
+            for r in (0.0, 0.3, 0.5, 0.7, 1.0):
                 got = evaluate_at_model(s, r).matrix
                 assert sp.isspmatrix_csr(got)
                 # the CSR stores no explicit zeros
@@ -1276,3 +1304,104 @@ def test_multiword_at_matches_listed_basis(rng):
             assert space.index_of(space.multiword_at(i)) == i
         with pytest.raises(TruncationError):
             space.multiword_at(space.dim)
+
+
+# -- block-by-block spectral checks ----------------------------------------------
+
+
+def dense_op_norm(mat):
+    """The whole-matrix 2-norm by one dense SVD; 0.0 for the zero matrix."""
+    m = as_dense(mat)
+    return float(np.linalg.norm(m, 2)) if m.any() else 0.0
+
+
+def dense_psd_check(mat, tol):
+    """``(verdict, lambda_min, lambda_max)`` of the Hermitian part by one dense ``eigvalsh``."""
+    h = hermitize(mat)
+    if h.shape[0] == 0:
+        return True, 0.0, 0.0
+    eigs = np.linalg.eigvalsh(h)
+    lo, hi = float(eigs[0]), float(eigs[-1])
+    return lo >= -tol * max(1.0, hi), lo, hi
+
+
+def permuted_blocks(rng, shapes, empty_rows, empty_cols, block):
+    """A block-diagonal matrix with rows and columns permuted at random.
+
+    ``block(rng, r, c)`` fills each ``r x c`` block; ``empty_rows`` and
+    ``empty_cols`` zero rows and columns follow the blocks.
+    """
+    n_r = sum(r for r, _ in shapes) + empty_rows
+    n_c = sum(c for _, c in shapes) + empty_cols
+    out = np.zeros((n_r, n_c), dtype=complex)
+    at_r = at_c = 0
+    for r, c in shapes:
+        out[at_r:at_r + r, at_c:at_c + c] = block(rng, r, c)
+        at_r, at_c = at_r + r, at_c + c
+    return out[rng.permutation(n_r)][:, rng.permutation(n_c)]
+
+
+def complex_block(rng, r, c):
+    return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=14),
+    empty_rows=st.integers(0, 12),
+    empty_cols=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
+)
+@example(shapes=[(1, 1)] * 12, empty_rows=0, empty_cols=0, seed=1, sparse=True)  # all 1x1 blocks
+@example(shapes=[(30, 20)], empty_rows=0, empty_cols=0, seed=2, sparse=False)  # a single full block
+@example(shapes=[], empty_rows=12, empty_cols=9, seed=3, sparse=True)  # the zero matrix
+@example(shapes=[(2, 5), (6, 1), (3, 3)], empty_rows=4, empty_cols=0, seed=4, sparse=False)  # rectangular
+def test_block_op_norm_matches_dense_svd(shapes, empty_rows, empty_cols, seed, sparse):
+    rng = np.random.default_rng(seed)
+    m = permuted_blocks(rng, shapes, empty_rows, empty_cols, complex_block)
+    got = op_norm(sp.csr_matrix(m) if sparse else m)
+    expected = dense_op_norm(m)
+    assert abs(got - expected) <= 1e-14 * expected
+
+
+def psd_block(kind):
+    """Blocks for the PSD test: Gram, rank-deficient Gram, Hermitian, or arbitrary."""
+    def block(rng, r, c):
+        B = complex_block(rng, r, r)
+        if kind == "gram":
+            return B @ B.conj().T
+        if kind == "singular":  # a zero eigenvalue in every block
+            B[:, -1] = 0
+            return B @ B.conj().T
+        if kind == "hermitian":
+            return B + B.conj().T
+        return B
+    return block
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 7), max_size=14),
+    empty=st.integers(0, 12),
+    kind=st.sampled_from(["gram", "singular", "hermitian", "general"]),
+    seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
+)
+@example(sizes=[1] * 12, empty=0, kind="hermitian", seed=1, sparse=True)  # all 1x1 blocks
+@example(sizes=[25], empty=0, kind="singular", seed=2, sparse=False)  # a single full block
+@example(sizes=[], empty=12, kind="gram", seed=3, sparse=True)  # the zero matrix
+@example(sizes=[3, 4, 2], empty=5, kind="gram", seed=4, sparse=False)  # empty rows give the eigenvalue 0
+def test_block_psd_check_matches_dense_eigvalsh(sizes, empty, kind, seed, sparse):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + empty
+    m = permuted_blocks(rng, [(s, s) for s in sizes], empty, empty, psd_block(kind))
+    # the same permutation on both sides keeps the blocks square
+    perm = rng.permutation(n)
+    m = m[perm][:, perm]
+    for tol in (1e-9, 0.0):
+        verdict, lo = psd_check(sp.csr_matrix(m) if sparse else m, tol)
+        expected, lo_dense, hi_dense = dense_psd_check(m, tol)
+        assert abs(lo - lo_dense) <= 1e-13 * max(1.0, hi_dense)
+        if abs(lo_dense + tol * max(1.0, hi_dense)) > 1e-13 * max(1.0, hi_dense):
+            assert verdict == expected
