@@ -416,12 +416,34 @@ def cmd_brown_halmos(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_PASS if scan["satisfied"] else EXIT_FAIL
 
 
+def _mem_available() -> Optional[int]:
+    """``MemAvailable`` of ``/proc/meminfo`` in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
-    sym = _load_symbol(_space(cfg), args.symbol)
+    space = _space(cfg)
+    # the dense kernel, and its conjugate and their sum when psd_check forms
+    # the Hermitian part: at least three (dim*c)**2 complex arrays at once
+    need = 3 * np.dtype(complex).itemsize * space.total_dim**2
+    available = _mem_available()
+    if available is not None and need > available:
+        raise MemoryError(
+            f"kernel-psd at dimension {space.total_dim} needs at least {need} bytes "
+            f"for its dense arrays, more than the {available} bytes available"
+        )
+    sym = _load_symbol(space, args.symbol)
     gamma = pluriharmonic_kernel(sym, args.radius)
     op = evaluate_at_model(sym, args.radius)
     kernel_psd, kernel_min = linalg.psd_check(gamma, cfg.tol)
-    model_psd, model_min = linalg.psd_check(op.dense, cfg.tol)
+    model_psd, model_min = linalg.psd_check(op.matrix, cfg.tol)
     agree = kernel_psd == model_psd
     report = {
         "command": "kernel-psd",
@@ -540,8 +562,10 @@ def _check_toeplitz_roundtrip(rng: np.random.Generator, trunc_degree: int) -> li
             dev = float(np.abs(back.coefficients.get(pair, np.zeros_like(A)) - A).max())
             worst = _nanmax(worst, dev)
         d = space.dim
-        every = np.arange(d * d)
-        bad = np.flatnonzero(~space.classify_pairs(every // d, every % d).comparable)
+        # the non-comparable pairs: every pair outside the members of all classes
+        bad = np.ones(d * d, dtype=bool)
+        bad[space.class_members(np.arange(space.n_classes))] = False
+        bad = np.flatnonzero(bad)
         if len(bad):
             row, col = divmod(int(bad[rng.integers(len(bad))]), d)
             spoil = sp.csr_matrix(([1e-3], ([row], [col])), shape=T.matrix.shape)
@@ -564,13 +588,36 @@ def _stored_dense(M: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((M.reshape(-1), cols, indptr), shape=(n, n))
 
 
+def _stored(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of a CSR matrix's stored entries, in storage order, without copying them."""
+    rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
+    return rows, mat.indices, mat.data
+
+
 def _residual_max(M: np.ndarray, pieces) -> float:
     """Largest entry of ``|M - sum of the pieces|``, adding the pieces' stored entries."""
     residual = M.copy()
     for piece in pieces:
-        coo = piece.matrix.tocoo()
-        residual[coo.row, coo.col] -= coo.data
+        rows, cols, vals = _stored(piece.matrix)
+        residual[rows, cols] -= vals
     return float(np.abs(residual).max())
+
+
+def _gap_max(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest ``|a - b|`` over the union of two sets of keyed entries, a missing entry read as 0.
+
+    Keys are distinct within each set and ``b``'s are sorted; 0.0 when both
+    are empty, as for ``abs(A - B).max()`` on the sparse matrices.
+    """
+    (keys_a, vals_a), (keys_b, vals_b) = a, b
+    pos = np.searchsorted(keys_b, keys_a)
+    hit = pos < keys_b.size
+    hit[hit] = keys_b[pos[hit]] == keys_a[hit]
+    gap = np.abs(vals_a)
+    gap[hit] = np.abs(vals_a[hit] - vals_b[pos[hit]])
+    only_b = np.ones(keys_b.size, dtype=bool)
+    only_b[pos[hit]] = False
+    return max(float(gap.max(initial=0.0)), float(np.abs(vals_b[only_b]).max(initial=0.0)))
 
 
 def _check_homogeneous_decomposition(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
@@ -593,13 +640,24 @@ def _check_homogeneous_decomposition(rng: np.random.Generator, trunc_degree: int
         del T, M
         adjoint_parts = homogeneous_decomposition(FockOperator(space, _stored_dense(adjoint)))
         del adjoint
-        # the degree -s part of T*, adjoined, is the degree s part of T
-        empty = sp.csr_matrix((n, n), dtype=complex)
+        # the degree -s part of T*, adjoined, is the degree s part of T; compared
+        # on stored entries, one degree at a time
+        none = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
         for s in parts.keys() | {tuple(-x for x in s) for s in adjoint_parts}:
+            one = none
+            if s in parts:
+                rows, cols, vals = _stored(parts[s].matrix)
+                one = rows.astype(np.int64) * n + cols, vals
             flipped = adjoint_parts.get(tuple(-x for x in s))
-            one = parts[s].matrix if s in parts else empty
-            other = flipped.adjoint().matrix if flipped is not None else empty
-            worst = _nanmax(worst, float(abs(one - other).max()))
+            other = none
+            if flipped is not None:
+                # entry (r, c, v) of the part of T* is entry (c, r, conj v) of its adjoint
+                rows, cols, vals = _stored(flipped.matrix)
+                keys = cols.astype(np.int64) * n + rows
+                order = np.argsort(keys)
+                other = keys[order], vals[order].conj()
+            worst = _nanmax(worst, _gap_max(one, other))
+        del parts, adjoint_parts
     return [_check("homogeneous_decomposition", worst, 1e-12, 4)]
 
 
@@ -628,7 +686,7 @@ def _check_kernel_psd_equivalence(rng: np.random.Generator, trunc_degree: int) -
             gamma = pluriharmonic_kernel(sym, r)
             op = evaluate_at_model(sym, r)
             v1, _ = linalg.psd_check(gamma, 1e-9)
-            v2, _ = linalg.psd_check(op.dense, 1e-9)
+            v2, _ = linalg.psd_check(op.matrix, 1e-9)
             agree = agree and (v1 == v2)
     return [_check("kernel_psd_equivalence", 0.0 if agree else 1.0, 0.0, 16)]
 

@@ -65,6 +65,7 @@ class OperatorTuple:
     universal: bool = False
     _word_cache: dict = field(default_factory=dict, repr=False)
     _action_cache: dict = field(default_factory=dict, repr=False)
+    _kraus_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.ops) != self.spec.k:
@@ -133,6 +134,31 @@ class OperatorTuple:
             )
         return self._action_cache[key]
 
+    def kraus(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Factor ``i``'s word operators ``X_w`` stacked densely in coefficient order, and the ``a_w``; cached."""
+        if i not in self._kraus_cache:
+            words, coeffs = zip(*self.spec.coeffs[i].items())
+            self._kraus_cache[i] = (
+                np.stack([linalg.as_dense(self.word_op(i, w)) for w in words]),
+                np.array(coeffs, dtype=float),
+            )
+        return self._kraus_cache[i]
+
+    def word_stack(self, i: int, max_len: int) -> np.ndarray:
+        """``X_w`` for factor ``i``'s words ``|w| <= max_len`` in graded-lexicographic order, dense.
+
+        Built a word length at a time by one stacked product: the word at
+        offset ``o`` of length ``d`` is its prefix at offset ``o // n`` times
+        the letter ``o % n + 1``, the product :meth:`word_op` forms.
+        """
+        n = self.spec.n[i]
+        letters = np.stack([linalg.as_dense(A) for A in self.ops[i]])
+        levels = [np.eye(self.dim_h, dtype=complex)[None]]
+        for d in range(1, max_len + 1):
+            offsets = np.arange(n**d)
+            levels.append(levels[-1][offsets // n] @ letters[offsets % n])
+        return np.concatenate(levels)
+
     def multi_word_op(self, w: MultiWord) -> Matrix:
         out = self.word_op(0, w.parts[0])
         for i in range(1, self.spec.k):
@@ -177,14 +203,16 @@ def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: Matrix) -> Matrix
     On the universal model the map moves the stored entries of ``Y`` along
     each word's :meth:`~OperatorTuple.word_action` and returns CSR for a
     sparse ``Y``, an ndarray for a dense one; ``Y`` is never densified.  Other
-    tuples multiply matrices and return an ndarray.
+    tuples take one stacked product ``(K Y) K^*`` over the :meth:`~OperatorTuple.kraus`
+    stack ``K`` and return an ndarray, the terms added from zeros in
+    coefficient order.
     """
     if not X.universal:
+        K, a = X.kraus(i)
+        terms = a[:, None, None] * ((K @ linalg.as_dense(Y)) @ K.conj().transpose(0, 2, 1))
         acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
-        for w, a in spec.coeffs[i].items():
-            Xw = X.word_op(i, w)
-            term = Xw @ Y @ linalg.adjoint(Xw)
-            acc += a * linalg.as_dense(term)
+        for term in terms:
+            acc += term
         return acc
     n = X.dim_h
     keys, vals = stored_entries(Y, n)
@@ -235,28 +263,36 @@ def _defect_walk(spec: PolydomainSpec, X: OperatorTuple):
         yield p, D
 
 
+def _extreme_eigs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of the Hermitian part of each matrix, one batched ``eigvalsh``."""
+    eigs = np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))
+    return eigs[:, 0], eigs[:, -1]
+
+
+def _psd_within(lo: np.ndarray, hi: np.ndarray, tol: float) -> bool:
+    """Whether no ``lo < -tol * (1 + max(hi, 0))``: the membership verdict over eigenvalue pairs."""
+    return not np.any(lo < -tol * (1.0 + np.maximum(hi, 0.0)))
+
+
 def is_member(
     spec: PolydomainSpec, X: OperatorTuple, tol: float = 1e-9
 ) -> tuple[bool, tuple[tuple[int, ...], float]]:
     """Membership test: every defect ``0 <= p <= m`` must be PSD up to ``tol``.
 
     Returns the verdict and a witness ``(p, min eigenvalue)`` for the most
-    negative defect found.  The defects come from one walk over the lattice
-    (one map per point), not from the identity at every point.
+    negative defect found (the first in product order).  The defects come
+    from one walk over the lattice (one map per point), not from the identity
+    at every point, and are answered by one batched ``eigvalsh``.
     """
     if not X.commutation_checked:
         X.check_commutation()
-    verdict = True
+    points, defects = zip(*_defect_walk(spec, X))
+    lo, hi = _extreme_eigs(np.stack([linalg.as_dense(D) for D in defects]))
     witness = ((0,) * spec.k, np.inf)
-    for p, D in _defect_walk(spec, X):
-        h = linalg.hermitize(D)
-        eigs = np.linalg.eigvalsh(h)
-        lo, hi = float(eigs[0]), float(eigs[-1])
-        if lo < witness[1]:
-            witness = (p, lo)
-        if lo < -tol * (1.0 + max(hi, 0.0)):
-            verdict = False
-    return verdict, witness
+    for p, value in zip(points, lo.tolist()):
+        if value < witness[1]:
+            witness = (p, value)
+    return _psd_within(lo, hi, tol), witness
 
 
 def is_pure(
@@ -341,8 +377,10 @@ def berezin_kernel(
 ) -> BerezinKernel:
     """The kernel rows ``sqrt(b_w) Delta^{1/2} X_w^*`` over the truncated basis.
 
-    ``Delta`` is the full defect at ``p = m``; its Hermitian square root clamps
-    eigenvalues within ``1e-10`` below zero and refuses anything worse.
+    The rows are built a word length at a time by stacked products
+    (:meth:`OperatorTuple.word_stack`).  ``Delta`` is the full defect at
+    ``p = m``; its Hermitian square root clamps eigenvalues within ``1e-10``
+    below zero and refuses anything worse.
     The discarded-tail bound takes per-factor scalar majorants whose masses
     are the shell norms ``||Phi_{i,d}(I)||``.
     """
@@ -350,11 +388,13 @@ def berezin_kernel(
     table = build_weight_table(spec, trunc)
     delta = defect(spec, X, spec.m)
     root = linalg.herm_sqrt(delta)
-    space = FockSpace(spec, trunc, coeff_dim=1, weights=table)
-    rows = np.empty((space.dim, X.dim_h, X.dim_h), dtype=complex)
-    for idx, w in enumerate(space.basis()):
-        Xw = linalg.as_dense(X.multi_word_op(w))
-        rows[idx] = math.sqrt(table.b_multi(w)) * (root @ Xw.conj().T)
+    # X_w and b_w over the basis, first factor slowest, multiplied in factor
+    # order as multi_word_op and WeightTable.b_multi do
+    Xw, b = X.word_stack(0, trunc[0]), table.values[0]
+    for i in range(1, spec.k):
+        Xw = (Xw[:, None] @ X.word_stack(i, trunc[i])[None]).reshape(-1, X.dim_h, X.dim_h)
+        b = np.multiply.outer(b, table.values[i]).ravel()
+    rows = np.sqrt(b)[:, None, None] * (root @ Xw.conj().transpose(0, 2, 1))
 
     # scalar majorants: per factor, shell norms ||Phi_{i,d}(I)|| for d <= deg f_i
     factors, power_norms = [], []
@@ -444,6 +484,35 @@ def intertwining_residual(
 # -- test-point generator -----------------------------------------------------
 
 
+def _defect_polynomials(spec: PolydomainSpec, X: OperatorTuple) -> np.ndarray:
+    """The defects of ``r X`` as matrix polynomials in ``t = r**2``, over ``0 <= p <= m`` in product order.
+
+    Returns ``C`` of shape ``(points, degree + 1, dim_h, dim_h)`` with
+    ``defect(spec, r X, p) = sum_s t**s C[p, s]`` exactly, up to rounding:
+    ``Phi_i`` at ``r X`` is ``sum_w a_w t**|w| X_w Y X_w^*``, so the walk of
+    :func:`_defect_walk` runs on coefficient stacks, each word shifting the
+    degree by its length.
+    """
+    top = sum(mi * spec.degree(i) for i, mi in enumerate(spec.m))
+    polys: dict[tuple[int, ...], np.ndarray] = {}
+    for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
+        j = next((i for i, pi in enumerate(p) if pi), None)
+        if j is None:
+            C = np.zeros((top + 1, X.dim_h, X.dim_h), dtype=complex)
+            C[0] = np.eye(X.dim_h)
+        else:
+            prev = polys[p[:j] + (p[j] - 1,) + p[j + 1 :]]
+            K, a = X.kraus(j)
+            moved = a[:, None, None, None] * (
+                (K[:, None] @ prev[None]) @ K.conj().transpose(0, 2, 1)[:, None]
+            )
+            C = prev.copy()
+            for term, w in zip(moved, spec.coeffs[j]):
+                C[len(w) :] -= term[: top + 1 - len(w)]
+        polys[p] = C
+    return np.stack(list(polys.values()))
+
+
 def random_pure_tuple(
     spec: PolydomainSpec,
     rng: np.random.Generator,
@@ -457,6 +526,9 @@ def random_pure_tuple(
     tensor structure.  The raw draw is scaled to the largest radius that
     keeps membership at ``tol=1e-9`` (bisection to ``1e-6``), then by
     ``shrink``; ``shrink < 1`` buys strict purity and finite tail bounds.
+    The defects of the scaled draw are tabulated once as polynomials in the
+    squared radius (:func:`_defect_polynomials`), so a bisection step is one
+    Horner pass and one batched ``eigvalsh``.
     """
     if dims is None:
         dims = [2] * spec.k
@@ -477,10 +549,15 @@ def random_pure_tuple(
         ops.append(tuple(row))
     raw = OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h)
     raw.commutation_checked = True
+    polys = _defect_polynomials(spec, raw)
 
     def member_at(r: float) -> bool:
-        ok, _ = is_member(spec, raw.scaled(r), tol=1e-9)
-        return ok
+        # Horner in t = r**2 over every defect at once
+        t = r * r
+        acc = polys[:, -1]
+        for s in range(polys.shape[1] - 2, -1, -1):
+            acc = acc * t + polys[:, s]
+        return _psd_within(*_extreme_eigs(acc), 1e-9)
 
     lo, hi = 0.0, 1.0
     while member_at(hi):

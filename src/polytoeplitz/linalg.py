@@ -1,8 +1,10 @@
 """Shared numerical kernels: Hermitian eigenwork, norms, PSD tests, matrix I/O.
 
 Everything here is deterministic; verdict paths never use randomized
-initialization.  Sparse inputs (scipy COO/CSR) are accepted and densified
-where an eigensolver needs them.  The operators the checks compare split,
+initialization.  Sparse inputs (scipy COO/CSR) are accepted; the block
+split reads their stored entries, and they are densified only where a
+whole-matrix eigensolver needs them.  A non-finite entry gives NaN without a
+solver call.  The operators the checks compare split,
 after a permutation, into many small blocks, so up to the dense cutoff
 :func:`op_norm` and :func:`psd_check` answer block by block: the connected
 components of the nonzero pattern are stacked by shape and each stack takes
@@ -14,6 +16,7 @@ Lanczos iteration on the whole operator.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from typing import IO, Tuple, Union
 
@@ -70,14 +73,59 @@ def _split(shape: Tuple[int, ...]) -> bool:
     return min(shape) > _DIRECT_SIDE and max(shape) <= _DENSE_NORM_CUTOFF
 
 
-def _blocks(m: np.ndarray, row_label: np.ndarray, col_label: np.ndarray):
-    """The blocks of ``m``, stacked by shape: one ``(count, rows, cols)`` array per shape.
+def _nonzero_entries(mat: MatrixLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of the nonzero entries, in row-major order.
 
-    Block ``l`` is ``m`` restricted to the rows and columns labelled ``l``,
+    A sparse input is read from its stored entries (duplicates summed,
+    values complex as :func:`as_dense` gives them), never densified.
+    """
+    if sp.issparse(mat):
+        coo = sp.coo_matrix(mat)
+        coo.sum_duplicates()
+        vals = coo.data.astype(complex)
+        keep = vals != 0
+        return coo.row[keep], coo.col[keep], vals[keep]
+    m = np.asarray(mat)
+    rows, cols = np.nonzero(m)
+    return rows, cols, m[rows, cols]
+
+
+def _hermitian_entries(mat: MatrixLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_nonzero_entries` of ``hermitize(mat)`` for a sparse square input, from its stored entries.
+
+    Each entry is ``0.5 * (a_ij + conj(a_ji))`` with a missing entry read as
+    complex zero, the sum :func:`hermitize` forms on the dense array.
+    """
+    n = mat.shape[0]
+    coo = sp.coo_matrix(mat)
+    coo.sum_duplicates()
+    keys = coo.row.astype(np.int64) * n + coo.col
+    keys_t = coo.col.astype(np.int64) * n + coo.row
+    # the sorted union of both patterns, by a sort and a mask
+    union = np.sort(np.concatenate([keys, keys_t]))
+    first = np.ones(union.size, dtype=bool)
+    first[1:] = union[1:] != union[:-1]
+    union = union[first]
+    a = np.zeros(union.size, dtype=complex)
+    a_t = np.zeros(union.size, dtype=complex)
+    a[np.searchsorted(union, keys)] = coo.data
+    a_t[np.searchsorted(union, keys_t)] = coo.data
+    h = 0.5 * (a + a_t.conj())
+    keep = h != 0
+    rows, cols = np.divmod(union[keep], n)
+    return rows, cols, h[keep]
+
+
+def _blocks(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, row_label: np.ndarray, col_label: np.ndarray
+):
+    """The blocks of a matrix, stacked by shape: one ``(count, rows, cols)`` array per shape.
+
+    The matrix is given by its nonzero entries ``(rows, cols, vals)``.  Block
+    ``l`` is the matrix restricted to the rows and columns labelled ``l``,
     each in its original order; every nonzero entry must lie in a block.
     Blocks with no row or no column are left out.
     """
-    rows, cols = np.nonzero(m)
     n_blocks = int(max(row_label.max(), col_label.max())) + 1
     local = []
     for label in (row_label, col_label):
@@ -93,9 +141,10 @@ def _blocks(m: np.ndarray, row_label: np.ndarray, col_label: np.ndarray):
         members = np.flatnonzero(shape_id == sid)
         slot = np.empty(n_blocks, dtype=np.int64)
         slot[members] = np.arange(members.size)
-        out = np.zeros((members.size, n_r[members[0]], n_c[members[0]]), dtype=m.dtype)
-        r, c = rows[entry_shape == sid], cols[entry_shape == sid]
-        out[slot[row_label[r]], local_r[r], local_c[c]] = m[r, c]
+        out = np.zeros((members.size, n_r[members[0]], n_c[members[0]]), dtype=vals.dtype)
+        hit = entry_shape == sid
+        r, c = rows[hit], cols[hit]
+        out[slot[row_label[r]], local_r[r], local_c[c]] = vals[hit]
         yield out
 
 
@@ -107,40 +156,60 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return connected_components(graph, directed=False)[1]
 
 
+def _finite(mat: MatrixLike) -> bool:
+    """Whether every entry (every stored entry of a sparse input) is finite."""
+    data = mat.data if sp.issparse(mat) else mat
+    return bool(np.isfinite(data).all())
+
+
 def psd_check(mat: MatrixLike, tol: float = 1e-9) -> Tuple[bool, float]:
     """Test positive semidefiniteness after Hermitizing.
 
     Returns ``(verdict, lambda_min)``; the verdict is true iff
-    ``lambda_min >= -tol * max(1, lambda_max)``.  Up to the dense cutoff,
-    with more than ``_DIRECT_SIDE`` rows, the Hermitian part is split into
-    the connected blocks of its nonzero pattern and the extreme eigenvalues
-    are those of the blocks, one batched ``eigvalsh`` per block shape; a row
-    with no nonzero entry is a block of its own, with the eigenvalue 0.
+    ``lambda_min >= -tol * max(1, lambda_max)``.  An input with a NaN or
+    infinite entry gives ``(False, nan)`` without an eigensolver call.  Up to
+    the dense cutoff, with more than ``_DIRECT_SIDE`` rows, the Hermitian
+    part is split into the connected blocks of its nonzero pattern and the
+    extreme eigenvalues are those of the blocks, one batched ``eigvalsh`` per
+    block shape; a row with no nonzero entry is a block of its own, with the
+    eigenvalue 0.  A sparse input's Hermitian part is then formed on its
+    stored entries.
     """
-    h = hermitize(mat)
-    if h.shape[0] == 0:
+    if not sp.issparse(mat):
+        mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got {mat.shape}")
+    if not _finite(mat):
+        return False, math.nan
+    if mat.shape[0] == 0:
         return True, 0.0
-    if _split(h.shape):
-        label = _components(h.shape[0], *np.nonzero(h))
+    if _split(mat.shape):
+        if sp.issparse(mat):
+            rows, cols, vals = _hermitian_entries(mat)
+        else:
+            rows, cols, vals = _nonzero_entries(hermitize(mat))
+        label = _components(mat.shape[0], rows, cols)
         lo, hi = np.inf, -np.inf
-        for stack in _blocks(h, label, label):
+        for stack in _blocks(rows, cols, vals, label, label):
             eigs = np.linalg.eigvalsh(stack)
             lo, hi = min(lo, float(eigs[:, 0].min())), max(hi, float(eigs[:, -1].max()))
     else:
-        eigs = np.linalg.eigvalsh(h)
+        eigs = np.linalg.eigvalsh(hermitize(mat))
         lo, hi = float(eigs[0]), float(eigs[-1])
     return lo >= -tol * max(1.0, hi), lo
 
 
 def op_norm(mat: MatrixLike) -> float:
-    """Largest singular value; 0.0 for a matrix with no nonzero entry.
+    """Largest singular value; 0.0 for a matrix with no nonzero entry, NaN for one with a non-finite entry.
 
-    Up to the dense cutoff (or with a side of at most 2) the norm is the
-    dense 2-norm, taken directly for a side of at most ``_DIRECT_SIDE`` and
-    block by block otherwise: the rows and columns are split into the
-    connected components of the bipartite graph of the nonzero entries, and
-    the norm is the largest singular value of any block, one batched ``svd``
-    per block shape.  Above the cutoff every input takes one path, so the result does
+    A NaN or infinite entry (stored entry, for sparse input) gives NaN
+    without an SVD or Lanczos call.  Up to the dense cutoff (or with a side
+    of at most 2) the norm is the dense 2-norm, taken directly for a side of
+    at most ``_DIRECT_SIDE`` and block by block otherwise: the rows and
+    columns are split into the connected components of the bipartite graph
+    of the nonzero entries (a sparse input's stored entries), and the norm
+    is the largest singular value of any block, one batched ``svd`` per
+    block shape.  Above the cutoff every input takes one path, so the result does
     not depend on how the operator is stored: convert to CSR, answer the
     zero matrix directly (Lanczos cannot start from it), give a matrix whose
     stored entries all sit on the diagonal its exact norm, the largest entry
@@ -148,6 +217,8 @@ def op_norm(mat: MatrixLike) -> float:
     """
     if max(mat.shape) > _DENSE_NORM_CUTOFF and min(mat.shape) > 2:
         csr = sp.csr_matrix(mat)
+        if not _finite(csr):
+            return math.nan
         if csr.count_nonzero() == 0:
             return 0.0
         coo = csr.tocoo()
@@ -159,17 +230,19 @@ def op_norm(mat: MatrixLike) -> float:
             csr.astype(complex), k=1, v0=v0, return_singular_vectors=False
         )
         return float(s[0])
-    m = as_dense(mat) if sp.issparse(mat) else np.asarray(mat)
-    if not m.any():
+    if not _finite(mat):
+        return math.nan
+    if not _split(mat.shape):
+        m = as_dense(mat) if sp.issparse(mat) else np.asarray(mat)
+        return float(np.linalg.norm(m, 2)) if m.any() else 0.0
+    rows, cols, vals = _nonzero_entries(mat)
+    if not vals.size:
         return 0.0
-    if not _split(m.shape):
-        return float(np.linalg.norm(m, 2))
-    n_r = m.shape[0]
-    rows, cols = np.nonzero(m)
-    label = _components(n_r + m.shape[1], rows, n_r + cols)
+    n_r = mat.shape[0]
+    label = _components(n_r + mat.shape[1], rows, n_r + cols)
     return max(
         float(np.linalg.svd(stack, compute_uv=False).max())
-        for stack in _blocks(m, label[:n_r], label[n_r:])
+        for stack in _blocks(rows, cols, vals, label[:n_r], label[n_r:])
     )
 
 

@@ -81,6 +81,9 @@ class FockSpace:
         self._basis: Optional[list[MultiWord]] = None
         self._degrees: Optional[np.ndarray] = None
         self._pairs: Optional[PairStructure] = None
+        # (support, layout) of the last symbol evaluate_at_model saw on this
+        # space: its other radii, and the same support, reuse the layout
+        self.symbol_layout: Optional[tuple[frozenset, tuple]] = None
         # (side, factor, letters) -> index arrays of creation_action
         self._action_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # factor -> smallest positive eigenvalue of its right-row Gram matrix

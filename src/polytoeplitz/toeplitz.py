@@ -299,22 +299,40 @@ def homogeneous_part(T: FockOperator, s: Sequence[int]) -> FockOperator:
 def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOperator]:
     """Every nonzero homogeneous part of ``T``, keyed by degree vector in lexicographic order.
 
-    One stable grouping of the stored entries by encoded degree gap: each
-    part keeps its entries in row-major order and is the CSR
+    One stable counting sort of the stored entries by encoded degree gap
+    (numpy's radix sort, on the narrowest unsigned type that holds the
+    codes), and one count of every part's rows for all the row pointers:
+    each part keeps its entries in row-major order and is the CSR
     :func:`homogeneous_part` returns for its degree vector.  The parts sum to
-    ``T``.
+    ``T`` and share the sorted arrays.
     """
     space = T.space
     n = space.total_dim
     mat, rows, code = _degree_gaps(T)
-    order = np.argsort(code, kind="stable")
-    grouped = code[order]
-    bounds = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
-    del grouped
+    place, L = _gap_places(space)
+    n_codes = int(np.prod(2 * L + 1))
+    order = np.argsort(code.astype(np.min_scalar_type(n_codes - 1)), kind="stable")
+    sizes = np.bincount(code, minlength=n_codes)
+    present = np.flatnonzero(sizes)
+    # the (part, row) cell of each entry, counted once; part p's row pointers
+    # are row p of indptr
+    cell = (np.cumsum(sizes > 0) - 1).astype(np.int32 if present.size * n < 2**31 else np.int64)[code]
+    del code
+    cell *= n
+    cell += rows
+    counts = np.bincount(cell, minlength=present.size * n).reshape(present.size, n)
+    del cell
+    indptr = np.zeros((present.size, n + 1), dtype=mat.indices.dtype)
+    np.cumsum(counts, axis=1, out=indptr[:, 1:])
+    del counts
+    indices, data = mat.indices[order], mat.data[order]
+    del order
+    bounds = np.concatenate([[0], np.cumsum(sizes[present])])
+    gaps = present[:, None] // place % (2 * L + 1) - L
     parts: dict[tuple[int, ...], FockOperator] = {}
-    for idx in np.split(order, bounds) if order.size else []:
-        s = _gap_vector(space, int(code[idx[0]]))
-        parts[s] = FockOperator(space, _csr(rows[idx], mat.indices[idx], mat.data[idx], n))
+    for p, s in enumerate(map(tuple, gaps.tolist())):
+        lo, hi = bounds[p], bounds[p + 1]
+        parts[s] = FockOperator(space, sp.csr_matrix((data[lo:hi], indices[lo:hi], indptr[p]), shape=(n, n)))
     return parts
 
 
@@ -355,37 +373,60 @@ def extract_fourier(
     return FourierSymbol(space, coeffs)
 
 
+def _symbol_layout(sym: FourierSymbol) -> tuple:
+    """The radius-independent part of :func:`evaluate_at_model`, kept on the space for the last support.
+
+    Returns ``(support, term, fock, order, rows, cols)``: the sorted support,
+    and for each Fock entry of :meth:`~polytoeplitz.model.FockSpace.term_entries`
+    its term and value; then, over the entries of all ``c * c`` coefficient
+    blocks (block-major, entry order within), the permutation to row-major
+    order and the row and column of each entry in that order.
+    """
+    space = sym.space
+    key = frozenset(sym.coefficients)
+    if space.symbol_layout is not None and space.symbol_layout[0] == key:
+        layout = space.symbol_layout[1]
+    else:
+        c, d, n = space.coeff_dim, space.dim, space.total_dim
+        support = sym.support()
+        term, members, fock = space.term_entries(support)
+        fock_rows, fock_cols = np.divmod(members, d)
+        blocks = np.arange(c * c)
+        rows = (blocks // c * d)[:, None] + fock_rows[None, :]
+        cols = (blocks % c * d)[:, None] + fock_cols[None, :]
+        keys = (rows * n + cols).ravel()
+        order = np.argsort(keys)
+        rows, cols = np.divmod(keys[order], n)
+        layout = (support, term, fock, order, rows, cols)
+        space.symbol_layout = (key, layout)
+    return layout
+
+
 def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     """The operator ``sum r^{|s|} A (x) W_left W_right^*`` on the symbol's space, as CSR.
 
     Distinct reduced pairs have disjoint supports (every comparable basis pair
     reduces to one pair), so the terms' entries are gathered, not added.  The
     Fock entries ``v`` of all terms come from one
-    :meth:`~polytoeplitz.model.FockSpace.term_entries` call; coefficient
-    block ``(x, y)`` puts ``r^{|s|} * (A[x, y] * v)`` at row ``x*dim + row``
-    and column ``y*dim + col``, the products :func:`~polytoeplitz.model.monomial`
-    and the radial scaling form, in their order.  A term with a word beyond
-    the truncation has no entries.  Exact zeros are dropped.
+    :meth:`~polytoeplitz.model.FockSpace.term_entries` call, kept with the
+    sort into row-major order on the space for the last support evaluated
+    (:func:`_symbol_layout`), so another radius of the same symbol, or
+    another symbol with the same support, pays only for the values.  Coefficient block ``(x, y)`` puts
+    ``r^{|s|} * (A[x, y] * v)`` at row ``x*dim + row`` and column ``y*dim +
+    col``, the products :func:`~polytoeplitz.model.monomial` and the radial
+    scaling form, in their order.  A term with a word beyond the truncation
+    has no entries.  Exact zeros are dropped.
     """
     space = sym.space
-    c, d, n = space.coeff_dim, space.dim, space.total_dim
-    support = sym.support()
-    term, members, fock = space.term_entries(support)
-    fock_rows, fock_cols = np.divmod(members, d)
+    c = space.coeff_dim
+    support, term, fock, order, rows, cols = _symbol_layout(sym)
     coeffs = np.array([sym.coefficients[pair] for pair in support], dtype=complex)
     radial = np.array([r ** pair.total_weight for pair in support], dtype=float)
     # row b holds coefficient entry A.flat[b] of each member's term
     vals = coeffs.reshape(len(support), c * c)[term].T * fock
-    vals = radial[term] * vals
-    blocks = np.arange(c * c)
-    rows = (blocks // c * d)[:, None] + fock_rows[None, :]
-    cols = (blocks % c * d)[:, None] + fock_cols[None, :]
-    keys, vals = (rows * n + cols).ravel(), vals.ravel()
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
+    vals = (radial[term] * vals).ravel()[order]
     nonzero = vals != 0
-    rows, cols = np.divmod(keys[nonzero], n)
-    return FockOperator(space, _csr(rows, cols, vals[nonzero], n))
+    return FockOperator(space, _csr(rows[nonzero], cols[nonzero], vals[nonzero], space.total_dim))
 
 
 def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:

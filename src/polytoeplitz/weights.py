@@ -8,9 +8,10 @@ table followed by word convolution, and cross-checked by a literal
 factorization-sum oracle.
 
 Both steps run on graded-lexicographic rank arrays
-(:func:`~polytoeplitz.freemonoid.graded_lex_layout`), one numpy gather per
-cut and word length: within the words of length ``d`` the suffix of length
-``e`` sits at offset ``o mod n**e`` and the prefix before it at ``o // n**e``.
+(:func:`~polytoeplitz.freemonoid.graded_lex_layout`): within the words of
+length ``d`` the suffix of length ``e`` sits at offset ``o mod n**e`` and the
+prefix before it at ``o // n**e``.  The recursion takes one numpy gather per
+cut and word length, the convolution one per cut over all longer words.
 Every entry is summed over its cuts in ascending order from ``0.0``, as the
 word-by-word definition reads, so the values do not depend on the vectorization.
 """
@@ -26,7 +27,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NotComparable, SpecError, TruncationError
+from .errors import DimensionMismatch, NotComparable, SpecError, TruncationError
 from .freemonoid import (
     MultiWord,
     RankMap,
@@ -163,16 +164,16 @@ def _order_one_values(cmap: Mapping[Word, float], n: int, start: np.ndarray) -> 
     return out
 
 
-def _word_convolve(u: np.ndarray, v: np.ndarray, n: int, start: np.ndarray) -> np.ndarray:
-    # (u * v)[alpha] = sum over splittings alpha = alpha' alpha''
-    out = np.empty_like(u)
-    for d in range(start.size - 1):
-        o = np.arange(n**d)
-        acc = np.zeros(n**d)
-        for cut in range(d + 1):
-            e = d - cut
-            acc += u[start[cut] + o // n**e] * v[start[e] + o % n**e]
-        out[start[d] : start[d + 1]] = acc
+def _word_convolve(u: np.ndarray, v: np.ndarray, n: int, layout) -> np.ndarray:
+    # (u * v)[alpha] = sum over splittings alpha = alpha' alpha'', one pass per
+    # prefix length |alpha'| over every word at least that long
+    start, lengths, offsets = layout
+    out = np.zeros_like(u)
+    for cut in range(start.size - 1):
+        longer = slice(start[cut], None)
+        e = lengths[longer] - cut
+        place = n**e
+        out[longer] += u[start[cut] + offsets[longer] // place] * v[start[e] + offsets[longer] % place]
     return out
 
 
@@ -189,11 +190,11 @@ def build_weight_table(spec: PolydomainSpec, trunc: Sequence[int]) -> WeightTabl
     tables, values = [], []
     for i in range(spec.k):
         n, L = spec.n[i], trunc[i]
-        start, _, _ = graded_lex_layout(n, L)
-        b1 = _order_one_values(spec.coeffs[i], n, start)
+        layout = graded_lex_layout(n, L)
+        b1 = _order_one_values(spec.coeffs[i], n, layout[0])
         bm = b1
         for _ in range(spec.m[i] - 1):
-            bm = _word_convolve(b1, bm, n, start)
+            bm = _word_convolve(b1, bm, n, layout)
         values.append(bm)
         tables.append(RankMap(WordList(n, L), bm.item))
     return WeightTable(spec=spec, trunc=tuple(trunc), tables=tuple(tables), values=tuple(values))
@@ -212,7 +213,11 @@ def brute_force_weight(spec: PolydomainSpec, i: int, alpha: Word) -> float:
     if d == 0:
         return 1.0
     n, m = spec.n[i], spec.m[i]
-    cmap = spec.coeffs[i]
+    letters = alpha.letters
+    if not all(1 <= g <= n for g in letters):
+        raise DimensionMismatch(f"{alpha.render()} has a letter outside alphabet [1, {n}]")
+    # coefficients by letter tuple, so a cut looks up its slice of the letters
+    cmap = {w.letters: a for w, a in spec.coeffs[i].items()}
     total = 0.0
     for cuts in itertools.chain.from_iterable(
         itertools.combinations(range(1, d), j) for j in range(d)
@@ -220,7 +225,7 @@ def brute_force_weight(spec: PolydomainSpec, i: int, alpha: Word) -> float:
         bounds = (0,) + cuts + (d,)
         prod = 1.0
         for lo, hi in zip(bounds, bounds[1:]):
-            a = cmap.get(Word(alpha.letters[lo:hi], n), 0.0)
+            a = cmap.get(letters[lo:hi], 0.0)
             if a == 0.0:
                 prod = 0.0
                 break

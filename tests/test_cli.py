@@ -392,6 +392,14 @@ def test_verify_report_matches_golden_file(tmp_path):
     assert (tmp_path / "out" / "verify-report.json").read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 5, 13])
+def test_verify_reports_match_golden_files_for_more_seeds(tmp_path, seed):
+    # each seed draws one- and two-factor specs with m from 1 to 3 in every check
+    assert main(["verify", "--seed", str(seed), "--trunc", "4", "--out", str(tmp_path / "out")]) == 0
+    golden = Path(__file__).parent / "data" / f"verify_seed{seed}_trunc4.json"
+    assert (tmp_path / "out" / "verify-report.json").read_bytes() == golden.read_bytes()
+
+
 GOLDEN_FOURIER = Path(__file__).parent / "data" / "fourier_k2_trunc3"
 
 
@@ -414,6 +422,33 @@ def test_kernel_psd_report_matches_golden_file(tmp_path):
     assert main(["kernel-psd", *args, "--radius", "0.5"]) == 0
     got = (tmp_path / "out" / "kernel-psd-report.json").read_bytes()
     assert got == (GOLDEN_FOURIER / "kernel-psd-report.json").read_bytes()
+
+
+def test_kernel_psd_refuses_before_allocating_what_does_not_fit(tmp_path, monkeypatch, capsys):
+    # the dense arrays of dim*c = 450 need at least 3 * 16 * 450**2 bytes
+    need = 3 * 16 * 450**2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel built after the refusal")
+
+    monkeypatch.setattr(cli, "pluriharmonic_kernel", refuse)
+    monkeypatch.setattr(cli, "_mem_available", lambda: need - 1)
+    args = ["kernel-psd", "--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
+            "--symbol", str(GOLDEN_FOURIER / "symbol.json"), "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert f"needs at least {need} bytes" in err and f"the {need - 1} bytes available" in err
+    assert not (tmp_path / "out").exists()
+    # exactly enough, or an unreadable figure, runs the command
+    monkeypatch.undo()
+    for available in (need, None):
+        monkeypatch.setattr(cli, "_mem_available", lambda: available)
+        test_kernel_psd_report_matches_golden_file(tmp_path / str(available))
+
+
+def test_mem_available_reads_meminfo():
+    available = cli._mem_available()
+    assert available is None or available > 0
 
 
 def test_brown_halmos_report_matches_golden_file(tmp_path):

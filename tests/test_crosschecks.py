@@ -18,8 +18,13 @@ entries read off those arrays that the class arithmetic of ``FockSpace``
 replaced.  The line-splitting operator file
 parser and the ``Word``-keyed dict tables that the one-call block parser and
 the rank views replaced are oracles too.  The arithmetic per entry is
-unchanged, so they must agree exactly.  The whole-matrix dense SVD and
-``eigvalsh`` that the block-by-block ``op_norm`` and ``psd_check`` replaced
+unchanged, so they must agree exactly.  So must the per-word completely
+positive maps and Berezin rows, the per-point membership test, the
+per-radius symbol evaluation and the split-per-part decomposition that the
+batched small-tuple passes, the cached symbol layout and the one-pass
+grading replaced, down to signed zeros; the scaled-tuple bisection must
+return the same tuple bits as the one on defect polynomials.  The
+whole-matrix dense SVD and ``eigvalsh`` that the block-by-block ``op_norm`` and ``psd_check`` replaced
 are oracles within a few rounding errors, since a block rounds differently
 from the whole matrix.
 """
@@ -43,10 +48,12 @@ from polytoeplitz.brownhalmos import (
     range_projection,
 )
 from polytoeplitz.cpmaps import (
+    OperatorTuple,
     _defect_walk,
     berezin_kernel,
     berezin_transform,
     defect,
+    is_member,
     is_pure,
     phi_map,
     random_pure_tuple,
@@ -65,6 +72,7 @@ from polytoeplitz.errors import DimensionMismatch, PolytoeplitzError, SpecError,
 from polytoeplitz.linalg import (
     adjoint,
     as_dense,
+    herm_sqrt,
     hermitize,
     load_matrix,
     op_norm,
@@ -1405,3 +1413,194 @@ def test_block_psd_check_matches_dense_eigvalsh(sizes, empty, kind, seed, sparse
         assert abs(lo - lo_dense) <= 1e-13 * max(1.0, hi_dense)
         if abs(lo_dense + tol * max(1.0, hi_dense)) > 1e-13 * max(1.0, hi_dense):
             assert verdict == expected
+
+
+# -- batched small-tuple CP maps, symbol layouts and one-pass grading ---------------
+# The per-word, per-point and per-radius loops these replaced, kept as oracles.
+# Their bits must come back exactly, signed zeros included: the Kronecker slots
+# of k = 2 tuples hold exact zeros, and LAPACK's Householder steps read their sign.
+
+
+def same_bits(a, b):
+    """Whether two arrays have the same shape and the same bits, signed zeros and NaN payloads included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def per_point_is_member(spec, X, tol=1e-9):
+    """``is_member`` with one ``eigvalsh`` per lattice point."""
+    verdict = True
+    witness = ((0,) * spec.k, np.inf)
+    for p, D in _defect_walk(spec, X):
+        eigs = np.linalg.eigvalsh(hermitize(D))
+        lo, hi = float(eigs[0]), float(eigs[-1])
+        if lo < witness[1]:
+            witness = (p, lo)
+        if lo < -tol * (1.0 + max(hi, 0.0)):
+            verdict = False
+    return verdict, witness
+
+
+def per_word_berezin_rows(spec, X, trunc):
+    """The kernel rows built one basis multi-word at a time from cached word products."""
+    table = build_weight_table(spec, trunc)
+    root = herm_sqrt(defect(spec, X, spec.m))
+    space = FockSpace(spec, trunc, weights=table)
+    rows = np.empty((space.dim, X.dim_h, X.dim_h), dtype=complex)
+    for idx, w in enumerate(space.basis()):
+        Xw = as_dense(X.multi_word_op(w))
+        rows[idx] = math.sqrt(table.b_multi(w)) * (root @ Xw.conj().T)
+    return rows
+
+
+def scaled_tuple_random_pure_tuple(spec, rng, dims, shrink=1.0):
+    """``random_pure_tuple`` bisecting on a new scaled tuple per step, tested by :func:`per_point_is_member`."""
+    dim_h = int(np.prod(dims))
+    ops = []
+    for i in range(spec.k):
+        row = []
+        for _ in range(spec.n[i]):
+            Y = rng.standard_normal((dims[i], dims[i])) + 1j * rng.standard_normal((dims[i], dims[i]))
+            Y /= max(1.0, op_norm(Y))
+            before = int(np.prod(dims[:i])) if i else 1
+            after = int(np.prod(dims[i + 1 :])) if i + 1 < spec.k else 1
+            row.append(np.kron(np.kron(np.eye(before), Y), np.eye(after)).astype(complex))
+        ops.append(tuple(row))
+    raw = OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h, commutation_checked=True)
+
+    def member_at(r):
+        X = OperatorTuple(spec=spec, ops=tuple(tuple(r * A for A in fac) for fac in raw.ops),
+                          dim_h=dim_h, commutation_checked=True)
+        return per_point_is_member(spec, X)[0]
+
+    lo, hi = 0.0, 1.0
+    while member_at(hi):
+        lo = hi
+        hi *= 2.0
+        if hi > 64.0:
+            break
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        if member_at(mid):
+            lo = mid
+        else:
+            hi = mid
+    return raw.scaled(shrink * lo)
+
+
+def per_radius_evaluate_at_model(sym, r):
+    """``evaluate_at_model`` redoing the term entries and the row-major sort at every radius."""
+    space = sym.space
+    c, d, n = space.coeff_dim, space.dim, space.total_dim
+    support = sym.support()
+    term, members, fock = space.term_entries(support)
+    fock_rows, fock_cols = np.divmod(members, d)
+    coeffs = np.array([sym.coefficients[pair] for pair in support], dtype=complex)
+    radial = np.array([r ** pair.total_weight for pair in support], dtype=float)
+    vals = coeffs.reshape(len(support), c * c)[term].T * fock
+    vals = radial[term] * vals
+    blocks = np.arange(c * c)
+    rows = (blocks // c * d)[:, None] + fock_rows[None, :]
+    cols = (blocks % c * d)[:, None] + fock_cols[None, :]
+    keys, vals = (rows * n + cols).ravel(), vals.ravel()
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    nonzero = vals != 0
+    rows, cols = np.divmod(keys[nonzero], n)
+    return sp.csr_matrix((vals[nonzero], cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+
+
+def split_homogeneous_decomposition(T):
+    """``homogeneous_decomposition`` by a stable argsort of the codes and one CSR per ``np.split`` group."""
+    from polytoeplitz.toeplitz import _degree_gaps, _gap_vector
+
+    n = T.space.total_dim
+    mat, rows, code = _degree_gaps(T)
+    order = np.argsort(code, kind="stable")
+    grouped = code[order]
+    bounds = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    parts = {}
+    for idx in np.split(order, bounds) if order.size else []:
+        r = rows[idx]
+        indptr = np.searchsorted(r, np.arange(n + 1))
+        parts[_gap_vector(T.space, int(code[idx[0]]))] = sp.csr_matrix(
+            (mat.data[idx], mat.indices[idx], indptr), shape=(n, n)
+        )
+    return parts
+
+
+def small_tuples(rng, count=12):
+    """Seeded pure tuples with slot dims 1-3 (1 in the first four), Kronecker slots for k = 2, and one scaled universal model."""
+    for j in range(count):
+        spec = random_spec(rng, k=1 + j % 2)
+        dims = rng.integers(1, 4, size=spec.k) if j >= 4 else np.ones(spec.k)
+        yield random_pure_tuple(spec, rng, dims=tuple(int(x) for x in dims), shrink=0.9)
+    space = FockSpace(random_spec(rng, k=2), (2, 2))
+    yield universal_tuple(space).scaled(0.5)
+
+
+def test_batched_phi_map_matches_per_word_oracle(rng):
+    for X in small_tuples(rng):
+        n = X.dim_h
+        Y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for i in range(X.spec.k):
+            # -I makes imaginary parts -0.0: a sum not started from zeros keeps them
+            for arg in (np.eye(n), -np.eye(n), Y, np.zeros((n, n))):
+                assert same_bits(phi_map(X.spec, i, X, arg), dense_phi_map(X.spec, i, X, arg))
+
+
+def test_batched_is_member_matches_per_point_oracle(rng):
+    for X in small_tuples(rng):
+        assert is_member(X.spec, X) == per_point_is_member(X.spec, X)
+        # a point outside: its witness is the first most negative defect
+        far = X.scaled(3.0)
+        got = is_member(X.spec, far)
+        assert got == per_point_is_member(X.spec, far)
+        assert not got[0]
+
+
+def test_batched_berezin_rows_match_per_word_oracle(rng):
+    for X in small_tuples(rng, count=8):
+        trunc = (3,) * X.spec.k
+        got = berezin_kernel(X.spec, X, trunc)
+        assert same_bits(got.rows, per_word_berezin_rows(X.spec, X, trunc))
+
+
+def test_polynomial_bisection_matches_scaled_tuple_oracle():
+    # 500 seeded draws, slot dims 1-3, one and two factors, up to m = 3 and degree 2
+    for seed in range(500):
+        spec = random_spec(np.random.default_rng(seed))
+        dims = tuple(int(x) for x in np.random.default_rng(10_000 + seed).integers(1, 4, size=spec.k))
+        got = random_pure_tuple(spec, np.random.default_rng(seed), dims=dims, shrink=0.85)
+        expected = scaled_tuple_random_pure_tuple(spec, np.random.default_rng(seed), dims, shrink=0.85)
+        for fac_got, fac_expected in zip(got.ops, expected.ops):
+            for A, B in zip(fac_got, fac_expected):
+                assert same_bits(A, B), (seed, dims)
+
+
+def test_cached_layout_matches_per_radius_oracle(rng):
+    for space in oracle_spaces(rng):
+        sym = random_symbol(space, rng, n_monomials=6)
+        # the same support with other coefficients reuses the layout
+        other = FourierSymbol(space, {p: 2.0 * A + 1j for p, A in reversed(sym.coefficients.items())})
+        empty = FourierSymbol(space, {})
+        for s in (sym, other, empty, sym):
+            for r in (0.0, 0.3, 0.5, 1.0, 0.3):
+                got = evaluate_at_model(s, r).matrix
+                expected = per_radius_evaluate_at_model(s, r)
+                assert same_bits(got.indptr, expected.indptr)
+                assert same_bits(got.indices, expected.indices)
+                assert same_bits(got.data, expected.data)
+                assert space.symbol_layout[0] == frozenset(s.coefficients)
+
+
+def test_one_pass_decomposition_matches_split_oracle(rng):
+    for space in oracle_spaces(rng):
+        for T in grading_operators(space, rng):
+            got = homogeneous_decomposition(T)
+            expected = split_homogeneous_decomposition(T)
+            assert list(got) == list(expected)
+            for s, part in got.items():
+                for name in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(part.matrix, name), getattr(expected[s], name))
+                assert same_bits(part.matrix.data, expected[s].data)

@@ -87,6 +87,43 @@ class TestOpNorm:
         assert op_norm(smat) == pytest.approx(np.linalg.norm(d, 2), rel=1e-8)
 
 
+def nonfinite_inputs(bad):
+    """Matrices holding one ``bad`` entry: dense and CSR, at 1x1, on the block path and above the 600 cutoff."""
+    for n in (1, 20, 601):
+        m = np.zeros((n, n), dtype=complex)
+        m[np.arange(n), np.arange(n)] = 1.0
+        m[np.arange(n - 1), np.arange(1, n)] = 0.5
+        m[n // 2, n // 2] = bad
+        yield m
+        yield sp.csr_matrix(m)
+
+
+class TestNonFinite:
+    @pytest.fixture(autouse=True)
+    def no_solvers(self, monkeypatch):
+        # the answer must come without an SVD, eigensolver or Lanczos call
+        def refuse(*args, **kwargs):
+            raise AssertionError("solver called on a non-finite input")
+
+        for name in ("svd", "eigvalsh", "norm"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(sp.linalg, "svds", refuse)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(1.0, np.nan)])
+    def test_op_norm_is_nan(self, bad):
+        for m in nonfinite_inputs(bad):
+            assert np.isnan(op_norm(m)), m.shape
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(1.0, np.nan)])
+    def test_psd_check_fails_with_nan(self, bad):
+        for m in nonfinite_inputs(bad):
+            ok, lo = psd_check(m)
+            assert ok is False and np.isnan(lo), m.shape
+
+    def test_rectangular_dense_nan(self):
+        assert np.isnan(op_norm(np.array([[1.0, np.nan, 0.0]])))
+
+
 class TestHermSqrt:
     def test_identity(self):
         assert np.allclose(herm_sqrt(np.eye(4)), np.eye(4))
