@@ -143,23 +143,34 @@ def range_projection(space: FockSpace, i: int) -> np.ndarray:
     return np.diag(np.kron(np.ones(c), diag))
 
 
+def _sparse_dual(C: RowOperator) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The row as CSR and its Cauchy dual ``C (C*C)^+``, both sparse."""
+    mat = C.as_matrix()
+    return mat, mat @ linalg.pinv_on_range(mat.conj().T @ mat, rank_tol=1e-10)
+
+
 def cauchy_dual(C: RowOperator) -> np.ndarray:
     """``C (C*C)^{-1}`` with the inverse taken on the range of ``C^*``.
 
     Realized through the Hermitian pseudo-inverse of ``C*C`` at
     ``rank_tol=1e-10``; eigenvalues near the rank cutoff raise
-    :class:`NumericalRankError`.  Sized for spaces where the stacked Gram
-    matrix is tractable.
+    :class:`NumericalRankError`.  Each column of ``C`` moves one basis
+    vector, so ``C*C`` is block diagonal by target vector, each block rank
+    one and at most ``len(C.gamma)`` wide; the Gram matrix, its
+    pseudo-inverse and the product stay sparse, and only the returned dual
+    is dense.
     """
-    mat = linalg.as_dense(C.as_matrix())
-    gram = mat.conj().T @ mat
-    return mat @ linalg.pinv_on_range(gram, rank_tol=1e-10)
+    return linalg.as_dense(_sparse_dual(C)[1])
 
 
 def cauchy_dual_projection(C: RowOperator) -> np.ndarray:
-    """``C (C*C)^{-1} C^*``, the orthogonal projection onto the range of ``C``."""
-    dual = cauchy_dual(C)
-    return dual @ linalg.as_dense(C.as_matrix()).conj().T
+    """``C (C*C)^{-1} C^*``, the orthogonal projection onto the range of ``C``.
+
+    Formed as sparse products, as in :func:`cauchy_dual`; only the returned
+    ``(dim, dim)`` projection is dense.
+    """
+    mat, dual = _sparse_dual(C)
+    return linalg.as_dense(dual @ mat.conj().T)
 
 
 def _row_gram_diagonal(space: FockSpace, i: int) -> np.ndarray:

@@ -10,7 +10,10 @@ after a permutation, into many small blocks, so up to the dense cutoff
 components of the nonzero pattern are stacked by shape and each stack takes
 one batched LAPACK call.  Inputs with a side of at most ``_DIRECT_SIDE``
 take one direct dense call, and above the cutoff :func:`op_norm` runs one
-Lanczos iteration on the whole operator.
+Lanczos iteration on the whole operator.  :func:`pinv_on_range` splits at
+every size: a Gram matrix ``C^* C`` of a row whose columns each move one
+basis vector is block diagonal by target vector, so its pseudo-inverse is
+assembled block by block and returned in the input's kind.
 """
 
 from __future__ import annotations
@@ -119,24 +122,29 @@ def _hermitian_entries(mat: MatrixLike) -> Tuple[np.ndarray, np.ndarray, np.ndar
 def _blocks(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, row_label: np.ndarray, col_label: np.ndarray
 ):
-    """The blocks of a matrix, stacked by shape: one ``(count, rows, cols)`` array per shape.
+    """The blocks of a matrix, stacked by shape.
 
     The matrix is given by its nonzero entries ``(rows, cols, vals)``.  Block
     ``l`` is the matrix restricted to the rows and columns labelled ``l``,
     each in its original order; every nonzero entry must lie in a block.
-    Blocks with no row or no column are left out.
+    Blocks with no row or no column are left out.  Each shape yields
+    ``(stack, row_index, col_index)``: the ``(count, r, c)`` blocks and the
+    ``(count, r)`` and ``(count, c)`` original indices of their rows and
+    columns.
     """
-    n_blocks = int(max(row_label.max(), col_label.max())) + 1
+    n_blocks = int(max(row_label.max(initial=-1), col_label.max(initial=-1))) + 1
     local = []
     for label in (row_label, col_label):
         order = np.argsort(label, kind="stable")
         size = np.bincount(label, minlength=n_blocks)
         pos = np.empty(label.size, dtype=np.int64)
         pos[order] = np.arange(label.size) - np.repeat(np.cumsum(size) - size, size)
-        local.append((size, pos))
-    (n_r, local_r), (n_c, local_c) = local
-    shape_id = np.where((n_r > 0) & (n_c > 0), n_r * (n_c.max() + 1) + n_c, -1)
+        local.append((size, pos, order))
+    (n_r, local_r, order_r), (n_c, local_c, order_c) = local
+    shape_id = np.where((n_r > 0) & (n_c > 0), n_r * (n_c.max(initial=0) + 1) + n_c, -1)
     entry_shape = shape_id[row_label[rows]]
+    # the rows (columns) sorted by label, each block's in their original order
+    sorted_r, sorted_c = shape_id[row_label[order_r]], shape_id[col_label[order_c]]
     for sid in np.unique(shape_id[shape_id >= 0]):
         members = np.flatnonzero(shape_id == sid)
         slot = np.empty(n_blocks, dtype=np.int64)
@@ -145,7 +153,11 @@ def _blocks(
         hit = entry_shape == sid
         r, c = rows[hit], cols[hit]
         out[slot[row_label[r]], local_r[r], local_c[c]] = vals[hit]
-        yield out
+        yield (
+            out,
+            order_r[sorted_r == sid].reshape(out.shape[:2]),
+            order_c[sorted_c == sid].reshape(out.shape[0], out.shape[2]),
+        )
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -190,7 +202,7 @@ def psd_check(mat: MatrixLike, tol: float = 1e-9) -> Tuple[bool, float]:
             rows, cols, vals = _nonzero_entries(hermitize(mat))
         label = _components(mat.shape[0], rows, cols)
         lo, hi = np.inf, -np.inf
-        for stack in _blocks(rows, cols, vals, label, label):
+        for stack, _, _ in _blocks(rows, cols, vals, label, label):
             eigs = np.linalg.eigvalsh(stack)
             lo, hi = min(lo, float(eigs[:, 0].min())), max(hi, float(eigs[:, -1].max()))
     else:
@@ -203,19 +215,20 @@ def op_norm(mat: MatrixLike) -> float:
     """Largest singular value; 0.0 for a matrix with no nonzero entry, NaN for one with a non-finite entry.
 
     A NaN or infinite entry (stored entry, for sparse input) gives NaN
-    without an SVD or Lanczos call.  Up to the dense cutoff (or with a side
-    of at most 2) the norm is the dense 2-norm, taken directly for a side of
-    at most ``_DIRECT_SIDE`` and block by block otherwise: the rows and
-    columns are split into the connected components of the bipartite graph
-    of the nonzero entries (a sparse input's stored entries), and the norm
-    is the largest singular value of any block, one batched ``svd`` per
-    block shape.  Above the cutoff every input takes one path, so the result does
-    not depend on how the operator is stored: convert to CSR, answer the
+    without an SVD or Lanczos call.  Up to the dense cutoff, or with a side
+    of at most ``_DIRECT_SIDE`` at any length, the norm is the dense 2-norm,
+    taken directly for a side of at most ``_DIRECT_SIDE`` and block by block
+    otherwise: the rows and columns are split into the connected components
+    of the bipartite graph of the nonzero entries (a sparse input's stored
+    entries), and the norm is the largest singular value of any block, one
+    batched ``svd`` per block shape.  Above the cutoff, with both sides
+    longer than ``_DIRECT_SIDE``, every input takes one path, so the result
+    does not depend on how the operator is stored: convert to CSR, answer the
     zero matrix directly (Lanczos cannot start from it), give a matrix whose
     stored entries all sit on the diagonal its exact norm, the largest entry
     modulus, and run Lanczos (``svds`` from the all-ones vector) otherwise.
     """
-    if max(mat.shape) > _DENSE_NORM_CUTOFF and min(mat.shape) > 2:
+    if max(mat.shape) > _DENSE_NORM_CUTOFF and min(mat.shape) > _DIRECT_SIDE:
         csr = sp.csr_matrix(mat)
         if not _finite(csr):
             return math.nan
@@ -242,7 +255,7 @@ def op_norm(mat: MatrixLike) -> float:
     label = _components(n_r + mat.shape[1], rows, n_r + cols)
     return max(
         float(np.linalg.svd(stack, compute_uv=False).max())
-        for stack in _blocks(rows, cols, vals, label[:n_r], label[n_r:])
+        for stack, _, _ in _blocks(rows, cols, vals, label[:n_r], label[n_r:])
     )
 
 
@@ -264,27 +277,61 @@ def herm_sqrt(mat: MatrixLike) -> np.ndarray:
     return (vecs * np.sqrt(clipped)) @ vecs.conj().T
 
 
-def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> np.ndarray:
+def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> MatrixLike:
     """Pseudo-inverse of a Hermitian PSD matrix, restricted to its range.
 
     Eigenvalues <= ``rank_tol * lambda_max`` count as kernel.  An eigenvalue
     within a factor of 10 of the cutoff (on either side) is ambiguous and
-    raises :class:`NumericalRankError`.
+    raises :class:`NumericalRankError`; an input with a NaN or infinite entry
+    raises :class:`SpecError` without an eigensolver call.
+
+    The Hermitian part (a sparse input's formed on its stored entries) is
+    split, at any size with a side longer than ``_DIRECT_SIDE``, into the
+    connected blocks of its nonzero pattern; a smaller input is one block,
+    and a row with no nonzero entry is a 1x1 block with the eigenvalue 0.
+    Each block shape takes one batched ``eigh``.  ``lambda_max``, the cutoff
+    and the ambiguity rule run over the eigenvalues of all blocks, and the
+    pseudo-inverse is assembled block by block: CSR for a sparse input, a
+    dense array otherwise, complex either way.
     """
-    h = hermitize(mat)
-    eigs, vecs = np.linalg.eigh(h)
-    lam_max = float(eigs[-1]) if eigs.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros_like(h)
-    cut = rank_tol * lam_max
-    ambiguous = (np.abs(eigs) > cut / 10.0) & (np.abs(eigs) < cut * 10.0)
-    if np.any(ambiguous):
-        worst = float(eigs[np.argmax(ambiguous)])
-        raise NumericalRankError(
-            f"eigenvalue {worst:.3e} within x10 of rank cutoff {cut:.3e}"
-        )
-    inv = np.where(eigs > cut, 1.0 / np.where(eigs > cut, eigs, 1.0), 0.0)
-    return (vecs * inv) @ vecs.conj().T
+    sparse = sp.issparse(mat)
+    if not sparse:
+        mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got {mat.shape}")
+    n = mat.shape[0]
+    if not _finite(mat):
+        raise SpecError("pinv_on_range input has a non-finite entry")
+    rows, cols, vals = _hermitian_entries(mat) if sparse else _nonzero_entries(hermitize(mat))
+    label = _components(n, rows, cols) if n > _DIRECT_SIDE else np.zeros(n, dtype=np.int64)
+    parts = [(*np.linalg.eigh(stack), r, c) for stack, r, c in _blocks(rows, cols, vals, label, label)]
+    lam_max = max((float(eigs[:, -1].max()) for eigs, _, _, _ in parts), default=0.0)
+    entries = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))]
+    if lam_max > 0.0:
+        cut = rank_tol * lam_max
+        eigs = np.concatenate([e.ravel() for e, _, _, _ in parts])
+        ambiguous = (np.abs(eigs) > cut / 10.0) & (np.abs(eigs) < cut * 10.0)
+        if np.any(ambiguous):
+            worst = float(eigs[ambiguous].min())
+            raise NumericalRankError(
+                f"eigenvalue {worst:.3e} within x10 of rank cutoff {cut:.3e}"
+            )
+        for eigs, vecs, r, c in parts:
+            keep = eigs > cut
+            if keep.any():
+                inv = np.where(keep, 1.0 / np.where(keep, eigs, 1.0), 0.0)
+                block = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+                entries.append((
+                    np.broadcast_to(r[:, :, None], block.shape).ravel(),
+                    np.broadcast_to(c[:, None, :], block.shape).ravel(),
+                    block.ravel(),
+                ))
+    out_r, out_c, out_v = (np.concatenate(part) for part in zip(*entries))
+    if sparse:
+        return sp.csr_matrix((out_v, (out_r, out_c)), shape=(n, n))
+    out = np.zeros((n, n), dtype=complex)
+    out[out_r, out_c] = out_v
+    return out
 
 
 def save_matrix(fh: IO[str], mat: MatrixLike) -> None:

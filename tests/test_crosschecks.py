@@ -26,7 +26,9 @@ grading replaced, down to signed zeros; the scaled-tuple bisection must
 return the same tuple bits as the one on defect polynomials.  The
 whole-matrix dense SVD and ``eigvalsh`` that the block-by-block ``op_norm`` and ``psd_check`` replaced
 are oracles within a few rounding errors, since a block rounds differently
-from the whole matrix.
+from the whole matrix; so is the whole-matrix ``eigh`` pseudo-inverse that
+the block-by-block ``pinv_on_range`` replaced, and the dense Cauchy dual
+built on it.
 """
 
 import io
@@ -68,7 +70,13 @@ from polytoeplitz.freemonoid import (
     reverse,
     simplify,
 )
-from polytoeplitz.errors import DimensionMismatch, PolytoeplitzError, SpecError, TruncationError
+from polytoeplitz.errors import (
+    DimensionMismatch,
+    NumericalRankError,
+    PolytoeplitzError,
+    SpecError,
+    TruncationError,
+)
 from polytoeplitz.linalg import (
     adjoint,
     as_dense,
@@ -1413,6 +1421,95 @@ def test_block_psd_check_matches_dense_eigvalsh(sizes, empty, kind, seed, sparse
         assert abs(lo - lo_dense) <= 1e-13 * max(1.0, hi_dense)
         if abs(lo_dense + tol * max(1.0, hi_dense)) > 1e-13 * max(1.0, hi_dense):
             assert verdict == expected
+
+
+def dense_pinv_on_range(mat, rank_tol=1e-12):
+    """The pseudo-inverse on the range by one whole-matrix ``eigh``, with the same cutoff and ambiguity rule."""
+    h = hermitize(mat)
+    eigs, vecs = np.linalg.eigh(h)
+    lam_max = float(eigs[-1]) if eigs.size else 0.0
+    if lam_max <= 0.0:
+        return np.zeros_like(h)
+    cut = rank_tol * lam_max
+    ambiguous = (np.abs(eigs) > cut / 10.0) & (np.abs(eigs) < cut * 10.0)
+    if np.any(ambiguous):
+        raise NumericalRankError(f"eigenvalue {eigs[np.argmax(ambiguous)]:.3e} within x10 of rank cutoff")
+    inv = np.where(eigs > cut, 1.0 / np.where(eigs > cut, eigs, 1.0), 0.0)
+    return (vecs * inv) @ vecs.conj().T
+
+
+def spectrum_block(zeros):
+    """Hermitian PSD blocks ``V diag(lam) V^*`` with ``lam`` in ``[0.5, 2]``, the last ``zeros`` of them 0."""
+    def block(rng, size):
+        V, _ = np.linalg.qr(complex_block(rng, size, size))
+        lam = rng.uniform(0.5, 2.0, size)
+        lam[size - min(zeros, size):] = 0.0
+        return (V * lam) @ V.conj().T
+    return block
+
+
+def hermitian_permuted_blocks(rng, sizes, empty, block):
+    """A block-diagonal Hermitian matrix, ``empty`` zero rows and columns after the blocks, under one permutation on both sides."""
+    n = sum(sizes) + empty
+    out = np.zeros((n, n), dtype=complex)
+    at = 0
+    for size in sizes:
+        out[at:at + size, at:at + size] = block(rng, size)
+        at += size
+    perm = rng.permutation(n)
+    return out[perm][:, perm]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 7), max_size=14),
+    empty=st.integers(0, 12),
+    zeros=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
+)
+@example(sizes=[1] * 12, empty=0, zeros=0, seed=1, sparse=True)  # all 1x1 blocks
+@example(sizes=[25], empty=0, zeros=1, seed=2, sparse=False)  # a single full block
+@example(sizes=[], empty=12, zeros=0, seed=3, sparse=True)  # the zero matrix
+@example(sizes=[], empty=12, zeros=0, seed=3, sparse=False)
+@example(sizes=[3, 4, 2], empty=5, zeros=1, seed=4, sparse=False)  # zero rows and columns
+@example(sizes=[2, 3], empty=1, zeros=0, seed=5, sparse=True)  # below the split: one block
+def test_block_pinv_on_range_matches_dense_eigh(sizes, empty, zeros, seed, sparse):
+    rng = np.random.default_rng(seed)
+    m = hermitian_permuted_blocks(rng, sizes, empty, spectrum_block(zeros))
+    got = pinv_on_range(sp.csr_matrix(m) if sparse else m)
+    assert (sp.issparse(got) and got.format == "csr") if sparse else isinstance(got, np.ndarray)
+    assert got.shape == m.shape
+    assert np.abs(as_dense(got) - dense_pinv_on_range(m)).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_ambiguous_eigenvalue_outside_the_top_block_raises(rng, sparse):
+    # lambda_max = 2 sits in the first block, so the cut is 2e-12 and 1e-11 in a
+    # later block is ambiguous; against that block's own top, 1e-3, it would not be
+    top = np.diag([2.0, 1.0, 1.5])
+    V, _ = np.linalg.qr(complex_block(rng, 2, 2))
+    low = (V * np.array([1e-3, 1e-11])) @ V.conj().T
+    m = np.zeros((12, 12), dtype=complex)
+    m[:3, :3], m[3:5, 3:5] = top, low
+    m[5:, 5:] = np.eye(7)
+    perm = rng.permutation(12)
+    m = m[perm][:, perm]
+    with pytest.raises(NumericalRankError):
+        dense_pinv_on_range(m)
+    with pytest.raises(NumericalRankError):
+        pinv_on_range(sp.csr_matrix(m) if sparse else m)
+
+
+def test_cauchy_dual_matches_dense_oracle(rng):
+    for trunc, k, coeff_dim in ((4, 1, 1), (5, 1, 1), (3, 1, 2), ((2, 2), 2, 1)):
+        spec = random_spec(rng, k=k, max_n=2)
+        space = FockSpace(spec, trunc if isinstance(trunc, tuple) else (trunc,), coeff_dim=coeff_dim)
+        for i in range(k):
+            row = build_row(spec, space, i)
+            C = as_dense(row.as_matrix())
+            expected = C @ dense_pinv_on_range(C.conj().T @ C, 1e-10)
+            assert np.abs(cauchy_dual(row) - expected).max() <= 1e-12
 
 
 # -- batched small-tuple CP maps, symbol layouts and one-pass grading ---------------

@@ -86,6 +86,17 @@ class TestOpNorm:
         smat = sp.csr_matrix(d)
         assert op_norm(smat) == pytest.approx(np.linalg.norm(d, 2), rel=1e-8)
 
+    def test_short_side_takes_the_direct_dense_norm(self, rng, monkeypatch):
+        # a side of at most 8 is answered by one dense call at any length
+        def refuse(*args, **kwargs):
+            raise AssertionError("Lanczos called on a matrix with a short side")
+
+        monkeypatch.setattr(sp.linalg, "svds", refuse)
+        for shape in ((700, 8), (3, 900)):
+            m = random_complex(rng, shape)
+            for mat in (m, sp.csr_matrix(m)):
+                assert op_norm(mat) == np.linalg.norm(m, 2)
+
 
 def nonfinite_inputs(bad):
     """Matrices holding one ``bad`` entry: dense and CSR, at 1x1, on the block path and above the 600 cutoff."""
@@ -105,7 +116,7 @@ class TestNonFinite:
         def refuse(*args, **kwargs):
             raise AssertionError("solver called on a non-finite input")
 
-        for name in ("svd", "eigvalsh", "norm"):
+        for name in ("svd", "eigvalsh", "eigh", "norm"):
             monkeypatch.setattr(np.linalg, name, refuse)
         monkeypatch.setattr(sp.linalg, "svds", refuse)
 
@@ -119,6 +130,12 @@ class TestNonFinite:
         for m in nonfinite_inputs(bad):
             ok, lo = psd_check(m)
             assert ok is False and np.isnan(lo), m.shape
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(1.0, np.nan)])
+    def test_pinv_on_range_rejects(self, bad):
+        for m in nonfinite_inputs(bad):
+            with pytest.raises(SpecError):
+                pinv_on_range(m)
 
     def test_rectangular_dense_nan(self):
         assert np.isnan(op_norm(np.array([[1.0, np.nan, 0.0]])))

@@ -17,6 +17,10 @@ The symbol and grading routines are also traced in-process: for sparse
 inputs they allocate less than one byte per ``(dim, dim)`` cell.
 ``intertwining_residual`` on the Berezin kernel of a random pure tuple at
 ``L=4`` (dim 961) is traced against one dense complex ``(dim, dim)`` array.
+``cauchy_dual_projection`` on ``k=1, n=2, L=10`` (dim 2047, ``|gamma| = 6``,
+Gram side 12282) runs in a fresh interpreter: the dense Gram matrix alone
+takes 2.4 GB there, while its blocks, one per target vector, are at most six
+wide, which a test that patches the eigensolver checks at ``L=4..6``.
 """
 
 import json
@@ -31,6 +35,7 @@ import scipy.sparse as sp
 
 import polytoeplitz
 from polytoeplitz import linalg
+from polytoeplitz.brownhalmos import build_row, cauchy_dual_projection
 from polytoeplitz.cpmaps import berezin_kernel, intertwining_residual, random_pure_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockOperator, FockSpace, monomial
@@ -53,6 +58,7 @@ TOEPLITZ_PEAK_RSS_LIMIT_MB = 150
 # the same for fourier, where the pair arrays and their per-class argsort took 231 MB in all
 FOURIER_PEAK_RSS_LIMIT_MB = 120
 MODEL_PEAK_RSS_LIMIT_MB = 300
+CAUCHY_PEAK_RSS_LIMIT_MB = 300
 
 # every word of length <= 2 in both factors, letter-dependent coefficients
 SPEC = {
@@ -82,15 +88,34 @@ TERMS = [
 # The child reports the peak RSS of its own image (VmHWM).  Its ru_maxrss would
 # not do: Linux carries the starting process's peak into it across fork and
 # exec, so it would read at least the peak of the test run that started it.
+REPORT_PEAK = """
+with open("/proc/self/status") as fh:
+    peak = next(ln.split()[1] for ln in fh if ln.startswith("VmHWM:"))
+sys.stderr.write("peak_kib=%s\\n" % peak)
+"""
+
 CHILD = """
 import sys
 from polytoeplitz.cli import main
 code = main(sys.argv[1:])
-with open("/proc/self/status") as fh:
-    peak = next(ln.split()[1] for ln in fh if ln.startswith("VmHWM:"))
-sys.stderr.write("peak_kib=%s\\n" % peak)
+""" + REPORT_PEAK + """
 sys.exit(code)
 """
+
+# the largest deviation from range_projection goes to err.txt in the working directory
+CAUCHY_CHILD = """
+import json, sys
+import numpy as np
+from polytoeplitz.brownhalmos import build_row, cauchy_dual_projection, range_projection
+from polytoeplitz.model import FockSpace
+from polytoeplitz.weights import spec_from_json
+spec = spec_from_json(json.loads(sys.argv[1]))
+space = FockSpace(spec, (int(sys.argv[2]),))
+P = cauchy_dual_projection(build_row(spec, space, 0))
+P -= range_projection(space, 0)
+with open("err.txt", "w") as fh:
+    fh.write(repr(float(np.abs(P).max())))
+""" + REPORT_PEAK
 
 
 def _multiword(parts):
@@ -121,12 +146,12 @@ def _planted_symbol(space):
     return FourierSymbol(space, {pair: np.array([[a]]) for pair, a in _planted_pairs()})
 
 
-def _run_child(tmp_path, argv):
+def _run_child(tmp_path, argv, child=CHILD):
     env = dict(os.environ)
     src = str(Path(polytoeplitz.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, *argv],
+        [sys.executable, "-c", child, *argv],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -180,6 +205,33 @@ def test_model_stays_below_peak_rss_limit(tmp_path):
     code, model_mb = _run_child(tmp_path, ["model", "--spec", "spec.json", "--trunc", "10"])
     assert code == 0
     assert model_mb < MODEL_PEAK_RSS_LIMIT_MB, f"model peak RSS {model_mb:.0f} MB"
+
+
+def test_cauchy_dual_projection_at_dim_2047_stays_below_peak_rss_limit(tmp_path):
+    code, mb = _run_child(tmp_path, [json.dumps(MODEL_SPEC), "10"], child=CAUCHY_CHILD)
+    assert code == 0
+    err = float((tmp_path / "err.txt").read_text())
+    assert err <= 1e-9, f"|P - range_projection| = {err:.3e}"
+    assert mb < CAUCHY_PEAK_RSS_LIMIT_MB, f"cauchy_dual_projection peak RSS {mb:.0f} MB"
+
+
+def test_cauchy_dual_eigensolver_calls_stay_within_one_target_vector(monkeypatch):
+    # C*C is block diagonal by target vector: no eigensolver call is wider than the row
+    spec = spec_from_json(MODEL_SPEC)
+    eigh = np.linalg.eigh
+    sides = []
+
+    def recording(a, *args, **kwargs):
+        sides.append(np.shape(a)[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    for trunc in (4, 5, 6):
+        space = FockSpace(spec, (trunc,))
+        row = build_row(spec, space, 0)
+        sides.clear()
+        cauchy_dual_projection(row)
+        assert sides and max(sides) <= len(row.gamma), (trunc, sides)
 
 
 def test_fourier_stays_below_peak_rss_limit(tmp_path):
