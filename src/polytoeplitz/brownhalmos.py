@@ -22,8 +22,6 @@ from .model import (
     FockSpace,
     accumulate_entries,
     conjugate_entries,
-    entries_matrix,
-    stored_entries,
 )
 from .weights import PolydomainSpec
 
@@ -126,13 +124,12 @@ def phi_right(space: FockSpace, i: int, Y: linalg.MatrixLike) -> linalg.MatrixLi
     n = space.total_dim
     if Y.shape != (n, n):
         raise DimensionMismatch("operand shape differs from the space dimension")
-    return entries_matrix(Y, n, *_phi_entries(space, i, *stored_entries(Y, n)))
+    return linalg.entries_matrix(*_phi_entries(space, i, *linalg.stored_entries(Y)), Y.shape, like=Y)
 
 
 def alternating_phi_sum(space: FockSpace, i: int, T: linalg.MatrixLike) -> linalg.MatrixLike:
     """``sum_{j=1}^{m_i} (-1)^(j-1) C(m_i, j) Phi^j(T)`` for the factor's order."""
-    n = space.total_dim
-    return entries_matrix(T, n, *_alternating_entries(space, i, *stored_entries(T, n)))
+    return linalg.entries_matrix(*_alternating_entries(space, i, *linalg.stored_entries(T)), T.shape, like=T)
 
 
 def range_projection(space: FockSpace, i: int) -> np.ndarray:
@@ -218,7 +215,7 @@ def bh_residual(T: FockOperator, spec: PolydomainSpec, i: int) -> float:
     if not 0 <= i < spec.k:
         raise DimensionMismatch(f"factor index {i} outside range")
     n = space.total_dim
-    keys, vals = stored_entries(T.matrix, n)
+    keys, vals = linalg.stored_entries(T.matrix)
     q = np.tile(space.degree_table()[:, i] > 0, space.coeff_dim)
     rows, cols = np.divmod(keys, n)
     in_range = q[rows] & q[cols]

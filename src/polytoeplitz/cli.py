@@ -50,6 +50,7 @@ from .freemonoid import Word
 from .model import (
     FockOperator,
     FockSpace,
+    accumulate_entries,
     weighted_left_creation,
     weighted_right_creation,
 )
@@ -114,11 +115,6 @@ def _broadcast_trunc(trunc: tuple[int, ...], k: int) -> tuple[int, ...]:
     if len(trunc) != k:
         raise SpecError(f"truncation needs 1 or {k} entries, got {len(trunc)}")
     return trunc
-
-
-def _nanmax(*values: float) -> float:
-    """``max`` of ``values``, but NaN when any is NaN (``max`` drops a NaN not in first place)."""
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
 def _load_spec(path: Optional[str]) -> PolydomainSpec:
@@ -204,7 +200,7 @@ def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
         for w in words:
             ref = brute_force_weight(spec, i, w)
             got = table.b(i, w)
-            oracle_worst = _nanmax(oracle_worst, abs(got - ref) / max(1.0, abs(ref)))
+            oracle_worst = linalg.strict_max(oracle_worst, abs(got - ref) / max(1.0, abs(ref)))
             oracle_count += 1
 
     series_worst = 0.0
@@ -214,7 +210,7 @@ def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
             for p in range(trunc[i] + 1):
                 got = table.b(i, Word((1,) * p, 1))
                 err = abs(got - series[p]) / max(1.0, abs(series[p]))
-                series_worst = _nanmax(series_worst, err)
+                series_worst = linalg.strict_max(series_worst, err)
 
     trend = []
     for i in range(spec.k):
@@ -429,7 +425,11 @@ def _mem_available() -> Optional[int]:
 
 
 def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
+    # the input is checked before the memory it needs: NaN and inf fail too
+    if not 0.0 <= args.radius < 1.0:
+        raise SpecError(f"--radius must be a finite number in [0, 1), got {args.radius}")
     space = _space(cfg)
+    sym = _load_symbol(space, args.symbol)
     # the dense kernel, and its conjugate and their sum when psd_check forms
     # the Hermitian part: at least three (dim*c)**2 complex arrays at once
     need = 3 * np.dtype(complex).itemsize * space.total_dim**2
@@ -439,7 +439,6 @@ def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"kernel-psd at dimension {space.total_dim} needs at least {need} bytes "
             f"for its dense arrays, more than the {available} bytes available"
         )
-    sym = _load_symbol(space, args.symbol)
     gamma = pluriharmonic_kernel(sym, args.radius)
     op = evaluate_at_model(sym, args.radius)
     kernel_psd, kernel_min = linalg.psd_check(gamma, cfg.tol)
@@ -490,7 +489,7 @@ def _check_weights_oracle(rng: np.random.Generator, trunc_degree: int) -> list[d
             for idx in pick:
                 w = words[int(idx)]
                 ref = brute_force_weight(spec, i, w)
-                worst = _nanmax(worst, abs(table.b(i, w) - ref) / max(1.0, ref))
+                worst = linalg.strict_max(worst, abs(table.b(i, w) - ref) / max(1.0, ref))
         specs_checked += 1
     return [_check("weights_oracle", worst, 1e-12, specs_checked)]
 
@@ -507,9 +506,9 @@ def _check_ones_series_ratio(rng: np.random.Generator, trunc_degree: int) -> lis
         ]
         if m == 1:
             # the constant-2 ratio starts at |alpha| = 1; the vacuum ratio is 1
-            worst = _nanmax(worst, *(abs(r - 2.0) for r in ratios[1:]))
+            worst = linalg.strict_max(worst, *(abs(r - 2.0) for r in ratios[1:]))
         else:
-            worst = _nanmax(worst, *(ratios[d + 1] - ratios[d] for d in range(1, 12)))
+            worst = linalg.strict_max(worst, *(ratios[d + 1] - ratios[d] for d in range(1, 12)))
         observed[str(m)] = ratios[12]
     return [_check("ones_series_ratio", worst, 1e-12, 3, observed_ratio_at_12=observed)]
 
@@ -521,7 +520,7 @@ def _check_defect_identity(rng: np.random.Generator, trunc_degree: int) -> list[
         spec = random_spec(rng)
         space = FockSpace(spec, (trunc_degree,) * spec.k)
         W = universal_tuple(space)
-        worst = _nanmax(worst, _vacuum_residual(defect(spec, W, spec.m)))
+        worst = linalg.strict_max(worst, _vacuum_residual(defect(spec, W, spec.m)))
     return [_check("defect_identity", worst, 1e-10, 4)]
 
 
@@ -534,10 +533,10 @@ def _check_berezin(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
         X = random_pure_tuple(spec, rng, dims=(2,) * spec.k, shrink=0.85)
         kernel = berezin_kernel(spec, X, trunc)
         dev = linalg.op_norm(kernel.gram() - np.eye(X.dim_h))
-        allowance = _nanmax(1e-8, kernel.tail_bound)
-        worst_iso = _nanmax(worst_iso, dev - allowance)
+        allowance = linalg.strict_max(1e-8, kernel.tail_bound)
+        worst_iso = linalg.strict_max(worst_iso, dev - allowance)
         space = FockSpace(spec, trunc)
-        worst_int = _nanmax(worst_int, intertwining_residual(kernel, X, space))
+        worst_int = linalg.strict_max(worst_int, intertwining_residual(kernel, X, space))
     return [
         _check("berezin_isometry_within_tail", worst_iso, 0.0, 6),
         _check("berezin_intertwining", worst_int, 1e-9, 6),
@@ -556,11 +555,11 @@ def _check_toeplitz_roundtrip(rng: np.random.Generator, trunc_degree: int) -> li
         sym = random_symbol(space, rng, n_monomials=6)
         T = evaluate_at_model(sym)
         report = is_multi_toeplitz(T, tol=1e-10)
-        worst = _nanmax(worst, report.max_violation)
+        worst = linalg.strict_max(worst, report.max_violation)
         back = extract_fourier(T, report=report)
         for pair, A in sym.coefficients.items():
             dev = float(np.abs(back.coefficients.get(pair, np.zeros_like(A)) - A).max())
-            worst = _nanmax(worst, dev)
+            worst = linalg.strict_max(worst, dev)
         d = space.dim
         # the non-comparable pairs: every pair outside the members of all classes
         bad = np.ones(d * d, dtype=bool)
@@ -588,36 +587,13 @@ def _stored_dense(M: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((M.reshape(-1), cols, indptr), shape=(n, n))
 
 
-def _stored(mat: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of a CSR matrix's stored entries, in storage order, without copying them."""
-    rows = np.repeat(np.arange(mat.shape[0], dtype=mat.indices.dtype), np.diff(mat.indptr))
-    return rows, mat.indices, mat.data
-
-
 def _residual_max(M: np.ndarray, pieces) -> float:
     """Largest entry of ``|M - sum of the pieces|``, adding the pieces' stored entries."""
     residual = M.copy()
     for piece in pieces:
-        rows, cols, vals = _stored(piece.matrix)
-        residual[rows, cols] -= vals
+        keys, vals = linalg.stored_entries(piece.matrix)
+        residual.reshape(-1)[keys] -= vals
     return float(np.abs(residual).max())
-
-
-def _gap_max(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> float:
-    """Largest ``|a - b|`` over the union of two sets of keyed entries, a missing entry read as 0.
-
-    Keys are distinct within each set and ``b``'s are sorted; 0.0 when both
-    are empty, as for ``abs(A - B).max()`` on the sparse matrices.
-    """
-    (keys_a, vals_a), (keys_b, vals_b) = a, b
-    pos = np.searchsorted(keys_b, keys_a)
-    hit = pos < keys_b.size
-    hit[hit] = keys_b[pos[hit]] == keys_a[hit]
-    gap = np.abs(vals_a)
-    gap[hit] = np.abs(vals_a[hit] - vals_b[pos[hit]])
-    only_b = np.ones(keys_b.size, dtype=bool)
-    only_b[pos[hit]] = False
-    return max(float(gap.max(initial=0.0)), float(np.abs(vals_b[only_b]).max(initial=0.0)))
 
 
 def _check_homogeneous_decomposition(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
@@ -631,32 +607,29 @@ def _check_homogeneous_decomposition(rng: np.random.Generator, trunc_degree: int
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         T = FockOperator(space, _stored_dense(M))
         recon = cesaro_reconstruct(T, tuple(2 * L for L in trunc), fejer_weights=False)
-        worst = _nanmax(worst, _residual_max(M, [recon]))
+        worst = linalg.strict_max(worst, _residual_max(M, [recon]))
         del recon
         parts = homogeneous_decomposition(T)
-        worst = _nanmax(worst, _residual_max(M, parts.values()))
+        worst = linalg.strict_max(worst, _residual_max(M, parts.values()))
         # T* from the draw; T and the draw are freed before it is graded
         adjoint = np.conjugate(M.T, order="C")
         del T, M
         adjoint_parts = homogeneous_decomposition(FockOperator(space, _stored_dense(adjoint)))
         del adjoint
         # the degree -s part of T*, adjoined, is the degree s part of T; compared
-        # on stored entries, one degree at a time
-        none = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+        # on stored entries, one degree at a time, a missing entry read as 0
         for s in parts.keys() | {tuple(-x for x in s) for s in adjoint_parts}:
-            one = none
+            terms = []
             if s in parts:
-                rows, cols, vals = _stored(parts[s].matrix)
-                one = rows.astype(np.int64) * n + cols, vals
+                terms.append(linalg.stored_entries(parts[s].matrix))
             flipped = adjoint_parts.get(tuple(-x for x in s))
-            other = none
             if flipped is not None:
                 # entry (r, c, v) of the part of T* is entry (c, r, conj v) of its adjoint
-                rows, cols, vals = _stored(flipped.matrix)
-                keys = cols.astype(np.int64) * n + rows
-                order = np.argsort(keys)
-                other = keys[order], vals[order].conj()
-            worst = _nanmax(worst, _gap_max(one, other))
+                keys, vals = linalg.stored_entries(flipped.matrix)
+                rows, cols = np.divmod(keys, n)
+                terms.append((cols * n + rows, -vals.conj()))
+            gap = np.abs(accumulate_entries(terms)[1]).max(initial=0.0)
+            worst = linalg.strict_max(worst, float(gap))
         del parts, adjoint_parts
     return [_check("homogeneous_decomposition", worst, 1e-12, 4)]
 
@@ -671,7 +644,7 @@ def _check_radial_monotonicity(rng: np.random.Generator, trunc_degree: int) -> l
         radii = [0.0, 0.25, 0.5, 0.75, 0.9, 1.0]
         norms = [linalg.op_norm(evaluate_at_model(sym, r).matrix) for r in radii]
         for a, b in zip(norms, norms[1:]):
-            worst = _nanmax(worst, a - b)
+            worst = linalg.strict_max(worst, a - b)
     return [_check("radial_monotonicity", worst, 1e-10, 6)]
 
 
@@ -701,7 +674,7 @@ def _check_brown_halmos_residual(rng: np.random.Generator, trunc_degree: int) ->
         sym = random_symbol(space, rng, n_monomials=6)
         T = evaluate_at_model(sym)
         for i in range(spec.k):
-            worst = _nanmax(worst, bh_residual(T, spec, i))
+            worst = linalg.strict_max(worst, bh_residual(T, spec, i))
     return [_check("brown_halmos_residual", worst, 1e-9, 6)]
 
 
@@ -713,9 +686,9 @@ def _check_cauchy_dual(rng: np.random.Generator, trunc_degree: int) -> list[dict
         space = FockSpace(spec, (trunc_degree,))
         row = build_row(spec, space, 0)
         P = cauchy_dual_projection(row)
-        worst_p = _nanmax(worst_p, float(np.abs(P @ P - P).max()))
-        worst_p = _nanmax(worst_p, float(np.abs(P - P.conj().T).max()))
-        worst_q = _nanmax(worst_q, float(np.abs(P - range_projection(space, 0)).max()))
+        worst_p = linalg.strict_max(worst_p, float(np.abs(P @ P - P).max()))
+        worst_p = linalg.strict_max(worst_p, float(np.abs(P - P.conj().T).max()))
+        worst_q = linalg.strict_max(worst_q, float(np.abs(P - range_projection(space, 0)).max()))
     return [
         _check("cauchy_dual_idempotent", worst_p, 1e-10, 3),
         _check("cauchy_dual_range", worst_q, 1e-9, 3),

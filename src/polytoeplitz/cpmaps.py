@@ -26,8 +26,6 @@ from .model import (
     FockSpace,
     accumulate_entries,
     conjugate_entries,
-    entries_matrix,
-    stored_entries,
 )
 from .weights import PolydomainSpec, build_weight_table, series_tail_bound
 
@@ -83,7 +81,7 @@ class OperatorTuple:
         """Max relative cross-factor commutator norm; marks the tuple checked.
 
         Each commutator norm is divided by ``max(1, ||A|| ||B||)``; a worst
-        value above ``1e-10`` raises :class:`SpecError`.
+        value above ``1e-10``, or NaN, raises :class:`SpecError`.
         """
         worst = 0.0
         for p, q in itertools.combinations(range(self.spec.k), 2):
@@ -91,8 +89,8 @@ class OperatorTuple:
                 for B in self.ops[q]:
                     comm = A @ B - B @ A
                     scale = max(1.0, linalg.op_norm(A) * linalg.op_norm(B))
-                    worst = max(worst, linalg.op_norm(comm) / scale)
-        if worst > 1e-10:
+                    worst = linalg.strict_max(worst, linalg.op_norm(comm) / scale)
+        if not worst <= 1e-10:  # NaN included
             raise SpecError(f"cross-factor commutation violated: {worst:.3e} > 1e-10")
         self.commutation_checked = True
         return worst
@@ -128,10 +126,9 @@ class OperatorTuple:
         """
         key = (i, w.letters)
         if key not in self._action_cache:
-            coo = self.word_op(i, w).tocoo()
-            self._action_cache[key] = (
-                coo.col.astype(np.int64), coo.row.astype(np.int64), coo.data.astype(complex)
-            )
+            keys, vals = linalg.stored_entries(self.word_op(i, w))
+            dst, src = np.divmod(keys, self.dim_h)
+            self._action_cache[key] = (src, dst, vals)
         return self._action_cache[key]
 
     def kraus(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,14 +212,14 @@ def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: Matrix) -> Matrix
             acc += term
         return acc
     n = X.dim_h
-    keys, vals = stored_entries(Y, n)
+    keys, vals = linalg.stored_entries(Y)
     rows, cols = np.divmod(keys, n)
     terms = []
     for w, a in spec.coeffs[i].items():
         moved, lam_r, lam_c, hit = conjugate_entries(X.word_action(i, w), n, rows, cols)
         # the order of the dense products (X_w Y) X_w^*
         terms.append((moved, a * (lam_c.conj() * (lam_r * vals[hit]))))
-    return entries_matrix(Y, n, *accumulate_entries(terms))
+    return linalg.entries_matrix(*accumulate_entries(terms), (n, n), like=Y)
 
 
 def defect(spec: PolydomainSpec, X: OperatorTuple, p: Sequence[int]) -> Matrix:

@@ -1,19 +1,21 @@
-"""Shared numerical kernels: Hermitian eigenwork, norms, PSD tests, matrix I/O.
+"""Shared numerical kernels: the stored-entry format, Hermitian eigenwork, norms, PSD tests, matrix I/O.
 
 Everything here is deterministic; verdict paths never use randomized
-initialization.  Sparse inputs (scipy COO/CSR) are accepted; the block
-split reads their stored entries, and they are densified only where a
-whole-matrix eigensolver needs them.  A non-finite entry gives NaN without a
-solver call.  The operators the checks compare split,
-after a permutation, into many small blocks, so up to the dense cutoff
-:func:`op_norm` and :func:`psd_check` answer block by block: the connected
-components of the nonzero pattern are stacked by shape and each stack takes
-one batched LAPACK call.  Inputs with a side of at most ``_DIRECT_SIDE``
-take one direct dense call, and above the cutoff :func:`op_norm` runs one
-Lanczos iteration on the whole operator.  :func:`pinv_on_range` splits at
-every size: a Gram matrix ``C^* C`` of a row whose columns each move one
-basis vector is block diagonal by target vector, so its pseudo-inverse is
-assembled block by block and returned in the input's kind.
+initialization.  Every layer reads a matrix's entries with
+:func:`stored_entries` (sorted distinct row-major keys and complex values)
+and writes them back with :func:`entries_matrix`; :func:`sorted_unique` and
+:func:`lookup` are the key arithmetic between.  A non-finite entry gives NaN
+without a solver call.  The operators the checks compare split, after a
+permutation, into many small blocks, and :func:`op_norm`,
+:func:`psd_check` and :func:`pinv_on_range` take their blocks from one
+routine by one rule: a matrix with a side of at most ``_DIRECT_SIDE`` is one
+block, the dense array itself; any other splits into the connected components
+of its nonzero pattern, read from its stored entries, and each stack of
+blocks of one shape takes one batched LAPACK call.  Past the dense cutoff
+:func:`op_norm` runs one Lanczos iteration on the whole operator and
+:func:`psd_check` one whole-matrix ``eigvalsh``; :func:`pinv_on_range` splits
+at every size, since a Gram matrix ``C^* C`` of a row whose columns each move
+one basis vector is block diagonal by target vector.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from typing import IO, Tuple, Union
+from typing import IO, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,9 +45,9 @@ __all__ = [
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
 
-# dense 2-norm block by block up to this size, Lanczos above
+# past this side op_norm runs Lanczos and psd_check one whole-matrix eigvalsh
 _DENSE_NORM_CUTOFF = 600
-# inputs with a side no longer than this take one direct dense call
+# a matrix with a side no longer than this is one spectral block, its dense array
 _DIRECT_SIDE = 8
 # entry lines parsed together by load_matrix, and the fields of one
 _LOAD_BLOCK = 512
@@ -71,52 +73,126 @@ def hermitize(mat: MatrixLike) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def _split(shape: Tuple[int, ...]) -> bool:
-    """Whether a matrix of this shape is answered block by block."""
-    return min(shape) > _DIRECT_SIDE and max(shape) <= _DENSE_NORM_CUTOFF
+def strict_max(*values: float) -> float:
+    """``max`` of ``values``, but NaN when any is NaN (``max`` drops a NaN not in first place)."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-def _nonzero_entries(mat: MatrixLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, columns and values of the nonzero entries, in row-major order.
+# -- the stored-entry format ---------------------------------------------------
+# Every layer reads and writes a matrix's entries one way: sorted, distinct
+# int64 row-major keys ``row * ncols + col`` with complex values in that order,
+# which is the order of the entries of a canonical CSR matrix.
 
-    A sparse input is read from its stored entries (duplicates summed,
-    values complex as :func:`as_dense` gives them), never densified.
+
+def stored_entries(mat: MatrixLike) -> Tuple[np.ndarray, np.ndarray]:
+    """The entries of ``mat`` as sorted distinct row-major keys ``row * ncols + col`` and complex values.
+
+    A sparse input gives its stored entries, duplicates summed and explicit
+    zeros kept, and is never densified; a dense input gives its nonzero
+    entries.  The values of a complex canonical CSR input are its own data,
+    not a copy: callers do not write to them.
     """
-    if sp.issparse(mat):
-        coo = sp.coo_matrix(mat)
-        coo.sum_duplicates()
-        vals = coo.data.astype(complex)
-        keep = vals != 0
-        return coo.row[keep], coo.col[keep], vals[keep]
-    m = np.asarray(mat)
-    rows, cols = np.nonzero(m)
-    return rows, cols, m[rows, cols]
-
-
-def _hermitian_entries(mat: MatrixLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_nonzero_entries` of ``hermitize(mat)`` for a sparse square input, from its stored entries.
-
-    Each entry is ``0.5 * (a_ij + conj(a_ji))`` with a missing entry read as
-    complex zero, the sum :func:`hermitize` forms on the dense array.
-    """
-    n = mat.shape[0]
+    if not sp.issparse(mat):
+        flat = np.asarray(mat).ravel()
+        keys = np.flatnonzero(flat)
+        return keys, flat[keys].astype(complex, copy=False)
+    if mat.format == "csr" and mat.has_canonical_format:
+        # already in key order: read off the row pointers, with no scipy object built
+        starts = np.repeat(np.arange(mat.shape[0], dtype=np.int64) * mat.shape[1], np.diff(mat.indptr))
+        return starts + mat.indices, mat.data.astype(complex, copy=False)
     coo = sp.coo_matrix(mat)
     coo.sum_duplicates()
-    keys = coo.row.astype(np.int64) * n + coo.col
-    keys_t = coo.col.astype(np.int64) * n + coo.row
-    # the sorted union of both patterns, by a sort and a mask
-    union = np.sort(np.concatenate([keys, keys_t]))
-    first = np.ones(union.size, dtype=bool)
-    first[1:] = union[1:] != union[:-1]
-    union = union[first]
-    a = np.zeros(union.size, dtype=complex)
-    a_t = np.zeros(union.size, dtype=complex)
-    a[np.searchsorted(union, keys)] = coo.data
-    a_t[np.searchsorted(union, keys_t)] = coo.data
-    h = 0.5 * (a + a_t.conj())
-    keep = h != 0
-    rows, cols = np.divmod(union[keep], n)
-    return rows, cols, h[keep]
+    return coo.row.astype(np.int64) * mat.shape[1] + coo.col, coo.data.astype(complex)
+
+
+def entries_matrix(
+    keys: np.ndarray, vals: np.ndarray, shape: Tuple[int, int], like: Optional[MatrixLike] = None
+) -> MatrixLike:
+    """The matrix of ``shape`` with ``vals`` at the sorted distinct row-major ``keys``.
+
+    CSR, its row pointers counted by one search of the row starts in the
+    keys; a dense complex array when ``like`` is a dense array.
+    """
+    if like is not None and not sp.issparse(like):
+        out = np.zeros(shape, dtype=complex)
+        out.reshape(-1)[keys] = vals
+        return out
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+    # the index type scipy picks, given up front so it need not scan the arrays
+    index = np.int32 if max(*shape, keys.size) < 2**31 else np.int64
+    return sp.csr_matrix((vals, (keys % shape[1]).astype(index), indptr.astype(index)), shape=shape)
+
+
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys`` in ascending order, by a sort and a mask.
+
+    The same array as ``np.unique(keys)``, without the hash table numpy uses
+    for it, which costs many times the sort on the key counts seen here.
+    """
+    keys = np.sort(keys)
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+def lookup(keys: np.ndarray, want: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each key of ``want`` sits in the sorted distinct ``keys``: ``(pos, hit)``.
+
+    ``hit`` marks the keys found; ``pos`` is their position, and at most
+    ``keys.size`` elsewhere.
+    """
+    pos = np.searchsorted(keys, want)
+    hit = pos < keys.size
+    hit[hit] = keys[pos[hit]] == want[hit]
+    return pos, hit
+
+
+# -- spectral blocks -------------------------------------------------------------
+
+
+def _past_cutoff(shape: Tuple[int, ...]) -> bool:
+    """Whether a matrix is answered whole: ``op_norm`` by Lanczos, ``psd_check`` by one ``eigvalsh``."""
+    return max(shape) > _DENSE_NORM_CUTOFF
+
+
+def _spectral_blocks(mat: MatrixLike, hermitian: bool, whole_past_cutoff: bool = False):
+    """The blocks of ``mat``, or of its Hermitian part, stacked by shape as :func:`_blocks` yields them.
+
+    One rule: a matrix with a side of at most ``_DIRECT_SIDE`` is one block,
+    the dense array itself, with no entry gathered.  Any other matrix splits
+    into the connected components of the nonzero pattern of its entries
+    (:func:`stored_entries`), rows and columns apart, or alike for the
+    Hermitian part.  With ``whole_past_cutoff`` such a matrix past the dense
+    cutoff gives None, for the caller to answer whole.
+    """
+    n_r, n_c = mat.shape
+    if min(n_r, n_c) <= _DIRECT_SIDE:
+        if hermitian:
+            m = hermitize(mat)
+        else:
+            m = as_dense(mat) if sp.issparse(mat) else np.asarray(mat)
+        return [(m[None], np.arange(n_r)[None], np.arange(n_c)[None])]
+    if whole_past_cutoff and _past_cutoff(mat.shape):
+        return None
+    keys, vals = stored_entries(mat)
+    if hermitian:
+        # 0.5 * (a_ij + conj(a_ji)) on the union of both patterns, a missing
+        # entry read as complex zero: the sum hermitize forms on the dense array
+        rows, cols = np.divmod(keys, n_c)
+        keys_t = cols * n_c + rows
+        union = sorted_unique(np.concatenate([keys, keys_t]))
+        a = np.zeros((2, union.size), dtype=complex)
+        a[0, lookup(union, keys)[0]] = vals
+        a[1, lookup(union, keys_t)[0]] = vals
+        keys, vals = union, 0.5 * (a[0] + a[1].conj())
+    nonzero = vals != 0
+    rows, cols = np.divmod(keys[nonzero], n_c)
+    if hermitian:
+        label_r = label_c = _components(n_r, rows, cols)
+    else:
+        label = _components(n_r + n_c, rows, n_r + cols)
+        label_r, label_c = label[:n_r], label[n_r:]
+    return _blocks(rows, cols, vals[nonzero], label_r, label_c)
 
 
 def _blocks(
@@ -179,13 +255,11 @@ def psd_check(mat: MatrixLike, tol: float = 1e-9) -> Tuple[bool, float]:
 
     Returns ``(verdict, lambda_min)``; the verdict is true iff
     ``lambda_min >= -tol * max(1, lambda_max)``.  An input with a NaN or
-    infinite entry gives ``(False, nan)`` without an eigensolver call.  Up to
-    the dense cutoff, with more than ``_DIRECT_SIDE`` rows, the Hermitian
-    part is split into the connected blocks of its nonzero pattern and the
-    extreme eigenvalues are those of the blocks, one batched ``eigvalsh`` per
-    block shape; a row with no nonzero entry is a block of its own, with the
-    eigenvalue 0.  A sparse input's Hermitian part is then formed on its
-    stored entries.
+    infinite entry gives ``(False, nan)`` without an eigensolver call.  The
+    extreme eigenvalues are those of the Hermitian part's blocks
+    (:func:`_spectral_blocks`), one batched ``eigvalsh`` per block shape; a
+    row with no nonzero entry is a block of its own, with the eigenvalue 0.
+    Past the dense cutoff the whole Hermitian part takes one ``eigvalsh``.
     """
     if not sp.issparse(mat):
         mat = np.asarray(mat)
@@ -195,19 +269,13 @@ def psd_check(mat: MatrixLike, tol: float = 1e-9) -> Tuple[bool, float]:
         return False, math.nan
     if mat.shape[0] == 0:
         return True, 0.0
-    if _split(mat.shape):
-        if sp.issparse(mat):
-            rows, cols, vals = _hermitian_entries(mat)
-        else:
-            rows, cols, vals = _nonzero_entries(hermitize(mat))
-        label = _components(mat.shape[0], rows, cols)
-        lo, hi = np.inf, -np.inf
-        for stack, _, _ in _blocks(rows, cols, vals, label, label):
-            eigs = np.linalg.eigvalsh(stack)
-            lo, hi = min(lo, float(eigs[:, 0].min())), max(hi, float(eigs[:, -1].max()))
-    else:
-        eigs = np.linalg.eigvalsh(hermitize(mat))
-        lo, hi = float(eigs[0]), float(eigs[-1])
+    stacks = _spectral_blocks(mat, hermitian=True, whole_past_cutoff=True)
+    if stacks is None:
+        stacks = [(hermitize(mat)[None], None, None)]
+    lo, hi = np.inf, -np.inf
+    for stack, _, _ in stacks:
+        eigs = np.linalg.eigvalsh(stack)
+        lo, hi = min(lo, float(eigs[:, 0].min())), max(hi, float(eigs[:, -1].max()))
     return lo >= -tol * max(1.0, hi), lo
 
 
@@ -217,46 +285,35 @@ def op_norm(mat: MatrixLike) -> float:
     A NaN or infinite entry (stored entry, for sparse input) gives NaN
     without an SVD or Lanczos call.  Up to the dense cutoff, or with a side
     of at most ``_DIRECT_SIDE`` at any length, the norm is the dense 2-norm,
-    taken directly for a side of at most ``_DIRECT_SIDE`` and block by block
-    otherwise: the rows and columns are split into the connected components
-    of the bipartite graph of the nonzero entries (a sparse input's stored
-    entries), and the norm is the largest singular value of any block, one
-    batched ``svd`` per block shape.  Above the cutoff, with both sides
-    longer than ``_DIRECT_SIDE``, every input takes one path, so the result
+    the largest singular value of any block of :func:`_spectral_blocks`
+    (the rows and columns split into the connected components of the
+    bipartite graph of the nonzero entries), one batched ``svd`` per block
+    shape.  Past the cutoff every other input takes one path, so the result
     does not depend on how the operator is stored: convert to CSR, answer the
     zero matrix directly (Lanczos cannot start from it), give a matrix whose
     stored entries all sit on the diagonal its exact norm, the largest entry
     modulus, and run Lanczos (``svds`` from the all-ones vector) otherwise.
     """
-    if max(mat.shape) > _DENSE_NORM_CUTOFF and min(mat.shape) > _DIRECT_SIDE:
-        csr = sp.csr_matrix(mat)
-        if not _finite(csr):
-            return math.nan
-        if csr.count_nonzero() == 0:
-            return 0.0
-        coo = csr.tocoo()
-        coo.sum_duplicates()
-        if np.array_equal(coo.row, coo.col):
-            return float(np.abs(coo.data).max())
-        v0 = np.ones(min(mat.shape))
-        s = scipy.sparse.linalg.svds(
-            csr.astype(complex), k=1, v0=v0, return_singular_vectors=False
-        )
-        return float(s[0])
     if not _finite(mat):
         return math.nan
-    if not _split(mat.shape):
-        m = as_dense(mat) if sp.issparse(mat) else np.asarray(mat)
-        return float(np.linalg.norm(m, 2)) if m.any() else 0.0
-    rows, cols, vals = _nonzero_entries(mat)
-    if not vals.size:
+    stacks = _spectral_blocks(mat, hermitian=False, whole_past_cutoff=True)
+    if stacks is not None:
+        return max(
+            (float(np.linalg.svd(stack, compute_uv=False).max(initial=0.0)) for stack, _, _ in stacks),
+            default=0.0,
+        )
+    csr = sp.csr_matrix(mat)
+    keys, vals = stored_entries(csr)
+    if not vals.any():
         return 0.0
-    n_r = mat.shape[0]
-    label = _components(n_r + mat.shape[1], rows, n_r + cols)
-    return max(
-        float(np.linalg.svd(stack, compute_uv=False).max())
-        for stack, _, _ in _blocks(rows, cols, vals, label[:n_r], label[n_r:])
+    rows, cols = np.divmod(keys, mat.shape[1])
+    if np.array_equal(rows, cols):
+        return float(np.abs(vals).max())
+    v0 = np.ones(min(mat.shape))
+    s = scipy.sparse.linalg.svds(
+        csr.astype(complex), k=1, v0=v0, return_singular_vectors=False
     )
+    return float(s[0])
 
 
 def herm_sqrt(mat: MatrixLike) -> np.ndarray:
@@ -285,28 +342,23 @@ def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> MatrixLike:
     raises :class:`NumericalRankError`; an input with a NaN or infinite entry
     raises :class:`SpecError` without an eigensolver call.
 
-    The Hermitian part (a sparse input's formed on its stored entries) is
-    split, at any size with a side longer than ``_DIRECT_SIDE``, into the
-    connected blocks of its nonzero pattern; a smaller input is one block,
-    and a row with no nonzero entry is a 1x1 block with the eigenvalue 0.
-    Each block shape takes one batched ``eigh``.  ``lambda_max``, the cutoff
+    The Hermitian part is split by :func:`_spectral_blocks` at every size; a
+    row with no nonzero entry is a 1x1 block with the eigenvalue 0.  Each
+    block shape takes one batched ``eigh``.  ``lambda_max``, the cutoff
     and the ambiguity rule run over the eigenvalues of all blocks, and the
     pseudo-inverse is assembled block by block: CSR for a sparse input, a
     dense array otherwise, complex either way.
     """
-    sparse = sp.issparse(mat)
-    if not sparse:
+    if not sp.issparse(mat):
         mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {mat.shape}")
     n = mat.shape[0]
     if not _finite(mat):
         raise SpecError("pinv_on_range input has a non-finite entry")
-    rows, cols, vals = _hermitian_entries(mat) if sparse else _nonzero_entries(hermitize(mat))
-    label = _components(n, rows, cols) if n > _DIRECT_SIDE else np.zeros(n, dtype=np.int64)
-    parts = [(*np.linalg.eigh(stack), r, c) for stack, r, c in _blocks(rows, cols, vals, label, label)]
-    lam_max = max((float(eigs[:, -1].max()) for eigs, _, _, _ in parts), default=0.0)
-    entries = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))]
+    parts = [(*np.linalg.eigh(stack), r, c) for stack, r, c in _spectral_blocks(mat, hermitian=True)]
+    lam_max = max((float(eigs.max(initial=0.0)) for eigs, _, _, _ in parts), default=0.0)
+    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=complex)]
     if lam_max > 0.0:
         cut = rank_tol * lam_max
         eigs = np.concatenate([e.ravel() for e, _, _, _ in parts])
@@ -321,17 +373,11 @@ def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> MatrixLike:
             if keep.any():
                 inv = np.where(keep, 1.0 / np.where(keep, eigs, 1.0), 0.0)
                 block = (vecs * inv[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-                entries.append((
-                    np.broadcast_to(r[:, :, None], block.shape).ravel(),
-                    np.broadcast_to(c[:, None, :], block.shape).ravel(),
-                    block.ravel(),
-                ))
-    out_r, out_c, out_v = (np.concatenate(part) for part in zip(*entries))
-    if sparse:
-        return sp.csr_matrix((out_v, (out_r, out_c)), shape=(n, n))
-    out = np.zeros((n, n), dtype=complex)
-    out[out_r, out_c] = out_v
-    return out
+                keys.append((r[:, :, None] * n + c[:, None, :]).ravel())
+                vals.append(block.ravel())
+    keys, vals = np.concatenate(keys), np.concatenate(vals)
+    order = np.argsort(keys)
+    return entries_matrix(keys[order], vals[order], (n, n), like=mat)
 
 
 def save_matrix(fh: IO[str], mat: MatrixLike) -> None:

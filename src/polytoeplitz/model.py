@@ -204,25 +204,26 @@ class FockSpace:
         cache = self._action_cache
         key = (side, i, word.letters)
         if key not in cache:
-            coo = self.factor_creation(i, word, side=side).tocoo()
+            d_i = self.factor_dims[i]
+            keys, lam = linalg.stored_entries(self.factor_creation(i, word, side=side))
+            row, col = np.divmod(keys, d_i)
             pre = int(np.prod(self.factor_dims[:i])) if i else 1
             post = int(np.prod(self.factor_dims[i + 1 :])) if i + 1 < self.spec.k else 1
-            d_i = self.factor_dims[i]
             base = (
                 np.arange(pre)[:, None, None] * (d_i * post)
                 + np.arange(post)[None, None, :]
             )
-            src = (base + coo.col[None, :, None] * post).ravel()
-            dst = (base + coo.row[None, :, None] * post).ravel()
+            src = (base + col[None, :, None] * post).ravel()
+            dst = (base + row[None, :, None] * post).ravel()
             vals = np.broadcast_to(
-                coo.data[None, :, None], (pre, coo.nnz, post)
+                lam[None, :, None], (pre, lam.size, post)
             ).ravel()
             if self.coeff_dim > 1:
                 offs = np.arange(self.coeff_dim) * self.dim
                 src = (offs[:, None] + src[None, :]).ravel()
                 dst = (offs[:, None] + dst[None, :]).ravel()
                 vals = np.tile(vals, self.coeff_dim)
-            cache[key] = (src, dst, np.asarray(vals, dtype=complex))
+            cache[key] = (src, dst, vals)
         return cache[key]
 
     def identity(self) -> "FockOperator":
@@ -404,30 +405,13 @@ class FockSpace:
 # -- stored-entry kernels ------------------------------------------------------
 # Operators with at most one entry per row and per column (creations and their
 # products) act on matrices by moving entries.  An action is ``(src, dst,
-# vals)`` with ``A e_src = vals * e_dst``; a matrix is carried as row-major
-# keys ``row * n + col`` and values.  The completely positive maps of
+# vals)`` with ``A e_src = vals * e_dst``; a matrix is carried in the one
+# stored-entry format of :func:`linalg.stored_entries`, row-major keys
+# ``row * n + col`` and values.  The completely positive maps of
 # ``cpmaps`` and ``brownhalmos`` share these kernels and differ only in how
 # they combine the values.
 
 Action = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def stored_entries(mat: Union[np.ndarray, sp.spmatrix], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major keys ``row * n + col`` and complex values of the stored entries."""
-    coo = sp.coo_matrix(mat)
-    coo.sum_duplicates()
-    return coo.row.astype(np.int64) * n + coo.col, coo.data.astype(complex)
-
-
-def entries_matrix(
-    like: Union[np.ndarray, sp.spmatrix], n: int, keys: np.ndarray, vals: np.ndarray
-) -> Union[np.ndarray, sp.csr_matrix]:
-    """The entries as a matrix of ``like``'s kind: CSR for sparse, ndarray otherwise."""
-    if sp.issparse(like):
-        return sp.csr_matrix((vals, np.divmod(keys, n)), shape=(n, n))
-    out = np.zeros((n, n), dtype=complex)
-    out.reshape(-1)[keys] = vals
-    return out
 
 
 def conjugate_entries(
@@ -450,28 +434,16 @@ def conjugate_entries(
     return dst[sr] * n + dst[sc], lam[sr], lam[sc], hit
 
 
-def sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of ``keys`` in ascending order, by a sort and a mask.
-
-    The same array as ``np.unique(keys)``, without the hash table numpy uses
-    for it, which costs many times the sort on the key counts seen here.
-    """
-    keys = np.sort(keys)
-    keep = np.ones(keys.size, dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    return keys[keep]
-
-
 def accumulate_entries(terms) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise sum of ``(keys, vals)`` terms, added in list order over the union support.
 
     Each term's keys are distinct, so every entry is summed in the order a
     dense accumulator would add the terms.
     """
-    keys = sorted_unique(np.concatenate([k for k, _ in terms]))
+    keys = linalg.sorted_unique(np.concatenate([k for k, _ in terms]))
     acc = np.zeros(keys.size, dtype=complex)
     for k, v in terms:
-        acc[np.searchsorted(keys, k)] += v
+        acc[linalg.lookup(keys, k)[0]] += v
     return keys, acc
 
 
@@ -570,15 +542,6 @@ class PairStructure:
         mask = np.zeros((self.space.dim, self.space.dim), dtype=bool)
         mask[self.rows, self.cols] = True
         return mask
-
-    def positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Position of each basis pair in the pair arrays, -1 where not comparable."""
-        dim = self.space.dim
-        keys = self.rows * dim + self.cols
-        want = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
-        # the vacuum pair (0, 0) is always comparable, so keys is never empty
-        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        return np.where(keys[pos] == want, pos, -1)
 
 
 def _suffix_quotient(layout, n: int, longer: np.ndarray, e) -> tuple[np.ndarray, np.ndarray]:
@@ -723,11 +686,7 @@ def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> Fock
     c = space.coeff_dim
     if A.shape != (c, c):
         raise DimensionMismatch(f"coefficient shape {A.shape} does not match ({c}, {c})")
-    keys, vals = space.monomial_entries(pair)
-    d = space.dim
-    rows, cols = np.divmod(keys, d)
-    # the members are row-major, so they already are CSR order
-    fock = sp.csr_matrix((vals, cols, np.searchsorted(rows, np.arange(d + 1))), shape=(d, d))
+    fock = linalg.entries_matrix(*space.monomial_entries(pair), (space.dim, space.dim))
     if c == 1:
         mat = complex(A[0, 0]) * fock
     else:
@@ -761,7 +720,10 @@ def weighted_fock_unitary(space: FockSpace, direction: str = "forward") -> FockO
     ``U W U^{-1}`` turns the weighted creations into unit-coefficient shifts
     on columns of degree below the truncation.
     """
-    entries = np.array([space.weights.b_multi(w) for w in space.basis()], dtype=float)
+    # b_multi's product over the factors, first factor slowest
+    entries = space.weights.values[0]
+    for values in space.weights.values[1:]:
+        entries = np.multiply.outer(entries, values).ravel()
     if direction == "forward":
         diag = np.sqrt(entries)
     elif direction == "inverse":

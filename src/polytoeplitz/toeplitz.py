@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .cpmaps import OperatorTuple
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import IndexPair, MultiWord, Word
-from .model import FockOperator, FockSpace, sorted_unique
+from .model import FockOperator, FockSpace
 
 __all__ = [
     "FourierSymbol",
@@ -147,16 +146,6 @@ def _words_at(space: FockSpace, key) -> tuple[MultiWord, MultiWord]:
     return space.multiword_at(r), space.multiword_at(c)
 
 
-def _gather(E: np.ndarray, keys: np.ndarray, want: np.ndarray) -> np.ndarray:
-    """The blocks of ``E`` (one per sorted key in ``keys``) at the keys ``want``, zero where absent."""
-    pos = np.searchsorted(keys, want)
-    hit = pos < keys.size
-    hit[hit] = keys[pos[hit]] == want[hit]
-    out = np.zeros(E.shape[:2] + (want.size,), dtype=complex)
-    out[:, :, hit] = E[:, :, pos[hit]]
-    return out
-
-
 def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     """Decide weighted multi-Toeplitz structure over every basis pair, from the stored entries of ``T``.
 
@@ -176,37 +165,41 @@ def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     with ``dim**2`` or the number of comparable pairs.
     """
     space = T.space
-    d = space.dim
-    coo = sp.coo_matrix(T.matrix)
-    coo.sum_duplicates()
-    x, rows = np.divmod(coo.row.astype(np.int64), d)
-    y, cols = np.divmod(coo.col.astype(np.int64), d)
+    d, n = space.dim, space.total_dim
+    entry_keys, vals = linalg.stored_entries(T.matrix)
+    x, rows = np.divmod(entry_keys // n, d)
+    y, cols = np.divmod(entry_keys % n, d)
     entries = space.classify_pairs(rows, cols)
     inside = entries.comparable
 
     structural = 0.0
     worst: Optional[tuple[MultiWord, MultiWord]] = None
-    out_mags = np.abs(coo.data[~inside])
+    out_mags = np.abs(vals[~inside])
     if out_mags.size:
         structural = float(out_mags.max())
         if structural > 0.0:
             out_keys = rows[~inside] * d + cols[~inside]
             worst = _words_at(space, out_keys[out_mags == structural].min())
 
-    # the coefficient blocks at the comparable pairs holding a stored entry
-    keys, slot = np.unique(rows[inside] * d + cols[inside], return_inverse=True)
-    E = np.zeros((space.coeff_dim, space.coeff_dim, keys.size), dtype=complex)
-    E[x[inside], y[inside], slot] = coo.data[inside]
+    # the comparable pairs holding a stored entry, and the members of the
+    # classes whose representative pair holds one
+    keys = rows[inside] * d + cols[inside]
     at_rep = inside & (entries.rep == rows * d + cols)
     classes, first = np.unique(entries.cls[at_rep], return_index=True)
     rep_keys = entries.rep[at_rep][first]
-    blocks = (rep_keys, entries.tau_rep[at_rep][first], _gather(E, keys, rep_keys))
+    candidates = linalg.sorted_unique(np.concatenate([keys, space.class_members(classes)]))
+    # the coefficient blocks at the candidates; the last one is the zero block
+    # read where a representative holds no stored entry
+    E = np.zeros((space.coeff_dim, space.coeff_dim, candidates.size + 1), dtype=complex)
+    E[x[inside], y[inside], linalg.lookup(candidates, keys)[0]] = vals[inside]
+    rep_blocks = E[:, :, linalg.lookup(candidates, rep_keys)[0]]
+    blocks = (rep_keys, entries.tau_rep[at_rep][first], rep_blocks)
 
-    candidates = sorted_unique(np.concatenate([keys, space.class_members(classes)]))
     cand = space.classify_pairs(candidates // d, candidates % d)
     ratio = cand.tau / cand.tau_rep
-    expected = ratio[None, None, :] * _gather(E, keys, cand.rep)
-    dev = np.abs(_gather(E, keys, candidates) - expected).max(axis=(0, 1))
+    pos, hit = linalg.lookup(candidates, cand.rep)
+    expected = ratio[None, None, :] * E[:, :, np.where(hit, pos, candidates.size)]
+    dev = np.abs(E[:, :, :-1] - expected).max(axis=(0, 1))
     scaling = float(dev.max()) if dev.size else 0.0
 
     max_violation = structural
@@ -215,7 +208,7 @@ def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
         scaling_rel = scaling / max(1.0, linalg.op_norm(T.matrix))
         if scaling_rel > max(structural, 0.0) and scaling > 0.0:
             worst = _words_at(space, candidates[np.argmax(dev)])
-        max_violation = max(structural, scaling_rel)
+        max_violation = linalg.strict_max(structural, scaling_rel)
     return ToeplitzReport(
         verdict=bool(max_violation <= tol),
         max_violation=max_violation,
@@ -248,33 +241,24 @@ def _gap_vector(space: FockSpace, code: int) -> tuple[int, ...]:
     return tuple(int(x) for x in code // place % (2 * L + 1) - L)
 
 
-def _degree_gaps(T: FockOperator) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """The stored entries of ``T`` in CSR order and the encoded torus degree gap of each.
+def _degree_gaps(T: FockOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored entries of ``T`` and the encoded torus degree gap of each.
 
-    Returns ``(mat, rows, code)``: ``T``'s matrix as canonical CSR (``T``'s
-    own when it already is one), the row of each stored entry, and the code
-    (see :func:`_gap_places`) of ``degree_table()[row % dim] -
+    Returns ``(keys, vals, code)``: the entries of :func:`linalg.stored_entries`
+    and the code (see :func:`_gap_places`) of ``degree_table()[row % dim] -
     degree_table()[col % dim]``.  The encoding is linear in the degrees, so
     each entry's code is a difference of two per-word codes.
     """
     space = T.space
-    n, d = space.total_dim, space.dim
-    mat = sp.csr_matrix(T.matrix)
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    rows = np.repeat(np.arange(n, dtype=mat.indices.dtype), np.diff(mat.indptr))
+    keys, vals = linalg.stored_entries(T.matrix)
     place, L = _gap_places(space)
-    word_code = space.degree_table() @ place
-    code = word_code[rows % d]
-    code -= word_code[mat.indices % d]
+    # the code of each basis word, once per coefficient index
+    word_code = np.tile(space.degree_table() @ place, space.coeff_dim)
+    rows, cols = np.divmod(keys, space.total_dim)
+    code = word_code[rows]
+    code -= word_code[cols]
     code += int(L @ place)
-    return mat, rows, code
-
-
-def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
-    """CSR from entries listed in row-major order."""
-    return sp.csr_matrix((vals, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    return keys, vals, code
 
 
 def homogeneous_part(T: FockOperator, s: Sequence[int]) -> FockOperator:
@@ -286,14 +270,14 @@ def homogeneous_part(T: FockOperator, s: Sequence[int]) -> FockOperator:
     space = T.space
     if len(s) != space.spec.k:
         raise DimensionMismatch("degree tuple length differs from factor count")
-    mat, rows, code = _degree_gaps(T)
+    keys, vals, code = _degree_gaps(T)
     place, L = _gap_places(space)
     target = np.asarray(s, dtype=np.int64)
     if np.all(np.abs(target) <= L):
         hit = code == int((target + L) @ place)
     else:
         hit = np.zeros(code.size, dtype=bool)
-    return FockOperator(space, _csr(rows[hit], mat.indices[hit], mat.data[hit], space.total_dim))
+    return FockOperator(space, linalg.entries_matrix(keys[hit], vals[hit], T.matrix.shape))
 
 
 def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOperator]:
@@ -301,45 +285,33 @@ def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOper
 
     One stable counting sort of the stored entries by encoded degree gap
     (numpy's radix sort, on the narrowest unsigned type that holds the
-    codes), and one count of every part's rows for all the row pointers:
-    each part keeps its entries in row-major order and is the CSR
+    codes): each part keeps its entries in row-major order and is the CSR
     :func:`homogeneous_part` returns for its degree vector.  The parts sum to
-    ``T`` and share the sorted arrays.
+    ``T``.
     """
     space = T.space
-    n = space.total_dim
-    mat, rows, code = _degree_gaps(T)
+    keys, vals, code = _degree_gaps(T)
     place, L = _gap_places(space)
     n_codes = int(np.prod(2 * L + 1))
     order = np.argsort(code.astype(np.min_scalar_type(n_codes - 1)), kind="stable")
     sizes = np.bincount(code, minlength=n_codes)
-    present = np.flatnonzero(sizes)
-    # the (part, row) cell of each entry, counted once; part p's row pointers
-    # are row p of indptr
-    cell = (np.cumsum(sizes > 0) - 1).astype(np.int32 if present.size * n < 2**31 else np.int64)[code]
     del code
-    cell *= n
-    cell += rows
-    counts = np.bincount(cell, minlength=present.size * n).reshape(present.size, n)
-    del cell
-    indptr = np.zeros((present.size, n + 1), dtype=mat.indices.dtype)
-    np.cumsum(counts, axis=1, out=indptr[:, 1:])
-    del counts
-    indices, data = mat.indices[order], mat.data[order]
+    keys, vals = keys[order], vals[order]
     del order
+    present = np.flatnonzero(sizes)
     bounds = np.concatenate([[0], np.cumsum(sizes[present])])
     gaps = present[:, None] // place % (2 * L + 1) - L
     parts: dict[tuple[int, ...], FockOperator] = {}
     for p, s in enumerate(map(tuple, gaps.tolist())):
         lo, hi = bounds[p], bounds[p + 1]
-        parts[s] = FockOperator(space, sp.csr_matrix((data[lo:hi], indices[lo:hi], indptr[p]), shape=(n, n)))
+        parts[s] = FockOperator(space, linalg.entries_matrix(keys[lo:hi], vals[lo:hi], T.matrix.shape))
     return parts
 
 
 def homogeneous_support(T: FockOperator, tol: float = 0.0) -> list[tuple[int, ...]]:
     """Degree vectors whose homogeneous part is (numerically) nonzero, in lexicographic order."""
-    mat, _, code = _degree_gaps(T)
-    return [_gap_vector(T.space, int(c)) for c in np.unique(code[np.abs(mat.data) > tol])]
+    _, vals, code = _degree_gaps(T)
+    return [_gap_vector(T.space, int(c)) for c in np.unique(code[np.abs(vals) > tol])]
 
 
 def extract_fourier(
@@ -376,11 +348,11 @@ def extract_fourier(
 def _symbol_layout(sym: FourierSymbol) -> tuple:
     """The radius-independent part of :func:`evaluate_at_model`, kept on the space for the last support.
 
-    Returns ``(support, term, fock, order, rows, cols)``: the sorted support,
+    Returns ``(support, term, fock, order, keys)``: the sorted support,
     and for each Fock entry of :meth:`~polytoeplitz.model.FockSpace.term_entries`
     its term and value; then, over the entries of all ``c * c`` coefficient
     blocks (block-major, entry order within), the permutation to row-major
-    order and the row and column of each entry in that order.
+    order and the row-major key of each entry in that order.
     """
     space = sym.space
     key = frozenset(sym.coefficients)
@@ -396,8 +368,7 @@ def _symbol_layout(sym: FourierSymbol) -> tuple:
         cols = (blocks % c * d)[:, None] + fock_cols[None, :]
         keys = (rows * n + cols).ravel()
         order = np.argsort(keys)
-        rows, cols = np.divmod(keys[order], n)
-        layout = (support, term, fock, order, rows, cols)
+        layout = (support, term, fock, order, keys[order])
         space.symbol_layout = (key, layout)
     return layout
 
@@ -419,14 +390,15 @@ def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     """
     space = sym.space
     c = space.coeff_dim
-    support, term, fock, order, rows, cols = _symbol_layout(sym)
+    support, term, fock, order, keys = _symbol_layout(sym)
     coeffs = np.array([sym.coefficients[pair] for pair in support], dtype=complex)
     radial = np.array([r ** pair.total_weight for pair in support], dtype=float)
     # row b holds coefficient entry A.flat[b] of each member's term
     vals = coeffs.reshape(len(support), c * c)[term].T * fock
     vals = (radial[term] * vals).ravel()[order]
     nonzero = vals != 0
-    return FockOperator(space, _csr(rows[nonzero], cols[nonzero], vals[nonzero], space.total_dim))
+    shape = (space.total_dim,) * 2
+    return FockOperator(space, linalg.entries_matrix(keys[nonzero], vals[nonzero], shape))
 
 
 def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
@@ -467,9 +439,9 @@ def cesaro_reconstruct(
     space = T.space
     if len(N) != space.spec.k:
         raise DimensionMismatch("cutoff tuple length differs from factor count")
-    mat, rows, code = _degree_gaps(T)
+    keys, vals, code = _degree_gaps(T)
     place, L = _gap_places(space)
-    weight = np.ones(rows.size, dtype=float)
+    weight = np.ones(keys.size, dtype=float)
     for i, Ni in enumerate(N):
         diff = np.abs(code // place[i] % (2 * L[i] + 1) - L[i])
         if fejer_weights:
@@ -478,9 +450,9 @@ def cesaro_reconstruct(
             w_i = (diff <= Ni).astype(float)
         weight *= w_i
     kept = weight != 0.0
-    vals = mat.data[kept]
+    vals = vals[kept]
     vals *= weight[kept]
-    return FockOperator(space, _csr(rows[kept], mat.indices[kept], vals, space.total_dim))
+    return FockOperator(space, linalg.entries_matrix(keys[kept], vals, T.matrix.shape))
 
 
 def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> np.ndarray:
@@ -494,9 +466,10 @@ def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> np.ndarray:
     if not 0.0 <= r < 1.0:
         raise SpecError(f"radius must lie in [0, 1), got {r}")
     c, d = sym.space.coeff_dim, sym.space.dim
-    coo = evaluate_at_model(sym, r).matrix.tocoo()
+    keys, vals = linalg.stored_entries(evaluate_at_model(sym, r).matrix)
+    rows, cols = np.divmod(keys, d * c)
     out = np.zeros((d * c, d * c), dtype=complex)
-    out[coo.row % d * c + coo.row // d, coo.col % d * c + coo.col // d] = coo.data
+    out[rows % d * c + rows // d, cols % d * c + cols // d] = vals
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from polytoeplitz import cli, linalg
-from polytoeplitz.cli import _nanmax, build_parser, main
+from polytoeplitz.cli import build_parser, main
 from polytoeplitz.cpmaps import universal_tuple
 from polytoeplitz.model import FockSpace, monomial
 from polytoeplitz.toeplitz import (
@@ -119,9 +119,9 @@ def test_infinite_tail_bound_is_written_as_strict_json(tmp_path):
 
 
 def test_nanmax_propagates_nan_in_any_place():
-    assert _nanmax(0.0, 2.0, 1.0) == 2.0
+    assert linalg.strict_max(0.0, 2.0, 1.0) == 2.0
     for values in ((math.nan, 1.0), (1.0, math.nan), (0.0, 2.0, math.nan)):
-        assert math.isnan(_nanmax(*values))
+        assert math.isnan(linalg.strict_max(*values))
 
 
 def test_single_truncation_degree_broadcasts(tmp_path):
@@ -444,6 +444,20 @@ def test_kernel_psd_refuses_before_allocating_what_does_not_fit(tmp_path, monkey
     for available in (need, None):
         monkeypatch.setattr(cli, "_mem_available", lambda: available)
         test_kernel_psd_report_matches_golden_file(tmp_path / str(available))
+
+
+def test_kernel_psd_checks_its_input_before_the_memory_it_needs(tmp_path, monkeypatch, capsys):
+    # with too little memory for any kernel, bad input still exits 2, not 3
+    monkeypatch.setattr(cli, "_mem_available", lambda: 1000)
+    common = ["kernel-psd", "--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2"]
+    symbol = ["--symbol", str(GOLDEN_FOURIER / "symbol.json")]
+    for radius in ("2", "1", "-0.5", "nan"):
+        assert main([*common, *symbol, "--radius", radius]) == 2
+        assert "--radius must be a finite number in [0, 1)" in capsys.readouterr().err
+    assert main([*common, "--symbol", str(tmp_path / "missing.json")]) == 2
+    assert "cannot read symbol file" in capsys.readouterr().err
+    assert main([*common, *symbol]) == 3
+    assert "needs at least" in capsys.readouterr().err
 
 
 def test_mem_available_reads_meminfo():

@@ -238,3 +238,17 @@ class TestRandomPureTuple:
         spec = random_spec(rng, k=2)
         X = random_pure_tuple(spec, rng, dims=(2, 3))
         assert X.check_commutation() < 1e-12
+
+    @pytest.mark.parametrize("factor", [0, 1])
+    def test_nan_entry_fails_the_commutation_check(self, rng, factor):
+        spec = random_spec(rng, k=2)
+        X = random_pure_tuple(spec, rng, dims=(2, 3))
+        ops = [list(fac) for fac in X.ops]
+        ops[factor][0] = ops[factor][0].copy()
+        ops[factor][0][1, 1] = np.nan
+        Y = OperatorTuple(spec=spec, ops=tuple(map(tuple, ops)), dim_h=X.dim_h)
+        with pytest.raises(SpecError, match="nan"):
+            Y.check_commutation()
+        assert not Y.commutation_checked
+        with pytest.raises(SpecError):
+            is_member(spec, Y)

@@ -83,11 +83,13 @@ from polytoeplitz.linalg import (
     herm_sqrt,
     hermitize,
     load_matrix,
+    lookup,
     op_norm,
     pinv_on_range,
     psd_check,
 )
 from polytoeplitz.model import FockOperator, FockSpace, graded_projection, monomial
+from polytoeplitz import linalg as linalg_module
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import (
     FourierSymbol,
@@ -324,6 +326,14 @@ def dense_classification(T, tol=1e-10):
     ).to_dict()
 
 
+def pair_positions(ps, rows, cols):
+    """Position of each basis pair in the pair arrays, -1 where not comparable."""
+    dim = ps.space.dim
+    want = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
+    pos, hit = lookup(ps.rows * dim + ps.cols, want)
+    return np.where(hit, pos, -1)
+
+
 def pair_array_classification(T, tol=1e-10):
     """The classification over the pair structure's arrays of every comparable pair.
 
@@ -338,7 +348,7 @@ def pair_array_classification(T, tol=1e-10):
     coo.sum_duplicates()
     x, rows = np.divmod(coo.row.astype(np.int64), d)
     y, cols = np.divmod(coo.col.astype(np.int64), d)
-    pos = ps.positions(rows, cols)
+    pos = pair_positions(ps, rows, cols)
     inside = pos >= 0
     E = np.zeros((c, c, ps.rows.size), dtype=complex)
     E[x[inside], y[inside], pos[inside]] = coo.data[inside]
@@ -402,7 +412,7 @@ def pair_array_monomial_entries(ps, pair):
     """
     space = ps.space
     try:
-        at = ps.positions([space.index_of(pair.left)], [space.index_of(pair.right)])[0]
+        at = pair_positions(ps, [space.index_of(pair.left)], [space.index_of(pair.right)])[0]
     except TruncationError:
         at = -1
     pos = pair_array_class_positions(ps, int(ps.cls[at]) if at >= 0 else -1)
@@ -860,7 +870,7 @@ def _case_operator(space, rng, kind):
     # each pair's representative, and whether a block there holds a planted entry
     rep = ps.rep_pos[ps.cls]
     fock_zero = np.ones(ps.rows.size, dtype=bool)
-    fock_zero[ps.positions(rows % d, cols % d)] = False
+    fock_zero[pair_positions(ps, rows % d, cols % d)] = False
 
     def add(r, c_, v):
         return np.append(rows, r), np.append(cols, c_), np.append(vals, v)
@@ -881,7 +891,7 @@ def _case_operator(space, rng, kind):
         vals = rng.standard_normal(chosen.size) + 1j * rng.standard_normal(chosen.size)
     elif kind == "member removed":
         # a planted entry at a non-representative pair whose representative entry is planted
-        fock_pos = ps.positions(rows % d, cols % d)
+        fock_pos = pair_positions(ps, rows % d, cols % d)
         rep_keys = (rows // d * d + ps.rows[rep[fock_pos]]) * n + cols // d * d + ps.cols[rep[fock_pos]]
         hit = (rep[fock_pos] != fock_pos) & np.isin(rep_keys, list(planted_keys))
         drop = rng.choice(np.flatnonzero(hit))
@@ -1512,6 +1522,59 @@ def test_cauchy_dual_matches_dense_oracle(rng):
             assert np.abs(cauchy_dual(row) - expected).max() <= 1e-12
 
 
+# -- one block at a short side ----------------------------------------------------
+# A matrix with a side of at most 8 is one block, the dense array itself: the
+# direct whole-matrix LAPACK calls op_norm and psd_check once made, kept here as
+# oracles, must come back bit for bit, a -0.0 entry included.
+
+
+def direct_op_norm(mat):
+    """The whole-matrix 2-norm by one dense SVD in the input's dtype; 0.0 for the zero matrix."""
+    m = as_dense(mat) if sp.issparse(mat) else np.asarray(mat)
+    return float(np.linalg.norm(m, 2)) if m.any() else 0.0
+
+
+def short_side_inputs(rng):
+    """Matrices with a side of at most 8, a -0.0 entry in each: complex, real and CSR, square and long."""
+    for shape in ((1, 1), (2, 2), (5, 5), (8, 8), (3, 5), (8, 700), (900, 2)):
+        m = complex_block(rng, *shape)
+        m[rng.random(shape) < 0.3] = 0
+        m[0, 0] = complex(-0.0, -0.0)
+        yield m
+        yield m.real.copy()
+        yield sp.csr_matrix(m)
+    yield np.zeros((4, 4), dtype=complex)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_short_side_norm_and_psd_match_the_whole_matrix_call(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an entry gathered for a matrix with a short side")
+
+    monkeypatch.setattr(linalg_module, "stored_entries", refuse)
+    for m in short_side_inputs(rng):
+        assert same_bits(op_norm(m), direct_op_norm(m)), m.shape
+        if m.shape[0] == m.shape[1]:
+            for tol in (1e-9, 0.0):
+                verdict, lo = psd_check(m, tol)
+                expected, lo_dense, _ = dense_psd_check(m, tol)
+                assert verdict == expected and same_bits(lo, lo_dense), m.shape
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_short_side_pinv_matches_the_whole_matrix_eigh(rng, sparse):
+    for sizes, empty, zeros in (([1], 0, 0), ([3], 1, 1), ([2, 3], 1, 0), ([4, 4], 0, 1), ([], 5, 0)):
+        m = hermitian_permuted_blocks(rng, sizes, empty, spectrum_block(zeros))
+        m[m == 0] = complex(-0.0, -0.0)
+        # CSR drops the -0.0 entries, so the oracle reads the dense array the CSR stands for
+        mat = sp.csr_matrix(m) if sparse else m
+        assert same_bits(as_dense(pinv_on_range(mat)), dense_pinv_on_range(mat)), (sizes, empty)
+
+
 # -- batched small-tuple CP maps, symbol layouts and one-pass grading ---------------
 # The per-word, per-point and per-radius loops these replaced, kept as oracles.
 # Their bits must come back exactly, signed zeros included: the Kronecker slots
@@ -1612,7 +1675,8 @@ def split_homogeneous_decomposition(T):
     from polytoeplitz.toeplitz import _degree_gaps, _gap_vector
 
     n = T.space.total_dim
-    mat, rows, code = _degree_gaps(T)
+    keys, vals, code = _degree_gaps(T)
+    rows, cols = np.divmod(keys, n)
     order = np.argsort(code, kind="stable")
     grouped = code[order]
     bounds = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
@@ -1621,7 +1685,7 @@ def split_homogeneous_decomposition(T):
         r = rows[idx]
         indptr = np.searchsorted(r, np.arange(n + 1))
         parts[_gap_vector(T.space, int(code[idx[0]]))] = sp.csr_matrix(
-            (mat.data[idx], mat.indices[idx], indptr), shape=(n, n)
+            (vals[idx], cols[idx], indptr), shape=(n, n)
         )
     return parts
 

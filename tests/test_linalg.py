@@ -7,12 +7,16 @@ import scipy.sparse as sp
 from polytoeplitz.errors import DimensionMismatch, NumericalRankError, SpecError
 from polytoeplitz.linalg import (
     adjoint,
+    entries_matrix,
     herm_sqrt,
     load_matrix,
+    lookup,
     op_norm,
     pinv_on_range,
     psd_check,
     save_matrix,
+    sorted_unique,
+    stored_entries,
 )
 
 
@@ -240,3 +244,83 @@ class TestMatrixFile:
         text = f"3 3 2\n0 0 1 0\n1 2 {entry}\n"
         with pytest.raises(SpecError, match="non-finite value .* on line 3"):
             load_matrix(io.StringIO(text))
+
+
+def summed_coo(mat):
+    """A COO copy of ``mat`` after scipy's ``sum_duplicates``; a dense input keeps its nonzero entries."""
+    coo = sp.coo_matrix(mat, copy=True)
+    coo.sum_duplicates()
+    return coo
+
+
+def reader_cases(rng):
+    """``(name, matrix)`` for every kind of input the reader takes."""
+    dense = random_complex(rng, (5, 7))
+    dense[rng.random((5, 7)) < 0.5] = 0
+    yield "dense", dense
+    yield "dense real", dense.real.copy()
+    yield "canonical csr", sp.csr_matrix(dense)
+    yield "csc", sp.csc_matrix(dense)
+    # unsorted, with duplicates (two and three deep) and explicit zeros
+    rows = np.array([4, 0, 2, 0, 2, 3, 4, 1, 0, 3])
+    cols = np.array([6, 1, 0, 1, 0, 5, 2, 2, 1, 4])
+    vals = np.array([1.5, 2 - 1j, 0.25j, -3, 4.0, 0.0, -0.5, 1j, 0.125, 0.0])
+    yield "unsorted coo with duplicates and zeros", sp.coo_matrix((vals, (rows, cols)), shape=(5, 7))
+    yield "csr with duplicates", sp.csr_matrix((vals, cols, [0, 3, 4, 6, 8, 10]), shape=(5, 7))
+    yield "empty sparse", sp.csr_matrix((0, 4), dtype=complex)
+    yield "all-zero dense", np.zeros((3, 2), dtype=complex)
+    yield "tall", sp.random(40, 3, density=0.3, format="csr", rng=rng)
+
+
+class TestStoredEntries:
+    def test_reader_matches_coo_sum_duplicates(self, rng):
+        for name, mat in reader_cases(rng):
+            before = mat.copy()
+            keys, vals = stored_entries(mat)
+            coo = summed_coo(mat)
+            want_keys, want_vals = coo.row.astype(np.int64) * mat.shape[1] + coo.col, coo.data.astype(complex)
+            assert keys.dtype == np.int64 and vals.dtype == complex, name
+            assert np.array_equal(keys, want_keys), name
+            assert np.array_equal(vals.view(float), want_vals.view(float)), name
+            assert np.all(np.diff(keys) > 0), name
+            # the input keeps its entries
+            if sp.issparse(mat):
+                assert (mat != before).nnz == 0 and mat.nnz == before.nnz, name
+            else:
+                assert np.array_equal(mat, before), name
+
+    def test_duplicates_are_summed_and_explicit_zeros_kept(self):
+        mat = sp.coo_matrix(([1.0, 2.0, 0.0, 3.0], ([1, 0, 0, 1], [1, 2, 0, 1])), shape=(2, 3))
+        keys, vals = stored_entries(mat)
+        assert keys.tolist() == [0, 2, 4]
+        assert vals.tolist() == [0.0, 2.0, 4.0]
+
+    def test_writer_round_trips_to_the_canonical_csr(self, rng):
+        for name, mat in reader_cases(rng):
+            keys, vals = stored_entries(mat)
+            got = entries_matrix(keys, vals, mat.shape)
+            want = summed_coo(mat).tocsr()
+            assert got.format == "csr" and got.shape == mat.shape, name
+            assert np.array_equal(got.indptr, want.indptr), name
+            assert np.array_equal(got.indices, want.indices), name
+            assert np.array_equal(got.data, want.data.astype(complex)), name
+            dense = entries_matrix(keys, vals, mat.shape, like=np.zeros(0))
+            assert isinstance(dense, np.ndarray) and dense.dtype == complex, name
+            assert np.array_equal(dense, summed_coo(mat).toarray()), name
+
+    def test_sparse_like_gives_csr(self):
+        got = entries_matrix(np.array([1, 5]), np.array([2.0, 3j]), (2, 3), like=sp.eye(2))
+        assert got.format == "csr" and got.toarray().tolist() == [[0, 2, 0], [0, 0, 3j]]
+
+    def test_sorted_unique_and_lookup(self, rng):
+        keys = rng.integers(0, 50, size=200)
+        uniq = sorted_unique(keys)
+        assert np.array_equal(uniq, np.unique(keys))
+        want = np.arange(-3, 55)
+        pos, hit = lookup(uniq, want)
+        assert np.array_equal(hit, np.isin(want, keys))
+        assert np.array_equal(uniq[pos[hit]], want[hit])
+        assert np.all(pos <= uniq.size)
+        pos, hit = lookup(np.zeros(0, dtype=np.int64), want)
+        assert not hit.any()
+

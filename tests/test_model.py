@@ -171,6 +171,17 @@ class TestWeightedFockUnitary:
         with pytest.raises(SpecError):
             weighted_fock_unitary(space, "sideways")
 
+    def test_matches_the_per_word_weights_bitwise(self, rng):
+        # the diagonal once came from b_multi on each basis multi-word
+        for k, trunc in ((1, (4,)), (2, (2, 3)), (3, (2, 1, 2))):
+            spec = random_spec(rng, k=k, max_n=2)
+            space = FockSpace(spec, trunc, coeff_dim=2)
+            b = np.array([space.weights.b_multi(w) for w in space.basis()], dtype=float)
+            for direction, diag in (("forward", np.sqrt(b)), ("inverse", 1.0 / np.sqrt(b))):
+                got = weighted_fock_unitary(space, direction).matrix.diagonal()
+                want = np.tile(diag, 2).astype(complex)
+                assert got.tobytes() == want.tobytes(), (k, direction)
+
 
 class TestAdjointGrading:
     def test_adjoint_part_relation(self, rng):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from polytoeplitz.cpmaps import universal_tuple
 from polytoeplitz.errors import SpecError
@@ -68,6 +69,19 @@ class TestIsMultiToeplitz:
         assert not report.verdict
         assert report.structural_violation == 0.0
         assert report.scaling_violation > 1e-5
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("index", [0, 1])  # the identity class's representative, then a member
+    def test_nan_at_a_comparable_pair_fails(self, rng, sparse, index):
+        spec = random_spec(rng, k=2, max_n=2)
+        space = FockSpace(spec, (2, 2), coeff_dim=2)
+        # random_symbol always plants the identity pair, so the diagonal is stored
+        M = evaluate_at_model(random_symbol(space, rng, n_monomials=4)).dense
+        M[index, index] = np.nan
+        report = is_multi_toeplitz(FockOperator(space, sp.csr_matrix(M) if sparse else M))
+        assert not report.verdict
+        assert np.isnan(report.max_violation)
+        assert report.structural_violation == 0.0 and np.isnan(report.scaling_violation)
 
     def test_closure_under_sums_and_scalars(self, rng):
         spec = random_spec(rng, k=1, max_n=2)
