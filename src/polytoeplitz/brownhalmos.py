@@ -224,7 +224,10 @@ def bh_residual(T: FockOperator, spec: PolydomainSpec, i: int) -> float:
     lam = _min_positive_gram_eig(space, i)
     if lam <= 0.0:
         raise SpecError("row Gram matrix has no positive spectrum")
-    return float(np.linalg.norm(diff)) / lam
+    # the Frobenius norm by einsum's own loop, not BLAS ddot, which threads on
+    # long inputs and then rounds by the thread count
+    parts = diff.view(float)  # real and imaginary parts, interleaved
+    return float(np.sqrt(np.einsum("i,i", parts, parts))) / lam
 
 
 def bh_scan(

@@ -15,7 +15,10 @@ blocks of one shape takes one batched LAPACK call.  Past the dense cutoff
 :func:`op_norm` runs one Lanczos iteration on the whole operator and
 :func:`psd_check` one whole-matrix ``eigvalsh``; :func:`pinv_on_range` splits
 at every size, since a Gram matrix ``C^* C`` of a row whose columns each move
-one basis vector is block diagonal by target vector.
+one basis vector is block diagonal by target vector.  :func:`norm_bracket`
+bounds a norm from both sides, exactly up to the cutoff and from one pass
+over the stored entries past it, for a caller whose answer may not need the
+norm itself.
 """
 
 from __future__ import annotations
@@ -314,6 +317,33 @@ def op_norm(mat: MatrixLike) -> float:
         csr.astype(complex), k=1, v0=v0, return_singular_vectors=False
     )
     return float(s[0])
+
+
+def norm_bracket(mat: MatrixLike) -> Tuple[float, float]:
+    """Bounds ``(lo, hi)`` with ``lo <= ||mat|| <= hi``, exact up to the dense cutoff.
+
+    Up to the cutoff, or with a side of at most ``_DIRECT_SIDE``, both are
+    :func:`op_norm`.  Past it both come from one pass over the stored
+    entries with no BLAS call, so their bits do not depend on the thread
+    count: ``hi`` is Schur's test ``sqrt(||mat||_1 ||mat||_inf)``, from the
+    largest column and row sums of ``|v|``, and ``lo`` the largest row or
+    column 2-norm, ``||mat e_j||`` or ``||mat^* e_i||``.  A non-finite entry
+    gives ``(nan, nan)``.
+    """
+    if not _past_cutoff(mat.shape) or min(mat.shape) <= _DIRECT_SIDE:
+        norm = op_norm(mat)
+        return norm, norm
+    keys, vals = stored_entries(mat)
+    if not np.isfinite(vals).all():
+        return math.nan, math.nan
+    rows, cols = np.divmod(keys, mat.shape[1])
+    mag = np.abs(vals)
+    sq = mag * mag
+    row_sum, col_sum, row_sq, col_sq = (
+        float(np.bincount(index, weights=w).max(initial=0.0))
+        for index, w in ((rows, mag), (cols, mag), (rows, sq), (cols, sq))
+    )
+    return math.sqrt(max(row_sq, col_sq)), math.sqrt(row_sum * col_sum)
 
 
 def herm_sqrt(mat: MatrixLike) -> np.ndarray:

@@ -11,6 +11,7 @@ operators from it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -156,9 +157,16 @@ def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     The relation (b) can fail only at a stored entry or at a member of a class
     whose representative entry is stored; the members of those classes are
     enumerated (:meth:`FockSpace.class_members`) and every other comparable
-    pair has deviation exactly 0.  ``||T||`` is computed only when the scaling
-    deviation exceeds the structural one, the one case in which it can decide
-    the result.  The worst pair is the first maximum in row-major order.
+    pair has deviation exactly 0.  ``||T||`` matters only when the scaling
+    deviation exceeds the structural one.  Then it is bracketed first
+    (:func:`linalg.norm_bracket`: exact up to the dense cutoff, Schur's test
+    and the largest row or column norm past it), and Lanczos
+    (:func:`linalg.op_norm`) runs only when the bracket leaves open the
+    verdict or whether the scaling check gives the worst pair.  Otherwise
+    ``max_violation`` is ``max(structural, scaling / max(1, lo))``: the
+    exact-norm value up to the cutoff, an upper bound on it past the cutoff,
+    with the same verdict and worst pair.  The worst pair is the first maximum
+    in row-major order.
     Reduced representatives always sit inside the truncation, so no pair is
     skipped; a count is kept anyway for the report schema.  Storage grows
     with the stored entries and the members of the classes they touch, not
@@ -205,10 +213,20 @@ def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     max_violation = structural
     # otherwise scaling / max(1, ||T||) <= structural; NaN takes this branch
     if not scaling <= structural:
-        scaling_rel = scaling / max(1.0, linalg.op_norm(T.matrix))
-        if scaling_rel > max(structural, 0.0) and scaling > 0.0:
+        # scaling / max(1, ||T||) lies in [least, most]; ||T|| itself is needed
+        # only when that range leaves open which check is worst, or the verdict
+        bound = max(structural, 0.0)
+        lo, hi = linalg.norm_bracket(T.matrix)
+        least, most = scaling / max(1.0, hi), scaling / max(1.0, lo)
+        if (
+            not math.isfinite(hi)
+            or least <= bound < most
+            or (structural <= tol and least <= tol < most)
+        ):
+            least = most = scaling / max(1.0, linalg.op_norm(T.matrix))
+        if least > bound and scaling > 0.0:
             worst = _words_at(space, candidates[np.argmax(dev)])
-        max_violation = linalg.strict_max(structural, scaling_rel)
+        max_violation = linalg.strict_max(structural, most)
     return ToeplitzReport(
         verdict=bool(max_violation <= tol),
         max_violation=max_violation,

@@ -12,8 +12,10 @@ import pytest
 from polytoeplitz import cli, linalg
 from polytoeplitz.cli import build_parser, main
 from polytoeplitz.cpmaps import universal_tuple
+from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockSpace, monomial
 from polytoeplitz.toeplitz import (
+    FourierSymbol,
     evaluate_at_model,
     random_symbol,
     symbol_from_json,
@@ -516,6 +518,53 @@ def test_golden_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (got / name).read_bytes() == expected.read_bytes()
     for a, b in zip(one[len(pinned):], default):
         assert (a / "verify-report.json").read_bytes() == (b / "verify-report.json").read_bytes()
+
+
+# the benchmark's `wide` polydomain: k=2, n=(2,2), m=(2,2), every word of length <= 2 in each factor
+WIDE = {
+    "k": 2,
+    "n": [2, 2],
+    "m": [2, 2],
+    "coeffs": [
+        {"i": i, "word": list(w), "a": a}
+        for i in (1, 2)
+        for w, a in (((1,), 1.0), ((2,), 0.5), ((1, 1), 0.25), ((1, 2), 0.25), ((2, 1), 0.25), ((2, 2), 0.25))
+    ],
+}
+
+
+def test_reports_past_the_cutoff_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at trunc 5 (dim 3969) the symbol of every pair of words of length <= 1
+    # stores 19593 entries, past the dense cutoff.  Its copy with every entry
+    # moved by a relative 1e-3 has each factor's structural residual summed
+    # over 19154 entries, past the length at which BLAS ddot threads.
+    spec = write_spec(tmp_path / "spec.json", WIDE)
+    space = FockSpace(spec_from_json(json.dumps(WIDE)), (5, 5))
+    rng = np.random.default_rng(7)
+
+    def multiword(a, b):
+        return MultiWord((Word(a, 2), Word(b, 2)))
+
+    empty = multiword((), ())
+    short = [w for letter in (1, 2) for w in (multiword((letter,), ()), multiword((), (letter,)))]
+    pairs = [IndexPair(empty, empty)] + [p for w in short for p in (IndexPair(w, empty), IndexPair(empty, w))]
+    sym = FourierSymbol(space, {p: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)) for p in pairs})
+    planted = evaluate_at_model(sym).matrix
+    moved = planted.copy()
+    moved.data = moved.data * (1.0 + 1e-3 * rng.standard_normal(moved.nnz))
+    for name, mat in (("planted.mtx", planted), ("moved.mtx", moved)):
+        with open(tmp_path / name, "w") as fh:
+            linalg.save_matrix(fh, mat)
+    common = ["--spec", spec, "--trunc", "5", "--operator"]
+    commands = [
+        ["toeplitz", *common, str(tmp_path / "planted.mtx")],
+        # a tolerance the residuals pass, for a zero exit code
+        ["brown-halmos", *common, str(tmp_path / "moved.mtx"), "--tol", "1e3"],
+    ]
+    one = run_at_blas_threads(1, commands, tmp_path / "one")
+    default = run_at_blas_threads(None, commands, tmp_path / "default")
+    for a, b, name in zip(one, default, ("toeplitz-report.json", "brown-halmos-report.json")):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 # the benchmark's `deep` polydomain: k=1, n=2, m=3, every word of length <= 2

@@ -11,6 +11,7 @@ from polytoeplitz.linalg import (
     herm_sqrt,
     load_matrix,
     lookup,
+    norm_bracket,
     op_norm,
     pinv_on_range,
     psd_check,
@@ -102,6 +103,60 @@ class TestOpNorm:
                 assert op_norm(mat) == np.linalg.norm(m, 2)
 
 
+def bracket_cases(rng):
+    """Matrices past the 600 cutoff: random sparse, rectangular, diagonal and zero, as CSR and dense."""
+    for shape in ((601, 601), (1200, 700), (650, 1200)):
+        m = sp.random(*shape, density=0.004, random_state=rng, format="csr")
+        m.data = m.data * rng.standard_normal(m.nnz) + 1j * rng.standard_normal(m.nnz)
+        yield m
+    yield sp.diags(random_complex(rng, (900,)), format="csr")
+    # a dense array whose columns have one 2-norm each, far below Schur's bound
+    yield random_complex(rng, (610, 640))
+    yield sp.csr_matrix((750, 750))
+    yield np.zeros((601, 610))
+
+
+class TestNormBracket:
+    @pytest.fixture(autouse=True)
+    def no_lanczos(self, monkeypatch):
+        # past the cutoff the bracket is one pass over the entries
+        def refuse(*args, **kwargs):
+            raise AssertionError("Lanczos called for a norm bracket")
+
+        monkeypatch.setattr(sp.linalg, "svds", refuse)
+
+    def test_brackets_the_dense_norm(self, rng):
+        for mat in bracket_cases(rng):
+            lo, hi = norm_bracket(mat)
+            m = mat.toarray() if sp.issparse(mat) else mat
+            norm = float(np.linalg.svd(m, compute_uv=False).max(initial=0.0))
+            # the dense SVD itself rounds: allow it a few ulp of the norm
+            slack = 1e-13 * norm
+            assert lo - slack <= norm <= hi + slack, mat.shape
+            assert 0.0 <= lo <= hi
+
+    def test_zero_and_diagonal_are_exact(self, rng):
+        n = 700
+        d = random_complex(rng, (n,))
+        assert norm_bracket(sp.diags(d, format="csr")) == (np.abs(d).max(),) * 2
+        assert norm_bracket(sp.csr_matrix((n, n))) == (0.0, 0.0)
+
+    def test_at_or_below_the_cutoff_it_is_op_norm(self, rng):
+        for shape in ((600, 600), (20, 30), (700, 8), (3, 900)):
+            m = random_complex(rng, shape)
+            m[rng.random(shape) < 0.9] = 0.0
+            for mat in (m, sp.csr_matrix(m)):
+                assert norm_bracket(mat) == (op_norm(mat),) * 2, shape
+
+    def test_stored_zeros_and_duplicates(self):
+        # duplicates are summed before the bounds; explicit zeros add nothing
+        n = 700
+        mat = sp.coo_matrix(
+            (np.array([1.0, 2.0 - 1j, 0.0, 4.0]), ([5, 5, 7, 9], [5, 5, 8, 9])), shape=(n, n)
+        )
+        assert norm_bracket(mat) == (4.0, 4.0)
+
+
 def nonfinite_inputs(bad):
     """Matrices holding one ``bad`` entry: dense and CSR, at 1x1, on the block path and above the 600 cutoff."""
     for n in (1, 20, 601):
@@ -140,6 +195,12 @@ class TestNonFinite:
         for m in nonfinite_inputs(bad):
             with pytest.raises(SpecError):
                 pinv_on_range(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(1.0, np.nan)])
+    def test_norm_bracket_is_nan(self, bad):
+        for m in nonfinite_inputs(bad):
+            lo, hi = norm_bracket(m)
+            assert np.isnan(lo) and np.isnan(hi), m.shape
 
     def test_rectangular_dense_nan(self):
         assert np.isnan(op_norm(np.array([[1.0, np.nan, 0.0]])))

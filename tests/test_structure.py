@@ -1,5 +1,6 @@
 """Checks on the shape of the source tree itself."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -26,3 +27,39 @@ def test_only_linalg_reads_entries_through_coo(path):
         if COO_CALL.search(line)
     ]
     assert not calls, "\n".join(calls)
+
+
+def _calls(tree: ast.AST):
+    """Each call in ``tree`` with the dotted name of its callee and the name of the function around it."""
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return None if base is None else f"{base}.{node.attr}"
+        return None
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Call):
+                name = dotted(child.func)
+                if name is not None:
+                    yield name, inner, child.lineno
+            yield from walk(child, inner)
+
+    return walk(tree, None)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_blas_norms_stay_in_their_one_place(path):
+    # np.linalg.norm runs BLAS, which threads on long inputs and rounds by the
+    # thread count; Lanczos (svds) is op_norm's path past the dense cutoff only
+    found = []
+    for name, where, line in _calls(ast.parse(path.read_text())):
+        if name.endswith("linalg.norm"):
+            found.append(f"{path.name}:{line}: {name} in {where}")
+        if name.split(".")[-1] == "svds" and (path.name, where) != ("linalg.py", "op_norm"):
+            found.append(f"{path.name}:{line}: {name} in {where}")
+    assert not found, "\n".join(found)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polytoeplitz import linalg
 from polytoeplitz.cpmaps import universal_tuple
 from polytoeplitz.errors import SpecError
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.linalg import op_norm, psd_check
 from polytoeplitz.model import FockOperator, FockSpace, monomial
 from polytoeplitz.sampling import random_spec
+from polytoeplitz.weights import PolydomainSpec
 from polytoeplitz.toeplitz import (
     FourierSymbol,
     NotMultiToeplitz,
@@ -91,6 +93,107 @@ class TestIsMultiToeplitz:
         combo = FockOperator(space, 2.5j * a.dense + 0.7 * b.dense)
         assert is_multi_toeplitz(combo).verdict
 
+
+# k=1, n=2, m=3, every word of length <= 2: at trunc 9 the space has dim 1023,
+# past the dense cutoff of linalg.op_norm
+PAST_CUTOFF_SPEC = PolydomainSpec(
+    k=1,
+    n=(2,),
+    m=(3,),
+    coeffs=(
+        {
+            Word(w, 2): a
+            for w, a in (((1,), 1.0), ((2,), 0.5), ((1, 1), 0.25), ((1, 2), 0.25), ((2, 1), 0.25), ((2, 2), 0.25))
+        },
+    ),
+)
+
+
+class TestVerdictPastTheCutoff:
+    """Past the cutoff ``||T||`` is bracketed, and Lanczos runs only when the bracket leaves the answer open."""
+
+    TOL = 1e-10
+
+    @pytest.fixture
+    def space(self):
+        return FockSpace(PAST_CUTOFF_SPEC, (9,))
+
+    @pytest.fixture
+    def planted(self, space, rng):
+        # scaled so that 1 < lo < hi: the bracket's ends give different relative deviations
+        return 10.0 * evaluate_at_model(random_symbol(space, rng, n_monomials=6)).dense
+
+    @staticmethod
+    def member_entry(space, M):
+        """A stored entry of ``M`` at a comparable pair that is not its class representative."""
+        rows, cols = np.nonzero(M)
+        pairs = space.classify_pairs(rows, cols)
+        j = np.flatnonzero(pairs.comparable & (pairs.rep != rows * space.dim + cols))[0]
+        return rows[j], cols[j]
+
+    @staticmethod
+    def noncomparable_pair(space, rng):
+        rows, cols = rng.integers(space.dim, size=(2, 500))
+        j = np.flatnonzero(~space.classify_pairs(rows, cols).comparable)[0]
+        return rows[j], cols[j]
+
+    def exact(self, monkeypatch, T):
+        """The report of the exact-norm path: ``||T||`` from ``op_norm`` at both ends of the bracket."""
+        norm = op_norm(T.matrix)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "norm_bracket", lambda mat: (norm, norm))
+            return is_multi_toeplitz(T, tol=self.TOL)
+
+    def test_planted_and_spoiled_decide_without_lanczos(self, space, planted, rng, monkeypatch):
+        structural, scaling = planted.copy(), planted.copy()
+        r, c = self.noncomparable_pair(space, rng)
+        structural[r, c] += 1e-3
+        scaling[self.member_entry(space, planted)] *= 1.0 + 1e-3
+        cases = [(planted, True), (structural, False), (scaling, False)]
+        expected = [self.exact(monkeypatch, FockOperator(space, sp.csr_matrix(M))) for M, _ in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Lanczos called although the bracket decides")
+
+        monkeypatch.setattr(sp.linalg, "svds", refuse)
+        for (M, verdict), exact in zip(cases, expected):
+            report = is_multi_toeplitz(FockOperator(space, sp.csr_matrix(M)), tol=self.TOL)
+            assert report.verdict is exact.verdict is verdict
+            assert report.worst_pair == exact.worst_pair
+            assert report.structural_violation == exact.structural_violation
+            assert report.scaling_violation == exact.scaling_violation
+            # scaling / max(1, lo) bounds the exact-norm value from above
+            assert report.max_violation >= exact.max_violation * (1.0 - 1e-12)
+        assert expected[1].worst_pair == (space.multiword_at(r), space.multiword_at(c))
+
+    @pytest.mark.parametrize("threshold", ["tol", "structural"])
+    def test_bracket_straddling_a_threshold_runs_lanczos(self, space, planted, rng, monkeypatch, threshold):
+        lo, hi = linalg.norm_bracket(sp.csr_matrix(planted))
+        assert 1.0 < lo < hi
+        # a scaling spoil of t * sqrt(lo * hi) leaves to ||T|| itself whether
+        # scaling / ||T|| passes t: the tolerance, which decides the verdict, or
+        # a structural violation, which then decides the worst pair
+        spoiled = planted.copy()
+        t = self.TOL
+        if threshold == "structural":
+            t = 1e-6
+            spoiled[self.noncomparable_pair(space, rng)] = t
+        spoiled[self.member_entry(space, planted)] += t * np.sqrt(lo * hi)
+        T = FockOperator(space, sp.csr_matrix(spoiled))
+        lo, hi = linalg.norm_bracket(T.matrix)
+        exact = self.exact(monkeypatch, T)
+        assert exact.scaling_violation / hi <= t < exact.scaling_violation / lo
+
+        calls = []
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return op_norm(mat)
+
+        monkeypatch.setattr(linalg, "op_norm", counted)
+        report = is_multi_toeplitz(T, tol=self.TOL)
+        assert calls == [T.matrix.shape]
+        assert report.to_dict() == exact.to_dict()
 
 class TestHomogeneousParts:
     def test_monomial_concentrated(self, rng):
