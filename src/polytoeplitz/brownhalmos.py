@@ -115,21 +115,20 @@ def _alternating_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.nd
     return accumulate_entries(terms)
 
 
-def phi_right(space: FockSpace, i: int, Y: linalg.MatrixLike) -> linalg.MatrixLike:
+def phi_right(space: FockSpace, i: int, Y: linalg.MatrixLike) -> sp.csr_matrix:
     """The reversed-series map of factor ``i`` on the ampliated right model.
 
-    Works on the stored entries of ``Y`` (dense or sparse) and returns the
-    same kind of matrix.
+    Works on the stored entries of ``Y`` (dense or sparse) and returns CSR.
     """
     n = space.total_dim
     if Y.shape != (n, n):
         raise DimensionMismatch("operand shape differs from the space dimension")
-    return linalg.entries_matrix(*_phi_entries(space, i, *linalg.stored_entries(Y)), Y.shape, like=Y)
+    return linalg.entries_matrix(*_phi_entries(space, i, *linalg.stored_entries(Y)), Y.shape)
 
 
-def alternating_phi_sum(space: FockSpace, i: int, T: linalg.MatrixLike) -> linalg.MatrixLike:
-    """``sum_{j=1}^{m_i} (-1)^(j-1) C(m_i, j) Phi^j(T)`` for the factor's order."""
-    return linalg.entries_matrix(*_alternating_entries(space, i, *linalg.stored_entries(T)), T.shape, like=T)
+def alternating_phi_sum(space: FockSpace, i: int, T: linalg.MatrixLike) -> sp.csr_matrix:
+    """``sum_{j=1}^{m_i} (-1)^(j-1) C(m_i, j) Phi^j(T)`` for the factor's order, as CSR."""
+    return linalg.entries_matrix(*_alternating_entries(space, i, *linalg.stored_entries(T)), T.shape)
 
 
 def range_projection(space: FockSpace, i: int) -> np.ndarray:

@@ -333,6 +333,8 @@ def _load_tuple(spec: PolydomainSpec, manifest_path: str) -> OperatorTuple:
         files = doc["files"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed tuple manifest: {exc}") from exc
+    if not (isinstance(files, list) and all(isinstance(r, list) and all(isinstance(f, str) for f in r) for r in files)):
+        raise SpecError("malformed tuple manifest: files must be a list of lists of file names")
     if len(files) != spec.k:
         raise DimensionMismatch("manifest must list one file row per factor")
     ops = []
@@ -412,33 +414,11 @@ def cmd_brown_halmos(cfg: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_PASS if scan["satisfied"] else EXIT_FAIL
 
 
-def _mem_available() -> Optional[int]:
-    """``MemAvailable`` of ``/proc/meminfo`` in bytes, or None where it cannot be read."""
-    try:
-        with open("/proc/meminfo") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
-        pass
-    return None
-
-
 def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
-    # the input is checked before the memory it needs: NaN and inf fail too
+    # NaN and inf fail the comparison too
     if not 0.0 <= args.radius < 1.0:
         raise SpecError(f"--radius must be a finite number in [0, 1), got {args.radius}")
-    space = _space(cfg)
-    sym = _load_symbol(space, args.symbol)
-    # the dense kernel, and its conjugate and their sum when psd_check forms
-    # the Hermitian part: at least three (dim*c)**2 complex arrays at once
-    need = 3 * np.dtype(complex).itemsize * space.total_dim**2
-    available = _mem_available()
-    if available is not None and need > available:
-        raise MemoryError(
-            f"kernel-psd at dimension {space.total_dim} needs at least {need} bytes "
-            f"for its dense arrays, more than the {available} bytes available"
-        )
+    sym = _load_symbol(_space(cfg), args.symbol)
     gamma = pluriharmonic_kernel(sym, args.radius)
     op = evaluate_at_model(sym, args.radius)
     kernel_psd, kernel_min = linalg.psd_check(gamma, cfg.tol)

@@ -197,12 +197,11 @@ def universal_tuple(space: FockSpace, side: str = "left") -> OperatorTuple:
 def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: Matrix) -> Matrix:
     """The factor-i completely positive map ``Y -> sum a_w X_w Y X_w^*``.
 
-    On the universal model the map moves the stored entries of ``Y`` along
-    each word's :meth:`~OperatorTuple.word_action` and returns CSR for a
-    sparse ``Y``, an ndarray for a dense one; ``Y`` is never densified.  Other
-    tuples take one stacked product ``(K Y) K^*`` over the :meth:`~OperatorTuple.kraus`
-    stack ``K`` and return an ndarray, the terms added from zeros in
-    coefficient order.
+    On the universal model the map moves the stored entries of ``Y``, dense
+    or sparse, along each word's :meth:`~OperatorTuple.word_action` and
+    returns CSR; ``Y`` is never densified.  Other tuples take one stacked
+    product ``(K Y) K^*`` over the :meth:`~OperatorTuple.kraus` stack ``K``
+    and return an ndarray, the terms added from zeros in coefficient order.
     """
     if not X.universal:
         K, a = X.kraus(i)
@@ -219,7 +218,7 @@ def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: Matrix) -> Matrix
         moved, lam_r, lam_c, hit = conjugate_entries(X.word_action(i, w), n, rows, cols)
         # the order of the dense products (X_w Y) X_w^*
         terms.append((moved, a * (lam_c.conj() * (lam_r * vals[hit]))))
-    return linalg.entries_matrix(*accumulate_entries(terms), (n, n), like=Y)
+    return linalg.entries_matrix(*accumulate_entries(terms), (n, n))
 
 
 def defect(spec: PolydomainSpec, X: OperatorTuple, p: Sequence[int]) -> Matrix:

@@ -3,22 +3,20 @@
 Everything here is deterministic; verdict paths never use randomized
 initialization.  Every layer reads a matrix's entries with
 :func:`stored_entries` (sorted distinct row-major keys and complex values)
-and writes them back with :func:`entries_matrix`; :func:`sorted_unique` and
-:func:`lookup` are the key arithmetic between.  A non-finite entry gives NaN
-without a solver call.  The operators the checks compare split, after a
-permutation, into many small blocks, and :func:`op_norm`,
-:func:`psd_check` and :func:`pinv_on_range` take their blocks from one
-routine by one rule: a matrix with a side of at most ``_DIRECT_SIDE`` is one
-block, the dense array itself; any other splits into the connected components
-of its nonzero pattern, read from its stored entries, and each stack of
-blocks of one shape takes one batched LAPACK call.  Past the dense cutoff
-:func:`op_norm` runs one Lanczos iteration on the whole operator and
-:func:`psd_check` one whole-matrix ``eigvalsh``; :func:`pinv_on_range` splits
-at every size, since a Gram matrix ``C^* C`` of a row whose columns each move
-one basis vector is block diagonal by target vector.  :func:`norm_bracket`
-bounds a norm from both sides, exactly up to the cutoff and from one pass
-over the stored entries past it, for a caller whose answer may not need the
-norm itself.
+and writes them back as CSR with :func:`entries_matrix`;
+:func:`sorted_unique` and :func:`lookup` are the key arithmetic between.  A
+non-finite entry gives NaN without a solver call.  The operators the checks
+compare split, after a permutation, into many small blocks, and
+:func:`op_norm`, :func:`psd_check` and :func:`pinv_on_range` take their
+blocks from one routine by one rule: a matrix with a side of at most
+``_DIRECT_SIDE`` is one block, the dense array itself; any other splits into
+the connected components of its nonzero pattern, read from its stored
+entries, and each stack of blocks of one shape takes one batched LAPACK
+call.  :func:`psd_check` and :func:`pinv_on_range` split at every size,
+refusing with ``MemoryError`` past the dense cutoff, before any block is
+built, stacks that may not fit in ``MemAvailable``; there :func:`op_norm`
+runs one Lanczos iteration on the whole operator, and :func:`norm_bracket`
+bounds a norm from both sides from one pass over the stored entries.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ __all__ = [
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
 
-# past this side op_norm runs Lanczos and psd_check one whole-matrix eigvalsh
+# past this side op_norm runs Lanczos and the block stacks are counted against MemAvailable
 _DENSE_NORM_CUTOFF = 600
 # a matrix with a side no longer than this is one spectral block, its dense array
 _DIRECT_SIDE = 8
@@ -108,18 +106,11 @@ def stored_entries(mat: MatrixLike) -> Tuple[np.ndarray, np.ndarray]:
     return coo.row.astype(np.int64) * mat.shape[1] + coo.col, coo.data.astype(complex)
 
 
-def entries_matrix(
-    keys: np.ndarray, vals: np.ndarray, shape: Tuple[int, int], like: Optional[MatrixLike] = None
-) -> MatrixLike:
-    """The matrix of ``shape`` with ``vals`` at the sorted distinct row-major ``keys``.
+def entries_matrix(keys: np.ndarray, vals: np.ndarray, shape: Tuple[int, int]) -> sp.csr_matrix:
+    """The CSR matrix of ``shape`` with ``vals`` at the sorted distinct row-major ``keys``.
 
-    CSR, its row pointers counted by one search of the row starts in the
-    keys; a dense complex array when ``like`` is a dense array.
+    Its row pointers are counted by one search of the row starts in the keys.
     """
-    if like is not None and not sp.issparse(like):
-        out = np.zeros(shape, dtype=complex)
-        out.reshape(-1)[keys] = vals
-        return out
     indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
     # the index type scipy picks, given up front so it need not scan the arrays
     index = np.int32 if max(*shape, keys.size) < 2**31 else np.int64
@@ -154,19 +145,30 @@ def lookup(keys: np.ndarray, want: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _past_cutoff(shape: Tuple[int, ...]) -> bool:
-    """Whether a matrix is answered whole: ``op_norm`` by Lanczos, ``psd_check`` by one ``eigvalsh``."""
-    return max(shape) > _DENSE_NORM_CUTOFF
+    """Whether a matrix is past the dense cutoff: longest side over 600 and shortest side over 8."""
+    return max(shape) > _DENSE_NORM_CUTOFF and min(shape) > _DIRECT_SIDE
 
 
-def _spectral_blocks(mat: MatrixLike, hermitian: bool, whole_past_cutoff: bool = False):
+def _mem_available() -> Optional[int]:
+    """``MemAvailable`` of ``/proc/meminfo`` in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("MemAvailable:"))
+    except (OSError, ValueError, IndexError, StopIteration):
+        return None
+
+
+def _spectral_blocks(mat: MatrixLike, hermitian: bool):
     """The blocks of ``mat``, or of its Hermitian part, stacked by shape as :func:`_blocks` yields them.
 
     One rule: a matrix with a side of at most ``_DIRECT_SIDE`` is one block,
     the dense array itself, with no entry gathered.  Any other matrix splits
     into the connected components of the nonzero pattern of its entries
     (:func:`stored_entries`), rows and columns apart, or alike for the
-    Hermitian part.  With ``whole_past_cutoff`` such a matrix past the dense
-    cutoff gives None, for the caller to answer whole.
+    Hermitian part.  Past the dense cutoff the blocks are counted first, and
+    ``MemoryError`` is raised before any stack is built when they may not fit
+    in ``MemAvailable``: the stacks, and as much again plus twice the largest
+    stack for LAPACK's copies and workspace or the eigenvectors a caller keeps.
     """
     n_r, n_c = mat.shape
     if min(n_r, n_c) <= _DIRECT_SIDE:
@@ -175,8 +177,6 @@ def _spectral_blocks(mat: MatrixLike, hermitian: bool, whole_past_cutoff: bool =
         else:
             m = as_dense(mat) if sp.issparse(mat) else np.asarray(mat)
         return [(m[None], np.arange(n_r)[None], np.arange(n_c)[None])]
-    if whole_past_cutoff and _past_cutoff(mat.shape):
-        return None
     keys, vals = stored_entries(mat)
     if hermitian:
         # 0.5 * (a_ij + conj(a_ji)) on the union of both patterns, a missing
@@ -195,6 +195,15 @@ def _spectral_blocks(mat: MatrixLike, hermitian: bool, whole_past_cutoff: bool =
     else:
         label = _components(n_r + n_c, rows, n_r + cols)
         label_r, label_c = label[:n_r], label[n_r:]
+    if _past_cutoff(mat.shape):
+        cells = np.bincount(label_r, minlength=n_r + n_c) * np.bincount(label_c, minlength=n_r + n_c)
+        need = 2 * np.dtype(complex).itemsize * (int(cells.sum()) + int(cells.max()))
+        available = _mem_available()
+        if available is not None and need > available:
+            raise MemoryError(
+                f"the spectral blocks of a {n_r}x{n_c} matrix take up to {need} bytes, "
+                f"more than the {available} bytes available"
+            )
     return _blocks(rows, cols, vals[nonzero], label_r, label_c)
 
 
@@ -260,9 +269,8 @@ def psd_check(mat: MatrixLike, tol: float = 1e-9) -> Tuple[bool, float]:
     ``lambda_min >= -tol * max(1, lambda_max)``.  An input with a NaN or
     infinite entry gives ``(False, nan)`` without an eigensolver call.  The
     extreme eigenvalues are those of the Hermitian part's blocks
-    (:func:`_spectral_blocks`), one batched ``eigvalsh`` per block shape; a
-    row with no nonzero entry is a block of its own, with the eigenvalue 0.
-    Past the dense cutoff the whole Hermitian part takes one ``eigvalsh``.
+    (:func:`_spectral_blocks`) at every size, one batched ``eigvalsh`` per
+    block shape; a row with no nonzero entry is a block, eigenvalue 0.
     """
     if not sp.issparse(mat):
         mat = np.asarray(mat)
@@ -272,11 +280,8 @@ def psd_check(mat: MatrixLike, tol: float = 1e-9) -> Tuple[bool, float]:
         return False, math.nan
     if mat.shape[0] == 0:
         return True, 0.0
-    stacks = _spectral_blocks(mat, hermitian=True, whole_past_cutoff=True)
-    if stacks is None:
-        stacks = [(hermitize(mat)[None], None, None)]
     lo, hi = np.inf, -np.inf
-    for stack, _, _ in stacks:
+    for stack, _, _ in _spectral_blocks(mat, hermitian=True):
         eigs = np.linalg.eigvalsh(stack)
         lo, hi = min(lo, float(eigs[:, 0].min())), max(hi, float(eigs[:, -1].max()))
     return lo >= -tol * max(1.0, hi), lo
@@ -299,12 +304,9 @@ def op_norm(mat: MatrixLike) -> float:
     """
     if not _finite(mat):
         return math.nan
-    stacks = _spectral_blocks(mat, hermitian=False, whole_past_cutoff=True)
-    if stacks is not None:
-        return max(
-            (float(np.linalg.svd(stack, compute_uv=False).max(initial=0.0)) for stack, _, _ in stacks),
-            default=0.0,
-        )
+    if not _past_cutoff(mat.shape):
+        stacks = _spectral_blocks(mat, hermitian=False)
+        return max((float(np.linalg.svd(s, compute_uv=False).max(initial=0.0)) for s, _, _ in stacks), default=0.0)
     csr = sp.csr_matrix(mat)
     keys, vals = stored_entries(csr)
     if not vals.any():
@@ -330,7 +332,7 @@ def norm_bracket(mat: MatrixLike) -> Tuple[float, float]:
     column 2-norm, ``||mat e_j||`` or ``||mat^* e_i||``.  A non-finite entry
     gives ``(nan, nan)``.
     """
-    if not _past_cutoff(mat.shape) or min(mat.shape) <= _DIRECT_SIDE:
+    if not _past_cutoff(mat.shape):
         norm = op_norm(mat)
         return norm, norm
     keys, vals = stored_entries(mat)
@@ -364,7 +366,7 @@ def herm_sqrt(mat: MatrixLike) -> np.ndarray:
     return (vecs * np.sqrt(clipped)) @ vecs.conj().T
 
 
-def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> MatrixLike:
+def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> sp.csr_matrix:
     """Pseudo-inverse of a Hermitian PSD matrix, restricted to its range.
 
     Eigenvalues <= ``rank_tol * lambda_max`` count as kernel.  An eigenvalue
@@ -376,8 +378,8 @@ def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> MatrixLike:
     row with no nonzero entry is a 1x1 block with the eigenvalue 0.  Each
     block shape takes one batched ``eigh``.  ``lambda_max``, the cutoff
     and the ambiguity rule run over the eigenvalues of all blocks, and the
-    pseudo-inverse is assembled block by block: CSR for a sparse input, a
-    dense array otherwise, complex either way.
+    pseudo-inverse is assembled block by block as a complex CSR matrix,
+    whatever the input's storage.
     """
     if not sp.issparse(mat):
         mat = np.asarray(mat)
@@ -407,7 +409,7 @@ def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> MatrixLike:
                 vals.append(block.ravel())
     keys, vals = np.concatenate(keys), np.concatenate(vals)
     order = np.argsort(keys)
-    return entries_matrix(keys[order], vals[order], (n, n), like=mat)
+    return entries_matrix(keys[order], vals[order], (n, n))
 
 
 def save_matrix(fh: IO[str], mat: MatrixLike) -> None:

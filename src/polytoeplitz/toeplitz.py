@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linalg
 from .cpmaps import OperatorTuple
@@ -473,22 +474,23 @@ def cesaro_reconstruct(
     return FockOperator(space, linalg.entries_matrix(keys[kept], vals, T.matrix.shape))
 
 
-def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> np.ndarray:
-    """The structured kernel of a symbol at radius ``r``, as a dense array.
+def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> sp.csr_matrix:
+    """The structured kernel of a symbol at radius ``r``, as CSR.
 
     Block entry at a comparable basis pair ``(w, g)`` is
     ``tau_(w,g) r^{|s(w,g)|} A_{s(w,g)}``; zero blocks elsewhere.  That is
     :func:`evaluate_at_model` with the Fock index slow: entry ``[w*c + x,
-    g*c + y]`` here is entry ``[x*dim + w, y*dim + g]`` there.
+    g*c + y]`` here is entry ``[x*dim + w, y*dim + g]`` there, and the
+    kernel stores exactly the entries the model operator stores.
     """
     if not 0.0 <= r < 1.0:
         raise SpecError(f"radius must lie in [0, 1), got {r}")
     c, d = sym.space.coeff_dim, sym.space.dim
     keys, vals = linalg.stored_entries(evaluate_at_model(sym, r).matrix)
     rows, cols = np.divmod(keys, d * c)
-    out = np.zeros((d * c, d * c), dtype=complex)
-    out[rows % d * c + rows // d, cols % d * c + cols // d] = vals
-    return out
+    moved = (rows % d * c + rows // d) * (d * c) + cols % d * c + cols // d
+    order = np.argsort(moved)
+    return linalg.entries_matrix(moved[order], vals[order], (d * c, d * c))
 
 
 def random_symbol(
@@ -544,25 +546,37 @@ def symbol_to_json(sym: FourierSymbol) -> dict:
 
 
 def symbol_from_json(space: FockSpace, doc: Union[str, dict]) -> FourierSymbol:
-    """Parse the form written by :func:`symbol_to_json`; non-finite coefficients raise :class:`SpecError`."""
+    """Parse the form written by :func:`symbol_to_json`.
+
+    A malformed document, or a coefficient that is not a finite
+    ``(coeff_dim, coeff_dim)`` matrix, raises :class:`SpecError`.
+    """
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise SpecError(f"invalid symbol JSON: {exc}") from exc
-    if tuple(doc.get("n", ())) != space.spec.n or int(doc.get("coeff_dim", 1)) != space.coeff_dim:
+    try:
+        sizes, c, terms = tuple(doc.get("n", ())), int(doc.get("coeff_dim", 1)), list(doc.get("terms", []))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SpecError(f"malformed symbol document: {exc}") from exc
+    if sizes != space.spec.n or c != space.coeff_dim:
         raise DimensionMismatch("symbol document does not match the target space")
     coeffs: dict[IndexPair, np.ndarray] = {}
-    for term in doc.get("terms", []):
-        left = MultiWord(
-            tuple(Word(tuple(ls), n) for ls, n in zip(term["left"], space.spec.n))
-        )
-        right = MultiWord(
-            tuple(Word(tuple(ls), n) for ls, n in zip(term["right"], space.spec.n))
-        )
-        re = np.asarray(term["re"], dtype=float)
-        im = np.asarray(term["im"], dtype=float)
+    for term in terms:
+        try:
+            # strict: one word per factor, no more and no fewer
+            left, right = (
+                MultiWord(tuple(Word(tuple(ls), n) for ls, n in zip(term[side], sizes, strict=True)))
+                for side in ("left", "right")
+            )
+            re, im = (np.asarray(term[part], dtype=float) for part in ("re", "im"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"malformed symbol term {term!r}: {exc}") from exc
+        where = f"symbol term {left.render()} | {right.render()}"
+        if re.shape != (c, c) or im.shape != (c, c):
+            raise SpecError(f"{where}: re and im must have shape {(c, c)}, got {re.shape} and {im.shape}")
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-            raise SpecError(f"symbol term {left.render()} | {right.render()}: non-finite coefficient")
+            raise SpecError(f"{where}: non-finite coefficient")
         coeffs[IndexPair(left=left, right=right)] = (re + 1j * im).astype(complex)
     return FourierSymbol(space, coeffs)

@@ -395,6 +395,8 @@ def spec_from_json(doc: str | dict) -> PolydomainSpec:
         raise SpecError(f"malformed spec document: {exc}") from exc
     if len(n) != k or len(m) != k:
         raise SpecError("n and m must each list one entry per factor")
+    if not isinstance(entries, list):
+        raise SpecError("malformed spec document: coeffs must be a list")
     maps: list[dict[Word, float]] = [dict() for _ in range(k)]
     for entry in entries:
         try:

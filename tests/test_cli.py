@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from polytoeplitz import cli, linalg
 from polytoeplitz.cli import build_parser, main
@@ -79,6 +80,46 @@ def test_malformed_spec_exits_2(tmp_path):
     bad.write_text('{"k": 1, "n": [1], "m": [1], "coeffs": []}')
     rc = main(["weights", "--spec", str(bad), "--trunc", "4"])
     assert rc == 2
+    # coefficients that are not a list, and a document that is not an object
+    for doc in (dict(BALL, coeffs=5), dict(BALL, coeffs=None), [BALL]):
+        bad.write_text(json.dumps(doc))
+        assert main(["weights", "--spec", str(bad), "--trunc", "4"]) == 2
+
+
+# each a symbol document on BALL's space that the parser must refuse with exit 2
+IDENTITY_TERM = {"left": [[]], "right": [[]], "re": [[1.0]], "im": [[0.0]]}
+MALFORMED_SYMBOLS = [
+    *({"k": 1, "n": [2], "coeff_dim": 1, "terms": [{k: v for k, v in IDENTITY_TERM.items() if k != key}]}
+      for key in IDENTITY_TERM),
+    {"k": 1, "n": [2], "coeff_dim": 1, "terms": 5},
+    [IDENTITY_TERM],
+    {"k": 1, "n": [2], "coeff_dim": 1, "terms": [dict(IDENTITY_TERM, re=[1.0], im=[[0.0, 0.0], [0.0, 0.0]])]},
+    {"k": 1, "n": [2], "coeff_dim": 1, "terms": [dict(IDENTITY_TERM, re=1.0, im=0.0)]},
+    {"k": 1, "n": [2], "coeff_dim": 1, "terms": [dict(IDENTITY_TERM, left=[[1], [2]])]},
+    {"k": 1, "n": [2], "coeff_dim": 1, "terms": [5]},
+    {"k": 1, "n": 2, "coeff_dim": 1, "terms": []},
+]
+
+
+@pytest.mark.parametrize("command", ["fourier", "kernel-psd"])
+def test_malformed_symbol_exits_2(tmp_path, capsys, command):
+    spec_path = write_spec(tmp_path / "spec.json", BALL)
+    for j, doc in enumerate(MALFORMED_SYMBOLS):
+        (tmp_path / "symbol.json").write_text(json.dumps(doc))
+        out = tmp_path / str(j)
+        argv = [command, "--spec", spec_path, "--trunc", "2", "--symbol", str(tmp_path / "symbol.json")]
+        assert main([*argv, "--radius", "0.5", "--out", str(out)]) == 2, doc
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_malformed_tuple_manifest_exits_2(tmp_path, capsys):
+    spec_path = write_spec(tmp_path / "spec.json", BERGMAN)
+    for files in (5, None, [5], ["X_1_1.mtx"], [[1]]):
+        (tmp_path / "tuple.json").write_text(json.dumps({"dim_h": 2, "files": files}))
+        argv = ["berezin", "--spec", spec_path, "--trunc", "2", "--tuple", str(tmp_path / "tuple.json")]
+        assert main(argv) == 2, files
+        assert "malformed tuple manifest" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -426,32 +467,53 @@ def test_kernel_psd_report_matches_golden_file(tmp_path):
     assert got == (GOLDEN_FOURIER / "kernel-psd-report.json").read_bytes()
 
 
+# the golden symbol at --trunc 4 --coeff-dim 2: dim * c = 1922, past the dense cutoff
+PAST_CUTOFF = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "4", "--coeff-dim", "2"]
+
+
+def past_cutoff_block_bytes():
+    """The memory guard's bound there: the Hermitian part's block bytes, as much again, and twice the largest."""
+    space = FockSpace(spec_from_json((GOLDEN_FOURIER / "spec.json").read_text()), (4, 4), coeff_dim=2)
+    op = evaluate_at_model(symbol_from_json(space, (GOLDEN_FOURIER / "symbol.json").read_text()), 0.5).matrix
+    herm = (0.5 * (op + op.conj().T)).tocsr()
+    herm.eliminate_zeros()
+    cells = np.bincount(connected_components(abs(herm), directed=False)[1]) ** 2
+    return 2 * 16 * (int(cells.sum()) + int(cells.max()))
+
+
 def test_kernel_psd_refuses_before_allocating_what_does_not_fit(tmp_path, monkeypatch, capsys):
-    # the dense arrays of dim*c = 450 need at least 3 * 16 * 450**2 bytes
-    need = 3 * 16 * 450**2
+    need = past_cutoff_block_bytes()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("kernel built after the refusal")
+        raise AssertionError("eigvalsh called after the refusal")
 
-    monkeypatch.setattr(cli, "pluriharmonic_kernel", refuse)
-    monkeypatch.setattr(cli, "_mem_available", lambda: need - 1)
-    args = ["kernel-psd", "--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
-            "--symbol", str(GOLDEN_FOURIER / "symbol.json"), "--out", str(tmp_path / "out")]
-    assert main(args) == 3
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(linalg, "_mem_available", lambda: need - 1)
+    argv = ["kernel-psd", *PAST_CUTOFF, "--symbol", str(GOLDEN_FOURIER / "symbol.json")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
-    assert f"needs at least {need} bytes" in err and f"the {need - 1} bytes available" in err
+    assert f"take up to {need} bytes" in err and f"the {need - 1} bytes available" in err
     assert not (tmp_path / "out").exists()
     # exactly enough, or an unreadable figure, runs the command
     monkeypatch.undo()
     for available in (need, None):
-        monkeypatch.setattr(cli, "_mem_available", lambda: available)
-        test_kernel_psd_report_matches_golden_file(tmp_path / str(available))
+        monkeypatch.setattr(linalg, "_mem_available", lambda: available)
+        out = tmp_path / str(available)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert strict_json((out / "kernel-psd-report.json").read_text())["verdicts_agree"]
+    # below the cutoff (--trunc 3, dim * c = 450) the figure is not read, and the golden bytes come back
+
+    def unread():
+        raise AssertionError("MemAvailable read below the cutoff")
+
+    monkeypatch.setattr(linalg, "_mem_available", unread)
+    test_kernel_psd_report_matches_golden_file(tmp_path / "golden")
 
 
 def test_kernel_psd_checks_its_input_before_the_memory_it_needs(tmp_path, monkeypatch, capsys):
-    # with too little memory for any kernel, bad input still exits 2, not 3
-    monkeypatch.setattr(cli, "_mem_available", lambda: 1000)
-    common = ["kernel-psd", "--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2"]
+    # with too little memory for any block stack, bad input still exits 2, not 3
+    monkeypatch.setattr(linalg, "_mem_available", lambda: 1000)
+    common = ["kernel-psd", *PAST_CUTOFF]
     symbol = ["--symbol", str(GOLDEN_FOURIER / "symbol.json")]
     for radius in ("2", "1", "-0.5", "nan"):
         assert main([*common, *symbol, "--radius", radius]) == 2
@@ -459,12 +521,7 @@ def test_kernel_psd_checks_its_input_before_the_memory_it_needs(tmp_path, monkey
     assert main([*common, "--symbol", str(tmp_path / "missing.json")]) == 2
     assert "cannot read symbol file" in capsys.readouterr().err
     assert main([*common, *symbol]) == 3
-    assert "needs at least" in capsys.readouterr().err
-
-
-def test_mem_available_reads_meminfo():
-    available = cli._mem_available()
-    assert available is None or available > 0
+    assert "the 1000 bytes available" in capsys.readouterr().err
 
 
 def test_brown_halmos_report_matches_golden_file(tmp_path):

@@ -1,14 +1,17 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polytoeplitz import linalg
 from polytoeplitz.errors import DimensionMismatch, NumericalRankError, SpecError
 from polytoeplitz.linalg import (
     adjoint,
     entries_matrix,
     herm_sqrt,
+    hermitize,
     load_matrix,
     lookup,
     norm_bracket,
@@ -43,6 +46,124 @@ class TestPsdCheck:
     def test_rejects_rectangular(self):
         with pytest.raises(DimensionMismatch):
             psd_check(np.ones((2, 3)))
+
+
+def blocks_past_cutoff(rng, n, largest, kind):
+    """A side-``n`` matrix of random blocks at most ``largest`` wide, some rows empty, under one permutation.
+
+    ``kind`` fills the blocks: ``"gram"`` (PSD, each with a zero eigenvalue),
+    ``"hermitian"`` (indefinite) or ``"general"`` (psd_check reads its
+    Hermitian part).
+    """
+    m = np.zeros((n, n), dtype=complex)
+    at = 0
+    while at < n - 10:
+        size = min(int(rng.integers(1, largest + 1)), n - 10 - at)
+        B = random_complex(rng, (size, size))
+        if kind == "gram":
+            B[:, -1] = 0
+            B = B @ B.conj().T
+        elif kind == "hermitian":
+            B = B + B.conj().T
+        m[at:at + size, at:at + size] = B
+        at += size
+    perm = rng.permutation(n)
+    return m[perm][:, perm]
+
+
+class TestPsdCheckPastTheCutoff:
+    """Past the dense cutoff psd_check splits into blocks as below it: no eigvalsh wider than a block."""
+
+    @pytest.fixture
+    def narrow_eigvalsh(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        widest = [0]
+
+        def narrow(a, *args, **kwargs):
+            assert np.shape(a)[-1] <= widest[0], f"eigvalsh on a side of {np.shape(a)[-1]}"
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", narrow)
+        return widest
+
+    @pytest.mark.parametrize("kind", ["gram", "hermitian", "general"])
+    def test_matches_the_dense_eigvalsh(self, rng, narrow_eigvalsh, kind):
+        for n, largest in ((601, 7), (900, 30), (1200, 60)):
+            m = blocks_past_cutoff(rng, n, largest, kind)
+            narrow_eigvalsh[0] = n
+            eigs = np.linalg.eigvalsh(hermitize(m))
+            narrow_eigvalsh[0] = largest
+            scale = max(1.0, float(np.abs(eigs).max()))
+            for tol in (1e-9, 0.0):
+                expected = eigs[0] >= -tol * max(1.0, eigs[-1])
+                for mat in (m, sp.csr_matrix(m)):
+                    verdict, lo = psd_check(mat, tol)
+                    assert abs(lo - eigs[0]) <= 1e-12 * scale, (n, kind)
+                    if abs(eigs[0] + tol * max(1.0, eigs[-1])) > 1e-12 * scale:
+                        assert verdict == expected, (n, kind, tol)
+
+    def test_zero_and_nan_keep_their_answers(self, narrow_eigvalsh):
+        narrow_eigvalsh[0] = 1
+        n = 700
+        for mat in (np.zeros((n, n)), sp.csr_matrix((n, n))):
+            assert psd_check(mat) == (True, 0.0)
+        m = np.eye(n, dtype=complex)
+        m[n // 2, n // 3] = np.nan
+        for mat in (m, sp.csr_matrix(m)):
+            ok, lo = psd_check(mat)
+            assert ok is False and np.isnan(lo)
+
+
+def path_matrix(n):
+    """The tridiagonal ``2I - shift - shift^*``, PSD and one connected block of side ``n``."""
+    return sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr", dtype=complex)
+
+
+class TestMemoryGuard:
+    """Past the cutoff the block stacks are counted against MemAvailable before any is built."""
+
+    N = 1000
+    # one stack of side 1000: the stacks, and as much again plus twice the largest
+    NEED = 2 * 16 * (N * N + N * N)
+
+    def test_refuses_before_building_a_stack(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_mem_available", lambda: self.NEED - 1)
+        mat = path_matrix(self.N)
+        for call in (psd_check, pinv_on_range):
+            tracemalloc.start()
+            try:
+                with pytest.raises(MemoryError) as exc:
+                    call(mat)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            message = str(exc.value)
+            assert f"take up to {self.NEED} bytes" in message and f"the {self.NEED - 1} bytes" in message
+            # the one stack alone takes 16 MB
+            assert peak < 16 * self.N * self.N // 4, peak
+
+    def test_exactly_enough_or_an_unreadable_figure_runs(self, monkeypatch):
+        mat = path_matrix(self.N)
+        expected = float(np.linalg.eigvalsh(mat.toarray())[0])
+        for available in (self.NEED, None):
+            monkeypatch.setattr(linalg, "_mem_available", lambda: available)
+            ok, lo = psd_check(mat)
+            assert ok and abs(lo - expected) <= 1e-12
+            assert abs(pinv_on_range(mat) @ mat - sp.eye(self.N)).max() < 1e-8
+
+    def test_not_read_at_or_below_the_cutoff(self, rng, monkeypatch):
+        def refuse():
+            raise AssertionError("MemAvailable read below the cutoff")
+
+        monkeypatch.setattr(linalg, "_mem_available", refuse)
+        m = blocks_past_cutoff(rng, 600, 20, "gram")
+        for mat in (m, sp.csr_matrix(m), path_matrix(600)):
+            assert psd_check(mat)[0]
+        pinv_on_range(path_matrix(600))
+
+    def test_mem_available_reads_meminfo(self):
+        available = linalg._mem_available()
+        assert available is None or available > 0
 
 
 class TestOpNorm:
@@ -237,7 +358,7 @@ class TestPinvOnRange:
 
     def test_projection_fixed(self):
         P = np.diag([1.0, 1.0, 0.0])
-        assert np.allclose(pinv_on_range(P), P)
+        assert np.allclose(pinv_on_range(P).toarray(), P)
 
     def test_m_pinv_m(self, rng):
         B = random_complex(rng, (6, 3))
@@ -365,13 +486,6 @@ class TestStoredEntries:
             assert np.array_equal(got.indptr, want.indptr), name
             assert np.array_equal(got.indices, want.indices), name
             assert np.array_equal(got.data, want.data.astype(complex)), name
-            dense = entries_matrix(keys, vals, mat.shape, like=np.zeros(0))
-            assert isinstance(dense, np.ndarray) and dense.dtype == complex, name
-            assert np.array_equal(dense, summed_coo(mat).toarray()), name
-
-    def test_sparse_like_gives_csr(self):
-        got = entries_matrix(np.array([1, 5]), np.array([2.0, 3j]), (2, 3), like=sp.eye(2))
-        assert got.format == "csr" and got.toarray().tolist() == [[0, 2, 0], [0, 0, 3j]]
 
     def test_sorted_unique_and_lookup(self, rng):
         keys = rng.integers(0, 50, size=200)

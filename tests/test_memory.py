@@ -11,6 +11,9 @@ classifying and extracting at dim 3969 must not build the pair structure.
 ``fourier`` evaluates the planted symbol at dim 3969 and at ``L=6``
 (dim 16129), where one dense complex ``(dim, dim)`` array takes 4.2 GB and
 the arrays over all comparable pairs would take it past its tighter bound.
+``kernel-psd`` evaluates the planted symbol at dim 3969 and checks the
+positivity of the kernel and of the model operator block by block; the dense
+kernel, its conjugate and their sum took three 252 MB arrays there.
 ``model`` on ``k=1, n=2, L=10`` (dim 2047) runs the universal model's
 completely positive maps; dense defect iterates there peak near 450 MB.
 The symbol and grading routines are also traced in-process: for sparse
@@ -245,6 +248,17 @@ def test_fourier_stays_below_peak_rss_limit(tmp_path):
         report = json.loads((tmp_path / f"out{trunc}" / "fourier-report.json").read_text())
         assert report["terms"] == len(TERMS)
         assert mb < limit, f"fourier --trunc {trunc} peak RSS {mb:.0f} MB"
+
+
+def test_kernel_psd_stays_below_peak_rss_limit(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(SPEC))
+    sym = _planted_symbol(FockSpace(spec_from_json(SPEC), (5, 5)))
+    (tmp_path / "symbol.json").write_text(json.dumps(symbol_to_json(sym)))
+    argv = ["kernel-psd", "--spec", "spec.json", "--trunc", "5", "--symbol", "symbol.json", "--out", "out"]
+    code, mb = _run_child(tmp_path, argv)
+    assert code == 0
+    assert json.loads((tmp_path / "out" / "kernel-psd-report.json").read_text())["verdicts_agree"]
+    assert mb < PEAK_RSS_LIMIT_MB, f"kernel-psd --trunc 5 peak RSS {mb:.0f} MB"
 
 
 def test_symbol_and_grading_allocate_no_dense_square():

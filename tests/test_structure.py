@@ -63,3 +63,17 @@ def test_blas_norms_stay_in_their_one_place(path):
         if name.split(".")[-1] == "svds" and (path.name, where) != ("linalg.py", "op_norm"):
             found.append(f"{path.name}:{line}: {name} in {where}")
     assert not found, "\n".join(found)
+
+
+def test_the_cutoff_has_its_readers_and_only_linalg_reads_meminfo():
+    # _past_cutoff decides Lanczos (op_norm), the one-pass bracket
+    # (norm_bracket) and the memory guard on the block stacks (_spectral_blocks)
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        readers |= {
+            (path.name, where) for name, where, _ in _calls(ast.parse(text)) if name.split(".")[-1] == "_past_cutoff"
+        }
+        if path.name != "linalg.py":
+            assert "/proc/meminfo" not in text, path.name
+    assert readers == {("linalg.py", "op_norm"), ("linalg.py", "norm_bracket"), ("linalg.py", "_spectral_blocks")}
