@@ -104,8 +104,8 @@ class RunConfig:
             raise SpecError("truncation degrees must be >= 1")
         if self.coeff_dim < 1:
             raise SpecError("coefficient dimension must be >= 1")
-        if not self.tol > 0:  # NaN included
-            raise SpecError(f"tolerance must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:  # NaN included; at inf every check passes
+            raise SpecError(f"tolerance must be positive and finite, got {self.tol}")
 
 
 def _broadcast_trunc(trunc: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -186,6 +186,8 @@ def _load_operator(space: FockSpace, path: str) -> FockOperator:
 
 
 def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.oracle_degree < 1:  # no word to check would pass vacuously
+        raise SpecError(f"--oracle-degree must be >= 1, got {args.oracle_degree}")
     spec = _load_spec(cfg.spec_path)
     trunc = _broadcast_trunc(cfg.trunc, spec.k)
     table = build_weight_table(spec, trunc)

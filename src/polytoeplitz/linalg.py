@@ -11,12 +11,15 @@ compare split, after a permutation, into many small blocks, and
 blocks from one routine by one rule: a matrix with a side of at most
 ``_DIRECT_SIDE`` is one block, the dense array itself; any other splits into
 the connected components of its nonzero pattern, read from its stored
-entries, and each stack of blocks of one shape takes one batched LAPACK
-call.  :func:`psd_check` and :func:`pinv_on_range` split at every size,
-refusing with ``MemoryError`` past the dense cutoff, before any block is
-built, stacks that may not fit in ``MemAvailable``; there :func:`op_norm`
-runs one Lanczos iteration on the whole operator, and :func:`norm_bracket`
-bounds a norm from both sides from one pass over the stored entries.
+entries by a numpy hook-and-shortcut labeller (:func:`_components`), and
+each stack of blocks of one shape takes one batched LAPACK call.
+:func:`psd_check` and :func:`pinv_on_range` split at every size, refusing
+with ``MemoryError`` past the dense cutoff, before any block is built,
+stacks that may not fit in ``MemAvailable``; there :func:`op_norm` runs one
+Lanczos iteration on the whole operator, and :func:`norm_bracket` bounds a
+norm from both sides from one pass over the stored entries.  Lanczos is the
+one reader of ``scipy.sparse.linalg`` and imports it on its first call, so
+a run that stays below the cutoff loads no scipy linear-algebra module.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import IO, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .errors import DimensionMismatch, NumericalRankError, SpecError
 
@@ -249,11 +251,37 @@ def _blocks(
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Connected-component label of each of ``n`` nodes joined by the edges ``(a, b)``."""
-    from scipy.sparse.csgraph import connected_components
+    """Connected-component label of each of ``n`` nodes joined by the edges ``(a, b)``.
 
-    graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
-    return connected_components(graph, directed=False)[1]
+    Components are numbered by their lowest node, as scipy's
+    ``connected_components`` numbers them.  Hook and shortcut (Shiloach and
+    Vishkin): each round hooks every root onto the lowest root it shares an
+    edge with, if that is lower, then jumps pointers until every node points
+    at its root.  A parent is never above its node, so each root is the lowest
+    node of its tree.  The roots that survive a round are local minima of the
+    tree graph, and one with a neighbour that gained no tree is hooked in the
+    next round, so the trees of a component at least halve every two rounds:
+    at most ``2 * ceil(log2(n)) + 1`` passes over the edges, each followed by
+    at most ``ceil(log2(n)) + 1`` jumps (``notes/decisions.md``, "Only the
+    stack a run reaches").
+    """
+    parent = np.arange(n)
+    while a.size:
+        pa, pb = parent[a], parent[b]
+        cross = pa != pb
+        if not cross.all():
+            # an edge inside one tree stays inside it
+            a, b, pa, pb = a[cross], b[cross], pa[cross], pb[cross]
+            if not a.size:
+                break
+        np.minimum.at(parent, np.maximum(pa, pb), np.minimum(pa, pb))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    root = parent == np.arange(n)
+    return (np.cumsum(root) - 1)[parent]
 
 
 def _finite(mat: MatrixLike) -> bool:
@@ -314,10 +342,10 @@ def op_norm(mat: MatrixLike) -> float:
     rows, cols = np.divmod(keys, mat.shape[1])
     if np.array_equal(rows, cols):
         return float(np.abs(vals).max())
+    from scipy.sparse.linalg import svds  # its one reader: below the cutoff no run loads it
+
     v0 = np.ones(min(mat.shape))
-    s = scipy.sparse.linalg.svds(
-        csr.astype(complex), k=1, v0=v0, return_singular_vectors=False
-    )
+    s = svds(csr.astype(complex), k=1, v0=v0, return_singular_vectors=False)
     return float(s[0])
 
 

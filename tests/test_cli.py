@@ -651,6 +651,70 @@ def test_invalid_tolerance_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf"])
+def test_infinite_tolerance_exits_2(tmp_path, capsys, tol):
+    # at inf every check `worst <= tol` passed vacuously, and model and weights exited 0
+    spec_path = write_spec(tmp_path / "spec.json", BERGMAN)
+    for command in ("model", "weights"):
+        out = tmp_path / command
+        assert main([command, "--spec", spec_path, "--trunc", "3", f"--tol={tol}", "--out", str(out)]) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_oracle_degree_below_one_exits_2(tmp_path, capsys, degree):
+    # below 1 no word was checked, and the report read "passed": true
+    spec_path = write_spec(tmp_path / "spec.json", BERGMAN)
+    out = tmp_path / "out"
+    argv = ["weights", "--spec", spec_path, "--trunc", "4", f"--oracle-degree={degree}", "--out", str(out)]
+    assert main(argv) == 2
+    assert "--oracle-degree must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# scipy's linear-algebra stack: about 10 MB of import RSS that only Lanczos, past the cutoff, reads
+LINEAR_ALGEBRA_MODULES = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
+
+
+def test_commands_below_the_cutoff_load_no_scipy_linear_algebra(tmp_path):
+    golden = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2"]
+    with open(GOLDEN_FOURIER / "operator-r1.mtx") as fh:
+        planted = linalg.load_matrix(fh).tocsr()
+    assert 8 < planted.shape[0] <= 600  # split into blocks by the labeller, no Lanczos
+    spoiled = planted.tolil()
+    spoiled[1, 1] += 0.25
+    with open(tmp_path / "spoiled.mtx", "w") as fh:
+        linalg.save_matrix(fh, spoiled)
+    ball = write_spec(tmp_path / "ball.json", BALL)
+    commands = [
+        (["verify", "--trunc", "3"], 0),
+        (["model", "--spec", ball, "--trunc", "3"], 0),
+        (["toeplitz", *golden, "--operator", str(GOLDEN_FOURIER / "operator-r1.mtx")], 0),
+        (["toeplitz", *golden, "--operator", str(tmp_path / "spoiled.mtx")], 1),
+        (["brown-halmos", *golden, "--operator", str(GOLDEN_FOURIER / "operator-r1.mtx")], 0),
+        (["fourier", *golden, "--symbol", str(GOLDEN_FOURIER / "symbol.json")], 0),
+        (["kernel-psd", *golden, "--symbol", str(GOLDEN_FOURIER / "symbol.json")], 0),
+        (["weights", "--spec", ball, "--trunc", "3"], 0),
+    ]
+    argvs = [[*argv, "--out", str(tmp_path / str(j))] for j, (argv, _) in enumerate(commands)]
+    code = (
+        "import json, sys\n"
+        "from polytoeplitz.cli import main\n"
+        "codes = [main(a) for a in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], env=env, check=True, capture_output=True, text=True,
+        timeout=600,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [expected for _, expected in commands]
+    loaded = [m for m in result["modules"] if m.startswith(LINEAR_ALGEBRA_MODULES)]
+    assert not loaded, loaded
+
+
 def test_op_norm_does_not_depend_on_storage_above_cutoff():
     # the `deep` planted operator (bench/gen.py --workload deep --seed 0) at
     # radius 0.5, dim 2047: CSR and dense storage take one Lanczos path

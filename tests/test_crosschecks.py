@@ -28,7 +28,8 @@ whole-matrix dense SVD and ``eigvalsh`` that the block-by-block ``op_norm`` and 
 are oracles within a few rounding errors, since a block rounds differently
 from the whole matrix; so is the whole-matrix ``eigh`` pseudo-inverse that
 the block-by-block ``pinv_on_range`` replaced, and the dense Cauchy dual
-built on it.
+built on it.  scipy's ``connected_components``, which the numpy labeller of
+the blocks replaced, must give the same labels.
 """
 
 import io
@@ -39,6 +40,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from polytoeplitz.brownhalmos import (
     _min_positive_gram_eig,
@@ -1520,6 +1522,73 @@ def test_cauchy_dual_matches_dense_oracle(rng):
             C = as_dense(row.as_matrix())
             expected = C @ dense_pinv_on_range(C.conj().T @ C, 1e-10)
             assert np.abs(cauchy_dual(row) - expected).max() <= 1e-12
+
+
+# -- component labels ---------------------------------------------------------------
+# scipy's connected_components, which the numpy hook-and-shortcut labeller
+# replaced, is the oracle: the labels must be equal, not only the partition,
+# since the block stacks are built in label order.
+
+
+def scipy_components(n, a, b):
+    graph = sp.coo_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def random_graphs(rng, count):
+    """``(n, a, b)`` for ``count`` random graphs: multi-edges, self-loops, isolated nodes, some with no edge."""
+    for j in range(count):
+        n = int(rng.integers(0, 301))
+        m = 0 if j % 10 == 0 or n == 0 else int(rng.integers(0, 2 * n))
+        a, b = rng.integers(0, max(n, 1), (2, m))
+        loops = rng.random(m) < 0.1
+        b[loops] = a[loops]
+        repeat = rng.integers(0, max(m, 1), m // 4)
+        yield n, np.concatenate([a, b[repeat]]), np.concatenate([b, a[repeat]])
+
+
+def test_component_labels_match_scipy_on_random_graphs(rng):
+    for n, a, b in random_graphs(rng, 1200):
+        assert np.array_equal(linalg_module._components(n, a, b), scipy_components(n, a, b)), n
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_component_labels_match_scipy_on_a_long_path(reverse):
+    # one chain of hooks 10**5 deep: the pointer jumps flatten it
+    n = 10**5
+    a, b = np.arange(n - 1), np.arange(1, n)
+    if reverse:
+        a, b = b, a
+    labels = linalg_module._components(n, a, b)
+    assert np.array_equal(labels, scipy_components(n, a, b))
+    assert not labels.any()
+
+
+def test_component_labels_match_scipy_on_the_spectral_block_calls(rng, monkeypatch):
+    # the Hermitian (square) and bipartite (rows then columns) graphs _spectral_blocks builds
+    calls = []
+    labeller = linalg_module._components
+
+    def recorded(n, a, b):
+        calls.append((n, a.copy(), b.copy()))
+        return labeller(n, a, b)
+
+    monkeypatch.setattr(linalg_module, "_components", recorded)
+    sizes = []
+    for trunc, k, coeff_dim in ((4, 1, 1), (3, 1, 2), ((2, 2), 2, 1), ((3, 2), 2, 2)):
+        spec = random_spec(rng, k=k, max_n=2)
+        space = FockSpace(spec, trunc if isinstance(trunc, tuple) else (trunc,), coeff_dim=coeff_dim)
+        T = evaluate_at_model(random_symbol(space, rng, n_monomials=4)).matrix
+        wide = T[:, : T.shape[1] // 2 + 9]
+        op_norm(T)
+        op_norm(wide)
+        psd_check(T)
+        pinv_on_range(T.conj().T @ T)
+        if T.shape[0] > 8:
+            sizes += [2 * T.shape[0], sum(wide.shape), T.shape[0], T.shape[0]]
+    assert len(sizes) >= 8 and [n for n, _, _ in calls] == sizes
+    for n, a, b in calls:
+        assert np.array_equal(labeller(n, a, b), scipy_components(n, a, b)), n
 
 
 # -- one block at a short side ----------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import time
 import tracemalloc
 
 import numpy as np
@@ -164,6 +165,35 @@ class TestMemoryGuard:
     def test_mem_available_reads_meminfo(self):
         available = linalg._mem_available()
         assert available is None or available > 0
+
+
+class TestComponents:
+    """The numpy labeller behind the block split; scipy is its oracle in test_crosschecks."""
+
+    def test_components_are_numbered_by_their_lowest_node(self):
+        a, b = np.array([5, 4, 1, 6]), np.array([3, 0, 4, 6])
+        assert linalg._components(7, a, b).tolist() == [0, 0, 1, 2, 0, 2, 3]
+
+    def test_no_node_or_no_edge(self):
+        none = np.zeros(0, dtype=np.int64)
+        assert linalg._components(0, none, none).size == 0
+        assert linalg._components(4, none, none).tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_labels_a_long_path_within_50_ms(self, reverse):
+        # the side of the `wide` space at L=8 (dim 261121), joined into one chain
+        # of hooks as deep as it is long; best of five against a noisy machine
+        n = 511**2
+        a, b = np.arange(n - 1), np.arange(1, n)
+        if reverse:
+            a, b = b, a
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            labels = linalg._components(n, a, b)
+            times.append(time.perf_counter() - start)
+        assert not labels.any()
+        assert min(times) < 0.05, times
 
 
 class TestOpNorm:

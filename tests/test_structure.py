@@ -77,3 +77,30 @@ def test_the_cutoff_has_its_readers_and_only_linalg_reads_meminfo():
         if path.name != "linalg.py":
             assert "/proc/meminfo" not in text, path.name
     assert readers == {("linalg.py", "op_norm"), ("linalg.py", "norm_bracket"), ("linalg.py", "_spectral_blocks")}
+
+
+# scipy's linear-algebra stack, about 10 MB of import RSS: Lanczos imports it
+# where it runs, past the cutoff, and the component labels are numpy's
+LINEAR_ALGEBRA = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
+
+
+def _module_level_imports(tree: ast.AST):
+    """The dotted names each import run at load brings in, with its line: all but those in function bodies."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield from ((f"{node.module}.{alias.name}", node.lineno) for alias in node.names)
+        yield from _module_level_imports(node)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_linear_algebra_at_load(path):
+    found = [
+        f"{path.name}:{line}: {name}"
+        for name, line in _module_level_imports(ast.parse(path.read_text()))
+        if any(name == m or name.startswith(m + ".") for m in LINEAR_ALGEBRA)
+    ]
+    assert not found, "\n".join(found)
