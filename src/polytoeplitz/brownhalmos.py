@@ -85,10 +85,7 @@ def build_row(spec: PolydomainSpec, space: FockSpace, i: int) -> RowOperator:
         space=space,
         factor=i,
         gamma=gamma,
-        columns=tuple(
-            space.lift(space.creation_product(space.single(i, alpha), side="right")).matrix
-            for alpha in gamma
-        ),
+        columns=tuple(space.creation_product(i, alpha, side="right") for alpha in gamma),
         scales=tuple(math.sqrt(support[alpha]) for alpha in gamma),
     )
 
@@ -134,9 +131,7 @@ def alternating_phi_sum(space: FockSpace, i: int, T: linalg.MatrixLike) -> sp.cs
 def range_projection(space: FockSpace, i: int) -> np.ndarray:
     """Projection onto the vectors with nonvacuum factor-``i`` component."""
     degs = space.degree_table()
-    diag = (degs[:, i] > 0).astype(complex)
-    c = space.coeff_dim
-    return np.diag(np.kron(np.ones(c), diag))
+    return np.diag(np.tile((degs[:, i] > 0).astype(complex), space.coeff_dim))
 
 
 def _sparse_dual(C: RowOperator) -> tuple[sp.csr_matrix, sp.csr_matrix]:

@@ -174,17 +174,19 @@ class OperatorTuple:
 def universal_tuple(space: FockSpace, side: str = "left") -> OperatorTuple:
     """The weighted creation tuple of ``space`` as an operator tuple on the Fock part.
 
-    The creations are CSR (:meth:`FockSpace.creation_product`) and the tuple
+    The creations are CSR, written from :meth:`FockSpace.creation_action`,
+    whose leading ``1 / coeff_dim`` of entries act on the Fock part; the tuple
     is marked ``universal``, so its completely positive maps run on stored
     entries.  Cross-factor Kronecker slots commute exactly.
     """
-    ops = tuple(
-        tuple(
-            space.creation_product(space.single(i, Word((j,), n)), side=side)
-            for j in range(1, n + 1)
-        )
-        for i, n in enumerate(space.spec.n)
-    )
+    d = space.dim
+
+    def creation(i: int, j: int) -> sp.csr_matrix:
+        src, dst, vals = space.creation_action(i, Word((j,), space.spec.n[i]), side)
+        m = src.size // space.coeff_dim
+        return linalg.entries_matrix(dst[:m] * d + src[:m], vals[:m], (d, d))
+
+    ops = tuple(tuple(creation(i, j) for j in range(1, n + 1)) for i, n in enumerate(space.spec.n))
     return OperatorTuple(
         spec=space.spec,
         ops=ops,

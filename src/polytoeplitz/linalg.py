@@ -178,7 +178,8 @@ def _spectral_blocks(mat: MatrixLike, hermitian: bool):
             m = hermitize(mat)
         else:
             m = as_dense(mat) if sp.issparse(mat) else np.asarray(mat)
-        return [(m[None], np.arange(n_r)[None], np.arange(n_c)[None])]
+        # + 0 turns -0.0 into 0.0, which LAPACK reads alike in a dense array and its CSR copy
+        return [(m[None] + 0, np.arange(n_r)[None], np.arange(n_c)[None])]
     keys, vals = stored_entries(mat)
     if hermitian:
         # 0.5 * (a_ij + conj(a_ji)) on the union of both patterns, a missing

@@ -136,26 +136,20 @@ class FockSpace:
 
     # -- operator construction ----------------------------------------------
 
-    def lift(self, fock_matrix: Union[np.ndarray, sp.spmatrix]) -> "FockOperator":
-        """Ampliate a Fock-only matrix by the identity on the coefficient space."""
-        if self.coeff_dim == 1:
-            mat = fock_matrix
-        elif sp.issparse(fock_matrix):
-            mat = sp.kron(sp.identity(self.coeff_dim, format="csr"), fock_matrix, format="csr")
-        else:
-            mat = np.kron(np.eye(self.coeff_dim), fock_matrix)
-        return FockOperator(self, mat)
-
-    def factor_creation(self, i: int, word: Word, side: str = "left") -> sp.csr_matrix:
-        """Per-factor creation matrix for a whole word on factor ``i``.
+    def creation_action(self, i: int, word: Word, side: str = "left") -> Action:
+        """The creation by ``word`` on factor ``i``, ampliated over the other factors and ``K``.
 
         ``side="left"`` prepends ``word``; ``side="right"`` appends the
-        reversed word.  Column ``gamma`` maps to ``sqrt(b_gamma / b_target)``
-        times the target word; columns whose image leaves the truncation are
-        zero.  Targets are found by rank arithmetic: prepending a word at
-        offset ``u`` to a length-``d`` word at offset ``o`` gives offset
-        ``u * n**d + o``, appending one of length ``e`` at offset ``v`` gives
-        ``o * n**e + v``.
+        reversed word.  Returns ``(src, dst, vals)`` with ``A e_src = vals *
+        e_dst``: a factor column ``gamma`` maps to ``sqrt(b_gamma /
+        b_target)`` times the target word, and columns whose image leaves the
+        truncation are dropped.  Targets are found by rank arithmetic:
+        prepending a word at offset ``u`` to a length-``d`` word at offset
+        ``o`` gives offset ``u * n**d + o``, appending one of length ``e`` at
+        offset ``v`` gives ``o * n**e + v``.  Both are increasing in the
+        column, so ``dst`` is increasing; the coefficient space is the
+        outermost factor, so the first ``1 / coeff_dim`` of the entries act on
+        the Fock part.
         """
         if not 0 <= i < self.spec.k:
             raise DimensionMismatch(f"factor index {i} outside range")
@@ -163,68 +157,38 @@ class FockSpace:
             raise DimensionMismatch("word alphabet does not match the factor")
         if side not in ("left", "right"):
             raise SpecError(f"unknown side {side!r}")
-        n, L, e = self.spec.n[i], self.trunc[i], len(word)
-        start, lengths, offsets = self.factor_layouts[i]
-        # the columns whose image stays inside the truncation, in rank order
-        cols = np.arange(start[max(L - e + 1, 0)])
-        d = lengths[cols]
-        if side == "left":
-            target = word_offset(word) * n**d + offsets[cols]
-        else:
-            target = offsets[cols] * n**e + word_offset(reverse(word))
-        rows = start[d + e] + target
-        b = self.weights.values[i]
-        vals = np.sqrt(b[cols] / b[rows]).astype(complex)
-        size = self.factor_dims[i]
-        return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-
-    def single(self, i: int, word: Word) -> MultiWord:
-        """The multi-word with ``word`` on factor ``i`` and the empty word elsewhere."""
-        parts = [Word.identity(n) for n in self.spec.n]
-        parts[i] = word
-        return MultiWord(tuple(parts))
-
-    def creation_product(self, w: MultiWord, side: str = "left") -> sp.csr_matrix:
-        """Fock-part matrix of the (left or right) creation by a multi-word.
-
-        The Kronecker product of the per-factor creations, first factor slowest.
-        """
-        out = self.factor_creation(0, w.parts[0], side)
-        for i in range(1, len(w.parts)):
-            out = sp.kron(out, self.factor_creation(i, w.parts[i], side), format="csr")
-        return sp.csr_matrix(out)
-
-    def creation_action(self, i: int, word: Word, side: str = "left"):
-        """Index-level view of a single-factor creation on the lifted space.
-
-        Returns ``(src, dst, vals)`` with ``A e_src = vals * e_dst`` column by
-        column; creations have at most one entry per column, so gather/scatter
-        with these arrays replaces sparse matrix products in hot paths.
-        """
         cache = self._action_cache
         key = (side, i, word.letters)
         if key not in cache:
+            n, L, e = self.spec.n[i], self.trunc[i], len(word)
+            start, lengths, offsets = self.factor_layouts[i]
+            # the columns whose image stays inside the truncation, in rank order
+            cols = np.arange(start[max(L - e + 1, 0)])
+            d = lengths[cols]
+            if side == "left":
+                target = word_offset(word) * n**d + offsets[cols]
+            else:
+                target = offsets[cols] * n**e + word_offset(reverse(word))
+            rows = start[d + e] + target
+            b = self.weights.values[i]
+            lam = np.sqrt(b[cols] / b[rows]).astype(complex)
             d_i = self.factor_dims[i]
-            keys, lam = linalg.stored_entries(self.factor_creation(i, word, side=side))
-            row, col = np.divmod(keys, d_i)
-            pre = int(np.prod(self.factor_dims[:i])) if i else 1
-            post = int(np.prod(self.factor_dims[i + 1 :])) if i + 1 < self.spec.k else 1
-            base = (
-                np.arange(pre)[:, None, None] * (d_i * post)
-                + np.arange(post)[None, None, :]
-            )
-            src = (base + col[None, :, None] * post).ravel()
-            dst = (base + row[None, :, None] * post).ravel()
-            vals = np.broadcast_to(
-                lam[None, :, None], (pre, lam.size, post)
-            ).ravel()
-            if self.coeff_dim > 1:
-                offs = np.arange(self.coeff_dim) * self.dim
-                src = (offs[:, None] + src[None, :]).ravel()
-                dst = (offs[:, None] + dst[None, :]).ravel()
-                vals = np.tile(vals, self.coeff_dim)
+            pre = self.coeff_dim * math.prod(self.factor_dims[:i])
+            post = math.prod(self.factor_dims[i + 1 :])
+            base = np.arange(pre)[:, None, None] * (d_i * post) + np.arange(post)[None, None, :]
+            src = (base + cols[None, :, None] * post).ravel()
+            dst = (base + rows[None, :, None] * post).ravel()
+            vals = np.broadcast_to(lam[None, :, None], (pre, lam.size, post)).ravel()
+            for a in (src, dst, vals):  # shared with the matrices written from the action
+                a.flags.writeable = False
             cache[key] = (src, dst, vals)
         return cache[key]
+
+    def creation_product(self, i: int, word: Word, side: str = "left") -> sp.csr_matrix:
+        """The creation of :meth:`creation_action` as CSR on ``K (x) Fock``."""
+        src, dst, vals = self.creation_action(i, word, side)
+        n = self.total_dim
+        return linalg.entries_matrix(dst * n + src, vals, (n, n))
 
     def identity(self) -> "FockOperator":
         return FockOperator(self, sp.identity(self.total_dim, format="csr", dtype=complex))
@@ -655,8 +619,7 @@ def _weighted_creation(space: FockSpace, i: int, j: int, side: str) -> FockOpera
     n = space.spec.n[i]
     if not 1 <= j <= n:
         raise DimensionMismatch(f"generator index {j} outside 1..{n}")
-    mat = space.creation_product(space.single(i, Word((j,), n)), side=side)
-    return space.lift(mat)
+    return FockOperator(space, space.creation_product(i, Word((j,), n), side))
 
 
 def weighted_left_creation(space: FockSpace, i: int, j: int) -> FockOperator:
@@ -708,7 +671,7 @@ def graded_projection(space: FockSpace, p: Sequence[int]) -> FockOperator:
         diag = np.zeros(space.dim)
     else:
         diag = np.all(degs == target[None, :], axis=1).astype(float)
-    return space.lift(sp.diags(diag.astype(complex)))
+    return FockOperator(space, sp.diags(np.tile(diag, space.coeff_dim).astype(complex)))
 
 
 def weighted_fock_unitary(space: FockSpace, direction: str = "forward") -> FockOperator:
@@ -730,7 +693,7 @@ def weighted_fock_unitary(space: FockSpace, direction: str = "forward") -> FockO
         diag = 1.0 / np.sqrt(entries)
     else:
         raise SpecError(f"unknown direction {direction!r}")
-    return space.lift(sp.diags(diag.astype(complex)))
+    return FockOperator(space, sp.diags(np.tile(diag, space.coeff_dim).astype(complex)))
 
 
 # -- scalar reproducing kernel (all n_i = 1) ---------------------------------

@@ -734,7 +734,7 @@ def test_verify_rejects_per_factor_truncation(capsys):
 OPTIONS = {
     "weights": {"--spec", "--trunc", "--tol", "--seed", "--out", "--oracle-degree"},
     "model": {"--spec", "--trunc", "--coeff-dim", "--tol", "--out"},
-    "verify": {"--trunc", "--tol", "--seed", "--out"},
+    "verify": {"--trunc", "--seed", "--out"},
     "toeplitz": {"--spec", "--trunc", "--coeff-dim", "--tol", "--out", "--operator", "--drop-tol"},
     "fourier": {"--spec", "--trunc", "--coeff-dim", "--out", "--symbol", "--radius"},
     "berezin": {"--spec", "--trunc", "--coeff-dim", "--tol", "--out", "--tuple", "--operator"},
@@ -781,6 +781,7 @@ def test_option_the_command_does_not_read_is_rejected(tmp_path, capsys):
         ["model", "--spec", spec, "--trunc", "3", "--seed", "1"],
         ["fourier", *golden, "--tol", "1e-3"],
         ["verify", "--coeff-dim", "2"],
+        ["verify", "--tol", "1e-6"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -65,6 +65,19 @@ def test_blas_norms_stay_in_their_one_place(path):
     assert not found, "\n".join(found)
 
 
+def test_only_monomial_calls_sparse_kron():
+    # a creation is one index computation (FockSpace.creation_action), never a
+    # Kronecker chain of identities; monomial's coefficient slot is the one kron
+    found = [
+        f"{path.name}:{line}: {name} in {where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, where, line in _calls(ast.parse(path.read_text()))
+        if name.split(".")[-1] == "kron" and not name.startswith("np.")
+        and (path.name, where) != ("model.py", "monomial")
+    ]
+    assert not found, "\n".join(found)
+
+
 def test_the_cutoff_has_its_readers_and_only_linalg_reads_meminfo():
     # _past_cutoff decides Lanczos (op_norm), the one-pass bracket
     # (norm_bracket) and the memory guard on the block stacks (_spectral_blocks)
