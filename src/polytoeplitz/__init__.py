@@ -32,22 +32,16 @@ from .freemonoid import (
     IndexPair,
     MultiWord,
     Word,
-    comparable,
     enumerate_words,
-    multiword_index,
     multiword_unindex,
     reverse,
-    right_divides,
-    simplify,
 )
 from .model import (
     FockOperator,
     FockSpace,
-    graded_projection,
     monomial,
     scalar_kernel,
     truncated_gram_kernel,
-    weighted_fock_unitary,
     weighted_left_creation,
     weighted_right_creation,
 )
@@ -58,10 +52,8 @@ from .toeplitz import (
     cesaro_reconstruct,
     evaluate_at_model,
     evaluate_at_tuple,
-    evaluate_symbol,
     extract_fourier,
     homogeneous_decomposition,
-    homogeneous_part,
     is_multi_toeplitz,
     pluriharmonic_kernel,
     random_symbol,
@@ -74,10 +66,7 @@ from .weights import (
     brute_force_weight,
     build_weight_table,
     compactness_ratios,
-    mu,
     spec_from_json,
-    spec_to_json,
-    tau,
 )
 
 __version__ = "0.1.0"

@@ -29,7 +29,6 @@ __all__ = [
     "RowOperator",
     "build_row",
     "phi_right",
-    "alternating_phi_sum",
     "range_projection",
     "cauchy_dual",
     "cauchy_dual_projection",
@@ -54,10 +53,6 @@ class RowOperator:
     gamma: tuple[Word, ...]
     columns: tuple[sp.spmatrix, ...]
     scales: tuple[float, ...]
-
-    @property
-    def n_columns(self) -> int:
-        return len(self.gamma)
 
     def as_matrix(self) -> sp.csr_matrix:
         return sp.csr_matrix(
@@ -121,11 +116,6 @@ def phi_right(space: FockSpace, i: int, Y: linalg.MatrixLike) -> sp.csr_matrix:
     if Y.shape != (n, n):
         raise DimensionMismatch("operand shape differs from the space dimension")
     return linalg.entries_matrix(*_phi_entries(space, i, *linalg.stored_entries(Y)), Y.shape)
-
-
-def alternating_phi_sum(space: FockSpace, i: int, T: linalg.MatrixLike) -> sp.csr_matrix:
-    """``sum_{j=1}^{m_i} (-1)^(j-1) C(m_i, j) Phi^j(T)`` for the factor's order, as CSR."""
-    return linalg.entries_matrix(*_alternating_entries(space, i, *linalg.stored_entries(T)), T.shape)
 
 
 def range_projection(space: FockSpace, i: int) -> np.ndarray:

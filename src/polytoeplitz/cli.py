@@ -363,11 +363,6 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
     commutation = X.check_commutation()
     member, witness = is_member(spec, X, tol=cfg.tol)
     pure, pure_report = is_pure(spec, X, tol=cfg.tol)
-    kernel = berezin_kernel(spec, X, trunc)
-    gram_dev = float(np.abs(kernel.gram() - np.eye(X.dim_h)).max())
-    space = FockSpace(spec, trunc, coeff_dim=1)
-    residual = intertwining_residual(kernel, X, space)
-    passed = member and kernel.norm() <= 1.0 + cfg.tol and residual <= max(cfg.tol, 1e-9)
     report = {
         "command": "berezin",
         "trunc": list(trunc),
@@ -375,14 +370,26 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
         "member": member,
         "membership_witness": {"p": list(witness[0]), "min_eig": witness[1]},
         "pure": pure,
-        "kernel_norm": kernel.norm(),
-        "gram_vs_identity": gram_dev,
-        "tail_bound": kernel.tail_bound,
-        "phi_power_norms": list(kernel.phi_power_norms),
-        "intertwining_residual": residual,
         "tolerance": cfg.tol,
-        "passed": passed,
     }
+    if not member:
+        # outside the polydomain the defect has no square root: no kernel
+        report["passed"] = False
+        _emit(report, cfg.out, "berezin-report.json")
+        return EXIT_FAIL
+    kernel = berezin_kernel(spec, X, trunc, tol=cfg.tol)
+    kernel_norm = kernel.norm()
+    space = FockSpace(spec, trunc, coeff_dim=1)
+    residual = intertwining_residual(kernel, X, space)
+    passed = kernel_norm <= 1.0 + cfg.tol and residual <= max(cfg.tol, 1e-9)
+    report.update(
+        kernel_norm=kernel_norm,
+        gram_vs_identity=float(np.abs(kernel.gram() - np.eye(X.dim_h)).max()),
+        tail_bound=kernel.tail_bound,
+        phi_power_norms=list(kernel.phi_power_norms),
+        intertwining_residual=residual,
+        passed=passed,
+    )
     if args.operator is not None:
         cspace = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim, weights=space.weights)
         T = _load_operator(cspace, args.operator)

@@ -267,18 +267,14 @@ def _extreme_eigs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs[:, 0], eigs[:, -1]
 
 
-def _psd_within(lo: np.ndarray, hi: np.ndarray, tol: float) -> bool:
-    """Whether no ``lo < -tol * (1 + max(hi, 0))``: the membership verdict over eigenvalue pairs."""
-    return not np.any(lo < -tol * (1.0 + np.maximum(hi, 0.0)))
-
-
 def is_member(
     spec: PolydomainSpec, X: OperatorTuple, tol: float = 1e-9
 ) -> tuple[bool, tuple[tuple[int, ...], float]]:
     """Membership test: every defect ``0 <= p <= m`` must be PSD up to ``tol``.
 
     Returns the verdict and a witness ``(p, min eigenvalue)`` for the most
-    negative defect found (the first in product order).  The defects come
+    negative defect found (the first in product order), or the first whose
+    eigenvalues are NaN, which fails the verdict.  The defects come
     from one walk over the lattice (one map per point), not from the identity
     at every point, and are answered by one batched ``eigvalsh``.
     """
@@ -286,11 +282,9 @@ def is_member(
         X.check_commutation()
     points, defects = zip(*_defect_walk(spec, X))
     lo, hi = _extreme_eigs(np.stack([linalg.as_dense(D) for D in defects]))
-    witness = ((0,) * spec.k, np.inf)
-    for p, value in zip(points, lo.tolist()):
-        if value < witness[1]:
-            witness = (p, value)
-    return _psd_within(lo, hi, tol), witness
+    # the first most negative defect, or the first NaN one
+    j = int(np.argmin(lo))
+    return linalg.psd_within(lo, hi, tol), (points[j], float(lo[j]))
 
 
 def is_pure(
@@ -372,22 +366,24 @@ def berezin_kernel(
     spec: PolydomainSpec,
     X: OperatorTuple,
     trunc: Sequence[int],
+    tol: float = 1e-9,
 ) -> BerezinKernel:
     """The kernel rows ``sqrt(b_w) Delta^{1/2} X_w^*`` over the truncated basis.
 
     The rows are built a word length at a time by stacked products
     (:meth:`OperatorTuple.word_stack`).  ``Delta`` is the full defect at
-    ``p = m``; its Hermitian square root clamps eigenvalues within ``1e-10``
-    below zero and refuses anything worse.
+    ``p = m``; its Hermitian square root (:func:`linalg.herm_sqrt`) clamps
+    the negative eigenvalues that :func:`is_member` at ``tol`` accepts and
+    refuses anything worse.
     The discarded-tail bound takes per-factor scalar majorants whose masses
     are the shell norms ``||Phi_{i,d}(I)||``.
     """
     trunc = tuple(int(L) for L in trunc)
     table = build_weight_table(spec, trunc)
     delta = defect(spec, X, spec.m)
-    root = linalg.herm_sqrt(delta)
+    root = linalg.herm_sqrt(delta, tol)
     # X_w and b_w over the basis, first factor slowest, multiplied in factor
-    # order as multi_word_op and WeightTable.b_multi do
+    # order as multi_word_op does
     Xw, b = X.word_stack(0, trunc[0]), table.values[0]
     for i in range(1, spec.k):
         Xw = (Xw[:, None] @ X.word_stack(i, trunc[i])[None]).reshape(-1, X.dim_h, X.dim_h)
@@ -555,7 +551,7 @@ def random_pure_tuple(
         acc = polys[:, -1]
         for s in range(polys.shape[1] - 2, -1, -1):
             acc = acc * t + polys[:, s]
-        return _psd_within(*_extreme_eigs(acc), 1e-9)
+        return linalg.psd_within(*_extreme_eigs(acc), 1e-9)
 
     lo, hi = 0.0, 1.0
     while member_at(hi):

@@ -1,11 +1,10 @@
-"""Words over free semigroups and the combinatorics of right divisibility.
+"""Words over free semigroups and their graded-lexicographic enumeration.
 
 A :class:`Word` is a finite sequence of generator indices over one free
-semigroup; a :class:`MultiWord` is a tuple of words, one per tensor factor.
-Right divisibility (``omega = sigma * gamma``), comparability and the
-simplification map onto reduced index pairs drive every structural test in
-the rest of the package, so they live here.  :func:`graded_lex_layout` gives
-the same enumeration as rank arrays, for the array-native constructions;
+semigroup; a :class:`MultiWord` is a tuple of words, one per tensor factor,
+and an :class:`IndexPair` a reduced pair of multi-words.
+:func:`graded_lex_layout` gives the enumeration as rank arrays, on which the
+model decides right divisibility and comparability by offset arithmetic;
 :class:`WordList` and :class:`RankMap` are read-only views that address
 words by rank and make a :class:`Word` only when one is asked for.
 """
@@ -16,7 +15,7 @@ import collections.abc
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,14 +25,10 @@ __all__ = [
     "Word",
     "MultiWord",
     "IndexPair",
-    "right_divides",
-    "comparable",
-    "simplify",
     "enumerate_words",
     "WordList",
     "RankMap",
     "graded_lex_layout",
-    "multiword_index",
     "multiword_unindex",
     "reverse",
     "word_offset",
@@ -66,11 +61,6 @@ class Word:
     @staticmethod
     def identity(alphabet_size: int) -> "Word":
         return Word((), alphabet_size)
-
-    def concat(self, other: "Word") -> "Word":
-        if other.alphabet_size != self.alphabet_size:
-            raise DimensionMismatch("cannot concatenate words over different alphabets")
-        return Word(self.letters + other.letters, self.alphabet_size)
 
     def render(self) -> str:
         """Human-readable form: ``g1.g2.g1`` for nonempty words, ``e`` for the identity."""
@@ -147,56 +137,6 @@ class IndexPair:
 
     def render(self) -> str:
         return f"({self.left.render()} | {self.right.render()})"
-
-
-def right_divides(gamma: Word, omega: Word) -> Optional[Word]:
-    """Return ``sigma`` with ``omega = sigma * gamma`` if it exists, else ``None``.
-
-    ``omega`` is right-divisible by ``gamma`` exactly when ``omega`` ends with
-    ``gamma`` as a suffix.
-    """
-    if gamma.alphabet_size != omega.alphabet_size:
-        raise DimensionMismatch("right_divides requires a common alphabet")
-    lg = len(gamma)
-    if lg > len(omega):
-        return None
-    if lg and omega.letters[-lg:] != gamma.letters:
-        return None
-    return Word(omega.letters[: len(omega) - lg], omega.alphabet_size)
-
-
-def _comparable_words(omega: Word, gamma: Word) -> bool:
-    return right_divides(gamma, omega) is not None or right_divides(omega, gamma) is not None
-
-
-def comparable(omega: MultiWord, gamma: MultiWord) -> bool:
-    """True iff in every factor one word is a right divisor of the other."""
-    if omega.k != gamma.k:
-        raise DimensionMismatch("multi-words have different factor counts")
-    return all(_comparable_words(a, b) for a, b in zip(omega.parts, gamma.parts))
-
-
-def simplify(omega: MultiWord, gamma: MultiWord) -> IndexPair:
-    """Collapse a comparable pair to its reduced representative.
-
-    Per factor: the left component is ``omega_i`` with the suffix ``gamma_i``
-    removed when ``omega_i >=_r gamma_i`` (identity otherwise), and
-    symmetrically for the right component.  Idempotent on reduced pairs.
-    """
-    if omega.k != gamma.k:
-        raise DimensionMismatch("multi-words have different factor counts")
-    lefts: list[Word] = []
-    rights: list[Word] = []
-    for a, b in zip(omega.parts, gamma.parts):
-        sigma = right_divides(b, a)
-        beta = right_divides(a, b)
-        if sigma is None and beta is None:
-            raise NotComparable(
-                f"words {a.render()} and {b.render()} are not comparable"
-            )
-        lefts.append(sigma if sigma is not None else Word.identity(a.alphabet_size))
-        rights.append(beta if beta is not None else Word.identity(a.alphabet_size))
-    return IndexPair(MultiWord(tuple(lefts)), MultiWord(tuple(rights)))
 
 
 def enumerate_words(n: int, max_len: int) -> list[Word]:
@@ -310,27 +250,13 @@ def _block_count(n: int, max_len: int) -> int:
     return (n ** (max_len + 1) - 1) // (n - 1) if n > 1 else max_len + 1
 
 
-def multiword_index(w: MultiWord, trunc: Sequence[int]) -> int:
-    """Linearize a multi-word into the truncated tensor-basis index.
-
-    Factors are combined in row-major (first factor slowest) order, matching
-    Kronecker products of per-factor operators.  The all-identity multi-word
-    maps to 0.
-    """
-    if w.k != len(trunc):
-        raise DimensionMismatch("truncation tuple length differs from factor count")
-    idx = 0
-    for part, L in zip(w.parts, trunc):
-        if len(part) > L:
-            raise TruncationError(
-                f"word {part.render()} of length {len(part)} exceeds truncation {L}"
-            )
-        idx = idx * _block_count(part.alphabet_size, L) + _word_rank(part)
-    return idx
-
-
 def multiword_unindex(idx: int, alphabet_sizes: Sequence[int], trunc: Sequence[int]) -> MultiWord:
-    """Inverse of :func:`multiword_index`."""
+    """The multi-word at ``idx`` of the truncated tensor basis, first factor slowest.
+
+    Each factor's rank is its word's position in :func:`enumerate_words`; the
+    ranks combine in row-major order, matching Kronecker products of
+    per-factor operators, so the all-identity multi-word sits at 0.
+    """
     if len(alphabet_sizes) != len(trunc):
         raise DimensionMismatch("alphabet/truncation tuple lengths differ")
     counts = [_block_count(n, L) for n, L in zip(alphabet_sizes, trunc)]

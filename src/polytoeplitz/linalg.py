@@ -40,6 +40,7 @@ __all__ = [
     "hermitize",
     "psd_check",
     "op_norm",
+    "psd_within",
     "herm_sqrt",
     "pinv_on_range",
     "save_matrix",
@@ -377,19 +378,28 @@ def norm_bracket(mat: MatrixLike) -> Tuple[float, float]:
     return math.sqrt(max(row_sq, col_sq)), math.sqrt(row_sum * col_sum)
 
 
-def herm_sqrt(mat: MatrixLike) -> np.ndarray:
+def psd_within(lo, hi, tol: float) -> bool:
+    """Whether every ``lo >= -tol * (1 + max(hi, 0))``: the membership rule on eigenvalue bounds.
+
+    ``lo`` and ``hi`` are the smallest and largest eigenvalues of one matrix,
+    or arrays of them for a stack.  A NaN bound fails.
+    """
+    return bool(np.all(lo >= -tol * (1.0 + np.maximum(hi, 0.0))))
+
+
+def herm_sqrt(mat: MatrixLike, tol: float = 1e-9) -> np.ndarray:
     """Hermitian square root via eigendecomposition.
 
-    Eigenvalues in ``[-1e-10*scale, 0)``, with ``scale = max(1, lambda_max)``,
-    are clamped to zero; anything more negative is a genuine failure and
+    An input that :func:`psd_within` accepts at ``tol`` has its negative
+    eigenvalues clamped to zero, so every defect that membership accepts at
+    ``tol`` has a root; anything more negative is a genuine failure and
     raises.
     """
     h = hermitize(mat)
     eigs, vecs = np.linalg.eigh(h)
-    scale = max(1.0, float(eigs[-1])) if eigs.size else 1.0
-    if eigs.size and eigs[0] < -1e-10 * scale:
+    if eigs.size and not psd_within(eigs[0], eigs[-1], tol):
         raise SpecError(
-            f"herm_sqrt input is not PSD: min eigenvalue {eigs[0]:.3e} below -1.0e-10*scale"
+            f"herm_sqrt input is not PSD: min eigenvalue {eigs[0]:.3e} below -{tol:.1e}*(1 + max eigenvalue)"
         )
     clipped = np.clip(eigs, 0.0, None)
     return (vecs * np.sqrt(clipped)) @ vecs.conj().T

@@ -8,7 +8,7 @@ the subspace on which the identity it checks is exact.
 
 Basis order is graded-lexicographic per factor with the vacuum first and the
 first factor slowest, so Kronecker products of per-factor matrices line up
-with :func:`polytoeplitz.freemonoid.multiword_index`.
+with :meth:`FockSpace.index_of` and :meth:`FockSpace.multiword_at`.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ __all__ = [
     "weighted_left_creation",
     "weighted_right_creation",
     "monomial",
-    "graded_projection",
-    "weighted_fock_unitary",
     "scalar_kernel",
     "truncated_gram_kernel",
 ]
@@ -655,45 +653,6 @@ def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> Fock
     else:
         mat = sp.kron(sp.csr_matrix(A), fock, format="csr")
     return FockOperator(space, mat)
-
-
-def graded_projection(space: FockSpace, p: Sequence[int]) -> FockOperator:
-    """Orthogonal projection onto multi-degree ``p``; zero off the degree grid.
-
-    Degree-block extraction is exact on the truncation, so no torus
-    quadrature is involved.
-    """
-    if len(p) != space.spec.k:
-        raise DimensionMismatch("degree tuple length differs from factor count")
-    degs = space.degree_table()
-    target = np.asarray(p, dtype=np.int64)
-    if np.any(target < 0) or np.any(target > np.asarray(space.trunc)):
-        diag = np.zeros(space.dim)
-    else:
-        diag = np.all(degs == target[None, :], axis=1).astype(float)
-    return FockOperator(space, sp.diags(np.tile(diag, space.coeff_dim).astype(complex)))
-
-
-def weighted_fock_unitary(space: FockSpace, direction: str = "forward") -> FockOperator:
-    """Diagonal change of coordinates between the weighted and unweighted pictures.
-
-    Forward entries are ``sqrt(prod_i b_{i, w_i})``; the inverse is its
-    reciprocal and equals the adjoint with respect to the weighted norm on
-    the target, which is the sense in which the map is unitary.  Conjugation
-    ``U W U^{-1}`` turns the weighted creations into unit-coefficient shifts
-    on columns of degree below the truncation.
-    """
-    # b_multi's product over the factors, first factor slowest
-    entries = space.weights.values[0]
-    for values in space.weights.values[1:]:
-        entries = np.multiply.outer(entries, values).ravel()
-    if direction == "forward":
-        diag = np.sqrt(entries)
-    elif direction == "inverse":
-        diag = 1.0 / np.sqrt(entries)
-    else:
-        raise SpecError(f"unknown direction {direction!r}")
-    return FockOperator(space, sp.diags(np.tile(diag, space.coeff_dim).astype(complex)))
 
 
 # -- scalar reproducing kernel (all n_i = 1) ---------------------------------

@@ -29,11 +29,8 @@ __all__ = [
     "ToeplitzReport",
     "NotMultiToeplitz",
     "is_multi_toeplitz",
-    "homogeneous_part",
     "homogeneous_decomposition",
-    "homogeneous_support",
     "extract_fourier",
-    "evaluate_symbol",
     "evaluate_at_model",
     "evaluate_at_tuple",
     "cesaro_reconstruct",
@@ -255,11 +252,6 @@ def _gap_places(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     return place, L
 
 
-def _gap_vector(space: FockSpace, code: int) -> tuple[int, ...]:
-    place, L = _gap_places(space)
-    return tuple(int(x) for x in code // place % (2 * L + 1) - L)
-
-
 def _degree_gaps(T: FockOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stored entries of ``T`` and the encoded torus degree gap of each.
 
@@ -280,33 +272,16 @@ def _degree_gaps(T: FockOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return keys, vals, code
 
 
-def homogeneous_part(T: FockOperator, s: Sequence[int]) -> FockOperator:
-    """The degree-``s`` block of ``T`` under the torus grading, exactly, as CSR.
-
-    Keeps the stored entries whose row/column degree vectors differ by ``s``;
-    equals the sum of ``P_{s+p} T P_p`` over the grid.
-    """
-    space = T.space
-    if len(s) != space.spec.k:
-        raise DimensionMismatch("degree tuple length differs from factor count")
-    keys, vals, code = _degree_gaps(T)
-    place, L = _gap_places(space)
-    target = np.asarray(s, dtype=np.int64)
-    if np.all(np.abs(target) <= L):
-        hit = code == int((target + L) @ place)
-    else:
-        hit = np.zeros(code.size, dtype=bool)
-    return FockOperator(space, linalg.entries_matrix(keys[hit], vals[hit], T.matrix.shape))
-
-
 def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOperator]:
     """Every nonzero homogeneous part of ``T``, keyed by degree vector in lexicographic order.
 
-    One stable counting sort of the stored entries by encoded degree gap
-    (numpy's radix sort, on the narrowest unsigned type that holds the
-    codes): each part keeps its entries in row-major order and is the CSR
-    :func:`homogeneous_part` returns for its degree vector.  The parts sum to
-    ``T``.
+    The degree-``s`` part keeps the stored entries whose row and column
+    degree vectors differ by ``s``, as CSR; it equals the sum of ``P_{s+p} T
+    P_p`` over the grid.  One stable counting sort of the stored entries by
+    encoded degree gap (numpy's radix sort, on the narrowest unsigned type
+    that holds the codes) keeps each part's entries in row-major order.  A
+    degree vector with no stored entry has no key: its part is zero.  The
+    parts sum to ``T``.
     """
     space = T.space
     keys, vals, code = _degree_gaps(T)
@@ -325,12 +300,6 @@ def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOper
         lo, hi = bounds[p], bounds[p + 1]
         parts[s] = FockOperator(space, linalg.entries_matrix(keys[lo:hi], vals[lo:hi], T.matrix.shape))
     return parts
-
-
-def homogeneous_support(T: FockOperator, tol: float = 0.0) -> list[tuple[int, ...]]:
-    """Degree vectors whose homogeneous part is (numerically) nonzero, in lexicographic order."""
-    _, vals, code = _degree_gaps(T)
-    return [_gap_vector(T.space, int(c)) for c in np.unique(code[np.abs(vals) > tol])]
 
 
 def extract_fourier(
@@ -430,15 +399,6 @@ def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
         Xr = linalg.as_dense(X.multi_word_op(pair.right))
         out += np.kron(sym.coefficients[pair], Xl @ Xr.conj().T)
     return out
-
-
-def evaluate_symbol(
-    sym: FourierSymbol, at: Union[OperatorTuple, float, int]
-) -> Union[FockOperator, np.ndarray]:
-    """Evaluate at an operator tuple, or radially at ``r`` times the model."""
-    if isinstance(at, OperatorTuple):
-        return evaluate_at_tuple(sym, at)
-    return evaluate_at_model(sym, float(at))
 
 
 def cesaro_reconstruct(

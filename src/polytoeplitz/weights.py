@@ -27,15 +27,13 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotComparable, SpecError, TruncationError
+from .errors import DimensionMismatch, SpecError, TruncationError
 from .freemonoid import (
-    MultiWord,
     RankMap,
     Word,
     WordList,
     enumerate_words,
     graded_lex_layout,
-    right_divides,
     word_offset,
 )
 
@@ -44,14 +42,11 @@ __all__ = [
     "WeightTable",
     "build_weight_table",
     "brute_force_weight",
-    "tau",
-    "mu",
     "compactness_ratios",
     "univariate_series",
     "univariate_series_weights",
     "series_tail_bound",
     "spec_from_json",
-    "spec_to_json",
 ]
 
 
@@ -97,10 +92,6 @@ class PolydomainSpec:
         """Maximal support degree of the i-th coefficient family."""
         return max(len(w) for w in self.coeffs[i])
 
-    def support(self, i: int) -> list[Word]:
-        """Support words of factor ``i`` in graded-lexicographic order."""
-        return sorted(self.coeffs[i], key=lambda w: (len(w), w.letters))
-
 
 @dataclass
 class WeightTable:
@@ -125,12 +116,6 @@ class WeightTable:
             raise TruncationError(
                 f"weight for {w.render()} not tabulated (truncation {self.trunc[i]})"
             ) from None
-
-    def b_multi(self, w: MultiWord) -> float:
-        out = 1.0
-        for i, part in enumerate(w.parts):
-            out *= self.b(i, part)
-        return out
 
     def write_csv(self, fh: IO[str]) -> None:
         """Rows ``factor, word, b`` with words rendered as ``g1.g2``."""
@@ -321,35 +306,6 @@ def series_tail_bound(factors: Sequence[tuple[Mapping[int, float], int, int, flo
     return bound
 
 
-def _min_max_b(table: WeightTable, i: int, a: Word, b: Word) -> tuple[float, float]:
-    # min/max along right divisibility: the divisor is the smaller word
-    if right_divides(b, a) is not None:
-        lo, hi = b, a
-    elif right_divides(a, b) is not None:
-        lo, hi = a, b
-    else:
-        raise NotComparable(f"words {a.render()}, {b.render()} not comparable")
-    return table.b(i, lo), table.b(i, hi)
-
-
-def tau(table: WeightTable, omega: MultiWord, gamma: MultiWord) -> float:
-    """Entry weight of a comparable pair: product over factors of sqrt(b_min/b_max)."""
-    out = 1.0
-    for i, (a, b) in enumerate(zip(omega.parts, gamma.parts)):
-        blo, bhi = _min_max_b(table, i, a, b)
-        out *= math.sqrt(blo / bhi)
-    return out
-
-
-def mu(table: WeightTable, omega: MultiWord, gamma: MultiWord) -> float:
-    """Weighted-basis variant: product over factors of 1/b_max."""
-    out = 1.0
-    for i, (a, b) in enumerate(zip(omega.parts, gamma.parts)):
-        _, bhi = _min_max_b(table, i, a, b)
-        out /= bhi
-    return out
-
-
 def compactness_ratios(table: WeightTable, i: int) -> dict:
     """All ratios ``b_{g_j alpha} / b_alpha`` for ``|alpha| < trunc[i]``.
 
@@ -395,6 +351,9 @@ def spec_from_json(doc: str | dict) -> PolydomainSpec:
         raise SpecError(f"malformed spec document: {exc}") from exc
     if len(n) != k or len(m) != k:
         raise SpecError("n and m must each list one entry per factor")
+    # before any Word is built, which would raise DimensionMismatch on n_i < 1
+    if any(ni < 1 for ni in n) or any(mi < 1 for mi in m):
+        raise SpecError("alphabet sizes and orders must be positive")
     if not isinstance(entries, list):
         raise SpecError("malformed spec document: coeffs must be a list")
     maps: list[dict[Word, float]] = [dict() for _ in range(k)]
@@ -412,11 +371,3 @@ def spec_from_json(doc: str | dict) -> PolydomainSpec:
             raise SpecError(f"duplicate coefficient for factor {i + 1}, word {w.render()}")
         maps[i][w] = a
     return PolydomainSpec(k=k, n=n, m=m, coeffs=tuple(maps))
-
-
-def spec_to_json(spec: PolydomainSpec) -> dict:
-    entries = []
-    for i in range(spec.k):
-        for w in spec.support(i):
-            entries.append({"i": i + 1, "word": list(w.letters), "a": spec.coeffs[i][w]})
-    return {"k": spec.k, "n": list(spec.n), "m": list(spec.m), "coeffs": entries}

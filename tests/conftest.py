@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from polytoeplitz.freemonoid import Word
 from polytoeplitz.weights import PolydomainSpec
+
+# Hypothesis draws the same examples on every run, seeded from each test, so a
+# failing draw fails again on the next run; the per-test @settings inherit
+# this.  ``pytest --hypothesis-profile=fresh`` draws afresh instead.
+settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("fresh", derandomize=False)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

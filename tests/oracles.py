@@ -1,0 +1,125 @@
+"""Word-level reference implementations that the tests compare the package against.
+
+The package decides comparability, reduced pairs and entry weights by rank
+arithmetic on ``FockSpace`` (``classify_pairs``, ``class_of`` and the class
+members), and the torus grading by ``homogeneous_decomposition``.  These are
+the definitions read literally, one word at a time: right divisibility
+``omega = sigma * gamma``, comparability, the simplification of a comparable
+pair onto its reduced index pair, the entry weight of a pair, and the graded
+projections and the diagonal unitary between the weighted and unweighted
+pictures.  Tests import them as they import ``conftest.make_spec``.
+"""
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+import scipy.sparse as sp
+
+from polytoeplitz.errors import DimensionMismatch, NotComparable, SpecError
+from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
+from polytoeplitz.model import FockOperator, FockSpace
+from polytoeplitz.weights import WeightTable
+
+
+def right_divides(gamma: Word, omega: Word) -> Optional[Word]:
+    """Return ``sigma`` with ``omega = sigma * gamma`` if it exists, else ``None``.
+
+    ``omega`` is right-divisible by ``gamma`` exactly when ``omega`` ends with
+    ``gamma`` as a suffix.
+    """
+    if gamma.alphabet_size != omega.alphabet_size:
+        raise DimensionMismatch("right_divides requires a common alphabet")
+    lg = len(gamma)
+    if lg > len(omega):
+        return None
+    if lg and omega.letters[-lg:] != gamma.letters:
+        return None
+    return Word(omega.letters[: len(omega) - lg], omega.alphabet_size)
+
+
+def _comparable_words(omega: Word, gamma: Word) -> bool:
+    return right_divides(gamma, omega) is not None or right_divides(omega, gamma) is not None
+
+
+def comparable(omega: MultiWord, gamma: MultiWord) -> bool:
+    """True iff in every factor one word is a right divisor of the other."""
+    if omega.k != gamma.k:
+        raise DimensionMismatch("multi-words have different factor counts")
+    return all(_comparable_words(a, b) for a, b in zip(omega.parts, gamma.parts))
+
+
+def simplify(omega: MultiWord, gamma: MultiWord) -> IndexPair:
+    """Collapse a comparable pair to its reduced representative.
+
+    Per factor: the left component is ``omega_i`` with the suffix ``gamma_i``
+    removed when ``omega_i >=_r gamma_i`` (identity otherwise), and
+    symmetrically for the right component.  Idempotent on reduced pairs.
+    """
+    if omega.k != gamma.k:
+        raise DimensionMismatch("multi-words have different factor counts")
+    lefts: list[Word] = []
+    rights: list[Word] = []
+    for a, b in zip(omega.parts, gamma.parts):
+        sigma = right_divides(b, a)
+        beta = right_divides(a, b)
+        if sigma is None and beta is None:
+            raise NotComparable(f"words {a.render()} and {b.render()} are not comparable")
+        lefts.append(sigma if sigma is not None else Word.identity(a.alphabet_size))
+        rights.append(beta if beta is not None else Word.identity(a.alphabet_size))
+    return IndexPair(MultiWord(tuple(lefts)), MultiWord(tuple(rights)))
+
+
+def _min_max_b(table: WeightTable, i: int, a: Word, b: Word) -> tuple[float, float]:
+    # min/max along right divisibility: the divisor is the smaller word
+    if right_divides(b, a) is not None:
+        lo, hi = b, a
+    elif right_divides(a, b) is not None:
+        lo, hi = a, b
+    else:
+        raise NotComparable(f"words {a.render()}, {b.render()} not comparable")
+    return table.b(i, lo), table.b(i, hi)
+
+
+def tau(table: WeightTable, omega: MultiWord, gamma: MultiWord) -> float:
+    """Entry weight of a comparable pair: product over factors of sqrt(b_min/b_max)."""
+    out = 1.0
+    for i, (a, b) in enumerate(zip(omega.parts, gamma.parts)):
+        blo, bhi = _min_max_b(table, i, a, b)
+        out *= math.sqrt(blo / bhi)
+    return out
+
+
+def graded_projection(space: FockSpace, p: Sequence[int]) -> FockOperator:
+    """Orthogonal projection onto multi-degree ``p``; zero off the degree grid."""
+    if len(p) != space.spec.k:
+        raise DimensionMismatch("degree tuple length differs from factor count")
+    degs = space.degree_table()
+    target = np.asarray(p, dtype=np.int64)
+    if np.any(target < 0) or np.any(target > np.asarray(space.trunc)):
+        diag = np.zeros(space.dim)
+    else:
+        diag = np.all(degs == target[None, :], axis=1).astype(float)
+    return FockOperator(space, sp.diags(np.tile(diag, space.coeff_dim).astype(complex)))
+
+
+def weighted_fock_unitary(space: FockSpace, direction: str = "forward") -> FockOperator:
+    """Diagonal change of coordinates between the weighted and unweighted pictures.
+
+    Forward entries are ``sqrt(prod_i b_{i, w_i})``; the inverse is its
+    reciprocal and equals the adjoint with respect to the weighted norm on
+    the target, which is the sense in which the map is unitary.  Conjugation
+    ``U W U^{-1}`` turns the weighted creations into unit-coefficient shifts
+    on columns of degree below the truncation.
+    """
+    # the product of the factor weights, first factor slowest
+    entries = space.weights.values[0]
+    for values in space.weights.values[1:]:
+        entries = np.multiply.outer(entries, values).ravel()
+    if direction == "forward":
+        diag = np.sqrt(entries)
+    elif direction == "inverse":
+        diag = 1.0 / np.sqrt(entries)
+    else:
+        raise SpecError(f"unknown direction {direction!r}")
+    return FockOperator(space, sp.diags(np.tile(diag, space.coeff_dim).astype(complex)))

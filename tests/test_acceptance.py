@@ -38,7 +38,7 @@ from polytoeplitz.toeplitz import (
     cesaro_reconstruct,
     evaluate_at_model,
     extract_fourier,
-    homogeneous_part,
+    homogeneous_decomposition,
     is_multi_toeplitz,
     pluriharmonic_kernel,
     random_symbol,
@@ -251,10 +251,13 @@ def test_criterion_06_homogeneous_decomposition():
         n = space.total_dim
         T = FockOperator(space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         total = np.zeros((n, n), dtype=complex)
+        parts, adjoint_parts = homogeneous_decomposition(T), homogeneous_decomposition(T.adjoint())
+        zero = FockOperator(space, np.zeros((n, n), dtype=complex))
         for s in itertools.product(*(range(-L, L + 1) for L in trunc)):
-            part = homogeneous_part(T, s)
+            # an absent degree vector has the zero part
+            part = parts.get(s, zero)
             total += part.dense
-            adj = homogeneous_part(T.adjoint(), tuple(-x for x in s)).adjoint()
+            adj = adjoint_parts.get(tuple(-x for x in s), zero).adjoint()
             worst_adj = max(worst_adj, float(np.abs(part.dense - adj.dense).max()))
         worst_sum = max(worst_sum, float(np.abs(total - T.dense).max()))
         N = tuple(2 * L for L in trunc)
@@ -344,7 +347,7 @@ def test_criterion_09_brown_halmos():
                 acc = phi_right(space, 0, acc)
             psi += ((-1) ** j) * math.comb(m, j + 1) * acc
         lhs = C @ pinv
-        rhs = C @ np.kron(np.eye(row.n_columns), psi) @ (pinv @ gram)
+        rhs = C @ np.kron(np.eye(len(row.gamma)), psi) @ (pinv @ gram)
         worst_dual = max(worst_dual, float(np.abs(lhs - rhs).max()))
     assert worst_proj <= 1e-9, f"range-projection identity deviation {worst_proj:.3e}"
     assert worst_dual <= 1e-9, f"dual identity deviation {worst_dual:.3e}"

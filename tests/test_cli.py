@@ -84,6 +84,10 @@ def test_malformed_spec_exits_2(tmp_path):
     for doc in (dict(BALL, coeffs=5), dict(BALL, coeffs=None), [BALL]):
         bad.write_text(json.dumps(doc))
         assert main(["weights", "--spec", str(bad), "--trunc", "4"]) == 2
+    # an empty alphabet, whatever the coefficients
+    for coeffs in ([], [{"i": 1, "word": [1], "a": 1.0}]):
+        bad.write_text(json.dumps({"k": 1, "n": [0], "m": [1], "coeffs": coeffs}))
+        assert main(["weights", "--spec", str(bad), "--trunc", "4"]) == 2, coeffs
 
 
 # each a symbol document on BALL's space that the parser must refuse with exit 2
@@ -352,6 +356,38 @@ def test_berezin_command(tmp_path, rng):
     with open(tmp_path / "out" / "berezin-transform.mtx") as fh:
         transformed = linalg.load_matrix(fh)
     assert transformed.shape == (X.dim_h, X.dim_h)
+
+
+def _write_scalar_tuple(tmp_path, x):
+    """The 1x1 tuple ``X = [[x]]`` for the one-variable shift ``f = z`` (k=1, n=1, m=1)."""
+    spec = {"k": 1, "n": [1], "m": [1], "coeffs": [{"i": 1, "word": [1], "a": 1.0}]}
+    with open(tmp_path / "X.mtx", "w") as fh:
+        linalg.save_matrix(fh, np.array([[x]], dtype=complex))
+    (tmp_path / "tuple.json").write_text(json.dumps({"dim_h": 1, "files": [["X.mtx"]]}))
+    return ["berezin", "--spec", write_spec(tmp_path / "spec.json", spec), "--trunc", "3",
+            "--tuple", str(tmp_path / "tuple.json"), "--out", str(tmp_path / "out")]
+
+
+# I - X X^* = -3 has no square root; at 1e200 the defect overflows to NaN
+@pytest.mark.parametrize("x, min_eig", [(2.0, pytest.approx(-3.0)), (1e200, "nan")])
+def test_berezin_outside_the_polydomain_fails_without_a_kernel(tmp_path, x, min_eig):
+    # a failed verification, not an input error
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(_write_scalar_tuple(tmp_path, x)) == 1
+    report = strict_json((tmp_path / "out" / "berezin-report.json").read_text())
+    assert report["member"] is False and report["passed"] is False
+    assert report["membership_witness"] == {"p": [1], "min_eig": min_eig}
+    kernel_keys = {"kernel_norm", "gram_vs_identity", "tail_bound", "phi_power_norms", "intertwining_residual"}
+    assert not kernel_keys & set(report)
+
+
+def test_berezin_kernel_accepts_the_defect_membership_accepts(tmp_path):
+    # I - X X^* = -5e-10 is within --tol 1e-9 of PSD: a member, whose defect has the root 0
+    assert main(_write_scalar_tuple(tmp_path, math.sqrt(1.0 + 5e-10))) == 0
+    report = strict_json((tmp_path / "out" / "berezin-report.json").read_text())
+    assert report["member"] is True and report["passed"] is True
+    assert report["membership_witness"]["min_eig"] < 0.0
+    assert report["kernel_norm"] == 0.0
 
 
 def test_brown_halmos_command(tmp_path, rng):

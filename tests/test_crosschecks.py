@@ -43,8 +43,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from polytoeplitz.brownhalmos import (
+    _alternating_entries,
     _min_positive_gram_eig,
-    alternating_phi_sum,
     bh_residual,
     build_row,
     cauchy_dual,
@@ -67,10 +67,8 @@ from polytoeplitz.freemonoid import (
     IndexPair,
     MultiWord,
     Word,
-    comparable,
     enumerate_words,
     reverse,
-    simplify,
 )
 from polytoeplitz.errors import (
     DimensionMismatch,
@@ -91,7 +89,7 @@ from polytoeplitz.linalg import (
     pinv_on_range,
     psd_check,
 )
-from polytoeplitz.model import FockOperator, FockSpace, graded_projection, monomial
+from polytoeplitz.model import FockOperator, FockSpace, monomial
 from polytoeplitz import linalg as linalg_module
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import (
@@ -101,15 +99,14 @@ from polytoeplitz.toeplitz import (
     evaluate_at_model,
     extract_fourier,
     homogeneous_decomposition,
-    homogeneous_part,
-    homogeneous_support,
     is_multi_toeplitz,
     pluriharmonic_kernel,
     random_symbol,
 )
-from polytoeplitz.weights import build_weight_table, tau
+from polytoeplitz.weights import build_weight_table
 
 from conftest import make_spec
+from oracles import comparable, graded_projection, simplify, tau
 
 
 def dict_order_one_table(cmap, n, trunc):
@@ -158,7 +155,8 @@ def per_column_factor_creation(space, i, word, side):
     b = space.weights.tables[i]
     rows, cols, vals = [], [], []
     for col, gamma in enumerate(ws):
-        target = word.concat(gamma) if side == "left" else gamma.concat(reverse(word))
+        letters = word.letters + gamma.letters if side == "left" else gamma.letters + reverse(word).letters
+        target = Word(letters, word.alphabet_size)
         pos = index.get(target)
         if pos is None:
             continue
@@ -618,8 +616,9 @@ def test_homogeneous_part_matches_projection_sum(rng):
     space = FockSpace(spec, (2, 2), coeff_dim=2)
     n = space.total_dim
     T = FockOperator(space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    parts = homogeneous_decomposition(T)
     for s in [(0, 0), (1, -1), (2, 1), (-2, 0)]:
-        via_mask = homogeneous_part(T, s).dense
+        via_mask = parts[s].dense
         via_proj = np.zeros_like(via_mask)
         for p in itertools.product(range(3), range(3)):
             target = tuple(si + pi for si, pi in zip(s, p))
@@ -699,7 +698,7 @@ def test_bh_residual_matches_uncompressed_equation(rng):
                 acc = phi_right(space, 0, acc)
             psi += ((-1) ** j) * math.comb(m, j + 1) * acc
         lhs = dual.conj().T @ T.dense @ dual
-        n_cols = row.n_columns
+        n_cols = len(row.gamma)
         rhs = proj_range_cstar @ np.kron(np.eye(n_cols), psi) @ proj_range_cstar
         literal = float(np.linalg.norm(lhs - rhs))
         fast = bh_residual(T, spec, 0)
@@ -708,21 +707,6 @@ def test_bh_residual_matches_uncompressed_equation(rng):
             assert literal <= 1e-9
         else:
             assert literal > 1e-9 or fast <= 1e-6
-
-
-def test_alternating_sum_matches_direct_powers(rng):
-    spec = random_spec(rng, k=2, max_n=2)
-    space = FockSpace(spec, (2, 2))
-    n = space.total_dim
-    T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    for i in range(spec.k):
-        m = spec.m[i]
-        direct = np.zeros_like(T)
-        power = T.copy()
-        for j in range(1, m + 1):
-            power = phi_right(space, i, power) if j > 1 else phi_right(space, i, T)
-            direct += ((-1) ** (j - 1)) * math.comb(m, j) * power
-        assert np.abs(direct - alternating_phi_sum(space, i, T)).max() < 1e-12
 
 
 def test_cauchy_dual_equation_forms_agree(rng):
@@ -976,13 +960,15 @@ def test_stored_entry_classification_equals_oracles(seed, k, max_n, coeff_dim, k
 
 
 def test_alternating_sum_matches_dense_oracle(rng):
+    # the right-hand side of bh_residual's equation, entry by entry, from dense and CSR input
     for space in oracle_spaces(rng):
         for M in oracle_operators(space, rng):
             for i in range(space.spec.k):
                 expected = dense_alternating_phi_sum(space, i, M)
-                assert np.array_equal(alternating_phi_sum(space, i, M).toarray(), expected)
-                got = alternating_phi_sum(space, i, sp.csr_matrix(M))
-                assert np.array_equal(got.toarray(), expected)
+                for operand in (M, sp.csr_matrix(M)):
+                    entries = _alternating_entries(space, i, *linalg_module.stored_entries(operand))
+                    got = linalg_module.entries_matrix(*entries, M.shape)
+                    assert np.array_equal(got.toarray(), expected)
 
 
 def test_bh_residual_matches_dense_oracle(rng):
@@ -1157,16 +1143,14 @@ def test_grading_matches_dense_mask_oracles(rng):
             assert list(parts) == sorted(parts)
             for s in grid:
                 expected = dense_mask_homogeneous_part(T, s)
-                got = homogeneous_part(T, s).matrix
-                assert sp.isspmatrix_csr(got)
-                assert np.array_equal(got.toarray(), expected)
                 if s in parts:
+                    assert sp.isspmatrix_csr(parts[s].matrix)
                     assert np.array_equal(parts[s].matrix.toarray(), expected)
-                    assert np.array_equal(parts[s].matrix.indices, got.indices)
                 else:
                     assert not expected.any()
             for tol in (0.0, 0.5):
-                assert homogeneous_support(T, tol) == dense_homogeneous_support(T, tol)
+                support = [s for s, part in parts.items() if (np.abs(part.matrix.data) > tol).any()]
+                assert support == dense_homogeneous_support(T, tol)
             for fejer in (True, False):
                 k = space.spec.k
                 for N in ((0,) * k, (1,) * k, tuple(2 * L for L in space.trunc)):
@@ -1719,7 +1703,8 @@ def per_word_berezin_rows(spec, X, trunc):
     rows = np.empty((space.dim, X.dim_h, X.dim_h), dtype=complex)
     for idx, w in enumerate(space.basis()):
         Xw = as_dense(X.multi_word_op(w))
-        rows[idx] = math.sqrt(table.b_multi(w)) * (root @ Xw.conj().T)
+        b = math.prod(table.b(i, part) for i, part in enumerate(w.parts))
+        rows[idx] = math.sqrt(b) * (root @ Xw.conj().T)
     return rows
 
 
@@ -1782,10 +1767,11 @@ def per_radius_evaluate_at_model(sym, r):
 
 def split_homogeneous_decomposition(T):
     """``homogeneous_decomposition`` by a stable argsort of the codes and one CSR per ``np.split`` group."""
-    from polytoeplitz.toeplitz import _degree_gaps, _gap_vector
+    from polytoeplitz.toeplitz import _degree_gaps, _gap_places
 
     n = T.space.total_dim
     keys, vals, code = _degree_gaps(T)
+    place, L = _gap_places(T.space)
     rows, cols = np.divmod(keys, n)
     order = np.argsort(code, kind="stable")
     grouped = code[order]
@@ -1794,7 +1780,8 @@ def split_homogeneous_decomposition(T):
     for idx in np.split(order, bounds) if order.size else []:
         r = rows[idx]
         indptr = np.searchsorted(r, np.arange(n + 1))
-        parts[_gap_vector(T.space, int(code[idx[0]]))] = sp.csr_matrix(
+        gap = tuple(int(x) for x in code[idx[0]] // place % (2 * L + 1) - L)
+        parts[gap] = sp.csr_matrix(
             (vals[idx], cols[idx], indptr), shape=(n, n)
         )
     return parts

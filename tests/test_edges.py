@@ -31,7 +31,7 @@ def test_support_degree_beyond_truncation():
     vac[0, 0] = 1.0
     assert np.abs(defect(spec, W, spec.m) - vac).max() < 1e-12
     row = build_row(spec, space, 0)
-    assert row.n_columns == 2
+    assert len(row.gamma) == 2
     assert np.abs(row.columns[1].toarray()).max() == 0.0
 
 
@@ -71,4 +71,4 @@ def test_zero_higher_coefficient_allowed():
     space = FockSpace(spec, (3,))
     row = build_row(spec, space, 0)
     # zero coefficients contribute no column
-    assert row.n_columns == 2
+    assert len(row.gamma) == 2

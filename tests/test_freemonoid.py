@@ -6,16 +6,16 @@ from polytoeplitz.freemonoid import (
     IndexPair,
     MultiWord,
     Word,
-    comparable,
     enumerate_words,
     graded_lex_layout,
-    multiword_index,
     multiword_unindex,
     reverse,
-    right_divides,
-    simplify,
     word_offset,
 )
+from polytoeplitz.model import FockSpace
+
+from conftest import make_spec
+from oracles import comparable, right_divides, simplify
 
 
 def w(letters, n=2):
@@ -144,26 +144,35 @@ class TestEnumeration:
             graded_lex_layout(2, -1)
 
 
+def shift_space(sizes, trunc):
+    """A Fock space over alphabets ``sizes`` truncated at ``trunc``, every generator at weight 1/n."""
+    entries = [(i + 1, (j,), 1.0 / n) for i, n in enumerate(sizes) for j in range(1, n + 1)]
+    return FockSpace(make_spec(len(sizes), sizes, (1,) * len(sizes), entries), trunc)
+
+
 class TestIndexing:
     def test_vacuum_is_zero(self):
         u = MultiWord.identity((2, 3))
-        assert multiword_index(u, (2, 2)) == 0
+        assert shift_space((2, 3), (2, 2)).index_of(u) == 0
 
     def test_single_factor_graded_order(self):
         u = mw(Word((1, 1), 1))
-        assert multiword_index(u, (3,)) == 2
+        assert shift_space((1,), (3,)).index_of(u) == 2
 
     def test_round_trip_all(self):
         trunc = (2, 1)
         sizes = (2, 3)
+        space = shift_space(sizes, trunc)
         total = (1 + 2 + 4) * (1 + 3)
+        assert space.dim == total
         for idx in range(total):
             u = multiword_unindex(idx, sizes, trunc)
-            assert multiword_index(u, trunc) == idx
+            assert space.multiword_at(idx) == u
+            assert space.index_of(u) == idx
 
     def test_out_of_truncation(self):
         with pytest.raises(TruncationError):
-            multiword_index(mw(w([1, 1, 1])), (2,))
+            shift_space((2,), (2,)).index_of(mw(w([1, 1, 1])))
         with pytest.raises(TruncationError):
             multiword_unindex(10**6, (2,), (2,))
 

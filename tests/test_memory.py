@@ -48,8 +48,6 @@ from polytoeplitz.toeplitz import (
     evaluate_at_model,
     extract_fourier,
     homogeneous_decomposition,
-    homogeneous_part,
-    homogeneous_support,
     is_multi_toeplitz,
     symbol_to_json,
 )
@@ -268,9 +266,7 @@ def test_symbol_and_grading_allocate_no_dense_square():
     limit = space.dim * space.dim  # one byte per (dim, dim) cell
     calls = [
         lambda: evaluate_at_model(sym, 0.5),
-        lambda: homogeneous_part(T, (1, 0)),
         lambda: homogeneous_decomposition(T),
-        lambda: homogeneous_support(T),
         lambda: cesaro_reconstruct(T, (2, 2)),
     ]
     for call in calls:

@@ -5,20 +5,19 @@ import numpy as np
 import pytest
 
 from polytoeplitz.errors import SpecError
-from polytoeplitz.freemonoid import IndexPair, MultiWord, Word, comparable, simplify
+from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import (
     FockSpace,
-    graded_projection,
     monomial,
     scalar_kernel,
     truncated_gram_kernel,
-    weighted_fock_unitary,
     weighted_left_creation,
     weighted_right_creation,
 )
 from polytoeplitz.sampling import random_spec
-from polytoeplitz.toeplitz import homogeneous_part
-from polytoeplitz.weights import tau
+from polytoeplitz.toeplitz import homogeneous_decomposition
+
+from oracles import comparable, graded_projection, simplify, tau, weighted_fock_unitary
 
 
 
@@ -172,11 +171,14 @@ class TestWeightedFockUnitary:
             weighted_fock_unitary(space, "sideways")
 
     def test_matches_the_per_word_weights_bitwise(self, rng):
-        # the diagonal once came from b_multi on each basis multi-word
+        # against the product of the factor weights of each basis multi-word
         for k, trunc in ((1, (4,)), (2, (2, 3)), (3, (2, 1, 2))):
             spec = random_spec(rng, k=k, max_n=2)
             space = FockSpace(spec, trunc, coeff_dim=2)
-            b = np.array([space.weights.b_multi(w) for w in space.basis()], dtype=float)
+            b = np.array(
+                [math.prod(space.weights.b(i, part) for i, part in enumerate(w.parts)) for w in space.basis()],
+                dtype=float,
+            )
             for direction, diag in (("forward", np.sqrt(b)), ("inverse", 1.0 / np.sqrt(b))):
                 got = weighted_fock_unitary(space, direction).matrix.diagonal()
                 want = np.tile(diag, 2).astype(complex)
@@ -192,9 +194,11 @@ class TestAdjointGrading:
         from polytoeplitz.model import FockOperator
 
         T = FockOperator(space, M)
+        parts, adjoint_parts = homogeneous_decomposition(T), homogeneous_decomposition(T.adjoint())
+        assert sorted(adjoint_parts) == sorted(tuple(-x for x in s) for s in parts)
         for s in [(0, 0), (1, 0), (-1, 2), (2, -1)]:
-            lhs = homogeneous_part(T.adjoint(), s).dense
-            rhs = homogeneous_part(T, tuple(-x for x in s)).adjoint().dense
+            lhs = adjoint_parts[s].dense
+            rhs = parts[tuple(-x for x in s)].adjoint().dense
             assert np.abs(lhs - rhs).max() == 0.0
 
 

@@ -117,3 +117,54 @@ def test_no_module_imports_scipy_linear_algebra_at_load(path):
         if any(name == m or name.startswith(m + ".") for m in LINEAR_ALGEBRA)
     ]
     assert not found, "\n".join(found)
+
+
+# public names no code in src/ reads, each with the reader that keeps it
+UNREAD_EXPORTS = {
+    "monomial": "bench/gen.py plants its operators with it",
+    "scalar_kernel": "the RKHS side of the Berezin check (ROADMAP item 4)",
+    "truncated_gram_kernel": "the RKHS side of the Berezin check (ROADMAP item 4)",
+    "cauchy_dual": "the paper's Cauchy dual, checked against a dense oracle",
+    "evaluate_at_tuple": "the symbol's free pluriharmonic function at a tuple (ROADMAP item 4)",
+}
+
+
+def _exports(tree: ast.AST) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _references(tree: ast.AST, skip: ast.AST = None):
+    """Every name read by an ``ast.Name`` or the attribute of an ``ast.Attribute``, outside ``skip``."""
+    for node in ast.iter_child_nodes(tree):
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        yield from _references(node, skip)
+
+
+def test_every_public_name_has_a_reader():
+    # a name in a module's __all__ is read somewhere in src/ besides its own
+    # definition and the export lists, or it names its reader above
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    unread = []
+    for module, tree in trees.items():
+        for name in _exports(tree):
+            definition = next(
+                (node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name),
+                None,
+            )
+            read = any(
+                name in _references(other, definition if other is tree else None)
+                for other in trees.values()
+            )
+            if not read and name not in UNREAD_EXPORTS:
+                unread.append(f"{module}: {name}")
+    assert not unread, "\n".join(unread)
+    assert all(name in {n for t in trees.values() for n in _exports(t)} for name in UNREAD_EXPORTS)

@@ -16,10 +16,8 @@ from polytoeplitz.toeplitz import (
     cesaro_reconstruct,
     evaluate_at_model,
     evaluate_at_tuple,
-    evaluate_symbol,
     extract_fourier,
-    homogeneous_part,
-    homogeneous_support,
+    homogeneous_decomposition,
     is_multi_toeplitz,
     pluriharmonic_kernel,
     random_symbol,
@@ -203,18 +201,20 @@ class TestHomogeneousParts:
         pair = space.class_pair(cdx)
         op = monomial(space, pair, np.eye(1))
         s = pair.degree_vector
-        assert np.abs(homogeneous_part(op, s).dense - op.dense).max() == 0.0
-        other = (s[0] + 1,)
-        assert np.abs(homogeneous_part(op, other).dense).max() == 0.0
+        parts = homogeneous_decomposition(op)
+        assert np.abs(parts[s].dense - op.dense).max() == 0.0
+        # every other degree, (s[0] + 1,) among them, has no part
+        assert list(parts) == [s]
 
     def test_parts_sum_to_operator(self, rng):
         spec = random_spec(rng, k=2, max_n=2)
         space = FockSpace(spec, (2, 2), coeff_dim=2)
         T = random_operator(space, rng)
+        parts = homogeneous_decomposition(T)
+        assert set(parts) <= {(s1, s2) for s1 in range(-2, 3) for s2 in range(-2, 3)}
         acc = np.zeros_like(T.dense)
-        for s1 in range(-2, 3):
-            for s2 in range(-2, 3):
-                acc += homogeneous_part(T, (s1, s2)).dense
+        for part in parts.values():
+            acc += part.dense
         assert np.abs(acc - T.dense).max() == 0.0
 
     def test_part_norm_bounded(self, rng):
@@ -222,15 +222,17 @@ class TestHomogeneousParts:
         space = FockSpace(spec, (3,))
         T = random_operator(space, rng)
         nT = op_norm(T.matrix)
-        for s in range(-3, 4):
-            assert op_norm(homogeneous_part(T, (s,)).matrix) <= nT + 1e-12
+        parts = homogeneous_decomposition(T)
+        assert list(parts) == [(s,) for s in range(-3, 4)]
+        for part in parts.values():
+            assert op_norm(part.matrix) <= nT + 1e-12
 
     def test_support_detection(self, rng):
         spec = random_spec(rng, k=1, max_n=2)
         space = FockSpace(spec, (3,))
         pair = space.class_pair(int(rng.integers(space.n_classes)))
         op = monomial(space, pair, np.eye(1))
-        assert homogeneous_support(op) == [pair.degree_vector]
+        assert list(homogeneous_decomposition(op)) == [pair.degree_vector]
 
 
 class TestExtractFourier:
@@ -301,13 +303,6 @@ class TestEvaluateSymbol:
         expected = np.kron(const, np.eye(space.dim))
         assert np.abs(out.dense - expected).max() < 1e-14
 
-    def test_dispatch(self, rng, bergman2_spec):
-        space = FockSpace(bergman2_spec, (3,))
-        sym = random_symbol(space, rng, n_monomials=3)
-        assert isinstance(evaluate_symbol(sym, 0.5), FockOperator)
-        X = universal_tuple(space)
-        assert isinstance(evaluate_symbol(sym, X), np.ndarray)
-
     def test_radial_norm_monotone(self, rng):
         for _ in range(5):
             spec = random_spec(rng)
@@ -325,7 +320,7 @@ class TestCesaro:
         space = FockSpace(spec, (3,))
         T = random_operator(space, rng)
         out = cesaro_reconstruct(T, (0,))
-        assert np.abs(out.dense - homogeneous_part(T, (0,)).dense).max() == 0.0
+        assert np.abs(out.dense - homogeneous_decomposition(T)[(0,)].dense).max() == 0.0
 
     def test_cutoff_exact_past_twice_truncation(self, rng):
         spec = random_spec(rng, k=2, max_n=2)
@@ -345,7 +340,8 @@ class TestCesaro:
         for a, b in zip(errors, errors[1:]):
             assert b <= a + 1e-12
         # strictly positive at any finite window when off-diagonal mass exists
-        if any(s != (0,) for s in homogeneous_support(T, tol=1e-12)):
+        parts = homogeneous_decomposition(T)
+        if any(s != (0,) and np.abs(part.matrix.data).max() > 1e-12 for s, part in parts.items()):
             assert errors[-1] > 0.0
 
 
