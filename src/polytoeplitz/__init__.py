@@ -53,6 +53,7 @@ from .toeplitz import (
     evaluate_at_model,
     evaluate_at_tuple,
     extract_fourier,
+    graded_entries,
     homogeneous_decomposition,
     is_multi_toeplitz,
     pluriharmonic_kernel,

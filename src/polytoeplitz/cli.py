@@ -60,7 +60,7 @@ from .toeplitz import (
     cesaro_reconstruct,
     evaluate_at_model,
     extract_fourier,
-    homogeneous_decomposition,
+    graded_entries,
     is_multi_toeplitz,
     pluriharmonic_kernel,
     random_symbol,
@@ -381,10 +381,13 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
     kernel_norm = kernel.norm()
     space = FockSpace(spec, trunc, coeff_dim=1)
     residual = intertwining_residual(kernel, X, space)
-    passed = kernel_norm <= 1.0 + cfg.tol and residual <= max(cfg.tol, 1e-9)
+    gram_dev = kernel.gram() - np.eye(X.dim_h)
+    # K is an isometry only for a pure tuple: the rule of the battery's berezin_isometry_within_tail
+    isometric = linalg.op_norm(gram_dev) <= linalg.strict_max(1e-8, kernel.tail_bound)
+    passed = pure and isometric and kernel_norm <= 1.0 + cfg.tol and residual <= max(cfg.tol, 1e-9)
     report.update(
         kernel_norm=kernel_norm,
-        gram_vs_identity=float(np.abs(kernel.gram() - np.eye(X.dim_h)).max()),
+        gram_vs_identity=float(np.abs(gram_dev).max()),
         tail_bound=kernel.tail_bound,
         phi_power_norms=list(kernel.phi_power_norms),
         intertwining_residual=residual,
@@ -576,13 +579,61 @@ def _stored_dense(M: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((M.reshape(-1), cols, indptr), shape=(n, n))
 
 
-def _residual_max(M: np.ndarray, pieces) -> float:
-    """Largest entry of ``|M - sum of the pieces|``, adding the pieces' stored entries."""
+def _residual_max(M: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> float:
+    """Largest entry of ``|M - E|``, where ``E`` has ``vals`` at the distinct row-major ``keys``."""
+    if keys.size == M.size:
+        # distinct keys at every cell: the residual is the gathered difference
+        return float(np.abs(M.reshape(-1)[keys] - vals).max())
     residual = M.copy()
-    for piece in pieces:
-        keys, vals = linalg.stored_entries(piece.matrix)
-        residual.reshape(-1)[keys] -= vals
+    residual.reshape(-1)[keys] -= vals
     return float(np.abs(residual).max())
+
+
+def _grading_gap(space: FockSpace, rng: np.random.Generator) -> float:
+    """Largest deviation of one dense draw on ``space`` from the three grading identities.
+
+    The windowed reconstruction and the homogeneous parts each sum to the
+    draw ``T``, and the degree ``-s`` part of ``T^*``, adjoined, is the degree
+    ``s`` part of ``T``.  The parts are read as :func:`graded_entries` runs;
+    the adjoint identity merges the two triples on one sorted key, ``code *
+    n**2 + key``, reading a missing entry as 0.
+    """
+    n = space.total_dim
+    # the values of standard_normal + 1j * standard_normal, written in place
+    M = np.empty((n, n), dtype=complex)
+    M.real = rng.standard_normal((n, n))
+    M.imag = rng.standard_normal((n, n))
+    T = FockOperator(space, _stored_dense(M))
+    recon = cesaro_reconstruct(T, tuple(2 * L for L in space.trunc), fejer_weights=False)
+    worst = _residual_max(M, *linalg.stored_entries(recon.matrix))
+    del recon
+    keys, vals, present, bounds = graded_entries(T)
+    worst = linalg.strict_max(worst, _residual_max(M, keys, vals))
+    # the codes are ascending and each run's keys too: the merged keys are sorted
+    keys += np.repeat(present * n * n, np.diff(bounds))
+    # T* from the draw; T and the draw are freed before it is graded
+    adjoint = np.conjugate(M.T, order="C")
+    del T, M
+    adj_keys, adj_vals, present, bounds = graded_entries(FockOperator(space, _stored_dense(adjoint)))
+    del adjoint
+    # entry (r, c, v) of the degree -s part of T* is entry (c, r, conj v) of the
+    # degree s part of T, and code(-s) = n_codes - 1 - code(s)
+    n_codes = int(np.prod([2 * L + 1 for L in space.trunc]))
+    rows, cols = np.divmod(adj_keys, n)
+    del adj_keys
+    flipped = np.repeat((n_codes - 1 - present) * n * n, np.diff(bounds)) + cols * n + rows
+    del rows, cols
+    order = np.argsort(flipped)
+    adj_keys = flipped[order]
+    del flipped
+    adj_vals = adj_vals[order]
+    del order
+    if np.array_equal(keys, adj_keys):
+        np.conjugate(adj_vals, out=adj_vals)
+        adj_vals -= vals
+        return linalg.strict_max(worst, float(np.abs(adj_vals).max(initial=0.0)))
+    gap = np.abs(accumulate_entries([(keys, vals), (adj_keys, -adj_vals.conj())])[1]).max(initial=0.0)
+    return linalg.strict_max(worst, float(gap))
 
 
 def _check_homogeneous_decomposition(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
@@ -590,36 +641,8 @@ def _check_homogeneous_decomposition(rng: np.random.Generator, trunc_degree: int
     worst = 0.0
     for _ in range(4):
         spec = random_spec(rng)
-        trunc = (3,) * spec.k
-        space = FockSpace(spec, trunc, coeff_dim=2)
-        n = space.total_dim
-        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        T = FockOperator(space, _stored_dense(M))
-        recon = cesaro_reconstruct(T, tuple(2 * L for L in trunc), fejer_weights=False)
-        worst = linalg.strict_max(worst, _residual_max(M, [recon]))
-        del recon
-        parts = homogeneous_decomposition(T)
-        worst = linalg.strict_max(worst, _residual_max(M, parts.values()))
-        # T* from the draw; T and the draw are freed before it is graded
-        adjoint = np.conjugate(M.T, order="C")
-        del T, M
-        adjoint_parts = homogeneous_decomposition(FockOperator(space, _stored_dense(adjoint)))
-        del adjoint
-        # the degree -s part of T*, adjoined, is the degree s part of T; compared
-        # on stored entries, one degree at a time, a missing entry read as 0
-        for s in parts.keys() | {tuple(-x for x in s) for s in adjoint_parts}:
-            terms = []
-            if s in parts:
-                terms.append(linalg.stored_entries(parts[s].matrix))
-            flipped = adjoint_parts.get(tuple(-x for x in s))
-            if flipped is not None:
-                # entry (r, c, v) of the part of T* is entry (c, r, conj v) of its adjoint
-                keys, vals = linalg.stored_entries(flipped.matrix)
-                rows, cols = np.divmod(keys, n)
-                terms.append((cols * n + rows, -vals.conj()))
-            gap = np.abs(accumulate_entries(terms)[1]).max(initial=0.0)
-            worst = linalg.strict_max(worst, float(gap))
-        del parts, adjoint_parts
+        space = FockSpace(spec, (3,) * spec.k, coeff_dim=2)
+        worst = linalg.strict_max(worst, _grading_gap(space, rng))
     return [_check("homogeneous_decomposition", worst, 1e-12, 4)]
 
 

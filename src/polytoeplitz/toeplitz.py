@@ -29,6 +29,7 @@ __all__ = [
     "ToeplitzReport",
     "NotMultiToeplitz",
     "is_multi_toeplitz",
+    "graded_entries",
     "homogeneous_decomposition",
     "extract_fourier",
     "evaluate_at_model",
@@ -272,28 +273,44 @@ def _degree_gaps(T: FockOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return keys, vals, code
 
 
+def graded_entries(T: FockOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stored entries of ``T`` in (encoded degree gap, key) order.
+
+    Returns ``(keys, vals, present, bounds)``: the entries of
+    :func:`linalg.stored_entries`, the codes (see :func:`_gap_places`) that
+    occur, ascending, and the run bounds, so that the entries of code
+    ``present[p]`` are ``keys[bounds[p]:bounds[p + 1]]``, in row-major order.
+    One stable counting sort of the codes (numpy's radix sort, on the
+    narrowest unsigned type that holds them) orders the entries; the keys and
+    values are fresh arrays.
+    """
+    keys, vals, code = _degree_gaps(T)
+    place, L = _gap_places(T.space)
+    n_codes = int(np.prod(2 * L + 1))
+    order = np.argsort(code.astype(np.min_scalar_type(n_codes - 1)), kind="stable")
+    sizes = np.bincount(code, minlength=n_codes)
+    del code
+    # one gather at a time, so the unsorted keys are gone before the values are copied
+    keys = keys[order]
+    vals = vals[order]
+    del order
+    present = np.flatnonzero(sizes)
+    bounds = np.concatenate([[0], np.cumsum(sizes[present])])
+    return keys, vals, present, bounds
+
+
 def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOperator]:
     """Every nonzero homogeneous part of ``T``, keyed by degree vector in lexicographic order.
 
     The degree-``s`` part keeps the stored entries whose row and column
     degree vectors differ by ``s``, as CSR; it equals the sum of ``P_{s+p} T
-    P_p`` over the grid.  One stable counting sort of the stored entries by
-    encoded degree gap (numpy's radix sort, on the narrowest unsigned type
-    that holds the codes) keeps each part's entries in row-major order.  A
+    P_p`` over the grid.  Each part is one run of :func:`graded_entries`.  A
     degree vector with no stored entry has no key: its part is zero.  The
     parts sum to ``T``.
     """
     space = T.space
-    keys, vals, code = _degree_gaps(T)
+    keys, vals, present, bounds = graded_entries(T)
     place, L = _gap_places(space)
-    n_codes = int(np.prod(2 * L + 1))
-    order = np.argsort(code.astype(np.min_scalar_type(n_codes - 1)), kind="stable")
-    sizes = np.bincount(code, minlength=n_codes)
-    del code
-    keys, vals = keys[order], vals[order]
-    del order
-    present = np.flatnonzero(sizes)
-    bounds = np.concatenate([[0], np.cumsum(sizes[present])])
     gaps = present[:, None] // place % (2 * L + 1) - L
     parts: dict[tuple[int, ...], FockOperator] = {}
     for p, s in enumerate(map(tuple, gaps.tolist())):
@@ -404,7 +421,7 @@ def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
 def cesaro_reconstruct(
     T: FockOperator, N: Sequence[int], fejer_weights: bool = True
 ) -> FockOperator:
-    """Windowed sum of homogeneous parts with per-factor cutoffs ``N``, as CSR.
+    """Windowed sum of homogeneous parts with per-factor cutoffs ``N >= 0``, as CSR.
 
     With ``fejer_weights`` the degree-``s`` part enters with weight
     ``prod_i (1 - |s_i|/(N_i + 1))`` on ``|s_i| <= N_i``; these means converge
@@ -412,22 +429,27 @@ def cesaro_reconstruct(
     window.  Without weights the sum is the plain degree cutoff, which
     reproduces ``T`` exactly as soon as every ``N_i`` reaches the largest
     degree difference the truncation supports (``N_i >= L_i`` suffices, so in
-    particular ``N_i >= 2 L_i`` does).  The weights are taken per stored entry
-    from its degree gap; entries of weight zero are dropped.
+    particular ``N_i >= 2 L_i`` does).  The weights are tabled once per
+    encoded degree gap, the factors multiplied in factor order, and gathered
+    by each stored entry's code; entries of weight zero are dropped.
     """
     space = T.space
     if len(N) != space.spec.k:
         raise DimensionMismatch("cutoff tuple length differs from factor count")
-    keys, vals, code = _degree_gaps(T)
+    if any(Ni < 0 for Ni in N):
+        raise SpecError(f"cutoffs must be nonnegative, got {tuple(N)}")
     place, L = _gap_places(space)
-    weight = np.ones(keys.size, dtype=float)
+    codes = np.arange(int(np.prod(2 * L + 1)))
+    table = np.ones(codes.size, dtype=float)
     for i, Ni in enumerate(N):
-        diff = np.abs(code // place[i] % (2 * L[i] + 1) - L[i])
+        diff = np.abs(codes // place[i] % (2 * L[i] + 1) - L[i])
         if fejer_weights:
-            w_i = np.maximum(0.0, 1.0 - diff / (Ni + 1.0))
+            table *= np.maximum(0.0, 1.0 - diff / (Ni + 1.0))
         else:
-            w_i = (diff <= Ni).astype(float)
-        weight *= w_i
+            table *= diff <= Ni
+    keys, vals, code = _degree_gaps(T)
+    weight = table[code]
+    del code
     kept = weight != 0.0
     vals = vals[kept]
     vals *= weight[kept]

@@ -2,12 +2,13 @@
 
 The package decides comparability, reduced pairs and entry weights by rank
 arithmetic on ``FockSpace`` (``classify_pairs``, ``class_of`` and the class
-members), and the torus grading by ``homogeneous_decomposition``.  These are
-the definitions read literally, one word at a time: right divisibility
-``omega = sigma * gamma``, comparability, the simplification of a comparable
-pair onto its reduced index pair, the entry weight of a pair, and the graded
-projections and the diagonal unitary between the weighted and unweighted
-pictures.  Tests import them as they import ``conftest.make_spec``.
+members), and the torus grading by ``graded_entries``.  These are the
+definitions read literally, one word or one stored entry at a time: right
+divisibility ``omega = sigma * gamma``, comparability, the simplification of
+a comparable pair onto its reduced index pair, the entry weight of a pair,
+the graded projections and the diagonal unitary between the weighted and
+unweighted pictures, and the Cesàro window weight of each stored entry.
+Tests import them as they import ``conftest.make_spec``.
 """
 
 import math
@@ -16,6 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from polytoeplitz import linalg
 from polytoeplitz.errors import DimensionMismatch, NotComparable, SpecError
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockOperator, FockSpace
@@ -123,3 +125,30 @@ def weighted_fock_unitary(space: FockSpace, direction: str = "forward") -> FockO
     else:
         raise SpecError(f"unknown direction {direction!r}")
     return FockOperator(space, sp.diags(np.tile(diag, space.coeff_dim).astype(complex)))
+
+
+def per_entry_cesaro_reconstruct(
+    T: FockOperator, N: Sequence[int], fejer_weights: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stored entries ``(keys, vals)`` of ``cesaro_reconstruct(T, N, fejer_weights)``.
+
+    The window weight is taken per stored entry from the degree gap of its
+    row and column words, the factors multiplied in factor order; entries of
+    weight zero are dropped.
+    """
+    space = T.space
+    keys, vals = linalg.stored_entries(T.matrix)
+    degs = space.degree_table()
+    rows, cols = np.divmod(keys, space.total_dim)
+    gap = degs[rows % space.dim] - degs[cols % space.dim]
+    weight = np.ones(keys.size, dtype=float)
+    for i, Ni in enumerate(N):
+        diff = np.abs(gap[:, i])
+        if fejer_weights:
+            weight *= np.maximum(0.0, 1.0 - diff / (Ni + 1.0))
+        else:
+            weight *= (diff <= Ni).astype(float)
+    kept = weight != 0.0
+    vals = vals[kept]
+    vals *= weight[kept]
+    return keys[kept], vals

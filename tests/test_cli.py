@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from polytoeplitz import cli, linalg
+from polytoeplitz import cli, linalg, toeplitz
 from polytoeplitz.cli import build_parser, main
-from polytoeplitz.cpmaps import universal_tuple
+from polytoeplitz.cpmaps import BerezinKernel, random_pure_tuple, universal_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockSpace, monomial
 from polytoeplitz.toeplitz import (
@@ -319,22 +319,25 @@ def test_non_finite_symbol_coefficient_exits_2(tmp_path, rng, capsys, bad):
     assert not out.exists()
 
 
-def test_berezin_command(tmp_path, rng):
-    spec_path = write_spec(tmp_path / "spec.json", BERGMAN)
-    spec = spec_from_json(BERGMAN)
-    from polytoeplitz.cpmaps import random_pure_tuple
-
-    X = random_pure_tuple(spec, rng, dims=(3,), shrink=0.85)
+def _write_tuple(tmp_path, X):
+    """The manifest and one matrix file per operator of ``X``, as ``berezin --tuple`` reads them."""
     files = []
-    for i in range(spec.k):
+    for i, ops in enumerate(X.ops):
         row = []
-        for j, mat in enumerate(X.ops[i], start=1):
+        for j, mat in enumerate(ops, start=1):
             name = f"X_{i + 1}_{j}.mtx"
             with open(tmp_path / name, "w") as fh:
                 linalg.save_matrix(fh, mat)
             row.append(name)
         files.append(row)
     (tmp_path / "tuple.json").write_text(json.dumps({"dim_h": X.dim_h, "files": files}))
+
+
+def test_berezin_command(tmp_path, rng):
+    spec_path = write_spec(tmp_path / "spec.json", BERGMAN)
+    spec = spec_from_json(BERGMAN)
+    X = random_pure_tuple(spec, rng, dims=(3,), shrink=0.85)
+    _write_tuple(tmp_path, X)
     space = FockSpace(spec, (4,))
     T = evaluate_at_model(random_symbol(space, rng, n_monomials=3))
     with open(tmp_path / "op.mtx", "w") as fh:
@@ -382,12 +385,32 @@ def test_berezin_outside_the_polydomain_fails_without_a_kernel(tmp_path, x, min_
 
 
 def test_berezin_kernel_accepts_the_defect_membership_accepts(tmp_path):
-    # I - X X^* = -5e-10 is within --tol 1e-9 of PSD: a member, whose defect has the root 0
-    assert main(_write_scalar_tuple(tmp_path, math.sqrt(1.0 + 5e-10))) == 0
+    # I - X X^* = -5e-10 is within --tol 1e-9 of PSD: a member, whose defect has the root 0;
+    # the tuple is not pure and its kernel is 0, not an isometry, so the verification fails
+    assert main(_write_scalar_tuple(tmp_path, math.sqrt(1.0 + 5e-10))) == 1
     report = strict_json((tmp_path / "out" / "berezin-report.json").read_text())
-    assert report["member"] is True and report["passed"] is True
+    assert report["member"] is True and report["pure"] is False and report["passed"] is False
     assert report["membership_witness"]["min_eig"] < 0.0
     assert report["kernel_norm"] == 0.0
+    assert report["gram_vs_identity"] == 1.0
+    kernel_keys = {"kernel_norm", "gram_vs_identity", "tail_bound", "phi_power_norms", "intertwining_residual"}
+    assert kernel_keys <= set(report)
+
+
+def test_berezin_fails_a_kernel_that_is_not_an_isometry_within_the_tail(tmp_path, rng, monkeypatch):
+    # the pure tuple of test_berezin_command: ||K^*K - I|| is 0.046 within the tail bound 0.40
+    spec_path = write_spec(tmp_path / "spec.json", BERGMAN)
+    _write_tuple(tmp_path, random_pure_tuple(spec_from_json(BERGMAN), rng, dims=(3,), shrink=0.85))
+    argv = ["berezin", "--spec", spec_path, "--trunc", "4", "--tuple", str(tmp_path / "tuple.json")]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    gram = BerezinKernel.gram
+    # half the Gram matrix keeps ||K|| <= 1 but puts K^*K about 0.5 from I
+    monkeypatch.setattr(BerezinKernel, "gram", lambda kernel: 0.5 * gram(kernel))
+    assert main([*argv, "--out", str(tmp_path / "halved")]) == 1
+    report = strict_json((tmp_path / "halved" / "berezin-report.json").read_text())
+    assert report["kernel_norm"] <= 1.0
+    assert report["member"] is True and report["pure"] is True and report["passed"] is False
+    assert report["gram_vs_identity"] > report["tail_bound"]
 
 
 def test_brown_halmos_command(tmp_path, rng):
@@ -477,6 +500,44 @@ def test_verify_reports_match_golden_files_for_more_seeds(tmp_path, seed):
     assert main(["verify", "--seed", str(seed), "--trunc", "4", "--out", str(tmp_path / "out")]) == 0
     golden = Path(__file__).parent / "data" / f"verify_seed{seed}_trunc4.json"
     assert (tmp_path / "out" / "verify-report.json").read_bytes() == golden.read_bytes()
+
+
+def _grading_check(seed):
+    report = cli.run_verify_battery(seed, 4)
+    return next(c for c in report["checks"] if c["name"] == "homogeneous_decomposition")
+
+
+@pytest.mark.parametrize("seed, worst", [(0, 1.9889679423822786), (7, 2.60346413722241)])
+def test_grading_check_reports_a_misgraded_entry(monkeypatch, seed, worst):
+    # entry 5 of every graded operator moves to the neighbouring code: T's and T^*'s
+    # parts then disagree by that entry, and the check reports the largest one
+    degree_gaps = toeplitz._degree_gaps
+
+    def shifted(T):
+        keys, vals, code = degree_gaps(T)
+        n_codes = int(np.prod([2 * L + 1 for L in T.space.trunc]))
+        code = code.copy()
+        code[5] += -1 if code[5] == n_codes - 1 else 1
+        return keys, vals, code
+
+    monkeypatch.setattr(toeplitz, "_degree_gaps", shifted)
+    check = _grading_check(seed)
+    assert check["passed"] is False
+    assert check["worst"] == worst
+
+
+def test_grading_check_reports_a_wrong_reconstruction(monkeypatch):
+    reconstruct = cli.cesaro_reconstruct
+
+    def scaled(T, N, fejer_weights=True):
+        out = reconstruct(T, N, fejer_weights)
+        out.matrix.data[3] *= 1 + 1e-9
+        return out
+
+    monkeypatch.setattr(cli, "cesaro_reconstruct", scaled)
+    check = _grading_check(0)
+    assert check["passed"] is False
+    assert 0.0 < check["worst"] < 1e-8
 
 
 GOLDEN_FOURIER = Path(__file__).parent / "data" / "fourier_k2_trunc3"

@@ -106,7 +106,7 @@ from polytoeplitz.toeplitz import (
 from polytoeplitz.weights import build_weight_table
 
 from conftest import make_spec
-from oracles import comparable, graded_projection, simplify, tau
+from oracles import comparable, graded_projection, per_entry_cesaro_reconstruct, simplify, tau
 
 
 def dict_order_one_table(cmap, n, trunc):
@@ -1157,6 +1157,29 @@ def test_grading_matches_dense_mask_oracles(rng):
                     got = cesaro_reconstruct(T, N, fejer_weights=fejer).matrix
                     assert sp.isspmatrix_csr(got)
                     assert np.array_equal(got.toarray(), dense_cesaro_reconstruct(T, N, fejer))
+
+
+@st.composite
+def cesaro_cases(draw):
+    """(factor count, largest generator count, truncation, cutoffs with 0 <= N_i <= 2 L_i + 1)."""
+    k, max_n, max_L = draw(st.sampled_from([(1, 2, 3), (2, 2, 2), (3, 1, 3)]))
+    trunc = tuple(draw(st.integers(0, max_L)) for _ in range(k))
+    return k, max_n, trunc, tuple(draw(st.integers(0, 2 * L + 1)) for L in trunc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), case=cesaro_cases())
+# weights 2/3, 2/3 and 4/5 at the gap (1, 1, 1): their product rounds by the factor order
+@example(seed=0, case=(3, 1, (2, 2, 2), (2, 2, 4)))
+def test_cesaro_weight_table_matches_per_entry_oracle(seed, case):
+    k, max_n, trunc, N = case
+    rng = np.random.default_rng(seed)
+    space = FockSpace(random_spec(rng, k=k, max_n=max_n), trunc, coeff_dim=int(rng.integers(1, 3)))
+    for T in grading_operators(space, rng):
+        for fejer in (True, False):
+            got = linalg_module.stored_entries(cesaro_reconstruct(T, N, fejer_weights=fejer).matrix)
+            expected = per_entry_cesaro_reconstruct(T, N, fejer)
+            assert same_bits(got[0], expected[0]) and same_bits(got[1], expected[1]), (N, fejer)
 
 
 # -- the operator file reader ---------------------------------------------------

@@ -18,6 +18,8 @@ kernel, its conjugate and their sum took three 252 MB arrays there.
 completely positive maps; dense defect iterates there peak near 450 MB.
 The symbol and grading routines are also traced in-process: for sparse
 inputs they allocate less than one byte per ``(dim, dim)`` cell.
+One draw of the battery's grading check at ``n = 450`` is traced against the
+peak it had when it held one CSR per degree part of ``T`` and of ``T^*``.
 ``intertwining_residual`` on the Berezin kernel of a random pure tuple at
 ``L=4`` (dim 961) is traced against one dense complex ``(dim, dim)`` array.
 ``cauchy_dual_projection`` on ``k=1, n=2, L=10`` (dim 2047, ``|gamma| = 6``,
@@ -39,6 +41,7 @@ import scipy.sparse as sp
 import polytoeplitz
 from polytoeplitz import linalg
 from polytoeplitz.brownhalmos import build_row, cauchy_dual_projection
+from polytoeplitz.cli import _grading_gap
 from polytoeplitz.cpmaps import berezin_kernel, intertwining_residual, random_pure_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockOperator, FockSpace, monomial
@@ -60,6 +63,9 @@ TOEPLITZ_PEAK_RSS_LIMIT_MB = 150
 FOURIER_PEAK_RSS_LIMIT_MB = 120
 MODEL_PEAK_RSS_LIMIT_MB = 300
 CAUCHY_PEAK_RSS_LIMIT_MB = 300
+# one grading-check draw at n = 450 as it was with one CSR per degree part of T and of T^*
+# held together (19,651,312 bytes traced); never to be raised
+GRADING_DRAW_PEAK_BYTES = 19_651_312
 
 # every word of length <= 2 in both factors, letter-dependent coefficients
 SPEC = {
@@ -277,6 +283,21 @@ def test_symbol_and_grading_allocate_no_dense_square():
         finally:
             tracemalloc.stop()
         assert peak < limit, f"{peak} bytes traced, limit {limit}"
+
+
+def test_grading_check_draw_stays_below_the_per_part_peak():
+    # one draw of the battery's grading check at n = 450, where T and T^* are graded
+    space = FockSpace(spec_from_json(SPEC), (3, 3), coeff_dim=2)
+    assert space.total_dim == 450
+    _grading_gap(space, np.random.default_rng(0))  # the space's degree table is cached outside the trace
+    tracemalloc.start()
+    try:
+        worst = _grading_gap(space, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert worst == 0.0
+    assert peak <= GRADING_DRAW_PEAK_BYTES, f"{peak} bytes traced, limit {GRADING_DRAW_PEAK_BYTES}"
 
 
 def test_intertwining_residual_allocates_less_than_a_dense_square():

@@ -126,6 +126,7 @@ UNREAD_EXPORTS = {
     "truncated_gram_kernel": "the RKHS side of the Berezin check (ROADMAP item 4)",
     "cauchy_dual": "the paper's Cauchy dual, checked against a dense oracle",
     "evaluate_at_tuple": "the symbol's free pluriharmonic function at a tuple (ROADMAP item 4)",
+    "homogeneous_decomposition": "the homogeneous parts as operators; the battery reads their graded_entries runs",
 }
 
 

@@ -329,6 +329,14 @@ class TestCesaro:
         out = cesaro_reconstruct(T, (4, 4), fejer_weights=False)
         assert np.abs(out.dense - T.dense).max() == 0.0
 
+    # at the cutoff -1 the Fejer weight at gap 0 was 0/0; below it every weight was 1 + |gap|
+    @pytest.mark.parametrize("fejer", [True, False])
+    @pytest.mark.parametrize("N", [(-1,), (-2,), (3, -1)])
+    def test_negative_cutoff_is_rejected(self, rng, N, fejer):
+        space = FockSpace(random_spec(rng, k=len(N), max_n=2), (2,) * len(N))
+        with pytest.raises(SpecError, match="nonnegative"):
+            cesaro_reconstruct(random_operator(space, rng), N, fejer_weights=fejer)
+
     def test_fejer_error_decreases(self, rng):
         spec = random_spec(rng, k=1, max_n=2)
         space = FockSpace(spec, (3,))
