@@ -155,8 +155,11 @@ def cauchy_dual_projection(C: RowOperator) -> np.ndarray:
 
 
 def _row_gram_diagonal(space: FockSpace, i: int) -> np.ndarray:
-    # each right creation is injective, so CC* = phi_right(I) is diagonal
-    return phi_right(space, i, space.identity().matrix).diagonal().real
+    # each right creation is injective, so CC* = phi_right(I) is diagonal:
+    # the entries of the map at the identity, scattered by row
+    n = space.total_dim
+    keys, vals = _phi_entries(space, i, np.arange(n) * (n + 1), np.ones(n, dtype=complex))
+    return np.bincount(keys // n, vals.real, minlength=n)
 
 
 def _min_positive_gram_eig(space: FockSpace, i: int) -> float:

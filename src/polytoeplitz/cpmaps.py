@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from . import linalg
 from .errors import DimensionMismatch, SpecError
-from .freemonoid import MultiWord, Word
+from .freemonoid import Word, word_rank
 from .model import (
     Action,
     FockOperator,
@@ -50,18 +50,17 @@ Matrix = Union[np.ndarray, sp.spmatrix]
 class OperatorTuple:
     """A point of (a candidate for) the polydomain on a concrete Hilbert space.
 
-    ``universal`` marks tuples of CSR operators with at most one entry per
-    row and per column (set by :func:`universal_tuple`): their word operators
-    act by moving stored entries (:meth:`word_action`), and the completely
-    positive maps use that instead of multiplying matrices.
+    ``model`` is the ``(space, side)`` of the universal model's creations (set
+    by :func:`universal_tuple`): its word operators act by moving stored
+    entries (:meth:`word_action`), which the completely positive maps use
+    instead of multiplying matrices; other tuples stack them (:meth:`word_stack`).
     """
 
     spec: PolydomainSpec
     ops: tuple[tuple[Matrix, ...], ...]
     dim_h: int
     commutation_checked: bool = False
-    universal: bool = False
-    _word_cache: dict = field(default_factory=dict, repr=False)
+    model: Optional[tuple[FockSpace, str]] = None
     _action_cache: dict = field(default_factory=dict, repr=False)
     _kraus_cache: dict = field(default_factory=dict, repr=False)
 
@@ -97,46 +96,38 @@ class OperatorTuple:
 
     def identity(self) -> Matrix:
         """The identity on H: CSR for the universal model, dense otherwise."""
-        if self.universal:
+        if self.model is not None:
             return sp.identity(self.dim_h, format="csr", dtype=complex)
         return np.eye(self.dim_h, dtype=complex)
 
-    def word_op(self, i: int, w: Word) -> Matrix:
-        """Product ``X_{i, j_1} ... X_{i, j_p}`` for a word, cached."""
-        key = (i, w.letters)
-        cached = self._word_cache.get(key)
-        if cached is not None:
-            return cached
-        if len(w) == 0:
-            out: Matrix = sp.identity(self.dim_h, format="csr", dtype=complex) if sp.issparse(
-                self.ops[i][0]
-            ) else np.eye(self.dim_h, dtype=complex)
-        else:
-            out = self.word_op(i, Word(w.letters[:-1], w.alphabet_size)) @ self.ops[i][
-                w.letters[-1] - 1
-            ]
-        self._word_cache[key] = out
-        return out
-
     def word_action(self, i: int, w: Word) -> Action:
-        """``(src, dst, vals)`` with ``X_w e_src = vals * e_dst``, cached.
+        """``(src, dst, vals)`` with ``X_w e_src = vals * e_dst`` on the universal model, cached.
 
-        The stored entries of the sparse :meth:`word_op`; meaningful when each
-        column holds at most one entry, as on the universal model.
+        The last letter's creation (the Fock part of :meth:`FockSpace.creation_action`)
+        composed with the prefix's action, gathered where the letter's targets
+        meet the prefix's domain; each value is ``prefix value * letter
+        value``, as in a CSR product, and ``src`` and ``dst`` stay increasing,
+        so the entries are in row-major order.
         """
         key = (i, w.letters)
         if key not in self._action_cache:
-            keys, vals = linalg.stored_entries(self.word_op(i, w))
-            dst, src = np.divmod(keys, self.dim_h)
+            space, side = self.model
+            src, dst, vals = space.creation_action(i, Word(w.letters[-1:], w.alphabet_size), side)
+            m = src.size // space.coeff_dim
+            src, dst, vals = src[:m], dst[:m], vals[:m]
+            if len(w) > 1:
+                p_src, p_dst, p_vals = self.word_action(i, Word(w.letters[:-1], w.alphabet_size))
+                at, hit = linalg.lookup(p_src, dst)
+                src, dst, vals = src[hit], p_dst[at[hit]], p_vals[at[hit]] * vals[hit]
             self._action_cache[key] = (src, dst, vals)
         return self._action_cache[key]
 
     def kraus(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Factor ``i``'s word operators ``X_w`` stacked densely in coefficient order, and the ``a_w``; cached."""
+        """Factor ``i``'s ``X_w`` in coefficient order, by rank from :meth:`word_stack`, and the ``a_w``; cached."""
         if i not in self._kraus_cache:
             words, coeffs = zip(*self.spec.coeffs[i].items())
             self._kraus_cache[i] = (
-                np.stack([linalg.as_dense(self.word_op(i, w)) for w in words]),
+                self.word_stack(i, self.spec.degree(i))[[word_rank(w) for w in words]],
                 np.array(coeffs, dtype=float),
             )
         return self._kraus_cache[i]
@@ -146,7 +137,7 @@ class OperatorTuple:
 
         Built a word length at a time by one stacked product: the word at
         offset ``o`` of length ``d`` is its prefix at offset ``o // n`` times
-        the letter ``o % n + 1``, the product :meth:`word_op` forms.
+        the letter ``o % n + 1``.
         """
         n = self.spec.n[i]
         letters = np.stack([linalg.as_dense(A) for A in self.ops[i]])
@@ -156,13 +147,8 @@ class OperatorTuple:
             levels.append(levels[-1][offsets // n] @ letters[offsets % n])
         return np.concatenate(levels)
 
-    def multi_word_op(self, w: MultiWord) -> Matrix:
-        out = self.word_op(0, w.parts[0])
-        for i in range(1, self.spec.k):
-            out = out @ self.word_op(i, w.parts[i])
-        return out
-
     def scaled(self, r: float) -> "OperatorTuple":
+        """``r X`` as a tuple of matrices: not the model, whatever ``X`` is."""
         return OperatorTuple(
             spec=self.spec,
             ops=tuple(tuple(r * X for X in fac) for fac in self.ops),
@@ -176,8 +162,8 @@ def universal_tuple(space: FockSpace, side: str = "left") -> OperatorTuple:
 
     The creations are CSR, written from :meth:`FockSpace.creation_action`,
     whose leading ``1 / coeff_dim`` of entries act on the Fock part; the tuple
-    is marked ``universal``, so its completely positive maps run on stored
-    entries.  Cross-factor Kronecker slots commute exactly.
+    carries ``(space, side)`` as its ``model``, so its completely positive
+    maps run on stored entries.  Cross-factor Kronecker slots commute exactly.
     """
     d = space.dim
 
@@ -192,7 +178,7 @@ def universal_tuple(space: FockSpace, side: str = "left") -> OperatorTuple:
         ops=ops,
         dim_h=space.dim,
         commutation_checked=True,
-        universal=True,
+        model=(space, side),
     )
 
 
@@ -205,7 +191,7 @@ def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: Matrix) -> Matrix
     product ``(K Y) K^*`` over the :meth:`~OperatorTuple.kraus` stack ``K``
     and return an ndarray, the terms added from zeros in coefficient order.
     """
-    if not X.universal:
+    if X.model is None:
         K, a = X.kraus(i)
         terms = a[:, None, None] * ((K @ linalg.as_dense(Y)) @ K.conj().transpose(0, 2, 1))
         acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
@@ -382,8 +368,7 @@ def berezin_kernel(
     table = build_weight_table(spec, trunc)
     delta = defect(spec, X, spec.m)
     root = linalg.herm_sqrt(delta, tol)
-    # X_w and b_w over the basis, first factor slowest, multiplied in factor
-    # order as multi_word_op does
+    # X_w and b_w over the basis, first factor slowest, multiplied in factor order
     Xw, b = X.word_stack(0, trunc[0]), table.values[0]
     for i in range(1, spec.k):
         Xw = (Xw[:, None] @ X.word_stack(i, trunc[i])[None]).reshape(-1, X.dim_h, X.dim_h)
@@ -393,13 +378,13 @@ def berezin_kernel(
     # scalar majorants: per factor, shell norms ||Phi_{i,d}(I)|| for d <= deg f_i
     factors, power_norms = [], []
     for i in range(spec.k):
+        K = X.kraus(i)[0]
         shells: dict[int, float] = {}
         for d in range(1, spec.degree(i) + 1):
             acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
-            for w, a in spec.coeffs[i].items():
+            for Kw, (w, a) in zip(K, spec.coeffs[i].items()):
                 if len(w) == d:
-                    Xw = linalg.as_dense(X.word_op(i, w))
-                    acc += a * (Xw @ Xw.conj().T)
+                    acc += a * (Kw @ Kw.conj().T)
             shells[d] = linalg.op_norm(acc)
         factors.append((shells, spec.m[i], trunc[i], 1.0))
         Y = np.eye(X.dim_h, dtype=complex)
@@ -471,7 +456,7 @@ def intertwining_residual(
             Xij = linalg.as_dense(X.ops[i][j - 1])
             rhs = R @ Xij.conj().T
             diff = (lhs - rhs)[mask]
-            worst = max(worst, linalg.op_norm(diff.reshape(-1, dH)))
+            worst = linalg.strict_max(worst, linalg.op_norm(diff.reshape(-1, dH)))
     return worst
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "multiword_unindex",
     "reverse",
     "word_offset",
+    "word_rank",
 ]
 
 
@@ -185,7 +186,7 @@ class WordList(collections.abc.Sequence):
         """The rank of ``w``; :class:`KeyError` when ``w`` is not in the list."""
         if w not in self:
             raise KeyError(w)
-        return _word_rank(w)
+        return word_rank(w)
 
 
 class RankMap(collections.abc.Mapping):
@@ -237,7 +238,7 @@ def word_offset(w: Word) -> int:
     return offset
 
 
-def _word_rank(w: Word) -> int:
+def word_rank(w: Word) -> int:
     """Position of ``w`` in the graded-lexicographic enumeration of its alphabet."""
     n = w.alphabet_size
     d = len(w)

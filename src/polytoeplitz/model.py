@@ -188,9 +188,6 @@ class FockSpace:
         n = self.total_dim
         return linalg.entries_matrix(dst * n + src, vals, (n, n))
 
-    def identity(self) -> "FockOperator":
-        return FockOperator(self, sp.identity(self.total_dim, format="csr", dtype=complex))
-
     # -- comparability structure --------------------------------------------
 
     def pair_structure(self) -> "PairStructure":

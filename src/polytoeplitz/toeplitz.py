@@ -10,6 +10,7 @@ operators from it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ import scipy.sparse as sp
 from . import linalg
 from .cpmaps import OperatorTuple
 from .errors import DimensionMismatch, SpecError
-from .freemonoid import IndexPair, MultiWord, Word
+from .freemonoid import IndexPair, MultiWord, Word, word_rank
 from .model import FockOperator, FockSpace
 
 __all__ = [
@@ -378,6 +379,18 @@ def _symbol_layout(sym: FourierSymbol) -> tuple:
     return layout
 
 
+def _model_entries(sym: FourierSymbol, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stored entries ``(keys, vals)`` of :func:`evaluate_at_model`, exact zeros dropped."""
+    c = sym.space.coeff_dim
+    support, term, fock, order, keys = _symbol_layout(sym)
+    coeffs = np.array([sym.coefficients[pair] for pair in support], dtype=complex)
+    radial = np.array([r ** pair.total_weight for pair in support], dtype=float)
+    # row b holds coefficient entry A.flat[b] of each member's term
+    vals = coeffs.reshape(len(support), c * c)[term].T * fock
+    vals = (radial[term] * vals).ravel()[order]
+    return keys[vals != 0], vals[vals != 0]
+
+
 def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     """The operator ``sum r^{|s|} A (x) W_left W_right^*`` on the symbol's space, as CSR.
 
@@ -393,28 +406,26 @@ def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     scaling form, in their order.  A term with a word beyond the truncation
     has no entries.  Exact zeros are dropped.
     """
-    space = sym.space
-    c = space.coeff_dim
-    support, term, fock, order, keys = _symbol_layout(sym)
-    coeffs = np.array([sym.coefficients[pair] for pair in support], dtype=complex)
-    radial = np.array([r ** pair.total_weight for pair in support], dtype=float)
-    # row b holds coefficient entry A.flat[b] of each member's term
-    vals = coeffs.reshape(len(support), c * c)[term].T * fock
-    vals = (radial[term] * vals).ravel()[order]
-    nonzero = vals != 0
-    shape = (space.total_dim,) * 2
-    return FockOperator(space, linalg.entries_matrix(keys[nonzero], vals[nonzero], shape))
+    shape = (sym.space.total_dim,) * 2
+    return FockOperator(sym.space, linalg.entries_matrix(*_model_entries(sym, r), shape))
 
 
 def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
-    """The matrix ``sum A (x) X_left X_right^*`` on K (x) H."""
-    c = sym.space.coeff_dim
-    d = X.dim_h
+    """The matrix ``sum A (x) X_left X_right^*`` on K (x) H.
+
+    ``X_u`` is the product in factor order of the factors' word operators,
+    read by rank from :meth:`~polytoeplitz.cpmaps.OperatorTuple.word_stack`.
+    """
+    c, d, support = sym.space.coeff_dim, X.dim_h, sym.support()
+    stacks = [X.word_stack(i, max((len(u.parts[i]) for p in support for u in (p.left, p.right)), default=0))
+              for i in range(X.spec.k)]
+
+    def at_tuple(u: MultiWord) -> np.ndarray:
+        return functools.reduce(np.matmul, [stack[word_rank(w)] for stack, w in zip(stacks, u.parts)])
+
     out = np.zeros((c * d, c * d), dtype=complex)
-    for pair in sym.support():
-        Xl = linalg.as_dense(X.multi_word_op(pair.left))
-        Xr = linalg.as_dense(X.multi_word_op(pair.right))
-        out += np.kron(sym.coefficients[pair], Xl @ Xr.conj().T)
+    for pair in support:
+        out += np.kron(sym.coefficients[pair], at_tuple(pair.left) @ at_tuple(pair.right).conj().T)
     return out
 
 
@@ -463,12 +474,13 @@ def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> sp.csr_matrix:
     ``tau_(w,g) r^{|s(w,g)|} A_{s(w,g)}``; zero blocks elsewhere.  That is
     :func:`evaluate_at_model` with the Fock index slow: entry ``[w*c + x,
     g*c + y]`` here is entry ``[x*dim + w, y*dim + g]`` there, and the
-    kernel stores exactly the entries the model operator stores.
+    kernel permutes exactly the stored entries of the model operator
+    (:func:`_model_entries`), with no model CSR built.
     """
     if not 0.0 <= r < 1.0:
         raise SpecError(f"radius must lie in [0, 1), got {r}")
     c, d = sym.space.coeff_dim, sym.space.dim
-    keys, vals = linalg.stored_entries(evaluate_at_model(sym, r).matrix)
+    keys, vals = _model_entries(sym, r)
     rows, cols = np.divmod(keys, d * c)
     moved = (rows % d * c + rows // d) * (d * c) + cols % d * c + cols // d
     order = np.argsort(moved)

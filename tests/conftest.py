@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import settings
 
 from polytoeplitz.freemonoid import Word
+from polytoeplitz.model import FockOperator
 from polytoeplitz.weights import PolydomainSpec
 
 # Hypothesis draws the same examples on every run, seeded from each test, so a
@@ -22,6 +24,11 @@ def rng():
 def single_shift_spec():
     """k=1, one generator, f = z."""
     return PolydomainSpec(k=1, n=(1,), m=(1,), coeffs=({Word((1,), 1): 1.0},))
+
+
+def fock_identity(space):
+    """The identity on ``K (x) Fock`` as a CSR operator."""
+    return FockOperator(space, sp.identity(space.total_dim, format="csr", dtype=complex))
 
 
 def make_spec(k, n, m, entries):

@@ -7,7 +7,8 @@ definitions read literally, one word or one stored entry at a time: right
 divisibility ``omega = sigma * gamma``, comparability, the simplification of
 a comparable pair onto its reduced index pair, the entry weight of a pair,
 the graded projections and the diagonal unitary between the weighted and
-unweighted pictures, and the Cesàro window weight of each stored entry.
+unweighted pictures, the Cesàro window weight of each stored entry, and a
+tuple's word operators as products of its matrices one letter at a time.
 Tests import them as they import ``conftest.make_spec``.
 """
 
@@ -19,6 +20,7 @@ import scipy.sparse as sp
 
 from polytoeplitz import linalg
 from polytoeplitz.errors import DimensionMismatch, NotComparable, SpecError
+from polytoeplitz.cpmaps import OperatorTuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockOperator, FockSpace
 from polytoeplitz.weights import WeightTable
@@ -152,3 +154,24 @@ def per_entry_cesaro_reconstruct(
     vals = vals[kept]
     vals *= weight[kept]
     return keys[kept], vals
+
+
+def word_op(X: OperatorTuple, i: int, w: Word):
+    """``X_{i, j_1} ... X_{i, j_p}`` as the product of the word's prefix and its last letter.
+
+    Sparse letters give a CSR product (from a CSR identity), dense ones an
+    ndarray.
+    """
+    if len(w) == 0:
+        if sp.issparse(X.ops[i][0]):
+            return sp.identity(X.dim_h, format="csr", dtype=complex)
+        return np.eye(X.dim_h, dtype=complex)
+    return word_op(X, i, Word(w.letters[:-1], w.alphabet_size)) @ X.ops[i][w.letters[-1] - 1]
+
+
+def multi_word_op(X: OperatorTuple, w: MultiWord):
+    """``X_{w_1} ... X_{w_k}``, the factors' word operators multiplied in factor order."""
+    out = word_op(X, 0, w.parts[0])
+    for i in range(1, X.spec.k):
+        out = out @ word_op(X, i, w.parts[i])
+    return out

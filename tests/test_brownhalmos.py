@@ -19,7 +19,7 @@ from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import evaluate_at_model, random_symbol
 from polytoeplitz.weights import build_weight_table
 
-from conftest import make_spec
+from conftest import fock_identity, make_spec
 
 
 class TestBuildRow:
@@ -152,7 +152,7 @@ class TestBhResidual:
         # for T = I both sides equal the projection onto nonvacuum slot vectors
         spec = random_spec(rng, k=1, max_deg=2)
         space = FockSpace(spec, (4,))
-        T = space.identity()
+        T = fock_identity(space)
         Q = range_projection(space, 0)
         m = spec.m[0]
         alt, power = np.zeros_like(Q), T.dense

@@ -19,6 +19,8 @@ from polytoeplitz.model import FockSpace
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import evaluate_at_model, evaluate_at_tuple, random_symbol
 
+from conftest import fock_identity
+
 
 def scalar_tuple(spec, values):
     """k=1 tuple of 1x1 matrices."""
@@ -172,6 +174,21 @@ class TestBerezinKernel:
             space = FockSpace(spec, trunc)
             assert intertwining_residual(K, X, space) < 1e-12
 
+    def test_nan_entry_gives_a_nan_intertwining_residual(self):
+        # the NaN sits in the first factor's term, which is measured first
+        rng = np.random.default_rng(3)
+        spec = random_spec(rng, k=2, max_n=1)
+        assert spec.n == (1, 1)
+        trunc = (3, 3)
+        X = random_pure_tuple(spec, rng, dims=(2, 2), shrink=0.9)
+        K = berezin_kernel(spec, X, trunc)
+        space = FockSpace(spec, trunc)
+        assert intertwining_residual(K, X, space) < 1e-12
+        spoiled = X.ops[0][0].copy()
+        spoiled[0, 0] = np.nan
+        Y = OperatorTuple(spec=spec, ops=((spoiled,), X.ops[1]), dim_h=X.dim_h)
+        assert np.isnan(intertwining_residual(K, Y, space))
+
 
 class TestBerezinTransform:
     def test_unital_up_to_tail(self, rng):
@@ -180,7 +197,7 @@ class TestBerezinTransform:
         X = random_pure_tuple(spec, rng, dims=(3,), shrink=0.8)
         space = FockSpace(spec, trunc)
         K = berezin_kernel(spec, X, trunc)
-        out = berezin_transform(space.identity(), X, K)
+        out = berezin_transform(fock_identity(space), X, K)
         assert np.abs(out - np.eye(3)).max() <= max(1e-8, K.tail_bound)
 
     def test_positivity(self, rng):

@@ -106,7 +106,21 @@ from polytoeplitz.toeplitz import (
 from polytoeplitz.weights import build_weight_table
 
 from conftest import make_spec
-from oracles import comparable, graded_projection, per_entry_cesaro_reconstruct, simplify, tau
+from oracles import (
+    comparable,
+    graded_projection,
+    multi_word_op,
+    per_entry_cesaro_reconstruct,
+    simplify,
+    tau,
+    word_op,
+)
+
+
+def same_bits(a, b):
+    """Whether two arrays have the same shape and the same bits, signed zeros and NaN payloads included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 def dict_order_one_table(cmap, n, trunc):
@@ -511,7 +525,7 @@ def dense_phi_map(spec, i, X, Y):
     """``sum a_w X_w Y X_w^*`` by matrix products, accumulated on a dense array."""
     acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
     for w, a in spec.coeffs[i].items():
-        Xw = X.word_op(i, w)
+        Xw = word_op(X, i, w)
         term = Xw @ Y @ adjoint(Xw)
         acc += a * as_dense(term)
     return acc
@@ -1012,6 +1026,34 @@ def model_tuples(rng):
     for space in oracle_spaces(rng):
         for side in ("left", "right"):
             yield universal_tuple(space, side=side)
+
+
+def test_universal_word_actions_are_the_letter_products(rng):
+    # the composed triples are the stored entries of the CSR product of the
+    # letters, in keys and bits; words past the truncation act as 0
+    spaces = list(oracle_spaces(rng))
+    for k, coeff_dim in itertools.product((1, 2, 3), (1, 2)):
+        spec = random_spec(rng, k=k, max_deg=3)
+        spaces.append(FockSpace(spec, (3, 2, 2)[:k], coeff_dim=coeff_dim))
+    for space in spaces:
+        for side in ("left", "right"):
+            X = universal_tuple(space, side=side)
+            for i, n in enumerate(space.spec.n):
+                words = [w for w in enumerate_words(n, min(space.trunc[i] + 1, 4)) if len(w)]
+                for w in words + list(space.spec.coeffs[i]):
+                    src, dst, vals = X.word_action(i, w)
+                    keys, expected = linalg_module.stored_entries(word_op(X, i, w))
+                    assert np.array_equal(dst * X.dim_h + src, keys), (side, i, w)
+                    assert same_bits(vals, expected), (side, i, w)
+
+
+def test_kraus_stack_is_the_per_word_stack(rng):
+    for X in list(small_tuples(rng)) + list(model_tuples(rng)):
+        for i in range(X.spec.k):
+            K, a = X.kraus(i)
+            words, coeffs = zip(*X.spec.coeffs[i].items())
+            assert same_bits(K, np.stack([as_dense(word_op(X, i, w)) for w in words]))
+            assert same_bits(a, np.array(coeffs))
 
 
 def test_phi_map_matches_dense_oracle(rng):
@@ -1663,11 +1705,6 @@ def short_side_inputs(rng):
     yield np.zeros((4, 4), dtype=complex)
 
 
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def test_short_side_norm_and_psd_match_the_whole_matrix_call(rng, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an entry gathered for a matrix with a short side")
@@ -1698,12 +1735,6 @@ def test_short_side_pinv_matches_the_whole_matrix_eigh(rng, sparse):
 # of k = 2 tuples hold exact zeros, and LAPACK's Householder steps read their sign.
 
 
-def same_bits(a, b):
-    """Whether two arrays have the same shape and the same bits, signed zeros and NaN payloads included."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
-
-
 def per_point_is_member(spec, X, tol=1e-9):
     """``is_member`` with one ``eigvalsh`` per lattice point."""
     verdict = True
@@ -1725,7 +1756,7 @@ def per_word_berezin_rows(spec, X, trunc):
     space = FockSpace(spec, trunc, weights=table)
     rows = np.empty((space.dim, X.dim_h, X.dim_h), dtype=complex)
     for idx, w in enumerate(space.basis()):
-        Xw = as_dense(X.multi_word_op(w))
+        Xw = as_dense(multi_word_op(X, w))
         b = math.prod(table.b(i, part) for i, part in enumerate(w.parts))
         rows[idx] = math.sqrt(b) * (root @ Xw.conj().T)
     return rows

@@ -30,7 +30,10 @@ def test_only_linalg_reads_entries_through_coo(path):
 
 
 def _calls(tree: ast.AST):
-    """Each call in ``tree`` with the dotted name of its callee and the name of the function around it."""
+    """Each call in ``tree`` with the dotted name of its callee and the name of the function around it.
+
+    A method's name is qualified by its class: ``OperatorTuple.word_action``.
+    """
 
     def dotted(node):
         if isinstance(node, ast.Name):
@@ -42,7 +45,11 @@ def _calls(tree: ast.AST):
 
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
-            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            inner = where
+            if isinstance(child, ast.ClassDef):
+                inner = child.name
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{node.name}.{child.name}" if isinstance(node, ast.ClassDef) else child.name
             if isinstance(child, ast.Call):
                 name = dotted(child.func)
                 if name is not None:
@@ -92,6 +99,41 @@ def test_the_cutoff_has_its_readers_and_only_linalg_reads_meminfo():
     assert readers == {("linalg.py", "op_norm"), ("linalg.py", "norm_bracket"), ("linalg.py", "_spectral_blocks")}
 
 
+def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
+    # a CSR is built at a public boundary only: the universal tuple's word
+    # actions compose the creations' triples, the pluriharmonic kernel permutes
+    # the model operator's entries, and the row Gram diagonal scatters the
+    # map's entries, so none of them reads a CSR it built
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    readers = {
+        (module, where)
+        for module, tree in trees.items()
+        for name, where, _ in _calls(tree)
+        if name.split(".")[-1] == "stored_entries"
+    }
+    assert readers == {
+        ("brownhalmos.py", "phi_right"),
+        ("brownhalmos.py", "bh_residual"),
+        ("cli.py", "_grading_gap"),
+        ("cpmaps.py", "phi_map"),
+        ("linalg.py", "_spectral_blocks"),
+        ("linalg.py", "op_norm"),
+        ("linalg.py", "norm_bracket"),
+        ("toeplitz.py", "is_multi_toeplitz"),
+        ("toeplitz.py", "_degree_gaps"),
+    }
+    assert not {(m, w) for m, w in readers if w.startswith("OperatorTuple.") or w == "pluriharmonic_kernel"}
+    # the word products X_w are built one way per kind of tuple; the
+    # per-letter product is the oracle in tests/oracles.py
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert not defined & {"word_op", "multi_word_op"}
+
+
 # scipy's linear-algebra stack, about 10 MB of import RSS: Lanczos imports it
 # where it runs, past the cutoff, and the component labels are numpy's
 LINEAR_ALGEBRA = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
@@ -127,6 +169,7 @@ UNREAD_EXPORTS = {
     "cauchy_dual": "the paper's Cauchy dual, checked against a dense oracle",
     "evaluate_at_tuple": "the symbol's free pluriharmonic function at a tuple (ROADMAP item 4)",
     "homogeneous_decomposition": "the homogeneous parts as operators; the battery reads their graded_entries runs",
+    "phi_right": "the reversed-series map as an operator; the row's Gram bounds read its entries (_phi_entries)",
 }
 
 

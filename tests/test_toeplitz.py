@@ -25,6 +25,8 @@ from polytoeplitz.toeplitz import (
     symbol_to_json,
 )
 
+from conftest import fock_identity
+
 
 def random_operator(space, rng):
     n = space.total_dim
@@ -36,7 +38,7 @@ class TestIsMultiToeplitz:
     def test_identity_passes_cleanly(self, rng):
         spec = random_spec(rng, k=2, max_n=2)
         space = FockSpace(spec, (2, 2), coeff_dim=2)
-        report = is_multi_toeplitz(space.identity())
+        report = is_multi_toeplitz(fock_identity(space))
         assert report.verdict
         assert report.max_violation == 0.0
         assert report.skipped_pairs == 0
@@ -239,7 +241,7 @@ class TestExtractFourier:
     def test_identity_symbol(self, rng):
         spec = random_spec(rng, k=2, max_n=2)
         space = FockSpace(spec, (2, 2), coeff_dim=2)
-        sym = extract_fourier(space.identity())
+        sym = extract_fourier(fock_identity(space))
         assert len(sym.coefficients) == 1
         pair, A = next(iter(sym.coefficients.items()))
         assert pair.left == MultiWord.identity(spec.n)
@@ -279,7 +281,7 @@ class TestExtractFourier:
     def test_rejects_negative_or_nan_drop_tol(self, rng, drop_tol):
         space = FockSpace(random_spec(rng, k=1, max_n=2), (2,))
         with pytest.raises(SpecError, match="drop tolerance"):
-            extract_fourier(space.identity(), drop_tol=drop_tol)
+            extract_fourier(fock_identity(space), drop_tol=drop_tol)
 
 
 class TestEvaluateSymbol:
