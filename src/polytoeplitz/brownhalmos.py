@@ -17,12 +17,7 @@ import scipy.sparse as sp
 from . import linalg
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import Word, reverse
-from .model import (
-    FockOperator,
-    FockSpace,
-    accumulate_entries,
-    conjugate_entries,
-)
+from .model import Action, FockOperator, FockSpace, accumulate_entries
 from .weights import PolydomainSpec
 
 __all__ = [
@@ -85,6 +80,26 @@ def build_row(spec: PolydomainSpec, space: FockSpace, i: int) -> RowOperator:
     )
 
 
+def _conjugate_entries(
+    action: Action, n: int, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where the entries ``(rows, cols)`` of ``Y`` land in ``A Y A^*``, and the factors they pick up.
+
+    Returns ``(keys, lam_row, lam_col, hit)``: the entries selected by the
+    mask ``hit`` (row and column both in the domain of ``A``) move to the
+    returned row-major keys and are multiplied by ``lam_row`` and
+    ``conj(lam_col)``; every other entry is annihilated.  ``A`` is injective,
+    so the moved keys are distinct and there are at most as many as entries.
+    """
+    src, dst, lam = action
+    slot = np.full(n, -1, dtype=np.int64)
+    slot[src] = np.arange(src.size)
+    sr, sc = slot[rows], slot[cols]
+    hit = (sr >= 0) & (sc >= 0)
+    sr, sc = sr[hit], sc[hit]
+    return dst[sr] * n + dst[sc], lam[sr], lam[sc], hit
+
+
 def _phi_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
     # each right creation moves basis vectors injectively, so conjugation by
     # it gathers and scatters the stored entries and keeps at most their count
@@ -93,7 +108,7 @@ def _phi_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
     terms = []
     for w, a in space.spec.coeffs[i].items():
         action = space.creation_action(i, reverse(w), side="right")
-        moved, lam_r, lam_c, hit = conjugate_entries(action, n, rows, cols)
+        moved, lam_r, lam_c, hit = _conjugate_entries(action, n, rows, cols)
         terms.append((moved, (a * (lam_r * lam_c.conj())) * vals[hit]))
     return accumulate_entries(terms)
 

@@ -163,10 +163,9 @@ def _emit(report: dict, out: Optional[Path], name: str) -> None:
         sys.stdout.write(f"wrote {out / name}\n")
 
 
-def _vacuum_residual(delta: linalg.MatrixLike) -> float:
-    """Largest entry of ``|delta - P_vacuum|``, without a dense ``(dim, dim)`` projection."""
-    vacuum = sp.csr_matrix(([1.0], ([0], [0])), shape=delta.shape)
-    return float(abs(sp.csr_matrix(delta) - vacuum).max())
+def _vacuum_residual(delta: np.ndarray) -> float:
+    """``max |delta - e_0|``: the universal model's defect diagonal against the vacuum projection's."""
+    return float(np.abs(delta - np.eye(1, delta.size)[0]).max())
 
 
 def _load_operator(space: FockSpace, path: str) -> FockOperator:
@@ -331,10 +330,12 @@ def _load_tuple(spec: PolydomainSpec, manifest_path: str) -> OperatorTuple:
         raise SpecError(f"cannot read tuple manifest {manifest_path}: {exc}") from exc
     base = Path(manifest_path).parent
     try:
-        dim_h = int(doc["dim_h"])
+        dim_h = doc["dim_h"]
         files = doc["files"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed tuple manifest: {exc}") from exc
+    if isinstance(dim_h, bool) or not isinstance(dim_h, int) or dim_h < 1:
+        raise SpecError(f"malformed tuple manifest: dim_h must be an integer >= 1, got {dim_h!r}")
     if not (isinstance(files, list) and all(isinstance(r, list) and all(isinstance(f, str) for f in r) for r in files)):
         raise SpecError("malformed tuple manifest: files must be a list of lists of file names")
     if len(files) != spec.k:

@@ -20,13 +20,7 @@ import scipy.sparse as sp
 from . import linalg
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import Word, word_rank
-from .model import (
-    Action,
-    FockOperator,
-    FockSpace,
-    accumulate_entries,
-    conjugate_entries,
-)
+from .model import Action, FockOperator, FockSpace
 from .weights import PolydomainSpec, build_weight_table, series_tail_bound
 
 __all__ = [
@@ -51,9 +45,10 @@ class OperatorTuple:
     """A point of (a candidate for) the polydomain on a concrete Hilbert space.
 
     ``model`` is the ``(space, side)`` of the universal model's creations (set
-    by :func:`universal_tuple`): its word operators act by moving stored
-    entries (:meth:`word_action`), which the completely positive maps use
-    instead of multiplying matrices; other tuples stack them (:meth:`word_stack`).
+    by :func:`universal_tuple`): its word operators act by moving basis
+    vectors (:meth:`word_action`), and its completely positive maps carry
+    their operands as diagonals; other tuples stack the word operators
+    (:meth:`word_stack`).
     """
 
     spec: PolydomainSpec
@@ -94,10 +89,10 @@ class OperatorTuple:
         self.commutation_checked = True
         return worst
 
-    def identity(self) -> Matrix:
-        """The identity on H: CSR for the universal model, dense otherwise."""
+    def identity(self) -> np.ndarray:
+        """The identity on H: its diagonal ``ones(dim_h)`` on the universal model, dense otherwise."""
         if self.model is not None:
-            return sp.identity(self.dim_h, format="csr", dtype=complex)
+            return np.ones(self.dim_h, dtype=complex)
         return np.eye(self.dim_h, dtype=complex)
 
     def word_action(self, i: int, w: Word) -> Action:
@@ -160,36 +155,33 @@ class OperatorTuple:
 def universal_tuple(space: FockSpace, side: str = "left") -> OperatorTuple:
     """The weighted creation tuple of ``space`` as an operator tuple on the Fock part.
 
-    The creations are CSR, written from :meth:`FockSpace.creation_action`,
-    whose leading ``1 / coeff_dim`` of entries act on the Fock part; the tuple
-    carries ``(space, side)`` as its ``model``, so its completely positive
-    maps run on stored entries.  Cross-factor Kronecker slots commute exactly.
+    The creations are the leading Fock block of :meth:`FockSpace.creation_product`
+    (the coefficient space is its outermost factor); the tuple carries
+    ``(space, side)`` as its ``model``, so its completely positive maps run on
+    diagonals.  Cross-factor Kronecker slots commute exactly.
     """
     d = space.dim
-
-    def creation(i: int, j: int) -> sp.csr_matrix:
-        src, dst, vals = space.creation_action(i, Word((j,), space.spec.n[i]), side)
-        m = src.size // space.coeff_dim
-        return linalg.entries_matrix(dst[:m] * d + src[:m], vals[:m], (d, d))
-
-    ops = tuple(tuple(creation(i, j) for j in range(1, n + 1)) for i, n in enumerate(space.spec.n))
     return OperatorTuple(
         spec=space.spec,
-        ops=ops,
-        dim_h=space.dim,
+        ops=tuple(
+            tuple(space.creation_product(i, Word((j,), n), side)[:d, :d] for j in range(1, n + 1))
+            for i, n in enumerate(space.spec.n)
+        ),
+        dim_h=d,
         commutation_checked=True,
         model=(space, side),
     )
 
 
-def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: Matrix) -> Matrix:
+def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: np.ndarray) -> np.ndarray:
     """The factor-i completely positive map ``Y -> sum a_w X_w Y X_w^*``.
 
-    On the universal model the map moves the stored entries of ``Y``, dense
-    or sparse, along each word's :meth:`~OperatorTuple.word_action` and
-    returns CSR; ``Y`` is never densified.  Other tuples take one stacked
-    product ``(K Y) K^*`` over the :meth:`~OperatorTuple.kraus` stack ``K``
-    and return an ndarray, the terms added from zeros in coefficient order.
+    On the universal model ``Y`` and the result are diagonals, vectors of
+    length ``dim_h``: each word's :meth:`~OperatorTuple.word_action` moves
+    ``Y[src]`` to ``dst`` times ``|val|**2``, one scatter per word.  Other
+    tuples take one stacked product ``(K Y) K^*`` over the
+    :meth:`~OperatorTuple.kraus` stack ``K``.  Either way the terms are added
+    from zeros in coefficient order.
     """
     if X.model is None:
         K, a = X.kraus(i)
@@ -198,23 +190,22 @@ def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: Matrix) -> Matrix
         for term in terms:
             acc += term
         return acc
-    n = X.dim_h
-    keys, vals = linalg.stored_entries(Y)
-    rows, cols = np.divmod(keys, n)
-    terms = []
+    if Y.shape != (X.dim_h,):
+        raise DimensionMismatch(f"the universal model's operand is its diagonal, shape ({X.dim_h},), got {Y.shape}")
+    acc = np.zeros(X.dim_h, dtype=complex)
     for w, a in spec.coeffs[i].items():
-        moved, lam_r, lam_c, hit = conjugate_entries(X.word_action(i, w), n, rows, cols)
-        # the order of the dense products (X_w Y) X_w^*
-        terms.append((moved, a * (lam_c.conj() * (lam_r * vals[hit]))))
-    return linalg.entries_matrix(*accumulate_entries(terms), (n, n))
+        src, dst, lam = X.word_action(i, w)
+        # the order of the dense products (X_w Y) X_w^* on the diagonal
+        acc[dst] += a * (lam.conj() * (lam * Y[src]))
+    return acc
 
 
-def defect(spec: PolydomainSpec, X: OperatorTuple, p: Sequence[int]) -> Matrix:
+def defect(spec: PolydomainSpec, X: OperatorTuple, p: Sequence[int]) -> np.ndarray:
     """``(id - Phi_1)^{p_1} ... (id - Phi_k)^{p_k}`` applied to the identity.
 
     The rightmost factor acts first; for commuting tuples the order is
     immaterial.  Starts from :meth:`OperatorTuple.identity`, so the universal
-    model yields CSR and other tuples an ndarray.
+    model yields the defect's diagonal and other tuples a matrix.
     """
     if len(p) != spec.k:
         raise DimensionMismatch("power tuple length differs from factor count")
@@ -235,7 +226,7 @@ def _defect_walk(spec: PolydomainSpec, X: OperatorTuple):
     ``j`` last and the product order visits ``p - e_j`` first, so every
     ``D(p)`` equals ``defect(spec, X, p)`` exactly.
     """
-    defects: dict[tuple[int, ...], Matrix] = {}
+    defects: dict[tuple[int, ...], np.ndarray] = {}
     for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
         j = next((i for i, pi in enumerate(p) if pi), None)
         if j is None:
@@ -262,15 +253,32 @@ def is_member(
     negative defect found (the first in product order), or the first whose
     eigenvalues are NaN, which fails the verdict.  The defects come
     from one walk over the lattice (one map per point), not from the identity
-    at every point, and are answered by one batched ``eigvalsh``.
+    at every point, and are answered by one batched ``eigvalsh``; on the
+    universal model they are diagonals, whose eigenvalues are their entries.
     """
     if not X.commutation_checked:
         X.check_commutation()
     points, defects = zip(*_defect_walk(spec, X))
-    lo, hi = _extreme_eigs(np.stack([linalg.as_dense(D) for D in defects]))
+    if X.model is None:
+        lo, hi = _extreme_eigs(np.stack(defects))
+    else:
+        diagonals = np.stack(defects).real
+        lo, hi = diagonals.min(axis=1), diagonals.max(axis=1)
     # the first most negative defect, or the first NaN one
     j = int(np.argmin(lo))
     return linalg.psd_within(lo, hi, tol), (points[j], float(lo[j]))
+
+
+def _phi_power_norms(spec: PolydomainSpec, i: int, X: OperatorTuple):
+    """Yield ``||Phi_i^p(I)||`` for ``p = 1, 2, ...``, the iterates started from :meth:`OperatorTuple.identity`.
+
+    The universal model's iterates are diagonals, whose norm is the largest
+    entry modulus; other tuples take :func:`linalg.op_norm`.
+    """
+    Y = X.identity()
+    while True:
+        Y = phi_map(spec, i, X, Y)
+        yield float(np.abs(Y).max()) if X.model is not None else linalg.op_norm(Y)
 
 
 def is_pure(
@@ -281,22 +289,17 @@ def is_pure(
 ) -> tuple[bool, dict]:
     """Whether iterates ``Phi_i^p(I)`` fall below ``tol`` within ``power_cap`` powers.
 
-    The iterates start from :meth:`OperatorTuple.identity`; on the universal
-    model they stay CSR (diagonal, at most ``dim`` entries).  The report
-    carries the per-factor norm sequences and a crude spectral radius
-    estimate from the last ratio, as a fallback diagnostic when the cap is
-    hit.
+    The norms come from :func:`_phi_power_norms`.  The report carries the
+    per-factor norm sequences and a crude spectral radius estimate from the
+    last ratio, as a fallback diagnostic when the cap is hit.
     """
     report: dict = {"factors": []}
     pure = True
     for i in range(spec.k):
-        Y = X.identity()
-        norms = []
-        reached = None
-        for p in range(1, power_cap + 1):
-            Y = phi_map(spec, i, X, Y)
-            norms.append(linalg.op_norm(Y))
-            if norms[-1] < tol:
+        norms, reached = [], None
+        for p, norm in zip(range(1, power_cap + 1), _phi_power_norms(spec, i, X)):
+            norms.append(norm)
+            if norm < tol:
                 reached = p
                 break
         radius_est = None
@@ -367,7 +370,7 @@ def berezin_kernel(
     trunc = tuple(int(L) for L in trunc)
     table = build_weight_table(spec, trunc)
     delta = defect(spec, X, spec.m)
-    root = linalg.herm_sqrt(delta, tol)
+    root = linalg.herm_sqrt(np.diag(delta) if X.model is not None else delta, tol)
     # X_w and b_w over the basis, first factor slowest, multiplied in factor order
     Xw, b = X.word_stack(0, trunc[0]), table.values[0]
     for i in range(1, spec.k):
@@ -387,10 +390,7 @@ def berezin_kernel(
                     acc += a * (Kw @ Kw.conj().T)
             shells[d] = linalg.op_norm(acc)
         factors.append((shells, spec.m[i], trunc[i], 1.0))
-        Y = np.eye(X.dim_h, dtype=complex)
-        for _ in range(trunc[i] + 1):
-            Y = phi_map(spec, i, X, Y)
-        power_norms.append(linalg.op_norm(Y))
+        power_norms.append(next(itertools.islice(_phi_power_norms(spec, i, X), trunc[i], None)))
     return BerezinKernel(
         spec=spec,
         trunc=trunc,

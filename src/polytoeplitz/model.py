@@ -363,34 +363,14 @@ class FockSpace:
 
 # -- stored-entry kernels ------------------------------------------------------
 # Operators with at most one entry per row and per column (creations and their
-# products) act on matrices by moving entries.  An action is ``(src, dst,
-# vals)`` with ``A e_src = vals * e_dst``; a matrix is carried in the one
-# stored-entry format of :func:`linalg.stored_entries`, row-major keys
-# ``row * n + col`` and values.  The completely positive maps of
-# ``cpmaps`` and ``brownhalmos`` share these kernels and differ only in how
-# they combine the values.
+# products) move basis vectors: an action is ``(src, dst, vals)`` with
+# ``A e_src = vals * e_dst``.  A matrix is carried in the one stored-entry
+# format of :func:`linalg.stored_entries`, row-major keys ``row * n + col`` and
+# values.  ``cpmaps`` scatters the universal model's diagonals along the
+# actions; ``brownhalmos`` conjugates stored entries by them and sums the terms
+# here.
 
 Action = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def conjugate_entries(
-    action: Action, n: int, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Where the entries ``(rows, cols)`` of ``Y`` land in ``A Y A^*``, and the factors they pick up.
-
-    Returns ``(keys, lam_row, lam_col, hit)``: the entries selected by the
-    mask ``hit`` (row and column both in the domain of ``A``) move to the
-    returned row-major keys and are multiplied by ``lam_row`` and
-    ``conj(lam_col)``; every other entry is annihilated.  ``A`` is injective,
-    so the moved keys are distinct and there are at most as many as entries.
-    """
-    src, dst, lam = action
-    slot = np.full(n, -1, dtype=np.int64)
-    slot[src] = np.arange(src.size)
-    sr, sc = slot[rows], slot[cols]
-    hit = (sr >= 0) & (sc >= 0)
-    sr, sc = sr[hit], sc[hit]
-    return dst[sr] * n + dst[sc], lam[sr], lam[sc], hit
 
 
 def accumulate_entries(terms) -> tuple[np.ndarray, np.ndarray]:

@@ -148,8 +148,9 @@ def test_criterion_03_defect_identity():
         trunc = (5,) if k == 1 else (4, 4)
         space = FockSpace(spec, trunc)
         W = universal_tuple(space)
-        vac = np.zeros((space.dim, space.dim))
-        vac[0, 0] = 1.0
+        # the defect's diagonal against the vacuum projection's, e_0
+        vac = np.zeros(space.dim)
+        vac[0] = 1.0
         dev = float(np.abs(defect(spec, W, spec.m) - vac).max())
         worst = max(worst, dev)
     assert worst <= 1e-10, f"defect identity deviation {worst:.3e}"

@@ -124,6 +124,13 @@ def test_malformed_tuple_manifest_exits_2(tmp_path, capsys):
         argv = ["berezin", "--spec", spec_path, "--trunc", "2", "--tuple", str(tmp_path / "tuple.json")]
         assert main(argv) == 2, files
         assert "malformed tuple manifest" in capsys.readouterr().err
+    # a well-formed file of the declared shape: dim_h itself is refused
+    (tmp_path / "X.mtx").write_text("0 0 0\n")
+    for dim_h in (0, -1, 2.5, "2"):
+        (tmp_path / "tuple.json").write_text(json.dumps({"dim_h": dim_h, "files": [["X.mtx"]]}))
+        argv = ["berezin", "--spec", spec_path, "--trunc", "2", "--tuple", str(tmp_path / "tuple.json")]
+        assert main(argv) == 2, dim_h
+        assert "malformed tuple manifest" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

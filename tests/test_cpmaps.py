@@ -73,8 +73,9 @@ class TestDefect:
             spec = random_spec(rng)
             space = FockSpace(spec, (4,) * spec.k)
             W = universal_tuple(space, side="left")
-            vac = np.zeros((space.dim, space.dim))
-            vac[0, 0] = 1.0
+            # the defect's diagonal against the vacuum projection's, e_0
+            vac = np.zeros(space.dim)
+            vac[0] = 1.0
             assert np.abs(defect(spec, W, spec.m) - vac).max() < 1e-10
 
     def test_right_model_vacuum_projection(self, rng):
@@ -91,8 +92,8 @@ class TestDefect:
         spec_sym = PolydomainSpec(k=1, n=spec.n, m=spec.m, coeffs=(avg,))
         space_sym = FockSpace(spec_sym, (4,))
         lam = universal_tuple(space_sym, side="right")
-        vac = np.zeros((space_sym.dim, space_sym.dim))
-        vac[0, 0] = 1.0
+        vac = np.zeros(space_sym.dim)
+        vac[0] = 1.0
         assert np.abs(defect(spec_sym, lam, spec_sym.m) - vac).max() < 1e-10
 
     def test_rejects_bad_powers(self, bergman2_spec):
@@ -188,6 +189,24 @@ class TestBerezinKernel:
         spoiled[0, 0] = np.nan
         Y = OperatorTuple(spec=spec, ops=((spoiled,), X.ops[1]), dim_h=X.dim_h)
         assert np.isnan(intertwining_residual(K, Y, space))
+
+    def test_universal_model_kernel_matches_its_dense_copy(self, rng):
+        # the model's defect and power iterates are diagonals; the same
+        # creations as dense matrices give the same kernel and purity
+        for _ in range(3):
+            spec = random_spec(rng)
+            trunc = (3,) * spec.k
+            W = universal_tuple(FockSpace(spec, trunc))
+            dense = OperatorTuple(
+                spec=spec,
+                ops=tuple(tuple(A.toarray() for A in fac) for fac in W.ops),
+                dim_h=W.dim_h,
+                commutation_checked=True,
+            )
+            got, expected = berezin_kernel(spec, W, trunc), berezin_kernel(spec, dense, trunc)
+            assert np.abs(got.rows - expected.rows).max() < 1e-12
+            assert got.phi_power_norms == pytest.approx(expected.phi_power_norms, abs=1e-12)
+            assert is_pure(spec, W, power_cap=4)[0] and is_pure(spec, dense, power_cap=4)[0]
 
 
 class TestBerezinTransform:

@@ -1056,28 +1056,34 @@ def test_kraus_stack_is_the_per_word_stack(rng):
             assert same_bits(a, np.array(coeffs))
 
 
+def exactly_diagonal(M):
+    """Whether every off-diagonal entry of the square array ``M`` is zero."""
+    return np.array_equal(M, np.diag(np.diag(M)))
+
+
 def test_phi_map_matches_dense_oracle(rng):
+    # the universal model's operands are diagonals: the map of the identity
+    # and of a random complex diagonal is the dense oracle's diagonal, bit
+    # for bit, and the oracle is exactly diagonal
     for X in model_tuples(rng):
         spec, n = X.spec, X.dim_h
-        Y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for i in range(spec.k):
-            got = phi_map(spec, i, X, X.identity())
-            assert sp.issparse(got)
-            assert np.array_equal(got.toarray(), dense_phi_map(spec, i, X, np.eye(n)))
-            expected = dense_phi_map(spec, i, X, Y)
-            got = phi_map(spec, i, X, Y)
-            assert sp.issparse(got) and np.array_equal(got.toarray(), expected)
-            got = phi_map(spec, i, X, sp.csr_matrix(Y))
-            assert sp.issparse(got) and np.array_equal(got.toarray(), expected)
+            for arg in (X.identity(), y):
+                expected = dense_phi_map(spec, i, X, np.diag(arg))
+                assert exactly_diagonal(expected)
+                assert same_bits(phi_map(spec, i, X, arg), np.diag(expected))
+            with pytest.raises(DimensionMismatch):
+                phi_map(spec, i, X, np.diag(y))
 
 
 def test_defect_and_purity_match_dense_oracle(rng):
     for X in model_tuples(rng):
         spec = X.spec
         for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
-            got = defect(spec, X, p)
-            assert sp.issparse(got)
-            assert np.array_equal(got.toarray(), dense_defect(spec, X, p))
+            expected = dense_defect(spec, X, p)
+            assert exactly_diagonal(expected)
+            assert same_bits(defect(spec, X, p), np.diag(expected))
         cap = max(X.dim_h, 2)
         _, report = is_pure(spec, X, power_cap=cap, tol=1e-9)
         assert report["factors"] == dense_pure_factors(spec, X, cap, 1e-9)
@@ -1089,7 +1095,8 @@ def test_defect_walk_matches_defect_at_every_point(rng):
         walked = list(_defect_walk(X.spec, X))
         assert [p for p, _ in walked] == points
         for p, D in walked:
-            assert np.array_equal(D.toarray(), defect(X.spec, X, p).toarray())
+            assert same_bits(D, defect(X.spec, X, p))
+            assert same_bits(D, np.diag(dense_defect(X.spec, X, p)))
     # dense tuples walk the same lattice on ndarrays
     for _ in range(3):
         spec = random_spec(rng)
@@ -1740,6 +1747,8 @@ def per_point_is_member(spec, X, tol=1e-9):
     verdict = True
     witness = ((0,) * spec.k, np.inf)
     for p, D in _defect_walk(spec, X):
+        if X.model is not None:
+            D = np.diag(D)  # the universal model's defects are diagonals
         eigs = np.linalg.eigvalsh(hermitize(D))
         lo, hi = float(eigs[0]), float(eigs[-1])
         if lo < witness[1]:
@@ -1862,7 +1871,7 @@ def test_batched_phi_map_matches_per_word_oracle(rng):
 
 
 def test_batched_is_member_matches_per_point_oracle(rng):
-    for X in small_tuples(rng):
+    for X in list(small_tuples(rng)) + list(model_tuples(rng)):
         assert is_member(X.spec, X) == per_point_is_member(X.spec, X)
         # a point outside: its witness is the first most negative defect
         far = X.scaled(3.0)

@@ -27,8 +27,9 @@ def test_support_degree_beyond_truncation():
         assert abs(table.b(0, w) - brute_force_weight(spec, 0, w)) < 1e-13
     space = FockSpace(spec, (2,))
     W = universal_tuple(space)
-    vac = np.zeros((3, 3))
-    vac[0, 0] = 1.0
+    # the defect's diagonal against the vacuum projection's, e_0
+    vac = np.zeros(3)
+    vac[0] = 1.0
     assert np.abs(defect(spec, W, spec.m) - vac).max() < 1e-12
     row = build_row(spec, space, 0)
     assert len(row.gamma) == 2

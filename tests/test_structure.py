@@ -115,7 +115,6 @@ def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
         ("brownhalmos.py", "phi_right"),
         ("brownhalmos.py", "bh_residual"),
         ("cli.py", "_grading_gap"),
-        ("cpmaps.py", "phi_map"),
         ("linalg.py", "_spectral_blocks"),
         ("linalg.py", "op_norm"),
         ("linalg.py", "norm_bracket"),
@@ -132,6 +131,18 @@ def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     assert not defined & {"word_op", "multi_word_op"}
+
+
+def test_the_model_maps_carry_diagonals_not_stored_entries():
+    # the universal model's defects and purity iterates are diagonals, moved
+    # by one scatter per word: cpmaps neither imports nor calls a stored-entry
+    # kernel, and builds no sparse identity
+    kernels = {"stored_entries", "entries_matrix", "conjugate_entries", "_conjugate_entries", "accumulate_entries"}
+    tree = ast.parse((PACKAGE / "cpmaps.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & kernels
+    called = {name for name, _, _ in _calls(tree)}
+    assert not {name for name in called if name.split(".")[-1] in kernels} | called & {"sp.identity", "sp.eye"}
 
 
 # scipy's linear-algebra stack, about 10 MB of import RSS: Lanczos imports it
