@@ -11,6 +11,7 @@ from .brownhalmos import RowOperator, bh_residual, bh_scan, build_row, cauchy_du
 from .cpmaps import (
     BerezinKernel,
     OperatorTuple,
+    UniversalModel,
     berezin_kernel,
     berezin_transform,
     defect,
@@ -18,7 +19,6 @@ from .cpmaps import (
     is_pure,
     phi_map,
     random_pure_tuple,
-    universal_tuple,
 )
 from .errors import (
     DimensionMismatch,

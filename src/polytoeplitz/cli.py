@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -31,6 +32,7 @@ from .brownhalmos import (
 )
 from .cpmaps import (
     OperatorTuple,
+    UniversalModel,
     berezin_kernel,
     berezin_transform,
     defect,
@@ -38,7 +40,6 @@ from .cpmaps import (
     is_member,
     is_pure,
     random_pure_tuple,
-    universal_tuple,
 )
 from .errors import (
     DimensionMismatch,
@@ -248,7 +249,7 @@ def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
     space = _space(cfg)
     spec, trunc = space.spec, space.trunc
 
-    W = universal_tuple(space, side="left")
+    W = UniversalModel(space, side="left")
     defect_residual = _vacuum_residual(defect(spec, W, spec.m))
     pure, pure_report = is_pure(spec, W, power_cap=max(trunc) + 1, tol=cfg.tol)
 
@@ -511,8 +512,7 @@ def _check_defect_identity(rng: np.random.Generator, trunc_degree: int) -> list[
     worst = 0.0
     for _ in range(4):
         spec = random_spec(rng)
-        space = FockSpace(spec, (trunc_degree,) * spec.k)
-        W = universal_tuple(space)
+        W = UniversalModel(FockSpace(spec, (trunc_degree,) * spec.k))
         worst = linalg.strict_max(worst, _vacuum_residual(defect(spec, W, spec.m)))
     return [_check("defect_identity", worst, 1e-10, 4)]
 
@@ -728,9 +728,20 @@ def run_verify_battery(seed: int, trunc_degree: int = 4) -> dict:
 
     Each check carries its own fixed tolerance; the top-level ``tolerance``
     is the default of the other subcommands' ``--tol``, kept in the report.
+    A check that raises fails by name with what it raised (traceback to stderr)
+    and the others still run; a ``MemoryError`` is no verdict (exit 3).
     """
     rng = np.random.default_rng(seed)
-    checks = [entry for run in _BATTERY for entry in run(rng, trunc_degree)]
+    checks = []
+    for run in _BATTERY:
+        try:
+            checks += run(rng, trunc_degree)
+        except MemoryError:
+            raise
+        except Exception as exc:
+            traceback.print_exc()
+            name = run.__name__.removeprefix("_check_")
+            checks.append({"name": name, "passed": False, "error": f"{type(exc).__name__}: {exc}"})
     checks.sort(key=lambda c: c["name"])
     return {
         "command": "verify",

@@ -4,7 +4,7 @@ An :class:`OperatorTuple` holds one matrix tuple per factor, acting on a
 common finite-dimensional Hilbert space; entries of different factors must
 commute.  The maps here implement the defining positivity conditions of the
 polydomain and the kernel that transports operators from the universal model
-to an arbitrary member tuple.
+(:class:`UniversalModel`, which holds no matrix) to an arbitrary member tuple.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,12 +20,12 @@ import scipy.sparse as sp
 from . import linalg
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import Word, word_rank
-from .model import Action, FockOperator, FockSpace
+from .model import FockOperator, FockSpace
 from .weights import PolydomainSpec, build_weight_table, series_tail_bound
 
 __all__ = [
     "OperatorTuple",
-    "universal_tuple",
+    "UniversalModel",
     "phi_map",
     "defect",
     "is_member",
@@ -42,21 +42,12 @@ Matrix = Union[np.ndarray, sp.spmatrix]
 
 @dataclass
 class OperatorTuple:
-    """A point of (a candidate for) the polydomain on a concrete Hilbert space.
-
-    ``model`` is the ``(space, side)`` of the universal model's creations (set
-    by :func:`universal_tuple`): its word operators act by moving basis
-    vectors (:meth:`word_action`), and its completely positive maps carry
-    their operands as diagonals; other tuples stack the word operators
-    (:meth:`word_stack`).
-    """
+    """A point of (a candidate for) the polydomain on a concrete Hilbert space, as matrices."""
 
     spec: PolydomainSpec
     ops: tuple[tuple[Matrix, ...], ...]
     dim_h: int
     commutation_checked: bool = False
-    model: Optional[tuple[FockSpace, str]] = None
-    _action_cache: dict = field(default_factory=dict, repr=False)
     _kraus_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -90,32 +81,8 @@ class OperatorTuple:
         return worst
 
     def identity(self) -> np.ndarray:
-        """The identity on H: its diagonal ``ones(dim_h)`` on the universal model, dense otherwise."""
-        if self.model is not None:
-            return np.ones(self.dim_h, dtype=complex)
+        """The identity on H."""
         return np.eye(self.dim_h, dtype=complex)
-
-    def word_action(self, i: int, w: Word) -> Action:
-        """``(src, dst, vals)`` with ``X_w e_src = vals * e_dst`` on the universal model, cached.
-
-        The last letter's creation (the Fock part of :meth:`FockSpace.creation_action`)
-        composed with the prefix's action, gathered where the letter's targets
-        meet the prefix's domain; each value is ``prefix value * letter
-        value``, as in a CSR product, and ``src`` and ``dst`` stay increasing,
-        so the entries are in row-major order.
-        """
-        key = (i, w.letters)
-        if key not in self._action_cache:
-            space, side = self.model
-            src, dst, vals = space.creation_action(i, Word(w.letters[-1:], w.alphabet_size), side)
-            m = src.size // space.coeff_dim
-            src, dst, vals = src[:m], dst[:m], vals[:m]
-            if len(w) > 1:
-                p_src, p_dst, p_vals = self.word_action(i, Word(w.letters[:-1], w.alphabet_size))
-                at, hit = linalg.lookup(p_src, dst)
-                src, dst, vals = src[hit], p_dst[at[hit]], p_vals[at[hit]] * vals[hit]
-            self._action_cache[key] = (src, dst, vals)
-        return self._action_cache[key]
 
     def kraus(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Factor ``i``'s ``X_w`` in coefficient order, by rank from :meth:`word_stack`, and the ``a_w``; cached."""
@@ -143,7 +110,7 @@ class OperatorTuple:
         return np.concatenate(levels)
 
     def scaled(self, r: float) -> "OperatorTuple":
-        """``r X`` as a tuple of matrices: not the model, whatever ``X`` is."""
+        """``r X``."""
         return OperatorTuple(
             spec=self.spec,
             ops=tuple(tuple(r * X for X in fac) for fac in self.ops),
@@ -152,38 +119,40 @@ class OperatorTuple:
         )
 
 
-def universal_tuple(space: FockSpace, side: str = "left") -> OperatorTuple:
-    """The weighted creation tuple of ``space`` as an operator tuple on the Fock part.
+class UniversalModel(NamedTuple):
+    """The weighted creation tuple of ``space`` on its Fock part, whose creations commute exactly.
 
-    The creations are the leading Fock block of :meth:`FockSpace.creation_product`
-    (the coefficient space is its outermost factor); the tuple carries
-    ``(space, side)`` as its ``model``, so its completely positive maps run on
-    diagonals.  Cross-factor Kronecker slots commute exactly.
+    Its word operators move basis vectors (:meth:`FockSpace.word_action`), so
+    its completely positive maps carry their operands as diagonals.
     """
-    d = space.dim
-    return OperatorTuple(
-        spec=space.spec,
-        ops=tuple(
-            tuple(space.creation_product(i, Word((j,), n), side)[:d, :d] for j in range(1, n + 1))
-            for i, n in enumerate(space.spec.n)
-        ),
-        dim_h=d,
-        commutation_checked=True,
-        model=(space, side),
-    )
+
+    space: FockSpace
+    side: str = "left"
+
+    @property
+    def spec(self) -> PolydomainSpec:
+        return self.space.spec
+
+    @property
+    def dim_h(self) -> int:
+        return self.space.dim
+
+    def identity(self) -> np.ndarray:
+        """The identity's diagonal."""
+        return np.ones(self.dim_h, dtype=complex)
 
 
-def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: np.ndarray) -> np.ndarray:
+def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple | UniversalModel, Y: np.ndarray) -> np.ndarray:
     """The factor-i completely positive map ``Y -> sum a_w X_w Y X_w^*``.
 
     On the universal model ``Y`` and the result are diagonals, vectors of
-    length ``dim_h``: each word's :meth:`~OperatorTuple.word_action` moves
-    ``Y[src]`` to ``dst`` times ``|val|**2``, one scatter per word.  Other
+    length ``dim_h``: each word's :meth:`~FockSpace.word_action` moves
+    ``Y[src]`` to ``dst`` times ``|val|**2``, one scatter per word.  Matrix
     tuples take one stacked product ``(K Y) K^*`` over the
     :meth:`~OperatorTuple.kraus` stack ``K``.  Either way the terms are added
     from zeros in coefficient order.
     """
-    if X.model is None:
+    if isinstance(X, OperatorTuple):
         K, a = X.kraus(i)
         terms = a[:, None, None] * ((K @ linalg.as_dense(Y)) @ K.conj().transpose(0, 2, 1))
         acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
@@ -194,18 +163,18 @@ def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple, Y: np.ndarray) -> np
         raise DimensionMismatch(f"the universal model's operand is its diagonal, shape ({X.dim_h},), got {Y.shape}")
     acc = np.zeros(X.dim_h, dtype=complex)
     for w, a in spec.coeffs[i].items():
-        src, dst, lam = X.word_action(i, w)
+        src, dst, lam = X.space.word_action(i, w, X.side)
         # the order of the dense products (X_w Y) X_w^* on the diagonal
         acc[dst] += a * (lam.conj() * (lam * Y[src]))
     return acc
 
 
-def defect(spec: PolydomainSpec, X: OperatorTuple, p: Sequence[int]) -> np.ndarray:
+def defect(spec: PolydomainSpec, X: OperatorTuple | UniversalModel, p: Sequence[int]) -> np.ndarray:
     """``(id - Phi_1)^{p_1} ... (id - Phi_k)^{p_k}`` applied to the identity.
 
     The rightmost factor acts first; for commuting tuples the order is
-    immaterial.  Starts from :meth:`OperatorTuple.identity`, so the universal
-    model yields the defect's diagonal and other tuples a matrix.
+    immaterial.  Starts from ``X.identity()``, so the universal model yields
+    the defect's diagonal and a matrix tuple a matrix.
     """
     if len(p) != spec.k:
         raise DimensionMismatch("power tuple length differs from factor count")
@@ -218,7 +187,7 @@ def defect(spec: PolydomainSpec, X: OperatorTuple, p: Sequence[int]) -> np.ndarr
     return Y
 
 
-def _defect_walk(spec: PolydomainSpec, X: OperatorTuple):
+def _defect_walk(spec: PolydomainSpec, X: OperatorTuple | UniversalModel):
     """Yield ``(p, defect(spec, X, p))`` over ``0 <= p <= m`` in product order.
 
     Each point costs one map: ``D(p) = D(p - e_j) - Phi_j(D(p - e_j))`` with
@@ -245,7 +214,7 @@ def _extreme_eigs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_member(
-    spec: PolydomainSpec, X: OperatorTuple, tol: float = 1e-9
+    spec: PolydomainSpec, X: OperatorTuple | UniversalModel, tol: float = 1e-9
 ) -> tuple[bool, tuple[tuple[int, ...], float]]:
     """Membership test: every defect ``0 <= p <= m`` must be PSD up to ``tol``.
 
@@ -256,10 +225,10 @@ def is_member(
     at every point, and are answered by one batched ``eigvalsh``; on the
     universal model they are diagonals, whose eigenvalues are their entries.
     """
-    if not X.commutation_checked:
+    if isinstance(X, OperatorTuple) and not X.commutation_checked:
         X.check_commutation()
     points, defects = zip(*_defect_walk(spec, X))
-    if X.model is None:
+    if isinstance(X, OperatorTuple):
         lo, hi = _extreme_eigs(np.stack(defects))
     else:
         diagonals = np.stack(defects).real
@@ -269,21 +238,21 @@ def is_member(
     return linalg.psd_within(lo, hi, tol), (points[j], float(lo[j]))
 
 
-def _phi_power_norms(spec: PolydomainSpec, i: int, X: OperatorTuple):
-    """Yield ``||Phi_i^p(I)||`` for ``p = 1, 2, ...``, the iterates started from :meth:`OperatorTuple.identity`.
+def _phi_power_norms(spec: PolydomainSpec, i: int, X: OperatorTuple | UniversalModel):
+    """Yield ``||Phi_i^p(I)||`` for ``p = 1, 2, ...``, the iterates started from ``X.identity()``.
 
     The universal model's iterates are diagonals, whose norm is the largest
-    entry modulus; other tuples take :func:`linalg.op_norm`.
+    entry modulus; matrix tuples take :func:`linalg.op_norm`.
     """
     Y = X.identity()
     while True:
         Y = phi_map(spec, i, X, Y)
-        yield float(np.abs(Y).max()) if X.model is not None else linalg.op_norm(Y)
+        yield linalg.op_norm(Y) if isinstance(X, OperatorTuple) else float(np.abs(Y).max())
 
 
 def is_pure(
     spec: PolydomainSpec,
-    X: OperatorTuple,
+    X: OperatorTuple | UniversalModel,
     power_cap: int = 60,
     tol: float = 1e-9,
 ) -> tuple[bool, dict]:
@@ -369,8 +338,7 @@ def berezin_kernel(
     """
     trunc = tuple(int(L) for L in trunc)
     table = build_weight_table(spec, trunc)
-    delta = defect(spec, X, spec.m)
-    root = linalg.herm_sqrt(np.diag(delta) if X.model is not None else delta, tol)
+    root = linalg.herm_sqrt(defect(spec, X, spec.m), tol)
     # X_w and b_w over the basis, first factor slowest, multiplied in factor order
     Xw, b = X.word_stack(0, trunc[0]), table.values[0]
     for i in range(1, spec.k):
@@ -526,8 +494,7 @@ def random_pure_tuple(
             after = int(np.prod(dims[i + 1 :])) if i + 1 < spec.k else 1
             row.append(np.kron(np.kron(np.eye(before), Y), np.eye(after)).astype(complex))
         ops.append(tuple(row))
-    raw = OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h)
-    raw.commutation_checked = True
+    raw = OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h, commutation_checked=True)
     polys = _defect_polynomials(spec, raw)
 
     def member_at(r: float) -> bool:

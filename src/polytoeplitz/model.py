@@ -82,8 +82,9 @@ class FockSpace:
         # (support, layout) of the last symbol evaluate_at_model saw on this
         # space: its other radii, and the same support, reuse the layout
         self.symbol_layout: Optional[tuple[frozenset, tuple]] = None
-        # (side, factor, letters) -> index arrays of creation_action
-        self._action_cache: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # (side, factor, letters) -> index arrays of creation_action, and of word_action
+        self._action_cache: dict[tuple, Action] = {}
+        self._word_cache: dict[tuple, Action] = {}
         # factor -> smallest positive eigenvalue of its right-row Gram matrix
         self.row_gram_min_eig: dict[int, float] = {}
 
@@ -181,6 +182,26 @@ class FockSpace:
                 a.flags.writeable = False
             cache[key] = (src, dst, vals)
         return cache[key]
+
+    def word_action(self, i: int, w: Word, side: str = "left") -> Action:
+        """``(src, dst, vals)`` of the universal model's ``W_w`` on the Fock part, cached.
+
+        The last letter's creation (the Fock part of :meth:`creation_action`)
+        composed with the prefix's action where its targets meet the prefix's
+        domain: each value is ``prefix value * letter value``, the bits of a
+        CSR product of the letters, and the entries stay in row-major order.
+        """
+        key = (side, i, w.letters)
+        if key not in self._word_cache:
+            src, dst, vals = self.creation_action(i, Word(w.letters[-1:], w.alphabet_size), side)
+            m = src.size // self.coeff_dim
+            src, dst, vals = src[:m], dst[:m], vals[:m]
+            if len(w) > 1:
+                p_src, p_dst, p_vals = self.word_action(i, Word(w.letters[:-1], w.alphabet_size), side)
+                at, hit = linalg.lookup(p_src, dst)
+                src, dst, vals = src[hit], p_dst[at[hit]], p_vals[at[hit]] * vals[hit]
+            self._word_cache[key] = (src, dst, vals)
+        return self._word_cache[key]
 
     def creation_product(self, i: int, word: Word, side: str = "left") -> sp.csr_matrix:
         """The creation of :meth:`creation_action` as CSR on ``K (x) Fock``."""

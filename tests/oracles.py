@@ -7,9 +7,10 @@ definitions read literally, one word or one stored entry at a time: right
 divisibility ``omega = sigma * gamma``, comparability, the simplification of
 a comparable pair onto its reduced index pair, the entry weight of a pair,
 the graded projections and the diagonal unitary between the weighted and
-unweighted pictures, the Cesàro window weight of each stored entry, and a
-tuple's word operators as products of its matrices one letter at a time.
-Tests import them as they import ``conftest.make_spec``.
+unweighted pictures, the Cesàro window weight of each stored entry, a
+tuple's word operators as products of its matrices one letter at a time, and
+the universal model's creations as matrices.  Tests import them as they
+import ``conftest.make_spec``.
 """
 
 import math
@@ -175,3 +176,17 @@ def multi_word_op(X: OperatorTuple, w: MultiWord):
     for i in range(1, X.spec.k):
         out = out @ word_op(X, i, w.parts[i])
     return out
+
+
+def model_matrices(space: FockSpace, side: str = "left") -> OperatorTuple:
+    """The universal model of ``space`` as matrices: each letter's Fock block of ``creation_product``, CSR."""
+    d = space.dim
+    return OperatorTuple(
+        spec=space.spec,
+        ops=tuple(
+            tuple(space.creation_product(i, Word((j,), n), side)[:d, :d] for j in range(1, n + 1))
+            for i, n in enumerate(space.spec.n)
+        ),
+        dim_h=d,
+        commutation_checked=True,
+    )

@@ -25,10 +25,10 @@ from polytoeplitz.brownhalmos import (
 )
 from polytoeplitz.cli import main
 from polytoeplitz.cpmaps import (
+    UniversalModel,
     berezin_kernel,
     intertwining_residual,
     random_pure_tuple,
-    universal_tuple,
     defect,
 )
 from polytoeplitz.freemonoid import Word
@@ -147,7 +147,7 @@ def test_criterion_03_defect_identity():
         spec = random_spec(rng, k=k)
         trunc = (5,) if k == 1 else (4, 4)
         space = FockSpace(spec, trunc)
-        W = universal_tuple(space)
+        W = UniversalModel(space)
         # the defect's diagonal against the vacuum projection's, e_0
         vac = np.zeros(space.dim)
         vac[0] = 1.0

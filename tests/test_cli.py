@@ -12,9 +12,9 @@ from scipy.sparse.csgraph import connected_components
 
 from polytoeplitz import cli, linalg, toeplitz
 from polytoeplitz.cli import build_parser, main
-from polytoeplitz.cpmaps import BerezinKernel, random_pure_tuple, universal_tuple
+from polytoeplitz.cpmaps import BerezinKernel, random_pure_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
-from polytoeplitz.model import FockSpace, monomial
+from polytoeplitz.model import FockSpace, monomial, weighted_left_creation
 from polytoeplitz.toeplitz import (
     FourierSymbol,
     evaluate_at_model,
@@ -158,13 +158,13 @@ def test_nan_oracle_value_fails_weights(tmp_path, monkeypatch):
 def test_infinite_tail_bound_is_written_as_strict_json(tmp_path):
     # the truncated universal model of the two-generator ball has shell-norm sum 1
     spec = write_spec(tmp_path / "spec.json", BALL)
-    X = universal_tuple(FockSpace(spec_from_json(BALL), (2,)))
+    space = FockSpace(spec_from_json(BALL), (2,))
     files = []
-    for j, op in enumerate(X.ops[0], start=1):
+    for j in (1, 2):
         with open(tmp_path / f"W_{j}.mtx", "w") as fh:
-            linalg.save_matrix(fh, op)
+            linalg.save_matrix(fh, weighted_left_creation(space, 0, j).matrix)
         files.append(f"W_{j}.mtx")
-    (tmp_path / "tuple.json").write_text(json.dumps({"dim_h": X.dim_h, "files": [files]}))
+    (tmp_path / "tuple.json").write_text(json.dumps({"dim_h": space.dim, "files": [files]}))
     rc = main(["berezin", "--spec", spec, "--trunc", "2", "--tuple", str(tmp_path / "tuple.json"),
                "--out", str(tmp_path / "out")])
     assert rc == 0
@@ -531,6 +531,32 @@ def test_grading_check_reports_a_misgraded_entry(monkeypatch, seed, worst):
     check = _grading_check(seed)
     assert check["passed"] is False
     assert check["worst"] == worst
+
+
+def test_a_check_that_raises_fails_by_name(monkeypatch, tmp_path, capsys):
+    # the defect check raises: it alone fails, carrying the exception, the
+    # other checks still report, and verify exits 1
+    expected = {c["name"] for c in cli.run_verify_battery(0, 3)["checks"]} - {"defect_identity"}
+
+    def broken(delta):
+        raise ArithmeticError("no residual")
+
+    monkeypatch.setattr(cli, "_vacuum_residual", broken)
+    assert main(["verify", "--trunc", "3", "--seed", "0", "--out", str(tmp_path)]) == 1
+    report = strict_json((tmp_path / "verify-report.json").read_text())
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert failed == [{"name": "defect_identity", "passed": False, "error": "ArithmeticError: no residual"}]
+    assert {c["name"] for c in report["checks"]} - {"defect_identity"} == expected
+    assert "in broken" in capsys.readouterr().err
+
+
+def test_a_check_out_of_memory_still_exits_3(monkeypatch, capsys):
+    def exhausted(delta):
+        raise MemoryError("residual")
+
+    monkeypatch.setattr(cli, "_vacuum_residual", exhausted)
+    assert main(["verify", "--trunc", "3", "--seed", "0"]) == 3
+    assert "out of memory" in capsys.readouterr().err
 
 
 def test_grading_check_reports_a_wrong_reconstruction(monkeypatch):

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from polytoeplitz.cpmaps import (
     OperatorTuple,
+    UniversalModel,
+    _phi_power_norms,
     berezin_kernel,
     berezin_transform,
     defect,
@@ -11,15 +15,15 @@ from polytoeplitz.cpmaps import (
     is_pure,
     phi_map,
     random_pure_tuple,
-    universal_tuple,
 )
 from polytoeplitz.errors import SpecError
-from polytoeplitz.linalg import psd_check
+from polytoeplitz.linalg import herm_sqrt, psd_check
 from polytoeplitz.model import FockSpace
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import evaluate_at_model, evaluate_at_tuple, random_symbol
 
 from conftest import fock_identity
+from oracles import model_matrices
 
 
 def scalar_tuple(spec, values):
@@ -72,7 +76,7 @@ class TestDefect:
         for _ in range(5):
             spec = random_spec(rng)
             space = FockSpace(spec, (4,) * spec.k)
-            W = universal_tuple(space, side="left")
+            W = UniversalModel(space, side="left")
             # the defect's diagonal against the vacuum projection's, e_0
             vac = np.zeros(space.dim)
             vac[0] = 1.0
@@ -91,7 +95,7 @@ class TestDefect:
         avg = {w: 0.5 * (closed[w] + closed[reverse(w)]) for w in closed}
         spec_sym = PolydomainSpec(k=1, n=spec.n, m=spec.m, coeffs=(avg,))
         space_sym = FockSpace(spec_sym, (4,))
-        lam = universal_tuple(space_sym, side="right")
+        lam = UniversalModel(space_sym, side="right")
         vac = np.zeros(space_sym.dim)
         vac[0] = 1.0
         assert np.abs(defect(spec_sym, lam, spec_sym.m) - vac).max() < 1e-10
@@ -110,7 +114,7 @@ class TestMembership:
     def test_truncated_model_belongs(self, rng):
         spec = random_spec(rng)
         space = FockSpace(spec, (3,) * spec.k)
-        W = universal_tuple(space)
+        W = UniversalModel(space)
         ok, _ = is_member(spec, W)
         assert ok
 
@@ -131,7 +135,7 @@ class TestPurity:
         spec = random_spec(rng, k=1)
         L = 3
         space = FockSpace(spec, (L,))
-        W = universal_tuple(space)
+        W = UniversalModel(space)
         pure, report = is_pure(spec, W, power_cap=L + 1, tol=1e-12)
         assert pure
         assert report["factors"][0]["power"] <= L + 1
@@ -190,23 +194,20 @@ class TestBerezinKernel:
         Y = OperatorTuple(spec=spec, ops=((spoiled,), X.ops[1]), dim_h=X.dim_h)
         assert np.isnan(intertwining_residual(K, Y, space))
 
-    def test_universal_model_kernel_matches_its_dense_copy(self, rng):
+    def test_universal_model_kernel_inputs_match_its_matrix_copy(self, rng):
         # the model's defect and power iterates are diagonals; the same
-        # creations as dense matrices give the same kernel and purity
+        # creations as matrices give the same kernel root and power norms,
+        # so the same kernel, and the same purity
         for _ in range(3):
             spec = random_spec(rng)
             trunc = (3,) * spec.k
-            W = universal_tuple(FockSpace(spec, trunc))
-            dense = OperatorTuple(
-                spec=spec,
-                ops=tuple(tuple(A.toarray() for A in fac) for fac in W.ops),
-                dim_h=W.dim_h,
-                commutation_checked=True,
-            )
-            got, expected = berezin_kernel(spec, W, trunc), berezin_kernel(spec, dense, trunc)
-            assert np.abs(got.rows - expected.rows).max() < 1e-12
-            assert got.phi_power_norms == pytest.approx(expected.phi_power_norms, abs=1e-12)
-            assert is_pure(spec, W, power_cap=4)[0] and is_pure(spec, dense, power_cap=4)[0]
+            space = FockSpace(spec, trunc)
+            W, M = UniversalModel(space), model_matrices(space)
+            root = herm_sqrt(np.diag(defect(spec, W, spec.m)))
+            assert np.abs(root - herm_sqrt(defect(spec, M, spec.m))).max() < 1e-12
+            norms = tuple(next(itertools.islice(_phi_power_norms(spec, i, W), L, None)) for i, L in enumerate(trunc))
+            assert norms == pytest.approx(berezin_kernel(spec, M, trunc).phi_power_norms, abs=1e-12)
+            assert is_pure(spec, W, power_cap=4)[0] and is_pure(spec, M, power_cap=4)[0]
 
 
 class TestBerezinTransform:
@@ -241,7 +242,7 @@ class TestBerezinTransform:
         space = FockSpace(spec, trunc, coeff_dim=2)
         sym = random_symbol(space, rng, n_monomials=5)
         T = evaluate_at_model(sym, 0.9)
-        X = universal_tuple(FockSpace(spec, trunc, weights=space.weights)).scaled(0.5)
+        X = model_matrices(FockSpace(spec, trunc, weights=space.weights)).scaled(0.5)
         lhs = berezin_transform(T, X)
         rhs = evaluate_at_model(sym, 0.45).dense
         assert np.abs(lhs - rhs).max() < 1e-12

@@ -53,6 +53,7 @@ from polytoeplitz.brownhalmos import (
 )
 from polytoeplitz.cpmaps import (
     OperatorTuple,
+    UniversalModel,
     _defect_walk,
     berezin_kernel,
     berezin_transform,
@@ -61,7 +62,6 @@ from polytoeplitz.cpmaps import (
     is_pure,
     phi_map,
     random_pure_tuple,
-    universal_tuple,
 )
 from polytoeplitz.freemonoid import (
     IndexPair,
@@ -109,6 +109,7 @@ from conftest import make_spec
 from oracles import (
     comparable,
     graded_projection,
+    model_matrices,
     multi_word_op,
     per_entry_cesaro_reconstruct,
     simplify,
@@ -1023,9 +1024,10 @@ def test_row_gram_diagonal_matches_eigvalsh(rng):
 
 
 def model_tuples(rng):
+    """Each universal model of the oracle spaces, both sides, with its creations as matrices."""
     for space in oracle_spaces(rng):
         for side in ("left", "right"):
-            yield universal_tuple(space, side=side)
+            yield UniversalModel(space, side), model_matrices(space, side)
 
 
 def test_universal_word_actions_are_the_letter_products(rng):
@@ -1037,18 +1039,18 @@ def test_universal_word_actions_are_the_letter_products(rng):
         spaces.append(FockSpace(spec, (3, 2, 2)[:k], coeff_dim=coeff_dim))
     for space in spaces:
         for side in ("left", "right"):
-            X = universal_tuple(space, side=side)
+            X = model_matrices(space, side)
             for i, n in enumerate(space.spec.n):
                 words = [w for w in enumerate_words(n, min(space.trunc[i] + 1, 4)) if len(w)]
                 for w in words + list(space.spec.coeffs[i]):
-                    src, dst, vals = X.word_action(i, w)
+                    src, dst, vals = space.word_action(i, w, side)
                     keys, expected = linalg_module.stored_entries(word_op(X, i, w))
                     assert np.array_equal(dst * X.dim_h + src, keys), (side, i, w)
                     assert same_bits(vals, expected), (side, i, w)
 
 
 def test_kraus_stack_is_the_per_word_stack(rng):
-    for X in list(small_tuples(rng)) + list(model_tuples(rng)):
+    for X in list(small_tuples(rng)) + [M for _, M in model_tuples(rng)]:
         for i in range(X.spec.k):
             K, a = X.kraus(i)
             words, coeffs = zip(*X.spec.coeffs[i].items())
@@ -1065,38 +1067,38 @@ def test_phi_map_matches_dense_oracle(rng):
     # the universal model's operands are diagonals: the map of the identity
     # and of a random complex diagonal is the dense oracle's diagonal, bit
     # for bit, and the oracle is exactly diagonal
-    for X in model_tuples(rng):
-        spec, n = X.spec, X.dim_h
+    for W, M in model_tuples(rng):
+        spec, n = W.spec, W.dim_h
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for i in range(spec.k):
-            for arg in (X.identity(), y):
-                expected = dense_phi_map(spec, i, X, np.diag(arg))
+            for arg in (W.identity(), y):
+                expected = dense_phi_map(spec, i, M, np.diag(arg))
                 assert exactly_diagonal(expected)
-                assert same_bits(phi_map(spec, i, X, arg), np.diag(expected))
+                assert same_bits(phi_map(spec, i, W, arg), np.diag(expected))
             with pytest.raises(DimensionMismatch):
-                phi_map(spec, i, X, np.diag(y))
+                phi_map(spec, i, W, np.diag(y))
 
 
 def test_defect_and_purity_match_dense_oracle(rng):
-    for X in model_tuples(rng):
-        spec = X.spec
+    for W, M in model_tuples(rng):
+        spec = W.spec
         for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
-            expected = dense_defect(spec, X, p)
+            expected = dense_defect(spec, M, p)
             assert exactly_diagonal(expected)
-            assert same_bits(defect(spec, X, p), np.diag(expected))
-        cap = max(X.dim_h, 2)
-        _, report = is_pure(spec, X, power_cap=cap, tol=1e-9)
-        assert report["factors"] == dense_pure_factors(spec, X, cap, 1e-9)
+            assert same_bits(defect(spec, W, p), np.diag(expected))
+        cap = max(W.dim_h, 2)
+        _, report = is_pure(spec, W, power_cap=cap, tol=1e-9)
+        assert report["factors"] == dense_pure_factors(spec, M, cap, 1e-9)
 
 
 def test_defect_walk_matches_defect_at_every_point(rng):
-    for X in model_tuples(rng):
-        points = list(itertools.product(*(range(mi + 1) for mi in X.spec.m)))
-        walked = list(_defect_walk(X.spec, X))
+    for W, M in model_tuples(rng):
+        points = list(itertools.product(*(range(mi + 1) for mi in W.spec.m)))
+        walked = list(_defect_walk(W.spec, W))
         assert [p for p, _ in walked] == points
         for p, D in walked:
-            assert same_bits(D, defect(X.spec, X, p))
-            assert same_bits(D, np.diag(dense_defect(X.spec, X, p)))
+            assert same_bits(D, defect(W.spec, W, p))
+            assert same_bits(D, np.diag(dense_defect(W.spec, M, p)))
     # dense tuples walk the same lattice on ndarrays
     for _ in range(3):
         spec = random_spec(rng)
@@ -1130,10 +1132,10 @@ def test_factor_creation_matches_per_column_oracle(rng):
                     expected = ampliated_creation(space, i, word, side)
                     assert got.nnz == expected.nnz
                     assert np.array_equal(got.toarray(), expected.toarray())
-        # the universal tuple keeps the Fock part: the same creations with no coefficient slot
+        # the model's matrices keep the Fock part: the same creations with no coefficient slot
         fock = FockSpace(space.spec, space.trunc, weights=space.weights)
         for side in ("left", "right"):
-            ops = universal_tuple(space, side=side).ops
+            ops = model_matrices(space, side).ops
             for i, n in enumerate(space.spec.n):
                 for j in range(1, n + 1):
                     expected = ampliated_creation(fock, i, Word((j,), n), side)
@@ -1747,7 +1749,7 @@ def per_point_is_member(spec, X, tol=1e-9):
     verdict = True
     witness = ((0,) * spec.k, np.inf)
     for p, D in _defect_walk(spec, X):
-        if X.model is not None:
+        if isinstance(X, UniversalModel):
             D = np.diag(D)  # the universal model's defects are diagonals
         eigs = np.linalg.eigvalsh(hermitize(D))
         lo, hi = float(eigs[0]), float(eigs[-1])
@@ -1851,13 +1853,13 @@ def split_homogeneous_decomposition(T):
 
 
 def small_tuples(rng, count=12):
-    """Seeded pure tuples with slot dims 1-3 (1 in the first four), Kronecker slots for k = 2, and one scaled universal model."""
+    """Seeded pure tuples with slot dims 1-3 (1 in the first four), Kronecker slots for k = 2, and one scaled universal model's matrices."""
     for j in range(count):
         spec = random_spec(rng, k=1 + j % 2)
         dims = rng.integers(1, 4, size=spec.k) if j >= 4 else np.ones(spec.k)
         yield random_pure_tuple(spec, rng, dims=tuple(int(x) for x in dims), shrink=0.9)
     space = FockSpace(random_spec(rng, k=2), (2, 2))
-    yield universal_tuple(space).scaled(0.5)
+    yield model_matrices(space).scaled(0.5)
 
 
 def test_batched_phi_map_matches_per_word_oracle(rng):
@@ -1871,10 +1873,11 @@ def test_batched_phi_map_matches_per_word_oracle(rng):
 
 
 def test_batched_is_member_matches_per_point_oracle(rng):
-    for X in list(small_tuples(rng)) + list(model_tuples(rng)):
+    # each tuple with the matrices it scales: a model scales its matrix copy
+    for X, M in [(X, X) for X in small_tuples(rng)] + list(model_tuples(rng)):
         assert is_member(X.spec, X) == per_point_is_member(X.spec, X)
         # a point outside: its witness is the first most negative defect
-        far = X.scaled(3.0)
+        far = M.scaled(3.0)
         got = is_member(X.spec, far)
         assert got == per_point_is_member(X.spec, far)
         assert not got[0]

@@ -3,7 +3,7 @@
 import numpy as np
 
 from polytoeplitz.brownhalmos import bh_residual, build_row
-from polytoeplitz.cpmaps import defect, universal_tuple
+from polytoeplitz.cpmaps import UniversalModel, defect
 from polytoeplitz.freemonoid import Word
 from polytoeplitz.model import FockSpace
 from polytoeplitz.toeplitz import (
@@ -26,7 +26,7 @@ def test_support_degree_beyond_truncation():
         w = Word((1,) * p, 1)
         assert abs(table.b(0, w) - brute_force_weight(spec, 0, w)) < 1e-13
     space = FockSpace(spec, (2,))
-    W = universal_tuple(space)
+    W = UniversalModel(space)
     # the defect's diagonal against the vacuum projection's, e_0
     vac = np.zeros(3)
     vac[0] = 1.0

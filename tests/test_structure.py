@@ -32,7 +32,7 @@ def test_only_linalg_reads_entries_through_coo(path):
 def _calls(tree: ast.AST):
     """Each call in ``tree`` with the dotted name of its callee and the name of the function around it.
 
-    A method's name is qualified by its class: ``OperatorTuple.word_action``.
+    A method's name is qualified by its class: ``OperatorTuple.kraus``.
     """
 
     def dotted(node):
@@ -100,7 +100,7 @@ def test_the_cutoff_has_its_readers_and_only_linalg_reads_meminfo():
 
 
 def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
-    # a CSR is built at a public boundary only: the universal tuple's word
+    # a CSR is built at a public boundary only: the universal model's word
     # actions compose the creations' triples, the pluriharmonic kernel permutes
     # the model operator's entries, and the row Gram diagonal scatters the
     # map's entries, so none of them reads a CSR it built
@@ -136,13 +136,26 @@ def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
 def test_the_model_maps_carry_diagonals_not_stored_entries():
     # the universal model's defects and purity iterates are diagonals, moved
     # by one scatter per word: cpmaps neither imports nor calls a stored-entry
-    # kernel, and builds no sparse identity
-    kernels = {"stored_entries", "entries_matrix", "conjugate_entries", "_conjugate_entries", "accumulate_entries"}
+    # kernel, builds no creation matrix and no sparse identity
+    kernels = {
+        "stored_entries", "entries_matrix", "conjugate_entries", "_conjugate_entries", "accumulate_entries",
+        "creation_product",
+    }
     tree = ast.parse((PACKAGE / "cpmaps.py").read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & kernels
     called = {name for name, _, _ in _calls(tree)}
     assert not {name for name in called if name.split(".")[-1] in kernels} | called & {"sp.identity", "sp.eye"}
+
+
+def test_the_universal_model_is_its_space_and_operator_tuples_are_matrices():
+    # one representation per kind of tuple: OperatorTuple declares no mode
+    # field, and the model holds nothing but its (space, side)
+    from polytoeplitz.cpmaps import OperatorTuple, UniversalModel
+
+    fields = OperatorTuple.__dataclass_fields__
+    assert "model" not in fields and "_action_cache" not in fields
+    assert UniversalModel._fields == ("space", "side")
 
 
 # scipy's linear-algebra stack, about 10 MB of import RSS: Lanczos imports it

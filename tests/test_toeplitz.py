@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from polytoeplitz import linalg
-from polytoeplitz.cpmaps import universal_tuple
 from polytoeplitz.errors import SpecError
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.linalg import op_norm, psd_check
@@ -26,6 +25,7 @@ from polytoeplitz.toeplitz import (
 )
 
 from conftest import fock_identity
+from oracles import model_matrices
 
 
 def random_operator(space, rng):
@@ -291,7 +291,7 @@ class TestEvaluateSymbol:
         sym = FourierSymbol(space, {IndexPair(e, e): np.eye(2)})
         out = evaluate_at_model(sym)
         assert np.abs(out.dense - np.eye(space.total_dim)).max() == 0.0
-        X = universal_tuple(space)
+        X = model_matrices(space)
         full = evaluate_at_tuple(sym, X)
         assert np.abs(full - np.eye(2 * space.dim)).max() == 0.0
 
