@@ -81,45 +81,64 @@ def build_row(spec: PolydomainSpec, space: FockSpace, i: int) -> RowOperator:
 
 
 def _conjugate_entries(
-    action: Action, n: int, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Where the entries ``(rows, cols)`` of ``Y`` land in ``A Y A^*``, and the factors they pick up.
+    action: Action, n: int, rows: np.ndarray, cols: np.ndarray, a: float, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``a A Y A^*``, for ``Y`` with values ``vals`` at ``(rows, cols)``.
 
-    Returns ``(keys, lam_row, lam_col, hit)``: the entries selected by the
-    mask ``hit`` (row and column both in the domain of ``A``) move to the
-    returned row-major keys and are multiplied by ``lam_row`` and
-    ``conj(lam_col)``; every other entry is annihilated.  ``A`` is injective,
-    so the moved keys are distinct and there are at most as many as entries.
+    Entries with row and column both in the domain of ``A`` move to the
+    returned row-major keys and are multiplied by ``a``, ``lam_row`` and
+    ``conj(lam_col)``; every other entry is annihilated.  ``A`` is injective
+    and increasing, so the moved keys are distinct, at most as many as the
+    entries, and sorted when ``(rows, cols)`` are.
     """
     src, dst, lam = action
     slot = np.full(n, -1, dtype=np.int64)
     slot[src] = np.arange(src.size)
     sr, sc = slot[rows], slot[cols]
+    del slot
     hit = (sr >= 0) & (sc >= 0)
     sr, sc = sr[hit], sc[hit]
-    return dst[sr] * n + dst[sc], lam[sr], lam[sc], hit
+    moved = dst[sr]
+    moved *= n
+    moved += dst[sc]
+    # (a * (lam_row * conj(lam_col))) * vals, each product in this operand
+    # order; each index array goes once read, as this runs beside the map's sum
+    scale = lam[sr]
+    del sr
+    lam_col = lam[sc]
+    del sc
+    np.multiply(scale, np.conjugate(lam_col, out=lam_col), out=scale)
+    del lam_col
+    np.multiply(a, scale, out=scale)
+    picked = vals[hit]
+    del hit
+    return moved, np.multiply(scale, picked, out=picked)
 
 
 def _phi_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
     # each right creation moves basis vectors injectively, so conjugation by
-    # it gathers and scatters the stored entries and keeps at most their count
+    # it gathers and scatters the stored entries and keeps at most their
+    # count; each word's term is summed in as soon as it is made
     n = space.total_dim
     rows, cols = np.divmod(keys, n)
-    terms = []
-    for w, a in space.spec.coeffs[i].items():
-        action = space.creation_action(i, reverse(w), side="right")
-        moved, lam_r, lam_c, hit = _conjugate_entries(action, n, rows, cols)
-        terms.append((moved, (a * (lam_r * lam_c.conj())) * vals[hit]))
-    return accumulate_entries(terms)
+    return accumulate_entries(
+        _conjugate_entries(space.creation_action(i, reverse(w), side="right"), n, rows, cols, a, vals)
+        for w, a in space.spec.coeffs[i].items()
+    )
 
 
-def _alternating_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
+def _alternating_terms(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
+    # the terms (-1)**(j-1) C(m, j) Phi^j of the alternating sum, in order;
+    # each power is mapped on before its term is drawn, so the term scales
+    # the power's own values and no earlier term is held through the map
     m = space.spec.m[i]
-    terms = []
+    keys, vals = _phi_entries(space, i, keys, vals)
     for j in range(1, m + 1):
-        keys, vals = _phi_entries(space, i, keys, vals)
-        terms.append((keys, ((-1) ** (j - 1)) * math.comb(m, j) * vals))
-    return accumulate_entries(terms)
+        power_keys, power = keys, vals
+        if j < m:
+            keys, vals = _phi_entries(space, i, keys, vals)
+        yield power_keys, np.multiply(((-1) ** (j - 1)) * math.comb(m, j), power, out=power)
+        del power_keys, power
 
 
 def phi_right(space: FockSpace, i: int, Y: linalg.MatrixLike) -> sp.csr_matrix:
@@ -192,6 +211,25 @@ def _min_positive_gram_eig(space: FockSpace, i: int) -> float:
     return cache[i]
 
 
+def _in_range_entries(space: FockSpace, i: int, matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The stored entries of ``Q Y Q``: those whose row and column are both nonvacuum in factor ``i``."""
+    n = space.total_dim
+    keys, vals = linalg.stored_entries(matrix)
+    q = np.tile(space.degree_table()[:, i] > 0, space.coeff_dim)
+    in_range = q[keys // n]
+    in_range &= q[keys % n]
+    return keys[in_range], vals[in_range]
+
+
+def _residual_terms(space: FockSpace, i: int, matrix):
+    # Q Y Q, then minus the alternating sum: the stored entries are read again
+    # after the maps rather than held through them, and each side is made
+    # only when the sum draws it
+    rhs_keys, rhs_vals = accumulate_entries(_alternating_terms(space, i, *linalg.stored_entries(matrix)))
+    yield _in_range_entries(space, i, matrix)
+    yield rhs_keys, np.negative(rhs_vals, out=rhs_vals)
+
+
 def bh_residual(T: FockOperator, spec: PolydomainSpec, i: int) -> float:
     """Residual of the factor-``i`` structural equation for ``T``.
 
@@ -216,13 +254,7 @@ def bh_residual(T: FockOperator, spec: PolydomainSpec, i: int) -> float:
             raise DimensionMismatch("spec differs from the operator space's spec")
     if not 0 <= i < spec.k:
         raise DimensionMismatch(f"factor index {i} outside range")
-    n = space.total_dim
-    keys, vals = linalg.stored_entries(T.matrix)
-    q = np.tile(space.degree_table()[:, i] > 0, space.coeff_dim)
-    rows, cols = np.divmod(keys, n)
-    in_range = q[rows] & q[cols]
-    rhs_keys, rhs_vals = _alternating_entries(space, i, keys, vals)
-    _, diff = accumulate_entries([(keys[in_range], vals[in_range]), (rhs_keys, -rhs_vals)])
+    _, diff = accumulate_entries(_residual_terms(space, i, T.matrix))
     lam = _min_positive_gram_eig(space, i)
     if lam <= 0.0:
         raise SpecError("row Gram matrix has no positive spectrum")

@@ -116,8 +116,13 @@ def entries_matrix(keys: np.ndarray, vals: np.ndarray, shape: Tuple[int, int]) -
     """
     indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
     # the index type scipy picks, given up front so it need not scan the arrays
-    index = np.int32 if max(*shape, keys.size) < 2**31 else np.int64
+    index = index_dtype(max(*shape, keys.size))
     return sp.csr_matrix((vals, (keys % shape[1]).astype(index), indptr.astype(index)), shape=shape)
+
+
+def index_dtype(bound: int) -> type:
+    """int32 when every index below ``bound`` fits in it, else int64."""
+    return np.int32 if bound < 2**31 else np.int64
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -139,8 +144,8 @@ def lookup(keys: np.ndarray, want: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ``keys.size`` elsewhere.
     """
     pos = np.searchsorted(keys, want)
-    hit = pos < keys.size
-    hit[hit] = keys[pos[hit]] == want[hit]
+    # a key past the last one is clipped onto it, which it does not equal
+    hit = keys.take(pos, mode="clip") == want if keys.size else np.zeros(pos.shape, dtype=bool)
     return pos, hit
 
 

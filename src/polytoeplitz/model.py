@@ -217,8 +217,8 @@ class FockSpace:
             self._pairs = _build_pair_structure(self)
         return self._pairs
 
-    def classify_pairs(self, rows: np.ndarray, cols: np.ndarray) -> "PairClasses":
-        """Comparability, reduced class and entry weights of the basis pairs ``(rows, cols)``.
+    def classify_pairs(self, keys: np.ndarray) -> "PairClasses":
+        """Comparability, reduced class and entry weights of the basis pairs with row-major keys ``row * dim + col``.
 
         Per factor the shorter word of a pair must be the suffix of the longer
         one of its length (:func:`_suffix_quotient`); the quotient left over
@@ -226,33 +226,59 @@ class FockSpace:
         :func:`_factor_pairs`, and the factor weighs ``sqrt(b_shorter /
         b_longer)``.  Weights multiply in factor order, as in the pair
         arrays, so every value equals the pair structure's bit for bit.
-        Storage is linear in the number of pairs asked about.
+        Storage is the five outputs, linear in the number of pairs asked
+        about, and the temporaries of one factor at a time.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        comparable = np.ones(rows.size, dtype=bool)
-        cls = np.zeros(rows.size, dtype=np.int64)
-        rep_row = np.zeros(rows.size, dtype=np.int64)
-        rep_col = np.zeros(rows.size, dtype=np.int64)
-        tau = tau_rep = None
+        keys = np.asarray(keys, dtype=np.int64)
+        size = keys.size
+        out = PairClasses(
+            np.ones(size, dtype=bool), np.zeros(size, dtype=np.int64), np.ones(size), np.ones(size),
+            np.zeros(size, dtype=np.int64),
+        )
         stride = self.dim
         for i, count in enumerate(self.factor_dims):
             stride //= count
-            r, c = rows // stride % count, cols // stride % count
-            lengths = self.factor_layouts[i][1]
-            row_long = lengths[r] >= lengths[c]
-            longer = np.where(row_long, r, c)
-            shorter = np.where(row_long, c, r)
-            suffix, quot = _suffix_quotient(self.factor_layouts[i], self.spec.n[i], longer, lengths[shorter])
-            comparable &= suffix == shorter
-            cls = cls * (2 * count - 1) + np.where(row_long, quot, count + quot - 1)
-            rep_row = rep_row * count + np.where(row_long, quot, 0)
-            rep_col = rep_col * count + np.where(row_long, 0, quot)
-            b = self.weights.values[i]
-            t, t_rep = np.sqrt(b[shorter] / b[longer]), np.sqrt(b[0] / b[quot])
-            tau = t if tau is None else tau * t
-            tau_rep = t_rep if tau_rep is None else tau_rep * t_rep
-        return PairClasses(comparable, cls, tau, tau_rep, rep_row * self.dim + rep_col)
+            self._classify_factor(i, keys, stride, out)
+        return out
+
+    def _classify_factor(self, i: int, keys: np.ndarray, stride: int, out: "PairClasses") -> None:
+        """Fold factor ``i``, at place value ``stride`` in a basis index, into ``out`` in place.
+
+        The factor's word ranks, lengths and offsets are int32 where its word
+        count allows; the class id and representative key stay int64.
+        """
+        comparable, cls, tau, tau_rep, rep = out
+        count = self.factor_dims[i]
+        index = linalg.index_dtype(2 * count)
+        layout = tuple(a.astype(index) for a in self.factor_layouts[i])
+        lengths = layout[1]
+        r = keys // (self.dim * stride)
+        r %= count
+        r = r.astype(index)
+        c = keys // stride
+        c %= count
+        c = c.astype(index)
+        row_long = lengths[r] >= lengths[c]
+        longer, shorter = np.where(row_long, r, c), np.where(row_long, c, r)
+        del r, c
+        suffix, quot = _suffix_quotient(layout, self.spec.n[i], longer, lengths[shorter])
+        comparable &= suffix == shorter
+        del suffix
+        cls *= 2 * count - 1
+        cls += np.where(row_long, quot, count + quot - 1)
+        # the representative's row-major key: quot in the longer side's digit, the empty word in the other
+        place = np.where(row_long, self.dim * stride, stride)
+        place *= quot
+        rep += place
+        del place
+        b = self.weights.values[i]
+        t = b[shorter]
+        np.divide(t, b[longer], out=t)
+        tau *= np.sqrt(t, out=t)
+        del t
+        t_rep = b[quot]
+        np.divide(b[0], t_rep, out=t_rep)
+        tau_rep *= np.sqrt(t_rep, out=t_rep)
 
     @property
     def n_classes(self) -> int:
@@ -363,23 +389,32 @@ class FockSpace:
         for _, _, size in per_factor:
             sizes *= size
         owner = np.repeat(np.arange(classes.size), sizes)
-        # position of each member within its class, and the class's remaining stride
-        within = np.arange(owner.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        stride = sizes[owner]
-        keys_row = np.zeros(owner.size, dtype=np.int64)
-        keys_col = np.zeros(owner.size, dtype=np.int64)
-        for i, (quot, row_long, size) in enumerate(per_factor):
-            stride //= size[owner]
-            y = within // stride % size[owner]
-            q, long_row = quot[owner], row_long[owner]
+        # position of each member within its class; the last factor's digit is the fastest
+        rem = np.arange(owner.size, dtype=np.int64)
+        rem -= np.repeat(np.cumsum(sizes) - sizes, sizes)
+        keys = np.zeros(owner.size, dtype=np.int64)
+        place = 1
+        for i in reversed(range(self.spec.k)):
+            quot, row_long, size = per_factor[i]
             start, lengths, offsets = self.factor_layouts[i]
+            s = size[owner]
+            y = rem % s
+            rem //= s
+            del s
+            # the word q.y, at offset offsets[q] * n**e + offsets[y] among the words of length |q| + e
             e = lengths[y]
-            # the word q.y: its quotient by the length-e suffix is q
-            qy = start[lengths[q] + e] + offsets[q] * self.spec.n[i] ** e + offsets[y]
-            count = self.factor_dims[i]
-            keys_row = keys_row * count + np.where(long_row, qy, y)
-            keys_col = keys_col * count + np.where(long_row, y, qy)
-        return owner, keys_row * self.dim + keys_col
+            qy = self.spec.n[i] ** e
+            qy *= offsets[quot][owner]
+            e += lengths[quot][owner]
+            qy += start[e]
+            del e
+            qy += offsets[y]
+            long_row = row_long[owner]
+            keys += np.where(long_row, qy, y) * (self.dim * place)
+            keys += np.where(long_row, y, qy) * place
+            del y, qy, long_row
+            place *= self.factor_dims[i]
+        return owner, keys
 
 
 # -- stored-entry kernels ------------------------------------------------------
@@ -395,15 +430,43 @@ Action = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def accumulate_entries(terms) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise sum of ``(keys, vals)`` terms, added in list order over the union support.
+    """Entrywise sum of ``(keys, vals)`` terms, each folded in as it comes.
 
-    Each term's keys are distinct, so every entry is summed in the order a
-    dense accumulator would add the terms.
+    ``terms`` may be a generator: each term is merged into the running sorted
+    ``(keys, acc)`` and dropped before the next is drawn, so no two terms are
+    held at once.  A key met for the first time enters at ``0.0`` and every
+    term then adds its value in list order, so each entry is summed in the
+    order a dense accumulator would add the terms, signed zeros included.
+    Each term's keys must be distinct; a term whose keys are not ascending is
+    sorted first.
     """
-    keys = linalg.sorted_unique(np.concatenate([k for k, _ in terms]))
-    acc = np.zeros(keys.size, dtype=complex)
-    for k, v in terms:
-        acc[linalg.lookup(keys, k)[0]] += v
+    keys = np.empty(0, dtype=np.int64)
+    acc = np.empty(0, dtype=complex)
+    for term_keys, vals in terms:
+        if np.any(term_keys[1:] < term_keys[:-1]):
+            order = np.argsort(term_keys)
+            term_keys, vals = term_keys[order], vals[order]
+            del order
+        pos, hit = linalg.lookup(keys, term_keys)
+        # each term key's place once the new keys are in: its insertion point,
+        # shifted by the new keys before it
+        fresh = ~hit
+        pos += np.cumsum(fresh)
+        pos -= fresh
+        if fresh.any():
+            old = np.ones(keys.size + np.count_nonzero(fresh), dtype=bool)
+            old[pos[fresh]] = False
+            grown = np.empty(old.size, dtype=np.int64)
+            grown[old] = keys
+            grown[pos] = term_keys
+            keys = grown
+            grown = np.zeros(old.size, dtype=complex)
+            grown[old] = acc
+            acc = grown
+            del grown, old
+        np.add.at(acc, pos, vals)
+        # the last term goes before the next is drawn
+        del term_keys, vals, pos, hit, fresh
     return keys, acc
 
 

@@ -173,41 +173,7 @@ def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
     with ``dim**2`` or the number of comparable pairs.
     """
     space = T.space
-    d, n = space.dim, space.total_dim
-    entry_keys, vals = linalg.stored_entries(T.matrix)
-    x, rows = np.divmod(entry_keys // n, d)
-    y, cols = np.divmod(entry_keys % n, d)
-    entries = space.classify_pairs(rows, cols)
-    inside = entries.comparable
-
-    structural = 0.0
-    worst: Optional[tuple[MultiWord, MultiWord]] = None
-    out_mags = np.abs(vals[~inside])
-    if out_mags.size:
-        structural = float(out_mags.max())
-        if structural > 0.0:
-            out_keys = rows[~inside] * d + cols[~inside]
-            worst = _words_at(space, out_keys[out_mags == structural].min())
-
-    # the comparable pairs holding a stored entry, and the members of the
-    # classes whose representative pair holds one
-    keys = rows[inside] * d + cols[inside]
-    at_rep = inside & (entries.rep == rows * d + cols)
-    classes, first = np.unique(entries.cls[at_rep], return_index=True)
-    rep_keys = entries.rep[at_rep][first]
-    candidates = linalg.sorted_unique(np.concatenate([keys, space.class_members(classes)]))
-    # the coefficient blocks at the candidates; the last one is the zero block
-    # read where a representative holds no stored entry
-    E = np.zeros((space.coeff_dim, space.coeff_dim, candidates.size + 1), dtype=complex)
-    E[x[inside], y[inside], linalg.lookup(candidates, keys)[0]] = vals[inside]
-    rep_blocks = E[:, :, linalg.lookup(candidates, rep_keys)[0]]
-    blocks = (rep_keys, entries.tau_rep[at_rep][first], rep_blocks)
-
-    cand = space.classify_pairs(candidates // d, candidates % d)
-    ratio = cand.tau / cand.tau_rep
-    pos, hit = linalg.lookup(candidates, cand.rep)
-    expected = ratio[None, None, :] * E[:, :, np.where(hit, pos, candidates.size)]
-    dev = np.abs(E[:, :, :-1] - expected).max(axis=(0, 1))
+    structural, worst, candidates, dev, blocks = _entry_deviations(space, T.matrix)
     scaling = float(dev.max()) if dev.size else 0.0
 
     max_violation = structural
@@ -231,13 +197,82 @@ def is_multi_toeplitz(T: FockOperator, tol: float = 1e-10) -> ToeplitzReport:
         verdict=bool(max_violation <= tol),
         max_violation=max_violation,
         worst_pair=worst if max_violation > 0.0 else None,
-        checked_pairs=d * d,
+        checked_pairs=space.dim * space.dim,
         skipped_pairs=0,
         structural_violation=structural,
         scaling_violation=scaling,
         tolerance=tol,
         blocks=blocks,
     )
+
+
+def _entry_deviations(space: FockSpace, matrix):
+    """The two checks of :func:`is_multi_toeplitz` on the stored entries of ``matrix``.
+
+    Returns ``(structural, worst, candidates, dev, blocks)``: the largest
+    entry at a non-comparable pair and its first pair in row-major order
+    (None when it is 0), the sorted candidate pairs with the scaling
+    deviation at each, and the representative blocks.  Each basis pair is
+    classified once: a candidate that holds a stored entry takes that entry's
+    class, and only the members that hold none are classified here.  Each
+    array is dropped once its last reader has run.
+    """
+    d, n, c = space.dim, space.total_dim, space.coeff_dim
+    entry_keys, vals = linalg.stored_entries(matrix)
+    # the basis pair of each entry; with one coefficient dimension, the entry's own key
+    keys = entry_keys if n == d else entry_keys // n % d * d + entry_keys % d
+    comparable, cls, tau, tau_rep, rep = space.classify_pairs(keys)
+
+    structural, worst = 0.0, None
+    out_mags = np.abs(vals[~comparable])
+    if out_mags.size:
+        structural = float(out_mags.max())
+        if structural > 0.0:
+            worst = _words_at(space, keys[~comparable][out_mags == structural].min())
+
+    # the classes whose representative pair holds a stored entry
+    at_rep = comparable & (rep == keys)
+    classes, first = np.unique(cls[at_rep], return_index=True)
+    rep_keys, rep_tau = rep[at_rep][first], tau_rep[at_rep][first]
+    del out_mags, cls, at_rep
+    # per comparable entry: its pair's weight ratio, representative, coefficient block and key
+    ratio = tau[comparable] / tau_rep[comparable]
+    del tau, tau_rep
+    rep, keys = rep[comparable], keys[comparable]
+    block = entry_keys[comparable] // (n * d) * c + entry_keys[comparable] % n // d if c > 1 else 0
+    del entry_keys
+
+    # the candidates: the pairs holding a comparable entry, and the members of
+    # the classes above that hold none, which alone are classified here
+    held = keys if n == d else linalg.sorted_unique(keys)
+    members = space.class_members(classes)
+    fresh = np.sort(members[~linalg.lookup(held, members)[1]])
+    candidates = np.insert(held, np.searchsorted(held, fresh), fresh)
+    del members, held
+    # the coefficient blocks at the candidates; the last one is the zero block
+    # read where a representative holds no stored entry
+    E = np.zeros((c, c, candidates.size + 1), dtype=complex)
+    pos = linalg.lookup(candidates, keys)[0]
+    E.reshape(c * c, -1)[block, pos] = vals[comparable]
+    ratios = np.empty(candidates.size)
+    reps = np.empty(candidates.size, dtype=np.int64)
+    ratios[pos], reps[pos] = ratio, rep
+    del keys, block, vals, comparable, ratio, rep, pos
+    at = np.searchsorted(candidates, fresh)
+    fresh_classes = space.classify_pairs(fresh)
+    ratios[at], reps[at] = fresh_classes.tau / fresh_classes.tau_rep, fresh_classes.rep
+    blocks = (rep_keys, rep_tau, E[:, :, linalg.lookup(candidates, rep_keys)[0]])
+
+    pos, hit = linalg.lookup(candidates, reps)
+    pos[~hit] = candidates.size
+    expected = E[:, :, pos]
+    del reps, pos, hit
+    # ratio * E[rep] - E, each operation in the order of the dense rule
+    np.multiply(ratios, expected, out=expected)
+    np.subtract(E[:, :, :-1], expected, out=expected)
+    del E, ratios
+    dev = np.abs(expected).max(axis=(0, 1))
+    return structural, worst, candidates, dev, blocks
 
 
 def _gap_places(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:

@@ -8,9 +8,10 @@ divisibility ``omega = sigma * gamma``, comparability, the simplification of
 a comparable pair onto its reduced index pair, the entry weight of a pair,
 the graded projections and the diagonal unitary between the weighted and
 unweighted pictures, the Cesàro window weight of each stored entry, a
-tuple's word operators as products of its matrices one letter at a time, and
-the universal model's creations as matrices.  Tests import them as they
-import ``conftest.make_spec``.
+tuple's word operators as products of its matrices one letter at a time,
+the universal model's creations as matrices, and the sum of stored-entry
+terms over the sorted union of their keys.  Tests import them as they import
+``conftest.make_spec``.
 """
 
 import math
@@ -190,3 +191,17 @@ def model_matrices(space: FockSpace, side: str = "left") -> OperatorTuple:
         dim_h=d,
         commutation_checked=True,
     )
+
+
+def accumulate_entries(terms) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise sum of ``(keys, vals)`` terms: sort the union of their keys, then search it once per term.
+
+    Every entry starts at 0.0 and each term adds its value in list order; the
+    package's ``model.accumulate_entries`` folds the terms in one at a time
+    instead and must agree bit for bit.
+    """
+    keys = linalg.sorted_unique(np.concatenate([k for k, _ in terms]))
+    acc = np.zeros(keys.size, dtype=complex)
+    for k, v in terms:
+        acc[linalg.lookup(keys, k)[0]] += v
+    return keys, acc

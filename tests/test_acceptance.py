@@ -7,7 +7,6 @@ notes/decisions.md at the repository root for the analysis.
 """
 
 import itertools
-import json
 import math
 import time
 
@@ -18,7 +17,6 @@ from polytoeplitz import linalg
 from polytoeplitz.brownhalmos import (
     bh_residual,
     build_row,
-    cauchy_dual,
     cauchy_dual_projection,
     phi_right,
     range_projection,
@@ -43,13 +41,7 @@ from polytoeplitz.toeplitz import (
     pluriharmonic_kernel,
     random_symbol,
 )
-from polytoeplitz.weights import (
-    PolydomainSpec,
-    brute_force_weight,
-    build_weight_table,
-    compactness_ratios,
-    univariate_series_weights,
-)
+from polytoeplitz.weights import brute_force_weight, build_weight_table, univariate_series_weights
 
 SEED = 1234
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from polytoeplitz import cli, linalg, toeplitz
+from polytoeplitz import brownhalmos, cli, linalg, toeplitz
 from polytoeplitz.cli import build_parser, main
 from polytoeplitz.cpmaps import BerezinKernel, random_pure_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
@@ -531,6 +531,43 @@ def test_grading_check_reports_a_misgraded_entry(monkeypatch, seed, worst):
     check = _grading_check(seed)
     assert check["passed"] is False
     assert check["worst"] == worst
+
+
+def _failed_checks(seed):
+    return [c for c in cli.run_verify_battery(seed, 4)["checks"] if not c["passed"]]
+
+
+def test_classification_with_unit_representative_weights_fails_the_roundtrip(monkeypatch):
+    # every representative weighs 1: the weight ratios of the planted operators
+    # no longer match their entries, and the round trip alone fails, by name
+    classify_pairs = FockSpace.classify_pairs
+
+    def unit_representatives(space, keys):
+        classes = classify_pairs(space, keys)
+        return classes._replace(tau_rep=np.ones_like(classes.tau_rep))
+
+    monkeypatch.setattr(FockSpace, "classify_pairs", unit_representatives)
+    assert _failed_checks(0) == [{
+        "name": "toeplitz_roundtrip",
+        "passed": False,
+        "error": "NotMultiToeplitz: operator is not weighted multi-Toeplitz (max violation 1.920e-01)",
+    }]
+
+
+def test_a_term_left_out_of_the_fold_fails_the_structural_equation(monkeypatch):
+    # each sum of more than one term loses its last: the map, the alternating
+    # sum and the residual all go wrong, and the structural-equation check
+    # alone fails, by name
+    accumulate = brownhalmos.accumulate_entries
+
+    def last_left_out(terms):
+        terms = list(terms)
+        return accumulate(iter(terms[:-1] if len(terms) > 1 else terms))
+
+    monkeypatch.setattr(brownhalmos, "accumulate_entries", last_left_out)
+    failed = _failed_checks(0)
+    assert [c["name"] for c in failed] == ["brown_halmos_residual"]
+    assert failed[0]["worst"] == 17.595004510964316
 
 
 def test_a_check_that_raises_fails_by_name(monkeypatch, tmp_path, capsys):

@@ -43,7 +43,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from polytoeplitz.brownhalmos import (
-    _alternating_entries,
+    _alternating_terms,
     _min_positive_gram_eig,
     bh_residual,
     build_row,
@@ -89,7 +89,8 @@ from polytoeplitz.linalg import (
     pinv_on_range,
     psd_check,
 )
-from polytoeplitz.model import FockOperator, FockSpace, monomial
+from polytoeplitz.model import FockOperator, FockSpace, accumulate_entries, monomial
+from polytoeplitz import brownhalmos as brownhalmos_module
 from polytoeplitz import linalg as linalg_module
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import (
@@ -107,6 +108,7 @@ from polytoeplitz.weights import build_weight_table
 
 from conftest import make_spec
 from oracles import (
+    accumulate_entries as oracle_accumulate_entries,
     comparable,
     graded_projection,
     model_matrices,
@@ -799,7 +801,7 @@ def test_classify_pairs_and_class_members_match_pair_structure(rng):
         ps = space.pair_structure()
         comp, tau_, cls = dense_pair_tables(space)
         d = space.dim
-        grid = space.classify_pairs(*np.divmod(np.arange(d * d), d))
+        grid = space.classify_pairs(np.arange(d * d))
         assert np.array_equal(grid.comparable, comp.reshape(-1))
         inside = grid.comparable
         assert np.array_equal(grid.cls[inside], ps.cls)
@@ -878,6 +880,17 @@ def test_closed_form_class_and_pair_counts(n, trunc):
     assert ps.rows.size == math.prod(d + 2 * s for d, s in zip(words, letters))
 
 
+def unheld_members(T):
+    """Sorted keys of the comparable pairs holding no stored entry of ``T`` whose class representative holds one."""
+    space = T.space
+    ps = space.pair_structure()
+    d, n = space.dim, space.total_dim
+    keys, _ = linalg_module.stored_entries(T.matrix)
+    pair_keys = ps.rows * d + ps.cols
+    holds = np.isin(pair_keys, keys // n % d * d + keys % d)
+    return pair_keys[holds[ps.rep_pos][ps.cls] & ~holds]
+
+
 CASE_KINDS = (
     "planted",
     "planted with stored zeros",
@@ -950,6 +963,7 @@ def _case_operator(space, rng, kind):
     drop_tol=st.sampled_from([0.0, 0.3]),
 )
 @example(seed=1, k=3, max_n=2, coeff_dim=2, kind="member removed", dense=False, drop_tol=0.0)
+@example(seed=1, k=2, max_n=2, coeff_dim=1, kind="member removed", dense=False, drop_tol=0.0)
 @example(seed=2, k=2, max_n=1, coeff_dim=2, kind="planted with stored zeros", dense=False, drop_tol=0.0)
 @example(seed=3, k=2, max_n=2, coeff_dim=1, kind="structural tie", dense=False, drop_tol=0.0)
 @example(seed=4, k=1, max_n=2, coeff_dim=2, kind="scaling tie", dense=True, drop_tol=0.0)
@@ -964,7 +978,20 @@ def test_stored_entry_classification_equals_oracles(seed, k, max_n, coeff_dim, k
     M = _case_operator(space, rng, kind)
     T = FockOperator(space, M.toarray() if dense else M)
     expected, E = pair_array_classification(T)
+    # each basis pair is classified once: the pairs of the stored entries, then
+    # only the members of the represented classes that hold no stored entry
+    asked = []
+    classify_pairs = space.classify_pairs
+    space.classify_pairs = lambda keys: asked.append(keys) or classify_pairs(keys)
     assert is_multi_toeplitz(T).to_dict() == expected == dense_classification(T)
+    del space.classify_pairs
+    entry_keys, _ = linalg_module.stored_entries(T.matrix)
+    d, n = space.dim, space.total_dim
+    assert len(asked) == 2
+    assert np.array_equal(asked[0], entry_keys // n % d * d + entry_keys % d)
+    assert np.array_equal(asked[1], unheld_members(T))
+    if kind == "member removed" and coeff_dim == 1:
+        assert asked[1].size
     # extraction from every kind, under a tolerance no violation exceeds
     report = is_multi_toeplitz(T, tol=math.inf)
     sym = extract_fourier(T, drop_tol=drop_tol, report=report)
@@ -981,9 +1008,46 @@ def test_alternating_sum_matches_dense_oracle(rng):
             for i in range(space.spec.k):
                 expected = dense_alternating_phi_sum(space, i, M)
                 for operand in (M, sp.csr_matrix(M)):
-                    entries = _alternating_entries(space, i, *linalg_module.stored_entries(operand))
+                    entries = accumulate_entries(_alternating_terms(space, i, *linalg_module.stored_entries(operand)))
                     got = linalg_module.entries_matrix(*entries, M.shape)
                     assert np.array_equal(got.toarray(), expected)
+
+
+# both signed zeros, exact values and values whose sums round
+ENTRY_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e-17, -3.5e15]) | st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), coeff_dim=st.integers(1, 2), n_terms=st.integers(1, 6))
+def test_entry_fold_matches_sort_and_search_oracle(data, coeff_dim, n_terms):
+    # row-major keys of a space of total dimension 3 * coeff_dim, few enough
+    # that the terms overlap, each term's keys distinct and in any order
+    n = 3 * coeff_dim
+    terms = []
+    for _ in range(n_terms):
+        keys = data.draw(st.lists(st.integers(0, n * n - 1), unique=True, max_size=n * n))
+        parts = data.draw(st.lists(ENTRY_PARTS, min_size=2 * len(keys), max_size=2 * len(keys)))
+        terms.append((np.array(keys, dtype=np.int64), np.array(parts, dtype=float).view(complex)))
+    want_keys, want = oracle_accumulate_entries(terms)
+    got_keys, got = accumulate_entries(iter(terms))
+    assert same_bits(got_keys, want_keys) and same_bits(got, want)
+
+
+def test_map_and_alternating_sum_fold_as_the_oracle_sums(rng, monkeypatch):
+    # the map's word terms and the alternating sum's powers, on spaces with a
+    # coefficient space too, summed by the fold and by sort and search
+    def oracle_sum(terms):
+        return oracle_accumulate_entries(list(terms))
+
+    for space in oracle_spaces(rng):
+        for M in oracle_operators(space, rng):
+            keys, vals = linalg_module.stored_entries(sp.csr_matrix(M))
+            for i in range(space.spec.k):
+                got_keys, got = accumulate_entries(_alternating_terms(space, i, keys, vals))
+                with monkeypatch.context() as patched:
+                    patched.setattr(brownhalmos_module, "accumulate_entries", oracle_sum)
+                    want_keys, want = oracle_sum(_alternating_terms(space, i, keys, vals))
+                assert same_bits(got_keys, want_keys) and same_bits(got, want)
 
 
 def test_bh_residual_matches_dense_oracle(rng):

@@ -12,7 +12,7 @@ from polytoeplitz.toeplitz import (
     is_multi_toeplitz,
     random_symbol,
 )
-from polytoeplitz.weights import PolydomainSpec, brute_force_weight, build_weight_table
+from polytoeplitz.weights import brute_force_weight, build_weight_table
 
 from conftest import make_spec
 

@@ -8,6 +8,8 @@ take well over a gigabyte, so the bound catches any return to them.
 ``toeplitz`` also runs at ``L=6`` (dim 16129), where the arrays over all
 1,990,921 comparable pairs would take it past its tighter bound; in-process,
 classifying and extracting at dim 3969 must not build the pair structure.
+In-process at dim 3969, classification and each factor's structural-equation
+residual are traced per stored entry of the planted operator.
 ``fourier`` evaluates the planted symbol at dim 3969 and at ``L=6``
 (dim 16129), where one dense complex ``(dim, dim)`` array takes 4.2 GB and
 the arrays over all comparable pairs would take it past its tighter bound.
@@ -40,7 +42,7 @@ import scipy.sparse as sp
 
 import polytoeplitz
 from polytoeplitz import linalg
-from polytoeplitz.brownhalmos import build_row, cauchy_dual_projection
+from polytoeplitz.brownhalmos import bh_residual, build_row, cauchy_dual_projection
 from polytoeplitz.cli import _grading_gap
 from polytoeplitz.cpmaps import berezin_kernel, intertwining_residual, random_pure_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
@@ -63,6 +65,12 @@ TOEPLITZ_PEAK_RSS_LIMIT_MB = 150
 FOURIER_PEAK_RSS_LIMIT_MB = 120
 MODEL_PEAK_RSS_LIMIT_MB = 300
 CAUCHY_PEAK_RSS_LIMIT_MB = 300
+# traced bytes above the input per stored entry of the planted operator at L = 5:
+# the classification held 269 and the structural equation 163-165 when they
+# classified every candidate pair again and summed the map's terms all at once;
+# never to be raised
+TOEPLITZ_BYTES_PER_ENTRY = 130
+BH_BYTES_PER_ENTRY = 150
 # one grading-check draw at n = 450 as it was with one CSR per degree part of T and of T^*
 # held together (19,651,312 bytes traced); never to be raised
 GRADING_DRAW_PEAK_BYTES = 19_651_312
@@ -205,6 +213,23 @@ def test_classification_and_extraction_build_no_pair_structure():
     spoiled = planted + sp.csr_matrix(([1e-3], ([row], [col])), shape=planted.shape)
     assert not is_multi_toeplitz(FockOperator(space, spoiled)).verdict
     assert space._pairs is None
+
+
+def test_classification_and_structural_equation_hold_few_bytes_per_stored_entry():
+    space = FockSpace(spec_from_json(SPEC), (5, 5))
+    T = FockOperator(space, _planted_matrix(5))
+    calls = [(lambda: is_multi_toeplitz(T), TOEPLITZ_BYTES_PER_ENTRY)]
+    calls += [(lambda i=i: bh_residual(T, space.spec, i), BH_BYTES_PER_ENTRY) for i in range(space.spec.k)]
+    for call, limit in calls:
+        call()  # the space's degree table, creation actions and row Gram eigenvalues are cached outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_entry = peak / T.matrix.nnz
+        assert per_entry <= limit, f"{per_entry:.1f} bytes per stored entry, limit {limit}"
 
 
 def test_model_stays_below_peak_rss_limit(tmp_path):

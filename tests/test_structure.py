@@ -113,12 +113,13 @@ def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
     }
     assert readers == {
         ("brownhalmos.py", "phi_right"),
-        ("brownhalmos.py", "bh_residual"),
+        ("brownhalmos.py", "_residual_terms"),
+        ("brownhalmos.py", "_in_range_entries"),
         ("cli.py", "_grading_gap"),
         ("linalg.py", "_spectral_blocks"),
         ("linalg.py", "op_norm"),
         ("linalg.py", "norm_bracket"),
-        ("toeplitz.py", "is_multi_toeplitz"),
+        ("toeplitz.py", "_entry_deviations"),
         ("toeplitz.py", "_degree_gaps"),
     }
     assert not {(m, w) for m, w in readers if w.startswith("OperatorTuple.") or w == "pluriharmonic_kernel"}

@@ -127,14 +127,14 @@ class TestVerdictPastTheCutoff:
     def member_entry(space, M):
         """A stored entry of ``M`` at a comparable pair that is not its class representative."""
         rows, cols = np.nonzero(M)
-        pairs = space.classify_pairs(rows, cols)
+        pairs = space.classify_pairs(rows * space.dim + cols)
         j = np.flatnonzero(pairs.comparable & (pairs.rep != rows * space.dim + cols))[0]
         return rows[j], cols[j]
 
     @staticmethod
     def noncomparable_pair(space, rng):
         rows, cols = rng.integers(space.dim, size=(2, 500))
-        j = np.flatnonzero(~space.classify_pairs(rows, cols).comparable)[0]
+        j = np.flatnonzero(~space.classify_pairs(rows * space.dim + cols).comparable)[0]
         return rows[j], cols[j]
 
     def exact(self, monkeypatch, T):
