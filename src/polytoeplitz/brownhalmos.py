@@ -80,27 +80,26 @@ def build_row(spec: PolydomainSpec, space: FockSpace, i: int) -> RowOperator:
     )
 
 
-def _conjugate_entries(
-    action: Action, n: int, rows: np.ndarray, cols: np.ndarray, a: float, vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of ``a A Y A^*``, for ``Y`` with values ``vals`` at ``(rows, cols)``.
+def _conjugate_entries(action: Action, d_i: int, places, keys, digits, a: float, vals) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``a A Y A^*``, for ``Y`` with values ``vals`` at the row-major ``keys``.
 
-    Entries with row and column both in the domain of ``A`` move to the
-    returned row-major keys and are multiplied by ``a``, ``lam_row`` and
-    ``conj(lam_col)``; every other entry is annihilated.  ``A`` is injective
-    and increasing, so the moved keys are distinct, at most as many as the
-    entries, and sorted when ``(rows, cols)`` are.
+    ``A`` acts on one factor's digit (:meth:`FockSpace.split`), of base ``d_i``;
+    ``digits`` holds it for each key's row and column, at place values ``places``
+    in the key.  Entries with both digits in the domain of ``A`` move by ``shift
+    = dst - src`` in each digit and are multiplied by ``a``, ``lam_row`` and
+    ``conj(lam_col)``; every other entry is annihilated.  ``A`` is injective and
+    increasing, so the moved keys are distinct and sorted when ``keys`` are.
     """
     src, dst, lam = action
-    slot = np.full(n, -1, dtype=np.int64)
+    slot = np.full(d_i, -1, dtype=np.int64)
     slot[src] = np.arange(src.size)
-    sr, sc = slot[rows], slot[cols]
-    del slot
+    sr, sc = (slot[d] for d in digits)
     hit = (sr >= 0) & (sc >= 0)
     sr, sc = sr[hit], sc[hit]
-    moved = dst[sr]
-    moved *= n
-    moved += dst[sc]
+    shift = dst - src
+    moved = keys[hit]
+    moved += (shift * places[0])[sr]
+    moved += (shift * places[1])[sc]
     # (a * (lam_row * conj(lam_col))) * vals, each product in this operand
     # order; each index array goes once read, as this runs beside the map's sum
     scale = lam[sr]
@@ -116,13 +115,14 @@ def _conjugate_entries(
 
 
 def _phi_entries(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndarray):
-    # each right creation moves basis vectors injectively, so conjugation by
-    # it gathers and scatters the stored entries and keeps at most their
-    # count; each word's term is summed in as soon as it is made
-    n = space.total_dim
-    rows, cols = np.divmod(keys, n)
+    # each right creation moves factor i's digit injectively, so conjugation by
+    # it gathers and scatters the stored entries and keeps at most their count;
+    # the digits are taken once per map, each word's term summed in when made
+    _, d_i, after = space.split(i)
+    places = (space.total_dim * after, after)
+    digits = [keys // p % d_i for p in places]
     return accumulate_entries(
-        _conjugate_entries(space.creation_action(i, reverse(w), side="right"), n, rows, cols, a, vals)
+        _conjugate_entries(space.creation_action(i, reverse(w), side="right"), d_i, places, keys, digits, a, vals)
         for w, a in space.spec.coeffs[i].items()
     )
 
@@ -189,26 +189,25 @@ def cauchy_dual_projection(C: RowOperator) -> np.ndarray:
 
 
 def _row_gram_diagonal(space: FockSpace, i: int) -> np.ndarray:
-    # each right creation is injective, so CC* = phi_right(I) is diagonal:
-    # the entries of the map at the identity, scattered by row
-    n = space.total_dim
-    keys, vals = _phi_entries(space, i, np.arange(n) * (n + 1), np.ones(n, dtype=complex))
-    return np.bincount(keys // n, vals.real, minlength=n)
+    # each right creation is injective and moves factor i's digit alone, so CC* = phi_right(I)
+    # is diagonal, one entry per word rank: the map's terms at I, summed in coefficient order
+    acc = np.zeros(space.factor_dims[i], dtype=complex)
+    for w, a in space.spec.coeffs[i].items():
+        _, dst, lam = space.creation_action(i, reverse(w), side="right")
+        acc[dst] += a * (lam * np.conjugate(lam))
+    return acc.real
 
 
 def _min_positive_gram_eig(space: FockSpace, i: int) -> float:
-    """Smallest positive eigenvalue of ``C C^*`` for factor ``i``, cached on the space.
+    """Smallest positive eigenvalue of ``C C^*`` for factor ``i``.
 
     ``C C^*`` is the diagonal matrix ``phi_right(space, i, I)``, so its
-    spectrum is its diagonal; eigenvalues up to ``1e-12`` times
-    ``max(lambda_max, 1)`` count as zero.
+    spectrum is :func:`_row_gram_diagonal`; eigenvalues up to ``1e-12``
+    times ``max(lambda_max, 1)`` count as zero.
     """
-    cache = space.row_gram_min_eig
-    if i not in cache:
-        eigs = np.sort(_row_gram_diagonal(space, i))
-        positive = eigs[eigs > 1e-12 * max(float(eigs[-1]), 1.0)]
-        cache[i] = float(positive[0]) if positive.size else 0.0
-    return cache[i]
+    eigs = np.sort(_row_gram_diagonal(space, i))
+    positive = eigs[eigs > 1e-12 * max(float(eigs[-1]), 1.0)]
+    return float(positive[0]) if positive.size else 0.0
 
 
 def _in_range_entries(space: FockSpace, i: int, matrix) -> tuple[np.ndarray, np.ndarray]:

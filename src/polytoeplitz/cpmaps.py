@@ -146,11 +146,11 @@ def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple | UniversalModel, Y: 
     """The factor-i completely positive map ``Y -> sum a_w X_w Y X_w^*``.
 
     On the universal model ``Y`` and the result are diagonals, vectors of
-    length ``dim_h``: each word's :meth:`~FockSpace.word_action` moves
-    ``Y[src]`` to ``dst`` times ``|val|**2``, one scatter per word.  Matrix
-    tuples take one stacked product ``(K Y) K^*`` over the
-    :meth:`~OperatorTuple.kraus` stack ``K``.  Either way the terms are added
-    from zeros in coefficient order.
+    length ``dim_h``: each word's :meth:`~FockSpace.word_action` moves the
+    middle digit of :meth:`~FockSpace.split` from ``src`` to ``dst`` times
+    ``|val|**2``, one scatter per word.  Matrix tuples take one stacked
+    product ``(K Y) K^*`` over the :meth:`~OperatorTuple.kraus` stack ``K``.
+    Either way the terms are added from zeros in coefficient order.
     """
     if isinstance(X, OperatorTuple):
         K, a = X.kraus(i)
@@ -161,12 +161,13 @@ def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple | UniversalModel, Y: 
         return acc
     if Y.shape != (X.dim_h,):
         raise DimensionMismatch(f"the universal model's operand is its diagonal, shape ({X.dim_h},), got {Y.shape}")
-    acc = np.zeros(X.dim_h, dtype=complex)
+    acc = np.zeros(X.space.split(i, coeff=False), dtype=complex)
+    Y = Y.reshape(acc.shape)
     for w, a in spec.coeffs[i].items():
         src, dst, lam = X.space.word_action(i, w, X.side)
         # the order of the dense products (X_w Y) X_w^* on the diagonal
-        acc[dst] += a * (lam.conj() * (lam * Y[src]))
-    return acc
+        acc[:, dst] = acc.take(dst, axis=1) + a * (lam.conj()[:, None] * (lam[:, None] * Y.take(src, axis=1)))
+    return acc.ravel()
 
 
 def defect(spec: PolydomainSpec, X: OperatorTuple | UniversalModel, p: Sequence[int]) -> np.ndarray:
@@ -404,9 +405,9 @@ def intertwining_residual(
 
     The identity is exact on rows whose factor-i degree leaves one unit of
     headroom, so the residual is measured there (headroom 1 in the tested
-    factor only).  ``W_{i,j}`` has at most one entry per column, so row
-    ``src`` of ``(W_{i,j}^* (x) I) K`` is ``conj(val)`` times row ``dst`` of
-    ``K`` (:meth:`FockSpace.creation_action`), and zero off the domain.
+    factor only).  ``W_{i,j}`` moves the middle digit of :meth:`FockSpace.split`
+    alone, so a row of ``(W_{i,j}^* (x) I) K`` with digit ``src`` is ``conj(val)``
+    times the row of ``K`` with digit ``dst``, and zero off the domain.
     """
     R = kernel.rows
     if R.shape[0] != space.total_dim:
@@ -419,11 +420,11 @@ def intertwining_residual(
         mask = space.safe_mask(headroom)
         for j in range(1, space.spec.n[i] + 1):
             src, dst, vals = space.creation_action(i, Word((j,), space.spec.n[i]), side="left")
-            lhs = np.zeros_like(R)
-            lhs[src] = vals.conj()[:, None, None] * R[dst]
+            lhs = np.zeros((*space.split(i), dH, dH), dtype=R.dtype)
+            lhs[:, src] = vals.conj()[:, None, None, None] * R.reshape(lhs.shape)[:, dst]
             Xij = linalg.as_dense(X.ops[i][j - 1])
             rhs = R @ Xij.conj().T
-            diff = (lhs - rhs)[mask]
+            diff = (lhs.reshape(R.shape) - rhs)[mask]
             worst = linalg.strict_max(worst, linalg.op_norm(diff.reshape(-1, dH)))
     return worst
 

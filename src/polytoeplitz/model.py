@@ -82,11 +82,8 @@ class FockSpace:
         # (support, layout) of the last symbol evaluate_at_model saw on this
         # space: its other radii, and the same support, reuse the layout
         self.symbol_layout: Optional[tuple[frozenset, tuple]] = None
-        # (side, factor, letters) -> index arrays of creation_action, and of word_action
-        self._action_cache: dict[tuple, Action] = {}
+        # (side, factor, letters) -> the factor-rank action of word_action
         self._word_cache: dict[tuple, Action] = {}
-        # factor -> smallest positive eigenvalue of its right-row Gram matrix
-        self.row_gram_min_eig: dict[int, float] = {}
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -119,8 +116,7 @@ class FockSpace:
         if self._degrees is None:
             cols = []
             for i, (_, degs, _) in enumerate(self.factor_layouts):
-                before = int(np.prod(self.factor_dims[:i])) if i else 1
-                after = int(np.prod(self.factor_dims[i + 1 :])) if i + 1 < self.spec.k else 1
+                before, _, after = self.split(i, coeff=False)
                 cols.append(np.tile(np.repeat(degs, after), before))
             self._degrees = np.stack(cols, axis=1)
         return self._degrees
@@ -135,20 +131,27 @@ class FockSpace:
 
     # -- operator construction ----------------------------------------------
 
+    def split(self, i: int, coeff: bool = True) -> tuple[int, int, int]:
+        """``(before, d_i, after)``: a basis index as three digits, factor ``i``'s word rank in the middle.
+
+        ``before`` counts the coefficient space (when ``coeff``) and the earlier factors, ``after`` the later ones.
+        """
+        before = (self.coeff_dim if coeff else 1) * math.prod(self.factor_dims[:i])
+        return before, self.factor_dims[i], math.prod(self.factor_dims[i + 1 :])
+
     def creation_action(self, i: int, word: Word, side: str = "left") -> Action:
-        """The creation by ``word`` on factor ``i``, ampliated over the other factors and ``K``.
+        """The creation by ``word`` on factor ``i``'s word ranks, where it acts alone.
 
         ``side="left"`` prepends ``word``; ``side="right"`` appends the
         reversed word.  Returns ``(src, dst, vals)`` with ``A e_src = vals *
-        e_dst``: a factor column ``gamma`` maps to ``sqrt(b_gamma /
-        b_target)`` times the target word, and columns whose image leaves the
-        truncation are dropped.  Targets are found by rank arithmetic:
-        prepending a word at offset ``u`` to a length-``d`` word at offset
-        ``o`` gives offset ``u * n**d + o``, appending one of length ``e`` at
-        offset ``v`` gives ``o * n**e + v``.  Both are increasing in the
-        column, so ``dst`` is increasing; the coefficient space is the
-        outermost factor, so the first ``1 / coeff_dim`` of the entries act on
-        the Fock part.
+        e_dst``, at most ``d_i`` long: a factor column ``gamma`` maps to
+        ``sqrt(b_gamma / b_target)`` times the target word, and columns whose
+        image leaves the truncation are dropped.  Targets are found by rank
+        arithmetic: prepending a word at offset ``u`` to a length-``d`` word
+        at offset ``o`` gives offset ``u * n**d + o``, appending one of length
+        ``e`` at offset ``v`` gives ``o * n**e + v``.  Both are increasing in
+        the column, so ``dst`` is increasing.  On ``K (x) Fock`` the creation
+        is the identity on the other digits of :meth:`split`.
         """
         if not 0 <= i < self.spec.k:
             raise DimensionMismatch(f"factor index {i} outside range")
@@ -156,46 +159,30 @@ class FockSpace:
             raise DimensionMismatch("word alphabet does not match the factor")
         if side not in ("left", "right"):
             raise SpecError(f"unknown side {side!r}")
-        cache = self._action_cache
-        key = (side, i, word.letters)
-        if key not in cache:
-            n, L, e = self.spec.n[i], self.trunc[i], len(word)
-            start, lengths, offsets = self.factor_layouts[i]
-            # the columns whose image stays inside the truncation, in rank order
-            cols = np.arange(start[max(L - e + 1, 0)])
-            d = lengths[cols]
-            if side == "left":
-                target = word_offset(word) * n**d + offsets[cols]
-            else:
-                target = offsets[cols] * n**e + word_offset(reverse(word))
-            rows = start[d + e] + target
-            b = self.weights.values[i]
-            lam = np.sqrt(b[cols] / b[rows]).astype(complex)
-            d_i = self.factor_dims[i]
-            pre = self.coeff_dim * math.prod(self.factor_dims[:i])
-            post = math.prod(self.factor_dims[i + 1 :])
-            base = np.arange(pre)[:, None, None] * (d_i * post) + np.arange(post)[None, None, :]
-            src = (base + cols[None, :, None] * post).ravel()
-            dst = (base + rows[None, :, None] * post).ravel()
-            vals = np.broadcast_to(lam[None, :, None], (pre, lam.size, post)).ravel()
-            for a in (src, dst, vals):  # shared with the matrices written from the action
-                a.flags.writeable = False
-            cache[key] = (src, dst, vals)
-        return cache[key]
+        n, L, e = self.spec.n[i], self.trunc[i], len(word)
+        start, lengths, offsets = self.factor_layouts[i]
+        # the columns whose image stays inside the truncation, in rank order
+        cols = np.arange(start[max(L - e + 1, 0)])
+        d = lengths[cols]
+        if side == "left":
+            target = word_offset(word) * n**d + offsets[cols]
+        else:
+            target = offsets[cols] * n**e + word_offset(reverse(word))
+        rows = start[d + e] + target
+        b = self.weights.values[i]
+        return cols, rows, np.sqrt(b[cols] / b[rows]).astype(complex)
 
     def word_action(self, i: int, w: Word, side: str = "left") -> Action:
-        """``(src, dst, vals)`` of the universal model's ``W_w`` on the Fock part, cached.
+        """``(src, dst, vals)`` of the universal model's ``W_w`` on factor ``i``'s ranks, cached.
 
-        The last letter's creation (the Fock part of :meth:`creation_action`)
-        composed with the prefix's action where its targets meet the prefix's
-        domain: each value is ``prefix value * letter value``, the bits of a
-        CSR product of the letters, and the entries stay in row-major order.
+        The last letter's :meth:`creation_action` composed with the prefix's
+        action where its targets meet the prefix's domain: each value is
+        ``prefix value * letter value``, the bits of a CSR product of the
+        letters, and the entries stay in row-major order.
         """
         key = (side, i, w.letters)
         if key not in self._word_cache:
             src, dst, vals = self.creation_action(i, Word(w.letters[-1:], w.alphabet_size), side)
-            m = src.size // self.coeff_dim
-            src, dst, vals = src[:m], dst[:m], vals[:m]
             if len(w) > 1:
                 p_src, p_dst, p_vals = self.word_action(i, Word(w.letters[:-1], w.alphabet_size), side)
                 at, hit = linalg.lookup(p_src, dst)
@@ -204,10 +191,13 @@ class FockSpace:
         return self._word_cache[key]
 
     def creation_product(self, i: int, word: Word, side: str = "left") -> sp.csr_matrix:
-        """The creation of :meth:`creation_action` as CSR on ``K (x) Fock``."""
+        """The creation of :meth:`creation_action` as CSR on ``K (x) Fock``, the one lift over :meth:`split`."""
         src, dst, vals = self.creation_action(i, word, side)
+        before, d_i, after = self.split(i)
         n = self.total_dim
-        return linalg.entries_matrix(dst * n + src, vals, (n, n))
+        base = np.arange(before)[:, None, None] * (d_i * after) + np.arange(after)
+        keys = (base + dst[:, None] * after) * n + (base + src[:, None] * after)
+        return linalg.entries_matrix(keys.ravel(), np.broadcast_to(vals[:, None], keys.shape).flatten(), (n, n))
 
     # -- comparability structure --------------------------------------------
 
@@ -235,10 +225,8 @@ class FockSpace:
             np.ones(size, dtype=bool), np.zeros(size, dtype=np.int64), np.ones(size), np.ones(size),
             np.zeros(size, dtype=np.int64),
         )
-        stride = self.dim
-        for i, count in enumerate(self.factor_dims):
-            stride //= count
-            self._classify_factor(i, keys, stride, out)
+        for i in range(self.spec.k):
+            self._classify_factor(i, keys, self.split(i, coeff=False)[2], out)
         return out
 
     def _classify_factor(self, i: int, keys: np.ndarray, stride: int, out: "PairClasses") -> None:
@@ -352,15 +340,13 @@ class FockSpace:
         classes = np.array([self.class_of(pair) for pair in pairs], dtype=np.int64)
         kept = np.flatnonzero(classes >= 0)
         owner, keys = self._members(classes[kept])
-        rows, cols = np.divmod(keys, self.dim)
         left = np.ones(keys.size)
         right = np.ones(keys.size)
-        stride = self.dim
         for i, (_, row_long) in enumerate(self._class_factors(classes[kept])):
-            # factor i's basis indices, first factor slowest
-            stride //= self.factor_dims[i]
-            r_i = rows // stride % self.factor_dims[i]
-            c_i = cols // stride % self.factor_dims[i]
+            # factor i's digits of the row and the column
+            _, d_i, after = self.split(i, coeff=False)
+            r_i = keys // (self.dim * after) % d_i
+            c_i = keys // after % d_i
             b = self.weights.values[i]
             # a factor with both sides empty has r_i == c_i, whose weight is exactly 1
             long_row = row_long[owner]
@@ -420,11 +406,12 @@ class FockSpace:
 # -- stored-entry kernels ------------------------------------------------------
 # Operators with at most one entry per row and per column (creations and their
 # products) move basis vectors: an action is ``(src, dst, vals)`` with
-# ``A e_src = vals * e_dst``.  A matrix is carried in the one stored-entry
-# format of :func:`linalg.stored_entries`, row-major keys ``row * n + col`` and
+# ``A e_src = vals * e_dst`` on one factor's word ranks, the middle digit of
+# :meth:`FockSpace.split`.  A matrix is carried in the one stored-entry format
+# of :func:`linalg.stored_entries`, row-major keys ``row * n + col`` and
 # values.  ``cpmaps`` scatters the universal model's diagonals along the
-# actions; ``brownhalmos`` conjugates stored entries by them and sums the terms
-# here.
+# actions on that digit; ``brownhalmos`` moves stored entries' digits by them
+# and sums the terms here.
 
 Action = tuple[np.ndarray, np.ndarray, np.ndarray]
 

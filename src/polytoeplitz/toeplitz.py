@@ -24,6 +24,7 @@ from .cpmaps import OperatorTuple
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import IndexPair, MultiWord, Word, word_rank
 from .model import FockOperator, FockSpace
+from .weights import json_int
 
 __all__ = [
     "FourierSymbol",
@@ -586,7 +587,8 @@ def symbol_from_json(space: FockSpace, doc: Union[str, dict]) -> FourierSymbol:
         except json.JSONDecodeError as exc:
             raise SpecError(f"invalid symbol JSON: {exc}") from exc
     try:
-        sizes, c, terms = tuple(doc.get("n", ())), int(doc.get("coeff_dim", 1)), list(doc.get("terms", []))
+        sizes = tuple(json_int(x, "n") for x in doc.get("n", ()))
+        c, terms = json_int(doc.get("coeff_dim", 1), "coeff_dim"), list(doc.get("terms", []))
     except (AttributeError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed symbol document: {exc}") from exc
     if sizes != space.spec.n or c != space.coeff_dim:
@@ -596,13 +598,17 @@ def symbol_from_json(space: FockSpace, doc: Union[str, dict]) -> FourierSymbol:
         try:
             # strict: one word per factor, no more and no fewer
             left, right = (
-                MultiWord(tuple(Word(tuple(ls), n) for ls, n in zip(term[side], sizes, strict=True)))
+                MultiWord(tuple(
+                    Word(tuple(json_int(g, "letter") for g in ls), n) for ls, n in zip(term[side], sizes, strict=True)
+                ))
                 for side in ("left", "right")
             )
             re, im = (np.asarray(term[part], dtype=float) for part in ("re", "im"))
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed symbol term {term!r}: {exc}") from exc
         where = f"symbol term {left.render()} | {right.render()}"
+        if IndexPair(left=left, right=right) in coeffs:
+            raise SpecError(f"duplicate {where}")
         if re.shape != (c, c) or im.shape != (c, c):
             raise SpecError(f"{where}: re and im must have shape {(c, c)}, got {re.shape} and {im.shape}")
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):

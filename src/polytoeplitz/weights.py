@@ -332,6 +332,13 @@ def compactness_ratios(table: WeightTable, i: int) -> dict:
     }
 
 
+def json_int(value, name: str) -> int:
+    """``value`` when it is a JSON integer; a bool, a number with a fraction or a string raises :class:`SpecError`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def spec_from_json(doc: str | dict) -> PolydomainSpec:
     """Parse the interchange form ``{"k":.., "n":[..], "m":[..], "coeffs":[..]}``.
 
@@ -343,9 +350,9 @@ def spec_from_json(doc: str | dict) -> PolydomainSpec:
         except json.JSONDecodeError as exc:
             raise SpecError(f"invalid JSON: {exc}") from exc
     try:
-        k = int(doc["k"])
-        n = tuple(int(x) for x in doc["n"])
-        m = tuple(int(x) for x in doc["m"])
+        k = json_int(doc["k"], "k")
+        n = tuple(json_int(x, "n") for x in doc["n"])
+        m = tuple(json_int(x, "m") for x in doc["m"])
         entries = doc["coeffs"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed spec document: {exc}") from exc
@@ -359,8 +366,8 @@ def spec_from_json(doc: str | dict) -> PolydomainSpec:
     maps: list[dict[Word, float]] = [dict() for _ in range(k)]
     for entry in entries:
         try:
-            i = int(entry["i"]) - 1
-            letters = tuple(int(g) for g in entry["word"])
+            i = json_int(entry["i"], "i") - 1
+            letters = tuple(json_int(g, "letter") for g in entry["word"])
             a = float(entry["a"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed coefficient entry {entry!r}: {exc}") from exc

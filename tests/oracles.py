@@ -9,8 +9,10 @@ a comparable pair onto its reduced index pair, the entry weight of a pair,
 the graded projections and the diagonal unitary between the weighted and
 unweighted pictures, the Cesàro window weight of each stored entry, a
 tuple's word operators as products of its matrices one letter at a time,
-the universal model's creations as matrices, and the sum of stored-entry
-terms over the sorted union of their keys.  Tests import them as they import
+the universal model's creations as matrices, a factor's creation lifted
+over the coefficient space and the other factors, the row Gram diagonal as
+the map's sum over every basis vector, and the sum of stored-entry terms
+over the sorted union of their keys.  Tests import them as they import
 ``conftest.make_spec``.
 """
 
@@ -21,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from polytoeplitz import linalg
+from polytoeplitz.brownhalmos import _phi_entries
 from polytoeplitz.errors import DimensionMismatch, NotComparable, SpecError
 from polytoeplitz.cpmaps import OperatorTuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
@@ -191,6 +194,32 @@ def model_matrices(space: FockSpace, side: str = "left") -> OperatorTuple:
         dim_h=d,
         commutation_checked=True,
     )
+
+
+def lifted_action(space: FockSpace, i: int, action):
+    """A factor-``i`` action ``(src, dst, vals)`` on ``K (x) Fock``: the identity on the coefficient space and the other factors.
+
+    The coefficient space is the outermost factor, then the factors in order,
+    so the first ``1 / coeff_dim`` of the entries act on the Fock part;
+    ``dst`` is increasing when the factor's ``dst`` is.
+    """
+    src, dst, vals = action
+    d_i = space.factor_dims[i]
+    pre = space.coeff_dim * math.prod(space.factor_dims[:i])
+    post = math.prod(space.factor_dims[i + 1 :])
+    base = np.arange(pre)[:, None, None] * (d_i * post) + np.arange(post)[None, None, :]
+    return (
+        (base + src[None, :, None] * post).ravel(),
+        (base + dst[None, :, None] * post).ravel(),
+        np.broadcast_to(vals[None, :, None], (pre, vals.size, post)).ravel(),
+    )
+
+
+def identity_row_gram_diagonal(space: FockSpace, i: int) -> np.ndarray:
+    """The diagonal of ``C C^* = phi_right(I)``: the map's entries at all ``total_dim`` basis vectors, summed by row."""
+    n = space.total_dim
+    keys, vals = _phi_entries(space, i, np.arange(n) * (n + 1), np.ones(n, dtype=complex))
+    return np.bincount(keys // n, vals.real, minlength=n)
 
 
 def accumulate_entries(terms) -> tuple[np.ndarray, np.ndarray]:

@@ -80,10 +80,20 @@ def test_malformed_spec_exits_2(tmp_path):
     bad.write_text('{"k": 1, "n": [1], "m": [1], "coeffs": []}')
     rc = main(["weights", "--spec", str(bad), "--trunc", "4"])
     assert rc == 2
-    # coefficients that are not a list, and a document that is not an object
-    for doc in (dict(BALL, coeffs=5), dict(BALL, coeffs=None), [BALL]):
+    # coefficients that are not a list, a document that is not an object, and
+    # a k, n, m, factor index or letter that is not a JSON integer
+    not_integers = (1.5, True, "2")
+    entry = BALL["coeffs"][0]
+    for doc in (
+        dict(BALL, coeffs=5), dict(BALL, coeffs=None), [BALL],
+        *(dict(BALL, k=v) for v in not_integers),
+        *(dict(BALL, n=[v]) for v in not_integers),
+        *(dict(BALL, m=[v]) for v in (1.5, True, "1")),
+        *(dict(BALL, coeffs=[dict(entry, i=v)]) for v in (1.5, True, "1")),
+        *(dict(BALL, coeffs=[dict(entry, word=[v])]) for v in (1.5, True, "1")),
+    ):
         bad.write_text(json.dumps(doc))
-        assert main(["weights", "--spec", str(bad), "--trunc", "4"]) == 2
+        assert main(["weights", "--spec", str(bad), "--trunc", "4"]) == 2, doc
     # an empty alphabet, whatever the coefficients
     for coeffs in ([], [{"i": 1, "word": [1], "a": 1.0}]):
         bad.write_text(json.dumps({"k": 1, "n": [0], "m": [1], "coeffs": coeffs}))
@@ -102,6 +112,12 @@ MALFORMED_SYMBOLS = [
     {"k": 1, "n": [2], "coeff_dim": 1, "terms": [dict(IDENTITY_TERM, left=[[1], [2]])]},
     {"k": 1, "n": [2], "coeff_dim": 1, "terms": [5]},
     {"k": 1, "n": 2, "coeff_dim": 1, "terms": []},
+    # a letter, size or coefficient dimension that is not a JSON integer
+    *({"k": 1, "n": [2], "coeff_dim": 1, "terms": [dict(IDENTITY_TERM, left=[[v]])]} for v in (1.5, True, "1")),
+    *({"k": 1, "n": [v], "coeff_dim": 1, "terms": [IDENTITY_TERM]} for v in (2.0, "2")),
+    *({"k": 1, "n": [2], "coeff_dim": v, "terms": [IDENTITY_TERM]} for v in (1.7, 1.0, True, "1")),
+    # two terms on the same pair
+    {"k": 1, "n": [2], "coeff_dim": 1, "terms": [IDENTITY_TERM, dict(IDENTITY_TERM, re=[[2.0]])]},
 ]
 
 

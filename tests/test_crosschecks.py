@@ -111,6 +111,8 @@ from oracles import (
     accumulate_entries as oracle_accumulate_entries,
     comparable,
     graded_projection,
+    identity_row_gram_diagonal,
+    lifted_action,
     model_matrices,
     multi_word_op,
     per_entry_cesaro_reconstruct,
@@ -1087,6 +1089,40 @@ def test_row_gram_diagonal_matches_eigvalsh(rng):
             assert _min_positive_gram_eig(space, i) == dense_min_positive_gram_eig(space, i)
 
 
+def lift_spaces(rng):
+    """Spaces at ``coeff_dim`` 1 and 2 and ``k`` 1 and 2, besides the oracle spaces."""
+    yield from oracle_spaces(rng)
+    for k, coeff_dim in itertools.product((1, 2), (1, 2)):
+        spec = random_spec(rng, k=k, max_deg=3)
+        yield FockSpace(spec, (3, 2)[:k], coeff_dim=coeff_dim)
+
+
+def test_creation_product_is_the_lifted_factor_action(rng):
+    # the one lift of a creation: its CSR holds the lifted oracle's entries, in keys and bits
+    for space in lift_spaces(rng):
+        n = space.total_dim
+        for i, n_i in enumerate(space.spec.n):
+            for word in enumerate_words(n_i, space.trunc[i] + 1):
+                for side in ("left", "right"):
+                    src, dst, vals = lifted_action(space, i, space.creation_action(i, word, side))
+                    expected = sp.csr_matrix((vals, (dst, src)), shape=(n, n))
+                    got = space.creation_product(i, word, side)
+                    assert np.array_equal(got.indptr, expected.indptr) and np.array_equal(got.indices, expected.indices)
+                    assert same_bits(got.data, expected.data), (i, word, side)
+
+
+def test_row_gram_diagonal_is_the_identity_sum_on_factor_ranks(rng):
+    # each distinct diagonal entry of the map's sum at every basis vector, in its bits
+    for space in lift_spaces(rng):
+        for i in range(space.spec.k):
+            got = brownhalmos_module._row_gram_diagonal(space, i)
+            d_i = space.factor_dims[i]
+            full = identity_row_gram_diagonal(space, i).reshape(-1, d_i, math.prod(space.factor_dims[i + 1 :]))
+            assert got.shape == (d_i,)
+            for b, a in itertools.product(range(full.shape[0]), range(full.shape[2])):
+                assert same_bits(got, full[b, :, a]), (i, b, a)
+
+
 def model_tuples(rng):
     """Each universal model of the oracle spaces, both sides, with its creations as matrices."""
     for space in oracle_spaces(rng):
@@ -1107,7 +1143,10 @@ def test_universal_word_actions_are_the_letter_products(rng):
             for i, n in enumerate(space.spec.n):
                 words = [w for w in enumerate_words(n, min(space.trunc[i] + 1, 4)) if len(w)]
                 for w in words + list(space.spec.coeffs[i]):
-                    src, dst, vals = space.word_action(i, w, side)
+                    # the word's action lifted to K (x) Fock, then its Fock part
+                    src, dst, vals = lifted_action(space, i, space.word_action(i, w, side))
+                    m = src.size // space.coeff_dim
+                    src, dst, vals = src[:m], dst[:m], vals[:m]
                     keys, expected = linalg_module.stored_entries(word_op(X, i, w))
                     assert np.array_equal(dst * X.dim_h + src, keys), (side, i, w)
                     assert same_bits(vals, expected), (side, i, w)

@@ -18,6 +18,9 @@ positivity of the kernel and of the model operator block by block; the dense
 kernel, its conjugate and their sum took three 252 MB arrays there.
 ``model`` on ``k=1, n=2, L=10`` (dim 2047) runs the universal model's
 completely positive maps; dense defect iterates there peak near 450 MB.
+In-process at ``L=6`` (dim 16129), the model's defect and purity are traced
+per basis vector: each creation acts on one factor's word ranks, so nothing
+of the space's dimension outlives the call but the returned diagonal.
 The symbol and grading routines are also traced in-process: for sparse
 inputs they allocate less than one byte per ``(dim, dim)`` cell.
 One draw of the battery's grading check at ``n = 450`` is traced against the
@@ -44,7 +47,7 @@ import polytoeplitz
 from polytoeplitz import linalg
 from polytoeplitz.brownhalmos import bh_residual, build_row, cauchy_dual_projection
 from polytoeplitz.cli import _grading_gap
-from polytoeplitz.cpmaps import berezin_kernel, intertwining_residual, random_pure_tuple
+from polytoeplitz.cpmaps import UniversalModel, berezin_kernel, defect, intertwining_residual, is_pure, random_pure_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockOperator, FockSpace, monomial
 from polytoeplitz.toeplitz import (
@@ -71,6 +74,12 @@ CAUCHY_PEAK_RSS_LIMIT_MB = 300
 # never to be raised
 TOEPLITZ_BYTES_PER_ENTRY = 130
 BH_BYTES_PER_ENTRY = 150
+# traced bytes per basis vector of the universal model's defect and purity at L = 6,
+# held after the call (the returned complex diagonal is 16) and at peak: the space
+# cached every creation lifted over the whole basis when they were 142.7 and 206.5;
+# never to be raised
+MODEL_HELD_BYTES_PER_VECTOR = 24
+MODEL_PEAK_BYTES_PER_VECTOR = 100
 # one grading-check draw at n = 450 as it was with one CSR per degree part of T and of T^*
 # held together (19,651,312 bytes traced); never to be raised
 GRADING_DRAW_PEAK_BYTES = 19_651_312
@@ -221,7 +230,7 @@ def test_classification_and_structural_equation_hold_few_bytes_per_stored_entry(
     calls = [(lambda: is_multi_toeplitz(T), TOEPLITZ_BYTES_PER_ENTRY)]
     calls += [(lambda i=i: bh_residual(T, space.spec, i), BH_BYTES_PER_ENTRY) for i in range(space.spec.k)]
     for call, limit in calls:
-        call()  # the space's degree table, creation actions and row Gram eigenvalues are cached outside the trace
+        call()  # the space's degree table is cached outside the trace
         tracemalloc.start()
         try:
             call()
@@ -237,6 +246,23 @@ def test_model_stays_below_peak_rss_limit(tmp_path):
     code, model_mb = _run_child(tmp_path, ["model", "--spec", "spec.json", "--trunc", "10"])
     assert code == 0
     assert model_mb < MODEL_PEAK_RSS_LIMIT_MB, f"model peak RSS {model_mb:.0f} MB"
+
+
+def test_universal_model_maps_hold_few_bytes_per_basis_vector():
+    space = FockSpace(spec_from_json(SPEC), (6, 6))
+    space.degree_table()  # built outside the trace
+    W = UniversalModel(space)
+    tracemalloc.start()
+    try:
+        D = defect(space.spec, W, space.spec.m)
+        pure, _ = is_pure(space.spec, W, power_cap=max(space.trunc) + 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pure and D.shape == (space.dim,)
+    for name, got, limit in (("held", held, MODEL_HELD_BYTES_PER_VECTOR), ("peak", peak, MODEL_PEAK_BYTES_PER_VECTOR)):
+        per_vector = got / space.dim
+        assert per_vector <= limit, f"{name}: {per_vector:.1f} bytes per basis vector, limit {limit}"
 
 
 def test_cauchy_dual_projection_at_dim_2047_stays_below_peak_rss_limit(tmp_path):

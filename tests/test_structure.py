@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polytoeplitz"
+TESTS = Path(__file__).resolve().parent
 # a COO construction or conversion: the way into scipy's own entry format
 COO_CALL = re.compile(r"\bcoo_matrix\(|\.tocoo\(")
 
@@ -102,8 +103,8 @@ def test_the_cutoff_has_its_readers_and_only_linalg_reads_meminfo():
 def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
     # a CSR is built at a public boundary only: the universal model's word
     # actions compose the creations' triples, the pluriharmonic kernel permutes
-    # the model operator's entries, and the row Gram diagonal scatters the
-    # map's entries, so none of them reads a CSR it built
+    # the model operator's entries, and the row Gram diagonal sums the map's
+    # terms on factor ranks, so none of them reads a CSR it built
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     readers = {
         (module, where)
@@ -194,7 +195,7 @@ UNREAD_EXPORTS = {
     "cauchy_dual": "the paper's Cauchy dual, checked against a dense oracle",
     "evaluate_at_tuple": "the symbol's free pluriharmonic function at a tuple (ROADMAP item 4)",
     "homogeneous_decomposition": "the homogeneous parts as operators; the battery reads their graded_entries runs",
-    "phi_right": "the reversed-series map as an operator; the row's Gram bounds read its entries (_phi_entries)",
+    "phi_right": "the reversed-series map as an operator; the structural equation reads its entries (_phi_entries)",
 }
 
 
@@ -237,3 +238,26 @@ def test_every_public_name_has_a_reader():
                 unread.append(f"{module}: {name}")
     assert not unread, "\n".join(unread)
     assert all(name in {n for t in trees.values() for n in _exports(t)} for name in UNREAD_EXPORTS)
+
+
+def _imported_names(tree: ast.AST):
+    """The name each import binds, with its line; ``from __future__`` binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((alias.asname or alias.name, node.lineno) for alias in node.names)
+
+
+# every module but the package's __init__, whose imports are its public names
+IMPORTING_MODULES = [p for p in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")) if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", IMPORTING_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_read(path):
+    # an import that no code of its module reads is dead weight; a name in
+    # the module's __all__ counts as read
+    tree = ast.parse(path.read_text())
+    read = set(_references(tree)) | set(_exports(tree))
+    unread = [f"{path.name}:{line}: {name}" for name, line in _imported_names(tree) if name not in read]
+    assert not unread, "\n".join(unread)
