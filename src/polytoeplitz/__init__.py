@@ -7,7 +7,7 @@ positivity checks, and verifies the structural (Brown-Halmos type) equation,
 all at configurable truncation degrees.
 """
 
-from .brownhalmos import RowOperator, bh_residual, bh_scan, build_row, cauchy_dual
+from .brownhalmos import bh_residual, bh_scan, build_row
 from .cpmaps import (
     BerezinKernel,
     OperatorTuple,
@@ -54,7 +54,6 @@ from .toeplitz import (
     evaluate_at_tuple,
     extract_fourier,
     graded_entries,
-    homogeneous_decomposition,
     is_multi_toeplitz,
     pluriharmonic_kernel,
     random_symbol,

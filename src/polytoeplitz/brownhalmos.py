@@ -1,4 +1,4 @@
-"""Row contractions from the right model, Cauchy duals, and the structural equation.
+"""Row contractions from the right model, their Cauchy dual projection, and the structural equation.
 
 For each factor the weighted right creations assemble into a row contraction
 whose columns are scaled by the square roots of the (reversed) series
@@ -9,74 +9,45 @@ against that row; the residual computed here measures its failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import linalg
 from .errors import DimensionMismatch, SpecError
-from .freemonoid import Word, reverse
+from .freemonoid import reverse
 from .model import Action, FockOperator, FockSpace, accumulate_entries
-from .weights import PolydomainSpec
 
 __all__ = [
-    "RowOperator",
     "build_row",
-    "phi_right",
     "range_projection",
-    "cauchy_dual",
     "cauchy_dual_projection",
     "bh_residual",
     "bh_scan",
 ]
 
 
-@dataclass
-class RowOperator:
-    """The row ``[sqrt(a_reversed) Lambda_word ...]`` for one factor.
+def build_row(space: FockSpace, i: int) -> sp.csr_matrix:
+    """The factor-``i`` row contraction ``C = [sqrt(a at reverse(alpha)) Lambda_alpha ...]`` on ``space``, as CSR.
 
-    ``gamma`` lists the creation words in graded-lexicographic order; they
-    range over the reversal of the coefficient support, so that ``C C^*`` is
-    the reversed-series completely positive map applied to the identity,
-    ``phi_right(space, factor, I)``.  Columns act on the
-    coefficient-ampliated space.
+    ``alpha`` runs over the reversal of the coefficient support in
+    graded-lexicographic order, and ``Lambda_alpha`` is the right creation by
+    ``alpha`` on the coefficient-ampliated space, so ``C`` has shape
+    ``(n, n * len(gamma))`` with ``n = space.total_dim`` and column block ``g``
+    is ``C[:, g*n:(g+1)*n]``.  ``C C^*`` is the reversed-series completely
+    positive map applied to the identity, a diagonal; the row-contraction
+    bound ``||CC*|| <= 1`` is verified on it up to ``1e-9``.
     """
-
-    space: FockSpace
-    factor: int
-    gamma: tuple[Word, ...]
-    columns: tuple[sp.spmatrix, ...]
-    scales: tuple[float, ...]
-
-    def as_matrix(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            sp.hstack([s * col for s, col in zip(self.scales, self.columns)])
-        )
-
-
-def build_row(spec: PolydomainSpec, space: FockSpace, i: int) -> RowOperator:
-    """Assemble the factor-``i`` row contraction on ``space`` and check it.
-
-    The column for word ``alpha`` is ``sqrt(a at reverse(alpha))`` times the
-    right creation by ``alpha``; the row-contraction bound ``||CC*|| <= 1``
-    is verified up to ``1e-9`` on the diagonal ``CC* = phi_right(space, i, I)``.
-    """
-    if spec is not space.spec and spec != space.spec:
-        raise DimensionMismatch("spec differs from the space's spec")
+    spec = space.spec
     if not 0 <= i < spec.k:
         raise DimensionMismatch(f"factor index {i} outside range")
     top = float(_row_gram_diagonal(space, i).max())
     if top > 1.0 + 1e-9:
         raise SpecError(f"row is not a contraction: ||CC*|| = {top:.6f}")
     support = {reverse(w): a for w, a in spec.coeffs[i].items() if a != 0.0}
-    gamma = tuple(sorted(support, key=lambda w: (len(w), w.letters)))
-    return RowOperator(
-        space=space,
-        factor=i,
-        gamma=gamma,
-        columns=tuple(space.creation_product(i, alpha, side="right") for alpha in gamma),
-        scales=tuple(math.sqrt(support[alpha]) for alpha in gamma),
+    gamma = sorted(support, key=lambda w: (len(w), w.letters))
+    return sp.csr_matrix(
+        sp.hstack([math.sqrt(support[alpha]) * space.creation_product(i, alpha, side="right") for alpha in gamma])
     )
 
 
@@ -141,55 +112,29 @@ def _alternating_terms(space: FockSpace, i: int, keys: np.ndarray, vals: np.ndar
         del power_keys, power
 
 
-def phi_right(space: FockSpace, i: int, Y: linalg.MatrixLike) -> sp.csr_matrix:
-    """The reversed-series map of factor ``i`` on the ampliated right model.
-
-    Works on the stored entries of ``Y`` (dense or sparse) and returns CSR.
-    """
-    n = space.total_dim
-    if Y.shape != (n, n):
-        raise DimensionMismatch("operand shape differs from the space dimension")
-    return linalg.entries_matrix(*_phi_entries(space, i, *linalg.stored_entries(Y)), Y.shape)
-
-
 def range_projection(space: FockSpace, i: int) -> np.ndarray:
     """Projection onto the vectors with nonvacuum factor-``i`` component."""
     degs = space.degree_table()
     return np.diag(np.tile((degs[:, i] > 0).astype(complex), space.coeff_dim))
 
 
-def _sparse_dual(C: RowOperator) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The row as CSR and its Cauchy dual ``C (C*C)^+``, both sparse."""
-    mat = C.as_matrix()
-    return mat, mat @ linalg.pinv_on_range(mat.conj().T @ mat, rank_tol=1e-10)
+def cauchy_dual_projection(C: sp.csr_matrix) -> np.ndarray:
+    """``C (C*C)^{-1} C^*``, the orthogonal projection onto the range of the row ``C``.
 
-
-def cauchy_dual(C: RowOperator) -> np.ndarray:
-    """``C (C*C)^{-1}`` with the inverse taken on the range of ``C^*``.
-
-    Realized through the Hermitian pseudo-inverse of ``C*C`` at
+    The inverse is the Hermitian pseudo-inverse of ``C*C`` on its range at
     ``rank_tol=1e-10``; eigenvalues near the rank cutoff raise
     :class:`NumericalRankError`.  Each column of ``C`` moves one basis
     vector, so ``C*C`` is block diagonal by target vector, each block rank
-    one and at most ``len(C.gamma)`` wide; the Gram matrix, its
-    pseudo-inverse and the product stay sparse, and only the returned dual
-    is dense.
+    one and at most ``C.shape[1] // C.shape[0]`` wide; the Gram matrix, its
+    pseudo-inverse and the dual ``C (C*C)^{-1}`` stay sparse, and only the
+    returned ``(dim, dim)`` projection is dense.
     """
-    return linalg.as_dense(_sparse_dual(C)[1])
-
-
-def cauchy_dual_projection(C: RowOperator) -> np.ndarray:
-    """``C (C*C)^{-1} C^*``, the orthogonal projection onto the range of ``C``.
-
-    Formed as sparse products, as in :func:`cauchy_dual`; only the returned
-    ``(dim, dim)`` projection is dense.
-    """
-    mat, dual = _sparse_dual(C)
-    return linalg.as_dense(dual @ mat.conj().T)
+    dual = C @ linalg.pinv_on_range(C.conj().T @ C, rank_tol=1e-10)
+    return linalg.as_dense(dual @ C.conj().T)
 
 
 def _row_gram_diagonal(space: FockSpace, i: int) -> np.ndarray:
-    # each right creation is injective and moves factor i's digit alone, so CC* = phi_right(I)
+    # each right creation is injective and moves factor i's digit alone, so CC* = Phi(I)
     # is diagonal, one entry per word rank: the map's terms at I, summed in coefficient order
     acc = np.zeros(space.factor_dims[i], dtype=complex)
     for w, a in space.spec.coeffs[i].items():
@@ -201,7 +146,7 @@ def _row_gram_diagonal(space: FockSpace, i: int) -> np.ndarray:
 def _min_positive_gram_eig(space: FockSpace, i: int) -> float:
     """Smallest positive eigenvalue of ``C C^*`` for factor ``i``.
 
-    ``C C^*`` is the diagonal matrix ``phi_right(space, i, I)``, so its
+    ``C C^*`` is the reversed-series map at the identity, a diagonal, so its
     spectrum is :func:`_row_gram_diagonal`; eigenvalues up to ``1e-12``
     times ``max(lambda_max, 1)`` count as zero.
     """
@@ -229,7 +174,7 @@ def _residual_terms(space: FockSpace, i: int, matrix):
     yield rhs_keys, np.negative(rhs_vals, out=rhs_vals)
 
 
-def bh_residual(T: FockOperator, spec: PolydomainSpec, i: int) -> float:
+def bh_residual(T: FockOperator, i: int) -> float:
     """Residual of the factor-``i`` structural equation for ``T``.
 
     The equation compressed to the range of ``C^*`` is conjugated by the row
@@ -248,10 +193,7 @@ def bh_residual(T: FockOperator, spec: PolydomainSpec, i: int) -> float:
     densified; the Frobenius norm runs over the union of their supports.
     """
     space = T.space
-    if spec is not space.spec:
-        if spec != space.spec:
-            raise DimensionMismatch("spec differs from the operator space's spec")
-    if not 0 <= i < spec.k:
+    if not 0 <= i < space.spec.k:
         raise DimensionMismatch(f"factor index {i} outside range")
     _, diff = accumulate_entries(_residual_terms(space, i, T.matrix))
     lam = _min_positive_gram_eig(space, i)
@@ -263,16 +205,14 @@ def bh_residual(T: FockOperator, spec: PolydomainSpec, i: int) -> float:
     return float(np.sqrt(np.einsum("i,i", parts, parts))) / lam
 
 
-def bh_scan(
-    T: FockOperator, spec: PolydomainSpec, tol: float = 1e-9
-) -> dict:
+def bh_scan(T: FockOperator, tol: float = 1e-9) -> dict:
     """Per-factor residual report for the structural equation.
 
     A clean scan is labeled ``BH-consistent``: satisfying the equation is
     necessary for the weighted multi-Toeplitz class but not known to be
     sufficient, so no structural claim is made.
     """
-    residuals = [bh_residual(T, spec, i) for i in range(spec.k)]
+    residuals = [bh_residual(T, i) for i in range(T.space.spec.k)]
     satisfied = all(r <= tol for r in residuals)
     return {
         "residuals": residuals,

@@ -412,7 +412,7 @@ def cmd_brown_halmos(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.factor is not None:
         if not 1 <= args.factor <= spec.k:
             raise DimensionMismatch(f"--factor must lie in 1..{spec.k}")
-        res = bh_residual(T, spec, args.factor - 1)
+        res = bh_residual(T, args.factor - 1)
         scan = {
             "residuals": [res],
             "factors": [args.factor],
@@ -421,7 +421,7 @@ def cmd_brown_halmos(cfg: RunConfig, args: argparse.Namespace) -> int:
             "classification": "BH-consistent" if res <= cfg.tol else "BH-violated",
         }
     else:
-        scan = bh_scan(T, spec, tol=cfg.tol)
+        scan = bh_scan(T, tol=cfg.tol)
         scan["factors"] = list(range(1, spec.k + 1))
     scan["command"] = "brown-halmos"
     _emit(scan, cfg.out, "brown-halmos-report.json")
@@ -687,7 +687,7 @@ def _check_brown_halmos_residual(rng: np.random.Generator, trunc_degree: int) ->
         sym = random_symbol(space, rng, n_monomials=6)
         T = evaluate_at_model(sym)
         for i in range(spec.k):
-            worst = linalg.strict_max(worst, bh_residual(T, spec, i))
+            worst = linalg.strict_max(worst, bh_residual(T, i))
     return [_check("brown_halmos_residual", worst, 1e-9, 6)]
 
 
@@ -697,8 +697,7 @@ def _check_cauchy_dual(rng: np.random.Generator, trunc_degree: int) -> list[dict
     for _ in range(3):
         spec = random_spec(rng, k=1)
         space = FockSpace(spec, (trunc_degree,))
-        row = build_row(spec, space, 0)
-        P = cauchy_dual_projection(row)
+        P = cauchy_dual_projection(build_row(space, 0))
         worst_p = linalg.strict_max(worst_p, float(np.abs(P @ P - P).max()))
         worst_p = linalg.strict_max(worst_p, float(np.abs(P - P.conj().T).max()))
         worst_q = linalg.strict_max(worst_q, float(np.abs(P - range_projection(space, 0)).max()))

@@ -478,34 +478,10 @@ class FockOperator:
     def adjoint(self) -> "FockOperator":
         return FockOperator(self.space, linalg.adjoint(self.matrix))
 
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        self._check_same_space(other)
-        return FockOperator(self.space, self.matrix @ other.matrix)
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        self._check_same_space(other)
-        return FockOperator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        self._check_same_space(other)
-        return FockOperator(self.space, self.matrix - other.matrix)
-
-    def __rmul__(self, c: complex) -> "FockOperator":
-        return FockOperator(self.space, c * self.matrix)
-
-    def norm(self) -> float:
-        return linalg.op_norm(self.matrix)
-
     def blocks(self) -> np.ndarray:
         """View as (c, c, dim, dim): coefficient block (x, y) against basis pair (row, col)."""
         c, d = self.space.coeff_dim, self.space.dim
         return self.dense.reshape(c, d, c, d).transpose(0, 2, 1, 3)
-
-    def _check_same_space(self, other: "FockOperator") -> None:
-        if other.space is not self.space and (
-            other.space.total_dim != self.space.total_dim
-        ):
-            raise DimensionMismatch("operators live on different spaces")
 
 
 class PairClasses(NamedTuple):

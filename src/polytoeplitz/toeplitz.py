@@ -24,7 +24,7 @@ from .cpmaps import OperatorTuple
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import IndexPair, MultiWord, Word, word_rank
 from .model import FockOperator, FockSpace
-from .weights import json_int
+from .weights import json_int, json_number
 
 __all__ = [
     "FourierSymbol",
@@ -32,7 +32,6 @@ __all__ = [
     "NotMultiToeplitz",
     "is_multi_toeplitz",
     "graded_entries",
-    "homogeneous_decomposition",
     "extract_fourier",
     "evaluate_at_model",
     "evaluate_at_tuple",
@@ -336,26 +335,6 @@ def graded_entries(T: FockOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return keys, vals, present, bounds
 
 
-def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOperator]:
-    """Every nonzero homogeneous part of ``T``, keyed by degree vector in lexicographic order.
-
-    The degree-``s`` part keeps the stored entries whose row and column
-    degree vectors differ by ``s``, as CSR; it equals the sum of ``P_{s+p} T
-    P_p`` over the grid.  Each part is one run of :func:`graded_entries`.  A
-    degree vector with no stored entry has no key: its part is zero.  The
-    parts sum to ``T``.
-    """
-    space = T.space
-    keys, vals, present, bounds = graded_entries(T)
-    place, L = _gap_places(space)
-    gaps = present[:, None] // place % (2 * L + 1) - L
-    parts: dict[tuple[int, ...], FockOperator] = {}
-    for p, s in enumerate(map(tuple, gaps.tolist())):
-        lo, hi = bounds[p], bounds[p + 1]
-        parts[s] = FockOperator(space, linalg.entries_matrix(keys[lo:hi], vals[lo:hi], T.matrix.shape))
-    return parts
-
-
 def extract_fourier(
     T: FockOperator,
     tol: float = 1e-10,
@@ -603,7 +582,10 @@ def symbol_from_json(space: FockSpace, doc: Union[str, dict]) -> FourierSymbol:
                 ))
                 for side in ("left", "right")
             )
-            re, im = (np.asarray(term[part], dtype=float) for part in ("re", "im"))
+            re, im = (
+                np.asarray([[json_number(x, part) for x in row] for row in term[part]], dtype=float)
+                for part in ("re", "im")
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed symbol term {term!r}: {exc}") from exc
         where = f"symbol term {left.render()} | {right.render()}"

@@ -339,6 +339,13 @@ def json_int(value, name: str) -> int:
     return value
 
 
+def json_number(value, name: str) -> float:
+    """``value`` as a float when it is a JSON integer or real; a bool or a string raises :class:`SpecError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def spec_from_json(doc: str | dict) -> PolydomainSpec:
     """Parse the interchange form ``{"k":.., "n":[..], "m":[..], "coeffs":[..]}``.
 
@@ -368,7 +375,7 @@ def spec_from_json(doc: str | dict) -> PolydomainSpec:
         try:
             i = json_int(entry["i"], "i") - 1
             letters = tuple(json_int(g, "letter") for g in entry["word"])
-            a = float(entry["a"])
+            a = json_number(entry["a"], "a")
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed coefficient entry {entry!r}: {exc}") from exc
         if not 0 <= i < k:

@@ -12,7 +12,11 @@ tuple's word operators as products of its matrices one letter at a time,
 the universal model's creations as matrices, a factor's creation lifted
 over the coefficient space and the other factors, the row Gram diagonal as
 the map's sum over every basis vector, and the sum of stored-entry terms
-over the sorted union of their keys.  Tests import them as they import
+over the sorted union of their keys.  Beside them sit the operator forms
+the program reads only as entries or runs: the homogeneous parts as CSR
+operators (the runs of ``graded_entries``), the reversed-series map of a
+factor as a CSR operator (``brownhalmos._phi_entries``) and the Cauchy dual
+``C (C*C)^+`` of a row.  Tests import them as they import
 ``conftest.make_spec``.
 """
 
@@ -28,6 +32,7 @@ from polytoeplitz.errors import DimensionMismatch, NotComparable, SpecError
 from polytoeplitz.cpmaps import OperatorTuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockOperator, FockSpace
+from polytoeplitz.toeplitz import _gap_places, graded_entries
 from polytoeplitz.weights import WeightTable
 
 
@@ -234,3 +239,45 @@ def accumulate_entries(terms) -> tuple[np.ndarray, np.ndarray]:
     for k, v in terms:
         acc[linalg.lookup(keys, k)[0]] += v
     return keys, acc
+
+
+def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOperator]:
+    """Every nonzero homogeneous part of ``T``, keyed by degree vector in lexicographic order.
+
+    The degree-``s`` part keeps the stored entries whose row and column
+    degree vectors differ by ``s``, as CSR; it equals the sum of ``P_{s+p} T
+    P_p`` over the grid.  Each part is one run of :func:`graded_entries`.  A
+    degree vector with no stored entry has no key: its part is zero.  The
+    parts sum to ``T``.
+    """
+    space = T.space
+    keys, vals, present, bounds = graded_entries(T)
+    place, L = _gap_places(space)
+    gaps = present[:, None] // place % (2 * L + 1) - L
+    parts: dict[tuple[int, ...], FockOperator] = {}
+    for p, s in enumerate(map(tuple, gaps.tolist())):
+        lo, hi = bounds[p], bounds[p + 1]
+        parts[s] = FockOperator(space, linalg.entries_matrix(keys[lo:hi], vals[lo:hi], T.matrix.shape))
+    return parts
+
+
+def phi_right(space: FockSpace, i: int, Y) -> sp.csr_matrix:
+    """The reversed-series map of factor ``i`` on the ampliated right model, as CSR.
+
+    The program's ``_phi_entries`` on the stored entries of ``Y`` (dense or
+    sparse), written back as a matrix.
+    """
+    n = space.total_dim
+    if Y.shape != (n, n):
+        raise DimensionMismatch("operand shape differs from the space dimension")
+    return linalg.entries_matrix(*_phi_entries(space, i, *linalg.stored_entries(Y)), Y.shape)
+
+
+def cauchy_dual(C: sp.csr_matrix) -> np.ndarray:
+    """``C (C*C)^{-1}`` for a row ``C`` from ``build_row``, the inverse taken on the range of ``C^*``.
+
+    The same sparse pseudo-inverse at ``rank_tol=1e-10`` as
+    ``cauchy_dual_projection``, which multiplies this dual by ``C^*``; only
+    the returned dual is dense.
+    """
+    return linalg.as_dense(C @ linalg.pinv_on_range(C.conj().T @ C, rank_tol=1e-10))

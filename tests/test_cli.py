@@ -80,17 +80,21 @@ def test_malformed_spec_exits_2(tmp_path):
     bad.write_text('{"k": 1, "n": [1], "m": [1], "coeffs": []}')
     rc = main(["weights", "--spec", str(bad), "--trunc", "4"])
     assert rc == 2
-    # coefficients that are not a list, a document that is not an object, and
-    # a k, n, m, factor index or letter that is not a JSON integer
+    # coefficients that are not a list, a document that is not an object, a
+    # k, n, m, factor index or letter that is not a JSON integer, and a
+    # coefficient that is not a JSON number
     not_integers = (1.5, True, "2")
-    entry = BALL["coeffs"][0]
+    # each bad entry replaces the first and keeps the others, so the document
+    # is refused for that entry alone and not for a generator left without one
+    entry, *rest = BALL["coeffs"]
     for doc in (
         dict(BALL, coeffs=5), dict(BALL, coeffs=None), [BALL],
         *(dict(BALL, k=v) for v in not_integers),
         *(dict(BALL, n=[v]) for v in not_integers),
         *(dict(BALL, m=[v]) for v in (1.5, True, "1")),
-        *(dict(BALL, coeffs=[dict(entry, i=v)]) for v in (1.5, True, "1")),
-        *(dict(BALL, coeffs=[dict(entry, word=[v])]) for v in (1.5, True, "1")),
+        *(dict(BALL, coeffs=[dict(entry, i=v), *rest]) for v in (1.5, True, "1")),
+        *(dict(BALL, coeffs=[dict(entry, word=[v]), *rest]) for v in (1.5, True, "1")),
+        *(dict(BALL, coeffs=[dict(entry, a=v), *rest]) for v in ("0.5", True, None, [0.5])),
     ):
         bad.write_text(json.dumps(doc))
         assert main(["weights", "--spec", str(bad), "--trunc", "4"]) == 2, doc
@@ -116,6 +120,9 @@ MALFORMED_SYMBOLS = [
     *({"k": 1, "n": [2], "coeff_dim": 1, "terms": [dict(IDENTITY_TERM, left=[[v]])]} for v in (1.5, True, "1")),
     *({"k": 1, "n": [v], "coeff_dim": 1, "terms": [IDENTITY_TERM]} for v in (2.0, "2")),
     *({"k": 1, "n": [2], "coeff_dim": v, "terms": [IDENTITY_TERM]} for v in (1.7, 1.0, True, "1")),
+    # a coefficient entry that is not a JSON number
+    *({"k": 1, "n": [2], "coeff_dim": 1, "terms": [dict(IDENTITY_TERM, **{part: [[v]]})]}
+      for part in ("re", "im") for v in ("1.0", True, None)),
     # two terms on the same pair
     {"k": 1, "n": [2], "coeff_dim": 1, "terms": [IDENTITY_TERM, dict(IDENTITY_TERM, re=[[2.0]])]},
 ]
@@ -708,7 +715,7 @@ def test_kernel_psd_checks_its_input_before_the_memory_it_needs(tmp_path, monkey
 
 
 def test_brown_halmos_report_matches_golden_file(tmp_path):
-    # the structural equation on the lifted k=2 space pins phi_right and the Gram bound
+    # the structural equation on the lifted k=2 space pins the reversed-series map and the Gram bound
     args = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
             "--operator", str(GOLDEN_FOURIER / "operator-r1.mtx"), "--out", str(tmp_path / "out")]
     assert main(["brown-halmos", *args]) == 0

@@ -55,11 +55,12 @@ from polytoeplitz.toeplitz import (
     cesaro_reconstruct,
     evaluate_at_model,
     extract_fourier,
-    homogeneous_decomposition,
     is_multi_toeplitz,
     symbol_to_json,
 )
 from polytoeplitz.weights import spec_from_json
+
+from oracles import homogeneous_decomposition
 
 PEAK_RSS_LIMIT_MB = 400
 # importing the program alone takes about 60 MB; the pair arrays at dim 16129 took 258 MB in all
@@ -135,7 +136,7 @@ from polytoeplitz.model import FockSpace
 from polytoeplitz.weights import spec_from_json
 spec = spec_from_json(json.loads(sys.argv[1]))
 space = FockSpace(spec, (int(sys.argv[2]),))
-P = cauchy_dual_projection(build_row(spec, space, 0))
+P = cauchy_dual_projection(build_row(space, 0))
 P -= range_projection(space, 0)
 with open("err.txt", "w") as fh:
     fh.write(repr(float(np.abs(P).max())))
@@ -228,7 +229,7 @@ def test_classification_and_structural_equation_hold_few_bytes_per_stored_entry(
     space = FockSpace(spec_from_json(SPEC), (5, 5))
     T = FockOperator(space, _planted_matrix(5))
     calls = [(lambda: is_multi_toeplitz(T), TOEPLITZ_BYTES_PER_ENTRY)]
-    calls += [(lambda i=i: bh_residual(T, space.spec, i), BH_BYTES_PER_ENTRY) for i in range(space.spec.k)]
+    calls += [(lambda i=i: bh_residual(T, i), BH_BYTES_PER_ENTRY) for i in range(space.spec.k)]
     for call, limit in calls:
         call()  # the space's degree table is cached outside the trace
         tracemalloc.start()
@@ -286,10 +287,10 @@ def test_cauchy_dual_eigensolver_calls_stay_within_one_target_vector(monkeypatch
     monkeypatch.setattr(np.linalg, "eigh", recording)
     for trunc in (4, 5, 6):
         space = FockSpace(spec, (trunc,))
-        row = build_row(spec, space, 0)
+        row = build_row(space, 0)
         sides.clear()
         cauchy_dual_projection(row)
-        assert sides and max(sides) <= len(row.gamma), (trunc, sides)
+        assert sides and max(sides) <= row.shape[1] // row.shape[0], (trunc, sides)
 
 
 def test_fourier_stays_below_peak_rss_limit(tmp_path):

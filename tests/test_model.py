@@ -15,9 +15,8 @@ from polytoeplitz.model import (
     weighted_right_creation,
 )
 from polytoeplitz.sampling import random_spec
-from polytoeplitz.toeplitz import homogeneous_decomposition
 
-from oracles import comparable, graded_projection, simplify, tau, weighted_fock_unitary
+from oracles import comparable, graded_projection, homogeneous_decomposition, simplify, tau, weighted_fock_unitary
 
 
 

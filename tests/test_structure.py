@@ -113,7 +113,6 @@ def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
         if name.split(".")[-1] == "stored_entries"
     }
     assert readers == {
-        ("brownhalmos.py", "phi_right"),
         ("brownhalmos.py", "_residual_terms"),
         ("brownhalmos.py", "_in_range_entries"),
         ("cli.py", "_grading_gap"),
@@ -192,10 +191,7 @@ UNREAD_EXPORTS = {
     "monomial": "bench/gen.py plants its operators with it",
     "scalar_kernel": "the RKHS side of the Berezin check (ROADMAP item 4)",
     "truncated_gram_kernel": "the RKHS side of the Berezin check (ROADMAP item 4)",
-    "cauchy_dual": "the paper's Cauchy dual, checked against a dense oracle",
     "evaluate_at_tuple": "the symbol's free pluriharmonic function at a tuple (ROADMAP item 4)",
-    "homogeneous_decomposition": "the homogeneous parts as operators; the battery reads their graded_entries runs",
-    "phi_right": "the reversed-series map as an operator; the structural equation reads its entries (_phi_entries)",
 }
 
 
@@ -204,6 +200,11 @@ def _exports(tree: ast.AST) -> list[str]:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return [elt.value for elt in node.value.elts]
     return []
+
+
+def _read_in_src(name: str, trees: dict, tree: ast.AST, definition: ast.AST) -> bool:
+    """Whether ``name`` is read anywhere in ``trees``, the ``definition`` in ``tree`` aside."""
+    return any(name in _references(other, definition if other is tree else None) for other in trees.values())
 
 
 def _references(tree: ast.AST, skip: ast.AST = None):
@@ -230,14 +231,47 @@ def test_every_public_name_has_a_reader():
                  if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name),
                 None,
             )
-            read = any(
-                name in _references(other, definition if other is tree else None)
-                for other in trees.values()
-            )
-            if not read and name not in UNREAD_EXPORTS:
+            if not _read_in_src(name, trees, tree, definition) and name not in UNREAD_EXPORTS:
                 unread.append(f"{module}: {name}")
     assert not unread, "\n".join(unread)
     assert all(name in {n for t in trees.values() for n in _exports(t)} for name in UNREAD_EXPORTS)
+
+
+# methods and properties no code in src/ reads, each with the reader that keeps it
+UNREAD_METHODS = {
+    "MultiWord.degree_vector": "the tests grade words and pairs by it",
+    "IndexPair.degree_vector": "the tests grade words and pairs by it",
+    "FockSpace.basis": "bench/gen.py reads the basis words to plant and spoil its operators",
+    "FockSpace.index_of": "bench/gen.py reads the rank of a basis word",
+    "FockSpace.pair_structure": "bench/tracing.py binds it by name; the tests compare the classifier with it",
+    "PairStructure.comp": "bench/tracing.py counts its comparable pairs; the tests compare against it",
+}
+
+
+def _methods(tree: ast.AST):
+    """Each non-dunder method or property of a module-level class, as ``Class.name`` with its definition."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_method_has_a_reader():
+    # as for __all__: a method or property is read in src/ besides its own
+    # definition, or it names its reader above.  Names are matched, not
+    # types, so an operator dunder (__matmul__, __add__) is not seen here
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    unread = [
+        f"{module}: {qualified}"
+        for module, tree in trees.items()
+        for qualified, definition in _methods(tree)
+        if not _read_in_src(qualified.split(".")[1], trees, tree, definition) and qualified not in UNREAD_METHODS
+    ]
+    assert not unread, "\n".join(unread)
+    assert set(UNREAD_METHODS) <= {qualified for tree in trees.values() for qualified, _ in _methods(tree)}
 
 
 def _imported_names(tree: ast.AST):

@@ -16,7 +16,6 @@ from polytoeplitz.toeplitz import (
     evaluate_at_model,
     evaluate_at_tuple,
     extract_fourier,
-    homogeneous_decomposition,
     is_multi_toeplitz,
     pluriharmonic_kernel,
     random_symbol,
@@ -25,7 +24,7 @@ from polytoeplitz.toeplitz import (
 )
 
 from conftest import fock_identity
-from oracles import model_matrices
+from oracles import homogeneous_decomposition, model_matrices
 
 
 def random_operator(space, rng):
