@@ -572,12 +572,16 @@ def _check_toeplitz_roundtrip(rng: np.random.Generator, trunc_degree: int) -> li
     ]
 
 
-def _stored_dense(M: np.ndarray) -> sp.csr_matrix:
-    """CSR storing every entry of the square C-ordered ``M``, sharing its memory."""
-    n = M.shape[0]
-    cols = np.tile(np.arange(n, dtype=np.int32), n)
-    indptr = np.arange(0, n * n + 1, n, dtype=np.int32)
-    return sp.csr_matrix((M.reshape(-1), cols, indptr), shape=(n, n))
+# cells of the draw the grading check grades at a time: one block of whole rows
+_GRADING_BLOCK_CELLS = 2**14
+
+
+def _stored_block(B: np.ndarray, row: int, col: int, n: int) -> sp.csr_matrix:
+    """The ``(n, n)`` CSR storing every entry of the C-ordered ``B`` with its corner at ``(row, col)``, sharing its memory."""
+    h, w = B.shape
+    cols = np.tile(np.arange(col, col + w, dtype=np.int32), h)
+    indptr = np.clip(np.arange(n + 1, dtype=np.int32) - row, 0, h) * np.int32(w)
+    return sp.csr_matrix((B.reshape(-1), cols, indptr), shape=(n, n))
 
 
 def _residual_max(M: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> float:
@@ -597,44 +601,54 @@ def _grading_gap(space: FockSpace, rng: np.random.Generator) -> float:
     draw ``T``, and the degree ``-s`` part of ``T^*``, adjoined, is the degree
     ``s`` part of ``T``.  The parts are read as :func:`graded_entries` runs;
     the adjoint identity merges the two triples on one sorted key, ``code *
-    n**2 + key``, reading a missing entry as 0.
+    n**2 + key``, reading a missing entry as 0.  All three are entry-local,
+    so they are checked on one block of rows ``[a, b)`` of ``T`` at a time,
+    about ``_GRADING_BLOCK_CELLS`` cells, against its adjoint, the columns
+    ``[a, b)`` of ``T^*``; every entry meets the same arithmetic as in one
+    block.
     """
     n = space.total_dim
     # the values of standard_normal + 1j * standard_normal, written in place
     M = np.empty((n, n), dtype=complex)
     M.real = rng.standard_normal((n, n))
     M.imag = rng.standard_normal((n, n))
-    T = FockOperator(space, _stored_dense(M))
-    recon = cesaro_reconstruct(T, tuple(2 * L for L in space.trunc), fejer_weights=False)
-    worst = _residual_max(M, *linalg.stored_entries(recon.matrix))
-    del recon
-    keys, vals, present, bounds = graded_entries(T)
-    worst = linalg.strict_max(worst, _residual_max(M, keys, vals))
-    # the codes are ascending and each run's keys too: the merged keys are sorted
-    keys += np.repeat(present * n * n, np.diff(bounds))
-    # T* from the draw; T and the draw are freed before it is graded
-    adjoint = np.conjugate(M.T, order="C")
-    del T, M
-    adj_keys, adj_vals, present, bounds = graded_entries(FockOperator(space, _stored_dense(adjoint)))
-    del adjoint
     # entry (r, c, v) of the degree -s part of T* is entry (c, r, conj v) of the
     # degree s part of T, and code(-s) = n_codes - 1 - code(s)
     n_codes = int(np.prod([2 * L + 1 for L in space.trunc]))
-    rows, cols = np.divmod(adj_keys, n)
-    del adj_keys
-    flipped = np.repeat((n_codes - 1 - present) * n * n, np.diff(bounds)) + cols * n + rows
-    del rows, cols
-    order = np.argsort(flipped)
-    adj_keys = flipped[order]
-    del flipped
-    adj_vals = adj_vals[order]
-    del order
-    if np.array_equal(keys, adj_keys):
-        np.conjugate(adj_vals, out=adj_vals)
-        adj_vals -= vals
-        return linalg.strict_max(worst, float(np.abs(adj_vals).max(initial=0.0)))
-    gap = np.abs(accumulate_entries([(keys, vals), (adj_keys, -adj_vals.conj())])[1]).max(initial=0.0)
-    return linalg.strict_max(worst, float(gap))
+    height = max(1, _GRADING_BLOCK_CELLS // n)
+    worst = 0.0
+    for a in range(0, n, height):
+        rows = M[a : a + height]
+        T = FockOperator(space, _stored_block(rows, a, 0, n))
+        recon = cesaro_reconstruct(T, tuple(2 * L for L in space.trunc), fejer_weights=False)
+        keys, vals = linalg.stored_entries(recon.matrix)
+        worst = linalg.strict_max(worst, _residual_max(rows, keys - a * n, vals))
+        del recon
+        keys, vals, present, bounds = graded_entries(T)
+        del T
+        worst = linalg.strict_max(worst, _residual_max(rows, keys - a * n, vals))
+        # the codes are ascending and each run's keys too: the merged keys are sorted
+        keys += np.repeat(present * n * n, np.diff(bounds))
+        adjoint = np.conjugate(rows.T, order="C")
+        adj_keys, adj_vals, present, bounds = graded_entries(FockOperator(space, _stored_block(adjoint, 0, a, n)))
+        del adjoint
+        adj_rows, adj_cols = np.divmod(adj_keys, n)
+        del adj_keys
+        flipped = np.repeat((n_codes - 1 - present) * n * n, np.diff(bounds)) + adj_cols * n + adj_rows
+        del adj_rows, adj_cols
+        order = np.argsort(flipped)
+        adj_keys = flipped[order]
+        del flipped
+        adj_vals = adj_vals[order]
+        del order
+        if np.array_equal(keys, adj_keys):
+            np.conjugate(adj_vals, out=adj_vals)
+            adj_vals -= vals
+            gap = np.abs(adj_vals).max(initial=0.0)
+        else:
+            gap = np.abs(accumulate_entries([(keys, vals), (adj_keys, -adj_vals.conj())])[1]).max(initial=0.0)
+        worst = linalg.strict_max(worst, float(gap))
+    return worst
 
 
 def _check_homogeneous_decomposition(rng: np.random.Generator, trunc_degree: int) -> list[dict]:

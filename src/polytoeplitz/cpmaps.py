@@ -162,6 +162,13 @@ def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple | UniversalModel, Y: 
     if Y.shape != (X.dim_h,):
         raise DimensionMismatch(f"the universal model's operand is its diagonal, shape ({X.dim_h},), got {Y.shape}")
     acc = np.zeros(X.space.split(i, coeff=False), dtype=complex)
+    if acc.shape[0] * acc.shape[2] == 1:
+        # one factor: the same products, scattered on the diagonal itself
+        acc = acc.reshape(-1)
+        for w, a in spec.coeffs[i].items():
+            src, dst, lam = X.space.word_action(i, w, X.side)
+            acc[dst] = acc[dst] + a * (lam.conj() * (lam * Y[src]))
+        return acc
     Y = Y.reshape(acc.shape)
     for w, a in spec.coeffs[i].items():
         src, dst, lam = X.space.word_action(i, w, X.side)

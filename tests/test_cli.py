@@ -53,6 +53,29 @@ ONES = {
     "coeffs": [{"i": 1, "word": [1] * p, "a": 1.0} for p in range(1, 14)],
 }
 
+# the benchmark's `wide` polydomain: k=2, n=(2,2), m=(2,2), every word of length <= 2 in each factor
+WIDE = {
+    "k": 2,
+    "n": [2, 2],
+    "m": [2, 2],
+    "coeffs": [
+        {"i": i, "word": list(w), "a": a}
+        for i in (1, 2)
+        for w, a in (((1,), 1.0), ((2,), 0.5), ((1, 1), 0.25), ((1, 2), 0.25), ((2, 1), 0.25), ((2, 2), 0.25))
+    ],
+}
+
+# the benchmark's `deep` polydomain: k=1, n=2, m=3, every word of length <= 2
+DEEP = {
+    "k": 1,
+    "n": [2],
+    "m": [3],
+    "coeffs": [
+        {"i": 1, "word": list(w), "a": a}
+        for w, a in (((1,), 1.0), ((2,), 0.5), ((1, 1), 0.25), ((1, 2), 0.25), ((2, 1), 0.25), ((2, 2), 0.25))
+    ],
+}
+
 
 def test_weights_command_ones_ratio(tmp_path):
     spec = write_spec(tmp_path / "spec.json", ONES)
@@ -537,23 +560,59 @@ def _grading_check(seed):
     return next(c for c in report["checks"] if c["name"] == "homogeneous_decomposition")
 
 
-@pytest.mark.parametrize("seed, worst", [(0, 1.9889679423822786), (7, 2.60346413722241)])
-def test_grading_check_reports_a_misgraded_entry(monkeypatch, seed, worst):
-    # entry 5 of every graded operator moves to the neighbouring code: T's and T^*'s
-    # parts then disagree by that entry, and the check reports the largest one
+def _misgrade_key_5(monkeypatch):
+    # the entry at key 5 (row 0, column 5) of every graded operator that stores
+    # it moves to the neighbouring code: T's and T^*'s parts then disagree by it
     degree_gaps = toeplitz._degree_gaps
 
     def shifted(T):
         keys, vals, code = degree_gaps(T)
         n_codes = int(np.prod([2 * L + 1 for L in T.space.trunc]))
         code = code.copy()
-        code[5] += -1 if code[5] == n_codes - 1 else 1
+        at = keys == 5
+        code[at] += np.where(code[at] == n_codes - 1, -1, 1)
         return keys, vals, code
 
     monkeypatch.setattr(toeplitz, "_degree_gaps", shifted)
+
+
+def _rescale_key_3(monkeypatch):
+    # the reconstruction's entry at key 3 (row 0, column 3), where it is stored, is off by 1e-9
+    reconstruct = cli.cesaro_reconstruct
+
+    def scaled(T, N, fejer_weights=True):
+        out = reconstruct(T, N, fejer_weights)
+        keys, vals = linalg.stored_entries(out.matrix)
+        vals[keys == 3] *= 1 + 1e-9
+        return out
+
+    monkeypatch.setattr(cli, "cesaro_reconstruct", scaled)
+
+
+@pytest.mark.parametrize("seed, worst", [(0, 1.9889679423822786), (7, 2.60346413722241)])
+def test_grading_check_reports_a_misgraded_entry(monkeypatch, seed, worst):
+    # the check reports the largest disagreement the misgraded entry makes
+    _misgrade_key_5(monkeypatch)
     check = _grading_check(seed)
     assert check["passed"] is False
     assert check["worst"] == worst
+
+
+@pytest.mark.parametrize("fault", [None, _misgrade_key_5, _rescale_key_3])
+@pytest.mark.parametrize("doc, trunc", [(WIDE, (3, 3)), (DEEP, (6,))])
+def test_grading_blocks_report_the_one_block_worst(monkeypatch, fault, doc, trunc):
+    # n = 450 in blocks of 36 rows, and n = 254 in blocks of 64 rows, the last
+    # one short: every entry meets the arithmetic of the whole draw in one block
+    space = FockSpace(spec_from_json(json.dumps(doc)), trunc, coeff_dim=2)
+    n = space.total_dim
+    assert n % (cli._GRADING_BLOCK_CELLS // n) != 0
+    if fault is not None:
+        fault(monkeypatch)
+    blocked = cli._grading_gap(space, np.random.default_rng(3))
+    monkeypatch.setattr(cli, "_GRADING_BLOCK_CELLS", n * n)
+    whole = cli._grading_gap(space, np.random.default_rng(3))
+    assert np.float64(blocked).tobytes() == np.float64(whole).tobytes()
+    assert (blocked == 0.0) == (fault is None)
 
 
 def _failed_checks(seed):
@@ -620,17 +679,11 @@ def test_a_check_out_of_memory_still_exits_3(monkeypatch, capsys):
 
 
 def test_grading_check_reports_a_wrong_reconstruction(monkeypatch):
-    reconstruct = cli.cesaro_reconstruct
-
-    def scaled(T, N, fejer_weights=True):
-        out = reconstruct(T, N, fejer_weights)
-        out.matrix.data[3] *= 1 + 1e-9
-        return out
-
-    monkeypatch.setattr(cli, "cesaro_reconstruct", scaled)
+    _rescale_key_3(monkeypatch)
     check = _grading_check(0)
     assert check["passed"] is False
     assert 0.0 < check["worst"] < 1e-8
+    assert check["worst"] == 2.3080354840324322e-09
 
 
 GOLDEN_FOURIER = Path(__file__).parent / "data" / "fourier_k2_trunc3"
@@ -767,19 +820,6 @@ def test_golden_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (a / "verify-report.json").read_bytes() == (b / "verify-report.json").read_bytes()
 
 
-# the benchmark's `wide` polydomain: k=2, n=(2,2), m=(2,2), every word of length <= 2 in each factor
-WIDE = {
-    "k": 2,
-    "n": [2, 2],
-    "m": [2, 2],
-    "coeffs": [
-        {"i": i, "word": list(w), "a": a}
-        for i in (1, 2)
-        for w, a in (((1,), 1.0), ((2,), 0.5), ((1, 1), 0.25), ((1, 2), 0.25), ((2, 1), 0.25), ((2, 2), 0.25))
-    ],
-}
-
-
 def test_reports_past_the_cutoff_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at trunc 5 (dim 3969) the symbol of every pair of words of length <= 1
     # stores 19593 entries, past the dense cutoff.  Its copy with every entry
@@ -812,18 +852,6 @@ def test_reports_past_the_cutoff_do_not_depend_on_the_blas_thread_count(tmp_path
     default = run_at_blas_threads(None, commands, tmp_path / "default")
     for a, b, name in zip(one, default, ("toeplitz-report.json", "brown-halmos-report.json")):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-# the benchmark's `deep` polydomain: k=1, n=2, m=3, every word of length <= 2
-DEEP = {
-    "k": 1,
-    "n": [2],
-    "m": [3],
-    "coeffs": [
-        {"i": 1, "word": list(w), "a": a}
-        for w, a in (((1,), 1.0), ((2,), 0.5), ((1, 1), 0.25), ((1, 2), 0.25), ((2, 1), 0.25), ((2, 2), 0.25))
-    ],
-}
 
 
 def test_model_report_matches_golden_file(tmp_path):

@@ -84,6 +84,9 @@ MODEL_PEAK_BYTES_PER_VECTOR = 100
 # one grading-check draw at n = 450 as it was with one CSR per degree part of T and of T^*
 # held together (19,651,312 bytes traced); never to be raised
 GRADING_DRAW_PEAK_BYTES = 19_651_312
+# the same draw graded one row block at a time: the whole draw's triples, graded
+# at once, traced 17,021,215 bytes; never to be raised
+GRADING_BLOCK_PEAK_BYTES = 8_000_000
 
 # every word of length <= 2 in both factors, letter-dependent coefficients
 SPEC = {
@@ -350,6 +353,20 @@ def test_grading_check_draw_stays_below_the_per_part_peak():
         tracemalloc.stop()
     assert worst == 0.0
     assert peak <= GRADING_DRAW_PEAK_BYTES, f"{peak} bytes traced, limit {GRADING_DRAW_PEAK_BYTES}"
+
+
+def test_grading_check_draw_holds_one_row_block_of_triples():
+    # the draw itself is 3.24 MB at n = 450; its triples are graded a block of rows at a time
+    space = FockSpace(spec_from_json(SPEC), (3, 3), coeff_dim=2)
+    _grading_gap(space, np.random.default_rng(0))  # the space's degree table is cached outside the trace
+    tracemalloc.start()
+    try:
+        worst = _grading_gap(space, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert worst == 0.0
+    assert peak <= GRADING_BLOCK_PEAK_BYTES, f"{peak} bytes traced, limit {GRADING_BLOCK_PEAK_BYTES}"
 
 
 def test_intertwining_residual_allocates_less_than_a_dense_square():
