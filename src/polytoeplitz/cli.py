@@ -250,8 +250,8 @@ def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec, trunc = space.spec, space.trunc
 
     W = UniversalModel(space, side="left")
-    defect_residual = _vacuum_residual(defect(spec, W, spec.m))
-    pure, pure_report = is_pure(spec, W, power_cap=max(trunc) + 1, tol=cfg.tol)
+    defect_residual = _vacuum_residual(defect(W, spec.m))
+    pure, pure_report = is_pure(W, power_cap=max(trunc) + 1, tol=cfg.tol)
 
     if cfg.out is not None:
         for i in range(spec.k):
@@ -285,7 +285,7 @@ def cmd_toeplitz(cfg: RunConfig, args: argparse.Namespace) -> int:
     sys.stdout.write(report.render() + "\n")
     doc = {"command": "toeplitz", "report": report.to_dict()}
     if report.verdict:
-        sym = extract_fourier(T, tol=cfg.tol, drop_tol=args.drop_tol, report=report)
+        sym = extract_fourier(T, report, drop_tol=args.drop_tol)
         doc["symbol_terms"] = len(sym.coefficients)
         if cfg.out is not None:
             cfg.out.mkdir(parents=True, exist_ok=True)
@@ -363,8 +363,8 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
     trunc = _broadcast_trunc(cfg.trunc, spec.k)
     X = _load_tuple(spec, args.tuple)
     commutation = X.check_commutation()
-    member, witness = is_member(spec, X, tol=cfg.tol)
-    pure, pure_report = is_pure(spec, X, tol=cfg.tol)
+    member, witness = is_member(X, tol=cfg.tol)
+    pure, pure_report = is_pure(X, tol=cfg.tol)
     report = {
         "command": "berezin",
         "trunc": list(trunc),
@@ -379,10 +379,9 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
         report["passed"] = False
         _emit(report, cfg.out, "berezin-report.json")
         return EXIT_FAIL
-    kernel = berezin_kernel(spec, X, trunc, tol=cfg.tol)
+    kernel = berezin_kernel(X, trunc, tol=cfg.tol)
     kernel_norm = kernel.norm()
-    space = FockSpace(spec, trunc, coeff_dim=1)
-    residual = intertwining_residual(kernel, X, space)
+    residual = intertwining_residual(kernel, X)
     gram_dev = kernel.gram() - np.eye(X.dim_h)
     # K is an isometry only for a pure tuple: the rule of the battery's berezin_isometry_within_tail
     isometric = linalg.op_norm(gram_dev) <= linalg.strict_max(1e-8, kernel.tail_bound)
@@ -396,7 +395,7 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
         passed=passed,
     )
     if args.operator is not None:
-        cspace = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim, weights=space.weights)
+        cspace = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim, weights=kernel.space.weights)
         T = _load_operator(cspace, args.operator)
         transformed = berezin_transform(T, X, kernel)
         report["transform_norm"] = linalg.op_norm(transformed)
@@ -513,7 +512,7 @@ def _check_defect_identity(rng: np.random.Generator, trunc_degree: int) -> list[
     for _ in range(4):
         spec = random_spec(rng)
         W = UniversalModel(FockSpace(spec, (trunc_degree,) * spec.k))
-        worst = linalg.strict_max(worst, _vacuum_residual(defect(spec, W, spec.m)))
+        worst = linalg.strict_max(worst, _vacuum_residual(defect(W, spec.m)))
     return [_check("defect_identity", worst, 1e-10, 4)]
 
 
@@ -524,12 +523,11 @@ def _check_berezin(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
         spec = random_spec(rng)
         trunc = (trunc_degree,) * spec.k
         X = random_pure_tuple(spec, rng, dims=(2,) * spec.k, shrink=0.85)
-        kernel = berezin_kernel(spec, X, trunc)
+        kernel = berezin_kernel(X, trunc)
         dev = linalg.op_norm(kernel.gram() - np.eye(X.dim_h))
         allowance = linalg.strict_max(1e-8, kernel.tail_bound)
         worst_iso = linalg.strict_max(worst_iso, dev - allowance)
-        space = FockSpace(spec, trunc)
-        worst_int = linalg.strict_max(worst_int, intertwining_residual(kernel, X, space))
+        worst_int = linalg.strict_max(worst_int, intertwining_residual(kernel, X))
     return [
         _check("berezin_isometry_within_tail", worst_iso, 0.0, 6),
         _check("berezin_intertwining", worst_int, 1e-9, 6),
@@ -549,7 +547,7 @@ def _check_toeplitz_roundtrip(rng: np.random.Generator, trunc_degree: int) -> li
         T = evaluate_at_model(sym)
         report = is_multi_toeplitz(T, tol=1e-10)
         worst = linalg.strict_max(worst, report.max_violation)
-        back = extract_fourier(T, report=report)
+        back = extract_fourier(T, report)
         for pair, A in sym.coefficients.items():
             dev = float(np.abs(back.coefficients.get(pair, np.zeros_like(A)) - A).max())
             worst = linalg.strict_max(worst, dev)

@@ -21,7 +21,7 @@ from . import linalg
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import Word, word_rank
 from .model import FockOperator, FockSpace
-from .weights import PolydomainSpec, build_weight_table, series_tail_bound
+from .weights import PolydomainSpec, series_tail_bound
 
 __all__ = [
     "OperatorTuple",
@@ -142,7 +142,7 @@ class UniversalModel(NamedTuple):
         return np.ones(self.dim_h, dtype=complex)
 
 
-def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple | UniversalModel, Y: np.ndarray) -> np.ndarray:
+def phi_map(X: OperatorTuple | UniversalModel, i: int, Y: np.ndarray) -> np.ndarray:
     """The factor-i completely positive map ``Y -> sum a_w X_w Y X_w^*``.
 
     On the universal model ``Y`` and the result are diagonals, vectors of
@@ -165,25 +165,26 @@ def phi_map(spec: PolydomainSpec, i: int, X: OperatorTuple | UniversalModel, Y: 
     if acc.shape[0] * acc.shape[2] == 1:
         # one factor: the same products, scattered on the diagonal itself
         acc = acc.reshape(-1)
-        for w, a in spec.coeffs[i].items():
+        for w, a in X.spec.coeffs[i].items():
             src, dst, lam = X.space.word_action(i, w, X.side)
             acc[dst] = acc[dst] + a * (lam.conj() * (lam * Y[src]))
         return acc
     Y = Y.reshape(acc.shape)
-    for w, a in spec.coeffs[i].items():
+    for w, a in X.spec.coeffs[i].items():
         src, dst, lam = X.space.word_action(i, w, X.side)
         # the order of the dense products (X_w Y) X_w^* on the diagonal
         acc[:, dst] = acc.take(dst, axis=1) + a * (lam.conj()[:, None] * (lam[:, None] * Y.take(src, axis=1)))
     return acc.ravel()
 
 
-def defect(spec: PolydomainSpec, X: OperatorTuple | UniversalModel, p: Sequence[int]) -> np.ndarray:
+def defect(X: OperatorTuple | UniversalModel, p: Sequence[int]) -> np.ndarray:
     """``(id - Phi_1)^{p_1} ... (id - Phi_k)^{p_k}`` applied to the identity.
 
     The rightmost factor acts first; for commuting tuples the order is
     immaterial.  Starts from ``X.identity()``, so the universal model yields
     the defect's diagonal and a matrix tuple a matrix.
     """
+    spec = X.spec
     if len(p) != spec.k:
         raise DimensionMismatch("power tuple length differs from factor count")
     if any(pi < 0 or pi > mi for pi, mi in zip(p, spec.m)):
@@ -191,26 +192,28 @@ def defect(spec: PolydomainSpec, X: OperatorTuple | UniversalModel, p: Sequence[
     Y = X.identity()
     for i in reversed(range(spec.k)):
         for _ in range(p[i]):
-            Y = Y - phi_map(spec, i, X, Y)
+            # Y by keyword: the benchmark tracer (bench/tracing.py) reads it as args[3] or kwargs["Y"]
+            Y = Y - phi_map(X, i, Y=Y)
     return Y
 
 
-def _defect_walk(spec: PolydomainSpec, X: OperatorTuple | UniversalModel):
-    """Yield ``(p, defect(spec, X, p))`` over ``0 <= p <= m`` in product order.
+def _defect_walk(X: OperatorTuple | UniversalModel):
+    """Yield ``(p, defect(X, p))`` over ``0 <= p <= m`` in product order.
 
     Each point costs one map: ``D(p) = D(p - e_j) - Phi_j(D(p - e_j))`` with
     ``j`` the first nonzero index of ``p``.  :func:`defect` applies factor
     ``j`` last and the product order visits ``p - e_j`` first, so every
-    ``D(p)`` equals ``defect(spec, X, p)`` exactly.
+    ``D(p)`` equals ``defect(X, p)`` exactly.
     """
     defects: dict[tuple[int, ...], np.ndarray] = {}
-    for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
+    for p in itertools.product(*(range(mi + 1) for mi in X.spec.m)):
         j = next((i for i, pi in enumerate(p) if pi), None)
         if j is None:
             D = X.identity()
         else:
             prev = defects[p[:j] + (p[j] - 1,) + p[j + 1 :]]
-            D = prev - phi_map(spec, j, X, prev)
+            # Y by keyword: the benchmark tracer (bench/tracing.py) reads it as args[3] or kwargs["Y"]
+            D = prev - phi_map(X, j, Y=prev)
         defects[p] = D
         yield p, D
 
@@ -221,9 +224,7 @@ def _extreme_eigs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs[:, 0], eigs[:, -1]
 
 
-def is_member(
-    spec: PolydomainSpec, X: OperatorTuple | UniversalModel, tol: float = 1e-9
-) -> tuple[bool, tuple[tuple[int, ...], float]]:
+def is_member(X: OperatorTuple | UniversalModel, tol: float = 1e-9) -> tuple[bool, tuple[tuple[int, ...], float]]:
     """Membership test: every defect ``0 <= p <= m`` must be PSD up to ``tol``.
 
     Returns the verdict and a witness ``(p, min eigenvalue)`` for the most
@@ -235,7 +236,7 @@ def is_member(
     """
     if isinstance(X, OperatorTuple) and not X.commutation_checked:
         X.check_commutation()
-    points, defects = zip(*_defect_walk(spec, X))
+    points, defects = zip(*_defect_walk(X))
     if isinstance(X, OperatorTuple):
         lo, hi = _extreme_eigs(np.stack(defects))
     else:
@@ -246,7 +247,7 @@ def is_member(
     return linalg.psd_within(lo, hi, tol), (points[j], float(lo[j]))
 
 
-def _phi_power_norms(spec: PolydomainSpec, i: int, X: OperatorTuple | UniversalModel):
+def _phi_power_norms(X: OperatorTuple | UniversalModel, i: int):
     """Yield ``||Phi_i^p(I)||`` for ``p = 1, 2, ...``, the iterates started from ``X.identity()``.
 
     The universal model's iterates are diagonals, whose norm is the largest
@@ -254,16 +255,12 @@ def _phi_power_norms(spec: PolydomainSpec, i: int, X: OperatorTuple | UniversalM
     """
     Y = X.identity()
     while True:
-        Y = phi_map(spec, i, X, Y)
+        # Y by keyword: the benchmark tracer (bench/tracing.py) reads it as args[3] or kwargs["Y"]
+        Y = phi_map(X, i, Y=Y)
         yield linalg.op_norm(Y) if isinstance(X, OperatorTuple) else float(np.abs(Y).max())
 
 
-def is_pure(
-    spec: PolydomainSpec,
-    X: OperatorTuple | UniversalModel,
-    power_cap: int = 60,
-    tol: float = 1e-9,
-) -> tuple[bool, dict]:
+def is_pure(X: OperatorTuple | UniversalModel, power_cap: int = 60, tol: float = 1e-9) -> tuple[bool, dict]:
     """Whether iterates ``Phi_i^p(I)`` fall below ``tol`` within ``power_cap`` powers.
 
     The norms come from :func:`_phi_power_norms`.  The report carries the
@@ -272,9 +269,9 @@ def is_pure(
     """
     report: dict = {"factors": []}
     pure = True
-    for i in range(spec.k):
+    for i in range(X.spec.k):
         norms, reached = [], None
-        for p, norm in zip(range(1, power_cap + 1), _phi_power_norms(spec, i, X)):
+        for p, norm in zip(range(1, power_cap + 1), _phi_power_norms(X, i)):
             norms.append(norm)
             if norm < tol:
                 reached = p
@@ -296,10 +293,11 @@ def is_pure(
 
 @dataclass
 class BerezinKernel:
-    """The truncated kernel matrix together with its basis and tail metadata.
+    """The truncated kernel matrix together with its space and tail metadata.
 
     ``matrix`` maps H into Fock (x) H with the Fock index slow; ``rows`` is
-    the same data as a (dim, d_H, d_H) stack, one block per basis multi-word.
+    the same data as a (dim, d_H, d_H) stack, one block per multi-word of the
+    basis of ``space`` (its ``coeff_dim`` is 1).
     ``tail_bound`` bounds the norm of the discarded part of the defining
     series: the :func:`~polytoeplitz.weights.series_tail_bound` of the
     per-factor scalar majorants at ``t = 1``, inf when a majorant diverges.
@@ -307,12 +305,14 @@ class BerezinKernel:
     one degree past the truncation.
     """
 
-    spec: PolydomainSpec
-    trunc: tuple[int, ...]
-    dim_h: int
+    space: FockSpace
     rows: np.ndarray
     tail_bound: float
     phi_power_norms: tuple[float, ...]
+
+    @property
+    def dim_h(self) -> int:
+        return self.rows.shape[1]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -328,13 +328,8 @@ class BerezinKernel:
         return math.sqrt(max(float(eigs[-1]), 0.0))
 
 
-def berezin_kernel(
-    spec: PolydomainSpec,
-    X: OperatorTuple,
-    trunc: Sequence[int],
-    tol: float = 1e-9,
-) -> BerezinKernel:
-    """The kernel rows ``sqrt(b_w) Delta^{1/2} X_w^*`` over the truncated basis.
+def berezin_kernel(X: OperatorTuple, trunc: Sequence[int], tol: float = 1e-9) -> BerezinKernel:
+    """The kernel rows ``sqrt(b_w) Delta^{1/2} X_w^*`` over the basis of ``FockSpace(X.spec, trunc)``.
 
     The rows are built a word length at a time by stacked products
     (:meth:`OperatorTuple.word_stack`).  ``Delta`` is the full defect at
@@ -344,14 +339,15 @@ def berezin_kernel(
     The discarded-tail bound takes per-factor scalar majorants whose masses
     are the shell norms ``||Phi_{i,d}(I)||``.
     """
-    trunc = tuple(int(L) for L in trunc)
-    table = build_weight_table(spec, trunc)
-    root = linalg.herm_sqrt(defect(spec, X, spec.m), tol)
+    spec = X.spec
+    space = FockSpace(spec, trunc)
+    trunc, values = space.trunc, space.weights.values
+    root = linalg.herm_sqrt(defect(X, spec.m), tol)
     # X_w and b_w over the basis, first factor slowest, multiplied in factor order
-    Xw, b = X.word_stack(0, trunc[0]), table.values[0]
+    Xw, b = X.word_stack(0, trunc[0]), values[0]
     for i in range(1, spec.k):
         Xw = (Xw[:, None] @ X.word_stack(i, trunc[i])[None]).reshape(-1, X.dim_h, X.dim_h)
-        b = np.multiply.outer(b, table.values[i]).ravel()
+        b = np.multiply.outer(b, values[i]).ravel()
     rows = np.sqrt(b)[:, None, None] * (root @ Xw.conj().transpose(0, 2, 1))
 
     # scalar majorants: per factor, shell norms ||Phi_{i,d}(I)|| for d <= deg f_i
@@ -366,14 +362,9 @@ def berezin_kernel(
                     acc += a * (Kw @ Kw.conj().T)
             shells[d] = linalg.op_norm(acc)
         factors.append((shells, spec.m[i], trunc[i], 1.0))
-        power_norms.append(next(itertools.islice(_phi_power_norms(spec, i, X), trunc[i], None)))
+        power_norms.append(next(itertools.islice(_phi_power_norms(X, i), trunc[i], None)))
     return BerezinKernel(
-        spec=spec,
-        trunc=trunc,
-        dim_h=X.dim_h,
-        rows=rows,
-        tail_bound=series_tail_bound(factors),
-        phi_power_norms=tuple(power_norms),
+        space=space, rows=rows, tail_bound=series_tail_bound(factors), phi_power_norms=tuple(power_norms)
     )
 
 
@@ -387,8 +378,8 @@ def berezin_transform(
     """
     space = g.space
     if kernel is None:
-        kernel = berezin_kernel(space.spec, X, space.trunc)
-    if kernel.trunc != space.trunc or kernel.rows.shape[0] != space.dim:
+        kernel = berezin_kernel(X, space.trunc)
+    if kernel.space.trunc != space.trunc or kernel.space.dim != space.dim:
         raise DimensionMismatch("kernel truncation differs from the operator's space")
     R = kernel.rows
     dH = kernel.dim_h
@@ -405,10 +396,8 @@ def berezin_transform(
     return out
 
 
-def intertwining_residual(
-    kernel: BerezinKernel, X: OperatorTuple, space: FockSpace
-) -> float:
-    """Max over (i, j) of ``||K X_{i,j}^* - (W_{i,j}^* (x) I) K||`` on the safe rows.
+def intertwining_residual(kernel: BerezinKernel, X: OperatorTuple) -> float:
+    """Max over (i, j) of ``||K X_{i,j}^* - (W_{i,j}^* (x) I) K||`` on the safe rows of ``kernel.space``.
 
     The identity is exact on rows whose factor-i degree leaves one unit of
     headroom, so the residual is measured there (headroom 1 in the tested
@@ -416,10 +405,7 @@ def intertwining_residual(
     alone, so a row of ``(W_{i,j}^* (x) I) K`` with digit ``src`` is ``conj(val)``
     times the row of ``K`` with digit ``dst``, and zero off the domain.
     """
-    R = kernel.rows
-    if R.shape[0] != space.total_dim:
-        raise DimensionMismatch("kernel rows differ from the space dimension")
-    dH = kernel.dim_h
+    space, R, dH = kernel.space, kernel.rows, kernel.dim_h
     worst = 0.0
     for i in range(space.spec.k):
         headroom = [0] * space.spec.k
@@ -439,15 +425,16 @@ def intertwining_residual(
 # -- test-point generator -----------------------------------------------------
 
 
-def _defect_polynomials(spec: PolydomainSpec, X: OperatorTuple) -> np.ndarray:
+def _defect_polynomials(X: OperatorTuple) -> np.ndarray:
     """The defects of ``r X`` as matrix polynomials in ``t = r**2``, over ``0 <= p <= m`` in product order.
 
     Returns ``C`` of shape ``(points, degree + 1, dim_h, dim_h)`` with
-    ``defect(spec, r X, p) = sum_s t**s C[p, s]`` exactly, up to rounding:
+    ``defect(r X, p) = sum_s t**s C[p, s]`` exactly, up to rounding:
     ``Phi_i`` at ``r X`` is ``sum_w a_w t**|w| X_w Y X_w^*``, so the walk of
     :func:`_defect_walk` runs on coefficient stacks, each word shifting the
     degree by its length.
     """
+    spec = X.spec
     top = sum(mi * spec.degree(i) for i, mi in enumerate(spec.m))
     polys: dict[tuple[int, ...], np.ndarray] = {}
     for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
@@ -503,7 +490,7 @@ def random_pure_tuple(
             row.append(np.kron(np.kron(np.eye(before), Y), np.eye(after)).astype(complex))
         ops.append(tuple(row))
     raw = OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h, commutation_checked=True)
-    polys = _defect_polynomials(spec, raw)
+    polys = _defect_polynomials(raw)
 
     def member_at(r: float) -> bool:
         # Horner in t = r**2 over every defect at once

@@ -335,27 +335,18 @@ def graded_entries(T: FockOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return keys, vals, present, bounds
 
 
-def extract_fourier(
-    T: FockOperator,
-    tol: float = 1e-10,
-    drop_tol: float = 0.0,
-    report: Optional[ToeplitzReport] = None,
-) -> FourierSymbol:
-    """Read the coefficient family off the reduced representative entries.
+def extract_fourier(T: FockOperator, report: ToeplitzReport, drop_tol: float = 0.0) -> FourierSymbol:
+    """Read the coefficient family off the reduced representative entries of ``report = is_multi_toeplitz(T)``.
 
     Each coefficient is the block at the representative pair divided by its
     entry weight (equivalently multiplied by the square-rooted weights of
     both sides); coefficients whose largest magnitude is at most
     ``drop_tol`` (``>= 0``) are dropped, so classes without a stored
-    representative entry never appear.  Refuses operators that fail
-    :func:`is_multi_toeplitz`.  A caller that already holds
-    ``is_multi_toeplitz(T, tol)`` passes it as ``report``; its verdict and
-    representative blocks are used instead of classifying ``T`` again.
+    representative entry never appear.  Refuses operators whose report
+    fails, with :class:`NotMultiToeplitz`.
     """
     if not drop_tol >= 0.0:
         raise SpecError(f"drop tolerance must be >= 0, got {drop_tol}")
-    if report is None:
-        report = is_multi_toeplitz(T, tol=tol)
     if not report.verdict:
         raise NotMultiToeplitz(report)
     space = T.space

@@ -143,7 +143,7 @@ def test_criterion_03_defect_identity():
         # the defect's diagonal against the vacuum projection's, e_0
         vac = np.zeros(space.dim)
         vac[0] = 1.0
-        dev = float(np.abs(defect(spec, W, spec.m) - vac).max())
+        dev = float(np.abs(defect(W, spec.m) - vac).max())
         worst = max(worst, dev)
     assert worst <= 1e-10, f"defect identity deviation {worst:.3e}"
     report(3, f"20 specs, worst deviation {worst:.1e}")
@@ -163,13 +163,12 @@ def test_criterion_04_berezin_kernel():
             dims = (2, int(rng.integers(2, 4)))
         trunc = (4,) * k
         X = random_pure_tuple(spec, rng, dims=dims, shrink=0.85)
-        kernel = berezin_kernel(spec, X, trunc)
+        kernel = berezin_kernel(X, trunc)
         dev = linalg.op_norm(kernel.gram() - np.eye(X.dim_h))
         allowance = max(1e-8, kernel.tail_bound)
         worst_excess = max(worst_excess, dev - allowance)
         worst_norm = max(worst_norm, kernel.norm())
-        space = FockSpace(spec, trunc)
-        worst_inter = max(worst_inter, intertwining_residual(kernel, X, space))
+        worst_inter = max(worst_inter, intertwining_residual(kernel, X))
     assert worst_excess <= 0.0, f"isometry defect exceeded tail bound by {worst_excess:.3e}"
     assert worst_norm <= 1.0 + 1e-9, f"kernel norm {worst_norm:.12f} exceeds 1"
     assert worst_inter <= 1e-9, f"intertwining residual {worst_inter:.3e}"
@@ -204,7 +203,7 @@ def test_criterion_05_toeplitz_round_trip():
         rep = is_multi_toeplitz(T, tol=1e-10)
         assert rep.verdict, rep.to_dict()
         worst_violation = max(worst_violation, rep.max_violation)
-        back = extract_fourier(T)
+        back = extract_fourier(T, rep)
         keys = set(sym.coefficients) | set(back.coefficients)
         c = space.coeff_dim
         for key in keys:

@@ -710,6 +710,36 @@ def test_kernel_psd_report_matches_golden_file(tmp_path):
     assert got == (GOLDEN_FOURIER / "kernel-psd-report.json").read_bytes()
 
 
+GOLDEN_BEREZIN = Path(__file__).parent / "data" / "berezin_k2_trunc3"
+
+
+def test_berezin_report_and_transform_match_golden_files(tmp_path):
+    # a stored pure tuple on the golden k=2 spec (dim_h 4), the golden operator at L=3, coeff_dim 2
+    args = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2",
+            "--tuple", str(GOLDEN_BEREZIN / "tuple.json"), "--operator", str(GOLDEN_FOURIER / "operator-r1.mtx"),
+            "--out", str(tmp_path / "out")]
+    assert main(["berezin", *args]) == 0
+    for name in ("berezin-report.json", "berezin-transform.mtx"):
+        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN_BEREZIN / name).read_bytes()
+
+
+def test_the_berezin_check_builds_one_weight_table_per_tuple(monkeypatch):
+    # the kernel builds its space once and the intertwining residual reads it off the kernel
+    from polytoeplitz import weights
+
+    original, calls = weights.build_weight_table, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polytoeplitz") and getattr(module, "build_weight_table", None) is original:
+            monkeypatch.setattr(module, "build_weight_table", counted)
+    cli._check_berezin(np.random.default_rng(0), 4)
+    assert len(calls) == 6
+
+
 # the golden symbol at --trunc 4 --coeff-dim 2: dim * c = 1922, past the dense cutoff
 PAST_CUTOFF = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "4", "--coeff-dim", "2"]
 

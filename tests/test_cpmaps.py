@@ -47,22 +47,22 @@ def zero_tuple(spec, dim_h=2):
 class TestPhiMap:
     def test_zero_point(self, single_shift_spec):
         X = zero_tuple(single_shift_spec)
-        assert np.abs(phi_map(single_shift_spec, 0, X, np.eye(2))).max() == 0.0
+        assert np.abs(phi_map(X, 0, np.eye(2))).max() == 0.0
 
     def test_zero_argument(self, single_shift_spec, rng):
         X = random_pure_tuple(single_shift_spec, rng)
-        assert np.abs(phi_map(single_shift_spec, 0, X, np.zeros((X.dim_h, X.dim_h)))).max() == 0.0
+        assert np.abs(phi_map(X, 0, np.zeros((X.dim_h, X.dim_h)))).max() == 0.0
 
     def test_scalar_square(self, single_shift_spec):
         X = scalar_tuple(single_shift_spec, [0.6])
-        out = phi_map(single_shift_spec, 0, X, np.eye(1))
+        out = phi_map(X, 0, np.eye(1))
         assert out[0, 0] == pytest.approx(0.36)
 
     def test_positivity_preserving(self, rng):
         spec = random_spec(rng, k=1)
         X = random_pure_tuple(spec, rng, dims=(3,), shrink=0.9)
         B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        out = phi_map(spec, 0, X, B @ B.conj().T)
+        out = phi_map(X, 0, B @ B.conj().T)
         ok, _ = psd_check(out, 1e-10)
         assert ok
 
@@ -70,7 +70,7 @@ class TestPhiMap:
 class TestDefect:
     def test_zero_point_gives_identity(self, bergman2_spec):
         X = zero_tuple(bergman2_spec)
-        assert np.abs(defect(bergman2_spec, X, (2,)) - np.eye(2)).max() == 0.0
+        assert np.abs(defect(X, (2,)) - np.eye(2)).max() == 0.0
 
     def test_left_model_vacuum_projection(self, rng):
         for _ in range(5):
@@ -80,7 +80,7 @@ class TestDefect:
             # the defect's diagonal against the vacuum projection's, e_0
             vac = np.zeros(space.dim)
             vac[0] = 1.0
-            assert np.abs(defect(spec, W, spec.m) - vac).max() < 1e-10
+            assert np.abs(defect(W, spec.m) - vac).max() < 1e-10
 
     def test_right_model_vacuum_projection(self, rng):
         # the right model realizes the reversed series; using a
@@ -98,29 +98,29 @@ class TestDefect:
         lam = UniversalModel(space_sym, side="right")
         vac = np.zeros(space_sym.dim)
         vac[0] = 1.0
-        assert np.abs(defect(spec_sym, lam, spec_sym.m) - vac).max() < 1e-10
+        assert np.abs(defect(lam, spec_sym.m) - vac).max() < 1e-10
 
     def test_rejects_bad_powers(self, bergman2_spec):
         X = zero_tuple(bergman2_spec)
         with pytest.raises(SpecError):
-            defect(bergman2_spec, X, (3,))
+            defect(X, (3,))
 
 
 class TestMembership:
     def test_zero_belongs(self, bergman2_spec):
-        ok, _ = is_member(bergman2_spec, zero_tuple(bergman2_spec))
+        ok, _ = is_member(zero_tuple(bergman2_spec))
         assert ok
 
     def test_truncated_model_belongs(self, rng):
         spec = random_spec(rng)
         space = FockSpace(spec, (3,) * spec.k)
         W = UniversalModel(space)
-        ok, _ = is_member(spec, W)
+        ok, _ = is_member(W)
         assert ok
 
     def test_scalar_outside_with_witness(self, single_shift_spec):
         X = scalar_tuple(single_shift_spec, [2.0])
-        ok, (p, lo) = is_member(single_shift_spec, X)
+        ok, (p, lo) = is_member(X)
         assert not ok
         assert p == (1,)
         assert lo == pytest.approx(-3.0)
@@ -128,7 +128,7 @@ class TestMembership:
 
 class TestPurity:
     def test_zero_is_pure(self, bergman2_spec):
-        pure, _ = is_pure(bergman2_spec, zero_tuple(bergman2_spec))
+        pure, _ = is_pure(zero_tuple(bergman2_spec))
         assert pure
 
     def test_truncated_model_nilpotent(self, rng):
@@ -136,20 +136,20 @@ class TestPurity:
         L = 3
         space = FockSpace(spec, (L,))
         W = UniversalModel(space)
-        pure, report = is_pure(spec, W, power_cap=L + 1, tol=1e-12)
+        pure, report = is_pure(W, power_cap=L + 1, tol=1e-12)
         assert pure
         assert report["factors"][0]["power"] <= L + 1
 
     def test_unitary_scalar_not_pure(self, single_shift_spec):
         X = scalar_tuple(single_shift_spec, [1.0])
-        pure, _ = is_pure(single_shift_spec, X, power_cap=30)
+        pure, _ = is_pure(X, power_cap=30)
         assert not pure
 
 
 class TestBerezinKernel:
     def test_zero_point_kernel(self, bergman2_spec):
         X = zero_tuple(bergman2_spec, dim_h=3)
-        K = berezin_kernel(bergman2_spec, X, (3,))
+        K = berezin_kernel(X, (3,))
         assert np.abs(K.gram() - np.eye(3)).max() < 1e-14
         # only the vacuum row is populated
         assert np.abs(K.rows[1:]).max() == 0.0
@@ -160,14 +160,14 @@ class TestBerezinKernel:
         for _ in range(5):
             spec = random_spec(rng)
             X = random_pure_tuple(spec, rng, dims=(2,) * spec.k, shrink=0.85)
-            K = berezin_kernel(spec, X, (4,) * spec.k)
+            K = berezin_kernel(X, (4,) * spec.k)
             dev = np.abs(K.gram() - np.eye(X.dim_h)).max()
             assert dev <= max(1e-8, K.tail_bound)
 
     def test_contraction(self, rng):
         spec = random_spec(rng, k=1)
         X = random_pure_tuple(spec, rng, dims=(4,), shrink=0.95)
-        K = berezin_kernel(spec, X, (4,))
+        K = berezin_kernel(X, (4,))
         assert K.norm() <= 1.0 + 1e-9
 
     def test_intertwining(self, rng):
@@ -175,9 +175,8 @@ class TestBerezinKernel:
             spec = random_spec(rng)
             trunc = (3,) * spec.k
             X = random_pure_tuple(spec, rng, dims=(2,) * spec.k, shrink=0.9)
-            K = berezin_kernel(spec, X, trunc)
-            space = FockSpace(spec, trunc)
-            assert intertwining_residual(K, X, space) < 1e-12
+            K = berezin_kernel(X, trunc)
+            assert intertwining_residual(K, X) < 1e-12
 
     def test_nan_entry_gives_a_nan_intertwining_residual(self):
         # the NaN sits in the first factor's term, which is measured first
@@ -186,13 +185,12 @@ class TestBerezinKernel:
         assert spec.n == (1, 1)
         trunc = (3, 3)
         X = random_pure_tuple(spec, rng, dims=(2, 2), shrink=0.9)
-        K = berezin_kernel(spec, X, trunc)
-        space = FockSpace(spec, trunc)
-        assert intertwining_residual(K, X, space) < 1e-12
+        K = berezin_kernel(X, trunc)
+        assert intertwining_residual(K, X) < 1e-12
         spoiled = X.ops[0][0].copy()
         spoiled[0, 0] = np.nan
         Y = OperatorTuple(spec=spec, ops=((spoiled,), X.ops[1]), dim_h=X.dim_h)
-        assert np.isnan(intertwining_residual(K, Y, space))
+        assert np.isnan(intertwining_residual(K, Y))
 
     def test_universal_model_kernel_inputs_match_its_matrix_copy(self, rng):
         # the model's defect and power iterates are diagonals; the same
@@ -203,11 +201,11 @@ class TestBerezinKernel:
             trunc = (3,) * spec.k
             space = FockSpace(spec, trunc)
             W, M = UniversalModel(space), model_matrices(space)
-            root = herm_sqrt(np.diag(defect(spec, W, spec.m)))
-            assert np.abs(root - herm_sqrt(defect(spec, M, spec.m))).max() < 1e-12
-            norms = tuple(next(itertools.islice(_phi_power_norms(spec, i, W), L, None)) for i, L in enumerate(trunc))
-            assert norms == pytest.approx(berezin_kernel(spec, M, trunc).phi_power_norms, abs=1e-12)
-            assert is_pure(spec, W, power_cap=4)[0] and is_pure(spec, M, power_cap=4)[0]
+            root = herm_sqrt(np.diag(defect(W, spec.m)))
+            assert np.abs(root - herm_sqrt(defect(M, spec.m))).max() < 1e-12
+            norms = tuple(next(itertools.islice(_phi_power_norms(W, i), L, None)) for i, L in enumerate(trunc))
+            assert norms == pytest.approx(berezin_kernel(M, trunc).phi_power_norms, abs=1e-12)
+            assert is_pure(W, power_cap=4)[0] and is_pure(M, power_cap=4)[0]
 
 
 class TestBerezinTransform:
@@ -216,7 +214,7 @@ class TestBerezinTransform:
         trunc = (4,)
         X = random_pure_tuple(spec, rng, dims=(3,), shrink=0.8)
         space = FockSpace(spec, trunc)
-        K = berezin_kernel(spec, X, trunc)
+        K = berezin_kernel(X, trunc)
         out = berezin_transform(fock_identity(space), X, K)
         assert np.abs(out - np.eye(3)).max() <= max(1e-8, K.tail_bound)
 
@@ -253,7 +251,7 @@ class TestBerezinTransform:
         space = FockSpace(spec, trunc, coeff_dim=1)
         sym = random_symbol(space, rng, n_monomials=4)
         X = random_pure_tuple(spec, rng, dims=(2,), shrink=0.7)
-        K = berezin_kernel(spec, X, trunc)
+        K = berezin_kernel(X, trunc)
         r = 0.8
         lhs = berezin_transform(evaluate_at_model(sym, r), X, K)
         rhs = evaluate_at_tuple(sym, X.scaled(r))
@@ -266,9 +264,9 @@ class TestRandomPureTuple:
         for _ in range(3):
             spec = random_spec(rng)
             X = random_pure_tuple(spec, rng, dims=(2,) * spec.k, shrink=0.9)
-            ok, _ = is_member(spec, X)
+            ok, _ = is_member(X)
             assert ok
-            pure, _ = is_pure(spec, X, power_cap=200, tol=1e-8)
+            pure, _ = is_pure(X, power_cap=200, tol=1e-8)
             assert pure
 
     def test_cross_factor_commutation_automatic(self, rng):
@@ -288,4 +286,4 @@ class TestRandomPureTuple:
             Y.check_commutation()
         assert not Y.commutation_checked
         with pytest.raises(SpecError):
-            is_member(spec, Y)
+            is_member(Y)

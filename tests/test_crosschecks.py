@@ -677,7 +677,7 @@ def test_berezin_transform_matches_literal_sandwich(rng):
     trunc = (2,)
     space = FockSpace(spec, trunc, coeff_dim=2)
     X = random_pure_tuple(spec, rng, dims=(2,), shrink=0.8)
-    kernel = berezin_kernel(spec, X, trunc)
+    kernel = berezin_kernel(X, trunc)
     n = space.total_dim
     g = FockOperator(space, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     fast = berezin_transform(g, X, kernel)
@@ -1192,9 +1192,9 @@ def test_phi_map_matches_dense_oracle(rng):
             for arg in (W.identity(), y):
                 expected = dense_phi_map(spec, i, M, np.diag(arg))
                 assert exactly_diagonal(expected)
-                assert same_bits(phi_map(spec, i, W, arg), np.diag(expected))
+                assert same_bits(phi_map(W, i, arg), np.diag(expected))
             with pytest.raises(DimensionMismatch):
-                phi_map(spec, i, W, np.diag(y))
+                phi_map(W, i, np.diag(y))
 
 
 def test_defect_and_purity_match_dense_oracle(rng):
@@ -1203,26 +1203,26 @@ def test_defect_and_purity_match_dense_oracle(rng):
         for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
             expected = dense_defect(spec, M, p)
             assert exactly_diagonal(expected)
-            assert same_bits(defect(spec, W, p), np.diag(expected))
+            assert same_bits(defect(W, p), np.diag(expected))
         cap = max(W.dim_h, 2)
-        _, report = is_pure(spec, W, power_cap=cap, tol=1e-9)
+        _, report = is_pure(W, power_cap=cap, tol=1e-9)
         assert report["factors"] == dense_pure_factors(spec, M, cap, 1e-9)
 
 
 def test_defect_walk_matches_defect_at_every_point(rng):
     for W, M in model_tuples(rng):
         points = list(itertools.product(*(range(mi + 1) for mi in W.spec.m)))
-        walked = list(_defect_walk(W.spec, W))
+        walked = list(_defect_walk(W))
         assert [p for p, _ in walked] == points
         for p, D in walked:
-            assert same_bits(D, defect(W.spec, W, p))
+            assert same_bits(D, defect(W, p))
             assert same_bits(D, np.diag(dense_defect(W.spec, M, p)))
     # dense tuples walk the same lattice on ndarrays
     for _ in range(3):
         spec = random_spec(rng)
         X = random_pure_tuple(spec, rng, dims=(2,) * spec.k, shrink=0.9)
-        for p, D in _defect_walk(spec, X):
-            assert np.array_equal(D, defect(spec, X, p))
+        for p, D in _defect_walk(X):
+            assert np.array_equal(D, defect(X, p))
             assert np.array_equal(D, dense_defect(spec, X, p))
 
 
@@ -1866,7 +1866,7 @@ def per_point_is_member(spec, X, tol=1e-9):
     """``is_member`` with one ``eigvalsh`` per lattice point."""
     verdict = True
     witness = ((0,) * spec.k, np.inf)
-    for p, D in _defect_walk(spec, X):
+    for p, D in _defect_walk(X):
         if isinstance(X, UniversalModel):
             D = np.diag(D)  # the universal model's defects are diagonals
         eigs = np.linalg.eigvalsh(hermitize(D))
@@ -1881,7 +1881,7 @@ def per_point_is_member(spec, X, tol=1e-9):
 def per_word_berezin_rows(spec, X, trunc):
     """The kernel rows built one basis multi-word at a time from cached word products."""
     table = build_weight_table(spec, trunc)
-    root = herm_sqrt(defect(spec, X, spec.m))
+    root = herm_sqrt(defect(X, spec.m))
     space = FockSpace(spec, trunc, weights=table)
     rows = np.empty((space.dim, X.dim_h, X.dim_h), dtype=complex)
     for idx, w in enumerate(space.basis()):
@@ -1987,16 +1987,16 @@ def test_batched_phi_map_matches_per_word_oracle(rng):
         for i in range(X.spec.k):
             # -I makes imaginary parts -0.0: a sum not started from zeros keeps them
             for arg in (np.eye(n), -np.eye(n), Y, np.zeros((n, n))):
-                assert same_bits(phi_map(X.spec, i, X, arg), dense_phi_map(X.spec, i, X, arg))
+                assert same_bits(phi_map(X, i, arg), dense_phi_map(X.spec, i, X, arg))
 
 
 def test_batched_is_member_matches_per_point_oracle(rng):
     # each tuple with the matrices it scales: a model scales its matrix copy
     for X, M in [(X, X) for X in small_tuples(rng)] + list(model_tuples(rng)):
-        assert is_member(X.spec, X) == per_point_is_member(X.spec, X)
+        assert is_member(X) == per_point_is_member(X.spec, X)
         # a point outside: its witness is the first most negative defect
         far = M.scaled(3.0)
-        got = is_member(X.spec, far)
+        got = is_member(far)
         assert got == per_point_is_member(X.spec, far)
         assert not got[0]
 
@@ -2004,7 +2004,7 @@ def test_batched_is_member_matches_per_point_oracle(rng):
 def test_batched_berezin_rows_match_per_word_oracle(rng):
     for X in small_tuples(rng, count=8):
         trunc = (3,) * X.spec.k
-        got = berezin_kernel(X.spec, X, trunc)
+        got = berezin_kernel(X, trunc)
         assert same_bits(got.rows, per_word_berezin_rows(X.spec, X, trunc))
 
 

@@ -258,8 +258,8 @@ def test_universal_model_maps_hold_few_bytes_per_basis_vector():
     W = UniversalModel(space)
     tracemalloc.start()
     try:
-        D = defect(space.spec, W, space.spec.m)
-        pure, _ = is_pure(space.spec, W, power_cap=max(space.trunc) + 1)
+        D = defect(W, space.spec.m)
+        pure, _ = is_pure(W, power_cap=max(space.trunc) + 1)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -372,12 +372,11 @@ def test_grading_check_draw_holds_one_row_block_of_triples():
 def test_intertwining_residual_allocates_less_than_a_dense_square():
     spec = spec_from_json(SPEC)
     X = random_pure_tuple(spec, np.random.default_rng(7), dims=(2, 2))
-    kernel = berezin_kernel(spec, X, (4, 4))
-    space = FockSpace(spec, (4, 4))
-    limit = space.dim * space.dim * 16  # one dense complex (dim, dim) array, 14.1 MiB
+    kernel = berezin_kernel(X, (4, 4))
+    limit = kernel.space.dim * kernel.space.dim * 16  # one dense complex (dim, dim) array, 14.1 MiB
     tracemalloc.start()
     try:
-        residual = intertwining_residual(kernel, X, space)
+        residual = intertwining_residual(kernel, X)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -159,6 +159,29 @@ def test_the_universal_model_is_its_space_and_operator_tuples_are_matrices():
     assert UniversalModel._fields == ("space", "side")
 
 
+def _parameters(tree: ast.AST) -> dict:
+    """Each function or method of a module, by name, with its parameter names."""
+    return {
+        node.name: {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_the_cp_maps_and_the_berezin_kernel_read_their_spec_and_space_off_their_operands():
+    # a tuple carries its spec (X.spec) and a kernel its space (kernel.space):
+    # only random_pure_tuple, which builds a tuple, takes a spec beside it
+    cpmaps = ast.parse((PACKAGE / "cpmaps.py").read_text())
+    params = _parameters(cpmaps)
+    assert {name for name, args in params.items() if "spec" in args} == {"random_pure_tuple"}
+    assert "space" not in params["intertwining_residual"]
+    kernel = next(node for node in cpmaps.body if isinstance(node, ast.ClassDef) and node.name == "BerezinKernel")
+    fields = {item.target.id for item in kernel.body if isinstance(item, ast.AnnAssign)}
+    assert "space" in fields and not fields & {"spec", "trunc", "dim_h"}
+    # extract_fourier reads the report it is given, so it takes no tolerance
+    assert "tol" not in _parameters(ast.parse((PACKAGE / "toeplitz.py").read_text()))["extract_fourier"]
+
+
 # scipy's linear-algebra stack, about 10 MB of import RSS: Lanczos imports it
 # where it runs, past the cutoff, and the component labels are numpy's
 LINEAR_ALGEBRA = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")

@@ -240,7 +240,8 @@ class TestExtractFourier:
     def test_identity_symbol(self, rng):
         spec = random_spec(rng, k=2, max_n=2)
         space = FockSpace(spec, (2, 2), coeff_dim=2)
-        sym = extract_fourier(fock_identity(space))
+        T = fock_identity(space)
+        sym = extract_fourier(T, is_multi_toeplitz(T))
         assert len(sym.coefficients) == 1
         pair, A = next(iter(sym.coefficients.items()))
         assert pair.left == MultiWord.identity(spec.n)
@@ -252,7 +253,8 @@ class TestExtractFourier:
         space = FockSpace(spec, (2, 2), coeff_dim=2)
         pair = space.class_pair(int(rng.integers(space.n_classes)))
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        sym = extract_fourier(monomial(space, pair, A))
+        T = monomial(space, pair, A)
+        sym = extract_fourier(T, is_multi_toeplitz(T))
         assert set(sym.coefficients) == {pair}
         assert np.abs(sym.coefficients[pair] - A).max() < 1e-12
 
@@ -261,7 +263,8 @@ class TestExtractFourier:
             spec = random_spec(rng)
             space = FockSpace(spec, (3,) * spec.k, coeff_dim=2)
             sym = random_symbol(space, rng, n_monomials=8)
-            back = extract_fourier(evaluate_at_model(sym))
+            T = evaluate_at_model(sym)
+            back = extract_fourier(T, is_multi_toeplitz(T))
             keys = set(sym.coefficients) | set(back.coefficients)
             for key in keys:
                 a = sym.coefficients.get(key, np.zeros((2, 2)))
@@ -273,14 +276,15 @@ class TestExtractFourier:
         space = FockSpace(spec, (2,))
         T = random_operator(space, rng)
         with pytest.raises(NotMultiToeplitz) as info:
-            extract_fourier(T)
+            extract_fourier(T, is_multi_toeplitz(T))
         assert info.value.report.max_violation > 1e-6
 
     @pytest.mark.parametrize("drop_tol", [-1.0, float("nan")])
     def test_rejects_negative_or_nan_drop_tol(self, rng, drop_tol):
         space = FockSpace(random_spec(rng, k=1, max_n=2), (2,))
         with pytest.raises(SpecError, match="drop tolerance"):
-            extract_fourier(fock_identity(space), drop_tol=drop_tol)
+            T = fock_identity(space)
+            extract_fourier(T, is_multi_toeplitz(T), drop_tol=drop_tol)
 
 
 class TestEvaluateSymbol:
