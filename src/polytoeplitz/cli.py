@@ -58,7 +58,7 @@ from .model import (
 from .sampling import ones_series_spec, random_spec
 from .toeplitz import (
     FourierSymbol,
-    cesaro_reconstruct,
+    _cesaro_entries,
     evaluate_at_model,
     extract_fourier,
     graded_entries,
@@ -286,7 +286,7 @@ def cmd_toeplitz(cfg: RunConfig, args: argparse.Namespace) -> int:
     doc = {"command": "toeplitz", "report": report.to_dict()}
     if report.verdict:
         sym = extract_fourier(T, report, drop_tol=args.drop_tol)
-        doc["symbol_terms"] = len(sym.coefficients)
+        doc["symbol_terms"] = sym.classes.size
         if cfg.out is not None:
             cfg.out.mkdir(parents=True, exist_ok=True)
             (cfg.out / "symbol.json").write_text(
@@ -313,8 +313,8 @@ def cmd_fourier(cfg: RunConfig, args: argparse.Namespace) -> int:
     report = {
         "command": "fourier",
         "radius": args.radius,
-        # terms with a word beyond the truncation contribute nothing
-        "terms": sum(sym.space.class_of(pair) >= 0 for pair in sym.coefficients),
+        # the terms with a word beyond the truncation were dropped when parsed
+        "terms": sym.classes.size,
         "norm": linalg.op_norm(op.matrix),
         "passed": True,
     }
@@ -548,9 +548,11 @@ def _check_toeplitz_roundtrip(rng: np.random.Generator, trunc_degree: int) -> li
         report = is_multi_toeplitz(T, tol=1e-10)
         worst = linalg.strict_max(worst, report.max_violation)
         back = extract_fourier(T, report)
-        for pair, A in sym.coefficients.items():
-            dev = float(np.abs(back.coefficients.get(pair, np.zeros_like(A)) - A).max())
-            worst = linalg.strict_max(worst, dev)
+        # a class missing from the extracted symbol reads as a zero block
+        pos, hit = linalg.lookup(back.classes, sym.classes)
+        got = np.zeros_like(sym.coeffs)
+        got[hit] = back.coeffs[pos[hit]]
+        worst = linalg.strict_max(worst, *np.abs(got - sym.coeffs).max(axis=(1, 2)).tolist())
         d = space.dim
         # the non-comparable pairs: every pair outside the members of all classes
         bad = np.ones(d * d, dtype=bool)
@@ -618,10 +620,8 @@ def _grading_gap(space: FockSpace, rng: np.random.Generator) -> float:
     for a in range(0, n, height):
         rows = M[a : a + height]
         T = FockOperator(space, _stored_block(rows, a, 0, n))
-        recon = cesaro_reconstruct(T, tuple(2 * L for L in space.trunc), fejer_weights=False)
-        keys, vals = linalg.stored_entries(recon.matrix)
+        keys, vals = _cesaro_entries(T, tuple(2 * L for L in space.trunc), fejer_weights=False)
         worst = linalg.strict_max(worst, _residual_max(rows, keys - a * n, vals))
-        del recon
         keys, vals, present, bounds = graded_entries(T)
         del T
         worst = linalg.strict_max(worst, _residual_max(rows, keys - a * n, vals))

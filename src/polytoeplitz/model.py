@@ -26,7 +26,6 @@ from .errors import DimensionMismatch, SpecError, TruncationError
 from .freemonoid import (
     IndexPair,
     MultiWord,
-    RankMap,
     Word,
     WordList,
     graded_lex_layout,
@@ -71,7 +70,6 @@ class FockSpace:
             raise SpecError("weight table truncation differs from requested truncation")
         # views over the graded-lex ranks: words by rank, and ranks by word
         self.factor_words: list[WordList] = [table.words for table in self.weights.tables]
-        self.factor_index: list[RankMap] = [RankMap(ws) for ws in self.factor_words]
         # per factor (start, lengths, offsets) of the graded-lex ranks
         self.factor_layouts = [graded_lex_layout(n, L) for n, L in zip(spec.n, self.trunc)]
         self.factor_dims = tuple(len(ws) for ws in self.factor_words)
@@ -79,9 +77,6 @@ class FockSpace:
         self._basis: Optional[list[MultiWord]] = None
         self._degrees: Optional[np.ndarray] = None
         self._pairs: Optional[PairStructure] = None
-        # (support, layout) of the last symbol evaluate_at_model saw on this
-        # space: its other radii, and the same support, reuse the layout
-        self.symbol_layout: Optional[tuple[frozenset, tuple]] = None
         # (side, factor, letters) -> the factor-rank action of word_action
         self._word_cache: dict[tuple, Action] = {}
 
@@ -101,10 +96,10 @@ class FockSpace:
     def index_of(self, w: MultiWord) -> int:
         idx = 0
         for i, part in enumerate(w.parts):
-            pos = self.factor_index[i].get(part)
-            if pos is None:
-                raise TruncationError(f"{part.render()} outside truncation {self.trunc[i]}")
-            idx = idx * self.factor_dims[i] + pos
+            try:
+                idx = idx * self.factor_dims[i] + self.factor_words[i].rank(part)
+            except KeyError:
+                raise TruncationError(f"{part.render()} outside truncation {self.trunc[i]}") from None
         return idx
 
     def multiword_at(self, idx: int) -> MultiWord:
@@ -282,77 +277,67 @@ class FockSpace:
             if u.alphabet_size != self.spec.n[i]:
                 raise DimensionMismatch("pair alphabet does not match the factor")
             count = self.factor_dims[i]
-            rank = self.factor_index[i].get(v if len(v) else u)
-            if rank is None:
+            try:
+                rank = self.factor_words[i].rank(v if len(v) else u)
+            except KeyError:
                 return -1
             # the id scheme of _factor_pairs: (quotient, e) -> rank, (e, quotient) -> count + rank - 1
             cid = cid * (2 * count - 1) + (count + rank - 1 if len(v) else rank)
         return cid
 
-    def _class_factors(self, classes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    def class_factors(self, classes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per factor, first factor first, ``(quotient rank, row is the longer word)`` of each class id.
 
         Class ids are mixed radix ``2 d_i - 1``, first factor slowest; the
         factor digit ``j`` names ``(q, e)`` with ``q`` at rank ``j`` when ``j <
         d_i`` and ``(e, q)`` with ``q`` at rank ``j - d_i + 1`` otherwise.
+        One Python ``int`` gives ints and bools, an array gives arrays.
         """
         per_factor = []
         rem = classes
         for i in reversed(range(self.spec.k)):
             count = self.factor_dims[i]
-            rem, jid = np.divmod(rem, 2 * count - 1)
-            row_long = jid < count
-            per_factor.append((np.where(row_long, jid, jid - count + 1), row_long))
+            rem, jid = divmod(rem, 2 * count - 1)
+            per_factor.append((jid - (count - 1) * (jid >= count), jid < count))
         per_factor.reverse()
         return per_factor
 
     def class_pair(self, c: int) -> IndexPair:
         """The reduced pair of class ``c``; class 0 is the identity pair."""
         left, right = [], []
-        for i, (quot, row_long) in enumerate(self._class_factors(np.array([c], dtype=np.int64))):
-            word, empty = self.factor_words[i][int(quot[0])], Word.identity(self.spec.n[i])
-            left.append(word if row_long[0] else empty)
-            right.append(empty if row_long[0] else word)
+        for i, (quot, row_long) in enumerate(self.class_factors(int(c))):
+            word, empty = self.factor_words[i][quot], Word.identity(self.spec.n[i])
+            left.append(word if row_long else empty)
+            right.append(empty if row_long else word)
         return IndexPair(MultiWord(tuple(left)), MultiWord(tuple(right)))
 
-    def monomial_entries(self, pair: IndexPair) -> tuple[np.ndarray, np.ndarray]:
-        """Where ``W_left W_right^*`` of a reduced pair is supported, and its entries there.
+    def term_entries(self, classes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where each ``W_left W_right^*`` of the reduced pairs with ids ``classes`` is supported, and its entries there.
 
-        The one-pair case of :meth:`term_entries`: ``(keys, vals)``, the
-        row-major keys of the pair's class and the complex entry at each.
-        """
-        _, keys, vals = self.term_entries([pair])
-        return keys, vals
-
-    def term_entries(self, pairs: Sequence[IndexPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Where each ``W_left W_right^*`` of reduced pairs is supported, and its entries there.
-
-        Returns ``(term, keys, vals)``: for each pair in turn, the position of
-        the pair in ``pairs``, the row-major keys ``row * dim + col`` of its
-        class (:meth:`class_members`, one call for all pairs) and the complex
+        Returns ``(term, keys, vals)``: for each class in turn, its position
+        in ``classes``, the row-major keys ``row * dim + col`` of its members
+        (:meth:`class_members`, one call for all classes) and the complex
         entry at each.  The entry at ``(row, col)`` is the weight of
         ``W_left`` times that of ``W_right``, each the product in factor
         order of ``sqrt(b_shorter / b_longer)`` over the factors where that
         side is nonempty (the entry weight, multiplied in the order of the
-        creation products).  A pair with a word beyond the truncation has no
-        entries.
+        creation products).
         """
-        classes = np.array([self.class_of(pair) for pair in pairs], dtype=np.int64)
-        kept = np.flatnonzero(classes >= 0)
-        owner, keys = self._members(classes[kept])
+        classes = np.asarray(classes, dtype=np.int64)
+        term, keys = self._members(classes)
         left = np.ones(keys.size)
         right = np.ones(keys.size)
-        for i, (_, row_long) in enumerate(self._class_factors(classes[kept])):
+        for i, (_, row_long) in enumerate(self.class_factors(classes)):
             # factor i's digits of the row and the column
             _, d_i, after = self.split(i, coeff=False)
             r_i = keys // (self.dim * after) % d_i
             c_i = keys // after % d_i
             b = self.weights.values[i]
             # a factor with both sides empty has r_i == c_i, whose weight is exactly 1
-            long_row = row_long[owner]
+            long_row = row_long[term]
             left *= np.where(long_row, np.sqrt(b[c_i] / b[r_i]), 1.0)
             right *= np.where(long_row, 1.0, np.sqrt(b[r_i] / b[c_i]))
-        return kept[owner], keys, (left * right).astype(complex)
+        return term, keys, (left * right).astype(complex)
 
     def class_members(self, classes: np.ndarray) -> np.ndarray:
         """Row-major keys ``row * dim + col`` of the comparable pairs in the given classes.
@@ -368,7 +353,7 @@ class FockSpace:
         """:meth:`class_members`, with the position in ``classes`` of each member's class."""
         classes = np.asarray(classes, dtype=np.int64)
         per_factor = []  # (quotient, row is the longer word, member count) per factor and class
-        for i, (quot, row_long) in enumerate(self._class_factors(classes)):
+        for i, (quot, row_long) in enumerate(self.class_factors(classes)):
             start, lengths, _ = self.factor_layouts[i]
             per_factor.append((quot, row_long, start[self.trunc[i] - lengths[quot] + 1]))
         sizes = np.ones(classes.size, dtype=np.int64)
@@ -662,16 +647,18 @@ def weighted_right_creation(space: FockSpace, i: int, j: int) -> FockOperator:
 def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> FockOperator:
     """The elementary operator ``A (x) W_left W_right^*`` for a reduced pair, as CSR.
 
-    The Fock part is :meth:`FockSpace.monomial_entries`: it is supported on
-    the members of the pair's class, in row-major order.  The coefficient
+    The Fock part is :meth:`FockSpace.term_entries` of the pair's class: it
+    is supported on the class's members, in row-major order.  The coefficient
     enters as ``A[0, 0] * fock``, or ``kron(A, fock)`` when ``coeff_dim > 1``.
-    A pair with a word beyond the truncation gives the zero operator.
+    A pair with a word beyond the truncation (class -1) gives the zero operator.
     """
     A = np.atleast_2d(np.asarray(coefficient, dtype=complex))
     c = space.coeff_dim
     if A.shape != (c, c):
         raise DimensionMismatch(f"coefficient shape {A.shape} does not match ({c}, {c})")
-    fock = linalg.entries_matrix(*space.monomial_entries(pair), (space.dim, space.dim))
+    cid = space.class_of(pair)
+    _, keys, vals = space.term_entries(np.array([cid] if cid >= 0 else [], dtype=np.int64))
+    fock = linalg.entries_matrix(keys, vals, (space.dim, space.dim))
     if c == 1:
         mat = complex(A[0, 0]) * fock
     else:

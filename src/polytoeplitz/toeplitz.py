@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from . import linalg
 from .cpmaps import OperatorTuple
 from .errors import DimensionMismatch, SpecError
-from .freemonoid import IndexPair, MultiWord, Word, word_rank
+from .freemonoid import IndexPair, MultiWord, Word
 from .model import FockOperator, FockSpace
 from .weights import json_int, json_number
 
@@ -54,44 +54,74 @@ class NotMultiToeplitz(SpecError):
         self.report = report
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FourierSymbol:
-    """Finitely supported coefficient family ``{A_pair}`` of reduced pairs."""
+    """Finitely supported coefficient family ``{A_s}`` of reduced pairs: ``coeffs[j]`` is ``A`` at class ``classes[j]``.
+
+    The class ids (:meth:`~polytoeplitz.model.FockSpace.class_factors`)
+    increase strictly, as int64; the stack is ``(m, c, c)`` complex.
+    """
 
     space: FockSpace
-    coefficients: dict[IndexPair, np.ndarray] = field(default_factory=dict)
+    classes: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        classes = np.asarray(self.classes, dtype=np.int64)
+        coeffs = np.asarray(self.coeffs, dtype=complex)
         c = self.space.coeff_dim
-        for pair, A in list(self.coefficients.items()):
-            A = np.atleast_2d(np.asarray(A, dtype=complex))
-            if A.shape != (c, c):
-                raise DimensionMismatch(
-                    f"coefficient at {pair.render()} has shape {A.shape}, want ({c}, {c})"
-                )
-            self.coefficients[pair] = A
+        if coeffs.shape != (classes.size, c, c):
+            raise DimensionMismatch(f"coefficient stack has shape {coeffs.shape}, want {(classes.size, c, c)}")
+        if classes.ndim != 1 or np.any(classes[1:] <= classes[:-1]) or (
+            classes.size and not 0 <= classes[0] <= classes[-1] < self.space.n_classes
+        ):
+            raise SpecError(f"class ids must increase strictly within [0, {self.space.n_classes})")
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "coeffs", coeffs)
 
-    def support(self) -> list[IndexPair]:
-        return sorted(
-            self.coefficients,
-            key=lambda p: (p.total_weight, p.left.render(), p.right.render()),
-        )
+    @functools.cached_property
+    def _layout(self) -> tuple[np.ndarray, ...]:
+        """The radius-independent part of :func:`evaluate_at_model`, built on first use.
 
-    def adjoint(self) -> "FourierSymbol":
-        out: dict[IndexPair, np.ndarray] = {}
-        for pair, A in self.coefficients.items():
-            swapped = IndexPair(left=pair.right, right=pair.left)
-            out[swapped] = out.get(swapped, 0) + A.conj().T
-        return FourierSymbol(self.space, out)
+        Returns ``(term, fock, order, keys, degree)``: the term and value of
+        each Fock entry of :meth:`~polytoeplitz.model.FockSpace.term_entries`;
+        over the entries of all ``c * c`` coefficient blocks (block-major),
+        the permutation to row-major order and the keys in that order; and
+        each class's total degree ``|s|``.
+        """
+        space = self.space
+        c, d, n = space.coeff_dim, space.dim, space.total_dim
+        term, members, fock = space.term_entries(self.classes)
+        fock_rows, fock_cols = np.divmod(members, d)
+        blocks = np.arange(c * c)
+        rows = (blocks // c * d)[:, None] + fock_rows[None, :]
+        cols = (blocks % c * d)[:, None] + fock_cols[None, :]
+        keys = (rows * n + cols).ravel()
+        order = np.argsort(keys)
+        factors = space.class_factors(self.classes)
+        degree = sum(space.factor_layouts[i][1][quot] for i, (quot, _) in enumerate(factors))
+        return term, fock, order, keys[order], degree
 
-    def hermitian_part(self) -> "FourierSymbol":
-        other = self.adjoint()
-        keys = set(self.coefficients) | set(other.coefficients)
-        merged = {
-            k: 0.5 * (self.coefficients.get(k, 0) + other.coefficients.get(k, 0))
-            for k in keys
-        }
-        return FourierSymbol(self.space, merged)
+
+def _plus_adjoint(sym: FourierSymbol) -> FourierSymbol:
+    """The symbol of ``T + T^*``, for ``T`` the operator of ``sym``, as ``2 * (0.5 * (A_s + A^*))``.
+
+    The adjoint moves the coefficient ``A`` at a class to ``0 + A^*`` (a
+    signed zero made positive) at the class with the sides swapped, ``(q,
+    e) <-> (e, q)`` in every factor's digit.  A class missing on one side
+    reads as a zero block there.
+    """
+    space, c = sym.space, sym.space.coeff_dim
+    swapped = np.zeros_like(sym.classes)
+    for i, (quot, row_long) in enumerate(space.class_factors(sym.classes)):
+        count = space.factor_dims[i]
+        # (q, e) at digit q goes to (e, q) at digit count + q - 1, and back; (e, e) is digit 0 both ways
+        swapped = swapped * (2 * count - 1) + np.where(row_long & (quot > 0), count + quot - 1, quot)
+    classes = np.union1d(sym.classes, swapped)
+    own, adjoint = np.zeros((2, classes.size, c, c), dtype=complex)
+    own[np.searchsorted(classes, sym.classes)] = sym.coeffs
+    adjoint[np.searchsorted(classes, swapped)] = 0 + sym.coeffs.conj().transpose(0, 2, 1)
+    return FourierSymbol(space, classes, 2.0 * (0.5 * (own + adjoint)))
 
 
 @dataclass
@@ -105,8 +135,8 @@ class ToeplitzReport:
     scaling_violation: float = 0.0
     tolerance: float = 0.0
     # for extract_fourier, the classes whose representative pair holds a stored
-    # entry, in class-id order: (representative keys row * dim + col, their
-    # entry weights, the (c, c, n) coefficient blocks there)
+    # entry: (their ids, ascending, the representatives' entry weights, the
+    # (c, c, n) coefficient blocks there)
     blocks: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
@@ -261,7 +291,7 @@ def _entry_deviations(space: FockSpace, matrix):
     at = np.searchsorted(candidates, fresh)
     fresh_classes = space.classify_pairs(fresh)
     ratios[at], reps[at] = fresh_classes.tau / fresh_classes.tau_rep, fresh_classes.rep
-    blocks = (rep_keys, rep_tau, E[:, :, linalg.lookup(candidates, rep_keys)[0]])
+    blocks = (classes, rep_tau, E[:, :, linalg.lookup(candidates, rep_keys)[0]])
 
     pos, hit = linalg.lookup(candidates, reps)
     pos[~hit] = candidates.size
@@ -349,50 +379,20 @@ def extract_fourier(T: FockOperator, report: ToeplitzReport, drop_tol: float = 0
         raise SpecError(f"drop tolerance must be >= 0, got {drop_tol}")
     if not report.verdict:
         raise NotMultiToeplitz(report)
-    space = T.space
-    rep_keys, tau_rep, E = report.blocks
+    classes, tau_rep, E = report.blocks
     raw = E / tau_rep[None, None, :]
     kept = np.flatnonzero(np.abs(raw).max(axis=(0, 1)) > drop_tol)
-    coeffs = {IndexPair(*_words_at(space, rep_keys[j])): np.array(raw[:, :, j]) for j in kept}
-    return FourierSymbol(space, coeffs)
-
-
-def _symbol_layout(sym: FourierSymbol) -> tuple:
-    """The radius-independent part of :func:`evaluate_at_model`, kept on the space for the last support.
-
-    Returns ``(support, term, fock, order, keys)``: the sorted support,
-    and for each Fock entry of :meth:`~polytoeplitz.model.FockSpace.term_entries`
-    its term and value; then, over the entries of all ``c * c`` coefficient
-    blocks (block-major, entry order within), the permutation to row-major
-    order and the row-major key of each entry in that order.
-    """
-    space = sym.space
-    key = frozenset(sym.coefficients)
-    if space.symbol_layout is not None and space.symbol_layout[0] == key:
-        layout = space.symbol_layout[1]
-    else:
-        c, d, n = space.coeff_dim, space.dim, space.total_dim
-        support = sym.support()
-        term, members, fock = space.term_entries(support)
-        fock_rows, fock_cols = np.divmod(members, d)
-        blocks = np.arange(c * c)
-        rows = (blocks // c * d)[:, None] + fock_rows[None, :]
-        cols = (blocks % c * d)[:, None] + fock_cols[None, :]
-        keys = (rows * n + cols).ravel()
-        order = np.argsort(keys)
-        layout = (support, term, fock, order, keys[order])
-        space.symbol_layout = (key, layout)
-    return layout
+    return FourierSymbol(T.space, classes[kept], raw[:, :, kept].transpose(2, 0, 1))
 
 
 def _model_entries(sym: FourierSymbol, r: float) -> tuple[np.ndarray, np.ndarray]:
     """The stored entries ``(keys, vals)`` of :func:`evaluate_at_model`, exact zeros dropped."""
     c = sym.space.coeff_dim
-    support, term, fock, order, keys = _symbol_layout(sym)
-    coeffs = np.array([sym.coefficients[pair] for pair in support], dtype=complex)
-    radial = np.array([r ** pair.total_weight for pair in support], dtype=float)
+    term, fock, order, keys, degree = sym._layout
+    # r ** |s| as Python's power of an int exponent, which numpy's vectorised power does not always match
+    radial = np.array([r**d for d in range(int(degree.max(initial=0)) + 1)], dtype=float)[degree]
     # row b holds coefficient entry A.flat[b] of each member's term
-    vals = coeffs.reshape(len(support), c * c)[term].T * fock
+    vals = sym.coeffs.reshape(-1, c * c)[term].T * fock
     vals = (radial[term] * vals).ravel()[order]
     return keys[vals != 0], vals[vals != 0]
 
@@ -404,13 +404,12 @@ def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     reduces to one pair), so the terms' entries are gathered, not added.  The
     Fock entries ``v`` of all terms come from one
     :meth:`~polytoeplitz.model.FockSpace.term_entries` call, kept with the
-    sort into row-major order on the space for the last support evaluated
-    (:func:`_symbol_layout`), so another radius of the same symbol, or
-    another symbol with the same support, pays only for the values.  Coefficient block ``(x, y)`` puts
-    ``r^{|s|} * (A[x, y] * v)`` at row ``x*dim + row`` and column ``y*dim +
-    col``, the products :func:`~polytoeplitz.model.monomial` and the radial
-    scaling form, in their order.  A term with a word beyond the truncation
-    has no entries.  Exact zeros are dropped.
+    sort into row-major order on the symbol (``FourierSymbol._layout``), so
+    another radius of the same symbol pays only for the values.  Coefficient
+    block ``(x, y)`` puts ``r^{|s|} * (A[x, y] * v)`` at row ``x*dim + row``
+    and column ``y*dim + col``, the products
+    :func:`~polytoeplitz.model.monomial` and the radial scaling form, in
+    their order.  Exact zeros are dropped.
     """
     shape = (sym.space.total_dim,) * 2
     return FockOperator(sym.space, linalg.entries_matrix(*_model_entries(sym, r), shape))
@@ -420,18 +419,19 @@ def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
     """The matrix ``sum A (x) X_left X_right^*`` on K (x) H.
 
     ``X_u`` is the product in factor order of the factors' word operators,
-    read by rank from :meth:`~polytoeplitz.cpmaps.OperatorTuple.word_stack`.
+    read by the rank of each class digit's quotient, on its side, from
+    :meth:`~polytoeplitz.cpmaps.OperatorTuple.word_stack`.  The terms are
+    summed in class-id order.
     """
-    c, d, support = sym.space.coeff_dim, X.dim_h, sym.support()
-    stacks = [X.word_stack(i, max((len(u.parts[i]) for p in support for u in (p.left, p.right)), default=0))
-              for i in range(X.spec.k)]
-
-    def at_tuple(u: MultiWord) -> np.ndarray:
-        return functools.reduce(np.matmul, [stack[word_rank(w)] for stack, w in zip(stacks, u.parts)])
-
+    space, c, d = sym.space, sym.space.coeff_dim, X.dim_h
+    factors = space.class_factors(sym.classes)
+    stacks = [X.word_stack(i, int(space.factor_layouts[i][1][quot].max(initial=0))) for i, (quot, _) in enumerate(factors)]
+    # per factor, the word rank of each class's left side, then of its right side
+    sides = [[np.where(row_long == left, quot, 0) for quot, row_long in factors] for left in (True, False)]
     out = np.zeros((c * d, c * d), dtype=complex)
-    for pair in support:
-        out += np.kron(sym.coefficients[pair], at_tuple(pair.left) @ at_tuple(pair.right).conj().T)
+    for j, A in enumerate(sym.coeffs):
+        X_left, X_right = (functools.reduce(np.matmul, [s[r[j]] for s, r in zip(stacks, side)]) for side in sides)
+        out += np.kron(A, X_left @ X_right.conj().T)
     return out
 
 
@@ -450,6 +450,11 @@ def cesaro_reconstruct(
     encoded degree gap, the factors multiplied in factor order, and gathered
     by each stored entry's code; entries of weight zero are dropped.
     """
+    return FockOperator(T.space, linalg.entries_matrix(*_cesaro_entries(T, N, fejer_weights), T.matrix.shape))
+
+
+def _cesaro_entries(T: FockOperator, N: Sequence[int], fejer_weights: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The stored entries ``(keys, vals)`` of :func:`cesaro_reconstruct`."""
     space = T.space
     if len(N) != space.spec.k:
         raise DimensionMismatch("cutoff tuple length differs from factor count")
@@ -470,7 +475,7 @@ def cesaro_reconstruct(
     kept = weight != 0.0
     vals = vals[kept]
     vals *= weight[kept]
-    return FockOperator(space, linalg.entries_matrix(keys[kept], vals, T.matrix.shape))
+    return keys[kept], vals
 
 
 def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> sp.csr_matrix:
@@ -512,31 +517,29 @@ def random_symbol(
     # class 0 is the identity pair
     if 0 not in chosen:
         chosen = np.append(chosen[:-1], 0)
-    coeffs: dict[IndexPair, np.ndarray] = {}
-    for cdx in chosen:
+    coeffs = np.empty((count, c, c), dtype=complex)
+    for j in range(count):
         A = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
         A /= max(1.0, linalg.op_norm(A))
-        coeffs[space.class_pair(int(cdx))] = A
-    sym = FourierSymbol(space, coeffs)
-    if hermitian:
-        sym = FourierSymbol(
-            space, {p: 2.0 * A for p, A in sym.hermitian_part().coefficients.items()}
-        )
-    return sym
+        coeffs[j] = A
+    order = np.argsort(chosen)
+    sym = FourierSymbol(space, chosen[order], coeffs[order])
+    return _plus_adjoint(sym) if hermitian else sym
 
 
 def symbol_to_json(sym: FourierSymbol) -> dict:
-    terms = []
-    for pair in sym.support():
-        A = sym.coefficients[pair]
-        terms.append(
-            {
-                "left": [list(w.letters) for w in pair.left.parts],
-                "right": [list(w.letters) for w in pair.right.parts],
-                "re": np.real(A).tolist(),
-                "im": np.imag(A).tolist(),
-            }
-        )
+    """The JSON form of ``sym``: the words and coefficient of each class, by ``(|s|, left.render(), right.render())``."""
+    pairs = [sym.space.class_pair(int(cid)) for cid in sym.classes]
+    order = sorted(range(len(pairs)), key=lambda j: (pairs[j].total_weight, pairs[j].left.render(), pairs[j].right.render()))
+    terms = [
+        {
+            "left": [list(w.letters) for w in pairs[j].left.parts],
+            "right": [list(w.letters) for w in pairs[j].right.parts],
+            "re": np.real(sym.coeffs[j]).tolist(),
+            "im": np.imag(sym.coeffs[j]).tolist(),
+        }
+        for j in order
+    ]
     return {
         "k": sym.space.spec.k,
         "n": list(sym.space.spec.n),
@@ -548,8 +551,10 @@ def symbol_to_json(sym: FourierSymbol) -> dict:
 def symbol_from_json(space: FockSpace, doc: Union[str, dict]) -> FourierSymbol:
     """Parse the form written by :func:`symbol_to_json`.
 
-    A malformed document, or a coefficient that is not a finite
-    ``(coeff_dim, coeff_dim)`` matrix, raises :class:`SpecError`.
+    A malformed document, a pair given twice, or a coefficient that is not
+    a finite ``(coeff_dim, coeff_dim)`` matrix, raises :class:`SpecError`.
+    Every term is checked; then a term with a word beyond the truncation,
+    which has no class, is dropped.
     """
     if isinstance(doc, str):
         try:
@@ -586,5 +591,8 @@ def symbol_from_json(space: FockSpace, doc: Union[str, dict]) -> FourierSymbol:
             raise SpecError(f"{where}: re and im must have shape {(c, c)}, got {re.shape} and {im.shape}")
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
             raise SpecError(f"{where}: non-finite coefficient")
-        coeffs[IndexPair(left=left, right=right)] = (re + 1j * im).astype(complex)
-    return FourierSymbol(space, coeffs)
+        coeffs[IndexPair(left=left, right=right)] = re + 1j * im
+    ids = np.array([space.class_of(pair) for pair in coeffs], dtype=np.int64)
+    kept = np.flatnonzero(ids >= 0)
+    kept = kept[np.argsort(ids[kept])]
+    return FourierSymbol(space, ids[kept], np.array(list(coeffs.values()), dtype=complex).reshape(-1, c, c)[kept])

@@ -16,11 +16,15 @@ over the sorted union of their keys.  Beside them sit the operator forms
 the program reads only as entries or runs: the homogeneous parts as CSR
 operators (the runs of ``graded_entries``), the reversed-series map of a
 factor as a CSR operator (``brownhalmos._phi_entries``) and the Cauchy dual
-``C (C*C)^+`` of a row.  Tests import them as they import
-``conftest.make_spec``.
+``C (C*C)^+`` of a row.  Last comes a symbol keyed by its words: a dict from
+``IndexPair`` to coefficient, with its random draw and its evaluation at
+the model, which the class-id ``FourierSymbol`` must match bit for bit, and
+the two helpers that turn a dict of pairs into a ``FourierSymbol`` and back.
+Tests import them as they import ``conftest.make_spec``.
 """
 
 import math
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +36,7 @@ from polytoeplitz.errors import DimensionMismatch, NotComparable, SpecError
 from polytoeplitz.cpmaps import OperatorTuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockOperator, FockSpace
-from polytoeplitz.toeplitz import _gap_places, graded_entries
+from polytoeplitz.toeplitz import FourierSymbol, _gap_places, graded_entries
 from polytoeplitz.weights import WeightTable
 
 
@@ -281,3 +285,95 @@ def cauchy_dual(C: sp.csr_matrix) -> np.ndarray:
     the returned dual is dense.
     """
     return linalg.as_dense(C @ linalg.pinv_on_range(C.conj().T @ C, rank_tol=1e-10))
+
+
+@dataclass
+class DictSymbol:
+    """A finitely supported coefficient family keyed by its reduced pairs' words."""
+
+    space: FockSpace
+    coefficients: dict[IndexPair, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        c = self.space.coeff_dim
+        for pair, A in list(self.coefficients.items()):
+            A = np.atleast_2d(np.asarray(A, dtype=complex))
+            if A.shape != (c, c):
+                raise DimensionMismatch(f"coefficient at {pair.render()} has shape {A.shape}, want ({c}, {c})")
+            self.coefficients[pair] = A
+
+    def support(self) -> list[IndexPair]:
+        return sorted(self.coefficients, key=lambda p: (p.total_weight, p.left.render(), p.right.render()))
+
+    def adjoint(self) -> "DictSymbol":
+        out: dict[IndexPair, np.ndarray] = {}
+        for pair, A in self.coefficients.items():
+            swapped = IndexPair(left=pair.right, right=pair.left)
+            out[swapped] = out.get(swapped, 0) + A.conj().T
+        return DictSymbol(self.space, out)
+
+    def hermitian_part(self) -> "DictSymbol":
+        other = self.adjoint()
+        keys = set(self.coefficients) | set(other.coefficients)
+        merged = {k: 0.5 * (self.coefficients.get(k, 0) + other.coefficients.get(k, 0)) for k in keys}
+        return DictSymbol(self.space, merged)
+
+
+def dict_random_symbol(
+    space: FockSpace, rng: np.random.Generator, n_monomials: int = 6, hermitian: bool = False
+) -> DictSymbol:
+    """``random_symbol`` drawn into a :class:`DictSymbol`: the same draws, keyed by ``class_pair``."""
+    c = space.coeff_dim
+    count = max(1, min(n_monomials, space.n_classes))
+    chosen = rng.choice(space.n_classes, size=count, replace=False)
+    if 0 not in chosen:
+        chosen = np.append(chosen[:-1], 0)
+    coeffs: dict[IndexPair, np.ndarray] = {}
+    for cdx in chosen:
+        A = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
+        A /= max(1.0, linalg.op_norm(A))
+        coeffs[space.class_pair(int(cdx))] = A
+    sym = DictSymbol(space, coeffs)
+    if hermitian:
+        sym = DictSymbol(space, {p: 2.0 * A for p, A in sym.hermitian_part().coefficients.items()})
+    return sym
+
+
+def dict_evaluate_at_model(sym: DictSymbol, r: float = 1.0) -> sp.csr_matrix:
+    """``evaluate_at_model`` over the render-sorted support: one ``term_entries`` call, ``r ** |s|`` per pair.
+
+    A pair with a word beyond the truncation has no entries.
+    """
+    space = sym.space
+    c, d, n = space.coeff_dim, space.dim, space.total_dim
+    support = sym.support()
+    classes = np.array([space.class_of(pair) for pair in support], dtype=np.int64)
+    kept = np.flatnonzero(classes >= 0)
+    owner, members, fock = space.term_entries(classes[kept])
+    term = kept[owner]
+    fock_rows, fock_cols = np.divmod(members, d)
+    blocks = np.arange(c * c)
+    rows = (blocks // c * d)[:, None] + fock_rows[None, :]
+    cols = (blocks % c * d)[:, None] + fock_cols[None, :]
+    keys = (rows * n + cols).ravel()
+    order = np.argsort(keys)
+    coeffs = np.array([sym.coefficients[pair] for pair in support], dtype=complex)
+    radial = np.array([r ** pair.total_weight for pair in support], dtype=float)
+    vals = coeffs.reshape(len(support), c * c)[term].T * fock
+    vals = (radial[term] * vals).ravel()[order]
+    keys = keys[order]
+    return linalg.entries_matrix(keys[vals != 0], vals[vals != 0], (n, n))
+
+
+def symbol_of(space: FockSpace, coefficients: dict) -> FourierSymbol:
+    """The :class:`FourierSymbol` with coefficient ``A`` at the class of each ``pair: A``."""
+    ids = np.array([space.class_of(pair) for pair in coefficients], dtype=np.int64)
+    c = space.coeff_dim
+    stack = np.array([np.atleast_2d(A) for A in coefficients.values()], dtype=complex).reshape(-1, c, c)
+    order = np.argsort(ids)
+    return FourierSymbol(space, ids[order], stack[order])
+
+
+def pair_coefficients(sym: FourierSymbol) -> dict[IndexPair, np.ndarray]:
+    """The coefficients of ``sym`` keyed by their reduced pairs, in class-id order."""
+    return {sym.space.class_pair(int(cid)): A for cid, A in zip(sym.classes, sym.coeffs)}

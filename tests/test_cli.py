@@ -16,13 +16,14 @@ from polytoeplitz.cpmaps import BerezinKernel, random_pure_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockSpace, monomial, weighted_left_creation
 from polytoeplitz.toeplitz import (
-    FourierSymbol,
     evaluate_at_model,
     random_symbol,
     symbol_from_json,
     symbol_to_json,
 )
 from polytoeplitz.weights import spec_from_json
+
+from oracles import pair_coefficients, symbol_of
 
 
 def strict_json(text):
@@ -578,15 +579,14 @@ def _misgrade_key_5(monkeypatch):
 
 def _rescale_key_3(monkeypatch):
     # the reconstruction's entry at key 3 (row 0, column 3), where it is stored, is off by 1e-9
-    reconstruct = cli.cesaro_reconstruct
+    reconstruct = cli._cesaro_entries
 
-    def scaled(T, N, fejer_weights=True):
-        out = reconstruct(T, N, fejer_weights)
-        keys, vals = linalg.stored_entries(out.matrix)
+    def scaled(T, N, fejer_weights):
+        keys, vals = reconstruct(T, N, fejer_weights)
         vals[keys == 3] *= 1 + 1e-9
-        return out
+        return keys, vals
 
-    monkeypatch.setattr(cli, "cesaro_reconstruct", scaled)
+    monkeypatch.setattr(cli, "_cesaro_entries", scaled)
 
 
 @pytest.mark.parametrize("seed, worst", [(0, 1.9889679423822786), (7, 2.60346413722241)])
@@ -865,7 +865,7 @@ def test_reports_past_the_cutoff_do_not_depend_on_the_blas_thread_count(tmp_path
     empty = multiword((), ())
     short = [w for letter in (1, 2) for w in (multiword((letter,), ()), multiword((), (letter,)))]
     pairs = [IndexPair(empty, empty)] + [p for w in short for p in (IndexPair(w, empty), IndexPair(empty, w))]
-    sym = FourierSymbol(space, {p: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)) for p in pairs})
+    sym = symbol_of(space, {p: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)) for p in pairs})
     planted = evaluate_at_model(sym).matrix
     moved = planted.copy()
     moved.data = moved.data * (1.0 + 1e-3 * rng.standard_normal(moved.nnz))
@@ -1111,5 +1111,5 @@ def test_no_command_builds_the_pair_arrays(tmp_path, monkeypatch, rng):
     test_kernel_psd_report_matches_golden_file(tmp_path / "kernel")
     space = FockSpace(spec_from_json((GOLDEN_FOURIER / "spec.json").read_text()), (3, 3))
     sym = random_symbol(space, rng, n_monomials=6)
-    total = sum(monomial(space, pair, A).matrix for pair, A in sym.coefficients.items())
+    total = sum(monomial(space, pair, A).matrix for pair, A in pair_coefficients(sym).items())
     assert np.array_equal(total.toarray(), evaluate_at_model(sym).matrix.toarray())

@@ -22,7 +22,9 @@ unchanged, so they must agree exactly.  So must the per-word completely
 positive maps and Berezin rows, the per-point membership test, the
 per-radius symbol evaluation and the split-per-part decomposition that the
 batched small-tuple passes, the cached symbol layout and the one-pass
-grading replaced, down to signed zeros; the scaled-tuple bisection must
+grading replaced, down to signed zeros, and so must the word-keyed symbol
+(``oracles.DictSymbol``) that the class-id ``FourierSymbol`` replaced, in
+its draw, its evaluation and the order of its JSON terms; the scaled-tuple bisection must
 return the same tuple bits as the one on defect polynomials.  The
 whole-matrix dense SVD and ``eigvalsh`` that the block-by-block ``op_norm`` and ``psd_check`` replaced
 are oracles within a few rounding errors, since a block rounds differently
@@ -34,6 +36,7 @@ the blocks replaced, must give the same labels.
 
 import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -64,6 +67,7 @@ from polytoeplitz.cpmaps import (
 from polytoeplitz.freemonoid import (
     IndexPair,
     MultiWord,
+    RankMap,
     Word,
     enumerate_words,
     reverse,
@@ -100,20 +104,27 @@ from polytoeplitz.toeplitz import (
     is_multi_toeplitz,
     pluriharmonic_kernel,
     random_symbol,
+    symbol_from_json,
+    symbol_to_json,
+    _plus_adjoint,
 )
 from polytoeplitz.weights import build_weight_table
 
 from conftest import make_spec
 from oracles import (
+    DictSymbol,
     accumulate_entries as oracle_accumulate_entries,
     cauchy_dual,
     comparable,
+    dict_evaluate_at_model,
+    dict_random_symbol,
     graded_projection,
     homogeneous_decomposition,
     identity_row_gram_diagonal,
     lifted_action,
     model_matrices,
     multi_word_op,
+    pair_coefficients,
     per_entry_cesaro_reconstruct,
     phi_right,
     simplify,
@@ -170,7 +181,7 @@ def dict_weight_tables(spec, trunc):
 def per_column_factor_creation(space, i, word, side):
     """The factor-``i`` creation built column by column from word concatenation."""
     ws = space.factor_words[i]
-    index = space.factor_index[i]
+    index = RankMap(space.factor_words[i])
     b = space.weights.tables[i]
     rows, cols, vals = [], [], []
     for col, gamma in enumerate(ws):
@@ -209,7 +220,7 @@ def product_monomial(space, pair, A):
     return sp.kron(sp.csr_matrix(A), fock, format="csr")
 
 
-def sparse_sum_evaluate_at_model(sym, r):
+def sparse_sum_evaluate_at_model(sym: DictSymbol, r):
     """``sum r^{|s|} A (x) W_left W_right^*`` as a sum of sparse product monomials, densified."""
     space = sym.space
     acc = None
@@ -221,7 +232,7 @@ def sparse_sum_evaluate_at_model(sym, r):
     return as_dense(acc)
 
 
-def dense_scatter_evaluate_at_model(sym, r):
+def dense_scatter_evaluate_at_model(sym: DictSymbol, r):
     """``sum r^{|s|} A (x) W_left W_right^*`` scattered term by term into a dense array."""
     space = sym.space
     n = space.total_dim
@@ -281,7 +292,7 @@ def dense_factor_pair_tables(space, i):
     tau_ = np.zeros((count, count), dtype=float)
     jid = np.full((count, count), -1, dtype=np.int64)
     letters = [w.letters for w in ws]
-    index = space.factor_index[i]
+    index = RankMap(space.factor_words[i])
     n = space.spec.n[i]
     for x in range(count):
         lx = letters[x]
@@ -654,6 +665,7 @@ def test_pluriharmonic_kernel_matches_entrywise(rng):
     r = 0.6
     gamma = pluriharmonic_kernel(sym, r)
     c = space.coeff_dim
+    coeffs = pair_coefficients(sym)
     for wi in range(space.dim):
         omega = space.multiword_at(wi)
         for gi in range(space.dim):
@@ -663,7 +675,7 @@ def test_pluriharmonic_kernel_matches_entrywise(rng):
                 assert np.abs(block).max() == 0.0
                 continue
             pair = simplify(omega, gw)
-            A = sym.coefficients.get(pair)
+            A = coeffs.get(pair)
             expected = (
                 np.zeros((c, c))
                 if A is None
@@ -838,7 +850,9 @@ def test_monomial_entries_match_pair_structure_oracle():
         pairs = [pair_array_class_pair(ps, c) for c in range(ps.n_classes)]
         pairs.append(beyond_truncation_pair(space, space.spec.k - 1))
         for pair in pairs:
-            keys, vals = space.monomial_entries(pair)
+            # one class, or none for the pair beyond the truncation (class -1), as monomial asks
+            cid = space.class_of(pair)
+            _, keys, vals = space.term_entries([cid] if cid >= 0 else [])
             pos, expected = pair_array_monomial_entries(ps, pair)
             assert np.array_equal(keys, ps.rows[pos] * d + ps.cols[pos])
             assert np.array_equal(vals, expected)
@@ -846,19 +860,17 @@ def test_monomial_entries_match_pair_structure_oracle():
 
 
 def test_term_entries_match_pair_structure_oracle_in_one_call():
-    # every class of the space and a pair beyond the truncation, in one batched call
-    for space in oracle_spaces(np.random.default_rng(7)):
+    # every class of the space, in a shuffled order, in one batched call
+    rng = np.random.default_rng(7)
+    for space in oracle_spaces(rng):
         ps = space.pair_structure()
         d = space.dim
-        pairs = [pair_array_class_pair(ps, c) for c in range(ps.n_classes)]
-        beyond = len(pairs) // 2
-        pairs.insert(beyond, beyond_truncation_pair(space))
-        term, keys, vals = space.term_entries(pairs)
-        for t, pair in enumerate(pairs):
-            pos, expected = pair_array_monomial_entries(ps, pair)
+        classes = rng.permutation(ps.n_classes)
+        term, keys, vals = space.term_entries(classes)
+        for t, c in enumerate(classes):
+            pos, expected = pair_array_monomial_entries(ps, pair_array_class_pair(ps, int(c)))
             assert np.array_equal(keys[term == t], ps.rows[pos] * d + ps.cols[pos])
             assert np.array_equal(vals[term == t], expected)
-        assert not np.any(term == beyond)
 
 
 @settings(max_examples=40, deadline=None)
@@ -997,10 +1009,10 @@ def test_stored_entry_classification_equals_oracles(seed, k, max_n, coeff_dim, k
     # extraction from every kind, under a tolerance no violation exceeds
     report = is_multi_toeplitz(T, tol=math.inf)
     sym = extract_fourier(T, drop_tol=drop_tol, report=report)
-    oracle = FourierSymbol(space, pair_array_extraction(T, E, drop_tol))
-    assert list(sym.coefficients) == list(oracle.coefficients)
-    for pair, A in oracle.coefficients.items():
-        assert sym.coefficients[pair].tobytes() == A.tobytes()
+    oracle = pair_array_extraction(T, E, drop_tol)
+    assert list(pair_coefficients(sym)) == list(oracle)
+    for B, A in zip(sym.coeffs, oracle.values()):
+        assert B.tobytes() == A.tobytes()
 
 
 def test_alternating_sum_matches_dense_oracle(rng):
@@ -1281,17 +1293,20 @@ def test_evaluate_at_model_matches_sparse_sum_oracle(rng):
         beyond = list(parts)
         beyond[-1] = Word((1,) * (space.trunc[-1] + 1), space.spec.n[-1])
         c = space.coeff_dim
-        coeffs = dict(sym.coefficients)
-        coeffs[IndexPair(MultiWord(tuple(parts)), MultiWord(tuple(beyond)))] = np.ones((c, c))
-        for s in (sym, FourierSymbol(space, coeffs), FourierSymbol(space, {})):
+        coeffs = pair_coefficients(sym)
+        with_beyond = dict(coeffs)
+        with_beyond[IndexPair(MultiWord(tuple(parts)), MultiWord(tuple(beyond)))] = np.ones((c, c))
+        empty = FourierSymbol(space, [], np.zeros((0, c, c)))
+        # a term beyond the truncation, which a class-id symbol cannot hold, adds nothing to the oracles
+        for s, words in ((sym, coeffs), (sym, with_beyond), (empty, {})):
             # one batched pass gives the bits of the per-term monomials, at dyadic radii and others
             for r in (0.0, 0.3, 0.5, 0.7, 1.0):
                 got = evaluate_at_model(s, r).matrix
                 assert sp.isspmatrix_csr(got)
                 # the CSR stores no explicit zeros
                 assert np.count_nonzero(got.data) == got.nnz
-                assert np.array_equal(got.toarray(), sparse_sum_evaluate_at_model(s, r))
-                assert np.array_equal(got.toarray(), dense_scatter_evaluate_at_model(s, r))
+                assert np.array_equal(got.toarray(), sparse_sum_evaluate_at_model(DictSymbol(space, words), r))
+                assert np.array_equal(got.toarray(), dense_scatter_evaluate_at_model(DictSymbol(space, words), r))
 
 
 def grading_operators(space, rng):
@@ -1511,7 +1526,8 @@ def test_word_views_match_word_keyed_dicts(rng):
             words = listed_words(n, L)
             weights = dict(zip(words, space.weights.values[i].tolist()))
             ranks = {w: r for r, w in enumerate(words)}
-            table, index, listed = space.weights.tables[i], space.factor_index[i], space.factor_words[i]
+            table, listed = space.weights.tables[i], space.factor_words[i]
+            index = RankMap(listed)
             assert len(table) == len(index) == len(listed) == len(words) == space.factor_dims[i]
             assert list(table.items()) == list(weights.items())
             assert list(index.items()) == list(ranks.items())
@@ -1927,15 +1943,13 @@ def scaled_tuple_random_pure_tuple(spec, rng, dims, shrink=1.0):
 
 
 def per_radius_evaluate_at_model(sym, r):
-    """``evaluate_at_model`` redoing the term entries and the row-major sort at every radius."""
+    """``evaluate_at_model`` redoing the term entries and the row-major sort at every radius, ``r ** |s|`` per pair."""
     space = sym.space
     c, d, n = space.coeff_dim, space.dim, space.total_dim
-    support = sym.support()
-    term, members, fock = space.term_entries(support)
+    term, members, fock = space.term_entries(sym.classes)
     fock_rows, fock_cols = np.divmod(members, d)
-    coeffs = np.array([sym.coefficients[pair] for pair in support], dtype=complex)
-    radial = np.array([r ** pair.total_weight for pair in support], dtype=float)
-    vals = coeffs.reshape(len(support), c * c)[term].T * fock
+    radial = np.array([r ** space.class_pair(int(cid)).total_weight for cid in sym.classes], dtype=float)
+    vals = sym.coeffs.reshape(-1, c * c)[term].T * fock
     vals = radial[term] * vals
     blocks = np.arange(c * c)
     rows = (blocks // c * d)[:, None] + fock_rows[None, :]
@@ -2023,9 +2037,10 @@ def test_polynomial_bisection_matches_scaled_tuple_oracle():
 def test_cached_layout_matches_per_radius_oracle(rng):
     for space in oracle_spaces(rng):
         sym = random_symbol(space, rng, n_monomials=6)
-        # the same support with other coefficients reuses the layout
-        other = FourierSymbol(space, {p: 2.0 * A + 1j for p, A in reversed(sym.coefficients.items())})
-        empty = FourierSymbol(space, {})
+        # the same support with other coefficients builds its own layout
+        other = FourierSymbol(space, sym.classes, 2.0 * sym.coeffs + 1j)
+        empty = FourierSymbol(space, [], np.zeros((0, space.coeff_dim, space.coeff_dim)))
+        layouts = {}
         for s in (sym, other, empty, sym):
             for r in (0.0, 0.3, 0.5, 1.0, 0.3):
                 got = evaluate_at_model(s, r).matrix
@@ -2033,7 +2048,8 @@ def test_cached_layout_matches_per_radius_oracle(rng):
                 assert same_bits(got.indptr, expected.indptr)
                 assert same_bits(got.indices, expected.indices)
                 assert same_bits(got.data, expected.data)
-                assert space.symbol_layout[0] == frozenset(s.coefficients)
+                # built on the symbol's first evaluation and kept on it
+                assert layouts.setdefault(id(s), s._layout) is s._layout
 
 
 def test_one_pass_decomposition_matches_split_oracle(rng):
@@ -2046,3 +2062,70 @@ def test_one_pass_decomposition_matches_split_oracle(rng):
                 for name in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(part.matrix, name), getattr(expected[s], name))
                 assert same_bits(part.matrix.data, expected[s].data)
+
+
+def test_class_id_symbol_matches_the_word_keyed_oracle_bit_for_bit():
+    # the battery's draws: a random spec at truncation 3, coefficient dimension
+    # 1 or 2; the same rng gives the same classes and coefficient bits, and the
+    # evaluation at the model the same CSR, signed zeros included
+    rng = np.random.default_rng(35)
+    for _ in range(16):
+        spec = random_spec(rng)
+        space = FockSpace(spec, (3,) * spec.k, coeff_dim=int(rng.integers(1, 3)))
+        seed = int(rng.integers(2**32))
+        for n_monomials, hermitian in ((5, False), (6, False), (5, True)):
+            sym = random_symbol(space, np.random.default_rng(seed), n_monomials=n_monomials, hermitian=hermitian)
+            old = dict_random_symbol(space, np.random.default_rng(seed), n_monomials=n_monomials, hermitian=hermitian)
+            assert sym.classes.tolist() == sorted(space.class_of(pair) for pair in old.coefficients)
+            for pair, A in pair_coefficients(sym).items():
+                assert same_bits(A, old.coefficients[pair])
+            for r in (0.0, 0.3, 0.5, 0.7, 1.0):
+                got = evaluate_at_model(sym, r).matrix
+                expected = dict_evaluate_at_model(old, r)
+                for name in ("indptr", "indices", "data"):
+                    assert same_bits(getattr(got, name), getattr(expected, name)), (r, name)
+
+
+def test_plus_adjoint_matches_the_word_keyed_hermitian_part_on_signed_zeros(rng):
+    # coefficients of signed zeros and ones, so that the order of the adjoint's
+    # 0 + A^*, the zero fill and the sum shows in the sign bits
+    for space in oracle_spaces(rng):
+        c = space.coeff_dim
+        for _ in range(20):
+            classes = np.sort(rng.choice(space.n_classes, size=min(8, space.n_classes), replace=False))
+            coeffs = np.empty((classes.size, c, c), dtype=complex)
+            coeffs.real = rng.choice([0.0, -0.0, 1.0, -1.0], size=coeffs.shape)
+            coeffs.imag = rng.choice([0.0, -0.0, 1.0, -1.0], size=coeffs.shape)
+            got = pair_coefficients(_plus_adjoint(FourierSymbol(space, classes, coeffs)))
+            old = DictSymbol(space, pair_coefficients(FourierSymbol(space, classes, coeffs))).hermitian_part()
+            expected = {pair: 2.0 * A for pair, A in old.coefficients.items()}
+            assert list(got) == sorted(expected, key=space.class_of)
+            for pair, A in got.items():
+                assert same_bits(A, expected[pair])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+    coeff_dim=st.integers(1, 2),
+    n_monomials=st.integers(1, 40),
+    hermitian=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=[12], coeff_dim=1, n_monomials=40, hermitian=False, seed=0)
+def test_json_round_trip_keeps_ids_and_bits_in_the_render_order(n, coeff_dim, n_monomials, hermitian, seed):
+    # past nine letters the render order is not the rank order: g10 sorts before g2
+    trunc = tuple(2 if ni <= 4 else 1 for ni in n)
+    spec = make_spec(len(n), n, (1,) * len(n), [(i + 1, (j,), 0.5 / ni) for i, ni in enumerate(n) for j in range(1, ni + 1)])
+    space = FockSpace(spec, trunc, coeff_dim=coeff_dim)
+    sym = random_symbol(space, np.random.default_rng(seed), n_monomials=n_monomials, hermitian=hermitian)
+    doc = json.loads(json.dumps(symbol_to_json(sym)))
+
+    def multiword(parts):
+        return MultiWord(tuple(Word(tuple(letters), ni) for letters, ni in zip(parts, n)))
+
+    written = [IndexPair(multiword(term["left"]), multiword(term["right"])) for term in doc["terms"]]
+    assert written == DictSymbol(space, pair_coefficients(sym)).support()
+    back = symbol_from_json(space, doc)
+    assert same_bits(back.classes, sym.classes)
+    assert same_bits(back.coeffs, sym.coeffs)

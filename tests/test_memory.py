@@ -51,7 +51,6 @@ from polytoeplitz.cpmaps import UniversalModel, berezin_kernel, defect, intertwi
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockOperator, FockSpace, monomial
 from polytoeplitz.toeplitz import (
-    FourierSymbol,
     cesaro_reconstruct,
     evaluate_at_model,
     extract_fourier,
@@ -60,7 +59,7 @@ from polytoeplitz.toeplitz import (
 )
 from polytoeplitz.weights import spec_from_json
 
-from oracles import homogeneous_decomposition
+from oracles import homogeneous_decomposition, symbol_of
 
 PEAK_RSS_LIMIT_MB = 400
 # importing the program alone takes about 60 MB; the pair arrays at dim 16129 took 258 MB in all
@@ -171,7 +170,7 @@ def _planted_operator(tmp_path, trunc=5):
 
 
 def _planted_symbol(space):
-    return FourierSymbol(space, {pair: np.array([[a]]) for pair, a in _planted_pairs()})
+    return symbol_of(space, {pair: np.array([[a]]) for pair, a in _planted_pairs()})
 
 
 def _run_child(tmp_path, argv, child=CHILD):
@@ -219,7 +218,7 @@ def test_classification_and_extraction_build_no_pair_structure():
     planted = _planted_matrix(5)
     T = FockOperator(space, planted)
     sym = extract_fourier(T, report=is_multi_toeplitz(T))
-    assert len(sym.coefficients) == len(TERMS)
+    assert sym.classes.size == len(TERMS)
     # g1 and g2 in the first factor are not comparable
     row = space.index_of(_multiword(((1,), ())))
     col = space.index_of(_multiword(((2,), ())))

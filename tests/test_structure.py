@@ -103,8 +103,9 @@ def test_the_cutoff_has_its_readers_and_only_linalg_reads_meminfo():
 def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
     # a CSR is built at a public boundary only: the universal model's word
     # actions compose the creations' triples, the pluriharmonic kernel permutes
-    # the model operator's entries, and the row Gram diagonal sums the map's
-    # terms on factor ranks, so none of them reads a CSR it built
+    # the model operator's entries, the row Gram diagonal sums the map's terms
+    # on factor ranks, and the grading check reads the reconstruction's
+    # entries, so none of them reads a CSR it built
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     readers = {
         (module, where)
@@ -115,7 +116,6 @@ def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
     assert readers == {
         ("brownhalmos.py", "_residual_terms"),
         ("brownhalmos.py", "_in_range_entries"),
-        ("cli.py", "_grading_gap"),
         ("linalg.py", "_spectral_blocks"),
         ("linalg.py", "op_norm"),
         ("linalg.py", "norm_bracket"),
@@ -157,6 +157,30 @@ def test_the_universal_model_is_its_space_and_operator_tuples_are_matrices():
     fields = OperatorTuple.__dataclass_fields__
     assert "model" not in fields and "_action_cache" not in fields
     assert UniversalModel._fields == ("space", "side")
+
+
+def test_a_symbol_is_its_class_ids_and_words_are_made_only_at_the_json_boundary():
+    # inside src/ a reduced pair is its class id: a symbol is (space, classes,
+    # coeffs), its evaluation layout is kept on it, not on the space, and a
+    # pair's words are read or made only where a symbol is read or written as
+    # JSON, and by monomial, which takes a pair
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    symbol = next(
+        node for node in trees["toeplitz.py"].body if isinstance(node, ast.ClassDef) and node.name == "FourierSymbol"
+    )
+    assert [item.target.id for item in symbol.body if isinstance(item, ast.AnnAssign)] == ["space", "classes", "coeffs"]
+    assert "symbol_layout" not in {name for tree in trees.values() for name in _references(tree)}
+
+    def callers(callee):
+        return {
+            (module, where)
+            for module, tree in trees.items()
+            for name, where, _ in _calls(tree)
+            if name.split(".")[-1] == callee
+        }
+
+    assert callers("class_of") <= {("toeplitz.py", "symbol_from_json"), ("model.py", "monomial")}
+    assert callers("class_pair") <= {("toeplitz.py", "symbol_to_json")}
 
 
 def _parameters(tree: ast.AST) -> dict:
@@ -212,6 +236,7 @@ def test_no_module_imports_scipy_linear_algebra_at_load(path):
 # public names no code in src/ reads, each with the reader that keeps it
 UNREAD_EXPORTS = {
     "monomial": "bench/gen.py plants its operators with it",
+    "cesaro_reconstruct": "the windowed means as an operator, for the tests; the battery reads their entries",
     "scalar_kernel": "the RKHS side of the Berezin check (ROADMAP item 4)",
     "truncated_gram_kernel": "the RKHS side of the Berezin check (ROADMAP item 4)",
     "evaluate_at_tuple": "the symbol's free pluriharmonic function at a tuple (ROADMAP item 4)",

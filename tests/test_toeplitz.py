@@ -24,7 +24,7 @@ from polytoeplitz.toeplitz import (
 )
 
 from conftest import fock_identity
-from oracles import homogeneous_decomposition, model_matrices
+from oracles import homogeneous_decomposition, model_matrices, pair_coefficients, symbol_of
 
 
 def random_operator(space, rng):
@@ -242,8 +242,8 @@ class TestExtractFourier:
         space = FockSpace(spec, (2, 2), coeff_dim=2)
         T = fock_identity(space)
         sym = extract_fourier(T, is_multi_toeplitz(T))
-        assert len(sym.coefficients) == 1
-        pair, A = next(iter(sym.coefficients.items()))
+        assert sym.classes.size == 1
+        pair, A = next(iter(pair_coefficients(sym).items()))
         assert pair.left == MultiWord.identity(spec.n)
         assert pair.right == MultiWord.identity(spec.n)
         assert np.abs(A - np.eye(2)).max() == 0.0
@@ -255,8 +255,9 @@ class TestExtractFourier:
         A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         T = monomial(space, pair, A)
         sym = extract_fourier(T, is_multi_toeplitz(T))
-        assert set(sym.coefficients) == {pair}
-        assert np.abs(sym.coefficients[pair] - A).max() < 1e-12
+        coeffs = pair_coefficients(sym)
+        assert set(coeffs) == {pair}
+        assert np.abs(coeffs[pair] - A).max() < 1e-12
 
     def test_random_sum_round_trip(self, rng):
         for _ in range(5):
@@ -265,10 +266,10 @@ class TestExtractFourier:
             sym = random_symbol(space, rng, n_monomials=8)
             T = evaluate_at_model(sym)
             back = extract_fourier(T, is_multi_toeplitz(T))
-            keys = set(sym.coefficients) | set(back.coefficients)
-            for key in keys:
-                a = sym.coefficients.get(key, np.zeros((2, 2)))
-                b = back.coefficients.get(key, np.zeros((2, 2)))
+            a_at, b_at = (dict(zip(s.classes.tolist(), s.coeffs)) for s in (sym, back))
+            for key in set(a_at) | set(b_at):
+                a = a_at.get(key, np.zeros((2, 2)))
+                b = b_at.get(key, np.zeros((2, 2)))
                 assert np.abs(a - b).max() < 1e-12
 
     def test_refuses_non_toeplitz(self, rng):
@@ -290,8 +291,8 @@ class TestExtractFourier:
 class TestEvaluateSymbol:
     def test_identity_everywhere(self, rng, bergman2_spec):
         space = FockSpace(bergman2_spec, (3,), coeff_dim=2)
-        e = MultiWord.identity((1,))
-        sym = FourierSymbol(space, {IndexPair(e, e): np.eye(2)})
+        # class 0 is the identity pair
+        sym = FourierSymbol(space, [0], [np.eye(2)])
         out = evaluate_at_model(sym)
         assert np.abs(out.dense - np.eye(space.total_dim)).max() == 0.0
         X = model_matrices(space)
@@ -302,8 +303,9 @@ class TestEvaluateSymbol:
         spec = random_spec(rng, k=1, max_n=2)
         space = FockSpace(spec, (3,), coeff_dim=2)
         sym = random_symbol(space, rng, n_monomials=6)
-        e = MultiWord.identity(spec.n)
-        const = sym.coefficients[IndexPair(e, e)]
+        # random_symbol always draws class 0, the identity pair
+        assert sym.classes[0] == 0
+        const = sym.coeffs[0]
         out = evaluate_at_model(sym, 0.0)
         expected = np.kron(const, np.eye(space.dim))
         assert np.abs(out.dense - expected).max() < 1e-14
@@ -361,8 +363,8 @@ class TestCesaro:
 class TestPluriharmonicKernel:
     def test_identity_symbol_kernel(self, rng, bergman2_spec):
         space = FockSpace(bergman2_spec, (3,), coeff_dim=2)
-        e = MultiWord.identity((1,))
-        sym = FourierSymbol(space, {IndexPair(e, e): np.eye(2)})
+        # class 0 is the identity pair
+        sym = FourierSymbol(space, [0], [np.eye(2)])
         gamma = pluriharmonic_kernel(sym, 0.5)
         ok, _ = psd_check(gamma, 1e-12)
         assert ok
@@ -389,7 +391,7 @@ class TestPluriharmonicKernel:
         r = 0.9
 
         def verdict_kernel(c):
-            sym = FourierSymbol(
+            sym = symbol_of(
                 space,
                 {
                     IndexPair(MultiWord((e,)), MultiWord((e,))): np.eye(1),
@@ -435,9 +437,8 @@ class TestSymbolJson:
         sym = random_symbol(space, rng, n_monomials=6)
         doc = symbol_to_json(sym)
         back = symbol_from_json(space, doc)
-        assert set(back.coefficients) == set(sym.coefficients)
-        for key, A in sym.coefficients.items():
-            assert np.abs(back.coefficients[key] - A).max() == 0.0
+        assert np.array_equal(back.classes, sym.classes)
+        assert np.abs(back.coeffs - sym.coeffs).max() == 0.0
 
     def test_dimension_guard(self, rng, bergman2_spec):
         space = FockSpace(bergman2_spec, (2,))
