@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .errors import DimensionMismatch, SpecError
@@ -27,16 +26,18 @@ __all__ = [
 ]
 
 
-def build_row(space: FockSpace, i: int) -> sp.csr_matrix:
-    """The factor-``i`` row contraction ``C = [sqrt(a at reverse(alpha)) Lambda_alpha ...]`` on ``space``, as CSR.
+def build_row(space: FockSpace, i: int) -> linalg.Entries:
+    """The factor-``i`` row contraction ``C = [sqrt(a at reverse(alpha)) Lambda_alpha ...]`` on ``space``, as stored entries.
 
     ``alpha`` runs over the reversal of the coefficient support in
     graded-lexicographic order, and ``Lambda_alpha`` is the right creation by
     ``alpha`` on the coefficient-ampliated space, so ``C`` has shape
     ``(n, n * len(gamma))`` with ``n = space.total_dim`` and column block ``g``
-    is ``C[:, g*n:(g+1)*n]``.  ``C C^*`` is the reversed-series completely
-    positive map applied to the identity, a diagonal; the row-contraction
-    bound ``||CC*|| <= 1`` is verified on it up to ``1e-9``.
+    is ``C[:, g*n:(g+1)*n]``: each block's keys move by the block's column
+    offset.  Each column holds at most one entry, as a creation moves one
+    basis vector.  ``C C^*`` is the reversed-series completely positive map
+    applied to the identity, a diagonal; the row-contraction bound ``||CC*||
+    <= 1`` is verified on it up to ``1e-9``.
     """
     spec = space.spec
     if not 0 <= i < spec.k:
@@ -46,9 +47,16 @@ def build_row(space: FockSpace, i: int) -> sp.csr_matrix:
         raise SpecError(f"row is not a contraction: ||CC*|| = {top:.6f}")
     support = {reverse(w): a for w, a in spec.coeffs[i].items() if a != 0.0}
     gamma = sorted(support, key=lambda w: (len(w), w.letters))
-    return sp.csr_matrix(
-        sp.hstack([math.sqrt(support[alpha]) * space.creation_product(i, alpha, side="right") for alpha in gamma])
-    )
+    n = space.total_dim
+    keys, vals = [], []
+    for g, alpha in enumerate(gamma):
+        block = space.creation_product(i, alpha, side="right")
+        rows, cols = np.divmod(block.keys, n)
+        keys.append(rows * (n * len(gamma)) + g * n + cols)
+        vals.append(block.vals * math.sqrt(support[alpha]))
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    return linalg.Entries(keys[order], np.concatenate(vals)[order], (n, n * len(gamma)))
 
 
 def _conjugate_entries(action: Action, d_i: int, places, keys, digits, a: float, vals) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +126,34 @@ def range_projection(space: FockSpace, i: int) -> np.ndarray:
     return np.diag(np.tile((degs[:, i] > 0).astype(complex), space.coeff_dim))
 
 
-def cauchy_dual_projection(C: sp.csr_matrix) -> np.ndarray:
+def _product_entries(keys: np.ndarray, vals: np.ndarray, inner: int, right: linalg.Entries):
+    """The entries of ``A @ right`` as scipy's CSR product leaves them, for ``A`` with ``inner`` columns.
+
+    ``A`` is given by its row-major ``keys`` (``row * inner + col``) and
+    ``vals`` in stored order: row by row, a row's entries in any order.
+    Each ``A[i, j]`` meets row ``j`` of ``right`` in key order; an output
+    entry is summed from zero in the order its terms are formed, and dropped
+    when the sum is zero; a row's entries come last formed first, as
+    ``csr_matmat`` leaves them.  Returns the output's row-major ``(keys,
+    vals)`` in that order.
+    """
+    width = right.shape[1]
+    rows, cols = np.divmod(keys, inner)
+    starts = np.searchsorted(right.keys, np.arange(right.shape[0] + 1) * width)
+    count = starts[cols + 1] - starts[cols]
+    left = np.repeat(np.arange(keys.size), count)
+    at = np.arange(left.size) - np.repeat(np.cumsum(count) - count - starts[cols], count)
+    # the terms in the order they are formed, each output entry's summed in
+    # that order; 0 + the sum from its first term is the sum from zero
+    out, total, first = linalg.sum_by_key(rows[left] * width + right.keys[at] % width, vals[left] * right.vals[at])
+    total = 0 + total
+    # by row, each row's entries by their first term, the last formed first
+    placed = np.lexsort((-first, out // width))
+    placed = placed[total[placed] != 0]
+    return out[placed], total[placed]
+
+
+def cauchy_dual_projection(C: linalg.Entries) -> np.ndarray:
     """``C (C*C)^{-1} C^*``, the orthogonal projection onto the range of the row ``C``.
 
     The inverse is the Hermitian pseudo-inverse of ``C*C`` on its range at
@@ -126,11 +161,25 @@ def cauchy_dual_projection(C: sp.csr_matrix) -> np.ndarray:
     :class:`NumericalRankError`.  Each column of ``C`` moves one basis
     vector, so ``C*C`` is block diagonal by target vector, each block rank
     one and at most ``C.shape[1] // C.shape[0]`` wide; the Gram matrix, its
-    pseudo-inverse and the dual ``C (C*C)^{-1}`` stay sparse, and only the
-    returned ``(dim, dim)`` projection is dense.
+    pseudo-inverse and the dual ``C (C*C)^{-1}`` stay stored entries, and
+    only the returned ``(dim, dim)`` projection is dense.  The three products
+    are formed as scipy's sparse products form them (:func:`_product_entries`),
+    ``C*C`` as the transpose of ``C^T conj(C)`` with the rows of ``C^T`` in
+    key order, so each sum runs in their order (``notes/decisions.md``, "No
+    scipy below the cutoff").
     """
-    dual = C @ linalg.pinv_on_range(C.conj().T @ C, rank_tol=1e-10)
-    return linalg.as_dense(dual @ C.conj().T)
+    n, width = C.shape
+    rows, cols = np.divmod(C.keys, width)
+    by_column = np.lexsort((rows, cols))
+    conj = linalg.Entries(C.keys, C.vals.conj(), C.shape)
+    keys, vals = _product_entries(cols[by_column] * n + rows[by_column], C.vals[by_column], n, conj)
+    keys = keys % width * width + keys // width
+    order = np.argsort(keys)
+    P = linalg.pinv_on_range(linalg.Entries(keys[order], vals[order], (width, width)), rank_tol=1e-10)
+    dual = _product_entries(C.keys, C.vals, width, P)
+    keys, vals = _product_entries(*dual, width, linalg.adjoint(C))
+    order = np.argsort(keys)
+    return linalg.as_dense(linalg.Entries(keys[order], vals[order], (n, n)))
 
 
 def _row_gram_diagonal(space: FockSpace, i: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.random import default_rng
 
 from . import linalg
 from .brownhalmos import (
@@ -179,7 +179,7 @@ def _load_operator(space: FockSpace, path: str) -> FockOperator:
         raise DimensionMismatch(
             f"operator shape {mat.shape} does not match space dimension {space.total_dim}"
         )
-    return FockOperator(space, mat.tocsr())
+    return FockOperator(space, mat)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -191,7 +191,7 @@ def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = _load_spec(cfg.spec_path)
     trunc = _broadcast_trunc(cfg.trunc, spec.k)
     table = build_weight_table(spec, trunc)
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
 
     oracle_worst = 0.0
     oracle_count = 0
@@ -560,8 +560,7 @@ def _check_toeplitz_roundtrip(rng: np.random.Generator, trunc_degree: int) -> li
         bad = np.flatnonzero(bad)
         if len(bad):
             row, col = divmod(int(bad[rng.integers(len(bad))]), d)
-            spoil = sp.csr_matrix(([1e-3], ([row], [col])), shape=T.matrix.shape)
-            spoiled = is_multi_toeplitz(FockOperator(space, T.matrix + spoil), tol=1e-10)
+            spoiled = is_multi_toeplitz(_spoiled(T, row, col), tol=1e-10)
             detected = detected and not spoiled.verdict
             if spoiled.worst_pair is not None:
                 last_flagged = [w.render() for w in spoiled.worst_pair]
@@ -572,16 +571,23 @@ def _check_toeplitz_roundtrip(rng: np.random.Generator, trunc_degree: int) -> li
     ]
 
 
+def _spoiled(T: FockOperator, row: int, col: int) -> FockOperator:
+    """``T`` plus ``1e-3`` at ``(row, col)``, summed from zero; as in scipy's sparse sum, an entry summing to zero goes."""
+    spoil = (np.array([row * T.matrix.shape[1] + col]), np.array([1e-3 + 0j]))
+    keys, vals = accumulate_entries([(T.matrix.keys, T.matrix.vals), spoil])
+    kept = vals != 0
+    return FockOperator(T.space, linalg.Entries(keys[kept], vals[kept], T.matrix.shape))
+
+
 # cells of the draw the grading check grades at a time: one block of whole rows
 _GRADING_BLOCK_CELLS = 2**14
 
 
-def _stored_block(B: np.ndarray, row: int, col: int, n: int) -> sp.csr_matrix:
-    """The ``(n, n)`` CSR storing every entry of the C-ordered ``B`` with its corner at ``(row, col)``, sharing its memory."""
+def _stored_block(B: np.ndarray, row: int, col: int, n: int) -> linalg.Entries:
+    """The ``(n, n)`` matrix storing every entry of the C-ordered ``B`` with its corner at ``(row, col)``, sharing its memory."""
     h, w = B.shape
-    cols = np.tile(np.arange(col, col + w, dtype=np.int32), h)
-    indptr = np.clip(np.arange(n + 1, dtype=np.int32) - row, 0, h) * np.int32(w)
-    return sp.csr_matrix((B.reshape(-1), cols, indptr), shape=(n, n))
+    keys = (np.arange(row, row + h)[:, None] * n + np.arange(col, col + w)).ravel()
+    return linalg.Entries(keys, B.reshape(-1), (n, n))
 
 
 def _residual_max(M: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> float:
@@ -608,14 +614,17 @@ def _grading_gap(space: FockSpace, rng: np.random.Generator) -> float:
     block.
     """
     n = space.total_dim
-    # the values of standard_normal + 1j * standard_normal, written in place
+    height = max(1, _GRADING_BLOCK_CELLS // n)
+    # the values of standard_normal + 1j * standard_normal, written in place a
+    # block of rows at a time: the generator fills C order, so the bits are
+    # those of the whole draw
     M = np.empty((n, n), dtype=complex)
-    M.real = rng.standard_normal((n, n))
-    M.imag = rng.standard_normal((n, n))
+    for part in (M.real, M.imag):
+        for a in range(0, n, height):
+            part[a : a + height] = rng.standard_normal((min(height, n - a), n))
     # entry (r, c, v) of the degree -s part of T* is entry (c, r, conj v) of the
     # degree s part of T, and code(-s) = n_codes - 1 - code(s)
     n_codes = int(np.prod([2 * L + 1 for L in space.trunc]))
-    height = max(1, _GRADING_BLOCK_CELLS // n)
     worst = 0.0
     for a in range(0, n, height):
         rows = M[a : a + height]
@@ -742,7 +751,7 @@ def run_verify_battery(seed: int, trunc_degree: int = 4) -> dict:
     A check that raises fails by name with what it raised (traceback to stderr)
     and the others still run; a ``MemoryError`` is no verdict (exit 3).
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     checks = []
     for run in _BATTERY:
         try:

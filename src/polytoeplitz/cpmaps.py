@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .errors import DimensionMismatch, SpecError
@@ -37,15 +36,12 @@ __all__ = [
     "random_pure_tuple",
 ]
 
-Matrix = Union[np.ndarray, sp.spmatrix]
-
-
 @dataclass
 class OperatorTuple:
     """A point of (a candidate for) the polydomain on a concrete Hilbert space, as matrices."""
 
     spec: PolydomainSpec
-    ops: tuple[tuple[Matrix, ...], ...]
+    ops: tuple[tuple[np.ndarray, ...], ...]
     dim_h: int
     commutation_checked: bool = False
     _kraus_cache: dict = field(default_factory=dict, repr=False)

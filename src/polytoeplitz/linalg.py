@@ -1,9 +1,10 @@
 """Shared numerical kernels: the stored-entry format, Hermitian eigenwork, norms, PSD tests, matrix I/O.
 
 Everything here is deterministic; verdict paths never use randomized
-initialization.  Every layer reads a matrix's entries with
-:func:`stored_entries` (sorted distinct row-major keys and complex values)
-and writes them back as CSR with :func:`entries_matrix`;
+initialization.  A sparse matrix is its stored entries, an :class:`Entries`
+(sorted distinct row-major keys, complex values and a shape); every layer
+reads a matrix's entries with :func:`stored_entries`, which also reads a
+dense array and any foreign sparse matrix through its own ``tocoo()``, and
 :func:`sorted_unique` and :func:`lookup` are the key arithmetic between.  A
 non-finite entry gives NaN without a solver call.  The operators the checks
 compare split, after a permutation, into many small blocks, and
@@ -18,8 +19,9 @@ with ``MemoryError`` past the dense cutoff, before any block is built,
 stacks that may not fit in ``MemAvailable``; there :func:`op_norm` runs one
 Lanczos iteration on the whole operator, and :func:`norm_bracket` bounds a
 norm from both sides from one pass over the stored entries.  Lanczos is the
-one reader of ``scipy.sparse.linalg`` and imports it on its first call, so
-a run that stays below the cutoff loads no scipy linear-algebra module.
+one reader of scipy here and imports it on its first call, so a run that
+stays below the cutoff loads no scipy module (``notes/decisions.md``, "No
+scipy below the cutoff").
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from dataclasses import dataclass
 from typing import IO, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DimensionMismatch, NumericalRankError, SpecError
 
 __all__ = [
+    "Entries",
     "as_dense",
     "adjoint",
     "hermitize",
@@ -47,8 +50,6 @@ __all__ = [
     "load_matrix",
 ]
 
-MatrixLike = Union[np.ndarray, sp.spmatrix]
-
 # past this side op_norm runs Lanczos and the block stacks are counted against MemAvailable
 _DENSE_NORM_CUTOFF = 600
 # a matrix with a side no longer than this is one spectral block, its dense array
@@ -58,16 +59,56 @@ _LOAD_BLOCK = 512
 _ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("re", float), ("im", float)])
 
 
+# -- the stored-entry format ---------------------------------------------------
+# Every layer reads and writes a matrix's entries one way: sorted, distinct
+# int64 row-major keys ``row * ncols + col`` with complex values in that order.
+
+
+@dataclass(frozen=True, eq=False)
+class Entries:
+    """A sparse matrix of ``shape``: complex ``vals`` at the sorted distinct int64 row-major ``keys``.
+
+    Explicit zeros are entries like any other.  The arrays are not copied
+    in or out: no reader writes to them.
+    """
+
+    keys: np.ndarray
+    vals: np.ndarray
+    shape: Tuple[int, int]
+
+
+# a dense array, or the stored entries of a sparse one; every reader here
+# also takes a foreign sparse matrix (one with a ``tocoo()``), via _operand
+MatrixLike = Union[np.ndarray, Entries]
+
+
+def _operand(mat) -> MatrixLike:
+    """``mat`` as an array or an :class:`Entries`: a foreign sparse matrix is read into its stored entries."""
+    if isinstance(mat, Entries):
+        return mat
+    if hasattr(mat, "tocoo"):
+        return Entries(*stored_entries(mat), mat.shape)
+    return np.asarray(mat)
+
+
 def as_dense(mat: MatrixLike) -> np.ndarray:
-    if sp.issparse(mat):
-        return np.asarray(mat.todense(), dtype=complex)
-    return np.asarray(mat, dtype=complex)
+    """``mat`` as a complex array; stored entries are added to zeros, so ``-0.0`` reads ``0.0``."""
+    mat = _operand(mat)
+    if not isinstance(mat, Entries):
+        return np.asarray(mat, dtype=complex)
+    out = np.zeros(mat.shape[0] * mat.shape[1], dtype=complex)
+    out[mat.keys] += mat.vals
+    return out.reshape(mat.shape)
 
 
 def adjoint(mat: MatrixLike) -> MatrixLike:
-    if sp.issparse(mat):
-        return mat.conj().T
-    return np.conj(mat).T
+    mat = _operand(mat)
+    if not isinstance(mat, Entries):
+        return np.conj(mat).T
+    rows, cols = np.divmod(mat.keys, mat.shape[1])
+    moved = cols * mat.shape[0] + rows
+    order = np.argsort(moved)
+    return Entries(moved[order], mat.vals[order].conj(), mat.shape[::-1])
 
 
 def hermitize(mat: MatrixLike) -> np.ndarray:
@@ -82,42 +123,48 @@ def strict_max(*values: float) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-# -- the stored-entry format ---------------------------------------------------
-# Every layer reads and writes a matrix's entries one way: sorted, distinct
-# int64 row-major keys ``row * ncols + col`` with complex values in that order,
-# which is the order of the entries of a canonical CSR matrix.
-
-
 def stored_entries(mat: MatrixLike) -> Tuple[np.ndarray, np.ndarray]:
     """The entries of ``mat`` as sorted distinct row-major keys ``row * ncols + col`` and complex values.
 
-    A sparse input gives its stored entries, duplicates summed and explicit
-    zeros kept, and is never densified; a dense input gives its nonzero
-    entries.  The values of a complex canonical CSR input are its own data,
-    not a copy: callers do not write to them.
+    An :class:`Entries` gives its own arrays, not copies: callers do not
+    write to them.  A foreign sparse matrix gives its stored entries, read
+    through its own ``tocoo()``, with duplicates summed in order
+    (:func:`sum_by_key`) and explicit zeros kept, and is never densified; a
+    dense input gives its nonzero entries.
     """
-    if not sp.issparse(mat):
-        flat = np.asarray(mat).ravel()
-        keys = np.flatnonzero(flat)
-        return keys, flat[keys].astype(complex, copy=False)
-    if mat.format == "csr" and mat.has_canonical_format:
-        # already in key order: read off the row pointers, with no scipy object built
-        starts = np.repeat(np.arange(mat.shape[0], dtype=np.int64) * mat.shape[1], np.diff(mat.indptr))
-        return starts + mat.indices, mat.data.astype(complex, copy=False)
-    coo = sp.coo_matrix(mat)
-    coo.sum_duplicates()
-    return coo.row.astype(np.int64) * mat.shape[1] + coo.col, coo.data.astype(complex)
+    if isinstance(mat, Entries):
+        return mat.keys, mat.vals
+    if hasattr(mat, "tocoo"):
+        coo = mat.tocoo()
+        keys, vals, _ = sum_by_key(coo.row.astype(np.int64) * mat.shape[1] + coo.col, coo.data.astype(complex))
+        return keys, vals
+    flat = np.asarray(mat).ravel()
+    keys = np.flatnonzero(flat)
+    return keys, flat[keys].astype(complex, copy=False)
 
 
-def entries_matrix(keys: np.ndarray, vals: np.ndarray, shape: Tuple[int, int]) -> sp.csr_matrix:
-    """The CSR matrix of ``shape`` with ``vals`` at the sorted distinct row-major ``keys``.
+def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct ``keys`` ascending, the sum of each one's ``vals`` in the order given, and where each first occurs.
 
-    Its row pointers are counted by one search of the row starts in the keys.
+    A key's first value is its start and the others are added one at a
+    time, as scipy sums a CSR matrix's duplicates; a sum of zero is kept.
+    Keys already distinct and ascending come back with their own values.
     """
-    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
-    # the index type scipy picks, given up front so it need not scan the arrays
-    index = index_dtype(max(*shape, keys.size))
-    return sp.csr_matrix((vals, (keys % shape[1]).astype(index), indptr.astype(index)), shape=shape)
+    if np.all(keys[1:] > keys[:-1]):
+        return keys, vals, np.arange(keys.size)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    start = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    rank = np.arange(keys.size) - start[group]
+    total = vals[order[start]]
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        at = rank == r
+        with np.errstate(over="ignore"):  # a sum past the largest double is inf, as in scipy's
+            total[group[at]] += vals[order[at]]
+    return keys[start], total, order[start]
 
 
 def index_dtype(bound: int) -> type:
@@ -183,8 +230,8 @@ def _spectral_blocks(mat: MatrixLike, hermitian: bool):
         if hermitian:
             m = hermitize(mat)
         else:
-            m = as_dense(mat) if sp.issparse(mat) else np.asarray(mat)
-        # + 0 turns -0.0 into 0.0, which LAPACK reads alike in a dense array and its CSR copy
+            m = as_dense(mat) if isinstance(mat, Entries) else mat
+        # + 0 turns -0.0 into 0.0, which LAPACK reads alike in a dense array and its stored entries
         return [(m[None] + 0, np.arange(n_r)[None], np.arange(n_c)[None])]
     keys, vals = stored_entries(mat)
     if hermitian:
@@ -242,7 +289,7 @@ def _blocks(
     entry_shape = shape_id[row_label[rows]]
     # the rows (columns) sorted by label, each block's in their original order
     sorted_r, sorted_c = shape_id[row_label[order_r]], shape_id[col_label[order_c]]
-    for sid in np.unique(shape_id[shape_id >= 0]):
+    for sid in sorted_unique(shape_id[shape_id >= 0]):
         members = np.flatnonzero(shape_id == sid)
         slot = np.empty(n_blocks, dtype=np.int64)
         slot[members] = np.arange(members.size)
@@ -292,8 +339,8 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _finite(mat: MatrixLike) -> bool:
-    """Whether every entry (every stored entry of a sparse input) is finite."""
-    data = mat.data if sp.issparse(mat) else mat
+    """Whether every entry (every stored entry of an :class:`Entries`) is finite."""
+    data = mat.vals if isinstance(mat, Entries) else mat
     return bool(np.isfinite(data).all())
 
 
@@ -307,9 +354,8 @@ def psd_check(mat: MatrixLike, tol: float = 1e-9) -> Tuple[bool, float]:
     (:func:`_spectral_blocks`) at every size, one batched ``eigvalsh`` per
     block shape; a row with no nonzero entry is a block, eigenvalue 0.
     """
-    if not sp.issparse(mat):
-        mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat = _operand(mat)
+    if len(mat.shape) != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {mat.shape}")
     if not _finite(mat):
         return False, math.nan
@@ -332,27 +378,34 @@ def op_norm(mat: MatrixLike) -> float:
     (the rows and columns split into the connected components of the
     bipartite graph of the nonzero entries), one batched ``svd`` per block
     shape.  Past the cutoff every other input takes one path, so the result
-    does not depend on how the operator is stored: convert to CSR, answer the
-    zero matrix directly (Lanczos cannot start from it), give a matrix whose
-    stored entries all sit on the diagonal its exact norm, the largest entry
-    modulus, and run Lanczos (``svds`` from the all-ones vector) otherwise.
+    does not depend on how the operator is stored: read its stored entries,
+    answer the zero matrix directly (Lanczos cannot start from it), give a
+    matrix whose stored entries all sit on the diagonal its exact norm, the
+    largest entry modulus, and run Lanczos (``svds`` from the all-ones
+    vector) on their complex CSR matrix otherwise.
     """
+    mat = _operand(mat)
     if not _finite(mat):
         return math.nan
     if not _past_cutoff(mat.shape):
         stacks = _spectral_blocks(mat, hermitian=False)
         return max((float(np.linalg.svd(s, compute_uv=False).max(initial=0.0)) for s, _, _ in stacks), default=0.0)
-    csr = sp.csr_matrix(mat)
-    keys, vals = stored_entries(csr)
+    keys, vals = stored_entries(mat)
     if not vals.any():
         return 0.0
     rows, cols = np.divmod(keys, mat.shape[1])
     if np.array_equal(rows, cols):
         return float(np.abs(vals).max())
-    from scipy.sparse.linalg import svds  # its one reader: below the cutoff no run loads it
+    # Lanczos is scipy's, imported where it runs: no run below the cutoff loads scipy
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import svds
 
+    # the row pointers by one search of the row starts in the keys, the index type scipy picks given up front
+    indptr = np.searchsorted(keys, np.arange(mat.shape[0] + 1) * mat.shape[1])
+    index = index_dtype(max(*mat.shape, keys.size))
+    csr = sp.csr_matrix((vals, cols.astype(index), indptr.astype(index)), shape=mat.shape)
     v0 = np.ones(min(mat.shape))
-    s = svds(csr.astype(complex), k=1, v0=v0, return_singular_vectors=False)
+    s = svds(csr, k=1, v0=v0, return_singular_vectors=False)
     return float(s[0])
 
 
@@ -410,7 +463,7 @@ def herm_sqrt(mat: MatrixLike, tol: float = 1e-9) -> np.ndarray:
     return (vecs * np.sqrt(clipped)) @ vecs.conj().T
 
 
-def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> sp.csr_matrix:
+def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> Entries:
     """Pseudo-inverse of a Hermitian PSD matrix, restricted to its range.
 
     Eigenvalues <= ``rank_tol * lambda_max`` count as kernel.  An eigenvalue
@@ -422,12 +475,11 @@ def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> sp.csr_matrix:
     row with no nonzero entry is a 1x1 block with the eigenvalue 0.  Each
     block shape takes one batched ``eigh``.  ``lambda_max``, the cutoff
     and the ambiguity rule run over the eigenvalues of all blocks, and the
-    pseudo-inverse is assembled block by block as a complex CSR matrix,
-    whatever the input's storage.
+    pseudo-inverse is assembled block by block as stored entries, whatever
+    the input's storage.
     """
-    if not sp.issparse(mat):
-        mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat = _operand(mat)
+    if len(mat.shape) != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {mat.shape}")
     n = mat.shape[0]
     if not _finite(mat):
@@ -453,24 +505,24 @@ def pinv_on_range(mat: MatrixLike, rank_tol: float = 1e-12) -> sp.csr_matrix:
                 vals.append(block.ravel())
     keys, vals = np.concatenate(keys), np.concatenate(vals)
     order = np.argsort(keys)
-    return entries_matrix(keys[order], vals[order], (n, n))
+    return Entries(keys[order], vals[order], (n, n))
 
 
 def save_matrix(fh: IO[str], mat: MatrixLike) -> None:
     """Write the coordinate text format: header ``rows cols nnz``, lines ``row col re im``.
 
     Indices are 0-based; values carry 17 significant digits so a round-trip
-    is lossless in double precision.
+    is lossless in double precision.  The lines are the :func:`stored_entries`
+    of ``mat``, in key order.
     """
-    coo = sp.coo_matrix(mat)
-    coo.sum_duplicates()
-    fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        v = complex(v)
+    keys, vals = stored_entries(mat)
+    rows, cols = np.divmod(keys, mat.shape[1])
+    fh.write(f"{mat.shape[0]} {mat.shape[1]} {keys.size}\n")
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
         fh.write(f"{r} {c} {v.real:.17g} {v.imag:.17g}\n")
 
 
-def load_matrix(fh: IO[str]) -> sp.coo_matrix:
+def load_matrix(fh: IO[str]) -> Entries:
     """Read the coordinate text format written by :func:`save_matrix`.
 
     Entry lines are parsed a block at a time by one ``np.loadtxt`` call, with
@@ -479,7 +531,9 @@ def load_matrix(fh: IO[str]) -> sp.coo_matrix:
     then: a missing line, or one without exactly four fields, raises
     :class:`DimensionMismatch` with its line number, anything else the
     parser's ``ValueError``.  Raises :class:`SpecError` on a NaN or infinite
-    value, including one that overflows to infinity when parsed.
+    value, including one that overflows to infinity when parsed.  A
+    ``(row, col)`` given on several lines holds their sum, added in file
+    order (:func:`sum_by_key`); explicit zeros are kept.
     """
     header = fh.readline().split()
     if len(header) != 3:
@@ -514,7 +568,8 @@ def load_matrix(fh: IO[str]) -> sp.coo_matrix:
     bad = np.flatnonzero(~np.isfinite(vv))
     if bad.size:
         raise SpecError(f"matrix file: non-finite value {vv[bad[0]]} on line {bad[0] + 2}")
-    return sp.coo_matrix((vv, (rr, cc)), shape=(rows, cols))
+    keys, vals, _ = sum_by_key(rr * cols + cc, vv)
+    return Entries(keys, vals, (rows, cols))
 
 
 def _check_entry_lines(lines: list[str], count: int, start: int) -> None:

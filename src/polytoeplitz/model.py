@@ -16,10 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .errors import DimensionMismatch, SpecError, TruncationError
@@ -185,14 +184,14 @@ class FockSpace:
             self._word_cache[key] = (src, dst, vals)
         return self._word_cache[key]
 
-    def creation_product(self, i: int, word: Word, side: str = "left") -> sp.csr_matrix:
-        """The creation of :meth:`creation_action` as CSR on ``K (x) Fock``, the one lift over :meth:`split`."""
+    def creation_product(self, i: int, word: Word, side: str = "left") -> linalg.Entries:
+        """The creation of :meth:`creation_action` as stored entries on ``K (x) Fock``, the one lift over :meth:`split`."""
         src, dst, vals = self.creation_action(i, word, side)
         before, d_i, after = self.split(i)
         n = self.total_dim
         base = np.arange(before)[:, None, None] * (d_i * after) + np.arange(after)
         keys = (base + dst[:, None] * after) * n + (base + src[:, None] * after)
-        return linalg.entries_matrix(keys.ravel(), np.broadcast_to(vals[:, None], keys.shape).flatten(), (n, n))
+        return linalg.Entries(keys.ravel(), np.broadcast_to(vals[:, None], keys.shape).flatten(), (n, n))
 
     # -- comparability structure --------------------------------------------
 
@@ -447,7 +446,7 @@ class FockOperator:
     """An operator on ``K (x) Fock`` with basis bookkeeping attached."""
 
     space: FockSpace
-    matrix: Union[np.ndarray, sp.spmatrix]
+    matrix: linalg.MatrixLike
 
     def __post_init__(self) -> None:
         n = self.space.total_dim
@@ -645,20 +644,24 @@ def weighted_right_creation(space: FockSpace, i: int, j: int) -> FockOperator:
 
 
 def monomial(space: FockSpace, pair: IndexPair, coefficient: np.ndarray) -> FockOperator:
-    """The elementary operator ``A (x) W_left W_right^*`` for a reduced pair, as CSR.
+    """The elementary operator ``A (x) W_left W_right^*`` for a reduced pair, as scipy's CSR.
 
     The Fock part is :meth:`FockSpace.term_entries` of the pair's class: it
     is supported on the class's members, in row-major order.  The coefficient
     enters as ``A[0, 0] * fock``, or ``kron(A, fock)`` when ``coeff_dim > 1``.
     A pair with a word beyond the truncation (class -1) gives the zero operator.
+    Its one reader, ``bench/gen.py``, adds the terms with scipy's ``+``, so
+    scipy is imported here, where it runs; no command calls this.
     """
+    import scipy.sparse as sp
+
     A = np.atleast_2d(np.asarray(coefficient, dtype=complex))
     c = space.coeff_dim
     if A.shape != (c, c):
         raise DimensionMismatch(f"coefficient shape {A.shape} does not match ({c}, {c})")
     cid = space.class_of(pair)
     _, keys, vals = space.term_entries(np.array([cid] if cid >= 0 else [], dtype=np.int64))
-    fock = linalg.entries_matrix(keys, vals, (space.dim, space.dim))
+    fock = sp.csr_matrix((vals, np.divmod(keys, space.dim)), shape=(space.dim, space.dim))
     if c == 1:
         mat = complex(A[0, 0]) * fock
     else:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .cpmaps import OperatorTuple
@@ -117,7 +116,7 @@ def _plus_adjoint(sym: FourierSymbol) -> FourierSymbol:
         count = space.factor_dims[i]
         # (q, e) at digit q goes to (e, q) at digit count + q - 1, and back; (e, e) is digit 0 both ways
         swapped = swapped * (2 * count - 1) + np.where(row_long & (quot > 0), count + quot - 1, quot)
-    classes = np.union1d(sym.classes, swapped)
+    classes = linalg.sorted_unique(np.concatenate([sym.classes, swapped]))
     own, adjoint = np.zeros((2, classes.size, c, c), dtype=complex)
     own[np.searchsorted(classes, sym.classes)] = sym.coeffs
     adjoint[np.searchsorted(classes, swapped)] = 0 + sym.coeffs.conj().transpose(0, 2, 1)
@@ -398,7 +397,7 @@ def _model_entries(sym: FourierSymbol, r: float) -> tuple[np.ndarray, np.ndarray
 
 
 def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
-    """The operator ``sum r^{|s|} A (x) W_left W_right^*`` on the symbol's space, as CSR.
+    """The operator ``sum r^{|s|} A (x) W_left W_right^*`` on the symbol's space, as stored entries.
 
     Distinct reduced pairs have disjoint supports (every comparable basis pair
     reduces to one pair), so the terms' entries are gathered, not added.  The
@@ -412,7 +411,7 @@ def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     their order.  Exact zeros are dropped.
     """
     shape = (sym.space.total_dim,) * 2
-    return FockOperator(sym.space, linalg.entries_matrix(*_model_entries(sym, r), shape))
+    return FockOperator(sym.space, linalg.Entries(*_model_entries(sym, r), shape))
 
 
 def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
@@ -438,7 +437,7 @@ def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
 def cesaro_reconstruct(
     T: FockOperator, N: Sequence[int], fejer_weights: bool = True
 ) -> FockOperator:
-    """Windowed sum of homogeneous parts with per-factor cutoffs ``N >= 0``, as CSR.
+    """Windowed sum of homogeneous parts with per-factor cutoffs ``N >= 0``, as stored entries.
 
     With ``fejer_weights`` the degree-``s`` part enters with weight
     ``prod_i (1 - |s_i|/(N_i + 1))`` on ``|s_i| <= N_i``; these means converge
@@ -450,7 +449,7 @@ def cesaro_reconstruct(
     encoded degree gap, the factors multiplied in factor order, and gathered
     by each stored entry's code; entries of weight zero are dropped.
     """
-    return FockOperator(T.space, linalg.entries_matrix(*_cesaro_entries(T, N, fejer_weights), T.matrix.shape))
+    return FockOperator(T.space, linalg.Entries(*_cesaro_entries(T, N, fejer_weights), T.matrix.shape))
 
 
 def _cesaro_entries(T: FockOperator, N: Sequence[int], fejer_weights: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -478,15 +477,15 @@ def _cesaro_entries(T: FockOperator, N: Sequence[int], fejer_weights: bool) -> t
     return keys[kept], vals
 
 
-def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> sp.csr_matrix:
-    """The structured kernel of a symbol at radius ``r``, as CSR.
+def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> linalg.Entries:
+    """The structured kernel of a symbol at radius ``r``, as stored entries.
 
     Block entry at a comparable basis pair ``(w, g)`` is
     ``tau_(w,g) r^{|s(w,g)|} A_{s(w,g)}``; zero blocks elsewhere.  That is
     :func:`evaluate_at_model` with the Fock index slow: entry ``[w*c + x,
     g*c + y]`` here is entry ``[x*dim + w, y*dim + g]`` there, and the
     kernel permutes exactly the stored entries of the model operator
-    (:func:`_model_entries`), with no model CSR built.
+    (:func:`_model_entries`), with no model operator built.
     """
     if not 0.0 <= r < 1.0:
         raise SpecError(f"radius must lie in [0, 1), got {r}")
@@ -495,7 +494,7 @@ def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> sp.csr_matrix:
     rows, cols = np.divmod(keys, d * c)
     moved = (rows % d * c + rows // d) * (d * c) + cols % d * c + cols // d
     order = np.argsort(moved)
-    return linalg.entries_matrix(moved[order], vals[order], (d * c, d * c))
+    return linalg.Entries(moved[order], vals[order], (d * c, d * c))
 
 
 def random_symbol(

@@ -12,11 +12,14 @@ tuple's word operators as products of its matrices one letter at a time,
 the universal model's creations as matrices, a factor's creation lifted
 over the coefficient space and the other factors, the row Gram diagonal as
 the map's sum over every basis vector, and the sum of stored-entry terms
-over the sorted union of their keys.  Beside them sit the operator forms
-the program reads only as entries or runs: the homogeneous parts as CSR
-operators (the runs of ``graded_entries``), the reversed-series map of a
-factor as a CSR operator (``brownhalmos._phi_entries``) and the Cauchy dual
-``C (C*C)^+`` of a row.  Last comes a symbol keyed by its words: a dict from
+over the sorted union of their keys.  Beside them sit scipy's CSR copy of a
+matrix's stored entries, the operator forms the program reads only as
+entries or runs: the homogeneous parts as CSR operators (the runs of
+``graded_entries``), the reversed-series map of a factor as a CSR operator
+(``brownhalmos._phi_entries``) and the Cauchy dual ``C (C*C)^+`` of a row,
+and the row and its Cauchy dual projection by scipy's sparse arithmetic,
+which the program's stored-entry arithmetic must match bit for bit.  Last
+comes a symbol keyed by its words: a dict from
 ``IndexPair`` to coefficient, with its random draw and its evaluation at
 the model, which the class-id ``FourierSymbol`` must match bit for bit, and
 the two helpers that turn a dict of pairs into a ``FourierSymbol`` and back.
@@ -34,7 +37,7 @@ from polytoeplitz import linalg
 from polytoeplitz.brownhalmos import _phi_entries
 from polytoeplitz.errors import DimensionMismatch, NotComparable, SpecError
 from polytoeplitz.cpmaps import OperatorTuple
-from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
+from polytoeplitz.freemonoid import IndexPair, MultiWord, Word, reverse
 from polytoeplitz.model import FockOperator, FockSpace
 from polytoeplitz.toeplitz import FourierSymbol, _gap_places, graded_entries
 from polytoeplitz.weights import WeightTable
@@ -197,7 +200,7 @@ def model_matrices(space: FockSpace, side: str = "left") -> OperatorTuple:
     return OperatorTuple(
         spec=space.spec,
         ops=tuple(
-            tuple(space.creation_product(i, Word((j,), n), side)[:d, :d] for j in range(1, n + 1))
+            tuple(csr(space.creation_product(i, Word((j,), n), side))[:d, :d] for j in range(1, n + 1))
             for i, n in enumerate(space.spec.n)
         ),
         dim_h=d,
@@ -245,6 +248,31 @@ def accumulate_entries(terms) -> tuple[np.ndarray, np.ndarray]:
     return keys, acc
 
 
+def csr(mat) -> sp.csr_matrix:
+    """scipy's canonical CSR matrix of the stored entries of ``mat`` (:func:`linalg.stored_entries`).
+
+    Its row pointers are counted by one search of the row starts in the keys.
+    """
+    keys, vals = linalg.stored_entries(mat)
+    indptr = np.searchsorted(keys, np.arange(mat.shape[0] + 1) * mat.shape[1])
+    return sp.csr_matrix((vals, keys % mat.shape[1], indptr), shape=mat.shape)
+
+
+def scipy_build_row(space: FockSpace, i: int) -> sp.csr_matrix:
+    """``build_row`` by scipy's arithmetic: the scaled creations stacked by ``sp.hstack``."""
+    support = {reverse(w): a for w, a in space.spec.coeffs[i].items() if a != 0.0}
+    gamma = sorted(support, key=lambda w: (len(w), w.letters))
+    return sp.csr_matrix(
+        sp.hstack([math.sqrt(support[alpha]) * csr(space.creation_product(i, alpha, side="right")) for alpha in gamma])
+    )
+
+
+def scipy_cauchy_dual_projection(C: sp.csr_matrix) -> np.ndarray:
+    """``cauchy_dual_projection`` by scipy's sparse products: ``C (C*C)^+ C^*``, dense."""
+    dual = C @ csr(linalg.pinv_on_range(C.conj().T @ C, rank_tol=1e-10))
+    return linalg.as_dense(dual @ C.conj().T)
+
+
 def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOperator]:
     """Every nonzero homogeneous part of ``T``, keyed by degree vector in lexicographic order.
 
@@ -261,7 +289,7 @@ def homogeneous_decomposition(T: FockOperator) -> dict[tuple[int, ...], FockOper
     parts: dict[tuple[int, ...], FockOperator] = {}
     for p, s in enumerate(map(tuple, gaps.tolist())):
         lo, hi = bounds[p], bounds[p + 1]
-        parts[s] = FockOperator(space, linalg.entries_matrix(keys[lo:hi], vals[lo:hi], T.matrix.shape))
+        parts[s] = FockOperator(space, csr(linalg.Entries(keys[lo:hi], vals[lo:hi], T.matrix.shape)))
     return parts
 
 
@@ -274,17 +302,18 @@ def phi_right(space: FockSpace, i: int, Y) -> sp.csr_matrix:
     n = space.total_dim
     if Y.shape != (n, n):
         raise DimensionMismatch("operand shape differs from the space dimension")
-    return linalg.entries_matrix(*_phi_entries(space, i, *linalg.stored_entries(Y)), Y.shape)
+    return csr(linalg.Entries(*_phi_entries(space, i, *linalg.stored_entries(Y)), Y.shape))
 
 
-def cauchy_dual(C: sp.csr_matrix) -> np.ndarray:
+def cauchy_dual(row: linalg.Entries) -> np.ndarray:
     """``C (C*C)^{-1}`` for a row ``C`` from ``build_row``, the inverse taken on the range of ``C^*``.
 
     The same sparse pseudo-inverse at ``rank_tol=1e-10`` as
     ``cauchy_dual_projection``, which multiplies this dual by ``C^*``; only
     the returned dual is dense.
     """
-    return linalg.as_dense(C @ linalg.pinv_on_range(C.conj().T @ C, rank_tol=1e-10))
+    C = csr(row)
+    return linalg.as_dense(C @ csr(linalg.pinv_on_range(C.conj().T @ C, rank_tol=1e-10)))
 
 
 @dataclass
@@ -362,7 +391,7 @@ def dict_evaluate_at_model(sym: DictSymbol, r: float = 1.0) -> sp.csr_matrix:
     vals = coeffs.reshape(len(support), c * c)[term].T * fock
     vals = (radial[term] * vals).ravel()[order]
     keys = keys[order]
-    return linalg.entries_matrix(keys[vals != 0], vals[vals != 0], (n, n))
+    return csr(linalg.Entries(keys[vals != 0], vals[vals != 0], (n, n)))
 
 
 def symbol_of(space: FockSpace, coefficients: dict) -> FourierSymbol:

@@ -330,7 +330,7 @@ def test_criterion_09_brown_halmos():
         # dual identity against the alternating-sum form
         C = linalg.as_dense(row)
         gram = C.conj().T @ C
-        pinv = linalg.pinv_on_range(gram, 1e-10)
+        pinv = linalg.as_dense(linalg.pinv_on_range(gram, 1e-10))
         m = spec.m[0]
         psi = np.zeros((space.total_dim, space.total_dim), dtype=complex)
         acc = np.eye(space.total_dim, dtype=complex)

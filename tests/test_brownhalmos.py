@@ -11,7 +11,7 @@ from polytoeplitz.brownhalmos import (
     range_projection,
 )
 from polytoeplitz.errors import SpecError
-from polytoeplitz.linalg import pinv_on_range
+from polytoeplitz.linalg import as_dense, pinv_on_range
 from polytoeplitz.model import FockOperator, FockSpace, weighted_right_creation
 from polytoeplitz.sampling import random_spec
 from polytoeplitz.toeplitz import evaluate_at_model, random_symbol
@@ -23,8 +23,8 @@ from oracles import cauchy_dual, phi_right
 
 def column_blocks(C):
     """The column blocks ``C[:, g*n:(g+1)*n]`` of a row, one per word of its ``gamma``, dense."""
-    n = C.shape[0]
-    return [C[:, g * n:(g + 1) * n].toarray() for g in range(C.shape[1] // n)]
+    n, dense = C.shape[0], as_dense(C)
+    return [dense[:, g * n:(g + 1) * n] for g in range(C.shape[1] // n)]
 
 
 class TestBuildRow:
@@ -47,9 +47,9 @@ class TestBuildRow:
     def test_cc_star_is_reversed_series_map(self, rng):
         spec = random_spec(rng, k=1, max_n=2, max_deg=2)
         space = FockSpace(spec, (3,))
-        C = build_row(space, 0)
+        C = as_dense(build_row(space, 0))
         expected = phi_right(space, 0, np.eye(space.total_dim, dtype=complex))
-        assert np.abs((C @ C.conj().T).toarray() - expected).max() < 1e-12
+        assert np.abs(C @ C.conj().T - expected.toarray()).max() < 1e-12
 
     def test_row_contraction_bound(self, rng):
         for _ in range(5):
@@ -74,7 +74,7 @@ class TestCauchyDual:
         space = FockSpace(single_shift_spec, (4,))
         row = build_row(space, 0)
         dual = cauchy_dual(row)
-        C = row.toarray()
+        C = as_dense(row)
         # compare where the column is supported (top-degree column is clipped)
         mask = space.safe_mask((1,))
         assert np.abs((dual - C)[:, mask]).max() < 1e-12
@@ -103,9 +103,9 @@ class TestCauchyDual:
         spec = random_spec(rng, k=1, max_deg=2)
         space = FockSpace(spec, (4,))
         row = build_row(space, 0)
-        C = row.toarray()
+        C = as_dense(row)
         gram = C.conj().T @ C
-        pinv = pinv_on_range(gram, 1e-10)
+        pinv = as_dense(pinv_on_range(gram, 1e-10))
         lhs = C @ pinv
 
         m = spec.m[0]
@@ -191,7 +191,7 @@ class TestHomogeneousCommutation:
         pair = space.class_pair(int(rng.choice(plus)))
         q = monomial(space, pair, np.eye(1)).dense
         row = build_row(space, 0)
-        C = row.toarray()
+        C = as_dense(row)
         lhs = q @ C
         rhs = C @ np.kron(np.eye(row.shape[1] // row.shape[0]), q)
         # exact away from the top degrees that the row or monomial clips
@@ -209,7 +209,7 @@ class TestHomogeneousCommutation:
         pair = space.class_pair(int(rng.choice(minus)))
         q = monomial(space, pair, np.eye(1)).dense
         row = build_row(space, 0)
-        C = row.toarray()
+        C = as_dense(row)
         lhs = C.conj().T @ q
         rhs = np.kron(np.eye(row.shape[1] // row.shape[0]), q) @ C.conj().T
         head = pair.right.total_degree + spec.degree(0)

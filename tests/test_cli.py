@@ -23,7 +23,7 @@ from polytoeplitz.toeplitz import (
 )
 from polytoeplitz.weights import spec_from_json
 
-from oracles import pair_coefficients, symbol_of
+from oracles import csr, pair_coefficients, symbol_of
 
 
 def strict_json(text):
@@ -290,7 +290,7 @@ def test_toeplitz_fourier_round_trip(tmp_path, rng):
     )
     assert rc == 0
     with open(tmp_path / "out2" / "operator.mtx") as fh:
-        back = linalg.load_matrix(fh).toarray()
+        back = linalg.as_dense(linalg.load_matrix(fh))
     assert np.abs(back - T.dense).max() < 1e-12
 
 
@@ -747,7 +747,7 @@ PAST_CUTOFF = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "4", "--c
 def past_cutoff_block_bytes():
     """The memory guard's bound there: the Hermitian part's block bytes, as much again, and twice the largest."""
     space = FockSpace(spec_from_json((GOLDEN_FOURIER / "spec.json").read_text()), (4, 4), coeff_dim=2)
-    op = evaluate_at_model(symbol_from_json(space, (GOLDEN_FOURIER / "symbol.json").read_text()), 0.5).matrix
+    op = csr(evaluate_at_model(symbol_from_json(space, (GOLDEN_FOURIER / "symbol.json").read_text()), 0.5).matrix)
     herm = (0.5 * (op + op.conj().T)).tocsr()
     herm.eliminate_zeros()
     cells = np.bincount(connected_components(abs(herm), directed=False)[1]) ** 2
@@ -867,7 +867,7 @@ def test_reports_past_the_cutoff_do_not_depend_on_the_blas_thread_count(tmp_path
     pairs = [IndexPair(empty, empty)] + [p for w in short for p in (IndexPair(w, empty), IndexPair(empty, w))]
     sym = symbol_of(space, {p: rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)) for p in pairs})
     planted = evaluate_at_model(sym).matrix
-    moved = planted.copy()
+    moved = csr(planted)
     moved.data = moved.data * (1.0 + 1e-3 * rng.standard_normal(moved.nnz))
     for name, mat in (("planted.mtx", planted), ("moved.mtx", moved)):
         with open(tmp_path / name, "w") as fh:
@@ -921,14 +921,12 @@ def test_oracle_degree_below_one_exits_2(tmp_path, capsys, degree):
     assert not out.exists()
 
 
-# scipy's linear-algebra stack: about 10 MB of import RSS that only Lanczos, past the cutoff, reads
-LINEAR_ALGEBRA_MODULES = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
-
-
 def test_commands_below_the_cutoff_load_no_scipy_linear_algebra(tmp_path):
+    # no scipy module at all: importing scipy.sparse alone costs about 0.3 s and
+    # 15 MB, and only Lanczos, past the cutoff, reads scipy
     golden = ["--spec", str(GOLDEN_FOURIER / "spec.json"), "--trunc", "3", "--coeff-dim", "2"]
     with open(GOLDEN_FOURIER / "operator-r1.mtx") as fh:
-        planted = linalg.load_matrix(fh).tocsr()
+        planted = csr(linalg.load_matrix(fh))
     assert 8 < planted.shape[0] <= 600  # split into blocks by the labeller, no Lanczos
     spoiled = planted.tolil()
     spoiled[1, 1] += 0.25
@@ -949,8 +947,9 @@ def test_commands_below_the_cutoff_load_no_scipy_linear_algebra(tmp_path):
     code = (
         "import json, sys\n"
         "from polytoeplitz.cli import main\n"
+        "imported = sorted(sys.modules)\n"
         "codes = [main(a) for a in json.loads(sys.argv[1])]\n"
-        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
+        "print(json.dumps({'codes': codes, 'imported': imported, 'modules': sorted(sys.modules)}))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
@@ -959,8 +958,12 @@ def test_commands_below_the_cutoff_load_no_scipy_linear_algebra(tmp_path):
     )
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [expected for _, expected in commands]
-    loaded = [m for m in result["modules"] if m.startswith(LINEAR_ALGEBRA_MODULES)]
+    loaded = [m for m in result["modules"] if m == "scipy" or m.startswith("scipy.")]
     assert not loaded, loaded
+    # nor does a command import a numpy module the import did not: numpy 2.4
+    # loads numpy.random and numpy.ma lazily, and no operation pays for them
+    late = [m for m in set(result["modules"]) - set(result["imported"]) if m.startswith("numpy")]
+    assert not late, late
 
 
 def test_op_norm_does_not_depend_on_storage_above_cutoff():
@@ -969,7 +972,7 @@ def test_op_norm_does_not_depend_on_storage_above_cutoff():
     space = FockSpace(spec_from_json(json.dumps(DEEP)), (10,))
     doc = (Path(__file__).parent / "data" / "deep_planted_symbol.json").read_text()
     A = evaluate_at_model(symbol_from_json(space, doc), 0.5).matrix
-    assert linalg.op_norm(A) == linalg.op_norm(A.toarray())
+    assert linalg.op_norm(A) == linalg.op_norm(linalg.as_dense(A))
 
 
 def test_verify_rejects_per_factor_truncation(capsys):
@@ -1112,4 +1115,4 @@ def test_no_command_builds_the_pair_arrays(tmp_path, monkeypatch, rng):
     space = FockSpace(spec_from_json((GOLDEN_FOURIER / "spec.json").read_text()), (3, 3))
     sym = random_symbol(space, rng, n_monomials=6)
     total = sum(monomial(space, pair, A).matrix for pair, A in pair_coefficients(sym).items())
-    assert np.array_equal(total.toarray(), evaluate_at_model(sym).matrix.toarray())
+    assert np.array_equal(total.toarray(), linalg.as_dense(evaluate_at_model(sym).matrix))

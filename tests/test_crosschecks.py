@@ -50,8 +50,10 @@ from polytoeplitz.brownhalmos import (
     _min_positive_gram_eig,
     bh_residual,
     build_row,
+    cauchy_dual_projection,
     range_projection,
 )
+from polytoeplitz.cli import _spoiled
 from polytoeplitz.cpmaps import (
     OperatorTuple,
     UniversalModel,
@@ -80,7 +82,6 @@ from polytoeplitz.errors import (
     TruncationError,
 )
 from polytoeplitz.linalg import (
-    adjoint,
     as_dense,
     herm_sqrt,
     hermitize,
@@ -116,6 +117,7 @@ from oracles import (
     accumulate_entries as oracle_accumulate_entries,
     cauchy_dual,
     comparable,
+    csr,
     dict_evaluate_at_model,
     dict_random_symbol,
     graded_projection,
@@ -127,6 +129,8 @@ from oracles import (
     pair_coefficients,
     per_entry_cesaro_reconstruct,
     phi_right,
+    scipy_build_row,
+    scipy_cauchy_dual_projection,
     simplify,
     tau,
     word_op,
@@ -542,7 +546,7 @@ def dense_phi_map(spec, i, X, Y):
     acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
     for w, a in spec.coeffs[i].items():
         Xw = word_op(X, i, w)
-        term = Xw @ Y @ adjoint(Xw)
+        term = Xw @ Y @ Xw.conj().T
         acc += a * as_dense(term)
     return acc
 
@@ -663,7 +667,7 @@ def test_pluriharmonic_kernel_matches_entrywise(rng):
     space = FockSpace(spec, (2, 2), coeff_dim=2)
     sym = random_symbol(space, rng, n_monomials=5)
     r = 0.6
-    gamma = pluriharmonic_kernel(sym, r)
+    gamma = as_dense(pluriharmonic_kernel(sym, r))
     c = space.coeff_dim
     coeffs = pair_coefficients(sym)
     for wi in range(space.dim):
@@ -707,9 +711,9 @@ def test_bh_residual_matches_uncompressed_equation(rng):
         spec = random_spec(rng, k=1, max_deg=2)
         space = FockSpace(spec, (3,))
         row = build_row(space, 0)
-        C = row.toarray()
+        C = as_dense(row)
         gram = C.conj().T @ C
-        pinv = pinv_on_range(gram, 1e-10)
+        pinv = as_dense(pinv_on_range(gram, 1e-10))
         dual = C @ pinv
         proj_range_cstar = pinv @ gram
 
@@ -745,10 +749,10 @@ def test_cauchy_dual_equation_forms_agree(rng):
     spec = random_spec(rng, k=1, max_deg=2)
     space = FockSpace(spec, (4,))
     row = build_row(space, 0)
-    C = row.toarray()
+    C = as_dense(row)
     gram = C.conj().T @ C
     dual = cauchy_dual(row)
-    assert np.abs(dual @ gram - C @ (pinv_on_range(gram, 1e-10) @ gram)).max() < 1e-10
+    assert np.abs(dual @ gram - C @ (as_dense(pinv_on_range(gram, 1e-10)) @ gram)).max() < 1e-10
     # and the projection form annihilates the orthogonal complement
     Q = range_projection(space, 0)
     assert np.abs((np.eye(space.total_dim) - Q) @ dual).max() < 1e-10
@@ -919,7 +923,7 @@ def _case_operator(space, rng, kind):
     """A CSR operator of the given kind, built around a planted symbol on ``space``."""
     ps = space.pair_structure()
     c, d, n = space.coeff_dim, space.dim, space.total_dim
-    coo = evaluate_at_model(random_symbol(space, rng, n_monomials=3)).matrix.tocoo()
+    coo = csr(evaluate_at_model(random_symbol(space, rng, n_monomials=3)).matrix).tocoo()
     rows, cols, vals = coo.row.astype(np.int64), coo.col.astype(np.int64), coo.data
     planted_keys = set((rows * n + cols).tolist())
     # each pair's representative, and whether a block there holds a planted entry
@@ -1023,8 +1027,7 @@ def test_alternating_sum_matches_dense_oracle(rng):
                 expected = dense_alternating_phi_sum(space, i, M)
                 for operand in (M, sp.csr_matrix(M)):
                     entries = accumulate_entries(_alternating_terms(space, i, *linalg_module.stored_entries(operand)))
-                    got = linalg_module.entries_matrix(*entries, M.shape)
-                    assert np.array_equal(got.toarray(), expected)
+                    assert np.array_equal(as_dense(linalg_module.Entries(*entries, M.shape)), expected)
 
 
 # both signed zeros, exact values and values whose sums round
@@ -1118,7 +1121,7 @@ def test_creation_product_is_the_lifted_factor_action(rng):
                 for side in ("left", "right"):
                     src, dst, vals = lifted_action(space, i, space.creation_action(i, word, side))
                     expected = sp.csr_matrix((vals, (dst, src)), shape=(n, n))
-                    got = space.creation_product(i, word, side)
+                    got = csr(space.creation_product(i, word, side))
                     assert np.array_equal(got.indptr, expected.indptr) and np.array_equal(got.indices, expected.indices)
                     assert same_bits(got.data, expected.data), (i, word, side)
 
@@ -1132,7 +1135,7 @@ def test_row_is_the_scaled_lifted_creations(rng):
             gamma = sorted(support, key=lambda w: (len(w), w.letters))
             blocks = [math.sqrt(support[alpha]) * ampliated_creation(space, i, alpha, "right") for alpha in gamma]
             expected = sp.csr_matrix(sp.hstack(blocks))
-            got = build_row(space, i)
+            got = csr(build_row(space, i))
             assert got.shape == expected.shape == (space.total_dim, space.total_dim * len(gamma))
             assert np.array_equal(got.indptr, expected.indptr) and np.array_equal(got.indices, expected.indices)
             assert same_bits(got.data, expected.data), (i, gamma)
@@ -1260,8 +1263,8 @@ def test_factor_creation_matches_per_column_oracle(rng):
                 for side in ("left", "right"):
                     got = space.creation_product(i, word, side)
                     expected = ampliated_creation(space, i, word, side)
-                    assert got.nnz == expected.nnz
-                    assert np.array_equal(got.toarray(), expected.toarray())
+                    assert got.keys.size == expected.nnz
+                    assert np.array_equal(as_dense(got), expected.toarray())
         # the model's matrices keep the Fock part: the same creations with no coefficient slot
         fock = FockSpace(space.spec, space.trunc, weights=space.weights)
         for side in ("left", "right"):
@@ -1302,11 +1305,11 @@ def test_evaluate_at_model_matches_sparse_sum_oracle(rng):
             # one batched pass gives the bits of the per-term monomials, at dyadic radii and others
             for r in (0.0, 0.3, 0.5, 0.7, 1.0):
                 got = evaluate_at_model(s, r).matrix
-                assert sp.isspmatrix_csr(got)
-                # the CSR stores no explicit zeros
-                assert np.count_nonzero(got.data) == got.nnz
-                assert np.array_equal(got.toarray(), sparse_sum_evaluate_at_model(DictSymbol(space, words), r))
-                assert np.array_equal(got.toarray(), dense_scatter_evaluate_at_model(DictSymbol(space, words), r))
+                assert isinstance(got, linalg_module.Entries)
+                # it stores no explicit zeros
+                assert np.count_nonzero(got.vals) == got.vals.size
+                assert np.array_equal(as_dense(got), sparse_sum_evaluate_at_model(DictSymbol(space, words), r))
+                assert np.array_equal(as_dense(got), dense_scatter_evaluate_at_model(DictSymbol(space, words), r))
 
 
 def grading_operators(space, rng):
@@ -1339,8 +1342,8 @@ def test_grading_matches_dense_mask_oracles(rng):
                 k = space.spec.k
                 for N in ((0,) * k, (1,) * k, tuple(2 * L for L in space.trunc)):
                     got = cesaro_reconstruct(T, N, fejer_weights=fejer).matrix
-                    assert sp.isspmatrix_csr(got)
-                    assert np.array_equal(got.toarray(), dense_cesaro_reconstruct(T, N, fejer))
+                    assert isinstance(got, linalg_module.Entries)
+                    assert np.array_equal(as_dense(got), dense_cesaro_reconstruct(T, N, fejer))
 
 
 @st.composite
@@ -1404,16 +1407,19 @@ def split_block_load_matrix(fh):
 
 
 def load_outcome(loader, text):
-    """What a reader makes of ``text``: the COO arrays and value bits, or the error and its message.
+    """What a reader makes of ``text``: its canonical CSR arrays and value bits, or the error and its message.
 
-    A parser ``ValueError`` keeps only its type: numpy words it differently per parser.
+    A COO result is read as scipy's CSR conversion reads it, duplicate lines
+    summed in file order and explicit zeros kept.  A parser ``ValueError``
+    keeps only its type: numpy words it differently per parser.
     """
     fh = io.StringIO(text)
     try:
-        coo = loader(fh)
+        loaded = loader(fh)
     except (ValueError, PolytoeplitzError) as exc:
         return type(exc), None if type(exc) is ValueError else str(exc)
-    return coo.shape, coo.row.tolist(), coo.col.tolist(), coo.data.tobytes(), fh.read()
+    m = loaded.tocsr() if sp.issparse(loaded) else csr(loaded)
+    return m.shape, m.indptr.tolist(), m.indices.tolist(), m.data.tobytes(), fh.read()
 
 
 # 17 significant digits as save_matrix writes them, signed zeros, subnormals and values near 1e308
@@ -1499,7 +1505,7 @@ def test_load_matrix_ignores_lines_after_the_last_entry():
     text = "2 2 2\n0 0 1 0\n1 1 0 1\nnot an entry\n0 0 nan nan\n"
     fh = io.StringIO(text)
     A = load_matrix(fh)
-    assert np.array_equal(A.toarray(), np.array([[1, 0], [0, 1j]]))
+    assert np.array_equal(as_dense(A), np.array([[1, 0], [0, 1j]]))
     assert fh.read() == "not an entry\n0 0 nan nan\n"
     assert load_outcome(load_matrix, text) == load_outcome(split_block_load_matrix, text)
 
@@ -1722,7 +1728,7 @@ def test_block_pinv_on_range_matches_dense_eigh(sizes, empty, zeros, seed, spars
     rng = np.random.default_rng(seed)
     m = hermitian_permuted_blocks(rng, sizes, empty, spectrum_block(zeros))
     got = pinv_on_range(sp.csr_matrix(m) if sparse else m)
-    assert sp.issparse(got) and got.format == "csr"
+    assert isinstance(got, linalg_module.Entries)
     assert got.shape == m.shape
     assert np.abs(as_dense(got) - dense_pinv_on_range(m)).max(initial=0.0) <= 1e-12
 
@@ -1810,7 +1816,7 @@ def test_component_labels_match_scipy_on_the_spectral_block_calls(rng, monkeypat
     for trunc, k, coeff_dim in ((4, 1, 1), (3, 1, 2), ((2, 2), 2, 1), ((3, 2), 2, 2)):
         spec = random_spec(rng, k=k, max_n=2)
         space = FockSpace(spec, trunc if isinstance(trunc, tuple) else (trunc,), coeff_dim=coeff_dim)
-        T = evaluate_at_model(random_symbol(space, rng, n_monomials=4)).matrix
+        T = csr(evaluate_at_model(random_symbol(space, rng, n_monomials=4)).matrix)
         wide = T[:, : T.shape[1] // 2 + 9]
         op_norm(T)
         op_norm(wide)
@@ -1849,10 +1855,12 @@ def short_side_inputs(rng):
 
 
 def test_short_side_norm_and_psd_match_the_whole_matrix_call(rng, monkeypatch):
+    # a foreign sparse input is read into its stored entries at the boundary,
+    # so the split is refused where it starts, at the component labeller
     def refuse(*args, **kwargs):
-        raise AssertionError("an entry gathered for a matrix with a short side")
+        raise AssertionError("a matrix with a short side split into blocks")
 
-    monkeypatch.setattr(linalg_module, "stored_entries", refuse)
+    monkeypatch.setattr(linalg_module, "_components", refuse)
     for m in short_side_inputs(rng):
         assert same_bits(op_norm(m), direct_op_norm(m)), m.shape
         if m.shape[0] == m.shape[1]:
@@ -2043,7 +2051,7 @@ def test_cached_layout_matches_per_radius_oracle(rng):
         layouts = {}
         for s in (sym, other, empty, sym):
             for r in (0.0, 0.3, 0.5, 1.0, 0.3):
-                got = evaluate_at_model(s, r).matrix
+                got = csr(evaluate_at_model(s, r).matrix)
                 expected = per_radius_evaluate_at_model(s, r)
                 assert same_bits(got.indptr, expected.indptr)
                 assert same_bits(got.indices, expected.indices)
@@ -2080,7 +2088,7 @@ def test_class_id_symbol_matches_the_word_keyed_oracle_bit_for_bit():
             for pair, A in pair_coefficients(sym).items():
                 assert same_bits(A, old.coefficients[pair])
             for r in (0.0, 0.3, 0.5, 0.7, 1.0):
-                got = evaluate_at_model(sym, r).matrix
+                got = csr(evaluate_at_model(sym, r).matrix)
                 expected = dict_evaluate_at_model(old, r)
                 for name in ("indptr", "indices", "data"):
                     assert same_bits(getattr(got, name), getattr(expected, name)), (r, name)
@@ -2129,3 +2137,69 @@ def test_json_round_trip_keeps_ids_and_bits_in_the_render_order(n, coeff_dim, n_
     back = symbol_from_json(space, doc)
     assert same_bits(back.classes, sym.classes)
     assert same_bits(back.coeffs, sym.coeffs)
+
+
+# -- scipy's sparse arithmetic, bit for bit --------------------------------------
+# The program's sparse matrices are their stored entries; the scipy arithmetic
+# they replaced is the oracle: scipy's todense, + and @ start each output entry
+# at 0 (so -0.0 reads 0.0), + and @ drop an entry that sums to exactly 0, and
+# @ sums each entry in the order of the left operand's column indices.
+
+
+def csr_bits(m):
+    """The canonical CSR arrays of ``m`` and the bits of its values."""
+    m = csr(m) if isinstance(m, linalg_module.Entries) else m.tocsr()
+    m.sort_indices()
+    return m.shape, m.indptr.tolist(), m.indices.tolist(), m.data.astype(complex).tobytes()
+
+
+def test_row_and_cauchy_dual_projection_match_scipy_bit_for_bit():
+    # the battery's draws of the Cauchy dual check, at the truncations it
+    # runs, and words up to length 4, where a row holds up to four entries
+    # and the order of each sum shows in its bits
+    rng = np.random.default_rng(31)
+    for max_deg in [2] * 8 + [4] * 8:
+        spec = random_spec(rng, k=1, max_deg=max_deg)
+        for trunc in (2, 3, 4):
+            for coeff_dim in (1, 2):
+                space = FockSpace(spec, (trunc,), coeff_dim=coeff_dim)
+                row = build_row(space, 0)
+                expected = scipy_build_row(space, 0)
+                assert csr_bits(row) == csr_bits(expected), (spec, trunc)
+                got = cauchy_dual_projection(row)
+                assert same_bits(got, scipy_cauchy_dual_projection(expected)), (spec, trunc, coeff_dim)
+
+
+def signed_zero_entries(rng, shape):
+    """Stored entries with ``-0.0`` parts, explicit zeros and duplicates, as scipy's COO, and as ``Entries``."""
+    count = shape[0] * shape[1] // 2
+    rows, cols = rng.integers(shape[0], size=count), rng.integers(shape[1], size=count)
+    parts = rng.choice([0.0, -0.0, 1.0, -1.0, 0.1, 1e-3, -1e-3], size=(count, 2))
+    coo = sp.coo_matrix((parts[:, 0] + 1j * parts[:, 1], (rows, cols)), shape=shape)
+    coo.data[: count // 3] = complex(-0.0, -0.0)
+    return coo, linalg_module.Entries(*linalg_module.stored_entries(coo.tocsr()), shape)
+
+
+def test_dense_copy_and_adjoint_match_scipy_on_signed_zeros(rng):
+    for shape in ((1, 1), (3, 5), (6, 6), (9, 4)):
+        for _ in range(20):
+            coo, entries = signed_zero_entries(rng, shape)
+            want = np.asarray(coo.tocsr().todense(), dtype=complex)
+            assert as_dense(entries).tobytes() == want.tobytes()
+            assert as_dense(coo).tobytes() == np.asarray(coo.todense(), dtype=complex).tobytes()
+            assert csr_bits(linalg_module.adjoint(entries)) == csr_bits(coo.tocsr().conj().T)
+
+
+def test_spoiled_sum_matches_scipy_on_signed_zeros(rng):
+    space = FockSpace(make_spec(1, (2,), (1,), [(1, (1,), 0.5), (1, (2,), 0.5)]), (2,), coeff_dim=2)
+    n = space.total_dim
+    for _ in range(40):
+        _, entries = signed_zero_entries(rng, (n, n))
+        T = FockOperator(space, entries)
+        # a cell of its own, and cells that hold -1e-3, a signed zero or an explicit zero
+        cells = [divmod(int(k), n) for k in rng.choice(n * n, size=2, replace=False)]
+        cells += [divmod(int(k), n) for k in entries.keys[entries.vals == -1e-3][:1]]
+        cells += [divmod(int(k), n) for k in entries.keys[entries.vals == 0][:2]]
+        for row, col in cells:
+            want = csr(entries) + sp.csr_matrix(([1e-3], ([row], [col])), shape=(n, n))
+            assert csr_bits(_spoiled(T, row, col).matrix) == csr_bits(want), (row, col)

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 from polytoeplitz import linalg
 from polytoeplitz.errors import DimensionMismatch, NumericalRankError, SpecError
 from polytoeplitz.linalg import (
+    Entries,
     adjoint,
-    entries_matrix,
     herm_sqrt,
     hermitize,
     load_matrix,
@@ -23,6 +23,8 @@ from polytoeplitz.linalg import (
     sorted_unique,
     stored_entries,
 )
+
+from oracles import csr
 
 
 def random_complex(rng, shape):
@@ -150,7 +152,7 @@ class TestMemoryGuard:
             monkeypatch.setattr(linalg, "_mem_available", lambda: available)
             ok, lo = psd_check(mat)
             assert ok and abs(lo - expected) <= 1e-12
-            assert abs(pinv_on_range(mat) @ mat - sp.eye(self.N)).max() < 1e-8
+            assert abs(csr(pinv_on_range(mat)) @ mat - sp.eye(self.N)).max() < 1e-8
 
     def test_not_read_at_or_below_the_cutoff(self, rng, monkeypatch):
         def refuse():
@@ -384,16 +386,16 @@ class TestPinvOnRange:
     def test_invertible(self, rng):
         B = random_complex(rng, (5, 5))
         M = B @ B.conj().T + np.eye(5)
-        assert np.abs(pinv_on_range(M) @ M - np.eye(5)).max() < 1e-10
+        assert np.abs(linalg.as_dense(pinv_on_range(M)) @ M - np.eye(5)).max() < 1e-10
 
     def test_projection_fixed(self):
         P = np.diag([1.0, 1.0, 0.0])
-        assert np.allclose(pinv_on_range(P).toarray(), P)
+        assert np.allclose(linalg.as_dense(pinv_on_range(P)), P)
 
     def test_m_pinv_m(self, rng):
         B = random_complex(rng, (6, 3))
         M = B @ B.conj().T  # rank 3 PSD
-        pinv = pinv_on_range(M)
+        pinv = linalg.as_dense(pinv_on_range(M))
         assert np.abs(M @ pinv @ M - M).max() < 1e-9
 
     def test_ambiguous_rank_raises(self):
@@ -415,7 +417,7 @@ def test_short_side_spectra_read_a_signed_zero_as_its_csr_copy(rng):
     # the CSR copy stores no zeros, so the direct path must not see the sign
     # of the dense array's zeros; at side <= 8 both take it
     def bits(x):
-        return np.asarray(x.toarray() if sp.issparse(x) else x, dtype=complex).tobytes()
+        return linalg.as_dense(x).tobytes()
 
     for _ in range(100):
         h = signed_zero_hermitian(rng, int(rng.integers(2, 9)))
@@ -452,7 +454,7 @@ class TestMatrixFile:
         buf = io.StringIO()
         save_matrix(buf, A)
         buf.seek(0)
-        B = load_matrix(buf).toarray()
+        B = linalg.as_dense(load_matrix(buf))
         assert np.array_equal(A, B)
 
     def test_header_and_layout(self):
@@ -468,7 +470,7 @@ class TestMatrixFile:
         save_matrix(buf, A)
         buf.seek(0)
         B = load_matrix(buf)
-        assert np.abs((A - B)).max() == 0.0
+        assert np.abs(A.toarray() - linalg.as_dense(B)).max() == 0.0
 
     def test_malformed_header(self):
         with pytest.raises(DimensionMismatch):
@@ -477,6 +479,26 @@ class TestMatrixFile:
     def test_entry_outside_shape(self):
         with pytest.raises(DimensionMismatch):
             load_matrix(io.StringIO("1 1 1\n0 3 1.0 0.0\n"))
+
+    def test_duplicate_lines_sum_in_file_order_and_zeros_are_kept(self):
+        # pinned as scipy's COO to CSR conversion read this file: duplicate
+        # lines summed in file order (0.1 + 0.2 + 0.3 is 0.6000000000000001,
+        # not 0.6), a sum of zero and an explicit 0 0 kept, and a -0 real part
+        # kept in the entries but written back as -0
+        text = (
+            "3 4 9\n2 1 0.5 -0\n0 3 1.25 2\n2 1 0.25 0\n1 0 0 0\n0 3 -1.25 -2\n1 2 -0 -0\n"
+            "0 0 0.1 -0.5\n0 0 0.2 0\n0 0 0.3 0\n"
+        )
+        loaded = load_matrix(io.StringIO(text))
+        keys, vals = stored_entries(loaded)
+        assert loaded.shape == (3, 4)
+        assert keys.tolist() == [0, 3, 4, 6, 9]
+        assert vals.view(np.uint64).tolist() == [
+            4603579539098121012, 13826050856027422720, 0, 0, 0, 0, 9223372036854775808, 0, 4604930618986332160, 0,
+        ]
+        buf = io.StringIO()
+        save_matrix(buf, loaded)
+        assert buf.getvalue() == "3 4 5\n0 0 0.60000000000000009 -0.5\n0 3 0 0\n1 0 0 0\n1 2 -0 0\n2 1 0.75 0\n"
 
     @pytest.mark.parametrize("entry", ["nan 0", "0 inf", "-inf 1", "1e400 0", "0 -1e999"])
     def test_rejects_non_finite_values(self, entry):
@@ -535,14 +557,21 @@ class TestStoredEntries:
         assert vals.tolist() == [0.0, 2.0, 4.0]
 
     def test_writer_round_trips_to_the_canonical_csr(self, rng):
+        # the stored entries are a canonical CSR matrix's, in its order; an
+        # Entries hands back its own arrays and reads densely as scipy does
         for name, mat in reader_cases(rng):
             keys, vals = stored_entries(mat)
-            got = entries_matrix(keys, vals, mat.shape)
+            entries = Entries(keys, vals, mat.shape)
+            got_keys, got_vals = stored_entries(entries)
+            assert got_keys is keys and got_vals is vals, name
+            got = csr(entries)
             want = summed_coo(mat).tocsr()
-            assert got.format == "csr" and got.shape == mat.shape, name
+            assert got.shape == mat.shape, name
             assert np.array_equal(got.indptr, want.indptr), name
             assert np.array_equal(got.indices, want.indices), name
             assert np.array_equal(got.data, want.data.astype(complex)), name
+            dense = np.asarray(want.toarray(), dtype=complex)
+            assert linalg.as_dense(entries).tobytes() == dense.tobytes(), name
 
     def test_sorted_unique_and_lookup(self, rng):
         keys = rng.integers(0, 50, size=200)

@@ -24,13 +24,16 @@ of the space's dimension outlives the call but the returned diagonal.
 The symbol and grading routines are also traced in-process: for sparse
 inputs they allocate less than one byte per ``(dim, dim)`` cell.
 One draw of the battery's grading check at ``n = 450`` is traced against the
-peak it had when it held one CSR per degree part of ``T`` and of ``T^*``.
+peak it had when it held one CSR per degree part of ``T`` and of ``T^*``, and
+its generator is asked for one row block of normals at a time.
 ``intertwining_residual`` on the Berezin kernel of a random pure tuple at
 ``L=4`` (dim 961) is traced against one dense complex ``(dim, dim)`` array.
 ``cauchy_dual_projection`` on ``k=1, n=2, L=10`` (dim 2047, ``|gamma| = 6``,
 Gram side 12282) runs in a fresh interpreter: the dense Gram matrix alone
 takes 2.4 GB there, while its blocks, one per target vector, are at most six
 wide, which a test that patches the eigensolver checks at ``L=4..6``.
+Importing the program and building its parser, in a fresh interpreter, stays
+below the peak it had when every process imported ``scipy.sparse``.
 """
 
 import json
@@ -46,7 +49,7 @@ import scipy.sparse as sp
 import polytoeplitz
 from polytoeplitz import linalg
 from polytoeplitz.brownhalmos import bh_residual, build_row, cauchy_dual_projection
-from polytoeplitz.cli import _grading_gap
+from polytoeplitz.cli import _GRADING_BLOCK_CELLS, _grading_gap
 from polytoeplitz.cpmaps import UniversalModel, berezin_kernel, defect, intertwining_residual, is_pure, random_pure_tuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word
 from polytoeplitz.model import FockOperator, FockSpace, monomial
@@ -86,6 +89,9 @@ GRADING_DRAW_PEAK_BYTES = 19_651_312
 # the same draw graded one row block at a time: the whole draw's triples, graded
 # at once, traced 17,021,215 bytes; never to be raised
 GRADING_BLOCK_PEAK_BYTES = 8_000_000
+# a fresh import of the CLI with its parser built: 49-52 MB when it imported
+# scipy.sparse (about 15 MB of it), 36 MB without
+IMPORT_PEAK_RSS_LIMIT_MB = 40
 
 # every word of length <= 2 in both factors, letter-dependent coefficients
 SPEC = {
@@ -128,6 +134,12 @@ code = main(sys.argv[1:])
 """ + REPORT_PEAK + """
 sys.exit(code)
 """
+
+IMPORT_CHILD = """
+import sys
+from polytoeplitz.cli import build_parser
+build_parser()
+""" + REPORT_PEAK
 
 # the largest deviation from range_projection goes to err.txt in the working directory
 CAUCHY_CHILD = """
@@ -381,3 +393,36 @@ def test_intertwining_residual_allocates_less_than_a_dense_square():
         tracemalloc.stop()
     assert residual < 1e-9
     assert peak < limit, f"{peak} bytes traced, limit {limit}"
+
+
+class RecordingGenerator:
+    """A generator that keeps each array of normals it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def standard_normal(self, size):
+        self.draws.append(self.rng.standard_normal(size))
+        return self.draws[-1]
+
+
+def test_grading_check_draws_its_normals_one_row_block_at_a_time():
+    # no (n, n) float temporary beside the draw: the real parts, then the
+    # imaginary parts, a row block each, the bits and next draws of one whole draw
+    space = FockSpace(spec_from_json(SPEC), (3, 3), coeff_dim=2)
+    n = space.total_dim
+    rng = RecordingGenerator(np.random.default_rng(0))
+    assert _grading_gap(space, rng) == 0.0
+    assert max(draw.size for draw in rng.draws) <= _GRADING_BLOCK_CELLS
+    assert all(draw.shape[1] == n for draw in rng.draws)
+    whole = np.random.default_rng(0)
+    drawn = np.concatenate(rng.draws)
+    assert drawn.shape == (2 * n, n)
+    assert drawn.tobytes() == whole.standard_normal((n, n)).tobytes() + whole.standard_normal((n, n)).tobytes()
+    assert rng.rng.standard_normal(4).tobytes() == whole.standard_normal(4).tobytes()
+
+
+def test_importing_the_program_stays_below_peak_rss_limit(tmp_path):
+    code, mb = _run_child(tmp_path, [], child=IMPORT_CHILD)
+    assert code == 0
+    assert mb < IMPORT_PEAK_RSS_LIMIT_MB, f"import and parser peak RSS {mb:.0f} MB"

@@ -19,7 +19,7 @@ def test_the_package_sources_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_linalg_reads_entries_through_coo(path):
     # every other module reads and writes entries by linalg.stored_entries and
-    # linalg.entries_matrix, so the entry format stays one decision
+    # linalg.Entries, so the entry format stays one decision
     if path.name == "linalg.py":
         return
     calls = [
@@ -101,11 +101,12 @@ def test_the_cutoff_has_its_readers_and_only_linalg_reads_meminfo():
 
 
 def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
-    # a CSR is built at a public boundary only: the universal model's word
-    # actions compose the creations' triples, the pluriharmonic kernel permutes
-    # the model operator's entries, the row Gram diagonal sums the map's terms
-    # on factor ranks, and the grading check reads the reconstruction's
-    # entries, so none of them reads a CSR it built
+    # a matrix is read back only where its storage is not known: the
+    # universal model's word actions compose the creations' triples, the
+    # pluriharmonic kernel permutes the model operator's entries, the row Gram
+    # diagonal sums the map's terms on factor ranks, and the grading check
+    # reads the reconstruction's entries, so none of them reads a matrix it
+    # built; linalg's readers take a dense, stored-entry or foreign operand
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     readers = {
         (module, where)
@@ -116,6 +117,8 @@ def test_stored_entries_has_its_readers_and_no_word_product_is_read_back():
     assert readers == {
         ("brownhalmos.py", "_residual_terms"),
         ("brownhalmos.py", "_in_range_entries"),
+        ("linalg.py", "_operand"),
+        ("linalg.py", "save_matrix"),
         ("linalg.py", "_spectral_blocks"),
         ("linalg.py", "op_norm"),
         ("linalg.py", "norm_bracket"),
@@ -139,7 +142,7 @@ def test_the_model_maps_carry_diagonals_not_stored_entries():
     # by one scatter per word: cpmaps neither imports nor calls a stored-entry
     # kernel, builds no creation matrix and no sparse identity
     kernels = {
-        "stored_entries", "entries_matrix", "conjugate_entries", "_conjugate_entries", "accumulate_entries",
+        "stored_entries", "Entries", "conjugate_entries", "_conjugate_entries", "accumulate_entries",
         "creation_product",
     }
     tree = ast.parse((PACKAGE / "cpmaps.py").read_text())
@@ -206,9 +209,9 @@ def test_the_cp_maps_and_the_berezin_kernel_read_their_spec_and_space_off_their_
     assert "tol" not in _parameters(ast.parse((PACKAGE / "toeplitz.py").read_text()))["extract_fourier"]
 
 
-# scipy's linear-algebra stack, about 10 MB of import RSS: Lanczos imports it
-# where it runs, past the cutoff, and the component labels are numpy's
-LINEAR_ALGEBRA = ("scipy.sparse.linalg", "scipy.linalg", "scipy.sparse.csgraph")
+# importing scipy.sparse alone costs about 0.3 s and 15 MB: no module imports
+# scipy at load, and only Lanczos, past the cutoff, and monomial, whose one
+# reader is bench/gen.py, import it where they run
 
 
 def _module_level_imports(tree: ast.AST):
@@ -223,14 +226,36 @@ def _module_level_imports(tree: ast.AST):
         yield from _module_level_imports(node)
 
 
+def _is_scipy(name: str) -> bool:
+    return name == "scipy" or name.startswith("scipy.")
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_scipy_linear_algebra_at_load(path):
     found = [
         f"{path.name}:{line}: {name}"
         for name, line in _module_level_imports(ast.parse(path.read_text()))
-        if any(name == m or name.startswith(m + ".") for m in LINEAR_ALGEBRA)
+        if _is_scipy(name)
     ]
     assert not found, "\n".join(found)
+
+
+def test_scipy_is_imported_only_where_lanczos_and_monomial_run():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(node):
+                names = []
+                if isinstance(inner, ast.Import):
+                    names = [alias.name for alias in inner.names]
+                elif isinstance(inner, ast.ImportFrom) and inner.module:
+                    names = [inner.module]
+                if any(_is_scipy(name) for name in names):
+                    found.add((path.name, node.name))
+    assert found == {("linalg.py", "op_norm"), ("model.py", "monomial")}
 
 
 # public names no code in src/ reads, each with the reader that keeps it

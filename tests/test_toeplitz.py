@@ -64,7 +64,7 @@ class TestIsMultiToeplitz:
         # correct sparsity pattern but wrong weight ratio along the diagonal band
         space = FockSpace(bergman2_spec, (3,))
         W = space.creation_product(0, Word((1,), 1))
-        M = W.toarray()
+        M = linalg.as_dense(W)
         M[1, 0] *= 1.0 + 1e-3
         report = is_multi_toeplitz(FockOperator(space, M), tol=1e-10)
         assert not report.verdict
