@@ -10,6 +10,7 @@ output; exit codes are 0 (pass), 1 (verification failure), 2 (input error),
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import json
 import math
@@ -47,7 +48,7 @@ from .errors import (
     SpecError,
     TruncationError,
 )
-from .freemonoid import Word
+from .freemonoid import Word, WordList
 from .model import (
     FockOperator,
     FockSpace,
@@ -477,10 +478,11 @@ def _check_weights_oracle(rng: np.random.Generator, trunc_degree: int) -> list[d
         spec = random_spec(rng)
         table = build_weight_table(spec, (6,) * spec.k)
         for i in range(spec.k):
-            words = [w for w in table.tables[i] if 0 < len(w) <= 5]
-            pick = rng.choice(len(words), size=min(25, len(words)), replace=False)
+            # the words of length 1..5 are the ranks after the identity's 0
+            count = len(WordList(spec.n[i], 5)) - 1
+            pick = rng.choice(count, size=min(25, count), replace=False)
             for idx in pick:
-                w = words[int(idx)]
+                w = table.tables[i].words[int(idx) + 1]
                 ref = brute_force_weight(spec, i, w)
                 worst = linalg.strict_max(worst, abs(table.b(i, w) - ref) / max(1.0, ref))
         specs_checked += 1
@@ -612,22 +614,30 @@ def _grading_gap(space: FockSpace, rng: np.random.Generator) -> float:
     about ``_GRADING_BLOCK_CELLS`` cells, against its adjoint, the columns
     ``[a, b)`` of ``T^*``; every entry meets the same arithmetic as in one
     block.
+
+    The draw is ``standard_normal((n, n)) + 1j * standard_normal((n, n))``:
+    ``rng``'s one stream holds every real part, in C order, before the
+    imaginary parts.  It is read through two cursors, so that no more than a
+    block of it is held: a copy of ``rng`` taken at entry yields the real
+    parts a block at a time, and ``rng`` itself, once moved past the ``n**2``
+    real normals, the imaginary parts.  ``rng`` ends where the whole draw
+    leaves it.
     """
     n = space.total_dim
     height = max(1, _GRADING_BLOCK_CELLS // n)
-    # the values of standard_normal + 1j * standard_normal, written in place a
-    # block of rows at a time: the generator fills C order, so the bits are
-    # those of the whole draw
-    M = np.empty((n, n), dtype=complex)
-    for part in (M.real, M.imag):
-        for a in range(0, n, height):
-            part[a : a + height] = rng.standard_normal((min(height, n - a), n))
+    real = copy.deepcopy(rng)
+    part = np.empty((height, n))
+    for a in range(0, n, height):
+        rng.standard_normal(out=part[: min(height, n - a)])
     # entry (r, c, v) of the degree -s part of T* is entry (c, r, conj v) of the
     # degree s part of T, and code(-s) = n_codes - 1 - code(s)
     n_codes = int(np.prod([2 * L + 1 for L in space.trunc]))
     worst = 0.0
+    block = np.empty((height, n), dtype=complex)
     for a in range(0, n, height):
-        rows = M[a : a + height]
+        rows = block[: min(height, n - a)]
+        rows.real = real.standard_normal(out=part[: len(rows)])
+        rows.imag = rng.standard_normal(out=part[: len(rows)])
         T = FockOperator(space, _stored_block(rows, a, 0, n))
         keys, vals = _cesaro_entries(T, tuple(2 * L for L in space.trunc), fejer_weights=False)
         worst = linalg.strict_max(worst, _residual_max(rows, keys - a * n, vals))

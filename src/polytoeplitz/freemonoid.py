@@ -84,10 +84,6 @@ class MultiWord:
         return len(self.parts)
 
     @property
-    def degree_vector(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
-
-    @property
     def total_degree(self) -> int:
         return sum(len(p) for p in self.parts)
 
@@ -109,8 +105,8 @@ class IndexPair:
     """A reduced pair of multi-words, the index set of Fourier coefficients.
 
     Membership requires that in each factor at most one of ``left[i]``,
-    ``right[i]`` is nonempty; ``degree_vector`` records the signed degrees
-    ``s_i = |left_i| - |right_i|``.
+    ``right[i]`` is nonempty, so the signed degree ``s_i = |left_i| -
+    |right_i|`` of each factor determines which side holds its word.
     """
 
     left: MultiWord
@@ -126,10 +122,6 @@ class IndexPair:
                 raise NotComparable(
                     f"({a.render()}, {b.render()}) has both sides nonempty in one factor"
                 )
-
-    @property
-    def degree_vector(self) -> tuple[int, ...]:
-        return tuple(len(a) - len(b) for a, b in zip(self.left.parts, self.right.parts))
 
     @property
     def total_weight(self) -> int:

@@ -162,8 +162,7 @@ def sum_by_key(keys: np.ndarray, vals: np.ndarray) -> Tuple[np.ndarray, np.ndarr
     total = vals[order[start]]
     for r in range(1, int(rank.max(initial=0)) + 1):
         at = rank == r
-        with np.errstate(over="ignore"):  # a sum past the largest double is inf, as in scipy's
-            total[group[at]] += vals[order[at]]
+        total[group[at]] += vals[order[at]]
     return keys[start], total, order[start]
 
 
@@ -530,10 +529,11 @@ def load_matrix(fh: IO[str]) -> Entries:
     are ignored.  A block that does not parse is checked line by line only
     then: a missing line, or one without exactly four fields, raises
     :class:`DimensionMismatch` with its line number, anything else the
-    parser's ``ValueError``.  Raises :class:`SpecError` on a NaN or infinite
-    value, including one that overflows to infinity when parsed.  A
-    ``(row, col)`` given on several lines holds their sum, added in file
-    order (:func:`sum_by_key`); explicit zeros are kept.
+    parser's ``ValueError``.  A ``(row, col)`` given on several lines holds
+    their sum, added in file order (:func:`sum_by_key`); explicit zeros are
+    kept.  Raises :class:`SpecError` on a NaN or infinite value, including
+    one that overflows to infinity when parsed, and on a sum of lines that
+    overflows, named by the first of its lines.
     """
     header = fh.readline().split()
     if len(header) != 3:
@@ -568,7 +568,12 @@ def load_matrix(fh: IO[str]) -> Entries:
     bad = np.flatnonzero(~np.isfinite(vv))
     if bad.size:
         raise SpecError(f"matrix file: non-finite value {vv[bad[0]]} on line {bad[0] + 2}")
-    keys, vals, _ = sum_by_key(rr * cols + cc, vv)
+    with np.errstate(over="ignore"):  # a sum past the largest double is inf, rejected below
+        keys, vals, first = sum_by_key(rr * cols + cc, vv)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        at = bad[np.argmin(first[bad])]
+        raise SpecError(f"matrix file: non-finite value {vals[at]} on line {first[at] + 2}")
     return Entries(keys, vals, (rows, cols))
 
 

@@ -547,6 +547,11 @@ def symbol_to_json(sym: FourierSymbol) -> dict:
     }
 
 
+def _term_name(pair: IndexPair) -> str:
+    """How an error names a symbol term: its left and right words."""
+    return f"symbol term {pair.left.render()} | {pair.right.render()}"
+
+
 def symbol_from_json(space: FockSpace, doc: Union[str, dict]) -> FourierSymbol:
     """Parse the form written by :func:`symbol_to_json`.
 
@@ -583,14 +588,14 @@ def symbol_from_json(space: FockSpace, doc: Union[str, dict]) -> FourierSymbol:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed symbol term {term!r}: {exc}") from exc
-        where = f"symbol term {left.render()} | {right.render()}"
-        if IndexPair(left=left, right=right) in coeffs:
-            raise SpecError(f"duplicate {where}")
+        pair = IndexPair(left=left, right=right)
+        if pair in coeffs:
+            raise SpecError(f"duplicate {_term_name(pair)}")
         if re.shape != (c, c) or im.shape != (c, c):
-            raise SpecError(f"{where}: re and im must have shape {(c, c)}, got {re.shape} and {im.shape}")
+            raise SpecError(f"{_term_name(pair)}: re and im must have shape {(c, c)}, got {re.shape} and {im.shape}")
         if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-            raise SpecError(f"{where}: non-finite coefficient")
-        coeffs[IndexPair(left=left, right=right)] = re + 1j * im
+            raise SpecError(f"{_term_name(pair)}: non-finite coefficient")
+        coeffs[pair] = re + 1j * im
     ids = np.array([space.class_of(pair) for pair in coeffs], dtype=np.int64)
     kept = np.flatnonzero(ids >= 0)
     kept = kept[np.argsort(ids[kept])]

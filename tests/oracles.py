@@ -5,7 +5,8 @@ arithmetic on ``FockSpace`` (``classify_pairs``, ``class_of`` and the class
 members), and the torus grading by ``graded_entries``.  These are the
 definitions read literally, one word or one stored entry at a time: right
 divisibility ``omega = sigma * gamma``, comparability, the simplification of
-a comparable pair onto its reduced index pair, the entry weight of a pair,
+a comparable pair onto its reduced index pair, the degrees of a multi-word
+and the signed degrees of a pair, the entry weight of a pair,
 the graded projections and the diagonal unitary between the weighted and
 unweighted pictures, the Cesàro window weight of each stored entry, a
 tuple's word operators as products of its matrices one letter at a time,
@@ -89,6 +90,16 @@ def simplify(omega: MultiWord, gamma: MultiWord) -> IndexPair:
         lefts.append(sigma if sigma is not None else Word.identity(a.alphabet_size))
         rights.append(beta if beta is not None else Word.identity(a.alphabet_size))
     return IndexPair(MultiWord(tuple(lefts)), MultiWord(tuple(rights)))
+
+
+def word_degrees(w: MultiWord) -> tuple[int, ...]:
+    """The length of each factor's word of ``w``."""
+    return tuple(len(p) for p in w.parts)
+
+
+def degree_vector(pair: IndexPair) -> tuple[int, ...]:
+    """The signed degrees ``s_i = |left_i| - |right_i|`` of ``pair``, its torus grading."""
+    return tuple(a - b for a, b in zip(word_degrees(pair.left), word_degrees(pair.right)))
 
 
 def _min_max_b(table: WeightTable, i: int, a: Word, b: Word) -> tuple[float, float]:

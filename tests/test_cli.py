@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,23 @@ def test_non_finite_operator_entry_exits_2(tmp_path, rng, capsys, command, bad):
     rc = main([command, "--spec", spec_path, "--trunc", "3", "--operator", op, "--out", str(out)])
     assert rc == 2
     assert "non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["toeplitz", "brown-halmos"])
+def test_duplicate_lines_summing_past_the_largest_double_exit_2(tmp_path, capsys, command):
+    # each line is finite, their sum is inf: it loaded as one inf entry, and
+    # both commands exited 1 with NaN reports and overflow warnings
+    spec_path = write_spec(tmp_path / "spec.json", BALL)
+    op = tmp_path / "op.mtx"
+    op.write_text("15 15 3\n3 4 1.0 0.0\n0 0 1e308 0.0\n0 0 1e308 0.0\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--spec", spec_path, "--trunc", "3", "--operator", str(op), "--out", str(out)])
+    assert rc == 2
+    assert "matrix file: non-finite value (inf+0j) on line 3" in capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
     assert not out.exists()
 
 

@@ -1403,7 +1403,15 @@ def split_block_load_matrix(fh):
     bad = np.flatnonzero(~np.isfinite(vv))
     if bad.size:
         raise SpecError(f"matrix file: non-finite value {vv[bad[0]]} on line {bad[0] + 2}")
-    return sp.coo_matrix((vv, (rr, cc)), shape=(rows, cols))
+    loaded = sp.coo_matrix((vv, (rr, cc)), shape=(rows, cols))
+    # lines of one (row, col) summing past the largest double: the first such line names the sum
+    summed = loaded.tocsr().tocoo()
+    bad = ~np.isfinite(summed.data)
+    if bad.any():
+        line = np.flatnonzero(np.isin(rr * cols + cc, summed.row[bad] * cols + summed.col[bad]))[0]
+        value = summed.data[(summed.row == rr[line]) & (summed.col == cc[line])][0]
+        raise SpecError(f"matrix file: non-finite value {value} on line {line + 2}")
+    return loaded
 
 
 def load_outcome(loader, text):
@@ -1445,6 +1453,10 @@ value_texts = st.one_of(
 @example(entries=[(0, 0, "-0", "-0", " "), (1, 2, "-0.0", "0", " "), (3, 3, "0", "-0.0", " ")], trailing="")
 @example(entries=[(0, 0, "1.79769313486231581e308", "0", " ")], trailing="")  # rounds to the largest double
 @example(entries=[(0, 0, "1.7976931348623159e308", "0", " ")], trailing="")  # overflows to inf
+@example(entries=[(1, 2, "1", "0", " "), (3, 4, "-1e308", "1e308", " "), (1, 2, "0", "0", " "),
+                  (3, 4, "-1e308", "1e308", " ")], trailing="")  # a sum of lines overflows to inf
+@example(entries=[(1, 1, "1", "0", " "), (2, 2, "1e308", "0", " "), (0, 0, "-1e308", "1", " "),
+                  (0, 0, "-1e308", "1", " "), (2, 2, "1e308", "0", " ")], trailing="")  # two, first in file and in key order
 def test_load_matrix_matches_split_block_oracle(entries, trailing):
     lines = [sep.join((str(r), str(c), re, im)) for r, c, re, im, sep in entries]
     text = f"7 7 {len(entries)}\n" + "".join(line + "\n" for line in lines) + trailing

@@ -15,7 +15,7 @@ from polytoeplitz.freemonoid import (
 from polytoeplitz.model import FockSpace
 
 from conftest import make_spec
-from oracles import comparable, right_divides, simplify
+from oracles import comparable, degree_vector, right_divides, simplify
 
 
 def w(letters, n=2):
@@ -71,13 +71,13 @@ class TestSimplify:
         pair = simplify(u, u)
         assert pair.left == mw(w([]))
         assert pair.right == mw(w([]))
-        assert pair.degree_vector == (0,)
+        assert degree_vector(pair) == (0,)
 
     def test_suffix_case(self):
         pair = simplify(mw(w([1, 2])), mw(w([2])))
         assert pair.left == mw(w([1]))
         assert pair.right == mw(w([]))
-        assert pair.degree_vector == (1,)
+        assert degree_vector(pair) == (1,)
 
     def test_two_factor_case_split(self):
         omega = mw(w([1, 2]), w([]))
@@ -85,7 +85,7 @@ class TestSimplify:
         pair = simplify(omega, gamma)
         assert pair.left == mw(w([1]), w([]))
         assert pair.right == mw(w([]), w([1]))
-        assert pair.degree_vector == (1, -1)
+        assert degree_vector(pair) == (1, -1)
 
     def test_not_comparable_raises(self):
         with pytest.raises(NotComparable):
@@ -201,7 +201,7 @@ def test_simplify_lands_in_reduced_set(a, b):
         # at most one side nonempty per factor, degrees split by sign
         la, lb = len(pair.left.parts[0]), len(pair.right.parts[0])
         assert la == 0 or lb == 0
-        s = pair.degree_vector[0]
+        s = degree_vector(pair)[0]
         assert la == max(s, 0) and lb == max(-s, 0)
 
 

@@ -500,6 +500,12 @@ class TestMatrixFile:
         save_matrix(buf, loaded)
         assert buf.getvalue() == "3 4 5\n0 0 0.60000000000000009 -0.5\n0 3 0 0\n1 0 0 0\n1 2 -0 0\n2 1 0.75 0\n"
 
+    def test_rejects_a_sum_of_lines_past_the_largest_double_by_its_first_line(self):
+        # (2, 2) and (0, 0) both sum to inf; (2, 2) comes first in the file, (0, 0) in key order
+        text = "3 3 5\n1 1 1 0\n2 2 1e308 0\n0 0 -1e308 1\n0 0 -1e308 1\n2 2 1e308 0\n"
+        with pytest.raises(SpecError, match=r"^matrix file: non-finite value \(inf\+0j\) on line 3$"):
+            load_matrix(io.StringIO(text))
+
     @pytest.mark.parametrize("entry", ["nan 0", "0 inf", "-inf 1", "1e400 0", "0 -1e999"])
     def test_rejects_non_finite_values(self, entry):
         text = f"3 3 2\n0 0 1 0\n1 2 {entry}\n"

@@ -25,7 +25,11 @@ The symbol and grading routines are also traced in-process: for sparse
 inputs they allocate less than one byte per ``(dim, dim)`` cell.
 One draw of the battery's grading check at ``n = 450`` is traced against the
 peak it had when it held one CSR per degree part of ``T`` and of ``T^*``, and
-its generator is asked for one row block of normals at a time.
+against one row block: it reads its normals a row block at a time through
+two cursors on the one stream, the real parts from a copy of the generator
+and the imaginary parts from the generator itself, and holds no ``(n, n)``
+array.  ``verify --seed 0 --trunc 4`` in a fresh interpreter stays within a
+few megabytes of the import's peak.
 ``intertwining_residual`` on the Berezin kernel of a random pure tuple at
 ``L=4`` (dim 961) is traced against one dense complex ``(dim, dim)`` array.
 ``cauchy_dual_projection`` on ``k=1, n=2, L=10`` (dim 2047, ``|gamma| = 6``,
@@ -36,6 +40,7 @@ Importing the program and building its parser, in a fresh interpreter, stays
 below the peak it had when every process imported ``scipy.sparse``.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -47,7 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 
 import polytoeplitz
-from polytoeplitz import linalg
+from polytoeplitz import cli, linalg
 from polytoeplitz.brownhalmos import bh_residual, build_row, cauchy_dual_projection
 from polytoeplitz.cli import _GRADING_BLOCK_CELLS, _grading_gap
 from polytoeplitz.cpmaps import UniversalModel, berezin_kernel, defect, intertwining_residual, is_pure, random_pure_tuple
@@ -89,6 +94,12 @@ GRADING_DRAW_PEAK_BYTES = 19_651_312
 # the same draw graded one row block at a time: the whole draw's triples, graded
 # at once, traced 17,021,215 bytes; never to be raised
 GRADING_BLOCK_PEAK_BYTES = 8_000_000
+# the same draw read one row block at a time: 4,936,333 bytes traced when the
+# whole (n, n) draw was filled first; never to be raised
+GRADING_STREAM_PEAK_BYTES = 2_500_000
+# the peak RSS of verify --seed 0 --trunc 4 above a bare import of the CLI in
+# the same way: 8.8 MB with the whole grading draw held; never to be raised
+VERIFY_ABOVE_IMPORT_MB = 6
 # a fresh import of the CLI with its parser built: 49-52 MB when it imported
 # scipy.sparse (about 15 MB of it), 36 MB without
 IMPORT_PEAK_RSS_LIMIT_MB = 40
@@ -351,11 +362,17 @@ def test_symbol_and_grading_allocate_no_dense_square():
         assert peak < limit, f"{peak} bytes traced, limit {limit}"
 
 
-def test_grading_check_draw_stays_below_the_per_part_peak():
-    # one draw of the battery's grading check at n = 450, where T and T^* are graded
+def _grading_space():
+    """The space of the battery's largest grading draw, ``n = 450``."""
     space = FockSpace(spec_from_json(SPEC), (3, 3), coeff_dim=2)
     assert space.total_dim == 450
-    _grading_gap(space, np.random.default_rng(0))  # the space's degree table is cached outside the trace
+    return space
+
+
+def _traced_grading_peak():
+    """The bytes one grading-check draw at ``n = 450`` traces, its degree table cached outside the trace."""
+    space = _grading_space()
+    _grading_gap(space, np.random.default_rng(0))
     tracemalloc.start()
     try:
         worst = _grading_gap(space, np.random.default_rng(0))
@@ -363,21 +380,25 @@ def test_grading_check_draw_stays_below_the_per_part_peak():
     finally:
         tracemalloc.stop()
     assert worst == 0.0
+    return peak
+
+
+def test_grading_check_draw_stays_below_the_per_part_peak():
+    # one draw of the battery's grading check, where T and T^* are graded
+    peak = _traced_grading_peak()
     assert peak <= GRADING_DRAW_PEAK_BYTES, f"{peak} bytes traced, limit {GRADING_DRAW_PEAK_BYTES}"
 
 
 def test_grading_check_draw_holds_one_row_block_of_triples():
-    # the draw itself is 3.24 MB at n = 450; its triples are graded a block of rows at a time
-    space = FockSpace(spec_from_json(SPEC), (3, 3), coeff_dim=2)
-    _grading_gap(space, np.random.default_rng(0))  # the space's degree table is cached outside the trace
-    tracemalloc.start()
-    try:
-        worst = _grading_gap(space, np.random.default_rng(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert worst == 0.0
+    # its triples are graded a block of rows at a time
+    peak = _traced_grading_peak()
     assert peak <= GRADING_BLOCK_PEAK_BYTES, f"{peak} bytes traced, limit {GRADING_BLOCK_PEAK_BYTES}"
+
+
+def test_grading_check_draw_holds_one_row_block_of_the_draw():
+    # the whole draw is 3.24 MB at n = 450; its normals are read a block of rows at a time
+    peak = _traced_grading_peak()
+    assert peak <= GRADING_STREAM_PEAK_BYTES, f"{peak} bytes traced, limit {GRADING_STREAM_PEAK_BYTES}"
 
 
 def test_intertwining_residual_allocates_less_than_a_dense_square():
@@ -396,30 +417,71 @@ def test_intertwining_residual_allocates_less_than_a_dense_square():
 
 
 class RecordingGenerator:
-    """A generator that keeps each array of normals it hands out."""
+    """A generator that keeps a copy of each array of normals it hands out.
 
-    def __init__(self, rng):
-        self.rng, self.draws = rng, []
+    Its copies record into the same list, each draw tagged with the cursor
+    that made it: 0 for the generator itself, 1 for a copy of it.
+    """
 
-    def standard_normal(self, size):
-        self.draws.append(self.rng.standard_normal(size))
-        return self.draws[-1]
+    def __init__(self, rng, draws=None, cursor=0):
+        self.rng, self.cursor = rng, cursor
+        self.draws = [] if draws is None else draws
+
+    def __deepcopy__(self, memo):
+        return RecordingGenerator(copy.deepcopy(self.rng, memo), self.draws, self.cursor + 1)
+
+    def standard_normal(self, size=None, out=None):
+        got = self.rng.standard_normal(size, out=out)
+        self.draws.append((self.cursor, got.copy()))
+        return got
 
 
-def test_grading_check_draws_its_normals_one_row_block_at_a_time():
-    # no (n, n) float temporary beside the draw: the real parts, then the
-    # imaginary parts, a row block each, the bits and next draws of one whole draw
-    space = FockSpace(spec_from_json(SPEC), (3, 3), coeff_dim=2)
+def test_grading_check_draws_its_normals_one_row_block_at_a_time(monkeypatch):
+    # the one stream holds the (n, n) real parts, then the imaginary parts: a
+    # copy taken at entry reads the real parts a row block at a time, and the
+    # generator itself, past the real parts, the imaginary parts; each graded
+    # block holds the whole draw's rows, and the generator ends where the
+    # whole draw leaves it
+    space = _grading_space()
     n = space.total_dim
+    blocks = []
+    cesaro_entries = cli._cesaro_entries
+
+    def recording_cesaro_entries(T, *args, **kwargs):
+        blocks.append((int(T.matrix.keys[0]) // n, T.matrix.vals.reshape(-1, n).copy()))
+        return cesaro_entries(T, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_cesaro_entries", recording_cesaro_entries)
     rng = RecordingGenerator(np.random.default_rng(0))
     assert _grading_gap(space, rng) == 0.0
-    assert max(draw.size for draw in rng.draws) <= _GRADING_BLOCK_CELLS
-    assert all(draw.shape[1] == n for draw in rng.draws)
+    assert max(draw.size for _, draw in rng.draws) <= _GRADING_BLOCK_CELLS
+    assert all(draw.shape[1] == n for _, draw in rng.draws)
     whole = np.random.default_rng(0)
-    drawn = np.concatenate(rng.draws)
-    assert drawn.shape == (2 * n, n)
-    assert drawn.tobytes() == whole.standard_normal((n, n)).tobytes() + whole.standard_normal((n, n)).tobytes()
+    re, im = whole.standard_normal((n, n)), whole.standard_normal((n, n))
+    shared = np.concatenate([draw for cursor, draw in rng.draws if cursor == 0])
+    copied = np.concatenate([draw for cursor, draw in rng.draws if cursor == 1])
+    assert {cursor for cursor, _ in rng.draws} == {0, 1}
+    assert shared.tobytes() == re.tobytes() + im.tobytes()
+    assert copied.tobytes() == re.tobytes()
+    height = len(blocks[0][1])
+    assert [a for a, _ in blocks] == list(range(0, n, height))
+    assert blocks[-1][0] + len(blocks[-1][1]) == n
+    for a, rows in blocks:
+        assert rows.size <= _GRADING_BLOCK_CELLS
+        assert rows.real.tobytes() == re[a : a + len(rows)].tobytes()
+        assert rows.imag.tobytes() == im[a : a + len(rows)].tobytes()
     assert rng.rng.standard_normal(4).tobytes() == whole.standard_normal(4).tobytes()
+
+
+def test_verify_peaks_within_a_few_megabytes_of_the_import(tmp_path):
+    # the battery's largest array was its (n, n) grading draw, 3.24 MB at n = 450
+    code, verify_mb = _run_child(tmp_path, ["verify", "--seed", "0", "--trunc", "4", "--out", "out"])
+    assert code == 0
+    code, import_mb = _run_child(tmp_path, [], child=IMPORT_CHILD)
+    assert code == 0
+    assert verify_mb - import_mb <= VERIFY_ABOVE_IMPORT_MB, (
+        f"verify peak RSS {verify_mb:.1f} MB, import {import_mb:.1f} MB"
+    )
 
 
 def test_importing_the_program_stays_below_peak_rss_limit(tmp_path):

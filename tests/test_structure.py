@@ -312,8 +312,6 @@ def test_every_public_name_has_a_reader():
 
 # methods and properties no code in src/ reads, each with the reader that keeps it
 UNREAD_METHODS = {
-    "MultiWord.degree_vector": "the tests grade words and pairs by it",
-    "IndexPair.degree_vector": "the tests grade words and pairs by it",
     "FockSpace.basis": "bench/gen.py reads the basis words to plant and spoil its operators",
     "FockSpace.index_of": "bench/gen.py reads the rank of a basis word",
     "FockSpace.pair_structure": "bench/tracing.py binds it by name; the tests compare the classifier with it",
