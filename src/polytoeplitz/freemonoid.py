@@ -12,6 +12,7 @@ words by rank and make a :class:`Word` only when one is asked for.
 from __future__ import annotations
 
 import collections.abc
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -203,6 +204,7 @@ class RankMap(collections.abc.Mapping):
         return len(self.words)
 
 
+@functools.lru_cache(maxsize=16)
 def graded_lex_layout(n: int, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The enumeration of :func:`enumerate_words` as arrays ``(start, lengths, offsets)``.
 
@@ -211,6 +213,7 @@ def graded_lex_layout(n: int, max_len: int) -> tuple[np.ndarray, np.ndarray, np.
     offset ``offsets[r] = r - start[lengths[r]]``, its letters minus one read as
     base-``n`` digits.  Its length-``e`` suffix is the word at offset
     ``offsets[r] % n**e`` and the prefix before it the one at ``offsets[r] // n**e``.
+    Built once per ``(n, max_len)`` and shared: the arrays are read-only.
     """
     if n < 1:
         raise DimensionMismatch(f"alphabet size must be >= 1, got {n}")
@@ -219,6 +222,8 @@ def graded_lex_layout(n: int, max_len: int) -> tuple[np.ndarray, np.ndarray, np.
     start = np.concatenate([[0], np.cumsum(n ** np.arange(max_len + 1, dtype=np.int64))])
     lengths = np.repeat(np.arange(max_len + 1, dtype=np.int64), np.diff(start))
     offsets = np.arange(start[-1], dtype=np.int64) - start[lengths]
+    for a in (start, lengths, offsets):
+        a.flags.writeable = False
     return start, lengths, offsets
 
 

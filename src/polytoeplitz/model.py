@@ -69,7 +69,7 @@ class FockSpace:
             raise SpecError("weight table truncation differs from requested truncation")
         # views over the graded-lex ranks: words by rank, and ranks by word
         self.factor_words: list[WordList] = [table.words for table in self.weights.tables]
-        # per factor (start, lengths, offsets) of the graded-lex ranks
+        # per factor (start, lengths, offsets) of the graded-lex ranks, shared read-only
         self.factor_layouts = [graded_lex_layout(n, L) for n, L in zip(spec.n, self.trunc)]
         self.factor_dims = tuple(len(ws) for ws in self.factor_words)
         self.dim = int(np.prod(self.factor_dims))

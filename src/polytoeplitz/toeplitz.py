@@ -516,11 +516,12 @@ def random_symbol(
     # class 0 is the identity pair
     if 0 not in chosen:
         chosen = np.append(chosen[:-1], 0)
-    coeffs = np.empty((count, c, c), dtype=complex)
-    for j in range(count):
-        A = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
-        A /= max(1.0, linalg.op_norm(A))
-        coeffs[j] = A
+    # each block's real then imaginary parts, block after block, as one draw
+    z = rng.standard_normal((count, 2, c, c))
+    coeffs = z[:, 0] + 1j * z[:, 1]
+    # op_norm's dense 2-norm of each block, by one batched svd
+    norms = np.linalg.svd(coeffs + 0, compute_uv=False).max(axis=1)
+    coeffs /= np.fmax(1.0, norms)[:, None, None]
     order = np.argsort(chosen)
     sym = FourierSymbol(space, chosen[order], coeffs[order])
     return _plus_adjoint(sym) if hermitian else sym

@@ -7,18 +7,19 @@ weight ``b_{i,alpha}`` attached to a word is the corresponding coefficient of
 table followed by word convolution, and cross-checked by a literal
 factorization-sum oracle.
 
-Both steps run on graded-lexicographic rank arrays
-(:func:`~polytoeplitz.freemonoid.graded_lex_layout`): within the words of
-length ``d`` the suffix of length ``e`` sits at offset ``o mod n**e`` and the
-prefix before it at ``o // n**e``.  The recursion takes one numpy gather per
-cut and word length, the convolution one per cut over all longer words.
-Every entry is summed over its cuts in ascending order from ``0.0``, as the
-word-by-word definition reads, so the values do not depend on the vectorization.
+Both steps read one plan per shape, cached by ``(n, L, longest suffix)``:
+the graded-lexicographic ranks (:func:`~polytoeplitz.freemonoid.graded_lex_layout`)
+of each word, its prefix and its suffix, for every cut.  A convolution is
+one ``bincount`` over the plan, and each word length of the recursion one
+gather and one ``bincount``.  ``bincount`` adds in input order from ``0.0``,
+and the plan lists each word's cuts in ascending order, as the word-by-word
+definition reads, so the values do not depend on the vectorization.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -34,8 +35,9 @@ from .freemonoid import (
     WordList,
     enumerate_words,
     graded_lex_layout,
-    word_offset,
+    word_rank,
 )
+from .linalg import index_dtype
 
 __all__ = [
     "PolydomainSpec",
@@ -126,39 +128,56 @@ class WeightTable:
                 writer.writerow([i + 1, w.render(), repr(b)])
 
 
-def _order_one_values(cmap: Mapping[Word, float], n: int, start: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _cut_plan(n: int, max_len: int, max_suffix: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(word, prefix, suffix)``: the ranks of every cut ``alpha = alpha' alpha''`` with ``|alpha''| <= max_suffix``.
+
+    One entry per word of length at most ``max_len`` and per cut, word-major
+    with the cuts of a word in ascending prefix length, so that a
+    ``bincount`` over ``word`` sums each word's terms in that order.  Built
+    without a sort: the suffix length counts down within each word's run of
+    ``min(|alpha|, max_suffix) + 1`` entries.  The arrays are read-only and
+    int32 when the ranks and the entry count fit.
+    """
+    start, lengths, offsets = graded_lex_layout(n, max_len)
+    count = np.minimum(lengths, max_suffix) + 1
+    total = int(count.sum())
+    index = index_dtype(max(total, int(start[-1])))
+    start, lengths, offsets = (a.astype(index) for a in (start, lengths, offsets))
+    word = np.repeat(np.arange(start[-1], dtype=index), count)
+    # the suffix lengths count down to 0: the last entry of a word's run minus the entry
+    e = np.repeat((np.cumsum(count) - 1).astype(index), count)
+    e -= np.arange(total, dtype=index)
+    prefix, suffix = np.divmod(np.repeat(offsets, count), n ** np.arange(max_len + 1, dtype=index)[e])
+    prefix += start[np.repeat(lengths, count) - e]
+    suffix += start[e]
+    for a in (word, prefix, suffix):
+        a.flags.writeable = False
+    return word, prefix, suffix
+
+
+def _order_one_values(cmap: Mapping[Word, float], n: int, L: int) -> np.ndarray:
     # b1[alpha] = sum over proper suffixes gamma in the support of b1[prefix] * a[gamma]
-    trunc = start.size - 2
-    max_deg = max(len(w) for w in cmap)
-    # coefficient of each word of length e <= trunc, by offset; zero off the support
-    coeff = [np.zeros(n**e) for e in range(min(max_deg, trunc) + 1)]
+    max_suffix = min(max(len(w) for w in cmap), L)
+    start = graded_lex_layout(n, L)[0]
+    # coefficient of each word of length <= max_suffix, by rank; zero off the support
+    coeff = np.zeros(start[max_suffix + 1])
     for w, a in cmap.items():
-        if len(w) <= trunc:
-            coeff[len(w)][word_offset(w)] = a
+        if len(w) <= max_suffix:
+            coeff[word_rank(w)] = a
+    word, prefix, suffix = _cut_plan(n, L, max_suffix)
+    a = coeff.take(suffix)
+    # a cut adds only where its suffix carries a coefficient: never the empty suffix
+    hit = a != 0.0
+    word, prefix, a = word[hit], prefix[hit], a[hit]
+    bounds = np.searchsorted(word, start)
     out = np.empty(start[-1])
     out[0] = 1.0
-    for d in range(1, trunc + 1):
-        o = np.arange(n**d)
-        acc = np.zeros(n**d)
-        for cut in range(max(0, d - max_deg), d):
-            e = d - cut
-            a = coeff[e][o % n**e]
-            hit = a != 0.0
-            acc[hit] += out[start[cut] + o[hit] // n**e] * a[hit]
-        out[start[d] : start[d + 1]] = acc
-    return out
-
-
-def _word_convolve(u: np.ndarray, v: np.ndarray, n: int, layout) -> np.ndarray:
-    # (u * v)[alpha] = sum over splittings alpha = alpha' alpha'', one pass per
-    # prefix length |alpha'| over every word at least that long
-    start, lengths, offsets = layout
-    out = np.zeros_like(u)
-    for cut in range(start.size - 1):
-        longer = slice(start[cut], None)
-        e = lengths[longer] - cut
-        place = n**e
-        out[longer] += u[start[cut] + offsets[longer] // place] * v[start[e] + offsets[longer] % place]
+    for d in range(1, L + 1):
+        run = slice(bounds[d], bounds[d + 1])
+        out[start[d] : start[d + 1]] = np.bincount(
+            word[run] - start[d], weights=out.take(prefix[run]) * a[run], minlength=n**d
+        )
     return out
 
 
@@ -175,11 +194,14 @@ def build_weight_table(spec: PolydomainSpec, trunc: Sequence[int]) -> WeightTabl
     tables, values = [], []
     for i in range(spec.k):
         n, L = spec.n[i], trunc[i]
-        layout = graded_lex_layout(n, L)
-        b1 = _order_one_values(spec.coeffs[i], n, layout[0])
+        b1 = _order_one_values(spec.coeffs[i], n, L)
         bm = b1
-        for _ in range(spec.m[i] - 1):
-            bm = _word_convolve(b1, bm, n, layout)
+        if spec.m[i] > 1:
+            # (b1 * bm)[alpha] = sum over cuts alpha = alpha' alpha'' of b1[alpha'] * bm[alpha'']
+            word, prefix, suffix = _cut_plan(n, L, L)
+            head = b1.take(prefix)
+            for _ in range(spec.m[i] - 1):
+                bm = np.bincount(word, weights=head * bm.take(suffix), minlength=b1.size)
         values.append(bm)
         tables.append(RankMap(WordList(n, L), bm.item))
     return WeightTable(spec=spec, trunc=tuple(trunc), tables=tuple(tables), values=tuple(values))

@@ -109,7 +109,7 @@ from polytoeplitz.toeplitz import (
     symbol_to_json,
     _plus_adjoint,
 )
-from polytoeplitz.weights import build_weight_table
+from polytoeplitz.weights import PolydomainSpec, build_weight_table
 
 from conftest import make_spec
 from oracles import (
@@ -1241,17 +1241,29 @@ def test_defect_walk_matches_defect_at_every_point(rng):
             assert np.array_equal(D, dense_defect(spec, X, p))
 
 
+# the largest truncation the oracle test draws for each alphabet size
+ORACLE_TRUNC = {1: 13, 2: 8, 3: 5}
+
+
 def test_weight_tables_match_dict_oracle(rng):
     cases = [(space.spec, space.trunc) for space in oracle_spaces(rng)]
     for _ in range(40):
-        spec = random_spec(rng, max_n=3, max_m=3, max_deg=3)
-        cases.append((spec, tuple(int(L) for L in rng.integers(0, 7, size=spec.k))))
+        spec = random_spec(rng, max_n=3, max_m=4, max_deg=3)
+        cases.append((spec, tuple(int(rng.integers(0, ORACLE_TRUNC[n] + 1)) for n in spec.n)))
+    # an explicit zero coefficient and words of degree 3, at every order up to 4
+    for n, L in ORACLE_TRUNC.items():
+        cmap = {Word((j,), n): 0.25 + 0.5 * j for j in range(1, n + 1)}
+        cmap[Word((n, n), n)] = 0.0
+        cmap[Word((1, 1, 1), n)] = 0.75
+        cmap[Word((n, 1, n), n)] = 1.5
+        for m in range(1, 5):
+            cases.append((PolydomainSpec(k=1, n=(n,), m=(m,), coeffs=(cmap,)), (L,)))
     for spec, trunc in cases:
         table = build_weight_table(spec, trunc)
         for i, expected in enumerate(dict_weight_tables(spec, trunc)):
             # same words, same order, same bits
             assert list(table.tables[i].items()) == list(expected.items())
-            assert np.array_equal(table.values[i], np.array(list(expected.values())))
+            assert table.values[i].tobytes() == np.array(list(expected.values())).tobytes()
 
 
 def test_factor_creation_matches_per_column_oracle(rng):

@@ -258,6 +258,37 @@ def test_scipy_is_imported_only_where_lanczos_and_monomial_run():
     assert found == {("linalg.py", "op_norm"), ("model.py", "monomial")}
 
 
+# a cache keeps its keys alive: one keyed on a spec, a space or an array would
+# hold it for the life of the process, so every cache in src/ takes ints only
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def _cached_functions(tree: ast.AST):
+    """Each function under ``functools.cache`` or ``functools.lru_cache``, with or without arguments."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name in CACHE_DECORATORS:
+                yield node
+
+
+def test_every_cache_keys_on_ints_only():
+    cached, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in _cached_functions(ast.parse(path.read_text())):
+            cached.add(fn.name)
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            loose = [a.arg for a in params if not (isinstance(a.annotation, ast.Name) and a.annotation.id == "int")]
+            if loose:
+                found.append(f"{path.name}:{fn.lineno}: {fn.name}({', '.join(loose)})")
+    assert {"build_parser", "graded_lex_layout", "_cut_plan"} <= cached
+    assert not found, "\n".join(found)
+
+
 # public names no code in src/ reads, each with the reader that keeps it
 UNREAD_EXPORTS = {
     "monomial": "bench/gen.py plants its operators with it",

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from polytoeplitz.cli import main
 from polytoeplitz.errors import NotComparable, SpecError, TruncationError
-from polytoeplitz.freemonoid import MultiWord, Word
+from polytoeplitz.freemonoid import MultiWord, Word, graded_lex_layout
 from polytoeplitz.model import FockSpace
 from polytoeplitz.sampling import ones_series_spec, random_spec
 from polytoeplitz.weights import (
@@ -17,6 +17,7 @@ from polytoeplitz.weights import (
     brute_force_weight,
     build_weight_table,
     compactness_ratios,
+    _cut_plan,
     _factor_tail,
     series_tail_bound,
     spec_from_json,
@@ -273,6 +274,26 @@ def test_fock_space_builds_few_words(monkeypatch):
     space = FockSpace(spec, (10,))
     assert space.dim == 2047
     assert len(made) < 1.5 * space.dim
+
+
+def test_a_second_table_of_a_shape_reuses_its_plans_and_they_are_read_only():
+    # the plans and layouts depend on (n, L) and the longest suffix only: a
+    # second spec of the same shape, with other coefficients and order, plans nothing
+    n, L = 2, 7
+    first = make_spec(1, (n,), (2,), [(1, (1,), 0.5), (1, (2,), 0.25), (1, (2, 1), 0.125)])
+    second = make_spec(1, (n,), (3,), [(1, (1,), 0.75), (1, (2,), 1.0), (1, (1, 1), 0.0)])
+    build_weight_table(first, (L,))
+    plans, layouts = _cut_plan.cache_info(), graded_lex_layout.cache_info()
+    space = FockSpace(second, (L,))
+    assert _cut_plan.cache_info().misses == plans.misses
+    assert _cut_plan.cache_info().hits > plans.hits
+    assert graded_lex_layout.cache_info().misses == layouts.misses
+    assert space.factor_layouts[0] is graded_lex_layout(n, L)
+    for a in (*_cut_plan(n, L, L), *_cut_plan(n, L, 2), *graded_lex_layout(n, L)):
+        with pytest.raises(ValueError):
+            a[0] = 1
+        with pytest.raises(ValueError):
+            a += 1
 
 
 def exact_tail(masses, m, L, t):
