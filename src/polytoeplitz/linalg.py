@@ -43,6 +43,7 @@ __all__ = [
     "hermitize",
     "psd_check",
     "op_norm",
+    "block_norms",
     "psd_within",
     "herm_sqrt",
     "pinv_on_range",
@@ -230,8 +231,7 @@ def _spectral_blocks(mat: MatrixLike, hermitian: bool):
             m = hermitize(mat)
         else:
             m = as_dense(mat) if isinstance(mat, Entries) else mat
-        # + 0 turns -0.0 into 0.0, which LAPACK reads alike in a dense array and its stored entries
-        return [(m[None] + 0, np.arange(n_r)[None], np.arange(n_c)[None])]
+        return [(_unsigned_zeros(m[None]), np.arange(n_r)[None], np.arange(n_c)[None])]
     keys, vals = stored_entries(mat)
     if hermitian:
         # 0.5 * (a_ij + conj(a_ji)) on the union of both patterns, a missing
@@ -260,6 +260,26 @@ def _spectral_blocks(mat: MatrixLike, hermitian: bool):
                 f"more than the {available} bytes available"
             )
     return _blocks(rows, cols, vals[nonzero], label_r, label_c)
+
+
+def _unsigned_zeros(stack: np.ndarray) -> np.ndarray:
+    # + 0 turns -0.0 into 0.0, which LAPACK reads alike in a dense array and its stored entries
+    return stack + 0
+
+
+def _stack_norms(stack: np.ndarray) -> np.ndarray:
+    # the largest singular value of each block of a (count, r, c) stack, by one batched svd
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1, initial=0.0)
+
+
+def block_norms(stack: np.ndarray) -> np.ndarray:
+    """The dense 2-norm of each block of a finite ``(count, r, c)`` stack, by one batched ``svd``.
+
+    The rule :func:`op_norm` applies below the cutoff to each stack of
+    :func:`_spectral_blocks`, ``-0.0`` read as ``0.0``: a block with a side
+    of at most 8, or with no zero entry, gets the bits ``op_norm`` gives it alone.
+    """
+    return _stack_norms(_unsigned_zeros(stack))
 
 
 def _blocks(
@@ -388,7 +408,7 @@ def op_norm(mat: MatrixLike) -> float:
         return math.nan
     if not _past_cutoff(mat.shape):
         stacks = _spectral_blocks(mat, hermitian=False)
-        return max((float(np.linalg.svd(s, compute_uv=False).max(initial=0.0)) for s, _, _ in stacks), default=0.0)
+        return max((float(_stack_norms(s).max()) for s, _, _ in stacks), default=0.0)
     keys, vals = stored_entries(mat)
     if not vals.any():
         return 0.0

@@ -519,9 +519,7 @@ def random_symbol(
     # each block's real then imaginary parts, block after block, as one draw
     z = rng.standard_normal((count, 2, c, c))
     coeffs = z[:, 0] + 1j * z[:, 1]
-    # op_norm's dense 2-norm of each block, by one batched svd
-    norms = np.linalg.svd(coeffs + 0, compute_uv=False).max(axis=1)
-    coeffs /= np.fmax(1.0, norms)[:, None, None]
+    coeffs /= np.fmax(1.0, linalg.block_norms(coeffs))[:, None, None]
     order = np.argsort(chosen)
     sym = FourierSymbol(space, chosen[order], coeffs[order])
     return _plus_adjoint(sym) if hermitian else sym

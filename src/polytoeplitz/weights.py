@@ -7,8 +7,8 @@ weight ``b_{i,alpha}`` attached to a word is the corresponding coefficient of
 table followed by word convolution, and cross-checked by a literal
 factorization-sum oracle.
 
-Both steps read one plan per shape, cached by ``(n, L, longest suffix)``:
-the graded-lexicographic ranks (:func:`~polytoeplitz.freemonoid.graded_lex_layout`)
+Both steps read one plan per shape, cached by ``(n, L)``: the
+graded-lexicographic ranks (:func:`~polytoeplitz.freemonoid.graded_lex_layout`)
 of each word, its prefix and its suffix, for every cut.  A convolution is
 one ``bincount`` over the plan, and each word length of the recursion one
 gather and one ``bincount``.  ``bincount`` adds in input order from ``0.0``,
@@ -129,18 +129,17 @@ class WeightTable:
 
 
 @functools.lru_cache(maxsize=16)
-def _cut_plan(n: int, max_len: int, max_suffix: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(word, prefix, suffix)``: the ranks of every cut ``alpha = alpha' alpha''`` with ``|alpha''| <= max_suffix``.
+def _cut_plan(n: int, max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(word, prefix, suffix)``: the ranks of every cut ``alpha = alpha' alpha''`` with ``|alpha| <= max_len``.
 
-    One entry per word of length at most ``max_len`` and per cut, word-major
-    with the cuts of a word in ascending prefix length, so that a
-    ``bincount`` over ``word`` sums each word's terms in that order.  Built
-    without a sort: the suffix length counts down within each word's run of
-    ``min(|alpha|, max_suffix) + 1`` entries.  The arrays are read-only and
-    int32 when the ranks and the entry count fit.
+    One entry per word and per cut, word-major with the cuts of a word in
+    ascending prefix length, so that a ``bincount`` over ``word`` sums each
+    word's terms in that order.  Built without a sort: the suffix length
+    counts down within each word's run of ``|alpha| + 1`` entries.  The
+    arrays are read-only and int32 when the ranks and the entry count fit.
     """
     start, lengths, offsets = graded_lex_layout(n, max_len)
-    count = np.minimum(lengths, max_suffix) + 1
+    count = lengths + 1
     total = int(count.sum())
     index = index_dtype(max(total, int(start[-1])))
     start, lengths, offsets = (a.astype(index) for a in (start, lengths, offsets))
@@ -158,14 +157,13 @@ def _cut_plan(n: int, max_len: int, max_suffix: int) -> tuple[np.ndarray, np.nda
 
 def _order_one_values(cmap: Mapping[Word, float], n: int, L: int) -> np.ndarray:
     # b1[alpha] = sum over proper suffixes gamma in the support of b1[prefix] * a[gamma]
-    max_suffix = min(max(len(w) for w in cmap), L)
     start = graded_lex_layout(n, L)[0]
-    # coefficient of each word of length <= max_suffix, by rank; zero off the support
-    coeff = np.zeros(start[max_suffix + 1])
+    # coefficient of each word by rank; zero off the support
+    coeff = np.zeros(start[-1])
     for w, a in cmap.items():
-        if len(w) <= max_suffix:
+        if len(w) <= L:
             coeff[word_rank(w)] = a
-    word, prefix, suffix = _cut_plan(n, L, max_suffix)
+    word, prefix, suffix = _cut_plan(n, L)
     a = coeff.take(suffix)
     # a cut adds only where its suffix carries a coefficient: never the empty suffix
     hit = a != 0.0
@@ -198,7 +196,7 @@ def build_weight_table(spec: PolydomainSpec, trunc: Sequence[int]) -> WeightTabl
         bm = b1
         if spec.m[i] > 1:
             # (b1 * bm)[alpha] = sum over cuts alpha = alpha' alpha'' of b1[alpha'] * bm[alpha'']
-            word, prefix, suffix = _cut_plan(n, L, L)
+            word, prefix, suffix = _cut_plan(n, L)
             head = b1.take(prefix)
             for _ in range(spec.m[i] - 1):
                 bm = np.bincount(word, weights=head * bm.take(suffix), minlength=b1.size)

@@ -1242,7 +1242,7 @@ def test_defect_walk_matches_defect_at_every_point(rng):
 
 
 # the largest truncation the oracle test draws for each alphabet size
-ORACLE_TRUNC = {1: 13, 2: 8, 3: 5}
+ORACLE_TRUNC = {1: 13, 2: 8, 3: 6}
 
 
 def test_weight_tables_match_dict_oracle(rng):

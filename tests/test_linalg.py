@@ -255,6 +255,15 @@ class TestOpNorm:
             for mat in (m, sp.csr_matrix(m)):
                 assert op_norm(mat) == np.linalg.norm(m, 2)
 
+    def test_block_norms_are_each_blocks_op_norm_to_the_bit(self, rng):
+        # side <= 8 with signed zeros, and past it with no zero entry
+        for c, count in ((1, 10), (3, 40), (8, 40), (12, 3)):
+            stack = random_complex(rng, (count, c, c))
+            if c <= 8:
+                stack[rng.random(stack.shape) < 0.3] = complex(-0.0, -0.0)
+            norms = linalg.block_norms(stack)
+            assert norms.tobytes() == np.array([op_norm(b) for b in stack]).tobytes()
+
 
 def bracket_cases(rng):
     """Matrices past the 600 cutoff: random sparse, rectangular, diagonal and zero, as CSR and dense."""

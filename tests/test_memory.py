@@ -29,7 +29,9 @@ against one row block: it reads its normals a row block at a time through
 two cursors on the one stream, the real parts from a copy of the generator
 and the imaginary parts from the generator itself, and holds no ``(n, n)``
 array.  ``verify --seed 0 --trunc 4`` in a fresh interpreter stays within a
-few megabytes of the import's peak.
+few megabytes of the import's peak, and ``weights --trunc 14`` on one factor
+of ``n = 2`` (dim 32767), whose cached cut plan holds 458,753 entries, within
+its bound above it.
 ``intertwining_residual`` on the Berezin kernel of a random pure tuple at
 ``L=4`` (dim 961) is traced against one dense complex ``(dim, dim)`` array.
 ``cauchy_dual_projection`` on ``k=1, n=2, L=10`` (dim 2047, ``|gamma| = 6``,
@@ -100,6 +102,11 @@ GRADING_STREAM_PEAK_BYTES = 2_500_000
 # the peak RSS of verify --seed 0 --trunc 4 above a bare import of the CLI in
 # the same way: 8.8 MB with the whole grading draw held; never to be raised
 VERIFY_ABOVE_IMPORT_MB = 6
+# the peak RSS of weights --trunc 14 on one factor of n = 2 (dim 32767) above a
+# bare import: 9.9 MB with per-cut gathers, 21.8 MB with the cached plan of
+# every cut (5.5 MB held) and the plan-length arrays each convolution gathers;
+# never to be raised
+WEIGHTS_ABOVE_IMPORT_MB = 26
 # a fresh import of the CLI with its parser built: 49-52 MB when it imported
 # scipy.sparse (about 15 MB of it), 36 MB without
 IMPORT_PEAK_RSS_LIMIT_MB = 40
@@ -493,6 +500,17 @@ def test_verify_peaks_within_a_few_megabytes_of_the_import(tmp_path):
         f"verify peak RSS {verify['peak']:.1f} MB, import {imported['peak']:.1f} MB; at the end "
         f"RssAnon {verify['anon']:.2f} against {imported['anon']:.2f} MB, "
         f"RssFile {verify['file']:.2f} against {imported['file']:.2f} MB"
+    )
+
+
+def test_single_factor_weights_at_trunc_14_peak_within_their_plan_bound(tmp_path):
+    (tmp_path / "spec.json").write_text(json.dumps(MODEL_SPEC))
+    code, weights_mb = _run_child(tmp_path, ["weights", "--spec", "spec.json", "--trunc", "14", "--out", "out"])
+    assert code == 0
+    code, import_mb = _run_child(tmp_path, [], child=IMPORT_CHILD)
+    assert code == 0
+    assert weights_mb - import_mb <= WEIGHTS_ABOVE_IMPORT_MB, (
+        f"weights peak RSS {weights_mb:.1f} MB, import {import_mb:.1f} MB"
     )
 
 

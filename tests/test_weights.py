@@ -277,8 +277,8 @@ def test_fock_space_builds_few_words(monkeypatch):
 
 
 def test_a_second_table_of_a_shape_reuses_its_plans_and_they_are_read_only():
-    # the plans and layouts depend on (n, L) and the longest suffix only: a
-    # second spec of the same shape, with other coefficients and order, plans nothing
+    # the plans and layouts depend on (n, L) only: a second spec of the same
+    # shape, with other coefficients and order, plans nothing
     n, L = 2, 7
     first = make_spec(1, (n,), (2,), [(1, (1,), 0.5), (1, (2,), 0.25), (1, (2, 1), 0.125)])
     second = make_spec(1, (n,), (3,), [(1, (1,), 0.75), (1, (2,), 1.0), (1, (1, 1), 0.0)])
@@ -289,7 +289,7 @@ def test_a_second_table_of_a_shape_reuses_its_plans_and_they_are_read_only():
     assert _cut_plan.cache_info().hits > plans.hits
     assert graded_lex_layout.cache_info().misses == layouts.misses
     assert space.factor_layouts[0] is graded_lex_layout(n, L)
-    for a in (*_cut_plan(n, L, L), *_cut_plan(n, L, 2), *graded_lex_layout(n, L)):
+    for a in (*_cut_plan(n, L), *graded_lex_layout(n, L)):
         with pytest.raises(ValueError):
             a[0] = 1
         with pytest.raises(ValueError):
