@@ -71,6 +71,7 @@ from .toeplitz import (
 )
 from .weights import (
     PolydomainSpec,
+    WeightTable,
     brute_force_weight,
     build_weight_table,
     compactness_ratios,
@@ -186,6 +187,12 @@ def _load_operator(space: FockSpace, path: str) -> FockOperator:
 # -- subcommands ---------------------------------------------------------------
 
 
+def _oracle_error(table: WeightTable, i: int, w: Word) -> float:
+    """Relative error of the table's weight of ``w`` in factor ``i`` against the factorization oracle."""
+    ref = brute_force_weight(table.spec, i, w)
+    return abs(table.b(i, w) - ref) / max(1.0, abs(ref))
+
+
 def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.oracle_degree < 1:  # no word to check would pass vacuously
         raise SpecError(f"--oracle-degree must be >= 1, got {args.oracle_degree}")
@@ -197,13 +204,11 @@ def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
     oracle_worst = 0.0
     oracle_count = 0
     for i in range(spec.k):
-        words = [w for w in table.tables[i] if 0 < len(w) <= min(trunc[i], args.oracle_degree)]
-        if len(words) > 80:
-            words = [words[int(j)] for j in rng.choice(len(words), 80, replace=False)]
-        for w in words:
-            ref = brute_force_weight(spec, i, w)
-            got = table.b(i, w)
-            oracle_worst = linalg.strict_max(oracle_worst, abs(got - ref) / max(1.0, abs(ref)))
+        words = WordList(spec.n[i], min(trunc[i], args.oracle_degree))
+        # the nonempty words are the ranks after the identity's 0, 80 of them drawn when there are more
+        ranks = range(1, len(words)) if len(words) <= 81 else rng.choice(len(words) - 1, 80, replace=False) + 1
+        for r in ranks:
+            oracle_worst = linalg.strict_max(oracle_worst, _oracle_error(table, i, words[int(r)]))
             oracle_count += 1
 
     series_worst = 0.0
@@ -359,6 +364,11 @@ def _load_tuple(spec: PolydomainSpec, manifest_path: str) -> OperatorTuple:
     return OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h)
 
 
+def _isometry_excess(gram_dev: np.ndarray, tail_bound: float) -> float:
+    """``||K^*K - I|| - max(1e-8, tail_bound)``, given ``gram_dev = K^*K - I``: K is isometric up to its tail where <= 0."""
+    return linalg.op_norm(gram_dev) - linalg.strict_max(1e-8, tail_bound)
+
+
 def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
     spec = _load_spec(cfg.spec_path)
     trunc = _broadcast_trunc(cfg.trunc, spec.k)
@@ -384,8 +394,8 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
     kernel_norm = kernel.norm()
     residual = intertwining_residual(kernel, X)
     gram_dev = kernel.gram() - np.eye(X.dim_h)
-    # K is an isometry only for a pure tuple: the rule of the battery's berezin_isometry_within_tail
-    isometric = linalg.op_norm(gram_dev) <= linalg.strict_max(1e-8, kernel.tail_bound)
+    # K is an isometry only for a pure tuple
+    isometric = _isometry_excess(gram_dev, kernel.tail_bound) <= 0.0
     passed = pure and isometric and kernel_norm <= 1.0 + cfg.tol and residual <= max(cfg.tol, 1e-9)
     report.update(
         kernel_norm=kernel_norm,
@@ -408,24 +418,21 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_brown_halmos(cfg: RunConfig, args: argparse.Namespace) -> int:
     T = _load_operator(_space(cfg), args.operator)
-    spec = T.space.spec
-    if args.factor is not None:
-        if not 1 <= args.factor <= spec.k:
-            raise DimensionMismatch(f"--factor must lie in 1..{spec.k}")
-        res = bh_residual(T, args.factor - 1)
-        scan = {
-            "residuals": [res],
-            "factors": [args.factor],
-            "tolerance": cfg.tol,
-            "satisfied": res <= cfg.tol,
-            "classification": "BH-consistent" if res <= cfg.tol else "BH-violated",
-        }
-    else:
-        scan = bh_scan(T, tol=cfg.tol)
-        scan["factors"] = list(range(1, spec.k + 1))
+    k = T.space.spec.k
+    if args.factor is not None and not 1 <= args.factor <= k:
+        raise DimensionMismatch(f"--factor must lie in 1..{k}")
+    factors = range(k) if args.factor is None else [args.factor - 1]
+    scan = bh_scan(T, tol=cfg.tol, factors=factors)
+    scan["factors"] = [i + 1 for i in factors]
     scan["command"] = "brown-halmos"
     _emit(scan, cfg.out, "brown-halmos-report.json")
     return EXIT_PASS if scan["satisfied"] else EXIT_FAIL
+
+
+def _psd_verdicts(sym: FourierSymbol, r: float, tol: float) -> tuple[tuple[bool, float], tuple[bool, float]]:
+    """:func:`linalg.psd_check` of the pluriharmonic kernel of ``sym`` at radius ``r``, and of its model operator there."""
+    kernel = linalg.psd_check(pluriharmonic_kernel(sym, r), tol)
+    return kernel, linalg.psd_check(evaluate_at_model(sym, r).matrix, tol)
 
 
 def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -433,10 +440,7 @@ def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not 0.0 <= args.radius < 1.0:
         raise SpecError(f"--radius must be a finite number in [0, 1), got {args.radius}")
     sym = _load_symbol(_space(cfg), args.symbol)
-    gamma = pluriharmonic_kernel(sym, args.radius)
-    op = evaluate_at_model(sym, args.radius)
-    kernel_psd, kernel_min = linalg.psd_check(gamma, cfg.tol)
-    model_psd, model_min = linalg.psd_check(op.matrix, cfg.tol)
+    (kernel_psd, kernel_min), (model_psd, model_min) = _psd_verdicts(sym, args.radius, cfg.tol)
     agree = kernel_psd == model_psd
     report = {
         "command": "kernel-psd",
@@ -482,9 +486,7 @@ def _check_weights_oracle(rng: np.random.Generator, trunc_degree: int) -> list[d
             count = len(WordList(spec.n[i], 5)) - 1
             pick = rng.choice(count, size=min(25, count), replace=False)
             for idx in pick:
-                w = table.tables[i].words[int(idx) + 1]
-                ref = brute_force_weight(spec, i, w)
-                worst = linalg.strict_max(worst, abs(table.b(i, w) - ref) / max(1.0, ref))
+                worst = linalg.strict_max(worst, _oracle_error(table, i, table.tables[i].words[int(idx) + 1]))
         specs_checked += 1
     return [_check("weights_oracle", worst, 1e-12, specs_checked)]
 
@@ -526,9 +528,7 @@ def _check_berezin(rng: np.random.Generator, trunc_degree: int) -> list[dict]:
         trunc = (trunc_degree,) * spec.k
         X = random_pure_tuple(spec, rng, dims=(2,) * spec.k, shrink=0.85)
         kernel = berezin_kernel(X, trunc)
-        dev = linalg.op_norm(kernel.gram() - np.eye(X.dim_h))
-        allowance = linalg.strict_max(1e-8, kernel.tail_bound)
-        worst_iso = linalg.strict_max(worst_iso, dev - allowance)
+        worst_iso = linalg.strict_max(worst_iso, _isometry_excess(kernel.gram() - np.eye(X.dim_h), kernel.tail_bound))
         worst_int = linalg.strict_max(worst_int, intertwining_residual(kernel, X))
     return [
         _check("berezin_isometry_within_tail", worst_iso, 0.0, 6),
@@ -700,10 +700,7 @@ def _check_kernel_psd_equivalence(rng: np.random.Generator, trunc_degree: int) -
         space = FockSpace(spec, (3,) * spec.k, coeff_dim=int(rng.integers(1, 3)))
         sym = random_symbol(space, rng, n_monomials=5, hermitian=True)
         for r in (0.3, 0.7):
-            gamma = pluriharmonic_kernel(sym, r)
-            op = evaluate_at_model(sym, r)
-            v1, _ = linalg.psd_check(gamma, 1e-9)
-            v2, _ = linalg.psd_check(op.matrix, 1e-9)
+            (v1, _), (v2, _) = _psd_verdicts(sym, r, 1e-9)
             agree = agree and (v1 == v2)
     return [_check("kernel_psd_equivalence", 0.0 if agree else 1.0, 0.0, 16)]
 

@@ -138,6 +138,17 @@ class UniversalModel(NamedTuple):
         return np.ones(self.dim_h, dtype=complex)
 
 
+def _conjugations(X: OperatorTuple, i: int, Y: np.ndarray) -> np.ndarray:
+    """``a_w (K_w Y) K_w^*`` over factor ``i``'s :meth:`~OperatorTuple.kraus` words, a leading axis in coefficient order.
+
+    ``Y`` is a ``(..., dim_h, dim_h)`` stack, taken in one stacked product.
+    """
+    K, a = X.kraus(i)
+    lead = (1,) * (Y.ndim - 2)
+    K = K.reshape(K.shape[0], *lead, *K.shape[1:])
+    return a.reshape(-1, *lead, 1, 1) * ((K @ Y) @ K.conj().swapaxes(-1, -2))
+
+
 def phi_map(X: OperatorTuple | UniversalModel, i: int, Y: np.ndarray) -> np.ndarray:
     """The factor-i completely positive map ``Y -> sum a_w X_w Y X_w^*``.
 
@@ -145,14 +156,12 @@ def phi_map(X: OperatorTuple | UniversalModel, i: int, Y: np.ndarray) -> np.ndar
     length ``dim_h``: each word's :meth:`~FockSpace.word_action` moves the
     middle digit of :meth:`~FockSpace.split` from ``src`` to ``dst`` times
     ``|val|**2``, one scatter per word.  Matrix tuples take one stacked
-    product ``(K Y) K^*`` over the :meth:`~OperatorTuple.kraus` stack ``K``.
+    product over the :meth:`~OperatorTuple.kraus` stack (:func:`_conjugations`).
     Either way the terms are added from zeros in coefficient order.
     """
     if isinstance(X, OperatorTuple):
-        K, a = X.kraus(i)
-        terms = a[:, None, None] * ((K @ linalg.as_dense(Y)) @ K.conj().transpose(0, 2, 1))
         acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
-        for term in terms:
+        for term in _conjugations(X, i, linalg.as_dense(Y)):
             acc += term
         return acc
     if Y.shape != (X.dim_h,):
@@ -193,30 +202,32 @@ def defect(X: OperatorTuple | UniversalModel, p: Sequence[int]) -> np.ndarray:
     return Y
 
 
+def _lattice_walk(m: Sequence[int], start, step):
+    """Yield ``(p, D(p))`` over ``0 <= p <= m`` in product order: ``D(0) = start``, ``D(p) = step(j, D(p - e_j))``.
+
+    ``j`` is the first nonzero index of ``p``; the order visits ``p - e_j`` first.
+    """
+    values: dict[tuple[int, ...], np.ndarray] = {}
+    for p in itertools.product(*(range(mi + 1) for mi in m)):
+        j = next((i for i, pi in enumerate(p) if pi), None)
+        values[p] = start if j is None else step(j, values[p[:j] + (p[j] - 1,) + p[j + 1 :]])
+        yield p, values[p]
+
+
 def _defect_walk(X: OperatorTuple | UniversalModel):
     """Yield ``(p, defect(X, p))`` over ``0 <= p <= m`` in product order.
 
-    Each point costs one map: ``D(p) = D(p - e_j) - Phi_j(D(p - e_j))`` with
-    ``j`` the first nonzero index of ``p``.  :func:`defect` applies factor
-    ``j`` last and the product order visits ``p - e_j`` first, so every
+    Each point costs one map (:func:`_lattice_walk`): ``D(p) = D(p - e_j) -
+    Phi_j(D(p - e_j))``.  :func:`defect` applies factor ``j`` last, so every
     ``D(p)`` equals ``defect(X, p)`` exactly.
     """
-    defects: dict[tuple[int, ...], np.ndarray] = {}
-    for p in itertools.product(*(range(mi + 1) for mi in X.spec.m)):
-        j = next((i for i, pi in enumerate(p) if pi), None)
-        if j is None:
-            D = X.identity()
-        else:
-            prev = defects[p[:j] + (p[j] - 1,) + p[j + 1 :]]
-            # Y by keyword: the benchmark tracer (bench/tracing.py) reads it as args[3] or kwargs["Y"]
-            D = prev - phi_map(X, j, Y=prev)
-        defects[p] = D
-        yield p, D
+    # Y by keyword: the benchmark tracer (bench/tracing.py) reads it as args[3] or kwargs["Y"]
+    return _lattice_walk(X.spec.m, X.identity(), lambda j, prev: prev - phi_map(X, j, Y=prev))
 
 
 def _extreme_eigs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest and largest eigenvalue of the Hermitian part of each matrix, one batched ``eigvalsh``."""
-    eigs = np.linalg.eigvalsh(0.5 * (stack + stack.conj().transpose(0, 2, 1)))
+    eigs = np.linalg.eigvalsh(linalg.hermitize(stack))
     return eigs[:, 0], eigs[:, -1]
 
 
@@ -349,13 +360,13 @@ def berezin_kernel(X: OperatorTuple, trunc: Sequence[int], tol: float = 1e-9) ->
     # scalar majorants: per factor, shell norms ||Phi_{i,d}(I)|| for d <= deg f_i
     factors, power_norms = [], []
     for i in range(spec.k):
-        K = X.kraus(i)[0]
+        terms = _conjugations(X, i, X.identity())
         shells: dict[int, float] = {}
         for d in range(1, spec.degree(i) + 1):
             acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
-            for Kw, (w, a) in zip(K, spec.coeffs[i].items()):
+            for term, w in zip(terms, spec.coeffs[i]):
                 if len(w) == d:
-                    acc += a * (Kw @ Kw.conj().T)
+                    acc += term
             shells[d] = linalg.op_norm(acc)
         factors.append((shells, spec.m[i], trunc[i], 1.0))
         power_norms.append(next(itertools.islice(_phi_power_norms(X, i), trunc[i], None)))
@@ -432,23 +443,16 @@ def _defect_polynomials(X: OperatorTuple) -> np.ndarray:
     """
     spec = X.spec
     top = sum(mi * spec.degree(i) for i, mi in enumerate(spec.m))
-    polys: dict[tuple[int, ...], np.ndarray] = {}
-    for p in itertools.product(*(range(mi + 1) for mi in spec.m)):
-        j = next((i for i, pi in enumerate(p) if pi), None)
-        if j is None:
-            C = np.zeros((top + 1, X.dim_h, X.dim_h), dtype=complex)
-            C[0] = np.eye(X.dim_h)
-        else:
-            prev = polys[p[:j] + (p[j] - 1,) + p[j + 1 :]]
-            K, a = X.kraus(j)
-            moved = a[:, None, None, None] * (
-                (K[:, None] @ prev[None]) @ K.conj().transpose(0, 2, 1)[:, None]
-            )
-            C = prev.copy()
-            for term, w in zip(moved, spec.coeffs[j]):
-                C[len(w) :] -= term[: top + 1 - len(w)]
-        polys[p] = C
-    return np.stack(list(polys.values()))
+
+    def step(j: int, prev: np.ndarray) -> np.ndarray:
+        C = prev.copy()
+        for term, w in zip(_conjugations(X, j, prev), spec.coeffs[j]):
+            C[len(w) :] -= term[: top + 1 - len(w)]
+        return C
+
+    start = np.zeros((top + 1, X.dim_h, X.dim_h), dtype=complex)
+    start[0] = np.eye(X.dim_h)
+    return np.stack([C for _, C in _lattice_walk(spec.m, start, step)])
 
 
 def random_pure_tuple(
@@ -475,16 +479,13 @@ def random_pure_tuple(
     dim_h = int(np.prod(dims))
     ops: list[tuple[np.ndarray, ...]] = []
     for i in range(spec.k):
-        row = []
-        for _ in range(spec.n[i]):
-            Y = rng.standard_normal((dims[i], dims[i])) + 1j * rng.standard_normal(
-                (dims[i], dims[i])
-            )
-            Y /= max(1.0, linalg.op_norm(Y))
-            before = int(np.prod(dims[:i])) if i else 1
-            after = int(np.prod(dims[i + 1 :])) if i + 1 < spec.k else 1
-            row.append(np.kron(np.kron(np.eye(before), Y), np.eye(after)).astype(complex))
-        ops.append(tuple(row))
+        # each letter's real then imaginary parts, letter after letter, as one draw
+        z = rng.standard_normal((spec.n[i], 2, dims[i], dims[i]))
+        letters = z[:, 0] + 1j * z[:, 1]
+        letters /= np.fmax(1.0, linalg.block_norms(letters))[:, None, None]
+        before = int(np.prod(dims[:i])) if i else 1
+        after = int(np.prod(dims[i + 1 :])) if i + 1 < spec.k else 1
+        ops.append(tuple(np.kron(np.kron(np.eye(before), Y), np.eye(after)).astype(complex) for Y in letters))
     raw = OperatorTuple(spec=spec, ops=tuple(ops), dim_h=dim_h, commutation_checked=True)
     polys = _defect_polynomials(raw)
 

@@ -113,10 +113,11 @@ def adjoint(mat: MatrixLike) -> MatrixLike:
 
 
 def hermitize(mat: MatrixLike) -> np.ndarray:
+    """``0.5 * (m + m^*)`` of a square matrix, or of each matrix of a ``(..., r, r)`` stack."""
     m = as_dense(mat)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def strict_max(*values: float) -> float:
@@ -562,6 +563,8 @@ def load_matrix(fh: IO[str]) -> Entries:
         rows, cols, nnz = (int(x) for x in header)
     except ValueError as exc:
         raise DimensionMismatch(f"matrix file: bad header {header!r}") from exc
+    if min(rows, cols, nnz) < 0:
+        raise DimensionMismatch(f"matrix file: bad header {header!r}: a negative count")
     rr = np.empty(nnz, dtype=np.int64)
     cc = np.empty(nnz, dtype=np.int64)
     vv = np.empty(nnz, dtype=complex)

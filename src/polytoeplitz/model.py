@@ -301,6 +301,15 @@ class FockSpace:
         per_factor.reverse()
         return per_factor
 
+    def adjoint_classes(self, classes: np.ndarray) -> np.ndarray:
+        """The class id of each reduced pair with its sides swapped, ``(q, e) <-> (e, q)`` in every factor."""
+        swapped = np.zeros_like(classes)
+        for i, (quot, row_long) in enumerate(self.class_factors(classes)):
+            count = self.factor_dims[i]
+            # (q, e) at digit q goes to (e, q) at digit count + q - 1, and back; (e, e) is digit 0 both ways
+            swapped = swapped * (2 * count - 1) + np.where(row_long & (quot > 0), count + quot - 1, quot)
+        return swapped
+
     def class_pair(self, c: int) -> IndexPair:
         """The reduced pair of class ``c``; class 0 is the identity pair."""
         left, right = [], []

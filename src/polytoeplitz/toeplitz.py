@@ -106,16 +106,11 @@ def _plus_adjoint(sym: FourierSymbol) -> FourierSymbol:
     """The symbol of ``T + T^*``, for ``T`` the operator of ``sym``, as ``2 * (0.5 * (A_s + A^*))``.
 
     The adjoint moves the coefficient ``A`` at a class to ``0 + A^*`` (a
-    signed zero made positive) at the class with the sides swapped, ``(q,
-    e) <-> (e, q)`` in every factor's digit.  A class missing on one side
-    reads as a zero block there.
+    signed zero made positive) at its :meth:`~FockSpace.adjoint_classes`
+    class.  A class missing on one side reads as a zero block there.
     """
     space, c = sym.space, sym.space.coeff_dim
-    swapped = np.zeros_like(sym.classes)
-    for i, (quot, row_long) in enumerate(space.class_factors(sym.classes)):
-        count = space.factor_dims[i]
-        # (q, e) at digit q goes to (e, q) at digit count + q - 1, and back; (e, e) is digit 0 both ways
-        swapped = swapped * (2 * count - 1) + np.where(row_long & (quot > 0), count + quot - 1, quot)
+    swapped = space.adjoint_classes(sym.classes)
     classes = linalg.sorted_unique(np.concatenate([sym.classes, swapped]))
     own, adjoint = np.zeros((2, classes.size, c, c), dtype=complex)
     own[np.searchsorted(classes, sym.classes)] = sym.coeffs

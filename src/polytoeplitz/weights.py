@@ -33,7 +33,6 @@ from .freemonoid import (
     RankMap,
     Word,
     WordList,
-    enumerate_words,
     graded_lex_layout,
     word_rank,
 )
@@ -327,28 +326,21 @@ def series_tail_bound(factors: Sequence[tuple[Mapping[int, float], int, int, flo
 
 
 def compactness_ratios(table: WeightTable, i: int) -> dict:
-    """All ratios ``b_{g_j alpha} / b_alpha`` for ``|alpha| < trunc[i]``.
+    """All ratios ``b_{g_j alpha} / b_alpha`` for ``|alpha| < trunc[i]``: ``ratios[j - 1, r]`` for ``alpha`` at rank ``r``.
 
-    Returns the ratio map, the supremum over the truncation, and the
-    per-degree maximum so callers can report the tail trend.  No convergence
-    is asserted; the trend is informational.
+    One gather over the graded-lexicographic layout: ``g_j alpha``, for
+    ``|alpha| = d``, is the word at rank ``start[d + 1] + (j - 1) n**d +
+    offset(alpha)``.  Also returns the supremum and the per-degree maximum,
+    the tail trend callers report; no convergence is asserted.
     """
-    n = table.spec.n[i]
-    L = table.trunc[i]
-    ratios: dict[tuple[int, Word], float] = {}
-    per_degree: dict[int, float] = {}
-    for alpha in enumerate_words(n, L - 1):
-        b_alpha = table.b(i, alpha)
-        for j in range(1, n + 1):
-            extended = Word((j,) + alpha.letters, n)
-            r = table.b(i, extended) / b_alpha
-            ratios[(j, alpha)] = r
-            d = len(alpha)
-            per_degree[d] = max(per_degree.get(d, 0.0), r)
+    n, L = table.spec.n[i], table.trunc[i]
+    start, lengths, offsets = graded_lex_layout(n, L)
+    d, b = lengths[: start[L]], table.values[i]
+    ratios = b[start[d + 1] + np.arange(n)[:, None] * n**d + offsets[: d.size]] / b[: d.size]
     return {
         "ratios": ratios,
-        "sup": max(ratios.values()) if ratios else 0.0,
-        "max_by_degree": dict(sorted(per_degree.items())),
+        "sup": float(ratios.max(initial=0.0)),
+        "max_by_degree": {e: float(ratios[:, start[e] : start[e + 1]].max()) for e in range(L)},
     }
 
 

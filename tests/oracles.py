@@ -10,6 +10,7 @@ and the signed degrees of a pair, the entry weight of a pair,
 the graded projections and the diagonal unitary between the weighted and
 unweighted pictures, the Cesàro window weight of each stored entry, a
 tuple's word operators as products of its matrices one letter at a time,
+the Berezin tail bound from shells summed one word at a time,
 the universal model's creations as matrices, a factor's creation lifted
 over the coefficient space and the other factors, the row Gram diagonal as
 the map's sum over every basis vector, and the sum of stored-entry terms
@@ -41,7 +42,7 @@ from polytoeplitz.cpmaps import OperatorTuple
 from polytoeplitz.freemonoid import IndexPair, MultiWord, Word, reverse
 from polytoeplitz.model import FockOperator, FockSpace
 from polytoeplitz.toeplitz import FourierSymbol, _gap_places, graded_entries
-from polytoeplitz.weights import WeightTable
+from polytoeplitz.weights import WeightTable, series_tail_bound
 
 
 def right_divides(gamma: Word, omega: Word) -> Optional[Word]:
@@ -195,6 +196,22 @@ def word_op(X: OperatorTuple, i: int, w: Word):
             return sp.identity(X.dim_h, format="csr", dtype=complex)
         return np.eye(X.dim_h, dtype=complex)
     return word_op(X, i, Word(w.letters[:-1], w.alphabet_size)) @ X.ops[i][w.letters[-1] - 1]
+
+
+def per_word_tail_bound(X: OperatorTuple, trunc: Sequence[int]) -> float:
+    """The Berezin kernel's tail bound, each shell ``Phi_{i,d}(I)`` summed from zeros one word at a time as ``a_w K_w K_w^*``."""
+    factors = []
+    for i in range(X.spec.k):
+        K = X.kraus(i)[0]
+        shells = {}
+        for d in range(1, X.spec.degree(i) + 1):
+            acc = np.zeros((X.dim_h, X.dim_h), dtype=complex)
+            for Kw, (w, a) in zip(K, X.spec.coeffs[i].items()):
+                if len(w) == d:
+                    acc += a * (Kw @ Kw.conj().T)
+            shells[d] = linalg.op_norm(acc)
+        factors.append((shells, X.spec.m[i], trunc[i], 1.0))
+    return series_tail_bound(factors)
 
 
 def multi_word_op(X: OperatorTuple, w: MultiWord):

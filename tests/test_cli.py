@@ -305,6 +305,15 @@ def test_toeplitz_dimension_mismatch_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("header", ["15 15 -1", "-5 15 0"])
+def test_toeplitz_negative_header_count_exits_3(tmp_path, capsys, header):
+    spec_path = write_spec(tmp_path / "spec.json", BALL)
+    (tmp_path / "op.mtx").write_text(header + "\n")
+    rc = main(["toeplitz", "--spec", spec_path, "--trunc", "3", "--operator", str(tmp_path / "op.mtx")])
+    assert rc == 3
+    assert "matrix file: bad header" in capsys.readouterr().err
+
+
 def test_toeplitz_rejects_junk_operator(tmp_path, rng):
     spec_path = write_spec(tmp_path / "spec.json", BALL)
     M = rng.standard_normal((15, 15))
@@ -506,6 +515,28 @@ def test_brown_halmos_command(tmp_path, rng):
     report = json.loads((tmp_path / "out" / "brown-halmos-report.json").read_text())
     assert report["satisfied"]
     assert report["classification"] == "BH-consistent"
+
+
+@pytest.mark.parametrize("spoil", [False, True])
+def test_brown_halmos_factor_reports_its_residual_of_the_full_scan(tmp_path, rng, spoil):
+    # k = 2: --factor j reads the j-th residual of the scan over both factors, bit for bit
+    spec_path = write_spec(tmp_path / "spec.json", WIDE)
+    T = evaluate_at_model(random_symbol(FockSpace(spec_from_json(json.dumps(WIDE)), (2, 2)), rng, n_monomials=6))
+    if spoil:
+        T = cli._spoiled(T, 1, 0)
+    with open(tmp_path / "op.mtx", "w") as fh:
+        linalg.save_matrix(fh, T.matrix)
+    argv = ["brown-halmos", "--spec", spec_path, "--trunc", "2", "--operator", str(tmp_path / "op.mtx")]
+    assert main([*argv, "--out", str(tmp_path / "all")]) == (1 if spoil else 0)
+    full = strict_json((tmp_path / "all" / "brown-halmos-report.json").read_text())
+    assert full["classification"] == ("BH-violated" if spoil else "BH-consistent")
+    for j in (1, 2):
+        rc = main([*argv, "--factor", str(j), "--out", str(tmp_path / f"factor{j}")])
+        one = strict_json((tmp_path / f"factor{j}" / "brown-halmos-report.json").read_text())
+        assert one["factors"] == [j]
+        assert [float(r).hex() for r in one["residuals"]] == [float(full["residuals"][j - 1]).hex()]
+        assert one["classification"] == full["classification"]
+        assert rc == (1 if spoil else 0)
 
 
 def test_kernel_psd_command(tmp_path, rng):
@@ -1095,7 +1126,6 @@ def test_operator_commands_make_no_word_list(tmp_path, monkeypatch):
     # toeplitz and brown-halmos address words by rank: on the `deep` planted operator
     # (dim 2047) neither enumerates words nor builds the multi-word basis
     import polytoeplitz.freemonoid as freemonoid
-    import polytoeplitz.weights as weights
 
     spec = write_spec(tmp_path / "spec.json", DEEP)
     space = FockSpace(spec_from_json(json.dumps(DEEP)), (10,))
@@ -1108,8 +1138,8 @@ def test_operator_commands_make_no_word_list(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("words enumerated")
 
+    # enumerate_words iterates a WordList, so src/ imports of it are refused too
     monkeypatch.setattr(freemonoid, "enumerate_words", refuse)
-    monkeypatch.setattr(weights, "enumerate_words", refuse)
     monkeypatch.setattr(freemonoid.WordList, "__iter__", refuse)
     monkeypatch.setattr(FockSpace, "basis", refuse)
     for command in ("toeplitz", "brown-halmos"):

@@ -128,6 +128,7 @@ from oracles import (
     multi_word_op,
     pair_coefficients,
     per_entry_cesaro_reconstruct,
+    per_word_tail_bound,
     phi_right,
     scipy_build_row,
     scipy_cauchy_dual_projection,
@@ -2052,6 +2053,17 @@ def test_batched_berezin_rows_match_per_word_oracle(rng):
         trunc = (3,) * X.spec.k
         got = berezin_kernel(X, trunc)
         assert same_bits(got.rows, per_word_berezin_rows(X.spec, X, trunc))
+
+
+def test_berezin_tail_bound_matches_per_word_shell_oracle(rng):
+    # the shells come from the one Kraus conjugation at Y = I; the oracle sums a_w K_w K_w^* word by word
+    bounds = []
+    for X in small_tuples(rng, count=8):
+        for trunc in ((2,) * X.spec.k, (3,) * X.spec.k):
+            got = berezin_kernel(X, trunc).tail_bound
+            assert same_bits(np.float64(got), np.float64(per_word_tail_bound(X, trunc)))
+            bounds.append(got)
+    assert any(0.0 < b < math.inf for b in bounds)
 
 
 def test_polynomial_bisection_matches_scaled_tuple_oracle():

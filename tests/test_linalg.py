@@ -485,6 +485,13 @@ class TestMatrixFile:
         with pytest.raises(DimensionMismatch):
             load_matrix(io.StringIO("1 2\n"))
 
+    @pytest.mark.parametrize("header", ["2047 2047 -1", "-5 2047 0", "3 -1 0"])
+    def test_negative_header_count(self, header):
+        # a negative nnz reached numpy's "negative dimensions", a negative
+        # shape an Entries that only the space's shape check refused
+        with pytest.raises(DimensionMismatch, match="matrix file: bad header"):
+            load_matrix(io.StringIO(header + "\n"))
+
     def test_entry_outside_shape(self):
         with pytest.raises(DimensionMismatch):
             load_matrix(io.StringIO("1 1 1\n0 3 1.0 0.0\n"))

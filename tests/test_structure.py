@@ -397,3 +397,72 @@ def test_every_imported_name_is_read(path):
     read = set(_references(tree)) | set(_exports(tree))
     unread = [f"{path.name}:{line}: {name}" for name, line in _imported_names(tree) if name not in read]
     assert not unread, "\n".join(unread)
+
+
+# parameters with a default that no call in src/ passes, each with the reader
+# that sets it: a setting only tests set is a constant
+UNSET_DEFAULTS = {
+    "cli.main(argv)": "the tests and bench/measure.py pass the arguments; the console script passes none",
+    "sampling.random_spec(max_n)": "the tests draw alphabets of up to 3 letters",
+    "sampling.random_spec(max_m)": "the tests draw positivity orders up to 4",
+    "toeplitz.cesaro_reconstruct(fejer_weights)": "the tests compare the windowed means without the Fejér weights",
+}
+
+
+def _defaulted_parameters(tree: ast.AST):
+    """Each function's parameters with a default: ``(callee name, parameter, position or None, is a method)``.
+
+    A constructor is called by its class's name; a method or constructor
+    takes ``self`` first, which a call does not pass.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.ClassDef, ast.Module)):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            yield from _defaults_of(fn, node.name if isinstance(node, ast.ClassDef) else None)
+            for inner in ast.walk(fn):
+                if inner is not fn and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield from _defaults_of(inner, None)
+
+
+def _defaults_of(fn, cls):
+    """The defaulted parameters of ``fn``, a method of ``cls`` or, with ``cls`` None, a function."""
+    name = cls if cls and fn.name == "__init__" else fn.name
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for position, a in enumerate(positional[first:], start=first):
+        yield name, a.arg, position, cls is not None
+    for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield name, a.arg, None, cls is not None
+
+
+def _set_by_a_call(trees: dict, callee: str, param: str, position, method: bool) -> bool:
+    """Whether a call to ``callee`` passes ``param``: by keyword, by position, or through ``*``/``**``."""
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name != callee:
+                continue
+            keywords = {kw.arg for kw in node.keywords}
+            if param in keywords or None in keywords or any(isinstance(a, ast.Starred) for a in node.args):
+                return True
+            if position is not None and len(node.args) + method > position:
+                return True
+    return False
+
+
+def test_every_setting_has_a_setter():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    unset = {
+        f"{module.removesuffix('.py')}.{callee}({param})"
+        for module, tree in trees.items()
+        for callee, param, position, method in _defaulted_parameters(tree)
+        if not _set_by_a_call(trees, callee, param, position, method)
+    }
+    assert unset == set(UNSET_DEFAULTS)

@@ -4,12 +4,13 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polytoeplitz.cli import main
 from polytoeplitz.errors import NotComparable, SpecError, TruncationError
-from polytoeplitz.freemonoid import MultiWord, Word, graded_lex_layout
+from polytoeplitz.freemonoid import MultiWord, Word, WordList, graded_lex_layout
 from polytoeplitz.model import FockSpace
 from polytoeplitz.sampling import ones_series_spec, random_spec
 from polytoeplitz.weights import (
@@ -158,15 +159,31 @@ class TestCompactnessRatios:
     def test_ones_series_order_one_is_two(self):
         table = build_weight_table(ones_series_spec(1, 13), (13,))
         ratios = compactness_ratios(table, 0)
-        for (j, alpha), r in ratios["ratios"].items():
-            if len(alpha) >= 1:
-                assert r == pytest.approx(2.0, abs=1e-12)
+        # the words of length >= 1 are the ranks after the empty word's 0
+        for r in ratios["ratios"][:, 1:].ravel():
+            assert r == pytest.approx(2.0, abs=1e-12)
         assert ratios["sup"] == pytest.approx(2.0, abs=1e-12)
 
     def test_single_shift_all_one(self, single_shift_spec):
         table = build_weight_table(single_shift_spec, (6,))
         ratios = compactness_ratios(table, 0)
-        assert all(r == pytest.approx(1.0) for r in ratios["ratios"].values())
+        assert all(r == pytest.approx(1.0) for r in ratios["ratios"].ravel())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ratios_are_the_per_word_quotients(self, seed):
+        # the gather by rank against b(g_j alpha) / b(alpha) read one word at a time
+        spec = random_spec(np.random.default_rng(seed), max_n=3)
+        table = build_weight_table(spec, (4,) * spec.k)
+        for i in range(spec.k):
+            n = spec.n[i]
+            got = compactness_ratios(table, i)
+            words = WordList(n, 3)
+            for r, alpha in enumerate(words):
+                for j in range(1, n + 1):
+                    assert got["ratios"][j - 1, r] == table.b(i, Word((j, *alpha.letters), n)) / table.b(i, alpha)
+            assert got["ratios"].shape == (n, len(words))
+            assert got["sup"] == got["ratios"].max()
+            assert list(got["max_by_degree"]) == [0, 1, 2, 3]
 
     def test_ones_series_higher_order_trend(self):
         # degree-d ratio 2(d+4)/(d+3) for order 2: decreasing toward 2
