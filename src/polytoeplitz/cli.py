@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import linalg
 from .brownhalmos import (
@@ -193,20 +192,37 @@ def _oracle_error(table: WeightTable, i: int, w: Word) -> float:
     return abs(table.b(i, w) - ref) / max(1.0, abs(ref))
 
 
+def _generator(seed: int) -> np.random.Generator:
+    """A fresh generator on ``seed``.
+
+    numpy.random is imported here, where a command first draws: with OpenSSL's
+    ``libcrypto``, which it loads through ``secrets``, it is 6 MB of a process
+    that draws nothing.
+    """
+    from numpy.random import default_rng
+
+    return default_rng(seed)
+
+
 def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.oracle_degree < 1:  # no word to check would pass vacuously
         raise SpecError(f"--oracle-degree must be >= 1, got {args.oracle_degree}")
     spec = _load_spec(cfg.spec_path)
     trunc = _broadcast_trunc(cfg.trunc, spec.k)
     table = build_weight_table(spec, trunc)
-    rng = default_rng(cfg.seed)
+    rng = None  # made at the first factor that draws: the same draws as one made here
 
     oracle_worst = 0.0
     oracle_count = 0
     for i in range(spec.k):
         words = WordList(spec.n[i], min(trunc[i], args.oracle_degree))
         # the nonempty words are the ranks after the identity's 0, 80 of them drawn when there are more
-        ranks = range(1, len(words)) if len(words) <= 81 else rng.choice(len(words) - 1, 80, replace=False) + 1
+        if len(words) <= 81:
+            ranks = range(1, len(words))
+        else:
+            if rng is None:
+                rng = _generator(cfg.seed)
+            ranks = rng.choice(len(words) - 1, 80, replace=False) + 1
         for r in ranks:
             oracle_worst = linalg.strict_max(oracle_worst, _oracle_error(table, i, words[int(r)]))
             oracle_count += 1
@@ -758,7 +774,7 @@ def run_verify_battery(seed: int, trunc_degree: int = 4) -> dict:
     A check that raises fails by name with what it raised (traceback to stderr)
     and the others still run; a ``MemoryError`` is no verdict (exit 3).
     """
-    rng = default_rng(seed)
+    rng = _generator(seed)
     checks = []
     for run in _BATTERY:
         try:

@@ -369,7 +369,11 @@ def berezin_kernel(X: OperatorTuple, trunc: Sequence[int], tol: float = 1e-9) ->
                     acc += term
             shells[d] = linalg.op_norm(acc)
         factors.append((shells, spec.m[i], trunc[i], 1.0))
-        power_norms.append(next(itertools.islice(_phi_power_norms(X, i), trunc[i], None)))
+        Y = X.identity()
+        for _ in range(trunc[i] + 1):
+            # Y by keyword: the benchmark tracer (bench/tracing.py) reads it as args[3] or kwargs["Y"]
+            Y = phi_map(X, i, Y=Y)
+        power_norms.append(linalg.op_norm(Y))
     return BerezinKernel(
         space=space, rows=rows, tail_bound=series_tail_bound(factors), phi_power_norms=tuple(power_norms)
     )

@@ -204,6 +204,20 @@ def build_weight_table(spec: PolydomainSpec, trunc: Sequence[int]) -> WeightTabl
     return WeightTable(spec=spec, trunc=tuple(trunc), tables=tuple(tables), values=tuple(values))
 
 
+@functools.lru_cache(maxsize=12)
+def _compositions(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The ``(lo, hi)`` spans of each composition of ``d`` into nonempty parts.
+
+    Ordered by the number of cuts, then lexicographically by the cuts, as
+    ``itertools.combinations`` lists them.
+    """
+    compositions = []
+    for cuts in itertools.chain.from_iterable(itertools.combinations(range(1, d), j) for j in range(d)):
+        bounds = (0,) + cuts + (d,)
+        compositions.append(tuple(zip(bounds, bounds[1:])))
+    return tuple(compositions)
+
+
 def brute_force_weight(spec: PolydomainSpec, i: int, alpha: Word) -> float:
     """Oracle value of ``b_{i,alpha}`` by literal factorization enumeration.
 
@@ -223,20 +237,16 @@ def brute_force_weight(spec: PolydomainSpec, i: int, alpha: Word) -> float:
     # coefficients by letter tuple, so a cut looks up its slice of the letters
     cmap = {w.letters: a for w, a in spec.coeffs[i].items()}
     total = 0.0
-    for cuts in itertools.chain.from_iterable(
-        itertools.combinations(range(1, d), j) for j in range(d)
-    ):
-        bounds = (0,) + cuts + (d,)
+    for spans in _compositions(d):
         prod = 1.0
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in spans:
             a = cmap.get(letters[lo:hi], 0.0)
             if a == 0.0:
                 prod = 0.0
                 break
             prod *= a
         if prod:
-            j = len(bounds) - 1
-            total += prod * math.comb(j + m - 1, m - 1)
+            total += prod * math.comb(len(spans) + m - 1, m - 1)
     return total
 
 

@@ -982,8 +982,9 @@ def test_commands_below_the_cutoff_load_no_scipy_linear_algebra(tmp_path):
     with open(tmp_path / "spoiled.mtx", "w") as fh:
         linalg.save_matrix(fh, spoiled)
     ball = write_spec(tmp_path / "ball.json", BALL)
+    # the commands that draw nothing, then verify, which draws; weights on the
+    # ball at --trunc 3 checks all 14 of its words and samples none
     commands = [
-        (["verify", "--trunc", "3"], 0),
         (["model", "--spec", ball, "--trunc", "3"], 0),
         (["toeplitz", *golden, "--operator", str(GOLDEN_FOURIER / "operator-r1.mtx")], 0),
         (["toeplitz", *golden, "--operator", str(tmp_path / "spoiled.mtx")], 1),
@@ -991,14 +992,19 @@ def test_commands_below_the_cutoff_load_no_scipy_linear_algebra(tmp_path):
         (["fourier", *golden, "--symbol", str(GOLDEN_FOURIER / "symbol.json")], 0),
         (["kernel-psd", *golden, "--symbol", str(GOLDEN_FOURIER / "symbol.json")], 0),
         (["weights", "--spec", ball, "--trunc", "3"], 0),
+        (["verify", "--trunc", "3"], 0),
     ]
     argvs = [[*argv, "--out", str(tmp_path / str(j))] for j, (argv, _) in enumerate(commands)]
     code = (
         "import json, sys\n"
         "from polytoeplitz.cli import main\n"
+        "argvs = json.loads(sys.argv[1])\n"
         "imported = sorted(sys.modules)\n"
-        "codes = [main(a) for a in json.loads(sys.argv[1])]\n"
-        "print(json.dumps({'codes': codes, 'imported': imported, 'modules': sorted(sys.modules)}))\n"
+        "codes = [main(a) for a in argvs[:-1]]\n"
+        "drawless = sorted(sys.modules)\n"
+        "codes.append(main(argvs[-1]))\n"
+        "print(json.dumps({'codes': codes, 'imported': imported, 'drawless': drawless,"
+        " 'modules': sorted(sys.modules)}))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
@@ -1009,10 +1015,34 @@ def test_commands_below_the_cutoff_load_no_scipy_linear_algebra(tmp_path):
     assert result["codes"] == [expected for _, expected in commands]
     loaded = [m for m in result["modules"] if m == "scipy" or m.startswith("scipy.")]
     assert not loaded, loaded
-    # nor does a command import a numpy module the import did not: numpy 2.4
-    # loads numpy.random and numpy.ma lazily, and no operation pays for them
-    late = [m for m in set(result["modules"]) - set(result["imported"]) if m.startswith("numpy")]
+    # nor does a command that draws nothing import a numpy module the import
+    # did not: numpy 2.4 loads numpy.random and numpy.ma lazily, and none of
+    # them pays for either
+    late = [m for m in set(result["drawless"]) - set(result["imported"]) if m.startswith("numpy")]
     assert not late, late
+    # verify draws, and loads numpy.random, but no other numpy module
+    late = {m for m in set(result["modules"]) - set(result["drawless"]) if m.startswith("numpy")}
+    assert "numpy.random" in late
+    assert all(m == "numpy.random" or m.startswith("numpy.random.") for m in late), sorted(late)
+
+
+def test_importing_the_cli_loads_no_random_generator():
+    # numpy.random and, through secrets, OpenSSL's libcrypto (_hashlib) are 6 MB
+    # of a process that draws nothing; only a command that draws imports them
+    code = (
+        "import json, sys\n"
+        "from polytoeplitz.cli import build_parser\n"
+        "build_parser()\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=120
+    )
+    modules = set(json.loads(done.stdout.splitlines()[-1]))
+    assert "polytoeplitz.cli" in modules
+    loaded = sorted(m for m in modules if m == "_hashlib" or m == "numpy.random" or m.startswith("numpy.random."))
+    assert not loaded, loaded
 
 
 def test_op_norm_does_not_depend_on_storage_above_cutoff():

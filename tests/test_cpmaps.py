@@ -207,6 +207,15 @@ class TestBerezinKernel:
             assert norms == pytest.approx(berezin_kernel(M, trunc).phi_power_norms, abs=1e-12)
             assert is_pure(W, power_cap=4)[0] and is_pure(M, power_cap=4)[0]
 
+    def test_power_norms_are_the_iterate_norms_one_degree_past_the_truncation(self, rng):
+        # one norm of the (L_i + 1)-th iterate per factor, to the bit
+        for _ in range(3):
+            spec = random_spec(rng)
+            trunc = tuple(int(L) for L in rng.integers(1, 4, size=spec.k))
+            X = random_pure_tuple(spec, rng, dims=(2,) * spec.k, shrink=0.85)
+            norms = tuple(next(itertools.islice(_phi_power_norms(X, i), L, None)) for i, L in enumerate(trunc))
+            assert berezin_kernel(X, trunc).phi_power_norms == norms
+
 
 class TestBerezinTransform:
     def test_unital_up_to_tail(self, rng):

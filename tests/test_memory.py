@@ -29,7 +29,9 @@ against one row block: it reads its normals a row block at a time through
 two cursors on the one stream, the real parts from a copy of the generator
 and the imaginary parts from the generator itself, and holds no ``(n, n)``
 array.  ``verify --seed 0 --trunc 4`` in a fresh interpreter stays within a
-few megabytes of the import's peak, and ``weights --trunc 14`` on one factor
+few megabytes of the peak of the import with ``numpy.random``, which verify
+imports where it draws, and one battery call traces little more than that one
+row block; ``weights --trunc 14`` on one factor
 of ``n = 2`` (dim 32767), whose cached cut plan holds 458,753 entries, within
 its bound above it.
 ``intertwining_residual`` on the Berezin kernel of a random pure tuple at
@@ -39,7 +41,7 @@ Gram side 12282) runs in a fresh interpreter: the dense Gram matrix alone
 takes 2.4 GB there, while its blocks, one per target vector, are at most six
 wide, which a test that patches the eigensolver checks at ``L=4..6``.
 Importing the program and building its parser, in a fresh interpreter, stays
-below the peak it had when every process imported ``scipy.sparse``.
+below the peak it had when every process imported ``numpy.random``.
 """
 
 import copy
@@ -99,17 +101,23 @@ GRADING_BLOCK_PEAK_BYTES = 8_000_000
 # the same draw read one row block at a time: 4,936,333 bytes traced when the
 # whole (n, n) draw was filled first; never to be raised
 GRADING_STREAM_PEAK_BYTES = 2_500_000
-# the peak RSS of verify --seed 0 --trunc 4 above a bare import of the CLI in
-# the same way: 8.8 MB with the whole grading draw held; never to be raised
+# the peak RSS of verify --seed 0 --trunc 4 above a bare import of the CLI and
+# of numpy.random in the same way: 8.8 MB with the whole grading draw held;
+# never to be raised
 VERIFY_ABOVE_IMPORT_MB = 6
+# traced bytes at the peak of one run_verify_battery(0, 4) call, the program's
+# own arrays without the library pages that RSS counts: 2,115,507 bytes with
+# the grading draw read a row block at a time; never to be raised
+VERIFY_TRACED_PEAK_BYTES = 2_500_000
 # the peak RSS of weights --trunc 14 on one factor of n = 2 (dim 32767) above a
 # bare import: 9.9 MB with per-cut gathers, 21.8 MB with the cached plan of
 # every cut (5.5 MB held) and the plan-length arrays each convolution gathers;
 # never to be raised
 WEIGHTS_ABOVE_IMPORT_MB = 26
 # a fresh import of the CLI with its parser built: 49-52 MB when it imported
-# scipy.sparse (about 15 MB of it), 36 MB without
-IMPORT_PEAK_RSS_LIMIT_MB = 40
+# scipy.sparse (about 15 MB of it), 36 MB with numpy.random (6 MB of it), 30.8
+# MB without either
+IMPORT_PEAK_RSS_LIMIT_MB = 34
 
 # every word of length <= 2 in both factors, letter-dependent coefficients
 SPEC = {
@@ -156,6 +164,14 @@ sys.exit(code)
 
 IMPORT_CHILD = """
 import sys
+from polytoeplitz.cli import build_parser
+build_parser()
+""" + REPORT_PEAK
+
+# the same with the generator verify makes for itself, so verify is charged for its work alone
+IMPORT_RANDOM_CHILD = """
+import sys
+import numpy.random
 from polytoeplitz.cli import build_parser
 build_parser()
 """ + REPORT_PEAK
@@ -494,13 +510,28 @@ def test_verify_peaks_within_a_few_megabytes_of_the_import(tmp_path):
     # LAPACK calls map more of the library's code
     code, verify = _child_rss(tmp_path, ["verify", "--seed", "0", "--trunc", "4", "--out", "out"])
     assert code == 0
-    code, imported = _child_rss(tmp_path, [], child=IMPORT_CHILD)
+    code, imported = _child_rss(tmp_path, [], child=IMPORT_RANDOM_CHILD)
     assert code == 0
     assert verify["peak"] - imported["peak"] <= VERIFY_ABOVE_IMPORT_MB, (
         f"verify peak RSS {verify['peak']:.1f} MB, import {imported['peak']:.1f} MB; at the end "
         f"RssAnon {verify['anon']:.2f} against {imported['anon']:.2f} MB, "
         f"RssFile {verify['file']:.2f} against {imported['file']:.2f} MB"
     )
+
+
+def test_verify_battery_traces_at_most_its_bound():
+    # the program's own allocations, which the RSS bound above cannot tell from
+    # the library code pages the first LAPACK calls map
+    cli._generator(0)  # imports numpy.random, whose modules are not the battery's memory
+
+    tracemalloc.start()
+    try:
+        report = cli.run_verify_battery(0, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["passed"]
+    assert peak <= VERIFY_TRACED_PEAK_BYTES, f"{peak} bytes traced, limit {VERIFY_TRACED_PEAK_BYTES}"
 
 
 def test_single_factor_weights_at_trunc_14_peak_within_their_plan_bound(tmp_path):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from polytoeplitz.weights import (
     brute_force_weight,
     build_weight_table,
     compactness_ratios,
+    _compositions,
     _cut_plan,
     _factor_tail,
     series_tail_bound,
@@ -62,6 +64,42 @@ def test_brute_force_examples(bergman2_spec):
 def test_brute_force_refuses_long_words(bergman2_spec):
     with pytest.raises(SpecError):
         brute_force_weight(bergman2_spec, 0, Word((1,) * 13, 1))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_compositions_list_each_cut_set_once_by_cut_count_then_cuts(d):
+    # contiguous nonempty spans covering [0, d), each of the 2**(d - 1) cut
+    # sets once, in the order the oracle sums them; built once per length
+    compositions = _compositions(d)
+    for spans in compositions:
+        assert spans[0][0] == 0 and spans[-1][1] == d
+        assert all(lo < hi for lo, hi in spans)
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    keys = [(len(spans), tuple(hi for _, hi in spans[:-1])) for spans in compositions]
+    assert keys == sorted(set(keys))
+    assert len(keys) == 2 ** (d - 1)
+    assert _compositions(d) is compositions
+
+
+def test_brute_force_weight_sums_its_factorizations_in_cut_order(rng):
+    # the same bits as the sum over each call's own itertools cut tuples
+    def summed_over_cut_tuples(spec, i, letters):
+        d, m = len(letters), spec.m[i]
+        cmap = {w.letters: a for w, a in spec.coeffs[i].items()}
+        total = 0.0
+        for cuts in itertools.chain.from_iterable(itertools.combinations(range(1, d), j) for j in range(d)):
+            bounds = (0, *cuts, d)
+            prod = math.prod(cmap.get(letters[lo:hi], 0.0) for lo, hi in zip(bounds, bounds[1:]))
+            if prod:
+                total += prod * math.comb(len(bounds) - 2 + m, m - 1)
+        return total
+
+    for _ in range(10):
+        spec = random_spec(rng)
+        for i in range(spec.k):
+            words = WordList(spec.n[i], 6 if spec.n[i] <= 2 else 4)
+            for w in map(words.__getitem__, range(1, len(words))):
+                assert brute_force_weight(spec, i, w) == summed_over_cut_tuples(spec, i, w.letters)
 
 
 def test_oracle_equivalence_randomized(rng):
