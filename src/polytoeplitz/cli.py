@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -58,7 +57,7 @@ from .model import (
 from .sampling import ones_series_spec, random_spec
 from .toeplitz import (
     FourierSymbol,
-    _cesaro_entries,
+    cesaro_reconstruct,
     evaluate_at_model,
     extract_fourier,
     graded_entries,
@@ -84,30 +83,12 @@ EXIT_INPUT = 2
 EXIT_FORMAT = 3
 
 
-# options only some subcommands take; main() gives the others the default
+# options only some subcommands take; main() checks those a subcommand has
 _SHARED = {
     "coeff-dim": {"type": int, "default": 1, "help": "coefficient space dimension"},
     "tol": {"type": float, "default": 1e-9, "help": "verification tolerance"},
     "seed": {"type": int, "default": 0, "help": "RNG seed for sampled checks"},
 }
-
-
-@dataclass
-class RunConfig:
-    spec_path: Optional[str]
-    trunc: tuple[int, ...]
-    coeff_dim: int
-    tol: float
-    seed: int
-    out: Optional[Path]
-
-    def __post_init__(self) -> None:
-        if any(L < 1 for L in self.trunc):
-            raise SpecError("truncation degrees must be >= 1")
-        if self.coeff_dim < 1:
-            raise SpecError("coefficient dimension must be >= 1")
-        if not 0 < self.tol < math.inf:  # NaN included; at inf every check passes
-            raise SpecError(f"tolerance must be positive and finite, got {self.tol}")
 
 
 def _broadcast_trunc(trunc: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -119,9 +100,7 @@ def _broadcast_trunc(trunc: tuple[int, ...], k: int) -> tuple[int, ...]:
     return trunc
 
 
-def _load_spec(path: Optional[str]) -> PolydomainSpec:
-    if path is None:
-        raise SpecError("--spec is required for this command")
+def _load_spec(path: str) -> PolydomainSpec:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -129,10 +108,10 @@ def _load_spec(path: Optional[str]) -> PolydomainSpec:
     return spec_from_json(text)
 
 
-def _space(cfg: RunConfig) -> FockSpace:
+def _space(args: argparse.Namespace) -> FockSpace:
     """The space of ``--spec``, ``--trunc`` and ``--coeff-dim``."""
-    spec = _load_spec(cfg.spec_path)
-    return FockSpace(spec, _broadcast_trunc(cfg.trunc, spec.k), coeff_dim=cfg.coeff_dim)
+    spec = _load_spec(args.spec)
+    return FockSpace(spec, _broadcast_trunc(args.trunc, spec.k), coeff_dim=args.coeff_dim)
 
 
 def _save_matrix(out: Path, name: str, mat: linalg.MatrixLike) -> None:
@@ -204,11 +183,11 @@ def _generator(seed: int) -> np.random.Generator:
     return default_rng(seed)
 
 
-def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_weights(args: argparse.Namespace) -> int:
     if args.oracle_degree < 1:  # no word to check would pass vacuously
         raise SpecError(f"--oracle-degree must be >= 1, got {args.oracle_degree}")
-    spec = _load_spec(cfg.spec_path)
-    trunc = _broadcast_trunc(cfg.trunc, spec.k)
+    spec = _load_spec(args.spec)
+    trunc = _broadcast_trunc(args.trunc, spec.k)
     table = build_weight_table(spec, trunc)
     rng = None  # made at the first factor that draws: the same draws as one made here
 
@@ -221,7 +200,7 @@ def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
             ranks = range(1, len(words))
         else:
             if rng is None:
-                rng = _generator(cfg.seed)
+                rng = _generator(args.seed)
             ranks = rng.choice(len(words) - 1, 80, replace=False) + 1
         for r in ranks:
             oracle_worst = linalg.strict_max(oracle_worst, _oracle_error(table, i, words[int(r)]))
@@ -247,74 +226,74 @@ def cmd_weights(cfg: RunConfig, args: argparse.Namespace) -> int:
             }
         )
 
-    passed = oracle_worst <= cfg.tol and series_worst <= cfg.tol
+    passed = oracle_worst <= args.tol and series_worst <= args.tol
     report = {
         "command": "weights",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "trunc": list(trunc),
         "oracle_checked_words": oracle_count,
         "oracle_worst_relative_error": oracle_worst,
         "series_worst_relative_error": series_worst,
         "ratio_trend": trend,
-        "tolerance": cfg.tol,
+        "tolerance": args.tol,
         "passed": passed,
     }
-    _emit(report, cfg.out, "weights-report.json")
-    if cfg.out is not None:
-        with open(cfg.out / "weights.csv", "w") as fh:
+    _emit(report, args.out, "weights-report.json")
+    if args.out is not None:
+        with open(args.out / "weights.csv", "w") as fh:
             table.write_csv(fh)
-        sys.stdout.write(f"wrote {cfg.out / 'weights.csv'}\n")
+        sys.stdout.write(f"wrote {args.out / 'weights.csv'}\n")
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_model(cfg: RunConfig, args: argparse.Namespace) -> int:
-    space = _space(cfg)
+def cmd_model(args: argparse.Namespace) -> int:
+    space = _space(args)
     spec, trunc = space.spec, space.trunc
 
     W = UniversalModel(space, side="left")
     defect_residual = _vacuum_residual(defect(W, spec.m))
-    pure, pure_report = is_pure(W, power_cap=max(trunc) + 1, tol=cfg.tol)
+    pure, powers = is_pure(W, power_cap=max(trunc) + 1, tol=args.tol)
 
-    if cfg.out is not None:
+    if args.out is not None:
         for i in range(spec.k):
             for j in range(1, spec.n[i] + 1):
                 for tag, op in (
                     ("W", weighted_left_creation(space, i, j)),
                     ("Lambda", weighted_right_creation(space, i, j)),
                 ):
-                    _save_matrix(cfg.out, f"{tag}_{i + 1}_{j}.mtx", op.matrix)
-    passed = defect_residual <= cfg.tol and pure
+                    _save_matrix(args.out, f"{tag}_{i + 1}_{j}.mtx", op.matrix)
+    passed = defect_residual <= args.tol and pure
     report = {
         "command": "model",
         "trunc": list(trunc),
-        "coeff_dim": cfg.coeff_dim,
+        "coeff_dim": args.coeff_dim,
         "fock_dim": space.dim,
         "defect_vs_vacuum_projection": defect_residual,
         "pure": pure,
-        "pure_powers": [f["power"] for f in pure_report["factors"]],
-        "tolerance": cfg.tol,
+        "pure_powers": powers,
+        "tolerance": args.tol,
         "passed": passed,
     }
-    _emit(report, cfg.out, "model-report.json")
+    _emit(report, args.out, "model-report.json")
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_toeplitz(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_toeplitz(args: argparse.Namespace) -> int:
     if not args.drop_tol >= 0.0:
         raise SpecError(f"--drop-tol must be >= 0, got {args.drop_tol}")
-    T = _load_operator(_space(cfg), args.operator)
-    report = is_multi_toeplitz(T, tol=cfg.tol)
+    T = _load_operator(_space(args), args.operator)
+    report = is_multi_toeplitz(T, tol=args.tol)
     sys.stdout.write(report.render() + "\n")
     doc = {"command": "toeplitz", "report": report.to_dict()}
     if report.verdict:
         sym = extract_fourier(T, report, drop_tol=args.drop_tol)
         doc["symbol_terms"] = sym.classes.size
-        if cfg.out is not None:
-            cfg.out.mkdir(parents=True, exist_ok=True)
-            (cfg.out / "symbol.json").write_text(
+        if args.out is not None:
+            args.out.mkdir(parents=True, exist_ok=True)
+            (args.out / "symbol.json").write_text(
                 json.dumps(symbol_to_json(sym), sort_keys=True, indent=2) + "\n"
             )
-    _emit(doc, cfg.out, "toeplitz-report.json")
+    _emit(doc, args.out, "toeplitz-report.json")
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
@@ -326,11 +305,11 @@ def _load_symbol(space: FockSpace, path: str) -> FourierSymbol:
     return symbol_from_json(space, doc)
 
 
-def cmd_fourier(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_fourier(args: argparse.Namespace) -> int:
     # the closed unit interval; NaN and inf fail the comparison too
     if not 0.0 <= args.radius <= 1.0:
         raise SpecError(f"--radius must be a finite number in [0, 1], got {args.radius}")
-    sym = _load_symbol(_space(cfg), args.symbol)
+    sym = _load_symbol(_space(args), args.symbol)
     op = evaluate_at_model(sym, args.radius)
     report = {
         "command": "fourier",
@@ -340,9 +319,9 @@ def cmd_fourier(cfg: RunConfig, args: argparse.Namespace) -> int:
         "norm": linalg.op_norm(op.matrix),
         "passed": True,
     }
-    if cfg.out is not None:
-        _save_matrix(cfg.out, "operator.mtx", op.matrix)
-    _emit(report, cfg.out, "fourier-report.json")
+    if args.out is not None:
+        _save_matrix(args.out, "operator.mtx", op.matrix)
+    _emit(report, args.out, "fourier-report.json")
     return EXIT_PASS
 
 
@@ -385,13 +364,13 @@ def _isometry_excess(gram_dev: np.ndarray, tail_bound: float) -> float:
     return linalg.op_norm(gram_dev) - linalg.strict_max(1e-8, tail_bound)
 
 
-def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
-    spec = _load_spec(cfg.spec_path)
-    trunc = _broadcast_trunc(cfg.trunc, spec.k)
+def cmd_berezin(args: argparse.Namespace) -> int:
+    spec = _load_spec(args.spec)
+    trunc = _broadcast_trunc(args.trunc, spec.k)
     X = _load_tuple(spec, args.tuple)
     commutation = X.check_commutation()
-    member, witness = is_member(X, tol=cfg.tol)
-    pure, pure_report = is_pure(X, tol=cfg.tol)
+    member, witness = is_member(X, tol=args.tol)
+    pure, _ = is_pure(X, tol=args.tol)
     report = {
         "command": "berezin",
         "trunc": list(trunc),
@@ -399,20 +378,20 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
         "member": member,
         "membership_witness": {"p": list(witness[0]), "min_eig": witness[1]},
         "pure": pure,
-        "tolerance": cfg.tol,
+        "tolerance": args.tol,
     }
     if not member:
         # outside the polydomain the defect has no square root: no kernel
         report["passed"] = False
-        _emit(report, cfg.out, "berezin-report.json")
+        _emit(report, args.out, "berezin-report.json")
         return EXIT_FAIL
-    kernel = berezin_kernel(X, trunc, tol=cfg.tol)
+    kernel = berezin_kernel(X, trunc, tol=args.tol)
     kernel_norm = kernel.norm()
     residual = intertwining_residual(kernel, X)
     gram_dev = kernel.gram() - np.eye(X.dim_h)
     # K is an isometry only for a pure tuple
     isometric = _isometry_excess(gram_dev, kernel.tail_bound) <= 0.0
-    passed = pure and isometric and kernel_norm <= 1.0 + cfg.tol and residual <= max(cfg.tol, 1e-9)
+    passed = pure and isometric and kernel_norm <= 1.0 + args.tol and residual <= max(args.tol, 1e-9)
     report.update(
         kernel_norm=kernel_norm,
         gram_vs_identity=float(np.abs(gram_dev).max()),
@@ -422,26 +401,26 @@ def cmd_berezin(cfg: RunConfig, args: argparse.Namespace) -> int:
         passed=passed,
     )
     if args.operator is not None:
-        cspace = FockSpace(spec, trunc, coeff_dim=cfg.coeff_dim, weights=kernel.space.weights)
+        cspace = FockSpace(spec, trunc, coeff_dim=args.coeff_dim, weights=kernel.space.weights)
         T = _load_operator(cspace, args.operator)
         transformed = berezin_transform(T, X, kernel)
         report["transform_norm"] = linalg.op_norm(transformed)
-        if cfg.out is not None:
-            _save_matrix(cfg.out, "berezin-transform.mtx", transformed)
-    _emit(report, cfg.out, "berezin-report.json")
+        if args.out is not None:
+            _save_matrix(args.out, "berezin-transform.mtx", transformed)
+    _emit(report, args.out, "berezin-report.json")
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_brown_halmos(cfg: RunConfig, args: argparse.Namespace) -> int:
-    T = _load_operator(_space(cfg), args.operator)
+def cmd_brown_halmos(args: argparse.Namespace) -> int:
+    T = _load_operator(_space(args), args.operator)
     k = T.space.spec.k
     if args.factor is not None and not 1 <= args.factor <= k:
         raise DimensionMismatch(f"--factor must lie in 1..{k}")
     factors = range(k) if args.factor is None else [args.factor - 1]
-    scan = bh_scan(T, tol=cfg.tol, factors=factors)
+    scan = bh_scan(T, tol=args.tol, factors=factors)
     scan["factors"] = [i + 1 for i in factors]
     scan["command"] = "brown-halmos"
-    _emit(scan, cfg.out, "brown-halmos-report.json")
+    _emit(scan, args.out, "brown-halmos-report.json")
     return EXIT_PASS if scan["satisfied"] else EXIT_FAIL
 
 
@@ -451,12 +430,12 @@ def _psd_verdicts(sym: FourierSymbol, r: float, tol: float) -> tuple[tuple[bool,
     return kernel, linalg.psd_check(evaluate_at_model(sym, r).matrix, tol)
 
 
-def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_kernel_psd(args: argparse.Namespace) -> int:
     # NaN and inf fail the comparison too
     if not 0.0 <= args.radius < 1.0:
         raise SpecError(f"--radius must be a finite number in [0, 1), got {args.radius}")
-    sym = _load_symbol(_space(cfg), args.symbol)
-    (kernel_psd, kernel_min), (model_psd, model_min) = _psd_verdicts(sym, args.radius, cfg.tol)
+    sym = _load_symbol(_space(args), args.symbol)
+    (kernel_psd, kernel_min), (model_psd, model_min) = _psd_verdicts(sym, args.radius, args.tol)
     agree = kernel_psd == model_psd
     report = {
         "command": "kernel-psd",
@@ -466,10 +445,10 @@ def cmd_kernel_psd(cfg: RunConfig, args: argparse.Namespace) -> int:
         "model_psd": model_psd,
         "model_min_eig": model_min,
         "verdicts_agree": agree,
-        "tolerance": cfg.tol,
+        "tolerance": args.tol,
         "passed": agree,
     }
-    _emit(report, cfg.out, "kernel-psd-report.json")
+    _emit(report, args.out, "kernel-psd-report.json")
     return EXIT_PASS if agree else EXIT_FAIL
 
 
@@ -655,7 +634,10 @@ def _grading_gap(space: FockSpace, rng: np.random.Generator) -> float:
         rows.real = real.standard_normal(out=part[: len(rows)])
         rows.imag = rng.standard_normal(out=part[: len(rows)])
         T = FockOperator(space, _stored_block(rows, a, 0, n))
-        keys, vals = _cesaro_entries(T, tuple(2 * L for L in space.trunc), fejer_weights=False)
+        # bound to keys and vals, so that the last block's entries go now and these at the next binding
+        window = cesaro_reconstruct(T, tuple(2 * L for L in space.trunc), fejer_weights=False).matrix
+        keys, vals = window.keys, window.vals
+        del window
         worst = linalg.strict_max(worst, _residual_max(rows, keys - a * n, vals))
         keys, vals, present, bounds = graded_entries(T)
         del T
@@ -796,11 +778,11 @@ def run_verify_battery(seed: int, trunc_degree: int = 4) -> dict:
     }
 
 
-def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if len(cfg.trunc) != 1:
-        raise SpecError(f"verify takes one truncation degree, got {len(cfg.trunc)}")
-    report = run_verify_battery(cfg.seed, trunc_degree=cfg.trunc[0])
-    _emit(report, cfg.out, "verify-report.json")
+def cmd_verify(args: argparse.Namespace) -> int:
+    if len(args.trunc) != 1:
+        raise SpecError(f"verify takes one truncation degree, got {len(args.trunc)}")
+    report = run_verify_battery(args.seed, trunc_degree=args.trunc[0])
+    _emit(report, args.out, "verify-report.json")
     return EXIT_PASS if report["passed"] else EXIT_FAIL
 
 
@@ -864,24 +846,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    shared = {
-        name: getattr(args, name.replace("-", "_"), option["default"])
-        for name, option in _SHARED.items()
-    }
+    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            spec_path=getattr(args, "spec", None),
-            trunc=tuple(int(x) for x in str(args.trunc).split(",")),
-            coeff_dim=shared["coeff-dim"],
-            tol=shared["tol"],
-            seed=shared["seed"],
-            out=Path(args.out) if args.out else None,
-        )
+        args.trunc = tuple(int(x) for x in args.trunc.split(","))
+        if any(L < 1 for L in args.trunc):
+            raise SpecError("truncation degrees must be >= 1")
+        if "coeff_dim" in args and args.coeff_dim < 1:
+            raise SpecError("coefficient dimension must be >= 1")
+        if "tol" in args and not 0 < args.tol < math.inf:  # NaN included; at inf every check passes
+            raise SpecError(f"tolerance must be positive and finite, got {args.tol}")
+        args.out = Path(args.out) if args.out else None
         # looked up on each call, so the shared parser holds no command function
         command = globals()["cmd_" + args.command.replace("-", "_")]
-        return command(cfg, args)
+        return command(args)
     except (DimensionMismatch, TruncationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FORMAT

@@ -20,6 +20,7 @@ from . import linalg
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import Word, word_rank
 from .model import FockOperator, FockSpace
+from .sampling import normal_blocks
 from .weights import PolydomainSpec, series_tail_bound
 
 __all__ = [
@@ -225,12 +226,6 @@ def _defect_walk(X: OperatorTuple | UniversalModel):
     return _lattice_walk(X.spec.m, X.identity(), lambda j, prev: prev - phi_map(X, j, Y=prev))
 
 
-def _extreme_eigs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalue of the Hermitian part of each matrix, one batched ``eigvalsh``."""
-    eigs = np.linalg.eigvalsh(linalg.hermitize(stack))
-    return eigs[:, 0], eigs[:, -1]
-
-
 def is_member(X: OperatorTuple | UniversalModel, tol: float = 1e-9) -> tuple[bool, tuple[tuple[int, ...], float]]:
     """Membership test: every defect ``0 <= p <= m`` must be PSD up to ``tol``.
 
@@ -245,7 +240,7 @@ def is_member(X: OperatorTuple | UniversalModel, tol: float = 1e-9) -> tuple[boo
         X.check_commutation()
     points, defects = zip(*_defect_walk(X))
     if isinstance(X, OperatorTuple):
-        lo, hi = _extreme_eigs(np.stack(defects))
+        lo, hi = linalg.extreme_eigs(linalg.hermitize(np.stack(defects)))
     else:
         diagonals = np.stack(defects).real
         lo, hi = diagonals.min(axis=1), diagonals.max(axis=1)
@@ -267,32 +262,20 @@ def _phi_power_norms(X: OperatorTuple | UniversalModel, i: int):
         yield linalg.op_norm(Y) if isinstance(X, OperatorTuple) else float(np.abs(Y).max())
 
 
-def is_pure(X: OperatorTuple | UniversalModel, power_cap: int = 60, tol: float = 1e-9) -> tuple[bool, dict]:
-    """Whether iterates ``Phi_i^p(I)`` fall below ``tol`` within ``power_cap`` powers.
+def is_pure(
+    X: OperatorTuple | UniversalModel, power_cap: int = 60, tol: float = 1e-9
+) -> tuple[bool, list[Optional[int]]]:
+    """Whether iterates ``Phi_i^p(I)`` fall below ``tol`` within ``power_cap`` powers, in every factor.
 
-    The norms come from :func:`_phi_power_norms`.  The report carries the
-    per-factor norm sequences and a crude spectral radius estimate from the
-    last ratio, as a fallback diagnostic when the cap is hit.
+    Returns the verdict and, per factor, the first power ``p`` whose norm
+    (:func:`_phi_power_norms`) is below ``tol``, or None when none up to the
+    cap is.
     """
-    report: dict = {"factors": []}
-    pure = True
+    powers = []
     for i in range(X.spec.k):
-        norms, reached = [], None
-        for p, norm in zip(range(1, power_cap + 1), _phi_power_norms(X, i)):
-            norms.append(norm)
-            if norm < tol:
-                reached = p
-                break
-        radius_est = None
-        if len(norms) >= 2 and norms[-2] > 0:
-            radius_est = norms[-1] / norms[-2]
-        report["factors"].append(
-            {"power": reached, "norms_tail": norms[-3:], "radius_estimate": radius_est}
-        )
-        if reached is None:
-            pure = False
-    report["pure"] = pure
-    return pure, report
+        norms = zip(range(1, power_cap + 1), _phi_power_norms(X, i))
+        powers.append(next((p for p, norm in norms if norm < tol), None))
+    return all(p is not None for p in powers), powers
 
 
 # -- Berezin kernel -----------------------------------------------------------
@@ -331,8 +314,8 @@ class BerezinKernel:
         return np.einsum("oij,oik->jk", self.rows.conj(), self.rows)
 
     def norm(self) -> float:
-        eigs = np.linalg.eigvalsh(linalg.hermitize(self.gram()))
-        return math.sqrt(max(float(eigs[-1]), 0.0))
+        _, top = linalg.extreme_eigs(linalg.hermitize(self.gram()))
+        return math.sqrt(max(float(top), 0.0))
 
 
 def berezin_kernel(X: OperatorTuple, trunc: Sequence[int], tol: float = 1e-9) -> BerezinKernel:
@@ -483,10 +466,7 @@ def random_pure_tuple(
     dim_h = int(np.prod(dims))
     ops: list[tuple[np.ndarray, ...]] = []
     for i in range(spec.k):
-        # each letter's real then imaginary parts, letter after letter, as one draw
-        z = rng.standard_normal((spec.n[i], 2, dims[i], dims[i]))
-        letters = z[:, 0] + 1j * z[:, 1]
-        letters /= np.fmax(1.0, linalg.block_norms(letters))[:, None, None]
+        letters = normal_blocks(rng, spec.n[i], dims[i])
         before = int(np.prod(dims[:i])) if i else 1
         after = int(np.prod(dims[i + 1 :])) if i + 1 < spec.k else 1
         ops.append(tuple(np.kron(np.kron(np.eye(before), Y), np.eye(after)).astype(complex) for Y in letters))
@@ -499,7 +479,7 @@ def random_pure_tuple(
         acc = polys[:, -1]
         for s in range(polys.shape[1] - 2, -1, -1):
             acc = acc * t + polys[:, s]
-        return linalg.psd_within(*_extreme_eigs(acc), 1e-9)
+        return linalg.psd_within(*linalg.extreme_eigs(linalg.hermitize(acc)), 1e-9)
 
     lo, hi = 0.0, 1.0
     while member_at(hi):

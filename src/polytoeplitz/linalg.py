@@ -383,9 +383,19 @@ def psd_check(mat: MatrixLike, tol: float = 1e-9) -> Tuple[bool, float]:
         return True, 0.0
     lo, hi = np.inf, -np.inf
     for stack, _, _ in _spectral_blocks(mat, hermitian=True):
-        eigs = np.linalg.eigvalsh(stack)
-        lo, hi = min(lo, float(eigs[:, 0].min())), max(hi, float(eigs[:, -1].max()))
+        least, most = extreme_eigs(stack)
+        lo, hi = min(lo, float(least.min())), max(hi, float(most.max()))
     return lo >= -tol * max(1.0, hi), lo
+
+
+def extreme_eigs(stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The smallest and largest eigenvalue of each Hermitian matrix of a ``(..., r, r)`` stack, by one batched ``eigvalsh``.
+
+    ``eigvalsh`` reads one triangle only: a caller that is not sure its
+    matrices are Hermitian passes their :func:`hermitize` parts.
+    """
+    eigs = np.linalg.eigvalsh(stack)
+    return eigs[..., 0], eigs[..., -1]
 
 
 def op_norm(mat: MatrixLike) -> float:

@@ -247,7 +247,7 @@ class FockSpace:
         comparable &= suffix == shorter
         del suffix
         cls *= 2 * count - 1
-        cls += np.where(row_long, quot, count + quot - 1)
+        cls += self._class_digit(i, quot, row_long)
         # the representative's row-major key: quot in the longer side's digit, the empty word in the other
         place = np.where(row_long, self.dim * stride, stride)
         place *= quot
@@ -275,14 +275,22 @@ class FockSpace:
         for i, (u, v) in enumerate(zip(pair.left.parts, pair.right.parts)):
             if u.alphabet_size != self.spec.n[i]:
                 raise DimensionMismatch("pair alphabet does not match the factor")
-            count = self.factor_dims[i]
             try:
                 rank = self.factor_words[i].rank(v if len(v) else u)
             except KeyError:
                 return -1
-            # the id scheme of _factor_pairs: (quotient, e) -> rank, (e, quotient) -> count + rank - 1
-            cid = cid * (2 * count - 1) + (count + rank - 1 if len(v) else rank)
+            cid = cid * (2 * self.factor_dims[i] - 1) + int(self._class_digit(i, rank, not len(v)))
         return cid
+
+    def _class_digit(self, i: int, quot, left):
+        """Factor ``i``'s digit of a class id, the inverse of :meth:`class_factors`.
+
+        The digit is the quotient's rank ``quot`` where the left side holds
+        the quotient (``left``) or the quotient is empty, and ``count + quot
+        - 1`` otherwise: the id scheme of :func:`_factor_pairs`.  Takes ints
+        or arrays, as ``np.where`` does.
+        """
+        return np.where(left | (quot == 0), quot, self.factor_dims[i] + quot - 1)
 
     def class_factors(self, classes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per factor, first factor first, ``(quotient rank, row is the longer word)`` of each class id.
@@ -305,9 +313,7 @@ class FockSpace:
         """The class id of each reduced pair with its sides swapped, ``(q, e) <-> (e, q)`` in every factor."""
         swapped = np.zeros_like(classes)
         for i, (quot, row_long) in enumerate(self.class_factors(classes)):
-            count = self.factor_dims[i]
-            # (q, e) at digit q goes to (e, q) at digit count + q - 1, and back; (e, e) is digit 0 both ways
-            swapped = swapped * (2 * count - 1) + np.where(row_long & (quot > 0), count + quot - 1, quot)
+            swapped = swapped * (2 * self.factor_dims[i] - 1) + self._class_digit(i, quot, ~row_long)
         return swapped
 
     def class_pair(self, c: int) -> IndexPair:

@@ -6,6 +6,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from .freemonoid import Word, enumerate_words
 from .weights import PolydomainSpec
 
@@ -49,3 +50,15 @@ def ones_series_spec(m: int, degree: int) -> PolydomainSpec:
         m=(m,),
         coeffs=({Word((1,) * p, 1): 1.0 for p in range(1, degree + 1)},),
     )
+
+
+def normal_blocks(rng: np.random.Generator, count: int, r: int) -> np.ndarray:
+    """``count`` complex Gaussian ``(r, r)`` blocks, each divided by ``max(1, its 2-norm)`` (:func:`linalg.block_norms`).
+
+    Each block's real then imaginary parts, block after block, are one draw
+    of ``(count, 2, r, r)`` normals.
+    """
+    z = rng.standard_normal((count, 2, r, r))
+    blocks = z[:, 0] + 1j * z[:, 1]
+    blocks /= np.fmax(1.0, linalg.block_norms(blocks))[:, None, None]
+    return blocks

@@ -23,6 +23,7 @@ from .cpmaps import OperatorTuple
 from .errors import DimensionMismatch, SpecError
 from .freemonoid import IndexPair, MultiWord, Word
 from .model import FockOperator, FockSpace
+from .sampling import normal_blocks
 from .weights import json_int, json_number
 
 __all__ = [
@@ -379,18 +380,6 @@ def extract_fourier(T: FockOperator, report: ToeplitzReport, drop_tol: float = 0
     return FourierSymbol(T.space, classes[kept], raw[:, :, kept].transpose(2, 0, 1))
 
 
-def _model_entries(sym: FourierSymbol, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """The stored entries ``(keys, vals)`` of :func:`evaluate_at_model`, exact zeros dropped."""
-    c = sym.space.coeff_dim
-    term, fock, order, keys, degree = sym._layout
-    # r ** |s| as Python's power of an int exponent, which numpy's vectorised power does not always match
-    radial = np.array([r**d for d in range(int(degree.max(initial=0)) + 1)], dtype=float)[degree]
-    # row b holds coefficient entry A.flat[b] of each member's term
-    vals = sym.coeffs.reshape(-1, c * c)[term].T * fock
-    vals = (radial[term] * vals).ravel()[order]
-    return keys[vals != 0], vals[vals != 0]
-
-
 def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     """The operator ``sum r^{|s|} A (x) W_left W_right^*`` on the symbol's space, as stored entries.
 
@@ -405,8 +394,15 @@ def evaluate_at_model(sym: FourierSymbol, r: float = 1.0) -> FockOperator:
     :func:`~polytoeplitz.model.monomial` and the radial scaling form, in
     their order.  Exact zeros are dropped.
     """
-    shape = (sym.space.total_dim,) * 2
-    return FockOperator(sym.space, linalg.Entries(*_model_entries(sym, r), shape))
+    c = sym.space.coeff_dim
+    term, fock, order, keys, degree = sym._layout
+    # r ** |s| as Python's power of an int exponent, which numpy's vectorised power does not always match
+    radial = np.array([r**d for d in range(int(degree.max(initial=0)) + 1)], dtype=float)[degree]
+    # row b holds coefficient entry A.flat[b] of each member's term
+    vals = sym.coeffs.reshape(-1, c * c)[term].T * fock
+    vals = (radial[term] * vals).ravel()[order]
+    kept = vals != 0
+    return FockOperator(sym.space, linalg.Entries(keys[kept], vals[kept], (sym.space.total_dim,) * 2))
 
 
 def evaluate_at_tuple(sym: FourierSymbol, X: OperatorTuple) -> np.ndarray:
@@ -444,11 +440,6 @@ def cesaro_reconstruct(
     encoded degree gap, the factors multiplied in factor order, and gathered
     by each stored entry's code; entries of weight zero are dropped.
     """
-    return FockOperator(T.space, linalg.Entries(*_cesaro_entries(T, N, fejer_weights), T.matrix.shape))
-
-
-def _cesaro_entries(T: FockOperator, N: Sequence[int], fejer_weights: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The stored entries ``(keys, vals)`` of :func:`cesaro_reconstruct`."""
     space = T.space
     if len(N) != space.spec.k:
         raise DimensionMismatch("cutoff tuple length differs from factor count")
@@ -469,7 +460,7 @@ def _cesaro_entries(T: FockOperator, N: Sequence[int], fejer_weights: bool) -> t
     kept = weight != 0.0
     vals = vals[kept]
     vals *= weight[kept]
-    return keys[kept], vals
+    return FockOperator(space, linalg.Entries(keys[kept], vals, T.matrix.shape))
 
 
 def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> linalg.Entries:
@@ -479,17 +470,16 @@ def pluriharmonic_kernel(sym: FourierSymbol, r: float) -> linalg.Entries:
     ``tau_(w,g) r^{|s(w,g)|} A_{s(w,g)}``; zero blocks elsewhere.  That is
     :func:`evaluate_at_model` with the Fock index slow: entry ``[w*c + x,
     g*c + y]`` here is entry ``[x*dim + w, y*dim + g]`` there, and the
-    kernel permutes exactly the stored entries of the model operator
-    (:func:`_model_entries`), with no model operator built.
+    kernel permutes exactly the stored entries of the model operator.
     """
     if not 0.0 <= r < 1.0:
         raise SpecError(f"radius must lie in [0, 1), got {r}")
     c, d = sym.space.coeff_dim, sym.space.dim
-    keys, vals = _model_entries(sym, r)
-    rows, cols = np.divmod(keys, d * c)
+    model = evaluate_at_model(sym, r).matrix
+    rows, cols = np.divmod(model.keys, d * c)
     moved = (rows % d * c + rows // d) * (d * c) + cols % d * c + cols // d
     order = np.argsort(moved)
-    return linalg.Entries(moved[order], vals[order], (d * c, d * c))
+    return linalg.Entries(moved[order], model.vals[order], (d * c, d * c))
 
 
 def random_symbol(
@@ -511,10 +501,7 @@ def random_symbol(
     # class 0 is the identity pair
     if 0 not in chosen:
         chosen = np.append(chosen[:-1], 0)
-    # each block's real then imaginary parts, block after block, as one draw
-    z = rng.standard_normal((count, 2, c, c))
-    coeffs = z[:, 0] + 1j * z[:, 1]
-    coeffs /= np.fmax(1.0, linalg.block_norms(coeffs))[:, None, None]
+    coeffs = normal_blocks(rng, count, c)
     order = np.argsort(chosen)
     sym = FourierSymbol(space, chosen[order], coeffs[order])
     return _plus_adjoint(sym) if hermitian else sym

@@ -183,6 +183,9 @@ def build_weight_table(spec: PolydomainSpec, trunc: Sequence[int]) -> WeightTabl
 
     The order-1 family satisfies the suffix recursion; higher orders are
     word convolutions of it, matching the coefficients of ``(1-f_i)^{-m_i}``.
+    Every weight is positive, as every generator's coefficient is; a table
+    with a weight that is not finite or is below the smallest normal double
+    raises :class:`SpecError`, naming the factor and the first such degree.
     """
     if len(trunc) != spec.k:
         raise SpecError("truncation tuple length differs from factor count")
@@ -199,6 +202,13 @@ def build_weight_table(spec: PolydomainSpec, trunc: Sequence[int]) -> WeightTabl
             head = b1.take(prefix)
             for _ in range(spec.m[i] - 1):
                 bm = np.bincount(word, weights=head * bm.take(suffix), minlength=b1.size)
+        bad = np.flatnonzero(~(np.isfinite(bm) & (bm >= np.finfo(float).tiny)))
+        if bad.size:
+            degree = int(graded_lex_layout(n, L)[1][bad[0]])
+            raise SpecError(
+                f"factor {i + 1}: the weights leave the normal double range at degree {degree} "
+                f"(a weight there is {bm[bad[0]]:.3g})"
+            )
         values.append(bm)
         tables.append(RankMap(WordList(n, L), bm.item))
     return WeightTable(spec=spec, trunc=tuple(trunc), tables=tuple(tables), values=tuple(values))

@@ -628,14 +628,14 @@ def _misgrade_key_5(monkeypatch):
 
 def _rescale_key_3(monkeypatch):
     # the reconstruction's entry at key 3 (row 0, column 3), where it is stored, is off by 1e-9
-    reconstruct = cli._cesaro_entries
+    reconstruct = cli.cesaro_reconstruct
 
     def scaled(T, N, fejer_weights):
-        keys, vals = reconstruct(T, N, fejer_weights)
-        vals[keys == 3] *= 1 + 1e-9
-        return keys, vals
+        window = reconstruct(T, N, fejer_weights)
+        window.matrix.vals[window.matrix.keys == 3] *= 1 + 1e-9
+        return window
 
-    monkeypatch.setattr(cli, "_cesaro_entries", scaled)
+    monkeypatch.setattr(cli, "cesaro_reconstruct", scaled)
 
 
 @pytest.mark.parametrize("seed, worst", [(0, 1.9889679423822786), (7, 2.60346413722241)])
@@ -970,6 +970,37 @@ def test_oracle_degree_below_one_exits_2(tmp_path, capsys, degree):
     assert not out.exists()
 
 
+def _one_variable(a):
+    # k = n = 1, m = 2: the kernel 1 / (1 - a z w)^2, whose weights are b_d = (d + 1) a^d
+    return {"k": 1, "n": [1], "m": [2], "coeffs": [{"i": 1, "word": [1], "a": a}]}
+
+
+@pytest.mark.parametrize("a, trunc, degree", [(0.1, 340, 311), (4.0, 520, 508)])
+def test_weights_outside_the_normal_double_range_exit_2_naming_factor_and_degree(tmp_path, capsys, a, trunc, degree):
+    # the table underflows (a = 0.1) or overflows (a = 4) below the truncation:
+    # model reported a NaN defect and exited 1, and weights passed with sup NaN
+    spec_path = write_spec(tmp_path / "spec.json", _one_variable(a))
+    for command in ("model", "weights"):
+        out = tmp_path / command
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow the refusal reports
+            assert main([command, "--spec", spec_path, "--trunc", str(trunc), "--out", str(out)]) == 2
+        assert f"factor 1: the weights leave the normal double range at degree {degree} " in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_weights_inside_the_normal_double_range_keep_their_reports(tmp_path):
+    # b_300 = 301 * 0.1^300 is a normal double
+    spec_path = write_spec(tmp_path / "spec.json", _one_variable(0.1))
+    for command in ("model", "weights"):
+        assert main([command, "--spec", spec_path, "--trunc", "300", "--out", str(tmp_path / command)]) == 0
+    model = strict_json((tmp_path / "model" / "model-report.json").read_text())
+    assert model["defect_vs_vacuum_projection"] == 1.7693745774094438e-14
+    assert model["pure_powers"] == [301]
+    weights = strict_json((tmp_path / "weights" / "weights-report.json").read_text())
+    assert weights["passed"] is True and weights["ratio_trend"][0]["sup"] == 0.2
+
+
 def test_commands_below_the_cutoff_load_no_scipy_linear_algebra(tmp_path):
     # no scipy module at all: importing scipy.sparse alone costs about 0.3 s and
     # 15 MB, and only Lanczos, past the cutoff, reads scipy
@@ -1078,7 +1109,7 @@ def test_main_calls_share_one_parser_and_help_is_unchanged(tmp_path, capsys, mon
     spec = write_spec(tmp_path / "spec.json", BERGMAN)
     assert main(["weights", "--spec", spec, "--trunc", "3", "--out", str(tmp_path / "a")]) in (0, 1)
     # the command function is looked up per call, so replacing it still takes effect
-    monkeypatch.setattr(cli, "cmd_weights", lambda cfg, args: 7)
+    monkeypatch.setattr(cli, "cmd_weights", lambda args: 7)
     assert main(["weights", "--spec", spec, "--trunc", "3"]) == 7
     assert build_parser.cache_info().misses == 1
     assert build_parser() is build_parser()

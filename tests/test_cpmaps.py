@@ -136,9 +136,9 @@ class TestPurity:
         L = 3
         space = FockSpace(spec, (L,))
         W = UniversalModel(space)
-        pure, report = is_pure(W, power_cap=L + 1, tol=1e-12)
+        pure, powers = is_pure(W, power_cap=L + 1, tol=1e-12)
         assert pure
-        assert report["factors"][0]["power"] <= L + 1
+        assert powers[0] <= L + 1
 
     def test_unitary_scalar_not_pure(self, single_shift_spec):
         X = scalar_tuple(single_shift_spec, [1.0])

@@ -476,13 +476,13 @@ def test_grading_check_draws_its_normals_one_row_block_at_a_time(monkeypatch):
     space = _grading_space()
     n = space.total_dim
     blocks = []
-    cesaro_entries = cli._cesaro_entries
+    reconstruct = cli.cesaro_reconstruct
 
-    def recording_cesaro_entries(T, *args, **kwargs):
+    def recording_reconstruct(T, *args, **kwargs):
         blocks.append((int(T.matrix.keys[0]) // n, T.matrix.vals.reshape(-1, n).copy()))
-        return cesaro_entries(T, *args, **kwargs)
+        return reconstruct(T, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_cesaro_entries", recording_cesaro_entries)
+    monkeypatch.setattr(cli, "cesaro_reconstruct", recording_reconstruct)
     rng = RecordingGenerator(np.random.default_rng(0))
     assert _grading_gap(space, rng) == 0.0
     assert max(draw.size for _, draw in rng.draws) <= _GRADING_BLOCK_CELLS

@@ -73,6 +73,19 @@ def test_blas_norms_stay_in_their_one_place(path):
     assert not found, "\n".join(found)
 
 
+def test_only_linalg_calls_numpy_linear_algebra():
+    # eigenvalues, norms and factorizations have one owner, so a spectral rule
+    # (the Hermitian part taken, the batching, the LAPACK routine) is one decision
+    found = [
+        f"{path.name}:{line}: {name} in {where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "linalg.py"
+        for name, where, line in _calls(ast.parse(path.read_text()))
+        if name.startswith(("np.linalg.", "numpy.linalg."))
+    ]
+    assert not found, "\n".join(found)
+
+
 def test_only_monomial_calls_sparse_kron():
     # a creation is one index computation (FockSpace.creation_action), never a
     # Kronecker chain of identities; monomial's coefficient slot is the one kron
@@ -292,7 +305,6 @@ def test_every_cache_keys_on_ints_only():
 # public names no code in src/ reads, each with the reader that keeps it
 UNREAD_EXPORTS = {
     "monomial": "bench/gen.py plants its operators with it",
-    "cesaro_reconstruct": "the windowed means as an operator, for the tests; the battery reads their entries",
     "scalar_kernel": "the RKHS side of the Berezin check (ROADMAP item 4)",
     "truncated_gram_kernel": "the RKHS side of the Berezin check (ROADMAP item 4)",
     "evaluate_at_tuple": "the symbol's free pluriharmonic function at a tuple (ROADMAP item 4)",
@@ -405,7 +417,6 @@ UNSET_DEFAULTS = {
     "cli.main(argv)": "the tests and bench/measure.py pass the arguments; the console script passes none",
     "sampling.random_spec(max_n)": "the tests draw alphabets of up to 3 letters",
     "sampling.random_spec(max_m)": "the tests draw positivity orders up to 4",
-    "toeplitz.cesaro_reconstruct(fejer_weights)": "the tests compare the windowed means without the Fejér weights",
 }
 
 
